@@ -1,11 +1,11 @@
 """Scoring of per-step activations against the persisted training map.
 
 At each denoising step the model exposes one activation vector per
-visible token. Those vectors are scored against either the row-energy
-vector or the low-rank basis recovered from training, and the scores are
-pushed through a fixed-temperature softmax over exactly the visible
-token positions. Downstream stability tracking consumes only these
-distributions.
+visible token, held together as the rows of one (n, d) array. All rows
+are scored at once against either the row-energy vector or the low-rank
+basis recovered from training, and the scores are pushed through a
+fixed-temperature softmax over exactly the visible token positions.
+Downstream stability tracking consumes only these distributions.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from enum import Enum
 import numpy as np
 
 from .capture import EvolutionVector, SubspaceBasis
-from .errors import (
-    DimMismatchError,
-    EmptyVisibleSetError,
-    ZeroNormError,
-)
-from .linalg import NORM_FLOOR, ProbVector, cosine_similarity, softmax
+from .errors import DimMismatchError, EmptyVisibleSetError
+from .linalg import NORM_FLOOR, ProbVector, softmax
 
 DEFAULT_BLOCK_TEMPERATURE = 1.0
 DEFAULT_SUBSPACE_K = 3
@@ -73,48 +69,33 @@ class VisibleSet:
     def __contains__(self, item: int) -> bool:
         return item in self.members
 
-    def is_superset_of(self, other: "VisibleSet") -> bool:
-        return set(self.members) >= set(other.members)
-
-    def intersect(self, other: "VisibleSet") -> "VisibleSet":
-        return VisibleSet(tuple(sorted(set(self.members) & set(other.members))))
-
 
 @dataclass(frozen=True)
 class ActivationFrame:
-    """Post-adapter activation vectors for the visible tokens at one step."""
+    """Post-adapter activations of the visible tokens at one step.
+
+    ``activations`` is one read-only (n, d) array whose row ``i`` belongs
+    to ``visible.members[i]``.
+    """
 
     step: int
-    activations: dict[int, np.ndarray]
+    activations: np.ndarray
     visible: VisibleSet
 
     def __post_init__(self):
-        if set(self.activations.keys()) != set(self.visible.members):
+        arr = np.array(self.activations, dtype=np.float64)
+        if arr.ndim != 2:
+            raise DimMismatchError(f"activations must be 2-D, got shape {arr.shape}")
+        if arr.shape[0] != len(self.visible):
             raise ValueError(
-                f"activation keys {sorted(self.activations)} != visible {self.visible.members}"
+                f"{arr.shape[0]} activation rows for visible set {self.visible.members}"
             )
-        cleaned = {}
-        for s, vec in self.activations.items():
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.ndim != 1:
-                raise DimMismatchError(f"activation for token {s} must be 1-D")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            cleaned[int(s)] = arr
-        object.__setattr__(self, "activations", cleaned)
+        arr.setflags(write=False)
+        object.__setattr__(self, "activations", arr)
 
     @property
     def d_out(self) -> int:
-        first = next(iter(self.activations.values()))
-        return first.size
-
-    def degenerate_tokens(self) -> tuple[int, ...]:
-        """Tokens whose activation is numerically zero."""
-        return tuple(
-            s
-            for s in self.visible.members
-            if float(np.linalg.norm(self.activations[s])) < NORM_FLOOR
-        )
+        return self.activations.shape[1]
 
 
 @dataclass(frozen=True)
@@ -136,8 +117,9 @@ def score_alignment(
 ) -> dict[int, float]:
     """Similarity of each visible token's activation to the training map.
 
-    Zero-norm activations never abort scoring; they are pinned to the
-    mode's minimum score so they cannot win the alignment softmax.
+    Every row of the frame is scored by one array expression per
+    variant. Zero-norm activations never abort scoring; they are pinned
+    to the mode's minimum score so they cannot win the alignment softmax.
     """
     if len(frame.visible) == 0:
         raise EmptyVisibleSetError("cannot score a frame with no visible tokens")
@@ -151,23 +133,26 @@ def score_alignment(
             f"activation length {frame.d_out} != map dimension {reasoning_map.d_out}"
         )
 
-    scores: dict[int, float] = {}
-    for s in frame.visible.members:
-        f = frame.activations[s]
-        try:
-            if mode.variant is SimilarityVariant.VECTOR_COSINE:
-                scores[s] = cosine_similarity(f, reasoning_map.u)
-            elif mode.variant is SimilarityVariant.SUBSPACE_NORM:
-                scores[s] = float(np.linalg.norm(reasoning_map.project(f)))
-            else:
-                norm = float(np.linalg.norm(f))
-                if norm < NORM_FLOOR:
-                    raise ZeroNormError("zero activation")
-                coords = reasoning_map.project(f)
-                scores[s] = min(float(np.linalg.norm(coords)) / norm, 1.0)
-        except ZeroNormError:
-            scores[s] = mode.minimum_score
-    return scores
+    # Row-wise einsum rather than a BLAS matmul: BLAS blocks rows, so a
+    # row's score could change in its last bits with the number of rows
+    # scored alongside it.
+    acts = frame.activations
+    if mode.variant is SimilarityVariant.SUBSPACE_NORM:
+        scores = np.linalg.norm(np.einsum("ij,jk->ik", acts, reasoning_map.columns), axis=1)
+    else:
+        norms = np.linalg.norm(acts, axis=1)
+        live = norms >= NORM_FLOOR
+        if mode.variant is SimilarityVariant.VECTOR_COSINE:
+            u = reasoning_map.u
+            norm_u = float(np.linalg.norm(u))
+            live &= norm_u >= NORM_FLOOR
+            cosines = np.einsum("ij,j->i", acts, u) / np.where(live, norms * norm_u, 1.0)
+            raw = np.clip(cosines, -1.0, 1.0)
+        else:
+            coords = np.einsum("ij,jk->ik", acts, reasoning_map.columns)
+            raw = np.minimum(np.linalg.norm(coords, axis=1) / np.where(live, norms, 1.0), 1.0)
+        scores = np.where(live, raw, mode.minimum_score)
+    return dict(zip(frame.visible.members, scores.tolist()))
 
 
 def alignment_distribution(

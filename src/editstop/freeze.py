@@ -296,22 +296,23 @@ class TokenFreezer:
     def frozen_tokens(self) -> tuple[int, ...]:
         return tuple(sorted(s for s, st in self.states.items() if st.frozen))
 
-    def process(
-        self, frame: ActivationFrame
-    ) -> tuple[dict[int, np.ndarray], list[int]]:
-        effective: dict[int, np.ndarray] = {}
+    def process(self, frame: ActivationFrame) -> tuple[np.ndarray, list[int]]:
+        """Advance every visible token by one step.
+
+        Returns the frame's (n, d) activations with each frozen token's
+        row replaced by its pinned vector, and the tokens frozen now.
+        """
+        effective = frame.activations.copy()
         newly_frozen: list[int] = []
-        for s in frame.visible.members:
+        for i, s in enumerate(frame.visible.members):
             st = self.states.setdefault(s, TokenFreezeState(token=s))
-            if st.frozen:
-                effective[s] = st.frozen_value
-                continue
-            f = frame.activations[s]
-            _, frozen_now = token_stability_step(st, f, self.basis, self.cfg, frame.step)
-            if frozen_now:
+            if not st.frozen:
+                _, frozen_now = token_stability_step(
+                    st, effective[i], self.basis, self.cfg, frame.step
+                )
+                if not frozen_now:
+                    continue
                 newly_frozen.append(s)
                 self.events.append(FreezeEvent(frame.step, s, st.epsilon_s))
-                effective[s] = st.frozen_value
-            else:
-                effective[s] = f
+            effective[i] = st.frozen_value
         return effective, newly_frozen

@@ -6,6 +6,11 @@ confident still-masked positions, and emits an activation frame over the
 committed set. Under the monitored policies that frame drives the alignment
 distribution whose stability decides when to cut the remaining steps short.
 
+A step takes one array-shaped path: the block's predictive distributions
+are one (L, V-1) softmax array, commits are ranked on its row maxima and
+write its row argmaxes, and the frame is the (n, d) array of committed
+rows that the freezer and the alignment scorer read whole.
+
 Commitment schedule: ``ceil(block_length / budget)`` tokens per step, ties
 broken toward the lowest position index, so a run with budget ``T`` fully
 commits the block no later than step ``T``. The fixed policy always runs the
@@ -16,7 +21,6 @@ total number of forward passes equal to ``t``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -165,20 +169,14 @@ class AlignmentProbeHandle:
     def counterfactual_distribution(
         self, block_state: ActivationFrame, token: int, delta: Optional[np.ndarray]
     ):
-        if token not in block_state.activations:
+        if token not in block_state.visible:
             raise KeyError(f"token {token} is not visible in the probed frame")
-        acts = {s: np.array(v) for s, v in block_state.activations.items()}
+        frame = block_state
         if delta is not None:
-            acts[token] = acts[token] + np.asarray(delta, dtype=np.float64)
-        frame = ActivationFrame(block_state.step, acts, block_state.visible)
+            acts = block_state.activations.copy()
+            acts[block_state.visible.members.index(token)] += np.asarray(delta, dtype=np.float64)
+            frame = ActivationFrame(block_state.step, acts, block_state.visible)
         return score_frame(frame, self.reasoning_map, self.mode, self.tau_blk).dist
-
-
-def _commit_from(dist, tokens: np.ndarray, position: int) -> int:
-    """Write the argmax real token at one absolute position."""
-    choice = int(dist.support[int(np.argmax(dist.probs))])
-    tokens[position] = choice
-    return choice
 
 
 def denoise_block(
@@ -228,7 +226,7 @@ def denoise_block(
     tokens = np.concatenate([prefix, np.full(L, cfg.mask_id, dtype=np.int64)])
     committed = np.zeros(L, dtype=bool)
     quota = math.ceil(L / budget)
-    block_members = tuple(range(lo, lo + L))
+    whole_block = VisibleSet(tuple(range(lo, lo + L)))
 
     records: list[StepRecord] = []
     stop_decision: Optional[StopDecision] = None
@@ -238,36 +236,27 @@ def denoise_block(
 
     for step in range(1, budget + 1):
         result = forward(model, tokens[None, :], taps=(tap,))
-        acts = result.taps[tap][0]
-        dists = predictive_distributions(result.logits[0, lo : lo + L], cfg.vocab_size)
+        acts = result.taps[tap][0, lo : lo + L]
+        probs = predictive_distributions(result.logits[0, lo : lo + L], cfg.vocab_size)
+        choice = probs.argmax(axis=1)
 
         # Quota commitment: most confident masked positions, lowest index first.
-        newly: list[int] = []
-        open_positions = [i for i in range(L) if not committed[i]]
-        if open_positions:
-            ranked = sorted(
-                open_positions, key=lambda i: (-float(dists[i].probs.max()), i)
-            )
-            for i in ranked[: min(quota, len(open_positions))]:
-                _commit_from(dists[i], tokens, lo + i)
-                committed[i] = True
-                newly.append(lo + i)
+        open_slots = np.flatnonzero(~committed)
+        ranked = open_slots[np.lexsort((open_slots, -probs[open_slots].max(axis=1)))]
+        newly = ranked[:quota].tolist()
+        committed[newly] = True
 
-        effective = {lo + i: acts[lo + i] for i in range(L)}
         if freezer is not None:
-            whole = ActivationFrame(step, effective, VisibleSet(block_members))
-            effective, frozen_now = freezer.process(whole)
-            for frozen_token in frozen_now:
-                i = int(frozen_token) - lo
-                if not committed[i]:
-                    # A frozen readout on a masked slot: its prediction is
-                    # settled, so commit it outside the quota.
-                    _commit_from(dists[i], tokens, lo + i)
-                    committed[i] = True
-                    newly.append(lo + i)
+            acts, frozen_now = freezer.process(ActivationFrame(step, acts, whole_block))
+            # A frozen readout on a masked slot: its prediction is settled,
+            # so commit it outside the quota.
+            outside = [t - lo for t in frozen_now if not committed[t - lo]]
+            committed[outside] = True
+            newly += outside
+        tokens[[lo + i for i in newly]] = choice[newly]
 
-        visible = VisibleSet(tuple(lo + i for i in range(L) if committed[i]))
-        frame = ActivationFrame(step, {p: effective[p] for p in visible.members}, visible)
+        visible = VisibleSet(tuple(lo + np.flatnonzero(committed)))
+        frame = ActivationFrame(step, acts[committed], visible)
         alignment = (
             score_frame(frame, reasoning_map, mode, stop_cfg.tau_blk)
             if reasoning_map is not None
@@ -285,24 +274,21 @@ def denoise_block(
                 if accept:
                     stop_decision = decision
                     certificate = cert
-                    extra: list[int] = []
-                    for i in range(L):
-                        if not committed[i]:
-                            _commit_from(dists[i], tokens, lo + i)
-                            committed[i] = True
-                            extra.append(lo + i)
-                    final_commit = tuple(extra)
+                    rest = np.flatnonzero(~committed)
+                    tokens[lo + rest] = choice[rest]
+                    committed[rest] = True
+                    final_commit = tuple((lo + rest).tolist())
                 else:
-                    # Certificate refused the stop: release the latch and
-                    # keep denoising until a certified step shows up.
-                    monitor.state.stopped_at = None
+                    # Certificate refused the stop: keep denoising until a
+                    # certified step shows up.
+                    monitor.reject(step)
                     rejected.append(step)
 
         records.append(
             StepRecord(
                 step=step,
-                committed=tuple(newly),
-                tokens=tuple(int(t) for t in tokens[lo : lo + L]),
+                committed=tuple(lo + i for i in newly),
+                tokens=tuple(tokens[lo : lo + L].tolist()),
                 frame=frame,
                 alignment=alignment,
             )
@@ -382,22 +368,3 @@ def generate(
     return GenerateResult(
         tokens=tuple(int(t) for t in tokens), blocks=blocks, policy=policy, budget=budget
     )
-
-
-def generation_record(
-    result: GenerateResult,
-    prompt: np.ndarray,
-    target: np.ndarray | None = None,
-) -> str:
-    """One JSON line: prompt, output, optional target, per-block steps."""
-    prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
-    record = {
-        "prompt": [int(t) for t in prompt],
-        "output": [int(t) for t in result.tokens[prompt.size :]],
-        "block_steps": list(result.block_steps),
-        "policy": result.policy.kind,
-        "budget": result.budget,
-    }
-    if target is not None:
-        record["target"] = [int(t) for t in np.asarray(target, dtype=np.int64)]
-    return json.dumps(record, sort_keys=True)

@@ -2,8 +2,8 @@
 
 Each command reads an ``ExperimentConfig``, writes every derived artifact
 into the run directory, and is reproducible byte-for-byte from (config,
-seeds, input artifacts). Evaluation instances run in a small thread pool;
-results are aggregated in instance order so pooling never changes output.
+seeds, input artifacts). Evaluation instances run one after another, in
+instance order.
 
 Run directory layout::
 
@@ -26,7 +26,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from os import PathLike
@@ -76,8 +75,6 @@ CONSOLIDATED_CSV = "consolidated.csv"
 # module ids unique inside one metadata file.
 SUBSPACE_SUFFIX = "#subspace"
 
-MAX_WORKERS = 4
-
 
 # --- small shared utilities ----------------------------------------------
 
@@ -95,15 +92,6 @@ def _read_json(path: str):
         raise ArtifactMismatchError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArtifactMismatchError(f"malformed JSON in {path!r}: {exc}") from exc
-
-
-def _map_ordered(fn, items: Sequence):
-    """Apply ``fn`` across items on worker threads, preserving order."""
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def simulate_stop(
@@ -435,7 +423,7 @@ def cmd_infer(
                 alpha_hat=alpha_hat,
             )
 
-        results = _map_ordered(run_one, instances)
+        results = [run_one(item) for item in instances]
 
         exacts: list[bool] = []
         steps: list[float] = []
@@ -582,7 +570,7 @@ def cmd_calibrate(
             mode=mode,
         )
 
-    probe_runs = _map_ordered(probe_one, instances)
+    probe_runs = [probe_one(item) for item in instances]
 
     margins: list[float] = []
     contraction_traces: list[list] = []
@@ -651,7 +639,7 @@ def cmd_calibrate(
             out = np.asarray(res.tokens[prompt.size :])
             return task.exact_match(out, target), res.avg_steps
 
-        outcomes = _map_ordered(eval_one, instances)
+        outcomes = [eval_one(item) for item in instances]
         accuracy = float(np.mean([e for e, _ in outcomes]))
         avg_steps = float(np.mean([s for _, s in outcomes]))
         utility = accuracy / avg_steps
@@ -836,7 +824,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
             ]
             return values
 
-        divergences = [v for values in _map_ordered(eval_one, instances) for v in values]
+        divergences = [v for item in instances for v in eval_one(item)]
         cells.append(
             {
                 "module": module,

@@ -137,13 +137,15 @@ def _check_same_support(p: ProbVector, q: ProbVector) -> None:
 def kl_divergence(p: ProbVector, q: ProbVector) -> float:
     """KL(p || q) in nats over a shared support.
 
-    Entries are floored at ``PROB_FLOOR`` before the log ratio and the
-    result is clamped to be nonnegative (it can only go negative by
-    rounding, never below -1e-12).
+    Both vectors are already floored at ``PROB_FLOOR``, which keeps the
+    log ratio finite but can lift a sum above one; they are renormalized
+    first, since KL of two near-identical vectors that do not sum to one
+    can come out below zero. The result is clamped to be nonnegative (it
+    can only go negative by rounding, never below -1e-12).
     """
     _check_same_support(p, q)
-    pp = np.maximum(p.probs, PROB_FLOOR)
-    qq = np.maximum(q.probs, PROB_FLOOR)
+    pp = p.probs / p.probs.sum()
+    qq = q.probs / q.probs.sum()
     val = float(np.sum(pp * (np.log(pp) - np.log(qq))))
     if val < -1e-12:
         raise ValueError(f"KL computed as {val}, below rounding tolerance")

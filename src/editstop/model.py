@@ -30,12 +30,14 @@ import numpy as np
 from .errors import (
     BadMagicError,
     ChecksumMismatchError,
+    EmptyInputError,
     IoFailureError,
     NoRecordedGraphError,
     TruncatedFileError,
     VersionUnsupportedError,
     VocabOverflowError,
 )
+from .linalg import PROB_FLOOR
 
 PROJECTIONS = ("q", "k", "v")
 ADAPTERS = ("a", "b")
@@ -421,12 +423,23 @@ def masked_cross_entropy(
     return loss, dlogits
 
 
-def predictive_distributions(logits_row: np.ndarray, vocab_size: int):
-    """Per-position distributions over the real (non-mask) token ids."""
-    from .linalg import softmax as _softmax
+def predictive_distributions(logits_rows: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Per-position distributions over the real (non-mask) token ids.
 
-    real = np.asarray(logits_row, dtype=np.float64)[:, : vocab_size - 1]
-    return [_softmax(real[i], 1.0, tuple(range(vocab_size - 1))) for i in range(real.shape[0])]
+    One (L, V-1) array: row ``i`` is the softmax of position ``i``'s real
+    logits, column ``t`` the probability of token ``t``. Entries are
+    floored at ``PROB_FLOOR`` the way ``ProbVector`` floors them, and a
+    row that is non-finite or does not sum to one within 1e-9 is rejected.
+    """
+    real = np.asarray(logits_rows, dtype=np.float64)[:, : vocab_size - 1]
+    ez = np.exp(real - real.max(axis=1, keepdims=True))
+    probs = ez / ez.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(probs)):
+        raise EmptyInputError("predictive distributions contain non-finite entries")
+    worst = float(np.abs(probs.sum(axis=1) - 1.0).max())
+    if worst > 1e-9:
+        raise EmptyInputError(f"a predictive distribution is {worst!r} from summing to 1")
+    return np.maximum(probs, PROB_FLOOR)
 
 
 # --- checkpoint persistence ----------------------------------------------

@@ -15,16 +15,8 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable
 
-from .alignment import (
-    ActivationFrame,
-    AlignmentDistribution,
-    SimilarityMode,
-    VisibleSet,
-    score_frame,
-)
-from .capture import EvolutionVector, SubspaceBasis
+from .alignment import AlignmentDistribution, VisibleSet
 from .errors import (
     EmptyIntersectionError,
     NonMonotoneVisibleSetError,
@@ -204,42 +196,20 @@ class StabilityMonitor:
         )
         return decision
 
+    def reject(self, step: int) -> None:
+        """Release the stop that fired at ``step`` after the caller refused it.
+
+        The counter is kept, so the next sub-threshold step fires again.
+        """
+        if self.state.stopped_at != step:
+            raise ValueError(
+                f"no stop fired at step {step} (stopped at {self.state.stopped_at})"
+            )
+        self.state.stopped_at = None
+
     def exhausted(self, step: int) -> StopDecision:
         """Decision reported when the step budget ran out before stability."""
         return StopDecision(True, step, StopReason.BUDGET_EXHAUSTED, self.state.counter)
-
-
-def run_block(
-    activation_stream: Iterable[ActivationFrame],
-    reasoning_map: EvolutionVector | SubspaceBasis,
-    mode: SimilarityMode,
-    cfg: StopConfig,
-    max_steps: int,
-    block_index: int = 0,
-) -> tuple[StopDecision, StabilityState]:
-    """Drive the monitor over a stream of activation frames.
-
-    Consumes frames until the run-length stop fires or ``max_steps``
-    frames have been processed, whichever comes first.
-    """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    monitor = StabilityMonitor(cfg, block_index)
-    decision: StopDecision | None = None
-    consumed = 0
-    last_step = 0
-    for frame in activation_stream:
-        dist = score_frame(frame, reasoning_map, mode, monitor.cfg.tau_blk)
-        decision = monitor.observe(dist)
-        consumed += 1
-        last_step = frame.step
-        if decision.stop:
-            return decision, monitor.state
-        if consumed >= max_steps:
-            return monitor.exhausted(last_step), monitor.state
-    if decision is None:
-        raise ValueError("activation stream yielded no frames")
-    return monitor.exhausted(last_step), monitor.state
 
 
 def trace_to_csv(state: StabilityState) -> str:

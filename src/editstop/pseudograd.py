@@ -197,8 +197,8 @@ def step_kl_objective(
     p_t, p_t1, support, lo = _pair_distributions(model, trajectory, step)
     total = 0.0
     for s in support:
-        p = p_t[s - lo].probs
-        q = p_t1[s - lo].probs
+        p = p_t[s - lo]
+        q = p_t1[s - lo]
         total += float(np.sum(p * (np.log(p) - np.log(q))))
     return total
 
@@ -237,8 +237,8 @@ def pseudo_gradient(
     real = cfg.vocab_size - 1
     dlogits_t1 = np.zeros_like(res_t1.logits)
     for s in support:
-        p = p_t[s - lo].probs
-        q = p_t1[s - lo].probs
+        p = p_t[s - lo]
+        q = p_t1[s - lo]
         dlogits_t1[0, s, :real] = q - p
     grads = backward_lora(model, res_t1, dlogits_t1)
     out = {key: grads[key] for key in keys}
@@ -246,8 +246,8 @@ def pseudo_gradient(
     if config.differentiate_reference:
         dlogits_t = np.zeros_like(res_t.logits)
         for s in support:
-            p = p_t[s - lo].probs
-            q = p_t1[s - lo].probs
+            p = p_t[s - lo]
+            q = p_t1[s - lo]
             log_ratio = np.log(p) - np.log(q)
             kl = float(np.sum(p * log_ratio))
             dlogits_t[0, s, :real] = p * (log_ratio - kl)

@@ -1,11 +1,27 @@
-"""Shared builders for synthetic distributions, chains, and frames."""
+"""Shared builders for synthetic distributions, chains, and frames, and
+the per-token reference path of the denoising step."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from editstop.alignment import ActivationFrame, AlignmentDistribution, VisibleSet
-from editstop.linalg import ProbVector, cosine_similarity, softmax
+from editstop.alignment import (
+    ActivationFrame,
+    AlignmentDistribution,
+    SimilarityMode,
+    SimilarityVariant,
+    VisibleSet,
+    alignment_distribution,
+)
+from editstop.certify import MarginReport, build_certificate
+from editstop.errors import ZeroNormError
+from editstop.freeze import FreezeEvent, TokenFreezeState, token_stability_step
+from editstop.linalg import NORM_FLOOR, ProbVector, cosine_similarity, softmax
+from editstop.model import forward
+from editstop.monitor import StabilityMonitor
 
 
 def make_dist(probs, support=None, step=0, temperature=1.0) -> AlignmentDistribution:
@@ -28,12 +44,20 @@ def make_chain(prob_rows, support=None, start_step=1) -> list[AlignmentDistribut
     ]
 
 
+def frame_from(vectors: dict[int, np.ndarray], step: int = 0) -> ActivationFrame:
+    """Frame over the dict's tokens, one row per token in increasing order."""
+    members = tuple(sorted(vectors))
+    return ActivationFrame(step, np.stack([vectors[s] for s in members]), VisibleSet(members))
+
+
+def frame_row(frame: ActivationFrame, token: int) -> np.ndarray:
+    """The activation row of one visible token."""
+    return frame.activations[frame.visible.members.index(token)]
+
+
 def constant_frames(vectors: dict[int, np.ndarray], n_steps: int, start_step=1):
     """Identical activation frames repeated for n_steps."""
-    vis = VisibleSet(tuple(sorted(vectors)))
-    return [
-        ActivationFrame(start_step + i, dict(vectors), vis) for i in range(n_steps)
-    ]
+    return [frame_from(vectors, start_step + i) for i in range(n_steps)]
 
 
 def geometric_chain(pi, d, alpha, n_steps, support=None, start_step=1):
@@ -157,3 +181,133 @@ def subdelta_walks(rng, n_walks, k, delta, steps):
         rows.append(q)
         p = q
     return np.stack(rows, axis=1)
+
+
+# --- per-token reference path of the denoising step --------------------------
+#
+# The step loop as it was written before it became array-shaped: one
+# ProbVector per position, a sorted ranking, one cosine (or projection)
+# per token and one freezer call per token. Tests compare ``generate``
+# against it.
+
+
+def reference_scores(vectors: dict[int, np.ndarray], reasoning_map, mode: SimilarityMode):
+    """Score one token at a time, as ``score_alignment`` used to."""
+    scores: dict[int, float] = {}
+    for s, f in vectors.items():
+        try:
+            if mode.variant is SimilarityVariant.VECTOR_COSINE:
+                scores[s] = cosine_similarity(f, reasoning_map.u)
+            elif mode.variant is SimilarityVariant.SUBSPACE_NORM:
+                scores[s] = float(np.linalg.norm(reasoning_map.project(f)))
+            else:
+                norm = float(np.linalg.norm(f))
+                if norm < NORM_FLOOR:
+                    raise ZeroNormError("zero activation")
+                coords = reasoning_map.project(f)
+                scores[s] = min(float(np.linalg.norm(coords)) / norm, 1.0)
+        except ZeroNormError:
+            scores[s] = mode.minimum_score
+    return scores
+
+
+@dataclass
+class ReferenceBlock:
+    committed: list[tuple[int, ...]]  # per step, in commit order
+    final_commit: tuple[int, ...]
+    tokens: tuple[int, ...]
+    monitor: StabilityMonitor | None
+    stop_decision: object
+    certificate: object
+    rejected_stops: tuple[int, ...]
+    freeze_events: tuple[FreezeEvent, ...]
+
+
+def reference_denoise_block(model, prefix, block_index, budget, policy, reasoning_map=None,
+                            mode=None, freeze_basis=None, alpha_hat=None) -> ReferenceBlock:
+    mode = mode if mode is not None else SimilarityMode()
+    cfg = model.cfg
+    L = cfg.block_length
+    lo = block_index * L
+    tap = model.default_tap()
+    stop_cfg = policy.stop.for_block(block_index)
+    monitor = StabilityMonitor(policy.stop, block_index) if policy.monitored else None
+    freeze_states: dict[int, TokenFreezeState] = {}
+    events: list[FreezeEvent] = []
+    tokens = np.concatenate([np.asarray(prefix, dtype=np.int64),
+                             np.full(L, cfg.mask_id, dtype=np.int64)])
+    committed = [False] * L
+    quota = math.ceil(L / budget)
+    support = tuple(range(cfg.vocab_size - 1))
+    steps: list[tuple[int, ...]] = []
+    stop_decision = certificate = None
+    rejected: list[int] = []
+    final_commit: tuple[int, ...] = ()
+
+    def commit(dist, i):
+        tokens[lo + i] = dist.support[int(np.argmax(dist.probs))]
+        committed[i] = True
+
+    for step in range(1, budget + 1):
+        result = forward(model, tokens[None, :], taps=(tap,))
+        acts = result.taps[tap][0]
+        logits = result.logits[0, lo: lo + L, : cfg.vocab_size - 1]
+        dists = [softmax(logits[i], 1.0, support) for i in range(L)]
+        newly: list[int] = []
+        open_positions = [i for i in range(L) if not committed[i]]
+        ranked = sorted(open_positions, key=lambda i: (-float(dists[i].probs.max()), i))
+        for i in ranked[:quota]:
+            commit(dists[i], i)
+            newly.append(lo + i)
+        effective = {lo + i: acts[lo + i] for i in range(L)}
+        if policy.freezing:
+            for s in range(lo, lo + L):
+                st = freeze_states.setdefault(s, TokenFreezeState(token=s))
+                if not st.frozen:
+                    _, now = token_stability_step(st, effective[s], freeze_basis,
+                                                  policy.freeze, step)
+                    if now:
+                        events.append(FreezeEvent(step, s, st.epsilon_s))
+                        if not committed[s - lo]:
+                            commit(dists[s - lo], s - lo)
+                            newly.append(s)
+                if st.frozen:
+                    effective[s] = st.frozen_value
+        steps.append(tuple(newly))
+        if monitor is None:
+            continue
+        visible = VisibleSet(tuple(lo + i for i in range(L) if committed[i]))
+        scores = reference_scores({s: effective[s] for s in visible.members},
+                                  reasoning_map, mode)
+        alignment = alignment_distribution(scores, visible, stop_cfg.tau_blk, step)
+        decision = monitor.observe(alignment)
+        if not decision.stop:
+            continue
+        margin = MarginReport.from_distribution(alignment.dist, step)
+        cert = build_certificate(step, margin, stop_cfg, alpha_hat=alpha_hat)
+        if policy.strict_certificates and not (cert.local_pass and cert.global_pass is not False):
+            monitor.reject(step)
+            rejected.append(step)
+            continue
+        stop_decision, certificate = decision, cert
+        rest = [i for i in range(L) if not committed[i]]
+        for i in rest:
+            commit(dists[i], i)
+        final_commit = tuple(lo + i for i in rest)
+        break
+    if monitor is not None and stop_decision is None:
+        stop_decision = monitor.exhausted(len(steps))
+    return ReferenceBlock(steps, final_commit, tuple(int(t) for t in tokens[lo: lo + L]),
+                          monitor, stop_decision, certificate, tuple(rejected), tuple(events))
+
+
+def reference_generate(model, prompt, seq_len, policy, budget, **kwargs):
+    """Every block after the prompt through the per-token reference path."""
+    L = model.cfg.block_length
+    tokens = np.asarray(prompt, dtype=np.int64)
+    blocks = []
+    for block_index in range(tokens.size // L, seq_len // L):
+        block = reference_denoise_block(model, tokens, block_index, budget, policy, **kwargs)
+        tokens = np.concatenate([tokens, np.asarray(block.tokens, dtype=np.int64)])
+        blocks.append(block)
+    return tuple(int(t) for t in tokens), blocks

@@ -219,7 +219,7 @@ def test_gradients_match_finite_differences():
         dists = predictive_distributions(out.logits[0, lo:hi], pair_cfg.vocab_size)
         total = 0.0
         for s in support:
-            p, q = p_t[s - lo].probs, dists[s - lo].probs
+            p, q = p_t[s - lo], dists[s - lo]
             total += float(np.sum(p * (np.log(p) - np.log(q))))
         return total
 
@@ -500,9 +500,7 @@ def test_freeze_safety_paired_simulation():
         dist_trace = []
         reports = []
         for t in range(1, 31):
-            frame = ActivationFrame(
-                t, {s: state[s] for s in range(model.n_tokens)}, vis
-            )
+            frame = ActivationFrame(t, state, vis)
             effective, newly = freezer.process(frame)
             for s in range(model.n_tokens):
                 state[s] = effective[s]

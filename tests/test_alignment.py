@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import frame_from, reference_scores
 
 from editstop.alignment import (
     ActivationFrame,
@@ -18,10 +19,6 @@ from editstop.alignment import (
 from editstop.capture import EvolutionVector, build_subspace
 from editstop.errors import DimMismatchError, EmptyVisibleSetError
 from editstop.linalg import ProbVector
-
-
-def frame_from(vectors: dict[int, np.ndarray], step=0) -> ActivationFrame:
-    return ActivationFrame(step, vectors, VisibleSet(tuple(sorted(vectors))))
 
 
 def unit_map(d=2) -> EvolutionVector:
@@ -44,22 +41,13 @@ class TestVisibleSet:
         with pytest.raises(ValueError):
             VisibleSet((-1, 2))
 
-    def test_intersect(self):
-        a = VisibleSet((0, 1, 4))
-        b = VisibleSet((1, 4, 9))
-        assert a.intersect(b).members == (1, 4)
-        assert a.is_superset_of(VisibleSet((0, 4)))
-        assert not a.is_superset_of(b)
-
 
 class TestActivationFrame:
     def test_keys_must_match_visible(self):
         with pytest.raises(ValueError):
-            ActivationFrame(0, {0: np.ones(2)}, VisibleSet((0, 1)))
-
-    def test_degenerate_tokens_detected(self):
-        f = frame_from({0: np.zeros(3), 1: np.ones(3)})
-        assert f.degenerate_tokens() == (0,)
+            ActivationFrame(0, np.ones((1, 2)), VisibleSet((0, 1)))
+        with pytest.raises(DimMismatchError):
+            ActivationFrame(0, np.ones(2), VisibleSet((0, 1)))
 
     def test_activations_read_only(self):
         f = frame_from({0: np.ones(3)})
@@ -170,6 +158,26 @@ class TestScoreAlignment:
         after = score_alignment(frame_from(vecs), u)
         for i in (0, 2):
             assert before[i] == after[i]
+
+    def test_matches_per_token_reference(self):
+        rng = np.random.default_rng(76)
+        u = EvolutionVector(rng.random(8) + 0.1, "m", 4)
+        basis = build_subspace(rng.normal(size=(8, 4)), 3, "m")
+        vecs = {s: rng.normal(size=8) for s in (1, 3, 4, 9)}
+        vecs[4] = np.zeros(8)
+        for reasoning_map, variant in [
+            (u, SimilarityVariant.VECTOR_COSINE),
+            (basis, SimilarityVariant.SUBSPACE_NORM),
+            (basis, SimilarityVariant.SUBSPACE_COSINE),
+        ]:
+            mode = SimilarityMode(variant)
+            got = score_alignment(frame_from(vecs), reasoning_map, mode)
+            want = reference_scores(vecs, reasoning_map, mode)
+            assert list(got) == list(vecs)
+            assert got[4] == mode.minimum_score
+            np.testing.assert_allclose(
+                [got[s] for s in vecs], [want[s] for s in vecs], rtol=1e-12, atol=1e-15
+            )
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimMismatchError):

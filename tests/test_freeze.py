@@ -350,9 +350,7 @@ class TestFreezeSafety:
             dist_trace = []
             reports = []
             for t in range(1, 31):
-                frame = ActivationFrame(
-                    t, {s: state[s] for s in range(model.n_tokens)}, vis
-                )
+                frame = ActivationFrame(t, state, vis)
                 effective, newly = freezer.process(frame)
                 for s in range(model.n_tokens):
                     state[s] = effective[s]
@@ -394,16 +392,14 @@ class TestTokenFreezer:
         delivered = []
         for t in range(1, 8):
             frame = ActivationFrame(
-                t,
-                {0: np.array([1.0, 2.0, 3.0]), 1: rng.normal(size=3)},
-                vis,
+                t, np.stack([np.array([1.0, 2.0, 3.0]), rng.normal(size=3)]), vis
             )
             effective, _ = freezer.process(frame)
             delivered.append(effective[0])
         assert freezer.states[0].frozen
-        pinned = [v for v in delivered[3:]]
-        for v in pinned:
-            assert v is freezer.states[0].frozen_value
+        pinned = freezer.states[0].frozen_value.tobytes()
+        for v in delivered[3:]:
+            assert v.tobytes() == pinned
 
     def test_frozen_set_monotone(self):
         rng = np.random.default_rng(100)
@@ -413,10 +409,8 @@ class TestTokenFreezer:
         seen = []
         stable = {s: rng.normal(size=3) for s in range(3)}
         for t in range(1, 12):
-            acts = {
-                s: stable[s] if t > s * 2 else rng.normal(size=3) for s in range(3)
-            }
-            freezer.process(ActivationFrame(t, acts, vis))
+            acts = [stable[s] if t > s * 2 else rng.normal(size=3) for s in range(3)]
+            freezer.process(ActivationFrame(t, np.stack(acts), vis))
             seen.append(set(freezer.frozen_tokens))
         for a, b in zip(seen, seen[1:]):
             assert b >= a
@@ -427,8 +421,8 @@ class TestTokenFreezer:
         freezer = TokenFreezer(basis, FreezeConfig(delta_tok=1.0, omega_tok=1, k=2))
         vis = VisibleSet((4,))
         f = np.array([1.0, 1.0])
-        freezer.process(ActivationFrame(1, {4: f}, vis))
-        freezer.process(ActivationFrame(2, {4: f}, vis))
+        freezer.process(ActivationFrame(1, f[None, :], vis))
+        freezer.process(ActivationFrame(2, f[None, :], vis))
         assert len(freezer.events) == 1
         assert freezer.events[0].token == 4
         assert freezer.events[0].step == 2

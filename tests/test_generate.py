@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
+from helpers import frame_from, frame_row
 
-from editstop.alignment import ActivationFrame, SimilarityMode, VisibleSet
+from editstop.alignment import SimilarityMode
 from editstop.capture import AdamWConfig, EvolutionVector, SubspaceBasis, build_subspace
 from editstop.errors import ScheduleExhaustedError
 from editstop.freeze import FreezeConfig, probe_coupling
@@ -16,7 +15,6 @@ from editstop.generate import (
     PolicyConfig,
     denoise_block,
     generate,
-    generation_record,
 )
 from editstop.model import ModelConfig, init_model
 from editstop.monitor import StopConfig, StopReason
@@ -232,9 +230,9 @@ class TestFreezePolicy:
         freeze_step = block.freeze_events[0].step
         later = [r for r in block.trajectory.records if r.step > freeze_step]
         token = block.freeze_events[0].token
-        pinned = later[0].frame.activations[token]
+        pinned = frame_row(later[0].frame, token)
         for rec in later[1:]:
-            np.testing.assert_array_equal(rec.frame.activations[token], pinned)
+            np.testing.assert_array_equal(frame_row(rec.frame, token), pinned)
 
 
 class TestGenerate:
@@ -274,25 +272,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(model, prompt_block(), 24, budget=4)
 
-    def test_generation_record_roundtrip(self):
-        prompt = prompt_block()
-        result = generate(tiny_model(), prompt, 12, budget=4)
-        line = generation_record(result, prompt, target=np.zeros(8, dtype=np.int64))
-        parsed = json.loads(line)
-        assert parsed["prompt"] == [int(t) for t in prompt]
-        assert parsed["output"] == list(result.tokens[4:])
-        assert parsed["block_steps"] == [4, 4]
-        assert parsed["policy"] == "fixed"
-        assert parsed["target"] == [0] * 8
-        assert line == generation_record(result, prompt, target=np.zeros(8, dtype=np.int64))
-
 
 class TestProbeHandle:
     def frame(self):
         rng = np.random.default_rng(3)
-        visible = VisibleSet((4, 5, 6))
-        acts = {s: rng.normal(size=16) for s in visible.members}
-        return ActivationFrame(2, acts, visible)
+        return frame_from({s: rng.normal(size=16) for s in (4, 5, 6)}, step=2)
 
     def test_unperturbed_matches_direct_scoring(self):
         from editstop.alignment import score_frame

@@ -230,6 +230,14 @@ class TestKlDivergence:
         with pytest.raises(SupportMismatchError):
             kl_divergence(p, q)
 
+    def test_floored_entries_renormalized(self):
+        # Flooring q's zeros lifts its sum above one; without renormalizing,
+        # KL of this near-identical pair came out near -1.8e-12 and raised.
+        p = ProbVector(np.array([1.0 - 2.97e-12, 1.2592184e-12, 1.71203439e-12]))
+        q = ProbVector(np.array([1.0, 0.0, 0.0]))
+        assert q.probs.sum() > 1.0
+        assert 0.0 <= kl_divergence(p, q) < 1e-11
+
 
 class TestTotalVariation:
     def test_frozen_pair(self):

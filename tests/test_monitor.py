@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from helpers import constant_frames, make_chain, make_dist
+from helpers import constant_frames, frame_from, make_chain, make_dist
 
-from editstop.alignment import ActivationFrame, SimilarityMode, VisibleSet
+from editstop.alignment import SimilarityMode, score_frame
 from editstop.capture import EvolutionVector
 from editstop.errors import EmptyIntersectionError, NonMonotoneVisibleSetError
 from editstop.monitor import (
@@ -17,7 +17,6 @@ from editstop.monitor import (
     StopConfig,
     StopReason,
     matched_renormalize,
-    run_block,
     step_divergence,
     trace_to_csv,
     update_counter,
@@ -221,8 +220,42 @@ class TestStabilityMonitor:
         stop_rows = [r for r in monitor.state.divergence_trace if r.stopped]
         assert len(stop_rows) == 1 and stop_rows[0].step == 3
 
+    def test_reject_releases_the_stop(self):
+        monitor = StabilityMonitor(StopConfig(delta=0.05, omega=2))
+        chain = make_chain([[0.5, 0.5]] * 5)
+        decisions = [monitor.observe(d) for d in chain[:3]]
+        assert decisions[2].stop and decisions[2].step == 3
+        with pytest.raises(ValueError):
+            monitor.reject(2)
+        monitor.reject(3)
+        assert monitor.state.stopped_at is None
+        # The counter is kept, so the next quiet step fires a new stop.
+        decision = monitor.observe(chain[3])
+        assert decision.stop and decision.step == 4
+        assert decision.final_counter == 3
+        assert [r.step for r in monitor.state.divergence_trace if r.stopped] == [3, 4]
+
+    def test_reject_without_a_stop_rejected(self):
+        monitor = StabilityMonitor(StopConfig(delta=0.05, omega=2))
+        monitor.observe(make_dist([0.5, 0.5], step=1))
+        with pytest.raises(ValueError):
+            monitor.reject(1)
+
+
+def drive_monitor(frames, reasoning_map, cfg: StopConfig, max_steps: int):
+    """Score each frame and feed the monitor until it stops or the
+    frames or ``max_steps`` run out; returns (decision, state)."""
+    monitor = StabilityMonitor(cfg)
+    for frame in frames[:max_steps]:
+        decision = monitor.observe(score_frame(frame, reasoning_map, SimilarityMode()))
+        if decision.stop:
+            return decision, monitor.state
+    return monitor.exhausted(frame.step), monitor.state
+
 
 class TestRunBlock:
+    """The stopping rule over a block of scored activation frames."""
+
     def unit_map(self, d=3):
         u = np.zeros(d)
         u[0] = 1.0
@@ -234,7 +267,7 @@ class TestRunBlock:
         frames = constant_frames(vectors, 30)
         for omega in (2, 4, 6):
             cfg = StopConfig(delta=0.05, omega=omega)
-            dec, _ = run_block(iter(frames), self.unit_map(), SimilarityMode(), cfg, 64)
+            dec, _ = drive_monitor(frames, self.unit_map(), cfg, 64)
             assert dec.stop
             assert dec.reason is StopReason.RUN_LENGTH_MET
             assert dec.step == omega + 1
@@ -246,15 +279,11 @@ class TestRunBlock:
         orthogonal = np.array([0.0, 1.0, 0.0])
         steady = np.array([0.0, 0.0, 1.0])
         frames = [
-            ActivationFrame(
-                t,
-                {0: aligned if t % 2 else orthogonal, 1: steady},
-                VisibleSet((0, 1)),
-            )
+            frame_from({0: aligned if t % 2 else orthogonal, 1: steady}, t)
             for t in range(1, 200)
         ]
         cfg = StopConfig(delta=0.05, omega=6)
-        dec, state = run_block(iter(frames), self.unit_map(), SimilarityMode(), cfg, 64)
+        dec, state = drive_monitor(frames, self.unit_map(), cfg, 64)
         assert dec.reason is StopReason.BUDGET_EXHAUSTED
         assert dec.step == 64
         assert dec.stop
@@ -266,16 +295,13 @@ class TestRunBlock:
             switch = int(rng.integers(2, 15))
             omega = int(rng.integers(1, 7))
             tail_vectors = {i: rng.normal(size=3) for i in range(3)}
-            frames = []
-            for t in range(1, switch):
-                frames.append(
-                    ActivationFrame(
-                        t, {i: rng.normal(size=3) for i in range(3)}, VisibleSet((0, 1, 2))
-                    )
-                )
+            frames = [
+                frame_from({i: rng.normal(size=3) for i in range(3)}, t)
+                for t in range(1, switch)
+            ]
             frames.extend(constant_frames(tail_vectors, 40, start_step=switch))
             cfg = StopConfig(delta=0.05, omega=omega)
-            dec, _ = run_block(iter(frames), self.unit_map(), SimilarityMode(), cfg, 1000)
+            dec, _ = drive_monitor(frames, self.unit_map(), cfg, 1000)
             assert dec.stop
             assert dec.step <= switch + omega + 1
 
@@ -285,36 +311,19 @@ class TestRunBlock:
         vis = []
         for t in range(1, 40):
             vis = sorted(set(vis) | {int(rng.integers(0, 10))})
-            frames.append(
-                ActivationFrame(
-                    t,
-                    {i: np.sin(np.arange(3) + i + 0.1 * t) for i in vis},
-                    VisibleSet(tuple(vis)),
-                )
-            )
+            frames.append(frame_from({i: np.sin(np.arange(3) + i + 0.1 * t) for i in vis}, t))
         cfg = StopConfig(delta=0.01, omega=4)
-        dec1, state1 = run_block(iter(frames), self.unit_map(), SimilarityMode(), cfg, 64)
-        dec2, state2 = run_block(iter(frames), self.unit_map(), SimilarityMode(), cfg, 64)
+        dec1, state1 = drive_monitor(frames, self.unit_map(), cfg, 64)
+        dec2, state2 = drive_monitor(frames, self.unit_map(), cfg, 64)
         assert dec1 == dec2
         assert state1.divergence_trace == state2.divergence_trace
 
     def test_monotone_violation_raises(self):
         rng = np.random.default_rng(75)
         v = {i: rng.normal(size=3) for i in range(3)}
-        frames = [
-            ActivationFrame(1, dict(v), VisibleSet((0, 1, 2))),
-            ActivationFrame(2, {0: v[0], 1: v[1]}, VisibleSet((0, 1))),
-        ]
+        frames = [frame_from(v, 1), frame_from({0: v[0], 1: v[1]}, 2)]
         with pytest.raises(NonMonotoneVisibleSetError):
-            run_block(iter(frames), self.unit_map(), SimilarityMode(), StopConfig(), 64)
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError):
-            run_block(iter([]), self.unit_map(), SimilarityMode(), StopConfig(), 64)
-
-    def test_bad_max_steps_rejected(self):
-        with pytest.raises(ValueError):
-            run_block(iter([]), self.unit_map(), SimilarityMode(), StopConfig(), 0)
+            drive_monitor(frames, self.unit_map(), StopConfig(), 64)
 
 
 class TestTraceCsv:

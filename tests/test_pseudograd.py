@@ -158,7 +158,7 @@ def synthetic_pair_trajectory(support_members, tokens_after_1, block_index=1):
     """Two-step trajectory with hand-picked support for the second step."""
     lo = block_index * TINY.block_length
     visible = VisibleSet(tuple(support_members))
-    acts = {s: np.zeros(TINY.d_model) for s in visible.members}
+    acts = np.zeros((len(visible), TINY.d_model))
     frame = ActivationFrame(1, acts, visible)
     frame2 = ActivationFrame(2, acts, visible)
     rec1 = StepRecord(1, (), tuple(tokens_after_1), frame, None)
@@ -208,7 +208,7 @@ class TestPseudoGradient:
             dists = predictive_distributions(res.logits[0, lo:hi], PAIR.vocab_size)
             total = 0.0
             for s in support:
-                p, q = p_t[s - lo].probs, dists[s - lo].probs
+                p, q = p_t[s - lo], dists[s - lo]
                 total += float(np.sum(p * (np.log(p) - np.log(q))))
             return total
 
