@@ -4,17 +4,14 @@ A stop fired by the run-length rule says only "the alignment
 distribution moved little for a while". The functions here turn that
 into explicit guarantees: a total-variation budget over the stability
 window, an argmax-invariance test against the top-2 margin, a tail bound
-from an empirically estimated contraction coefficient, stability bounds
-for Lipschitz observables, and a calibration routine that picks
-(threshold, span) pairs backed by a margin quantile.
+from an empirically estimated contraction coefficient, and a calibration
+routine that picks (threshold, span) pairs backed by a margin quantile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .alignment import AlignmentDistribution
 from .errors import (
@@ -245,44 +242,6 @@ def global_argmax_certificate(
 
 
 @dataclass(frozen=True)
-class LipschitzObservable:
-    """A real functional of distributions with a declared TV Lipschitz constant."""
-
-    name: str
-    evaluate: object  # callable ProbVector -> float
-    lipschitz_constant: float
-
-    def __post_init__(self):
-        if self.lipschitz_constant < 0.0:
-            raise ValueError("Lipschitz constant must be nonnegative")
-        if not callable(self.evaluate):
-            raise TypeError("evaluate must be callable")
-
-    def validate(self, rng: np.random.Generator, support: tuple[int, ...], n_pairs: int = 200) -> bool:
-        """Empirically check the declared constant on random pairs."""
-        for _ in range(n_pairs):
-            w1 = rng.random(len(support)) + 1e-3
-            w2 = rng.random(len(support)) + 1e-3
-            p = ProbVector(w1 / w1.sum(), support)
-            q = ProbVector(w2 / w2.sum(), support)
-            gap = abs(self.evaluate(p) - self.evaluate(q))
-            if gap > self.lipschitz_constant * total_variation(p, q) + TV_SLACK:
-                return False
-        return True
-
-
-def lipschitz_stability_bound(
-    obs: LipschitzObservable, cfg: StopConfig, alpha_hat: float | None = None
-) -> tuple[float, float | None]:
-    """Window and optional tail bounds on an observable's movement."""
-    window = obs.lipschitz_constant * tv_budget(cfg.delta, cfg.omega)
-    if alpha_hat is None:
-        return window, None
-    tail = obs.lipschitz_constant * tail_budget(alpha_hat, cfg.delta)
-    return window, tail
-
-
-@dataclass(frozen=True)
 class CalibrationResult:
     beta: float
     margin_quantile: float
@@ -432,11 +391,3 @@ def build_certificate(
         global_pass=global_p,
         pac_pass=pac_pass,
     )
-
-
-def certified_stop_fraction(certs) -> float:
-    """Fraction of stops whose calibrated certificate passed."""
-    certs = list(certs)
-    if not certs:
-        raise EmptyInputError("no certificates")
-    return sum(1 for c in certs if c.pac_pass is True) / len(certs)

@@ -75,11 +75,16 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One denoising step: what was committed and what the tap saw."""
+    """One denoising step: what was committed and what the tap saw.
+
+    ``choice`` is the block's row argmax at this step, the token each
+    position would take if it were committed now.
+    """
 
     step: int
     committed: tuple[int, ...]
     tokens: tuple[int, ...]
+    choice: tuple[int, ...]
     frame: ActivationFrame
     alignment: Optional[AlignmentDistribution]
 
@@ -289,6 +294,7 @@ def denoise_block(
                 step=step,
                 committed=tuple(lo + i for i in newly),
                 tokens=tuple(tokens[lo : lo + L].tolist()),
+                choice=tuple(choice.tolist()),
                 frame=frame,
                 alignment=alignment,
             )

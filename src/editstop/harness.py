@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .alignment import score_frame
 from .capture import AdamWConfig, EvolutionVector, SubspaceBasis, build_subspace
 from .certify import (
     DELTA_GRID,
@@ -51,8 +52,8 @@ from .errors import (
 )
 from .freeze import FreezeConfig
 from .generate import BlockResult, GenerateResult, PolicyConfig, generate
-from .model import ToyModel, load_checkpoint, save_checkpoint
-from .monitor import StopConfig, trace_to_csv
+from .model import TapSpec, ToyModel, load_checkpoint, save_checkpoint
+from .monitor import StabilityMonitor, StopConfig, trace_to_csv
 from .pseudograd import SftBand, analyze_trajectory, pseudograd_to_csv, sft_band
 from .tasks import SyntheticTask, make_task
 from .train import CaptureSpec, reduce_capture, sft_train
@@ -528,6 +529,27 @@ def _full_visibility_index(block: BlockResult) -> Optional[int]:
     return None
 
 
+def replay_stop(
+    block: BlockResult, delta: float, omega: int, mask_id: int
+) -> tuple[tuple[int, ...], int]:
+    """Tokens and step count of ``block`` had it stopped under (delta, omega).
+
+    ``block`` must come from a never-stopping monitored run (threshold
+    zero) without freezing or strict certificates. The stop rule then
+    never changes what gets committed, so a run that stops at step t
+    equals the recorded one up to step t and then fills every slot still
+    masked with step t's row argmax. Without a stop the run is the
+    recorded one, all budgeted steps included.
+    """
+    rows = [(r.step, r.divergence) for r in block.monitor_state.divergence_trace]
+    stop = simulate_stop(rows, delta, omega)
+    if stop is None:
+        return block.trajectory.tokens, block.steps_used
+    rec = block.trajectory.records[stop - 1]
+    tokens = tuple(c if t == mask_id else t for t, c in zip(rec.tokens, rec.choice))
+    return tokens, stop
+
+
 def cmd_calibrate(
     config: ExperimentConfig,
     artifacts_dir: str | None = None,
@@ -535,11 +557,14 @@ def cmd_calibrate(
 ) -> dict:
     """Estimate contraction, calibrate (delta, omega), and tune by utility.
 
-    Validation trajectories are recorded under a never-stopping monitor
-    (threshold zero), which makes them identical to fixed-budget runs
-    while still logging every step divergence. The recorded divergences
-    then replay offline under candidate thresholds; the utility objective
-    re-runs the stop policy directly since runs are cheap at this scale.
+    Validation trajectories are recorded once, under a never-stopping
+    monitor (threshold zero), which makes them identical to fixed-budget
+    runs while still logging every step divergence and row argmax. Both
+    the margin calibration and the utility sweep replay those records:
+    each (delta, omega) cell reads its stop off the divergence trace and
+    its tokens off the stop step's record (``replay_stop``), which is
+    exactly what a live run under that cell commits. ``ExperimentConfig``
+    fixes one target block per prompt, so each record covers a whole run.
     """
     run_dir = run_dir if run_dir is not None else config.out_dir
     artifacts_dir = artifacts_dir if artifacts_dir is not None else run_dir
@@ -557,10 +582,9 @@ def cmd_calibrate(
         stop=StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk),
         freeze=config.freeze_config(),
     )
-
-    def probe_one(item):
-        prompt, _ = item
-        return generate(
+    probe_blocks: list[BlockResult] = []
+    for prompt, _ in instances:
+        (block,) = generate(
             artifacts.model,
             prompt,
             config.seq_len,
@@ -568,31 +592,23 @@ def cmd_calibrate(
             budget=config.budget,
             reasoning_map=reasoning_map,
             mode=mode,
-        )
+        ).blocks
+        probe_blocks.append(block)
 
-    probe_runs = [probe_one(item) for item in instances]
-
+    mask_id = artifacts.model.cfg.mask_id
     margins: list[float] = []
     contraction_traces: list[list] = []
-    for run in probe_runs:
-        for block in run.blocks:
-            rows = [
-                (r.step, r.divergence) for r in block.monitor_state.divergence_trace
-            ]
-            stop_step = simulate_stop(rows, config.delta, config.omega)
-            if stop_step is None:
-                stop_step = block.trajectory.records[-1].step
-            record = block.trajectory.records[stop_step - 1]
-            margins.append(
-                MarginReport.from_distribution(record.alignment.dist, stop_step).margin
-            )
-            full = _full_visibility_index(block)
-            if full is not None:
-                tail = [
-                    r.alignment.dist for r in block.trajectory.records[full:]
-                ]
-                if len(tail) >= 3:
-                    contraction_traces.append(tail)
+    for block in probe_blocks:
+        _, stop_step = replay_stop(block, config.delta, config.omega, mask_id)
+        record = block.trajectory.records[stop_step - 1]
+        margins.append(
+            MarginReport.from_distribution(record.alignment.dist, stop_step).margin
+        )
+        full = _full_visibility_index(block)
+        if full is not None:
+            tail = [r.alignment.dist for r in block.trajectory.records[full:]]
+            if len(tail) >= 3:
+                contraction_traces.append(tail)
 
     alpha_note = None
     try:
@@ -617,29 +633,14 @@ def cmd_calibrate(
             f" (delta={config.delta}, omega={config.omega})"
         )
 
-    # Utility sweep: accuracy per step, evaluated by running the policy.
+    # Utility sweep: accuracy per step, each cell replayed from the probes.
     utility_rows = []
     best = None
     for delta, omega in product(DELTA_GRID, OMEGA_GRID):
-        policy = PolicyConfig(
-            "edit", stop=StopConfig(delta=delta, omega=omega, tau_blk=config.tau_blk)
-        )
-
-        def eval_one(item):
-            prompt, target = item
-            res = generate(
-                artifacts.model,
-                prompt,
-                config.seq_len,
-                policy,
-                budget=config.budget,
-                reasoning_map=reasoning_map,
-                mode=mode,
-            )
-            out = np.asarray(res.tokens[prompt.size :])
-            return task.exact_match(out, target), res.avg_steps
-
-        outcomes = [eval_one(item) for item in instances]
+        outcomes = []
+        for (_, target), block in zip(instances, probe_blocks):
+            tokens, steps = replay_stop(block, delta, omega, mask_id)
+            outcomes.append((task.exact_match(tokens, target), float(steps)))
         accuracy = float(np.mean([e for e, _ in outcomes]))
         avg_steps = float(np.mean([s for _, s in outcomes]))
         utility = accuracy / avg_steps
@@ -761,9 +762,16 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     """Sweep capture sites and reductions; report mean step divergence.
 
     One training run captures raw update tensors for all six adapter
-    sites; each of the twelve (projection, adapter, reduction) cells then
-    scores the same evaluation prompts under a never-stopping monitor so
-    the recorded per-step divergences describe alignment stability.
+    sites. Each (projection, adapter, reduction) cell scores the chosen
+    projection's own activations against its reduced update vector under
+    a never-stopping monitor (threshold zero), so the recorded per-step
+    divergences describe alignment stability.
+
+    Such a monitor never changes what gets committed, and freezing is
+    off, so the frames a cell scores are those of a fixed-budget run that
+    taps its projection. Each evaluation prompt is therefore decoded once
+    per projection, and that projection's four cells replay the recorded
+    frames through a fresh monitor each.
     """
     run_dir = run_dir if run_dir is not None else config.out_dir
     os.makedirs(run_dir, exist_ok=True)
@@ -790,52 +798,52 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 
     n_eval = min(config.eval_instances, 16)
     instances = _sample_instances(task, (config.model_seed, 505), n_eval)
-    probe_policy = PolicyConfig(
-        "edit", stop=StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk)
-    )
+    probe_stop = StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk)
     mode = config.similarity_mode()
-
-    cells = []
-    for proj, adapter, reduction in product(
-        ABLATION_PROJECTIONS, ABLATION_ADAPTERS, ABLATION_REDUCTIONS
-    ):
-        module = f"block{last}.{proj}"
-        spec = CaptureSpec(module, adapter, reduction)
-        vector = reduce_capture(
+    sites = list(product(ABLATION_PROJECTIONS, ABLATION_ADAPTERS, ABLATION_REDUCTIONS))
+    vectors = {}
+    for proj, adapter, reduction in sites:
+        spec = CaptureSpec(f"block{last}.{proj}", adapter, reduction)
+        vectors[proj, adapter, reduction] = reduce_capture(
             spec, result.evolution_tensors[spec.metadata_id], model_cfg.lora_rank
         )
 
-        def eval_one(item):
-            prompt, _ = item
-            run = generate(
+    # One prompt at a time, so only one run's frames are held.
+    divergences: dict[tuple[str, str, str], list[float]] = {site: [] for site in sites}
+    for prompt, _ in instances:
+        for proj in ABLATION_PROJECTIONS:
+            (block,) = generate(
                 result.model,
                 prompt,
                 config.seq_len,
-                probe_policy,
+                PolicyConfig("fixed"),
                 budget=config.budget,
-                reasoning_map=vector,
-                mode=mode,
-            )
-            values = [
-                row.divergence
-                for block in run.blocks
-                for row in block.monitor_state.divergence_trace
-                if math.isfinite(row.divergence)
-            ]
-            return values
+                tap=TapSpec(f"block{last}.{proj}"),
+            ).blocks
+            for adapter, reduction in product(ABLATION_ADAPTERS, ABLATION_REDUCTIONS):
+                site = (proj, adapter, reduction)
+                monitor = StabilityMonitor(probe_stop, block.block_index)
+                for rec in block.trajectory.records:
+                    monitor.observe(
+                        score_frame(rec.frame, vectors[site], mode, config.tau_blk)
+                    )
+                divergences[site] += [
+                    row.divergence
+                    for row in monitor.state.divergence_trace
+                    if math.isfinite(row.divergence)
+                ]
 
-        divergences = [v for item in instances for v in eval_one(item)]
-        cells.append(
-            {
-                "module": module,
-                "projection": proj,
-                "adapter": adapter,
-                "reduction": reduction,
-                "mean_divergence": float(np.mean(divergences)),
-                "n_samples": len(divergences),
-            }
-        )
-
+    cells = [
+        {
+            "module": f"block{last}.{proj}",
+            "projection": proj,
+            "adapter": adapter,
+            "reduction": reduction,
+            "mean_divergence": float(np.mean(divergences[proj, adapter, reduction])),
+            "n_samples": len(divergences[proj, adapter, reduction]),
+        }
+        for proj, adapter, reduction in sites
+    ]
     cells.sort(key=lambda c: (c["projection"], c["adapter"], c["reduction"]))
     payload = {"cells": cells, "n_eval_instances": n_eval}
     _write_json(os.path.join(run_dir, ABLATION_JSON), payload)

@@ -1,10 +1,12 @@
-"""Shared builders for synthetic distributions, chains, and frames, and
-the per-token reference path of the denoising step."""
+"""Shared builders for synthetic distributions, chains, and frames, the
+per-token reference path of the denoising step, and the live per-cell
+sweeps that calibrate's and ablate's replays stand in for."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -16,12 +18,21 @@ from editstop.alignment import (
     VisibleSet,
     alignment_distribution,
 )
-from editstop.certify import MarginReport, build_certificate
+from editstop.certify import DELTA_GRID, OMEGA_GRID, MarginReport, build_certificate
 from editstop.errors import ZeroNormError
 from editstop.freeze import FreezeEvent, TokenFreezeState, token_stability_step
+from editstop.generate import PolicyConfig, generate
+from editstop.harness import (
+    ABLATION_ADAPTERS,
+    ABLATION_PROJECTIONS,
+    ABLATION_REDUCTIONS,
+    _sample_instances,
+)
 from editstop.linalg import NORM_FLOOR, ProbVector, cosine_similarity, softmax
-from editstop.model import forward
-from editstop.monitor import StabilityMonitor
+from editstop.model import TapSpec, forward
+from editstop.monitor import StabilityMonitor, StopConfig
+from editstop.tasks import make_task
+from editstop.train import CaptureSpec, reduce_capture
 
 
 def make_dist(probs, support=None, step=0, temperature=1.0) -> AlignmentDistribution:
@@ -214,6 +225,7 @@ def reference_scores(vectors: dict[int, np.ndarray], reasoning_map, mode: Simila
 @dataclass
 class ReferenceBlock:
     committed: list[tuple[int, ...]]  # per step, in commit order
+    choices: list[tuple[int, ...]]  # per step, each position's argmax token
     final_commit: tuple[int, ...]
     tokens: tuple[int, ...]
     monitor: StabilityMonitor | None
@@ -240,6 +252,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
     quota = math.ceil(L / budget)
     support = tuple(range(cfg.vocab_size - 1))
     steps: list[tuple[int, ...]] = []
+    choices: list[tuple[int, ...]] = []
     stop_decision = certificate = None
     rejected: list[int] = []
     final_commit: tuple[int, ...] = ()
@@ -274,6 +287,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
                 if st.frozen:
                     effective[s] = st.frozen_value
         steps.append(tuple(newly))
+        choices.append(tuple(d.support[int(np.argmax(d.probs))] for d in dists))
         if monitor is None:
             continue
         visible = VisibleSet(tuple(lo + i for i in range(L) if committed[i]))
@@ -297,7 +311,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         break
     if monitor is not None and stop_decision is None:
         stop_decision = monitor.exhausted(len(steps))
-    return ReferenceBlock(steps, final_commit, tuple(int(t) for t in tokens[lo: lo + L]),
+    return ReferenceBlock(steps, choices, final_commit, tuple(int(t) for t in tokens[lo: lo + L]),
                           monitor, stop_decision, certificate, tuple(rejected), tuple(events))
 
 
@@ -311,3 +325,77 @@ def reference_generate(model, prompt, seq_len, policy, budget, **kwargs):
         tokens = np.concatenate([tokens, np.asarray(block.tokens, dtype=np.int64)])
         blocks.append(block)
     return tuple(int(t) for t in tokens), blocks
+
+
+# --- live per-cell sweeps ------------------------------------------------------
+#
+# What ``cmd_calibrate`` and ``cmd_ablate`` compute, by one live ``generate``
+# per grid cell and prompt instead of replaying one recorded run per prompt.
+
+
+def reference_utility_table(config, artifacts):
+    """The calibration utility sweep run live.
+
+    Returns ``(rows, chosen, runs)``: the utility table, its chosen row, and
+    each (delta, omega) cell's ``GenerateResult`` per validation prompt.
+    """
+    task = make_task(config.task, config.vocab_size, config.block_length)
+    mode = config.similarity_mode()
+    reasoning_map = artifacts.basis if mode.variant.value.startswith("subspace") else artifacts.vector
+    n_val = max(1, int(round(config.validation_fraction * config.eval_instances)))
+    instances = _sample_instances(task, (config.model_seed, 707), n_val)
+    rows, best, runs = [], None, {}
+    for delta, omega in product(DELTA_GRID, OMEGA_GRID):
+        policy = PolicyConfig(
+            "edit", stop=StopConfig(delta=delta, omega=omega, tau_blk=config.tau_blk)
+        )
+        results = [
+            generate(artifacts.model, prompt, config.seq_len, policy, budget=config.budget,
+                     reasoning_map=reasoning_map, mode=mode)
+            for prompt, _ in instances
+        ]
+        runs[delta, omega] = results
+        outcomes = [
+            (task.exact_match(np.asarray(res.tokens[prompt.size:]), target), res.avg_steps)
+            for (prompt, target), res in zip(instances, results)
+        ]
+        accuracy = float(np.mean([e for e, _ in outcomes]))
+        avg_steps = float(np.mean([s for _, s in outcomes]))
+        row = {"delta": delta, "omega": omega, "accuracy": accuracy,
+               "avg_steps": avg_steps, "utility": accuracy / avg_steps}
+        rows.append(row)
+        key = (row["utility"], -avg_steps, -delta, -omega)
+        if best is None or key > best[0]:
+            best = (key, row)
+    return rows, best[1], runs
+
+
+def reference_ablation_cells(config, trained) -> dict:
+    """Ablation cells run live: a never-stopping ``edit`` run per (cell,
+    prompt) that taps the cell's own module.
+
+    ``trained`` is the ``SftResult`` of the ablation's training run. Maps
+    (projection, adapter, reduction) to (mean divergence, sample count).
+    """
+    task = make_task(config.task, config.vocab_size, config.block_length)
+    mode = config.similarity_mode()
+    instances = _sample_instances(task, (config.model_seed, 505), min(config.eval_instances, 16))
+    policy = PolicyConfig(
+        "edit", stop=StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk)
+    )
+    cells = {}
+    for proj, adapter, reduction in product(
+        ABLATION_PROJECTIONS, ABLATION_ADAPTERS, ABLATION_REDUCTIONS
+    ):
+        module = f"block{config.n_blocks - 1}.{proj}"
+        spec = CaptureSpec(module, adapter, reduction)
+        vector = reduce_capture(spec, trained.evolution_tensors[spec.metadata_id], config.lora_rank)
+        values = []
+        for prompt, _ in instances:
+            run = generate(trained.model, prompt, config.seq_len, policy, budget=config.budget,
+                           reasoning_map=vector, mode=mode, tap=TapSpec(module))
+            values += [row.divergence for block in run.blocks
+                       for row in block.monitor_state.divergence_trace
+                       if math.isfinite(row.divergence)]
+        cells[proj, adapter, reduction] = (float(np.mean(values)), len(values))
+    return cells

@@ -14,15 +14,12 @@ from editstop.certify import (
     OMEGA_GRID,
     Certificate,
     ContractionEstimate,
-    LipschitzObservable,
     MarginReport,
     build_certificate,
     calibrate_pac,
-    certified_stop_fraction,
     estimate_contraction,
     fmt_real,
     global_argmax_certificate,
-    lipschitz_stability_bound,
     local_argmax_certificate,
     margin_quantile,
     tail_budget,
@@ -298,49 +295,6 @@ class TestGlobalArgmaxCertificate:
             assert total_variation(future, stopped) <= budget + 1e-9
 
 
-class TestLipschitzObservable:
-    def test_indicator_bounds_equal_raw_budgets(self):
-        obs = LipschitzObservable("p0", lambda p: p.probs[0], 1.0)
-        cfg = StopConfig(delta=0.05, omega=6)
-        window, tail = lipschitz_stability_bound(obs, cfg, alpha_hat=0.5)
-        assert window == pytest.approx(tv_budget(0.05, 6), rel=1e-12)
-        assert tail == pytest.approx(tail_budget(0.5, 0.05), rel=1e-12)
-
-    def test_payoff_scales_by_constant(self):
-        payoff = np.array([0.0, 10.0, 5.0])
-        obs = LipschitzObservable("payoff", lambda p: float(p.probs @ payoff), 10.0)
-        cfg = StopConfig(delta=0.05, omega=6)
-        window, tail = lipschitz_stability_bound(obs, cfg, alpha_hat=0.0)
-        assert window == pytest.approx(10.0 * tv_budget(0.05, 6), rel=1e-12)
-        assert tail == pytest.approx(10.0 * tail_budget(0.0, 0.05), rel=1e-12)
-
-    def test_constant_observable_zero_bounds(self):
-        obs = LipschitzObservable("const", lambda p: 3.14, 0.0)
-        window, tail = lipschitz_stability_bound(obs, StopConfig(), alpha_hat=0.3)
-        assert window == 0.0
-        assert tail == 0.0
-
-    def test_no_alpha_no_tail(self):
-        obs = LipschitzObservable("p0", lambda p: p.probs[0], 1.0)
-        window, tail = lipschitz_stability_bound(obs, StopConfig())
-        assert tail is None
-
-    def test_validate_accepts_true_constant(self):
-        rng = np.random.default_rng(83)
-        obs = LipschitzObservable("p0", lambda p: p.probs[0], 1.0)
-        assert obs.validate(rng, (0, 1, 2))
-
-    def test_validate_rejects_understated_constant(self):
-        rng = np.random.default_rng(84)
-        payoff = np.array([0.0, 10.0, 5.0])
-        liar = LipschitzObservable("payoff", lambda p: float(p.probs @ payoff), 0.5)
-        assert not liar.validate(rng, (0, 1, 2))
-
-    def test_negative_constant_rejected(self):
-        with pytest.raises(ValueError):
-            LipschitzObservable("bad", lambda p: 0.0, -1.0)
-
-
 class TestMarginQuantile:
     def test_frozen_two_margin_example(self):
         assert margin_quantile([0.1, 0.9], 0.5) == 0.9
@@ -505,25 +459,3 @@ class TestCertificate:
         assert fmt_real(1 / 3) == "0.333333333333"
         assert fmt_real(0.1) == "0.1"
         assert fmt_real(1234567.0) == "1234567"
-
-
-class TestCertifiedStopFraction:
-    def make_cert(self, pac):
-        margin = MarginReport(0, 1.0, 5, 1)
-        return build_certificate(5, margin, StopConfig(), pac_pass=pac)
-
-    def test_all_pass(self):
-        certs = [self.make_cert(True) for _ in range(4)]
-        assert certified_stop_fraction(certs) == 1.0
-
-    def test_none_pass(self):
-        certs = [self.make_cert(False), self.make_cert(None)]
-        assert certified_stop_fraction(certs) == 0.0
-
-    def test_mixed_fraction(self):
-        certs = [self.make_cert(True)] * 3 + [self.make_cert(False)] * 1
-        assert certified_stop_fraction(certs) == pytest.approx(0.75)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            certified_stop_fraction([])

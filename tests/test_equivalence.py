@@ -3,15 +3,16 @@
 ``generate`` ranks commits with one ``lexsort`` over a softmax array and
 scores a frame with one array expression; ``helpers.reference_generate``
 builds a ProbVector per position, sorts positions and scores one token
-at a time. Tokens, commit order, stop steps and reasons, rejected stops,
-freeze events and certificate verdicts must be identical. Scores come
-from a batched dot product and row norm, whose sums run in another
-order than the per-row ``dot``/``norm``, so floats derived from them
-(divergences, margins) are compared with a tolerance: relative for large
-values, and absolute at a few dozen ulps of one for the small ones. A
-divergence and a top-2 margin are cancelling differences of probabilities,
-so their error is absolute: ulp-level changes in the probabilities move a
-1e-8 divergence by about 1e-16, a relative change of 1e-8.
+at a time. Tokens, commit order, each step's row argmax, stop steps and
+reasons, rejected stops, freeze events and certificate verdicts must be
+identical. Scores come from a batched dot product and row norm, whose
+sums run in another order than the per-row ``dot``/``norm``, so floats
+derived from them (divergences, margins) are compared with a tolerance:
+relative for large values, and absolute at a few dozen ulps of one for
+the small ones. A divergence and a top-2 margin are cancelling
+differences of probabilities, so their error is absolute: ulp-level
+changes in the probabilities move a 1e-8 divergence by about 1e-16, a
+relative change of 1e-8.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ def assert_same_run(result, ref_tokens, ref_blocks):
     assert len(result.blocks) == len(ref_blocks)
     for block, ref in zip(result.blocks, ref_blocks):
         assert [r.committed for r in block.trajectory.records] == ref.committed
+        assert [r.choice for r in block.trajectory.records] == ref.choices
         assert block.trajectory.final_commit == ref.final_commit
         assert block.trajectory.tokens == ref.tokens
         assert block.stop_decision == ref.stop_decision

@@ -10,7 +10,9 @@ import os
 
 import numpy as np
 import pytest
+from helpers import reference_ablation_cells, reference_utility_table
 
+from editstop import harness
 from editstop.config import ExperimentConfig
 from editstop.errors import ArtifactMismatchError, NoAdmissiblePairError
 from editstop.harness import (
@@ -35,6 +37,7 @@ from editstop.harness import (
     cmd_report,
     cmd_train,
     load_artifacts,
+    replay_stop,
     simulate_stop,
 )
 from editstop.metaformat import load_metadata
@@ -70,6 +73,16 @@ def trained_run(tmp_path_factory):
     cmd_train(cfg)
     cmd_infer(cfg)
     return cfg, run_dir
+
+
+def recording(fn, results: list):
+    """``fn``, appending each return value to ``results``."""
+
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    return wrapper
 
 
 class TestSimulateStop:
@@ -240,6 +253,67 @@ class TestCalibrate:
         assert payload["n_margins"] == n_val
 
 
+# Two training steps leave 16-token blocks whose row argmax still moves
+# between steps, so an early stop commits other tokens than the full run.
+UNDERTRAINED = dict(block_length=16, seq_len=32, train_steps=2)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(0, {}, False), (0, UNDERTRAINED, True), (1, dict(UNDERTRAINED, budget=11), True)],
+    ids=["seed0", "seed0-undertrained", "seed1-undertrained-budget11"],
+)
+def calibrated(request, tmp_path_factory):
+    """cmd_calibrate on its own trained run, recording every generate call.
+
+    With budget 12 the spans 6, 8 and 10 stop before the budget and 12
+    never stops; with budget 11 span 10 stops at the last step. The third
+    element says whether some early stop must refill masked slots with
+    tokens the full run did not commit.
+    """
+    model_seed, overrides, refills = request.param
+    run_dir = str(tmp_path_factory.mktemp(f"calibrated{model_seed}"))
+    cfg = small_config(run_dir, model_seed=model_seed, **overrides)
+    cmd_train(cfg)
+    probes: list = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "generate", recording(harness.generate, probes))
+        with pytest.raises(NoAdmissiblePairError):
+            cmd_calibrate(cfg)
+    payload = json.load(open(os.path.join(run_dir, CALIBRATION_FILE)))
+    return cfg, load_artifacts(cfg, run_dir), payload, probes, refills
+
+
+class TestCalibrateReplay:
+    def test_utility_sweep_matches_live_runs(self, calibrated):
+        cfg, artifacts, payload = calibrated[:3]
+        rows, chosen, _ = reference_utility_table(cfg, artifacts)
+        assert payload["utility_table"] == rows
+        assert payload["utility_chosen"] == chosen
+
+    def test_replayed_cells_match_live_runs(self, calibrated):
+        cfg, artifacts, _, probes, refills = calibrated
+        _, _, runs = reference_utility_table(cfg, artifacts)
+        mask_id = artifacts.model.cfg.mask_id
+        early = never = refilled = 0
+        for (delta, omega), results in runs.items():
+            for probe, live in zip(probes, results, strict=True):
+                (block,) = live.blocks
+                tokens, steps = replay_stop(probe.blocks[0], delta, omega, mask_id)
+                assert (tokens, steps) == (block.trajectory.tokens, block.steps_used)
+                early += block.steps_used < cfg.budget
+                never += not block.stopped_early
+                refilled += tokens != probe.blocks[0].trajectory.tokens
+        # Both branches of the replay are exercised.
+        assert early > 0 and never > 0
+        if refills:
+            assert refilled > 0
+
+    def test_calibrate_decodes_each_prompt_once(self, calibrated):
+        payload, probes = calibrated[2:4]
+        assert len(probes) == payload["n_validation"]
+
+
 class TestCertify:
     def test_recertifies_stored_stops(self, trained_run):
         cfg, run_dir = trained_run
@@ -272,14 +346,21 @@ class TestCertify:
 
 @pytest.fixture(scope="module")
 def ablation(tmp_path_factory):
+    """cmd_ablate, recording its training result and every generate call."""
     run_dir = str(tmp_path_factory.mktemp("ablate"))
     cfg = small_config(run_dir, train_steps=80, eval_instances=4, budget=8)
-    return cfg, run_dir, cmd_ablate(cfg)
+    trained: list = []
+    runs: list = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "sft_train", recording(harness.sft_train, trained))
+        mp.setattr(harness, "generate", recording(harness.generate, runs))
+        payload = cmd_ablate(cfg)
+    return cfg, run_dir, payload, trained[0], runs
 
 
 class TestAblate:
     def test_full_grid(self, ablation):
-        _, _, payload = ablation
+        payload = ablation[2]
         cells = payload["cells"]
         assert len(cells) == 12
         combos = {(c["projection"], c["adapter"], c["reduction"]) for c in cells}
@@ -291,19 +372,34 @@ class TestAblate:
         }
 
     def test_cells_carry_finite_divergence(self, ablation):
-        _, _, payload = ablation
+        payload = ablation[2]
         for cell in payload["cells"]:
             assert math.isfinite(cell["mean_divergence"])
             assert cell["mean_divergence"] >= 0.0
             assert cell["n_samples"] > 0
 
     def test_csv_mirrors_json(self, ablation):
-        _, run_dir, payload = ablation
+        _, run_dir, payload = ablation[:3]
         lines = open(os.path.join(run_dir, ABLATION_CSV)).read().splitlines()
         assert len(lines) == 1 + len(payload["cells"])
         assert lines[0].startswith("module,projection,adapter,reduction")
         stored = json.load(open(os.path.join(run_dir, ABLATION_JSON)))
         assert stored == payload
+
+    def test_cells_score_their_own_module(self, ablation):
+        # Every cell equals live runs that tap the cell's projection, so the
+        # k and v cells do not score q activations.
+        cfg, _, payload, trained, _ = ablation
+        want = reference_ablation_cells(cfg, trained)
+        got = {
+            (c["projection"], c["adapter"], c["reduction"]): (c["mean_divergence"], c["n_samples"])
+            for c in payload["cells"]
+        }
+        assert got == want
+
+    def test_ablate_decodes_each_prompt_once_per_projection(self, ablation):
+        payload, runs = ablation[2], ablation[4]
+        assert len(runs) == 3 * payload["n_eval_instances"]
 
 
 class TestReport:
