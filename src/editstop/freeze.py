@@ -68,7 +68,6 @@ class TokenFreezeState:
     last_q: ProbVector | None = None
     prev_activation: np.ndarray | None = None
     window_diffs: list[float] = field(default_factory=list)
-    window_qs: list[ProbVector] = field(default_factory=list)
     epsilon_s: float = 0.0
     frozen_at: int | None = None
     frozen_value: np.ndarray | None = None
@@ -109,11 +108,9 @@ def token_stability_step(
     if d_s <= cfg.delta_tok:
         state.counter += 1
         state.window_diffs.append(diff)
-        state.window_qs.append(q)
     else:
         state.counter = 0
         state.window_diffs.clear()
-        state.window_qs.clear()
     state.last_q = q
     state.prev_activation = f_s.copy()
     if state.counter >= cfg.omega_tok:
@@ -124,30 +121,6 @@ def token_stability_step(
         state.epsilon_s = max(state.window_diffs[-cfg.omega_tok:])
         return state, True
     return state, False
-
-
-def local_component_certificate(
-    state: TokenFreezeState, margin_s: float, cfg: FreezeConfig
-) -> bool:
-    """Pass iff the token-level TV budget sits under half the component margin.
-
-    A one-component subspace passes vacuously. On pass, the stored window
-    is replayed to confirm the dominant component never moved; a flip
-    there would contradict the budget and raises.
-    """
-    if not state.frozen:
-        raise ValueError(f"token {state.token} is not frozen")
-    singleton = state.last_q is not None and len(state.last_q) == 1
-    passed = singleton or tv_budget(cfg.delta_tok, cfg.omega_tok) < margin_s / 2.0
-    if passed and state.window_qs:
-        target = state.window_qs[-1].argmax_token()
-        for q in state.window_qs[-cfg.omega_tok:]:
-            if q.argmax_token() != target:
-                raise AssertionError(
-                    "component certificate passed but the dominant component "
-                    "moved inside the stability window"
-                )
-    return passed
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,26 @@
 """Block-wise masked denoising with optional early stopping and token freezing.
 
 The sampler fills one block of ``block_length`` positions at a time. Each
-denoising step runs a full forward pass, commits a fixed quota of the most
-confident still-masked positions, and emits an activation frame over the
-committed set. Under the monitored policies that frame drives the alignment
-distribution whose stability decides when to cut the remaining steps short.
+denoising step reads the block's forward pass, commits a fixed quota of the
+most confident still-masked positions, and emits an activation frame over
+the committed set. Under the monitored policies that frame drives the
+alignment distribution whose stability decides when to cut the remaining
+steps short.
 
 A step takes one array-shaped path: the block's predictive distributions
 are one (L, V-1) softmax array, commits are ranked on its row maxima and
 write its row argmaxes, and the frame is the (n, d) array of committed
 rows that the freezer and the alignment scorer read whole.
 
+``forward`` is deterministic in the tokens, so it runs only at step 1 and
+after a step that committed a slot; other steps reuse its outputs exactly.
+
 Commitment schedule: ``ceil(block_length / budget)`` tokens per step, ties
 broken toward the lowest position index, so a run with budget ``T`` fully
 commits the block no later than step ``T``. The fixed policy always runs the
 whole budget; a monitored run that stops at step ``t`` commits every
-remaining position from step ``t``'s predictive distributions, keeping the
-total number of forward passes equal to ``t``.
+remaining position from step ``t``'s predictive distributions, so it reads
+no forward pass past step ``t``.
 """
 
 from __future__ import annotations
@@ -122,6 +126,7 @@ class BlockResult:
     certificate: Optional[Certificate]
     freeze_events: tuple[FreezeEvent, ...]
     rejected_stops: tuple[int, ...]
+    forward_passes: int
 
     @property
     def steps_used(self) -> int:
@@ -238,12 +243,18 @@ def denoise_block(
     certificate: Optional[Certificate] = None
     rejected: list[int] = []
     final_commit: tuple[int, ...] = ()
+    forward_passes = 0
+    newly: list[int] = []
 
     for step in range(1, budget + 1):
-        result = forward(model, tokens[None, :], taps=(tap,))
-        acts = result.taps[tap][0, lo : lo + L]
-        probs = predictive_distributions(result.logits[0, lo : lo + L], cfg.vocab_size)
-        choice = probs.argmax(axis=1)
+        # Rerun forward only when the last step changed the tokens.
+        if step == 1 or newly:
+            result = forward(model, tokens[None, :], taps=(tap,))
+            forward_passes += 1
+            tap_rows = result.taps[tap][0, lo : lo + L]
+            probs = predictive_distributions(result.logits[0, lo : lo + L], cfg.vocab_size)
+            choice = probs.argmax(axis=1)
+        acts = tap_rows
 
         # Quota commitment: most confident masked positions, lowest index first.
         open_slots = np.flatnonzero(~committed)
@@ -325,6 +336,7 @@ def denoise_block(
         certificate=certificate,
         freeze_events=tuple(freezer.events) if freezer is not None else (),
         rejected_stops=tuple(rejected),
+        forward_passes=forward_passes,
     )
 
 

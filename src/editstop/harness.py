@@ -259,6 +259,7 @@ class SeedReport:
     certified_fraction: float
     n_instances: int
     n_early_stops: int
+    forward_passes: int
     trace_files: list[str]
 
     def to_json_dict(self) -> dict:
@@ -271,6 +272,7 @@ class SeedReport:
             "certified_fraction": self.certified_fraction,
             "n_instances": self.n_instances,
             "n_early_stops": self.n_early_stops,
+            "forward_passes": self.forward_passes,
             "trace_files": list(self.trace_files),
         }
 
@@ -343,6 +345,7 @@ def _instance_trace_payload(
         entry = {
             "block_index": block.block_index,
             "steps_used": block.steps_used,
+            "forward_passes": block.forward_passes,
             "stopped_early": block.stopped_early,
             "stop_reason": None
             if block.stop_decision is None
@@ -508,6 +511,7 @@ def cmd_infer(
                 certified_fraction=certified,
                 n_instances=len(instances),
                 n_early_stops=n_early,
+                forward_passes=sum(b.forward_passes for r in results for b in r.blocks),
                 trace_files=trace_files,
             )
         )

@@ -166,6 +166,10 @@ def _step_input(model: ToyModel, trajectory: DenoiseTrajectory, step: int) -> np
     return np.concatenate([prefix, block])
 
 
+def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int, record: bool):
+    return forward(model, _step_input(model, trajectory, step)[None, :], taps=(), record=record)
+
+
 def _check_pair(trajectory: DenoiseTrajectory, step: int) -> None:
     if step < 1 or step + 1 > len(trajectory.records):
         raise MissingStepError(
@@ -179,8 +183,8 @@ def _pair_distributions(model: ToyModel, trajectory: DenoiseTrajectory, step: in
     cfg = model.cfg
     lo = trajectory.block_index * cfg.block_length
     hi = lo + cfg.block_length
-    res_t = forward(model, _step_input(model, trajectory, step)[None, :], taps=())
-    res_t1 = forward(model, _step_input(model, trajectory, step + 1)[None, :], taps=())
+    res_t = _step_forward(model, trajectory, step, False)
+    res_t1 = _step_forward(model, trajectory, step + 1, False)
     p_t = predictive_distributions(res_t.logits[0, lo:hi], cfg.vocab_size)
     p_t1 = predictive_distributions(res_t1.logits[0, lo:hi], cfg.vocab_size)
     support = trajectory.records[step].frame.visible.members
@@ -219,18 +223,19 @@ def pseudo_gradient(
     config = config if config is not None else PseudoGradConfig()
     _check_pair(trajectory, step)
     keys = _selected_keys(model, config)
+    res_t = _step_forward(model, trajectory, step, config.differentiate_reference)
+    res_t1 = _step_forward(model, trajectory, step + 1, True)
+    return _pair_gradient(model, trajectory, step, keys, config, res_t, res_t1)
+
+
+def _pair_gradient(
+    model: ToyModel, trajectory: DenoiseTrajectory, step: int, keys, config, res_t, res_t1
+) -> dict[str, np.ndarray]:
+    """:func:`pseudo_gradient` from the forward results of ``step`` and ``step+1``."""
     cfg = model.cfg
     lo = trajectory.block_index * cfg.block_length
     hi = lo + cfg.block_length
     support = trajectory.records[step].frame.visible.members
-
-    res_t = forward(
-        model,
-        _step_input(model, trajectory, step)[None, :],
-        taps=(),
-        record=config.differentiate_reference,
-    )
-    res_t1 = forward(model, _step_input(model, trajectory, step + 1)[None, :], taps=(), record=True)
     p_t = predictive_distributions(res_t.logits[0, lo:hi], cfg.vocab_size)
     p_t1 = predictive_distributions(res_t1.logits[0, lo:hi], cfg.vocab_size)
 
@@ -268,10 +273,14 @@ def analyze_trajectory(
         raise WindowTooShortError(
             f"need at least 2 recorded steps, got {len(trajectory.records)}"
         )
+    keys = _selected_keys(model, config)
     rows: list[PseudoGradRow] = []
     values: list[float] = []
+    res_t = _step_forward(model, trajectory, 1, True)
     for step in range(1, len(trajectory.records)):
-        grads = pseudo_gradient(model, trajectory, step, config)
+        res_t1 = _step_forward(model, trajectory, step + 1, True)
+        grads = _pair_gradient(model, trajectory, step, keys, config, res_t, res_t1)
+        res_t = res_t1  # the next pair's step side: each step's forward runs once
         value = rms(np.concatenate([g.ravel() for g in grads.values()]))
         values.append(value)
         rows.append(PseudoGradRow(step=step, rms_value=value, in_band=band.contains(value)))

@@ -4,6 +4,7 @@ sweeps that calibrate's and ablate's replays stand in for."""
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -64,6 +65,24 @@ def frame_from(vectors: dict[int, np.ndarray], step: int = 0) -> ActivationFrame
 def frame_row(frame: ActivationFrame, token: int) -> np.ndarray:
     """The activation row of one visible token."""
     return frame.activations[frame.visible.members.index(token)]
+
+
+def count_forwards(monkeypatch, module: str = "editstop.generate") -> list:
+    """A list that gains one entry per ``forward`` call made from ``module``.
+
+    The package re-exports the ``generate`` function under its submodule's
+    name, so the submodule is fetched with ``importlib``.
+    """
+    target = importlib.import_module(module)
+    real = target.forward
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, "forward", counted)
+    return calls
 
 
 def constant_frames(vectors: dict[int, np.ndarray], n_steps: int, start_step=1):

@@ -23,7 +23,6 @@ from editstop.freeze import (
     TokenFreezer,
     TokenFreezeState,
     freeze_safety,
-    local_component_certificate,
     local_distribution,
     probe_coupling,
     probe_coupling_pooled,
@@ -182,44 +181,6 @@ class TestTokenStabilityStep:
             first = ProbVector(walks[i, 0])
             last = ProbVector(walks[i, -1])
             assert total_variation(last, first) <= budget + 1e-9
-
-
-class TestLocalComponentCertificate:
-    def frozen_state(self, qs, margin_probe=None):
-        state = TokenFreezeState(token=0)
-        state.frozen_at = 10
-        state.frozen_value = np.zeros(2)
-        state.window_qs = qs
-        state.last_q = qs[-1] if qs else None
-        return state
-
-    def test_single_component_always_passes(self):
-        q = ProbVector(np.array([1.0]), (0,))
-        state = self.frozen_state([q])
-        cfg = FreezeConfig(delta_tok=0.5, omega_tok=6, k=1)
-        assert local_component_certificate(state, 1.0, cfg)
-
-    def test_small_threshold_passes(self):
-        cfg = FreezeConfig(delta_tok=1e-4, omega_tok=4, k=2)
-        budget = tv_budget(1e-4, 4)
-        assert budget == pytest.approx(0.0282842712474619, rel=1e-12)
-        q = ProbVector(np.array([0.6, 0.4]))
-        assert local_component_certificate(self.frozen_state([q] * 4), 0.2, cfg)
-
-    def test_default_threshold_fails_any_margin(self):
-        cfg = FreezeConfig(delta_tok=0.05, omega_tok=6, k=2)
-        q = ProbVector(np.array([0.99, 0.01]))
-        assert not local_component_certificate(self.frozen_state([q] * 6), 1.0, cfg)
-
-    def test_replay_detects_component_flip(self):
-        cfg = FreezeConfig(delta_tok=1e-6, omega_tok=2, k=2)
-        qs = [ProbVector(np.array([0.9, 0.1])), ProbVector(np.array([0.1, 0.9]))]
-        with pytest.raises(AssertionError):
-            local_component_certificate(self.frozen_state(qs), 0.8, cfg)
-
-    def test_unfrozen_state_rejected(self):
-        with pytest.raises(ValueError):
-            local_component_certificate(TokenFreezeState(token=0), 0.5, FreezeConfig())
 
 
 class TestProbeCoupling:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from helpers import frame_from, frame_row
+from helpers import count_forwards, frame_from, frame_row
 
 from editstop.alignment import SimilarityMode
 from editstop.capture import AdamWConfig, EvolutionVector, SubspaceBasis, build_subspace
+from editstop.config import ExperimentConfig
 from editstop.errors import ScheduleExhaustedError
 from editstop.freeze import FreezeConfig, probe_coupling
 from editstop.generate import (
@@ -16,7 +19,8 @@ from editstop.generate import (
     denoise_block,
     generate,
 )
-from editstop.model import ModelConfig, init_model
+from editstop.harness import cmd_train, load_artifacts
+from editstop.model import ModelConfig, forward, init_model, predictive_distributions
 from editstop.monitor import StopConfig, StopReason
 from editstop.tasks import make_task
 from editstop.train import sft_train
@@ -335,3 +339,78 @@ class TestTrainedEndToEnd:
         assert edit.avg_steps < fixed.avg_steps
         assert edit.blocks[0].stopped_early
         assert edit.tokens == fixed.tokens
+
+
+@pytest.fixture(scope="module")
+def default_block(tmp_path_factory):
+    """A default-config model and prompt: 16-slot blocks, budget 32.
+
+    Twenty training steps keep the fixture quick; the forward counts below
+    depend only on which steps commit a slot.
+    """
+    run_dir = str(tmp_path_factory.mktemp("default"))
+    cfg = ExperimentConfig(train_steps=20, out_dir=run_dir)
+    cmd_train(cfg)
+    artifacts = load_artifacts(cfg, run_dir)
+    task = make_task(cfg.task, cfg.vocab_size, cfg.block_length)
+    prompt, _ = task.sample(np.random.default_rng(5))
+    return cfg, artifacts, prompt
+
+
+class TestForwardReuse:
+    """A step runs ``forward`` only when the block's tokens changed since
+    the last one: at step 1 and after every step that committed a slot."""
+
+    def run_block(self, default_block, monkeypatch, kind, budget=32, delta=None):
+        cfg, artifacts, prompt = default_block
+        if delta is not None:
+            cfg = dataclasses.replace(cfg, delta=delta)
+        calls = count_forwards(monkeypatch)
+        block = denoise_block(
+            artifacts.model, prompt, 1, budget=budget, policy=cfg.policy_config(kind),
+            reasoning_map=artifacts.vector, freeze_basis=artifacts.basis,
+        )
+        assert block.forward_passes == len(calls)
+        return block
+
+    @pytest.mark.parametrize("budget, forwards", [(32, 17), (16, 16), (12, 9)])
+    def test_fixed_budget(self, default_block, monkeypatch, budget, forwards):
+        # One slot per step fills the block at step 16 (two per step at
+        # budget 12: step 8); one more forward reads the full block.
+        block = self.run_block(default_block, monkeypatch, "fixed", budget)
+        assert block.steps_used == budget
+        assert block.forward_passes == forwards
+
+    def test_edit_stops_at_step_7(self, default_block, monkeypatch):
+        block = self.run_block(default_block, monkeypatch, "edit")
+        assert block.stopped_early
+        assert block.steps_used == block.forward_passes == 7
+
+    def test_zero_threshold_edit_runs_the_fixed_count(self, default_block, monkeypatch):
+        block = self.run_block(default_block, monkeypatch, "edit", delta=0.0)
+        assert block.steps_used == 32
+        assert block.forward_passes == 17
+
+    def test_freeze_commits_count(self, default_block, monkeypatch):
+        block = self.run_block(default_block, monkeypatch, "edit_freeze", delta=0.0)
+        records = block.trajectory.records
+        assert block.forward_passes == 1 + sum(1 for r in records[:-1] if r.committed)
+        # Freezing filled the block well before the quota would have.
+        assert block.forward_passes < 17
+
+    def test_reused_steps_equal_a_fresh_forward(self, default_block):
+        cfg, artifacts, prompt = default_block
+        model = artifacts.model
+        policy = dataclasses.replace(cfg, delta=0.0).policy_config("edit")
+        block = denoise_block(model, prompt, 1, policy=policy, reasoning_map=artifacts.vector)
+        L = cfg.block_length
+        lo = L  # block 1 follows the one-block prompt
+        tap = model.default_tap()
+        masked = np.full(L, model.cfg.mask_id)
+        before = [masked] + [np.asarray(r.tokens) for r in block.trajectory.records[:-1]]
+        for rec, block_tokens in zip(block.trajectory.records, before):
+            fresh = forward(model, np.concatenate([prompt, block_tokens])[None, :], taps=(tap,))
+            probs = predictive_distributions(fresh.logits[0, lo : lo + L], model.cfg.vocab_size)
+            assert rec.choice == tuple(probs.argmax(axis=1).tolist())
+            rows = [s - lo for s in rec.frame.visible.members]
+            assert rec.frame.activations.tobytes() == fresh.taps[tap][0, lo + np.array(rows)].tobytes()

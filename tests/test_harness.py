@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ import os
 
 import numpy as np
 import pytest
-from helpers import reference_ablation_cells, reference_utility_table
+from helpers import count_forwards, reference_ablation_cells, reference_utility_table
 
 from editstop import harness
 from editstop.config import ExperimentConfig
@@ -400,6 +401,61 @@ class TestAblate:
     def test_ablate_decodes_each_prompt_once_per_projection(self, ablation):
         payload, runs = ablation[2], ablation[4]
         assert len(runs) == 3 * payload["n_eval_instances"]
+
+
+class TestForwardCounts:
+    """``generate`` runs ``forward`` only after a step that committed a slot.
+
+    A default-config block (16 slots, budget 32, one commit per step) then
+    takes 17 forwards instead of 32, in every fixed-budget decode that
+    calibrate's and ablate's replays read. Twenty training steps keep the
+    runs quick; the counts depend only on the schedule.
+    """
+
+    def test_calibrate(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(train_steps=20, eval_instances=10, out_dir=str(tmp_path))
+        cmd_train(cfg)
+        calls = count_forwards(monkeypatch)
+        with contextlib.suppress(NoAdmissiblePairError):
+            cmd_calibrate(cfg)
+        payload = json.load(open(os.path.join(str(tmp_path), CALIBRATION_FILE)))
+        assert payload["n_validation"] == 2
+        assert len(calls) == 2 * 17
+
+    def test_ablate(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(train_steps=20, eval_instances=2, out_dir=str(tmp_path))
+        calls = count_forwards(monkeypatch)
+        payload = cmd_ablate(cfg)
+        assert payload["n_eval_instances"] == 2
+        assert len(calls) == 3 * 2 * 17
+
+    def test_infer_records_forward_passes(self, trained_run, tmp_path, monkeypatch):
+        cfg, artifacts_dir = trained_run
+        run_dir = str(tmp_path)
+        cfg = dataclasses.replace(cfg, seeds=[1, 2])
+        calls = count_forwards(monkeypatch)
+        report = cmd_infer(cfg, artifacts_dir=artifacts_dir, run_dir=run_dir, policy_kind="fixed")
+        # Budget 12 over 4-slot blocks: 4 committing steps, then one forward.
+        per_seed = [s["forward_passes"] for s in report["per_seed"]]
+        assert per_seed == [cfg.eval_instances * 5] * 2
+        assert sum(per_seed) == len(calls)
+        stored = json.load(open(os.path.join(run_dir, REPORT_FILE)))
+        assert [s["forward_passes"] for s in stored["per_seed"]] == per_seed
+        for name in report["per_seed"][0]["trace_files"]:
+            payload = json.load(open(os.path.join(run_dir, name)))
+            assert [b["forward_passes"] for b in payload["blocks"]] == [5]
+
+    def test_edit_trace_counts_forwards_up_to_the_full_block(self, trained_run):
+        # The 4-slot block is full after step 4; later steps reuse step 5's forward.
+        _, run_dir = trained_run
+        report = json.load(open(os.path.join(run_dir, REPORT_FILE)))
+        (seed,) = report["per_seed"]
+        total = 0
+        for name in seed["trace_files"]:
+            for block in json.load(open(os.path.join(run_dir, name)))["blocks"]:
+                assert block["forward_passes"] == min(block["steps_used"], 5)
+                total += block["forward_passes"]
+        assert 0 < total <= seed["forward_passes"]
 
 
 class TestReport:

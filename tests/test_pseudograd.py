@@ -7,6 +7,7 @@ import io
 
 import numpy as np
 import pytest
+from helpers import count_forwards
 
 from editstop.alignment import ActivationFrame, VisibleSet
 from editstop.errors import (
@@ -309,6 +310,24 @@ class TestAnalyzeTrajectory:
         b = analyze_trajectory(model, traj, band)
         assert [r.rms_value for r in a.rows] == [r.rms_value for r in b.rows]
         assert a.convergence_step == b.convergence_step
+
+    @pytest.mark.parametrize("both", [False, True], ids=["frozen-ref", "both-branches"])
+    def test_rows_equal_per_step_pseudo_gradient(self, both):
+        model = perturbed_model(TINY)
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6).trajectory
+        config = PseudoGradConfig(differentiate_reference=both)
+        trace = analyze_trajectory(model, traj, SftBand(mu=0.1, sigma=0.1, n_steps=4), config)
+        assert [r.step for r in trace.rows] == list(range(1, 6))
+        for row in trace.rows:
+            grads = pseudo_gradient(model, traj, row.step, config)
+            assert row.rms_value == rms(np.concatenate([g.ravel() for g in grads.values()]))
+
+    def test_one_forward_per_step(self, monkeypatch):
+        model = perturbed_model(TINY)
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6).trajectory
+        calls = count_forwards(monkeypatch, "editstop.pseudograd")
+        analyze_trajectory(model, traj, SftBand(mu=0.1, sigma=0.1, n_steps=4))
+        assert len(calls) == len(traj.records) == 6
 
     def test_single_step_trajectory_rejected(self):
         model = perturbed_model(TINY)
