@@ -9,14 +9,16 @@ Run directory layout::
 
     config.txt            fully resolved configuration (provenance)
     checkpoint.editckpt   trained model parameters
-    metadata.editmeta     captured update summaries (vector + subspace)
+    metadata.editmeta     update summaries: energy and mean row summaries of the
+                          last block's six q/k/v adapters, and the default
+                          tap's subspace basis
     band.json             training gradient-magnitude band
     report.json           per-seed and mean evaluation results
     generations.jsonl     one line per evaluated instance
     traces/               per-instance JSON + CSV detail (first N only)
     calibration.json      contraction + threshold calibration
     certificates.json     batch re-evaluation of stopping certificates
-    ablation.json/.csv    capture-site sweep
+    ablation.json/.csv    capture-site sweep over the stored summaries
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from os import PathLike
 from typing import Optional, Sequence
@@ -56,7 +58,7 @@ from .model import TapSpec, ToyModel, load_checkpoint, save_checkpoint
 from .monitor import StabilityMonitor, StopConfig, trace_to_csv
 from .pseudograd import SftBand, analyze_trajectory, pseudograd_to_csv, sft_band
 from .tasks import SyntheticTask, make_task
-from .train import CaptureSpec, reduce_capture, sft_train
+from .train import CaptureSpec, sft_train
 
 CONFIG_FILE = "config.txt"
 CHECKPOINT_FILE = "checkpoint.editckpt"
@@ -75,6 +77,13 @@ CONSOLIDATED_CSV = "consolidated.csv"
 # The basis entry shares the captured module's name; the suffix keeps
 # module ids unique inside one metadata file.
 SUBSPACE_SUFFIX = "#subspace"
+
+# Ablation cells: every (projection, adapter, reduction) of the last
+# block's q/k/v adapters, each captured by cmd_train.
+ABLATION_PROJECTIONS = ("q", "k", "v")
+ABLATION_ADAPTERS = ("a", "b")
+ABLATION_REDUCTIONS = ("energy", "mean")
+ABLATION_SITES = tuple(product(ABLATION_PROJECTIONS, ABLATION_ADAPTERS, ABLATION_REDUCTIONS))
 
 
 # --- small shared utilities ----------------------------------------------
@@ -130,6 +139,17 @@ class Artifacts:
     basis: Optional[SubspaceBasis]
     band: Optional[SftBand]
     rms_trace: list[float]
+    # Every stored row summary by module id: the default tap's vector
+    # plus the ablation sites that ``cmd_train`` captures.
+    summaries: dict[str, EvolutionVector]
+
+
+def _summary(summaries: dict[str, EvolutionVector], module_id: str) -> EvolutionVector:
+    if module_id not in summaries:
+        raise ArtifactMismatchError(
+            f"metadata has no summary for {module_id!r}; found {list(summaries)}"
+        )
+    return summaries[module_id]
 
 
 def load_artifacts(config: ExperimentConfig, run_dir: str) -> Artifacts:
@@ -149,28 +169,15 @@ def load_artifacts(config: ExperimentConfig, run_dir: str) -> Artifacts:
             f" the configured model {config.model_config().to_json_dict()}"
         )
     vectors, bases = load_metadata(meta_path)
-    tap_module = model.default_tap().module
-    wanted = f"{tap_module}.lora_b"
-    matches = [v for v in vectors if v.module_id == wanted]
-    if not matches:
-        raise ArtifactMismatchError(
-            f"metadata has no summary for {wanted!r}; found"
-            f" {[v.module_id for v in vectors]}"
-        )
-    vector = matches[0]
-    if vector.d_out != config.d_model:
-        raise ArtifactMismatchError(
-            f"metadata dimension {vector.d_out} does not match d_model {config.d_model}"
-        )
-    basis = None
-    for b in bases:
-        if b.source_module == wanted + SUBSPACE_SUFFIX:
-            if b.d_out != config.d_model:
-                raise ArtifactMismatchError(
-                    f"subspace dimension {b.d_out} does not match d_model {config.d_model}"
-                )
-            basis = b
-            break
+    summaries = {v.module_id: v for v in vectors}
+    wanted = CaptureSpec(model.default_tap().module).metadata_id
+    vector = _summary(summaries, wanted)
+    for entry in [*vectors, *bases]:
+        if entry.d_out != config.d_model:
+            raise ArtifactMismatchError(
+                f"metadata dimension {entry.d_out} does not match d_model {config.d_model}"
+            )
+    basis = next((b for b in bases if b.source_module == wanted + SUBSPACE_SUFFIX), None)
     band = None
     rms_trace: list[float] = []
     band_path = os.path.join(run_dir, BAND_FILE)
@@ -183,7 +190,10 @@ def load_artifacts(config: ExperimentConfig, run_dir: str) -> Artifacts:
                 sigma=float(payload["band"]["sigma"]),
                 n_steps=int(payload["band"]["n_steps"]),
             )
-    return Artifacts(model=model, vector=vector, basis=basis, band=band, rms_trace=rms_trace)
+    return Artifacts(
+        model=model, vector=vector, basis=basis, band=band, rms_trace=rms_trace,
+        summaries=summaries,
+    )
 
 
 # --- cmd_train ------------------------------------------------------------
@@ -202,14 +212,16 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 
     model = init_model(model_cfg)
     task = make_task(config.task, config.vocab_size, config.block_length)
-    tap_module = model.default_tap().module
-    capture = CaptureSpec(tap_module, "b", "energy")
+    # The default tap's summary goes first: sft_train traces its
+    # gradient RMS for the band. The ablation sites share its run.
+    default = CaptureSpec(model.default_tap().module, "b", "energy")
+    ablation = [_ablation_capture(config, site) for site in ABLATION_SITES]
     result = sft_train(
         model,
         task,
         steps=config.train_steps,
         adamw_cfg=AdamWConfig(learning_rate=config.learning_rate),
-        captures=(capture,),
+        captures=(default, *(spec for spec in ablation if spec != default)),
         rng=np.random.default_rng(model_cfg.seed + 1),
         batch_size=config.batch_size,
     )
@@ -217,14 +229,17 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     ckpt_path = os.path.join(run_dir, CHECKPOINT_FILE)
     save_checkpoint(result.model, ckpt_path)
 
-    vector = result.evolution[capture.metadata_id]
     basis = build_subspace(
-        result.evolution_tensors[capture.metadata_id],
+        result.evolution_tensors[default.param_key],
         config.subspace_k,
-        capture.metadata_id + SUBSPACE_SUFFIX,
+        default.metadata_id + SUBSPACE_SUFFIX,
     )
+    # An adapter A that never moved (one step from B = 0) has an all-zero
+    # summary, which the metadata format refuses; ablate reports it missing.
+    vector = result.evolution[default.metadata_id]
+    vectors = [v for v in result.evolution.values() if v is vector or v.norm() > 0.0]
     meta_path = os.path.join(run_dir, METADATA_FILE)
-    meta_bytes = persist_metadata([vector], [basis], meta_path)
+    meta_bytes = persist_metadata(vectors, [basis], meta_path)
 
     band = sft_band(result.rms_trace) if len(result.rms_trace) >= 2 else None
     _write_json(
@@ -757,80 +772,73 @@ def cmd_certify(
 
 # --- cmd_ablate -----------------------------------------------------------
 
-ABLATION_PROJECTIONS = ("q", "k", "v")
-ABLATION_ADAPTERS = ("a", "b")
-ABLATION_REDUCTIONS = ("energy", "mean")
+def _ablation_capture(config: ExperimentConfig, site: tuple[str, str, str]) -> CaptureSpec:
+    proj, adapter, reduction = site
+    return CaptureSpec(f"block{config.n_blocks - 1}.{proj}", adapter, reduction)
 
 
 def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     """Sweep capture sites and reductions; report mean step divergence.
 
-    One training run captures raw update tensors for all six adapter
-    sites. Each (projection, adapter, reduction) cell scores the chosen
-    projection's own activations against its reduced update vector under
-    a never-stopping monitor (threshold zero), so the recorded per-step
+    Reads the trained run in ``run_dir``, training it first if the
+    directory holds no checkpoint. Each (projection, adapter, reduction)
+    cell scores the chosen projection's own activations against the row
+    summary that ``cmd_train`` stored for that site, under a
+    never-stopping monitor (threshold zero), so the recorded per-step
     divergences describe alignment stability.
 
     Such a monitor never changes what gets committed, and freezing is
     off, so the frames a cell scores are those of a fixed-budget run that
     taps its projection. Each evaluation prompt is therefore decoded once
     per projection, and that projection's four cells replay the recorded
-    frames through a fresh monitor each.
+    frames through a fresh monitor each. A frame repeats the one before
+    when neither step committed a slot; its score is reused.
     """
     run_dir = run_dir if run_dir is not None else config.out_dir
-    os.makedirs(run_dir, exist_ok=True)
-    model_cfg = config.model_config()
-    from .model import init_model
-
-    model = init_model(model_cfg)
+    if not os.path.exists(os.path.join(run_dir, CHECKPOINT_FILE)):
+        cmd_train(config, run_dir)
+    artifacts = load_artifacts(config, run_dir)
+    vectors = {
+        site: _summary(artifacts.summaries, _ablation_capture(config, site).metadata_id)
+        for site in ABLATION_SITES
+    }
     task = make_task(config.task, config.vocab_size, config.block_length)
-    last = model_cfg.n_blocks - 1
-    captures = tuple(
-        CaptureSpec(f"block{last}.{proj}", adapter, "energy")
-        for proj in ABLATION_PROJECTIONS
-        for adapter in ABLATION_ADAPTERS
-    )
-    result = sft_train(
-        model,
-        task,
-        steps=config.train_steps,
-        adamw_cfg=AdamWConfig(learning_rate=config.learning_rate),
-        captures=captures,
-        rng=np.random.default_rng(model_cfg.seed + 1),
-        batch_size=config.batch_size,
-    )
+    last = config.n_blocks - 1
 
     n_eval = min(config.eval_instances, 16)
     instances = _sample_instances(task, (config.model_seed, 505), n_eval)
     probe_stop = StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk)
     mode = config.similarity_mode()
-    sites = list(product(ABLATION_PROJECTIONS, ABLATION_ADAPTERS, ABLATION_REDUCTIONS))
-    vectors = {}
-    for proj, adapter, reduction in sites:
-        spec = CaptureSpec(f"block{last}.{proj}", adapter, reduction)
-        vectors[proj, adapter, reduction] = reduce_capture(
-            spec, result.evolution_tensors[spec.metadata_id], model_cfg.lora_rank
-        )
 
     # One prompt at a time, so only one run's frames are held.
-    divergences: dict[tuple[str, str, str], list[float]] = {site: [] for site in sites}
+    divergences: dict[tuple[str, str, str], list[float]] = {site: [] for site in ABLATION_SITES}
     for prompt, _ in instances:
         for proj in ABLATION_PROJECTIONS:
             (block,) = generate(
-                result.model,
+                artifacts.model,
                 prompt,
                 config.seq_len,
                 PolicyConfig("fixed"),
                 budget=config.budget,
                 tap=TapSpec(f"block{last}.{proj}"),
             ).blocks
+            records = block.trajectory.records
+            repeats = [
+                i > 0 and not rec.committed and not records[i - 1].committed
+                for i, rec in enumerate(records)
+            ]
             for adapter, reduction in product(ABLATION_ADAPTERS, ABLATION_REDUCTIONS):
                 site = (proj, adapter, reduction)
                 monitor = StabilityMonitor(probe_stop, block.block_index)
-                for rec in block.trajectory.records:
-                    monitor.observe(
-                        score_frame(rec.frame, vectors[site], mode, config.tau_blk)
+                for rec, repeat in zip(records, repeats):
+                    # The monitor needs each step to advance, so a repeated
+                    # frame's distribution takes its own step.
+                    dist = (
+                        replace(dist, step=rec.step)
+                        if repeat
+                        else score_frame(rec.frame, vectors[site], mode, config.tau_blk)
                     )
+                    monitor.observe(dist)
                 divergences[site] += [
                     row.divergence
                     for row in monitor.state.divergence_trace
@@ -846,7 +854,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
             "mean_divergence": float(np.mean(divergences[proj, adapter, reduction])),
             "n_samples": len(divergences[proj, adapter, reduction]),
         }
-        for proj, adapter, reduction in sites
+        for proj, adapter, reduction in ABLATION_SITES
     ]
     cells.sort(key=lambda c: (c["projection"], c["adapter"], c["reduction"]))
     payload = {"cells": cells, "n_eval_instances": n_eval}

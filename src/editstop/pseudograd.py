@@ -276,12 +276,20 @@ def analyze_trajectory(
     keys = _selected_keys(model, config)
     rows: list[PseudoGradRow] = []
     values: list[float] = []
-    res_t = _step_forward(model, trajectory, 1, True)
+    inp_t = _step_input(model, trajectory, 1)
+    res_t = forward(model, inp_t[None, :], taps=(), record=True)
     for step in range(1, len(trajectory.records)):
-        res_t1 = _step_forward(model, trajectory, step + 1, True)
-        grads = _pair_gradient(model, trajectory, step, keys, config, res_t, res_t1)
-        res_t = res_t1  # the next pair's step side: each step's forward runs once
-        value = rms(np.concatenate([g.ravel() for g in grads.values()]))
+        inp_t1 = _step_input(model, trajectory, step + 1)
+        if np.array_equal(inp_t1, inp_t):
+            # Step ``step`` committed nothing: both sides run the same
+            # forward, so the divergence and its gradient are exactly zero.
+            value = 0.0
+        else:
+            res_t1 = forward(model, inp_t1[None, :], taps=(), record=True)
+            grads = _pair_gradient(model, trajectory, step, keys, config, res_t, res_t1)
+            # The next pair's step side: each distinct input's forward runs once.
+            inp_t, res_t = inp_t1, res_t1
+            value = rms(np.concatenate([g.ravel() for g in grads.values()]))
         values.append(value)
         rows.append(PseudoGradRow(step=step, rms_value=value, in_band=band.contains(value)))
     index = detect_convergence(values, band, config.persistence)

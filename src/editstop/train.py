@@ -29,6 +29,7 @@ from .model import ToyModel, backward_lora, forward, masked_cross_entropy, parse
 from .tasks import SyntheticTask
 
 MASKING_RATES = (0.25, 0.5, 0.75)
+MEAN_SUFFIX = "#mean"
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,9 @@ class CaptureSpec:
 
     ``reduction`` picks how the accumulated update tensor is summarized
     into a per-dimension vector: L2 norm per output row or mean absolute
-    value per output row.
+    value per output row. Energy summaries keep the bare parameter key
+    as their id; mean summaries add ``MEAN_SUFFIX``, so both reductions
+    of one adapter can sit in one metadata file.
     """
 
     module: str
@@ -59,11 +62,14 @@ class CaptureSpec:
 
     @property
     def metadata_id(self) -> str:
-        return self.param_key
+        return self.param_key + (MEAN_SUFFIX if self.reduction == "mean" else "")
 
 
 @dataclass
 class SftResult:
+    """``evolution`` is keyed by metadata id, ``evolution_tensors`` by
+    parameter key: both reductions of one adapter share its tensor."""
+
     model: ToyModel
     evolution: dict[str, EvolutionVector]
     evolution_tensors: dict[str, np.ndarray]
@@ -128,7 +134,7 @@ def sft_train(
     cfg = model.cfg
     moments = {key: MomentState.zeros(val.shape) for key, val in model.lora.items()}
     accums = {
-        spec.metadata_id: EvolutionAccumulator(model.lora[spec.param_key].shape)
+        spec.param_key: EvolutionAccumulator(model.lora[spec.param_key].shape)
         for spec in captures
     }
     rms_key = captures[0].param_key
@@ -153,15 +159,15 @@ def sft_train(
             model.lora[key] = model.lora[key] - adamw_cfg.learning_rate * (
                 update + adamw_cfg.weight_decay * model.lora[key]
             )
-        for spec in captures:
-            accums[spec.metadata_id].accumulate(updates[spec.param_key])
+        for key, acc in accums.items():
+            acc.accumulate(updates[key])
         g = grads[rms_key]
         rms_trace.append(float(np.sqrt(np.mean(g * g))))
         loss_trace.append(loss)
 
-    tensors = {mid: acc.finalize() for mid, acc in accums.items()}
+    tensors = {key: acc.finalize() for key, acc in accums.items()}
     evolution = {
-        spec.metadata_id: reduce_capture(spec, tensors[spec.metadata_id], cfg.lora_rank)
+        spec.metadata_id: reduce_capture(spec, tensors[spec.param_key], cfg.lora_rank)
         for spec in captures
     }
     return SftResult(

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -30,10 +31,10 @@ from editstop.harness import (
     _sample_instances,
 )
 from editstop.linalg import NORM_FLOOR, ProbVector, cosine_similarity, softmax
-from editstop.model import TapSpec, forward
+from editstop.metaformat import load_metadata
+from editstop.model import TapSpec, forward, load_checkpoint
 from editstop.monitor import StabilityMonitor, StopConfig
 from editstop.tasks import make_task
-from editstop.train import CaptureSpec, reduce_capture
 
 
 def make_dist(probs, support=None, step=0, temperature=1.0) -> AlignmentDistribution:
@@ -67,21 +68,22 @@ def frame_row(frame: ActivationFrame, token: int) -> np.ndarray:
     return frame.activations[frame.visible.members.index(token)]
 
 
-def count_forwards(monkeypatch, module: str = "editstop.generate") -> list:
-    """A list that gains one entry per ``forward`` call made from ``module``.
+def count_forwards(monkeypatch, module: str = "editstop.generate", name: str = "forward") -> list:
+    """A list that gains one entry per ``name`` call made from ``module``
+    (``forward`` unless another function is named).
 
     The package re-exports the ``generate`` function under its submodule's
     name, so the submodule is fetched with ``importlib``.
     """
     target = importlib.import_module(module)
-    real = target.forward
+    real = getattr(target, name)
     calls: list = []
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(target, "forward", counted)
+    monkeypatch.setattr(target, name, counted)
     return calls
 
 
@@ -389,13 +391,18 @@ def reference_utility_table(config, artifacts):
     return rows, best[1], runs
 
 
-def reference_ablation_cells(config, trained) -> dict:
+def reference_ablation_cells(config, run_dir) -> dict:
     """Ablation cells run live: a never-stopping ``edit`` run per (cell,
     prompt) that taps the cell's own module.
 
-    ``trained`` is the ``SftResult`` of the ablation's training run. Maps
-    (projection, adapter, reduction) to (mean divergence, sample count).
+    Each cell scores the row summary stored for it in ``run_dir``'s
+    metadata (mean summaries carry a ``#mean`` suffix) with the stored
+    checkpoint. Maps (projection, adapter, reduction) to (mean
+    divergence, sample count).
     """
+    model = load_checkpoint(os.path.join(run_dir, "checkpoint.editckpt"))
+    vectors, _ = load_metadata(os.path.join(run_dir, "metadata.editmeta"))
+    stored = {v.module_id: v for v in vectors}
     task = make_task(config.task, config.vocab_size, config.block_length)
     mode = config.similarity_mode()
     instances = _sample_instances(task, (config.model_seed, 505), min(config.eval_instances, 16))
@@ -407,11 +414,10 @@ def reference_ablation_cells(config, trained) -> dict:
         ABLATION_PROJECTIONS, ABLATION_ADAPTERS, ABLATION_REDUCTIONS
     ):
         module = f"block{config.n_blocks - 1}.{proj}"
-        spec = CaptureSpec(module, adapter, reduction)
-        vector = reduce_capture(spec, trained.evolution_tensors[spec.metadata_id], config.lora_rank)
+        vector = stored[f"{module}.lora_{adapter}" + ("#mean" if reduction == "mean" else "")]
         values = []
         for prompt, _ in instances:
-            run = generate(trained.model, prompt, config.seq_len, policy, budget=config.budget,
+            run = generate(model, prompt, config.seq_len, policy, budget=config.budget,
                            reasoning_map=vector, mode=mode, tap=TapSpec(module))
             values += [row.divergence for block in run.blocks
                        for row in block.monitor_state.divergence_trace

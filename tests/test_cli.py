@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
+from editstop import harness
 from editstop.cli import EXIT_ARTIFACT, EXIT_CONFIG, EXIT_NO_PAIR, EXIT_OK, main
-from editstop.harness import REPORT_FILE
+from editstop.harness import CHECKPOINT_FILE, METADATA_FILE, REPORT_FILE
+from editstop.metaformat import load_metadata, persist_metadata
 
 SMALL = """\
 vocab_size = 12
@@ -67,6 +70,18 @@ class TestExitCodes:
         assert "calibration failed" in capsys.readouterr().err
         assert os.path.exists(os.path.join(out, "calibration.json"))
 
+    def test_ablate_without_its_summaries_exits_three(self, trained_cli, tmp_path, capsys):
+        cfg_path, run_dir = trained_cli
+        out = str(tmp_path / "old")
+        os.makedirs(out)
+        shutil.copy(os.path.join(run_dir, CHECKPOINT_FILE), out)
+        vectors, bases = load_metadata(os.path.join(run_dir, METADATA_FILE))
+        persist_metadata(vectors[:1], bases, os.path.join(out, METADATA_FILE))
+        assert main(["ablate", "--config", cfg_path, "--out", out]) == EXIT_ARTIFACT
+        err = capsys.readouterr().err
+        assert "artifact error" in err
+        assert "block1.q.lora_a" in err
+
 
 class TestCommands:
     def test_train_prints_loss(self, trained_cli, capsys):
@@ -105,6 +120,17 @@ class TestCommands:
         assert report["policy"] == "fixed"
         assert [s["seed"] for s in report["per_seed"]] == [7, 8]
         assert report["mean"]["avg_steps"] == 12.0
+
+    def test_ablate_reads_trained_run(self, trained_cli, capsys, monkeypatch):
+        cfg_path, run_dir = trained_cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate trained again")
+
+        monkeypatch.setattr(harness, "sft_train", no_training)
+        assert main(["ablate", "--config", cfg_path]) == EXIT_OK
+        assert "12 cells" in capsys.readouterr().out
+        assert os.path.exists(os.path.join(run_dir, "ablation.json"))
 
     def test_certify_after_infer(self, trained_cli, capsys):
         cfg_path, run_dir = trained_cli

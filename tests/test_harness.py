@@ -8,12 +8,14 @@ import hashlib
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 from helpers import count_forwards, reference_ablation_cells, reference_utility_table
 
 from editstop import harness
+from editstop.capture import AdamWConfig
 from editstop.config import ExperimentConfig
 from editstop.errors import ArtifactMismatchError, NoAdmissiblePairError
 from editstop.harness import (
@@ -41,7 +43,10 @@ from editstop.harness import (
     replay_stop,
     simulate_stop,
 )
-from editstop.metaformat import load_metadata
+from editstop.metaformat import load_metadata, persist_metadata
+from editstop.model import init_model, load_checkpoint
+from editstop.tasks import make_task
+from editstop.train import CaptureSpec, sft_train
 
 
 def small_config(out_dir: str, **overrides) -> ExperimentConfig:
@@ -124,12 +129,21 @@ class TestTrain:
         assert stored == cfg
 
     def test_metadata_has_vector_and_subspace(self, trained_run):
+        # The default tap's energy summary first, then both reductions of
+        # every last-block q/k/v adapter for ablate, and one basis.
         cfg, run_dir = trained_run
         vectors, bases = load_metadata(os.path.join(run_dir, METADATA_FILE))
-        assert len(vectors) == 1
+        ids = [v.module_id for v in vectors]
+        assert ids[0] == "block1.q.lora_b"
+        assert sorted(ids) == sorted(
+            f"block1.{p}.lora_{a}{suffix}"
+            for p in ("q", "k", "v")
+            for a in ("a", "b")
+            for suffix in ("", "#mean")
+        )
         assert len(bases) == 1
-        assert bases[0].source_module == vectors[0].module_id + SUBSPACE_SUFFIX
-        assert vectors[0].d_out == cfg.d_model
+        assert bases[0].source_module == "block1.q.lora_b" + SUBSPACE_SUFFIX
+        assert all(v.d_out == cfg.d_model for v in vectors)
         assert bases[0].k == cfg.subspace_k
 
     def test_band_file_structure(self, trained_run):
@@ -345,18 +359,25 @@ class TestCertify:
             cmd_certify(cfg, run_dir=str(tmp_path))
 
 
+ABLATION_SMALL = dict(train_steps=80, eval_instances=4, budget=8)
+
+
 @pytest.fixture(scope="module")
 def ablation(tmp_path_factory):
-    """cmd_ablate, recording its training result and every generate call."""
+    """cmd_ablate on a trained run, recording its sft_train, generate and
+    score_frame calls."""
     run_dir = str(tmp_path_factory.mktemp("ablate"))
-    cfg = small_config(run_dir, train_steps=80, eval_instances=4, budget=8)
+    cfg = small_config(run_dir, **ABLATION_SMALL)
+    cmd_train(cfg)
     trained: list = []
     runs: list = []
+    scored: list = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "sft_train", recording(harness.sft_train, trained))
         mp.setattr(harness, "generate", recording(harness.generate, runs))
+        mp.setattr(harness, "score_frame", recording(harness.score_frame, scored))
         payload = cmd_ablate(cfg)
-    return cfg, run_dir, payload, trained[0], runs
+    return cfg, run_dir, payload, trained, runs, scored
 
 
 class TestAblate:
@@ -388,10 +409,11 @@ class TestAblate:
         assert stored == payload
 
     def test_cells_score_their_own_module(self, ablation):
-        # Every cell equals live runs that tap the cell's projection, so the
-        # k and v cells do not score q activations.
-        cfg, _, payload, trained, _ = ablation
-        want = reference_ablation_cells(cfg, trained)
+        # Every cell equals live runs that tap the cell's projection and
+        # score its stored summary, so the k and v cells do not score q
+        # activations.
+        cfg, run_dir, payload = ablation[:3]
+        want = reference_ablation_cells(cfg, run_dir)
         got = {
             (c["projection"], c["adapter"], c["reduction"]): (c["mean_divergence"], c["n_samples"])
             for c in payload["cells"]
@@ -401,6 +423,83 @@ class TestAblate:
     def test_ablate_decodes_each_prompt_once_per_projection(self, ablation):
         payload, runs = ablation[2], ablation[4]
         assert len(runs) == 3 * payload["n_eval_instances"]
+
+    def test_ablate_reads_the_trained_run(self, ablation):
+        assert ablation[3] == []  # no sft_train call
+
+    def test_scores_each_distinct_frame_once(self, ablation):
+        runs, scored = ablation[4], ablation[5]
+        distinct = 0
+        total = 0
+        for run in runs:
+            prev = None
+            for rec in run.blocks[0].trajectory.records:
+                key = (rec.frame.visible.members, rec.frame.activations.tobytes())
+                distinct += key != prev
+                total += 1
+                prev = key
+        assert distinct < total
+        assert len(scored) == 4 * distinct
+
+    def test_standalone_run_trains_first(self, ablation, tmp_path):
+        # An empty directory is trained first, then ablated like a trained run.
+        cfg, run_dir = ablation[:2]
+        out = str(tmp_path)
+        cmd_ablate(dataclasses.replace(cfg, out_dir=out))
+        assert os.path.exists(os.path.join(out, CHECKPOINT_FILE))
+        for name in (ABLATION_JSON, ABLATION_CSV):
+            assert open(os.path.join(out, name), "rb").read() == open(
+                os.path.join(run_dir, name), "rb"
+            ).read()
+
+    def test_checkpoint_does_not_depend_on_captures(self, ablation):
+        # Captures only read each step's updates: the stored adapters equal
+        # those of a run capturing the six ablation sites and of a run
+        # capturing the default tap alone.
+        cfg, run_dir = ablation[:2]
+        stored = load_checkpoint(os.path.join(run_dir, CHECKPOINT_FILE))
+        six = tuple(
+            CaptureSpec(f"block1.{p}", a) for p in ("q", "k", "v") for a in ("a", "b")
+        )
+        for captures in (six, (CaptureSpec("block1.q"),)):
+            result = sft_train(
+                init_model(cfg.model_config()),
+                make_task(cfg.task, cfg.vocab_size, cfg.block_length),
+                steps=cfg.train_steps,
+                adamw_cfg=AdamWConfig(learning_rate=cfg.learning_rate),
+                captures=captures,
+                rng=np.random.default_rng(cfg.model_seed + 1),
+                batch_size=cfg.batch_size,
+            )
+            assert sorted(result.model.lora) == sorted(stored.lora)
+            for key, value in result.model.lora.items():
+                assert value.tobytes() == stored.lora[key].tobytes(), key
+
+    def test_missing_ablation_entry_is_an_artifact_error(self, ablation, tmp_path):
+        # Metadata written before ablation sites were captured: only the
+        # default tap's vector and basis.
+        cfg, run_dir = ablation[:2]
+        out = str(tmp_path)
+        shutil.copy(os.path.join(run_dir, CHECKPOINT_FILE), out)
+        vectors, bases = load_metadata(os.path.join(run_dir, METADATA_FILE))
+        persist_metadata(
+            [v for v in vectors if v.module_id == "block1.q.lora_b"],
+            bases,
+            os.path.join(out, METADATA_FILE),
+        )
+        with pytest.raises(ArtifactMismatchError, match="block1.q.lora_a"):
+            cmd_ablate(cfg, out)
+        assert not os.path.exists(os.path.join(out, ABLATION_JSON))
+
+    def test_one_step_run_stores_no_adapter_a_summary(self, tmp_path):
+        # After one step from B = 0 no adapter A has moved; its all-zero
+        # summaries are not stored, so train succeeds and ablate refuses.
+        cfg = small_config(str(tmp_path), **dict(ABLATION_SMALL, train_steps=1))
+        cmd_train(cfg)
+        vectors, _ = load_metadata(os.path.join(str(tmp_path), METADATA_FILE))
+        assert [v.module_id for v in vectors if ".lora_a" in v.module_id] == []
+        with pytest.raises(ArtifactMismatchError, match="block1.q.lora_a"):
+            cmd_ablate(cfg)
 
 
 class TestForwardCounts:

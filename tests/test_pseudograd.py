@@ -322,12 +322,36 @@ class TestAnalyzeTrajectory:
             grads = pseudo_gradient(model, traj, row.step, config)
             assert row.rms_value == rms(np.concatenate([g.ravel() for g in grads.values()]))
 
-    def test_one_forward_per_step(self, monkeypatch):
+    def test_one_forward_per_distinct_input(self, monkeypatch):
+        # Budget 6 over a 4-slot block: steps 5 and 6 both see the full
+        # block, so 6 steps take 5 forwards.
         model = perturbed_model(TINY)
         traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6).trajectory
         calls = count_forwards(monkeypatch, "editstop.pseudograd")
         analyze_trajectory(model, traj, SftBand(mu=0.1, sigma=0.1, n_steps=4))
-        assert len(calls) == len(traj.records) == 6
+        assert len(traj.records) == 6
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("both", [False, True], ids=["frozen-ref", "both-branches"])
+    def test_fixed_budget_tail_matches_per_pair_gradient(self, both, monkeypatch):
+        # A fixed-budget run past the full block: every pair after step 4
+        # has identical inputs. Its rows equal per-pair pseudo_gradient
+        # without running a forward or backward for those pairs.
+        model = perturbed_model(TINY)
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=12).trajectory
+        config = PseudoGradConfig(differentiate_reference=both)
+        band = SftBand(mu=0.1, sigma=0.1, n_steps=4)
+        calls = count_forwards(monkeypatch, "editstop.pseudograd")
+        backwards = count_forwards(monkeypatch, "editstop.pseudograd", name="backward_lora")
+        trace = analyze_trajectory(model, traj, band, config)
+        assert len(calls) == 5
+        assert len(backwards) == 4 * (2 if both else 1)
+        monkeypatch.undo()
+        assert [r.step for r in trace.rows] == list(range(1, 12))
+        for row in trace.rows:
+            grads = pseudo_gradient(model, traj, row.step, config)
+            assert row.rms_value == rms(np.concatenate([g.ravel() for g in grads.values()]))
+        assert [r.rms_value for r in trace.rows[4:]] == [0.0] * 7
 
     def test_single_step_trajectory_rejected(self):
         model = perturbed_model(TINY)
