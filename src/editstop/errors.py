@@ -67,10 +67,6 @@ class TruncatedFileError(EditStopError):
 
 # --- alignment / stability ---
 
-class ZeroNormActivationError(EditStopError):
-    pass
-
-
 class EmptyVisibleSetError(EditStopError):
     pass
 

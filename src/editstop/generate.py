@@ -14,6 +14,7 @@ rows that the freezer and the alignment scorer read whole.
 
 ``forward`` is deterministic in the tokens, so it runs only at step 1 and
 after a step that committed a slot; other steps reuse its outputs exactly.
+It returns only the block's rows, so its last layer skips the prefix rows.
 
 Commitment schedule: ``ceil(block_length / budget)`` tokens per step, ties
 broken toward the lowest position index, so a run with budget ``T`` fully
@@ -249,10 +250,10 @@ def denoise_block(
     for step in range(1, budget + 1):
         # Rerun forward only when the last step changed the tokens.
         if step == 1 or newly:
-            result = forward(model, tokens[None, :], taps=(tap,))
+            result = forward(model, tokens[None, :], taps=(tap,), first_row=lo)
             forward_passes += 1
-            tap_rows = result.taps[tap][0, lo : lo + L]
-            probs = predictive_distributions(result.logits[0, lo : lo + L], cfg.vocab_size)
+            tap_rows = result.taps[tap][0]
+            probs = predictive_distributions(result.logits[0], cfg.vocab_size)
             choice = probs.argmax(axis=1)
         acts = tap_rows
 

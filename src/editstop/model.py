@@ -248,8 +248,8 @@ def init_model(cfg: ModelConfig) -> ToyModel:
 
 @dataclass
 class ForwardResult:
-    logits: np.ndarray  # (N, T, vocab)
-    taps: dict[TapSpec, np.ndarray]  # spec -> (N, T, d_model)
+    logits: np.ndarray  # (N, T - first_row, vocab)
+    taps: dict[TapSpec, np.ndarray]  # spec -> (N, T - first_row, d_model)
     cache: dict | None
 
 
@@ -274,12 +274,19 @@ def forward(
     tokens: np.ndarray,
     taps: tuple[TapSpec, ...] | None = None,
     record: bool = False,
+    first_row: int = 0,
 ) -> ForwardResult:
     """Full-sequence forward pass.
 
     ``tokens`` is (N, T) or (T,); outputs always carry the batch axis.
     With ``record=True`` every intermediate needed by
     :func:`backward_lora` is kept on the result.
+
+    Logits and taps come back for rows ``first_row:`` only: the last
+    layer's queries, attention, MLP and head skip the rows before it, while
+    every layer's keys and values still cover all rows. The kept rows match
+    the full pass to rounding, not bit for bit. ``record=True`` needs the
+    full pass (``first_row=0``).
     """
     cfg = model.cfg
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -297,6 +304,10 @@ def forward(
     n, t = tokens.shape
     if t > cfg.max_positions:
         raise ValueError(f"sequence length {t} exceeds {cfg.max_positions} positions")
+    if not 0 <= first_row < t:
+        raise ValueError(f"first_row {first_row} outside [0, {t})")
+    if record and first_row:
+        raise ValueError("record=True needs first_row=0")
     if taps is None:
         taps = model.taps
     by_block: dict[int, list[TapSpec]] = {}
@@ -312,18 +323,21 @@ def forward(
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for b in range(cfg.n_blocks):
         x_in = x
+        q_from = first_row if b == cfg.n_blocks - 1 else 0
         full = {}
         cache_b = {"x_in": x_in} if record else None
         for proj in PROJECTIONS:
             w = model.base[f"block{b}.w{proj}"]
             a = model.lora[lora_param_key(b, proj, "a")]
             bb = model.lora[lora_param_key(b, proj, "b")]
-            ax = x_in @ a.T
+            start = q_from if proj == "q" else 0
+            ax = x_in[:, start:] @ a.T
             branch = ax @ bb.T
-            full[proj] = x_in @ w.T + branch
+            full[proj] = x_in[:, start:] @ w.T + branch
             for spec in by_block.get(b, ()):
                 if spec.module == module_path(b, proj):
-                    tap_out[spec] = branch if spec.mode == "branch" else full[proj]
+                    out = branch if spec.mode == "branch" else full[proj]
+                    tap_out[spec] = out[:, first_row - start:]
             if record:
                 cache_b[f"ax_{proj}"] = ax
         qh = _split_heads(full["q"], cfg.n_heads, cfg.head_dim)
@@ -331,7 +345,7 @@ def forward(
         vh = _split_heads(full["v"], cfg.n_heads, cfg.head_dim)
         attn = _softmax_last(qh @ kh.swapaxes(-1, -2) * scale)
         merged = _merge_heads(attn @ vh)
-        x_mid = x_in + merged @ model.base[f"block{b}.wo"].T
+        x_mid = x_in[:, q_from:] + merged @ model.base[f"block{b}.wo"].T
         h1 = x_mid @ model.base[f"block{b}.w1"].T
         t1 = np.tanh(h1)
         x = x_mid + t1 @ model.base[f"block{b}.w2"].T

@@ -177,22 +177,26 @@ class StabilityMonitor:
             # No predecessor to compare against; counter untouched.
             self.state.prev_distribution = dist
             return StopDecision(False, dist.step, StopReason.STILL_RUNNING, 0)
-        try:
-            p_tilde, q_tilde, inter = matched_renormalize(dist, prev)
-        except EmptyIntersectionError:
-            # Defensive: cannot happen under monotone unmasking. Skip the
-            # step entirely, leaving the counter as it was.
-            self.state.divergence_trace.append(
-                TraceRow(dist.step, float("nan"), 0, self.state.counter, False)
-            )
-            self.state.prev_distribution = dist
-            return StopDecision(
-                False, dist.step, StopReason.STILL_RUNNING, self.state.counter
-            )
-        d_t = step_divergence(p_tilde, q_tilde)
+        if dist.dist is prev.dist:
+            # A repeated distribution diverges from itself by exactly 0.0.
+            d_t, matched = 0.0, len(dist.dist)
+        else:
+            try:
+                p_tilde, q_tilde, inter = matched_renormalize(dist, prev)
+            except EmptyIntersectionError:
+                # Defensive: cannot happen under monotone unmasking. Skip the
+                # step entirely, leaving the counter as it was.
+                self.state.divergence_trace.append(
+                    TraceRow(dist.step, float("nan"), 0, self.state.counter, False)
+                )
+                self.state.prev_distribution = dist
+                return StopDecision(
+                    False, dist.step, StopReason.STILL_RUNNING, self.state.counter
+                )
+            d_t, matched = step_divergence(p_tilde, q_tilde), len(inter)
         self.state.prev_distribution = dist
         _, decision = update_counter(
-            self.state, d_t, self.cfg, step=dist.step, matched_support=len(inter)
+            self.state, d_t, self.cfg, step=dist.step, matched_support=matched
         )
         return decision
 

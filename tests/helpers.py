@@ -69,8 +69,8 @@ def frame_row(frame: ActivationFrame, token: int) -> np.ndarray:
 
 
 def count_forwards(monkeypatch, module: str = "editstop.generate", name: str = "forward") -> list:
-    """A list that gains one entry per ``name`` call made from ``module``
-    (``forward`` unless another function is named).
+    """A list that gains one ``(args, kwargs)`` entry per ``name`` call made
+    from ``module`` (``forward`` unless another function is named).
 
     The package re-exports the ``generate`` function under its submodule's
     name, so the submodule is fetched with ``importlib``.
@@ -80,7 +80,7 @@ def count_forwards(monkeypatch, module: str = "editstop.generate", name: str = "
     calls: list = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append((args, kwargs))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(target, name, counted)

@@ -398,6 +398,22 @@ class TestForwardReuse:
         # Freezing filled the block well before the quota would have.
         assert block.forward_passes < 17
 
+    @pytest.mark.parametrize("kind", ["fixed", "edit"])
+    def test_forward_computes_only_the_block_rows(self, default_block, monkeypatch, kind):
+        # Every forward starts its output at the block being denoised, so
+        # the last layer never computes the prefix rows nobody reads.
+        cfg, artifacts, prompt = default_block
+        calls = count_forwards(monkeypatch)
+        result = generate(
+            artifacts.model, prompt, 64, policy=cfg.policy_config(kind),
+            reasoning_map=artifacts.vector,
+        )
+        L = cfg.block_length
+        assert [b.block_index for b in result.blocks] == [1, 2, 3]
+        assert len(calls) == sum(b.forward_passes for b in result.blocks)
+        for (_, tokens), kwargs in calls:
+            assert kwargs["first_row"] == tokens.shape[1] - L
+
     def test_reused_steps_equal_a_fresh_forward(self, default_block):
         cfg, artifacts, prompt = default_block
         model = artifacts.model

@@ -151,6 +151,50 @@ class TestTaps:
             forward(tiny_model(), np.array([[1]]), taps=(TapSpec("block9.q"),))
 
 
+class TestFirstRow:
+    """``forward(first_row=k)`` against the rows ``k:`` of the full pass.
+
+    Only the last layer's query side runs on fewer rows, so the two agree
+    to rounding: over 20 adapter draws, three lengths and three cut rows
+    the largest gap seen was 5.3e-15 on logits and 1.8e-15 on taps (on a
+    trained default model, 8.3e-14 on logits over 300 inputs).
+    """
+
+    TAPS = tuple(
+        TapSpec(module_path(b, proj), mode)
+        for b in range(2)
+        for proj in ("q", "k", "v")
+        for mode in ("branch", "full")
+    )
+
+    @pytest.mark.parametrize("t", [32, 48, 64])
+    def test_matches_the_full_pass_rows(self, t):
+        cfg = ModelConfig()
+        rng = np.random.default_rng(t)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        tokens = rng.integers(0, cfg.vocab_size, size=(2, t))
+        full = forward(model, tokens, taps=self.TAPS)
+        for k in (1, t - cfg.block_length, t - 1):
+            part = forward(model, tokens, taps=self.TAPS, first_row=k)
+            assert part.logits.shape == (2, t - k, cfg.vocab_size)
+            np.testing.assert_allclose(part.logits, full.logits[:, k:], rtol=0, atol=1e-12)
+            for spec in self.TAPS:
+                assert part.taps[spec].shape == (2, t - k, cfg.d_model)
+                np.testing.assert_allclose(
+                    part.taps[spec], full.taps[spec][:, k:], rtol=0, atol=1e-12
+                )
+
+    def test_record_needs_the_full_pass(self):
+        with pytest.raises(ValueError):
+            forward(tiny_model(), np.array([[1, 2, 3, 4]]), record=True, first_row=2)
+
+    @pytest.mark.parametrize("first_row", [-1, 4])
+    def test_out_of_range_rejected(self, first_row):
+        with pytest.raises(ValueError):
+            forward(tiny_model(), np.array([[1, 2, 3, 4]]), first_row=first_row)
+
+
 class TestMaskedCrossEntropy:
     def test_hand_arithmetic(self):
         # Two positions, one masked. Softmax over 3 logits (0, ln2, 0):

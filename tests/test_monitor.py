@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from helpers import constant_frames, frame_from, make_chain, make_dist
+from helpers import constant_frames, count_forwards, frame_from, make_chain, make_dist
 
 from editstop.alignment import SimilarityMode, score_frame
 from editstop.capture import EvolutionVector
@@ -234,6 +235,41 @@ class TestStabilityMonitor:
         assert decision.stop and decision.step == 4
         assert decision.final_counter == 3
         assert [r.step for r in monitor.state.divergence_trace if r.stopped] == [3, 4]
+
+    def test_repeated_distribution_skips_the_divergence(self, monkeypatch):
+        # A repeated step hands the monitor the previous distribution object
+        # again; an equal-valued copy takes the restrict-and-KL path.
+        rows = [
+            ([0.5, 0.5], (0, 1)),
+            None,
+            ([0.7, 0.1, 0.2], (0, 1, 2)),
+            None,
+            ([0.1, 0.8, 0.05, 0.05], (0, 1, 2, 3)),
+            None,
+            None,
+            None,
+            None,
+        ]
+        shared, copied = [], []
+        for step, row in enumerate(rows, start=1):
+            if row is None:
+                shared.append(dataclasses.replace(shared[-1], step=step))
+                prev = copied[-1].dist
+                copied.append(make_dist(prev.probs.copy(), prev.support, step=step))
+            else:
+                shared.append(make_dist(row[0], row[1], step=step))
+                copied.append(make_dist(row[0], row[1], step=step))
+        calls = count_forwards(monkeypatch, "editstop.monitor", name="step_divergence")
+        fast = StabilityMonitor(StopConfig(delta=0.05, omega=3))
+        fast_decisions = [fast.observe(d) for d in shared]
+        assert len(calls) == 2  # steps 3 and 5, the new distributions
+        slow = StabilityMonitor(StopConfig(delta=0.05, omega=3))
+        slow_decisions = [slow.observe(d) for d in copied]
+        assert len(calls) == 2 + 8
+        assert fast_decisions == slow_decisions
+        assert fast.state.divergence_trace == slow.state.divergence_trace
+        assert fast.state.counter == slow.state.counter
+        assert fast.state.stopped_at == slow.state.stopped_at == 8
 
     def test_reject_without_a_stop_rejected(self):
         monitor = StabilityMonitor(StopConfig(delta=0.05, omega=2))
