@@ -11,7 +11,7 @@ routine that picks (threshold, span) pairs backed by a margin quantile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .alignment import AlignmentDistribution
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     WindowTooShortError,
 )
 from .linalg import ProbVector, total_variation
-from .monitor import StabilityState, StopConfig
+from .monitor import StopConfig
 
 # Calibration search grids (threshold, span).
 DELTA_GRID: tuple[float, ...] = (0.025, 0.05, 0.1, 0.25, 0.45, 0.55)
@@ -88,45 +88,6 @@ def window_intersection(distributions) -> tuple[int, ...]:
     for d in distributions[1:]:
         common &= set(_as_probvector(d).support)
     return tuple(sorted(common))
-
-
-def verify_runlength_bound(
-    distributions,
-    delta: float,
-    omega: int,
-    state: StabilityState | None = None,
-) -> bool:
-    """Check the windowed TV bound on an actual stability window.
-
-    Takes the per-step distributions of a block (the last ``omega + 1``
-    are the window), restricts them to the running intersection of their
-    supports, and compares the endpoint TV against the budget. When a
-    trace is supplied, the sub-threshold precondition on the last
-    ``omega`` divergences is verified first.
-    """
-    if len(distributions) < omega + 1:
-        raise WindowTooShortError(
-            f"need {omega + 1} distributions, got {len(distributions)}"
-        )
-    if state is not None:
-        tail = state.divergence_trace[-omega:]
-        if len(tail) < omega:
-            raise WindowTooShortError(
-                f"trace has {len(tail)} divergences, need {omega}"
-            )
-        for row in tail:
-            if math.isnan(row.divergence) or row.divergence >= delta:
-                raise ValueError(
-                    f"window precondition violated at step {row.step}: "
-                    f"divergence {row.divergence} >= delta {delta}"
-                )
-    window = [_as_probvector(d) for d in distributions[-(omega + 1):]]
-    common = window_intersection(window)
-    if not common:
-        raise SupportMismatchError("window supports have empty intersection")
-    first = window[0].restrict(common)
-    last = window[-1].restrict(common)
-    return total_variation(last, first) <= tv_budget(delta, omega) + TV_SLACK
 
 
 def local_argmax_certificate(

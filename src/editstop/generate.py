@@ -16,6 +16,15 @@ rows that the freezer and the alignment scorer read whole.
 after a step that committed a slot; other steps reuse its outputs exactly.
 It returns only the block's rows, so its last layer skips the prefix rows.
 
+Step work that no caller reads is skipped. Frames are scored only for a
+monitor, so a ``fixed`` decode ignores its reasoning map and records no
+alignment. A step that repeats its predecessor (``repeats_previous``:
+neither step committed a slot, and no freezer runs) has exactly the
+predecessor's frame, ``choice`` and tokens, so its record is the
+predecessor's with ``step`` advanced, and the monitor is handed the
+predecessor's distribution again, which it scores as divergence 0.0
+without a KL. The stop and certificate logic still runs on such steps.
+
 Commitment schedule: ``ceil(block_length / budget)`` tokens per step, ties
 broken toward the lowest position index, so a run with budget ``T`` fully
 commits the block no later than step ``T``. The fixed policy always runs the
@@ -27,8 +36,8 @@ no forward pass past step ``t``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +92,9 @@ class StepRecord:
     """One denoising step: what was committed and what the tap saw.
 
     ``choice`` is the block's row argmax at this step, the token each
-    position would take if it were committed now.
+    position would take if it were committed now. A step that repeats
+    its predecessor shares the predecessor's frame object, whose own
+    ``step`` stays the predecessor's.
     """
 
     step: int
@@ -190,6 +201,17 @@ class AlignmentProbeHandle:
         return score_frame(frame, self.reasoning_map, self.mode, self.tau_blk).dist
 
 
+def repeats_previous(prev: StepRecord | None, committed: Sequence[int]) -> bool:
+    """Whether a step that commits ``committed`` reproduces ``prev`` exactly.
+
+    It does when neither step committed a slot: both then read the same
+    forward pass over the same committed set, so frame, ``choice`` and
+    tokens are ``prev``'s. A freezer changes the frame on its own, so
+    callers that run one must not apply this rule.
+    """
+    return prev is not None and not prev.committed and not committed
+
+
 def denoise_block(
     model: ToyModel,
     prefix: np.ndarray,
@@ -206,8 +228,8 @@ def denoise_block(
 
     ``prefix`` holds the committed tokens of every earlier block, so its
     length must be ``block_index * block_length``. Monitored policies
-    require ``reasoning_map``; the freezing policy additionally requires
-    ``freeze_basis``. ``alpha_hat`` enables the tail-sum side of the
+    require ``reasoning_map``, which ``fixed`` ignores; the freezing policy
+    additionally requires ``freeze_basis``. ``alpha_hat`` enables the tail-sum side of the
     stopping certificate when available.
     """
     policy = policy if policy is not None else PolicyConfig()
@@ -263,24 +285,29 @@ def denoise_block(
         newly = ranked[:quota].tolist()
         committed[newly] = True
 
-        if freezer is not None:
-            acts, frozen_now = freezer.process(ActivationFrame(step, acts, whole_block))
-            # A frozen readout on a masked slot: its prediction is settled,
-            # so commit it outside the quota.
-            outside = [t - lo for t in frozen_now if not committed[t - lo]]
-            committed[outside] = True
-            newly += outside
-        tokens[[lo + i for i in newly]] = choice[newly]
+        prev = records[-1] if records else None
+        if freezer is None and repeats_previous(prev, newly):
+            frame = prev.frame
+            alignment = None if prev.alignment is None else replace(prev.alignment, step=step)
+        else:
+            if freezer is not None:
+                acts, frozen_now = freezer.process(ActivationFrame(step, acts, whole_block))
+                # A frozen readout on a masked slot: its prediction is settled,
+                # so commit it outside the quota.
+                outside = [t - lo for t in frozen_now if not committed[t - lo]]
+                committed[outside] = True
+                newly += outside
+            tokens[[lo + i for i in newly]] = choice[newly]
 
-        visible = VisibleSet(tuple(lo + np.flatnonzero(committed)))
-        frame = ActivationFrame(step, acts[committed], visible)
-        alignment = (
-            score_frame(frame, reasoning_map, mode, stop_cfg.tau_blk)
-            if reasoning_map is not None
-            else None
-        )
+            visible = VisibleSet(tuple(lo + np.flatnonzero(committed)))
+            frame = ActivationFrame(step, acts[committed], visible)
+            alignment = (
+                score_frame(frame, reasoning_map, mode, stop_cfg.tau_blk)
+                if monitor is not None
+                else None
+            )
 
-        if monitor is not None and alignment is not None:
+        if monitor is not None:
             decision = monitor.observe(alignment)
             if decision.stop:
                 margin = MarginReport.from_distribution(alignment.dist, step)

@@ -16,7 +16,9 @@ Run directory layout::
     report.json           per-seed and mean evaluation results
     generations.jsonl     one line per evaluated instance
     traces/               per-instance JSON + CSV detail (first N only)
-    calibration.json      contraction + threshold calibration
+    calibration.json      contraction + threshold calibration; ``fallback``
+                          names the configured (delta, omega) kept when no
+                          pair is admissible
     certificates.json     batch re-evaluation of stopping certificates
     ablation.json/.csv    capture-site sweep over the stored summaries
 """
@@ -28,6 +30,7 @@ import io
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import product
 from os import PathLike
@@ -52,8 +55,7 @@ from .errors import (
     NoAdmissiblePairError,
     NoValidSamplesError,
 )
-from .freeze import FreezeConfig
-from .generate import BlockResult, GenerateResult, PolicyConfig, generate
+from .generate import BlockResult, GenerateResult, PolicyConfig, generate, repeats_previous
 from .model import TapSpec, ToyModel, load_checkpoint, save_checkpoint
 from .monitor import StabilityMonitor, StopConfig, trace_to_csv
 from .pseudograd import SftBand, analyze_trajectory, pseudograd_to_csv, sft_band
@@ -266,6 +268,13 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 
 @dataclass
 class SeedReport:
+    """One seed's results. The counters cover every instance, not only the
+    traced ones: ``stop_step_histogram`` lists ``[steps, blocks]`` pairs in
+    increasing step order, ``max_step_divergence`` is the largest finite
+    step divergence any monitor recorded, and ``vacuity_ratio`` is that
+    divergence over delta. Both are None without a monitor (``fixed``), and
+    the ratio is also None at delta 0."""
+
     seed: int
     accuracy: float
     avg_steps: float
@@ -275,6 +284,9 @@ class SeedReport:
     n_instances: int
     n_early_stops: int
     forward_passes: int
+    stop_step_histogram: list[list[int]]
+    max_step_divergence: Optional[float]
+    vacuity_ratio: Optional[float]
     trace_files: list[str]
 
     def to_json_dict(self) -> dict:
@@ -288,6 +300,9 @@ class SeedReport:
             "n_instances": self.n_instances,
             "n_early_stops": self.n_early_stops,
             "forward_passes": self.forward_passes,
+            "stop_step_histogram": [list(pair) for pair in self.stop_step_histogram],
+            "max_step_divergence": self.max_step_divergence,
+            "vacuity_ratio": self.vacuity_ratio,
             "trace_files": list(self.trace_files),
         }
 
@@ -511,6 +526,21 @@ def cmd_infer(
 
         avg_steps = float(np.mean(steps))
         baseline = float(config.budget)
+        blocks = [b for r in results for b in r.blocks]
+        stop_steps = Counter(b.steps_used for b in blocks)
+        finite = [
+            row.divergence
+            for b in blocks
+            if b.monitor_state is not None
+            for row in b.monitor_state.divergence_trace
+            if math.isfinite(row.divergence)
+        ]
+        max_divergence = max(finite) if finite else None
+        vacuity = (
+            max_divergence / stop_cfg.delta
+            if max_divergence is not None and stop_cfg.delta > 0.0
+            else None
+        )
         certified = (
             sum(1 for c in certs_all if c.pac_pass is True) / len(certs_all)
             if certs_all
@@ -526,7 +556,10 @@ def cmd_infer(
                 certified_fraction=certified,
                 n_instances=len(instances),
                 n_early_stops=n_early,
-                forward_passes=sum(b.forward_passes for r in results for b in r.blocks),
+                forward_passes=sum(b.forward_passes for b in blocks),
+                stop_step_histogram=sorted([k, n] for k, n in stop_steps.items()),
+                max_step_divergence=max_divergence,
+                vacuity_ratio=vacuity,
                 trace_files=trace_files,
             )
         )
@@ -643,10 +676,12 @@ def cmd_calibrate(
 
     pac_result = None
     pac_note = None
+    fallback = None
     try:
         pac = calibrate_pac(margins, config.beta, alpha_hat, DELTA_GRID, OMEGA_GRID)
         pac_result = pac.to_json_dict()
     except NoAdmissiblePairError as exc:
+        fallback = {"delta": config.delta, "omega": config.omega}
         pac_note = (
             f"{exc}; falling back to the configured"
             f" (delta={config.delta}, omega={config.omega})"
@@ -684,6 +719,7 @@ def cmd_calibrate(
         "n_margins": len(margins),
         "pac": pac_result,
         "pac_note": pac_note,
+        "fallback": fallback,
         "utility_table": utility_rows,
         "utility_chosen": best[1],
     }
@@ -791,8 +827,8 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     off, so the frames a cell scores are those of a fixed-budget run that
     taps its projection. Each evaluation prompt is therefore decoded once
     per projection, and that projection's four cells replay the recorded
-    frames through a fresh monitor each. A frame repeats the one before
-    when neither step committed a slot; its score is reused.
+    frames through a fresh monitor each. A frame that repeats the one
+    before (``repeats_previous``) reuses its score.
     """
     run_dir = run_dir if run_dir is not None else config.out_dir
     if not os.path.exists(os.path.join(run_dir, CHECKPOINT_FILE)):
@@ -824,7 +860,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
             ).blocks
             records = block.trajectory.records
             repeats = [
-                i > 0 and not rec.committed and not records[i - 1].committed
+                repeats_previous(records[i - 1] if i else None, rec.committed)
                 for i, rec in enumerate(records)
             ]
             for adapter, reduction in product(ABLATION_ADAPTERS, ABLATION_REDUCTIONS):

@@ -102,19 +102,6 @@ class ProbVector:
         return ProbVector(sub / mass, tuple(subset))
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    if a.size != b.size:
-        raise DimMismatchError(f"length mismatch: {a.size} vs {b.size}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
-        raise ZeroNormError("cosine similarity undefined for (near-)zero vectors")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
-
-
 def softmax(scores, temperature: float = 1.0, support: tuple[int, ...] | None = None) -> ProbVector:
     """Temperature softmax with max-subtraction for stability."""
     scores = _as_vector(scores, "scores")

@@ -178,35 +178,6 @@ def _check_pair(trajectory: DenoiseTrajectory, step: int) -> None:
         )
 
 
-def _pair_distributions(model: ToyModel, trajectory: DenoiseTrajectory, step: int):
-    """Predictive distributions at ``step`` and ``step+1`` plus the support."""
-    cfg = model.cfg
-    lo = trajectory.block_index * cfg.block_length
-    hi = lo + cfg.block_length
-    res_t = _step_forward(model, trajectory, step, False)
-    res_t1 = _step_forward(model, trajectory, step + 1, False)
-    p_t = predictive_distributions(res_t.logits[0, lo:hi], cfg.vocab_size)
-    p_t1 = predictive_distributions(res_t1.logits[0, lo:hi], cfg.vocab_size)
-    support = trajectory.records[step].frame.visible.members
-    return p_t, p_t1, support, lo
-
-
-def step_kl_objective(
-    model: ToyModel,
-    trajectory: DenoiseTrajectory,
-    step: int,
-) -> float:
-    """Summed step-to-step divergence over the step's committed support."""
-    _check_pair(trajectory, step)
-    p_t, p_t1, support, lo = _pair_distributions(model, trajectory, step)
-    total = 0.0
-    for s in support:
-        p = p_t[s - lo]
-        q = p_t1[s - lo]
-        total += float(np.sum(p * (np.log(p) - np.log(q))))
-    return total
-
-
 def pseudo_gradient(
     model: ToyModel,
     trajectory: DenoiseTrajectory,

@@ -1,6 +1,8 @@
-"""Shared builders for synthetic distributions, chains, and frames, the
-per-token reference path of the denoising step, and the live per-cell
-sweeps that calibrate's and ablate's replays stand in for."""
+"""Shared builders for synthetic distributions, chains, and frames, test
+oracles (a scalar cosine, the windowed TV bound and the step objective of
+the pseudo-gradient), the per-token reference path of the denoising step,
+and the live per-cell sweeps that calibrate's and ablate's replays stand
+in for."""
 
 from __future__ import annotations
 
@@ -20,8 +22,22 @@ from editstop.alignment import (
     VisibleSet,
     alignment_distribution,
 )
-from editstop.certify import DELTA_GRID, OMEGA_GRID, MarginReport, build_certificate
-from editstop.errors import ZeroNormError
+from editstop.certify import (
+    DELTA_GRID,
+    OMEGA_GRID,
+    TV_SLACK,
+    MarginReport,
+    build_certificate,
+    tv_budget,
+    window_intersection,
+)
+from editstop.errors import (
+    DimMismatchError,
+    MissingStepError,
+    SupportMismatchError,
+    WindowTooShortError,
+    ZeroNormError,
+)
 from editstop.freeze import FreezeEvent, TokenFreezeState, token_stability_step
 from editstop.generate import PolicyConfig, generate
 from editstop.harness import (
@@ -30,11 +46,88 @@ from editstop.harness import (
     ABLATION_REDUCTIONS,
     _sample_instances,
 )
-from editstop.linalg import NORM_FLOOR, ProbVector, cosine_similarity, softmax
+from editstop.linalg import NORM_FLOOR, ProbVector, softmax, total_variation
 from editstop.metaformat import load_metadata
-from editstop.model import TapSpec, forward, load_checkpoint
+from editstop.model import TapSpec, forward, load_checkpoint, predictive_distributions
 from editstop.monitor import StabilityMonitor, StopConfig
 from editstop.tasks import make_task
+
+
+# --- oracles -----------------------------------------------------------------
+
+
+def cosine_similarity(a, b) -> float:
+    """Cosine of the angle between two vectors, clamped to [-1, 1]; the
+    per-token form of the ``vector_cosine`` score."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
+        raise DimMismatchError(f"need two vectors of one length, got {a.shape} and {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na < NORM_FLOOR or nb < NORM_FLOOR:
+        raise ZeroNormError("cosine similarity undefined for (near-)zero vectors")
+    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+
+
+def verify_runlength_bound(distributions, delta: float, omega: int, state=None) -> bool:
+    """Check the windowed TV bound on an actual stability window.
+
+    Takes the per-step distributions of a block (the last ``omega + 1``
+    are the window), restricts them to the running intersection of their
+    supports, and compares the endpoint TV against ``tv_budget``. When a
+    ``StabilityState`` is supplied, the sub-threshold precondition on its
+    last ``omega`` divergences is verified first.
+    """
+    if len(distributions) < omega + 1:
+        raise WindowTooShortError(f"need {omega + 1} distributions, got {len(distributions)}")
+    if state is not None:
+        tail = state.divergence_trace[-omega:]
+        if len(tail) < omega:
+            raise WindowTooShortError(f"trace has {len(tail)} divergences, need {omega}")
+        for row in tail:
+            if math.isnan(row.divergence) or row.divergence >= delta:
+                raise ValueError(
+                    f"window precondition violated at step {row.step}: "
+                    f"divergence {row.divergence} >= delta {delta}"
+                )
+    window = [
+        d.dist if isinstance(d, AlignmentDistribution) else d
+        for d in distributions[-(omega + 1):]
+    ]
+    common = window_intersection(window)
+    if not common:
+        raise SupportMismatchError("window supports have empty intersection")
+    first = window[0].restrict(common)
+    last = window[-1].restrict(common)
+    return total_variation(last, first) <= tv_budget(delta, omega) + TV_SLACK
+
+
+def step_kl_objective(model, trajectory, step: int) -> float:
+    """Summed KL of step ``step``'s predictive rows from step ``step + 1``'s
+    over the later step's committed support: the objective whose gradient
+    ``pseudo_gradient`` computes, by two fresh forward passes."""
+    if step < 1 or step + 1 > len(trajectory.records):
+        raise MissingStepError(f"steps {step} and {step + 1} are not both recorded")
+    cfg = model.cfg
+    L = cfg.block_length
+    lo = trajectory.block_index * L
+    prefix = np.asarray(trajectory.prefix, dtype=np.int64)
+
+    def rows(at: int) -> np.ndarray:
+        if at == 1:
+            block = np.full(L, cfg.mask_id, dtype=np.int64)
+        else:
+            block = np.asarray(trajectory.records[at - 2].tokens, dtype=np.int64)
+        logits = forward(model, np.concatenate([prefix, block])[None, :], taps=()).logits
+        return predictive_distributions(logits[0, lo : lo + L], cfg.vocab_size)
+
+    p_t, p_t1 = rows(step), rows(step + 1)
+    total = 0.0
+    for s in trajectory.records[step].frame.visible.members:
+        p, q = p_t[s - lo], p_t1[s - lo]
+        total += float(np.sum(p * (np.log(p) - np.log(q))))
+    return total
 
 
 def make_dist(probs, support=None, step=0, temperature=1.0) -> AlignmentDistribution:

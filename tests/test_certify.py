@@ -7,7 +7,14 @@ import math
 
 import numpy as np
 import pytest
-from helpers import geometric_chain, make_chain, make_dist, random_simplex, subdelta_walks
+from helpers import (
+    geometric_chain,
+    make_chain,
+    make_dist,
+    random_simplex,
+    subdelta_walks,
+    verify_runlength_bound,
+)
 
 from editstop.certify import (
     DELTA_GRID,
@@ -24,7 +31,6 @@ from editstop.certify import (
     margin_quantile,
     tail_budget,
     tv_budget,
-    verify_runlength_bound,
 )
 from editstop.errors import (
     AlphaNotContractiveError,

@@ -6,18 +6,20 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import count_forwards, frame_from, frame_row
+from helpers import count_forwards, frame_from, frame_row, reference_generate
 
 from editstop.alignment import SimilarityMode
 from editstop.capture import AdamWConfig, EvolutionVector, SubspaceBasis, build_subspace
 from editstop.config import ExperimentConfig
 from editstop.errors import ScheduleExhaustedError
-from editstop.freeze import FreezeConfig, probe_coupling
+from editstop.freeze import FreezeConfig, TokenFreezer, probe_coupling
 from editstop.generate import (
     AlignmentProbeHandle,
     PolicyConfig,
+    StepRecord,
     denoise_block,
     generate,
+    repeats_previous,
 )
 from editstop.harness import cmd_train, load_artifacts
 from editstop.model import ModelConfig, forward, init_model, predictive_distributions
@@ -430,3 +432,94 @@ class TestForwardReuse:
             assert rec.choice == tuple(probs.argmax(axis=1).tolist())
             rows = [s - lo for s in rec.frame.visible.members]
             assert rec.frame.activations.tobytes() == fresh.taps[tap][0, lo + np.array(rows)].tobytes()
+
+
+class TestSkippedStepWork:
+    """Frames are scored only for a monitor, and a step that repeats its
+    predecessor reuses the predecessor's record instead of rebuilding it."""
+
+    def test_fixed_scores_nothing(self, default_block, monkeypatch):
+        cfg, artifacts, prompt = default_block
+        scored = count_forwards(monkeypatch, name="score_frame")
+        policy = cfg.policy_config("fixed")
+        result = generate(artifacts.model, prompt, 64, policy, reasoning_map=artifacts.vector)
+        assert scored == []
+        records = [r for b in result.blocks for r in b.trajectory.records]
+        assert len(records) == 3 * cfg.budget
+        assert all(r.alignment is None for r in records)
+        assert result.tokens == generate(artifacts.model, prompt, 64, policy).tokens
+
+    def test_repeated_steps_reuse_the_previous_distribution(self, default_block, monkeypatch):
+        # At budget 32 one slot commits per step, so the block is full after
+        # step 16, step 17 reads its last forward, and steps 18-32 repeat.
+        cfg, artifacts, prompt = default_block
+        policy = dataclasses.replace(cfg, delta=0.0).policy_config("edit")
+        scored = count_forwards(monkeypatch, name="score_frame")
+        result = generate(
+            artifacts.model, prompt, 64, policy, budget=32, reasoning_map=artifacts.vector
+        )
+        ref_tokens, ref_blocks = reference_generate(
+            artifacts.model, prompt, 64, policy, 32, reasoning_map=artifacts.vector
+        )
+        assert result.tokens == ref_tokens
+        n_repeats = 0
+        for block, ref in zip(result.blocks, ref_blocks, strict=True):
+            records = block.trajectory.records
+            repeats = [
+                rec.step
+                for prev, rec in zip(records, records[1:])
+                if repeats_previous(prev, rec.committed)
+            ]
+            assert repeats == list(range(18, 33))
+            n_repeats += len(repeats)
+            for prev, rec in zip(records, records[1:]):
+                if rec.step in repeats:
+                    assert rec.alignment.dist is prev.alignment.dist
+                    assert rec.alignment.step == rec.step
+                    assert (rec.tokens, rec.choice) == (prev.tokens, prev.choice)
+                else:
+                    assert rec.alignment.dist is not prev.alignment.dist
+            rows = block.monitor_state.divergence_trace
+            ref_rows = ref.monitor.state.divergence_trace
+            assert [(r.step, r.matched_support, r.counter) for r in rows] == [
+                (r.step, r.matched_support, r.counter) for r in ref_rows
+            ]
+            np.testing.assert_allclose(
+                [r.divergence for r in rows], [r.divergence for r in ref_rows],
+                rtol=1e-12, atol=64 * np.finfo(np.float64).eps,
+            )
+            assert all(r.divergence == 0.0 for r in rows if r.step in repeats)
+        assert len(scored) == 3 * 32 - n_repeats
+
+    def test_freezer_runs_every_step(self, default_block, monkeypatch):
+        # The freezer changes the frame on its own, so no step of
+        # edit_freeze reuses its predecessor, even once the block is full.
+        cfg, artifacts, prompt = default_block
+        processed = []
+        real = TokenFreezer.process
+
+        def process(self, frame):
+            processed.append(frame.step)
+            return real(self, frame)
+
+        monkeypatch.setattr(TokenFreezer, "process", process)
+        policy = dataclasses.replace(cfg, delta=0.0).policy_config("edit_freeze")
+        block = denoise_block(
+            artifacts.model, prompt, 1, budget=32, policy=policy,
+            reasoning_map=artifacts.vector, freeze_basis=artifacts.basis,
+        )
+        assert block.steps_used == 32
+        assert processed == list(range(1, 33))
+        frames = [r.frame for r in block.trajectory.records]
+        assert all(a is not b for a, b in zip(frames, frames[1:]))
+
+    def test_repeats_previous(self):
+        frame = frame_from({4: np.ones(3)}, step=1)
+
+        def record(committed):
+            return StepRecord(1, committed, (0,), (0,), frame, None)
+
+        assert not repeats_previous(None, ())
+        assert not repeats_previous(record((4,)), ())
+        assert not repeats_previous(record(()), (5,))
+        assert repeats_previous(record(()), ())

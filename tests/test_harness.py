@@ -18,6 +18,7 @@ from editstop import harness
 from editstop.capture import AdamWConfig
 from editstop.config import ExperimentConfig
 from editstop.errors import ArtifactMismatchError, NoAdmissiblePairError
+from editstop.generate import generate
 from editstop.harness import (
     ABLATION_CSV,
     ABLATION_JSON,
@@ -189,6 +190,44 @@ class TestInfer:
         expected = 100.0 * (1.0 - seed0["avg_steps"] / cfg.budget)
         np.testing.assert_allclose(seed0["reduction_percent"], expected)
 
+    @pytest.mark.parametrize("kind", ["edit", "fixed"])
+    def test_counters_cover_every_instance(self, trained_run, tmp_path, kind):
+        # trace_retention 3 of 8 instances: the counters must still read all 8.
+        cfg, run_dir = trained_run
+        out = str(tmp_path / kind)
+        report = cmd_infer(cfg, artifacts_dir=run_dir, run_dir=out, policy_kind=kind)
+        assert cfg.trace_retention < cfg.eval_instances
+        art = load_artifacts(cfg, run_dir)
+        task = make_task(cfg.task, cfg.vocab_size, cfg.block_length)
+        policy = cfg.policy_config(kind)
+        for seed_entry in report["per_seed"]:
+            blocks = [
+                b
+                for prompt, _ in harness._sample_instances(
+                    task, (seed_entry["seed"], 101), cfg.eval_instances
+                )
+                for b in generate(
+                    art.model, prompt, cfg.seq_len, policy, budget=cfg.budget,
+                    reasoning_map=art.vector,
+                ).blocks
+            ]
+            steps = sorted(b.steps_used for b in blocks)
+            assert seed_entry["stop_step_histogram"] == [
+                [k, steps.count(k)] for k in sorted(set(steps))
+            ]
+            if kind == "fixed":
+                assert seed_entry["stop_step_histogram"] == [[cfg.budget, len(blocks)]]
+                assert seed_entry["max_step_divergence"] is None
+                assert seed_entry["vacuity_ratio"] is None
+                continue
+            largest = max(
+                row.divergence for b in blocks for row in b.monitor_state.divergence_trace
+            )
+            assert seed_entry["max_step_divergence"] == largest > 0.0
+            assert seed_entry["vacuity_ratio"] == largest / cfg.delta
+        stored = json.load(open(os.path.join(out, REPORT_FILE)))
+        assert stored == report
+
     def test_early_stop_beats_budget(self, trained_run):
         _, run_dir = trained_run
         report = json.load(open(os.path.join(run_dir, REPORT_FILE)))
@@ -248,6 +287,7 @@ class TestCalibrate:
         payload = json.load(open(os.path.join(out, CALIBRATION_FILE)))
         assert payload["pac"] is None
         assert "falling back" in payload["pac_note"]
+        assert payload["fallback"] == {"delta": cfg.delta, "omega": cfg.omega}
         assert 0.0 <= payload["alpha_hat"] < 1.0
         assert payload["margin_quantile"] > 0.0
         # 6 thresholds x 4 spans, each scored by accuracy per step.
@@ -255,6 +295,22 @@ class TestCalibrate:
         chosen = payload["utility_chosen"]
         best = max(r["utility"] for r in payload["utility_table"])
         assert chosen["utility"] == best
+
+    def test_no_fallback_when_a_pair_is_admitted(self, trained_run, tmp_path, monkeypatch):
+        cfg, run_dir = trained_run
+        admitted = {"delta": 0.025, "omega": 6}
+
+        class Admitted:
+            def to_json_dict(self):
+                return admitted
+
+        monkeypatch.setattr(harness, "calibrate_pac", lambda *args: Admitted())
+        out = str(tmp_path / "cal-admitted")
+        payload = cmd_calibrate(cfg, artifacts_dir=run_dir, run_dir=out)
+        assert payload["pac"] == admitted
+        assert payload["pac_note"] is None
+        assert payload["fallback"] is None
+        assert json.load(open(os.path.join(out, CALIBRATION_FILE))) == payload
 
     def test_margin_count_matches_validation_set(self, trained_run, tmp_path):
         cfg, run_dir = trained_run

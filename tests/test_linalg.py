@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import cosine_similarity
 
 from editstop.errors import (
     DimMismatchError,
@@ -16,7 +17,6 @@ from editstop.errors import (
 from editstop.linalg import (
     PROB_FLOOR,
     ProbVector,
-    cosine_similarity,
     kl_divergence,
     softmax,
     total_variation,

@@ -7,7 +7,7 @@ import io
 
 import numpy as np
 import pytest
-from helpers import count_forwards
+from helpers import count_forwards, step_kl_objective
 
 from editstop.alignment import ActivationFrame, VisibleSet
 from editstop.errors import (
@@ -27,7 +27,6 @@ from editstop.pseudograd import (
     pseudograd_to_csv,
     rms,
     sft_band,
-    step_kl_objective,
 )
 
 TINY = ModelConfig(
