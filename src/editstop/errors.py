@@ -103,6 +103,10 @@ class ProbeUnsupportedError(EditStopError):
     pass
 
 
+class VisibleSetChangedError(EditStopError):
+    pass
+
+
 # --- toy model / analysis ---
 
 class VocabOverflowError(EditStopError):

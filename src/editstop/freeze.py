@@ -5,11 +5,16 @@ training-dynamics subspace. Tokens whose local distribution holds still
 for a run of steps get their activation pinned; a coupling probe plus
 the global contraction estimate then turn the pin into an explicit
 safety verdict against the block-level margin.
+
+A step of the freezer is one array pass over the block's rows: the local
+distributions are one (n, k) softmax array, their KLs against the
+previous step one row-wise reduction, and the run lengths one counter
+vector. Per-token state exists only for frozen tokens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +24,11 @@ from .certify import tv_budget
 from .errors import (
     AlphaNotContractiveError,
     DimMismatchError,
+    EmptyInputError,
     ProbeUnsupportedError,
+    VisibleSetChangedError,
 )
-from .linalg import ProbVector, kl_divergence, softmax
+from .linalg import PROB_FLOOR
 from .monitor import StopConfig
 
 
@@ -43,84 +50,16 @@ class FreezeConfig:
             raise ValueError(f"k must be in [1, 8], got {self.k}")
 
 
-def local_distribution(f_s: np.ndarray, basis: SubspaceBasis, tau_sub: float) -> ProbVector:
-    """Distribution over subspace components from one activation.
-
-    Coordinates are taken in the basis, folded by absolute value, and
-    softmaxed at the sub-token temperature. The support is the component
-    indices 0..k-1.
-    """
-    f_s = np.asarray(f_s, dtype=np.float64)
-    if f_s.shape != (basis.d_out,):
-        raise DimMismatchError(
-            f"activation shape {f_s.shape} != basis dimension ({basis.d_out},)"
-        )
-    g = basis.project(f_s)
-    return softmax(np.abs(g), temperature=tau_sub, support=tuple(range(basis.k)))
-
-
-@dataclass
+@dataclass(frozen=True)
 class TokenFreezeState:
-    """Stability bookkeeping for one token within one block."""
+    """One frozen token: the step it froze at, its pinned activation
+    (read-only) and ``epsilon_s``, the largest step-to-step activation
+    movement over the window that froze it."""
 
     token: int
-    counter: int = 0
-    last_q: ProbVector | None = None
-    prev_activation: np.ndarray | None = None
-    window_diffs: list[float] = field(default_factory=list)
-    epsilon_s: float = 0.0
-    frozen_at: int | None = None
-    frozen_value: np.ndarray | None = None
-    steps_seen: int = 0
-
-    @property
-    def frozen(self) -> bool:
-        return self.frozen_at is not None
-
-
-def token_stability_step(
-    state: TokenFreezeState,
-    f_s: np.ndarray,
-    basis: SubspaceBasis,
-    cfg: FreezeConfig,
-    step: int | None = None,
-) -> tuple[TokenFreezeState, bool]:
-    """Advance one token's run-length rule by one step.
-
-    The local divergence uses a non-strict threshold: a step landing
-    exactly on ``delta_tok`` still counts as stable. On freeze, the
-    activation is pinned and the max step-to-step activation movement
-    over the qualifying window is recorded.
-    """
-    if state.frozen:
-        raise ValueError(f"token {state.token} is already frozen")
-    f_s = np.asarray(f_s, dtype=np.float64)
-    state.steps_seen += 1
-    if step is None:
-        step = state.steps_seen
-    q = local_distribution(f_s, basis, cfg.tau_sub)
-    if state.last_q is None:
-        state.last_q = q
-        state.prev_activation = f_s.copy()
-        return state, False
-    d_s = kl_divergence(q, state.last_q)
-    diff = float(np.linalg.norm(f_s - state.prev_activation))
-    if d_s <= cfg.delta_tok:
-        state.counter += 1
-        state.window_diffs.append(diff)
-    else:
-        state.counter = 0
-        state.window_diffs.clear()
-    state.last_q = q
-    state.prev_activation = f_s.copy()
-    if state.counter >= cfg.omega_tok:
-        state.frozen_at = step
-        pinned = f_s.copy()
-        pinned.setflags(write=False)
-        state.frozen_value = pinned
-        state.epsilon_s = max(state.window_diffs[-cfg.omega_tok:])
-        return state, True
-    return state, False
+    frozen_at: int
+    frozen_value: np.ndarray
+    epsilon_s: float
 
 
 @dataclass(frozen=True)
@@ -229,7 +168,7 @@ def freeze_safety(
     """
     if not 0.0 <= alpha_hat < 1.0:
         raise AlphaNotContractiveError(f"alpha_hat must be in [0, 1), got {alpha_hat}")
-    if not state.frozen:
+    if state.frozen_at is None:
         raise ValueError(f"token {state.token} is not frozen")
     bound = (coupling.beta_s / (1.0 - alpha_hat)) * state.epsilon_s
     combined = tv_budget(global_cfg.delta, global_cfg.omega) + bound
@@ -251,10 +190,15 @@ class FreezeEvent:
 
 
 class TokenFreezer:
-    """Drives per-token stability tracking across the steps of one block.
+    """Drives the stability rule for every token of one block at once.
 
-    ``process`` returns the activations to use downstream: frozen tokens
-    always deliver their pinned vector, bit-identical every step.
+    Every frame must carry the first frame's members, so row ``i`` is the
+    same token at every step. A token's first frame only records its
+    local distribution. After that, a step whose local KL against the
+    previous step is at most ``delta_tok`` (non-strict) extends the
+    token's run and any other step resets it; a run of ``omega_tok``
+    steps freezes the token at that step's activation. ``states`` holds
+    the frozen tokens only.
     """
 
     def __init__(self, basis: SubspaceBasis, cfg: FreezeConfig):
@@ -264,28 +208,88 @@ class TokenFreezer:
         self.cfg = cfg
         self.states: dict[int, TokenFreezeState] = {}
         self.events: list[FreezeEvent] = []
+        self._members: tuple[int, ...] | None = None
 
     @property
     def frozen_tokens(self) -> tuple[int, ...]:
-        return tuple(sorted(s for s, st in self.states.items() if st.frozen))
+        return tuple(sorted(self.states))
+
+    def _local_distributions(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's distribution over the subspace components, as an
+        (n, k) array: coordinates in the basis, folded by absolute value,
+        softmaxed at the sub-token temperature and floored at
+        ``PROB_FLOOR``. A row that is non-finite or does not sum to one
+        within 1e-9 is rejected, as ``ProbVector`` rejects it."""
+        columns_t = self.basis.columns.T
+        g = np.empty((len(rows), self.basis.k))
+        for j, row in enumerate(rows):
+            # One gemv per row: a single matmul may sum in another order.
+            g[j] = columns_t @ row
+        z = np.abs(g) / self.cfg.tau_sub
+        ez = np.exp(z - z.max(axis=1, keepdims=True))
+        probs = ez / ez.sum(axis=1, keepdims=True)
+        if not np.all(np.isfinite(probs)):
+            raise EmptyInputError("local distributions contain non-finite entries")
+        worst = float(np.abs(probs.sum(axis=1) - 1.0).max())
+        if worst > 1e-9:
+            raise EmptyInputError(f"a local distribution is {worst!r} from summing to 1")
+        return np.maximum(probs, PROB_FLOOR)
 
     def process(self, frame: ActivationFrame) -> tuple[np.ndarray, list[int]]:
-        """Advance every visible token by one step.
+        """Advance every token that is not frozen by one step.
 
         Returns the frame's (n, d) activations with each frozen token's
-        row replaced by its pinned vector, and the tokens frozen now.
+        row replaced by its pinned vector, bit-identical every step, and
+        the tokens frozen now.
         """
-        effective = frame.activations.copy()
+        acts = frame.activations
+        if acts.shape[1] != self.basis.d_out:
+            raise DimMismatchError(
+                f"activation dimension {acts.shape[1]} != basis dimension {self.basis.d_out}"
+            )
+        members = frame.visible.members
+        effective = acts.copy()
+        if self._members is None:
+            self._members = members
+            self._last_q = self._local_distributions(acts)
+            # Frozen rows are not advanced, so they keep their pinned vector.
+            self._prev = acts.copy()
+            self._run = np.zeros(len(members), dtype=np.int64)
+            self._epsilon = np.zeros(len(members))
+            self._frozen = np.zeros(len(members), dtype=bool)
+            return effective, []
+        if members != self._members:
+            raise VisibleSetChangedError(
+                f"frame members {members} != the first frame's {self._members}"
+            )
+        live = np.flatnonzero(~self._frozen)
         newly_frozen: list[int] = []
-        for i, s in enumerate(frame.visible.members):
-            st = self.states.setdefault(s, TokenFreezeState(token=s))
-            if not st.frozen:
-                _, frozen_now = token_stability_step(
-                    st, effective[i], self.basis, self.cfg, frame.step
-                )
-                if not frozen_now:
-                    continue
+        if live.size:
+            # Row-wise KL(this step || last step), renormalized and clamped
+            # at 0 as kl_divergence does.
+            p = self._local_distributions(acts[live])
+            q = self._last_q[live]
+            pp = p / p.sum(axis=1, keepdims=True)
+            qq = q / q.sum(axis=1, keepdims=True)
+            kl = np.sum(pp * (np.log(pp) - np.log(qq)), axis=1)
+            if np.any(kl < -1e-12):
+                raise ValueError(f"KL computed as {kl.min()}, below rounding tolerance")
+            stable = np.maximum(kl, 0.0) <= self.cfg.delta_tok
+            for i in live[stable]:
+                diff = float(np.linalg.norm(acts[i] - self._prev[i]))
+                self._epsilon[i] = max(self._epsilon[i], diff)
+            self._epsilon[live[~stable]] = 0.0
+            self._run[live] = np.where(stable, self._run[live] + 1, 0)
+            self._last_q[live] = p
+            self._prev[live] = acts[live]
+            for i in live[self._run[live] >= self.cfg.omega_tok]:
+                s = members[i]
+                pinned = acts[i].copy()
+                pinned.setflags(write=False)
+                epsilon = float(self._epsilon[i])
+                self.states[s] = TokenFreezeState(s, frame.step, pinned, epsilon)
+                self.events.append(FreezeEvent(frame.step, s, epsilon))
+                self._frozen[i] = True
                 newly_frozen.append(s)
-                self.events.append(FreezeEvent(frame.step, s, st.epsilon_s))
-            effective[i] = st.frozen_value
+        effective[self._frozen] = self._prev[self._frozen]
         return effective, newly_frozen

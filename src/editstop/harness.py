@@ -31,7 +31,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from os import PathLike
 from typing import Optional, Sequence
@@ -57,7 +57,7 @@ from .errors import (
 )
 from .generate import BlockResult, GenerateResult, PolicyConfig, generate, repeats_previous
 from .model import TapSpec, ToyModel, load_checkpoint, save_checkpoint
-from .monitor import StabilityMonitor, StopConfig, trace_to_csv
+from .monitor import StabilityMonitor, StopConfig, StopReason, trace_to_csv
 from .pseudograd import SftBand, analyze_trajectory, pseudograd_to_csv, sft_band
 from .tasks import SyntheticTask, make_task
 from .train import CaptureSpec, sft_train
@@ -273,7 +273,9 @@ class SeedReport:
     increasing step order, ``max_step_divergence`` is the largest finite
     step divergence any monitor recorded, and ``vacuity_ratio`` is that
     divergence over delta. Both are None without a monitor (``fixed``), and
-    the ratio is also None at delta 0."""
+    the ratio is also None at delta 0. ``stop_reasons`` counts blocks per
+    stop reason (None under ``fixed``); ``rejected_stops`` and
+    ``freeze_events`` are totals over all blocks."""
 
     seed: int
     accuracy: float
@@ -287,24 +289,10 @@ class SeedReport:
     stop_step_histogram: list[list[int]]
     max_step_divergence: Optional[float]
     vacuity_ratio: Optional[float]
+    stop_reasons: Optional[dict[str, int]]
+    rejected_stops: int
+    freeze_events: int
     trace_files: list[str]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "accuracy": self.accuracy,
-            "avg_steps": self.avg_steps,
-            "baseline_steps": self.baseline_steps,
-            "reduction_percent": self.reduction_percent,
-            "certified_fraction": self.certified_fraction,
-            "n_instances": self.n_instances,
-            "n_early_stops": self.n_early_stops,
-            "forward_passes": self.forward_passes,
-            "stop_step_histogram": [list(pair) for pair in self.stop_step_histogram],
-            "max_step_divergence": self.max_step_divergence,
-            "vacuity_ratio": self.vacuity_ratio,
-            "trace_files": list(self.trace_files),
-        }
 
 
 @dataclass
@@ -320,7 +308,7 @@ class RunReport:
         return {
             "policy": self.policy,
             "budget": self.budget,
-            "per_seed": [s.to_json_dict() for s in self.per_seed],
+            "per_seed": [asdict(s) for s in self.per_seed],
             "mean": {
                 "accuracy": self.mean("accuracy"),
                 "avg_steps": self.mean("avg_steps"),
@@ -541,6 +529,11 @@ def cmd_infer(
             if max_divergence is not None and stop_cfg.delta > 0.0
             else None
         )
+        reasons = (
+            {r.value: sum(b.stop_decision.reason is r for b in blocks) for r in StopReason}
+            if policy.monitored
+            else None
+        )
         certified = (
             sum(1 for c in certs_all if c.pac_pass is True) / len(certs_all)
             if certs_all
@@ -560,6 +553,9 @@ def cmd_infer(
                 stop_step_histogram=sorted([k, n] for k, n in stop_steps.items()),
                 max_step_divergence=max_divergence,
                 vacuity_ratio=vacuity,
+                stop_reasons=reasons,
+                rejected_stops=sum(len(b.rejected_stops) for b in blocks),
+                freeze_events=sum(len(b.freeze_events) for b in blocks),
                 trace_files=trace_files,
             )
         )

@@ -18,12 +18,13 @@ steps genuinely improves at block-reversal-style tasks.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,24 +103,18 @@ class ModelConfig:
         return self.d_model - self.head_dim
 
     def to_json_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_blocks": self.n_blocks,
-            "lora_rank": self.lora_rank,
-            "block_length": self.block_length,
-            "max_blocks": self.max_blocks,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
+# Cached: forward and backward_lora read every site's keys on every call.
+@functools.cache
 def module_path(block: int, proj: str) -> str:
     if proj not in PROJECTIONS:
         raise ValueError(f"unknown projection {proj!r}")
     return f"block{block}.{proj}"
 
 
+@functools.cache
 def lora_param_key(block: int, proj: str, adapter: str) -> str:
     if adapter not in ADAPTERS:
         raise ValueError(f"unknown adapter {adapter!r}")

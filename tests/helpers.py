@@ -1,15 +1,15 @@
 """Shared builders for synthetic distributions, chains, and frames, test
-oracles (a scalar cosine, the windowed TV bound and the step objective of
-the pseudo-gradient), the per-token reference path of the denoising step,
-and the live per-cell sweeps that calibrate's and ablate's replays stand
-in for."""
+oracles (a scalar cosine, the windowed TV bound, the step objective of
+the pseudo-gradient and the per-token freezing rule), the per-token
+reference path of the denoising step, and the live per-cell sweeps that
+calibrate's and ablate's replays stand in for."""
 
 from __future__ import annotations
 
 import importlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -38,7 +38,8 @@ from editstop.errors import (
     WindowTooShortError,
     ZeroNormError,
 )
-from editstop.freeze import FreezeEvent, TokenFreezeState, token_stability_step
+from editstop.capture import SubspaceBasis
+from editstop.freeze import FreezeConfig, FreezeEvent
 from editstop.generate import PolicyConfig, generate
 from editstop.harness import (
     ABLATION_ADAPTERS,
@@ -46,7 +47,7 @@ from editstop.harness import (
     ABLATION_REDUCTIONS,
     _sample_instances,
 )
-from editstop.linalg import NORM_FLOOR, ProbVector, softmax, total_variation
+from editstop.linalg import NORM_FLOOR, ProbVector, kl_divergence, softmax, total_variation
 from editstop.metaformat import load_metadata
 from editstop.model import TapSpec, forward, load_checkpoint, predictive_distributions
 from editstop.monitor import StabilityMonitor, StopConfig
@@ -128,6 +129,87 @@ def step_kl_objective(model, trajectory, step: int) -> float:
         p, q = p_t[s - lo], p_t1[s - lo]
         total += float(np.sum(p * (np.log(p) - np.log(q))))
     return total
+
+
+def local_distribution(f_s: np.ndarray, basis: SubspaceBasis, tau_sub: float) -> ProbVector:
+    """Distribution over subspace components from one activation.
+
+    Coordinates are taken in the basis, folded by absolute value, and
+    softmaxed at the sub-token temperature. The support is the component
+    indices 0..k-1. The per-token form of one row of ``TokenFreezer``'s
+    array pass.
+    """
+    f_s = np.asarray(f_s, dtype=np.float64)
+    if f_s.shape != (basis.d_out,):
+        raise DimMismatchError(
+            f"activation shape {f_s.shape} != basis dimension ({basis.d_out},)"
+        )
+    g = basis.project(f_s)
+    return softmax(np.abs(g), temperature=tau_sub, support=tuple(range(basis.k)))
+
+
+@dataclass
+class ReferenceTokenState:
+    """Stability bookkeeping for one token within one block."""
+
+    token: int
+    counter: int = 0
+    last_q: ProbVector | None = None
+    prev_activation: np.ndarray | None = None
+    window_diffs: list[float] = field(default_factory=list)
+    epsilon_s: float = 0.0
+    frozen_at: int | None = None
+    frozen_value: np.ndarray | None = None
+    steps_seen: int = 0
+
+    @property
+    def frozen(self) -> bool:
+        return self.frozen_at is not None
+
+
+def token_stability_step(
+    state: ReferenceTokenState,
+    f_s: np.ndarray,
+    basis: SubspaceBasis,
+    cfg: FreezeConfig,
+    step: int | None = None,
+) -> tuple[ReferenceTokenState, bool]:
+    """Advance one token's run-length rule by one step.
+
+    The local divergence uses a non-strict threshold: a step landing
+    exactly on ``delta_tok`` still counts as stable. On freeze, the
+    activation is pinned and the max step-to-step activation movement
+    over the qualifying window is recorded.
+    """
+    if state.frozen:
+        raise ValueError(f"token {state.token} is already frozen")
+    f_s = np.asarray(f_s, dtype=np.float64)
+    state.steps_seen += 1
+    if step is None:
+        step = state.steps_seen
+    q = local_distribution(f_s, basis, cfg.tau_sub)
+    if state.last_q is None:
+        state.last_q = q
+        state.prev_activation = f_s.copy()
+        return state, False
+    d_s = kl_divergence(q, state.last_q)
+    diff = float(np.linalg.norm(f_s - state.prev_activation))
+    if d_s <= cfg.delta_tok:
+        state.counter += 1
+        state.window_diffs.append(diff)
+    else:
+        state.counter = 0
+        state.window_diffs.clear()
+    state.last_q = q
+    state.prev_activation = f_s.copy()
+    if state.counter >= cfg.omega_tok:
+        state.frozen_at = step
+        pinned = f_s.copy()
+        pinned.setflags(write=False)
+        state.frozen_value = pinned
+        state.epsilon_s = max(state.window_diffs[-cfg.omega_tok:])
+        return state, True
+    return state, False
 
 
 def make_dist(probs, support=None, step=0, temperature=1.0) -> AlignmentDistribution:
@@ -358,7 +440,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
     tap = model.default_tap()
     stop_cfg = policy.stop.for_block(block_index)
     monitor = StabilityMonitor(policy.stop, block_index) if policy.monitored else None
-    freeze_states: dict[int, TokenFreezeState] = {}
+    freeze_states: dict[int, ReferenceTokenState] = {}
     events: list[FreezeEvent] = []
     tokens = np.concatenate([np.asarray(prefix, dtype=np.int64),
                              np.full(L, cfg.mask_id, dtype=np.int64)])
@@ -389,7 +471,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         effective = {lo + i: acts[lo + i] for i in range(L)}
         if policy.freezing:
             for s in range(lo, lo + L):
-                st = freeze_states.setdefault(s, TokenFreezeState(token=s))
+                st = freeze_states.setdefault(s, ReferenceTokenState(token=s))
                 if not st.frozen:
                     _, now = token_stability_step(st, effective[s], freeze_basis,
                                                   policy.freeze, step)

@@ -6,7 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import CoupledLinearModel, subdelta_walks
+from helpers import (
+    CoupledLinearModel,
+    ReferenceTokenState,
+    local_distribution,
+    subdelta_walks,
+    token_stability_step,
+)
 
 from editstop.alignment import ActivationFrame, VisibleSet
 from editstop.capture import SubspaceBasis, build_subspace
@@ -14,19 +20,20 @@ from editstop.certify import estimate_contraction, tv_budget
 from editstop.errors import (
     AlphaNotContractiveError,
     DimMismatchError,
+    EmptyInputError,
     ProbeUnsupportedError,
+    VisibleSetChangedError,
 )
 from editstop.freeze import (
     CouplingEstimate,
     FreezeConfig,
+    FreezeEvent,
     FreezeSafetyReport,
     TokenFreezer,
     TokenFreezeState,
     freeze_safety,
-    local_distribution,
     probe_coupling,
     probe_coupling_pooled,
-    token_stability_step,
 )
 from editstop.linalg import ProbVector, kl_divergence, total_variation
 from editstop.monitor import StopConfig
@@ -91,7 +98,7 @@ class TestLocalDistribution:
 class TestTokenStabilityStep:
     def run_steps(self, vectors, cfg, basis=None):
         basis = basis or identity_basis(len(vectors[0]), 2)
-        state = TokenFreezeState(token=0)
+        state = ReferenceTokenState(token=0)
         outcomes = []
         for f in vectors:
             state, frozen = token_stability_step(state, f, basis, cfg)
@@ -152,7 +159,7 @@ class TestTokenStabilityStep:
             np.array([1.1, 1.25, 0.0]),
             np.array([1.15, 1.25, 0.0]),
         ]
-        state = TokenFreezeState(token=0)
+        state = ReferenceTokenState(token=0)
         for f in vectors:
             state, frozen = token_stability_step(state, f, basis, cfg)
         assert frozen
@@ -161,7 +168,7 @@ class TestTokenStabilityStep:
     def test_frozen_token_rejects_further_updates(self):
         cfg = FreezeConfig(delta_tok=1.0, omega_tok=1, k=2)
         basis = identity_basis(2, 2)
-        state = TokenFreezeState(token=0)
+        state = ReferenceTokenState(token=0)
         f = np.array([1.0, 1.0])
         state, _ = token_stability_step(state, f, basis, cfg)
         state, frozen = token_stability_step(state, f, basis, cfg)
@@ -256,11 +263,7 @@ class TestProbeCoupling:
 
 class TestFreezeSafety:
     def frozen_state(self, epsilon):
-        state = TokenFreezeState(token=3)
-        state.frozen_at = 9
-        state.frozen_value = np.zeros(2)
-        state.epsilon_s = epsilon
-        return state
+        return TokenFreezeState(token=3, frozen_at=9, frozen_value=np.zeros(2), epsilon_s=epsilon)
 
     def test_zero_epsilon_reduces_to_global_budget(self):
         est = CouplingEstimate(beta_s=5.0, probe_magnitude=1e-3, samples=10)
@@ -285,7 +288,7 @@ class TestFreezeSafety:
     def test_unfrozen_rejected(self):
         est = CouplingEstimate(beta_s=0.1, probe_magnitude=1e-3, samples=10)
         with pytest.raises(ValueError):
-            freeze_safety(TokenFreezeState(token=0), est, 0.5, StopConfig(), 0.5)
+            freeze_safety(ReferenceTokenState(token=0), est, 0.5, StopConfig(), 0.5)
 
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -357,7 +360,7 @@ class TestTokenFreezer:
             )
             effective, _ = freezer.process(frame)
             delivered.append(effective[0])
-        assert freezer.states[0].frozen
+        assert 0 in freezer.states
         pinned = freezer.states[0].frozen_value.tobytes()
         for v in delivered[3:]:
             assert v.tobytes() == pinned
@@ -389,6 +392,95 @@ class TestTokenFreezer:
         assert freezer.events[0].step == 2
         assert freezer.events[0].epsilon_s == 0.0
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_row_rejected(self, bad):
+        freezer = TokenFreezer(identity_basis(3, 2), FreezeConfig(k=2))
+        with pytest.raises(EmptyInputError):
+            freezer.process(ActivationFrame(1, np.array([[1.0, bad, 0.0]]), VisibleSet((0,))))
+
+    def test_changed_members_rejected(self):
+        freezer = TokenFreezer(identity_basis(2, 2), FreezeConfig(k=2))
+        f = np.ones((2, 2))
+        freezer.process(ActivationFrame(1, f, VisibleSet((0, 1))))
+        for members in [(0, 2), (0, 1, 2)]:
+            frame = ActivationFrame(2, np.ones((len(members), 2)), VisibleSet(members))
+            with pytest.raises(VisibleSetChangedError):
+                freezer.process(frame)
+
     def test_basis_k_must_match_config(self):
         with pytest.raises(DimMismatchError):
             TokenFreezer(identity_basis(3, 2), FreezeConfig(k=3))
+
+
+def side_by_side_frames(rng, n_steps=16):
+    """Frames over five tokens for an identity basis of d=4, k=2, where
+    coordinates 2 and 3 move an activation without moving its local
+    distribution. Row 0 alternates two activations whose local KL is
+    at most ``boundary`` and equals it on every other step; row 1 is all
+    zeros; row 2 settles; row 3 is noise; row 4 moves far along the free
+    coordinates, spikes, then creeps and keeps creeping once frozen."""
+    v0 = np.array([*(10.0 + np.log([0.6, 0.4])), 0.0, 0.0])
+    v1 = np.array([*(10.0 + np.log([0.5, 0.5])), 0.0, 0.0])
+    basis = identity_basis(4, 2)
+    q0, q1 = (local_distribution(v, basis, 1.0) for v in (v0, v1))
+    boundary = max(kl_divergence(q1, q0), kl_divergence(q0, q1))
+    settle_at = rng.normal(size=4)
+    frames = []
+    for t in range(1, n_steps + 1):
+        if t < 4:
+            row4 = [5.0, 0.0, 3.0 * t, 0.0]
+        elif t == 4:
+            row4 = [0.0, 5.0, 9.0, 0.0]
+        else:
+            row4 = [5.0, 0.0, 9.0 + 0.01 * t, 0.02 * t]
+        rows = [
+            v0 if t % 2 else v1,
+            np.zeros(4),
+            settle_at + rng.normal(size=4) * 0.5**t,
+            rng.normal(size=4) * 3.0,
+            np.array(row4),
+        ]
+        frames.append(ActivationFrame(t, np.stack(rows), VisibleSet((3, 4, 5, 6, 7))))
+    return basis, boundary, frames
+
+
+class TestArrayFreezerMatchesOracle:
+    @pytest.mark.parametrize("omega_tok", [1, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_events_and_effective_rows_match_per_token_oracle(self, seed, omega_tok):
+        basis, boundary, frames = side_by_side_frames(np.random.default_rng(seed))
+        cfg = FreezeConfig(delta_tok=boundary, omega_tok=omega_tok, k=2)
+        freezer = TokenFreezer(basis, cfg)
+        states: dict[int, ReferenceTokenState] = {}
+        events = []
+        for frame in frames:
+            effective, newly = freezer.process(frame)
+            expected = frame.activations.copy()
+            expected_newly = []
+            for i, s in enumerate(frame.visible.members):
+                st = states.setdefault(s, ReferenceTokenState(token=s))
+                if not st.frozen:
+                    _, now = token_stability_step(st, expected[i], basis, cfg, frame.step)
+                    if now:
+                        expected_newly.append(s)
+                        events.append(FreezeEvent(frame.step, s, st.epsilon_s))
+                if st.frozen:
+                    expected[i] = st.frozen_value
+            assert newly == expected_newly
+            assert effective.tobytes() == expected.tobytes()
+        assert freezer.events == events
+        frozen = {s: st for s, st in states.items() if st.frozen}
+        assert freezer.frozen_tokens == tuple(sorted(frozen))
+        for s, st in frozen.items():
+            got = freezer.states[s]
+            assert (got.token, got.frozen_at, got.epsilon_s) == (s, st.frozen_at, st.epsilon_s)
+            assert got.frozen_value.tobytes() == st.frozen_value.tobytes()
+            assert not got.frozen_value.flags.writeable
+        # The boundary row, the zero row and the creeping row freeze under
+        # every window tried. With a window of 3 or more, the creeping row's
+        # early moves fall before its spike, outside the window that froze it.
+        assert {3, 4, 7} <= set(frozen)
+        if omega_tok >= 3:
+            assert frozen[7].frozen_at == 5 + omega_tok
+            assert frozen[7].epsilon_s < 1.0

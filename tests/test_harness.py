@@ -46,6 +46,7 @@ from editstop.harness import (
 )
 from editstop.metaformat import load_metadata, persist_metadata
 from editstop.model import init_model, load_checkpoint
+from editstop.monitor import StopReason
 from editstop.tasks import make_task
 from editstop.train import CaptureSpec, sft_train
 
@@ -190,7 +191,7 @@ class TestInfer:
         expected = 100.0 * (1.0 - seed0["avg_steps"] / cfg.budget)
         np.testing.assert_allclose(seed0["reduction_percent"], expected)
 
-    @pytest.mark.parametrize("kind", ["edit", "fixed"])
+    @pytest.mark.parametrize("kind", ["edit", "fixed", "edit_freeze"])
     def test_counters_cover_every_instance(self, trained_run, tmp_path, kind):
         # trace_retention 3 of 8 instances: the counters must still read all 8.
         cfg, run_dir = trained_run
@@ -208,18 +209,25 @@ class TestInfer:
                 )
                 for b in generate(
                     art.model, prompt, cfg.seq_len, policy, budget=cfg.budget,
-                    reasoning_map=art.vector,
+                    reasoning_map=art.vector, freeze_basis=art.basis,
                 ).blocks
             ]
             steps = sorted(b.steps_used for b in blocks)
             assert seed_entry["stop_step_histogram"] == [
                 [k, steps.count(k)] for k in sorted(set(steps))
             ]
+            assert seed_entry["rejected_stops"] == sum(len(b.rejected_stops) for b in blocks)
+            freezes = sum(len(b.freeze_events) for b in blocks)
+            assert seed_entry["freeze_events"] == freezes
+            assert (freezes > 0) == (kind == "edit_freeze")
             if kind == "fixed":
                 assert seed_entry["stop_step_histogram"] == [[cfg.budget, len(blocks)]]
                 assert seed_entry["max_step_divergence"] is None
                 assert seed_entry["vacuity_ratio"] is None
+                assert seed_entry["stop_reasons"] is None
                 continue
+            reasons = [b.stop_decision.reason for b in blocks]
+            assert seed_entry["stop_reasons"] == {r.value: reasons.count(r) for r in StopReason}
             largest = max(
                 row.divergence for b in blocks for row in b.monitor_state.divergence_trace
             )
