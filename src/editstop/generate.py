@@ -15,6 +15,8 @@ rows that the freezer and the alignment scorer read whole.
 ``forward`` is deterministic in the tokens, so it runs only at step 1 and
 after a step that committed a slot; other steps reuse its outputs exactly.
 It returns only the block's rows, so its last layer skips the prefix rows.
+One forward emits every requested tap (``taps``), so extra taps cost no
+forward; the first tap's frame is the one scored and frozen.
 
 Step work that no caller reads is skipped. Frames are scored only for a
 monitor, so a ``fixed`` decode ignores its reasoning map and records no
@@ -89,12 +91,13 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One denoising step: what was committed and what the tap saw.
+    """One denoising step: what was committed and what the taps saw.
 
     ``choice`` is the block's row argmax at this step, the token each
-    position would take if it were committed now. A step that repeats
-    its predecessor shares the predecessor's frame object, whose own
-    ``step`` stays the predecessor's.
+    position would take if it were committed now. ``frame`` is the scored
+    first tap's; all of a step's frames share one visible set. A step that
+    repeats its predecessor shares the predecessor's frame objects, whose
+    own ``step`` stays the predecessor's.
     """
 
     step: int
@@ -103,6 +106,13 @@ class StepRecord:
     choice: tuple[int, ...]
     frame: ActivationFrame
     alignment: Optional[AlignmentDistribution]
+    # The frames of the decode's other taps, in ``taps[1:]`` order.
+    other_frames: tuple[ActivationFrame, ...] = ()
+
+    @property
+    def frames(self) -> tuple[ActivationFrame, ...]:
+        """One frame per tap of the decode, ``frame`` first."""
+        return (self.frame, *self.other_frames)
 
 
 @dataclass
@@ -220,7 +230,7 @@ def denoise_block(
     policy: PolicyConfig | None = None,
     reasoning_map: EvolutionVector | SubspaceBasis | None = None,
     mode: SimilarityMode | None = None,
-    tap: TapSpec | None = None,
+    taps: tuple[TapSpec, ...] | None = None,
     freeze_basis: SubspaceBasis | None = None,
     alpha_hat: float | None = None,
 ) -> BlockResult:
@@ -231,6 +241,10 @@ def denoise_block(
     require ``reasoning_map``, which ``fixed`` ignores; the freezing policy
     additionally requires ``freeze_basis``. ``alpha_hat`` enables the tail-sum side of the
     stopping certificate when available.
+
+    ``taps`` (default: the model's default tap) are read off each step's
+    one forward: ``taps[0]`` gives the scored and frozen ``StepRecord.frame``,
+    the rest raw ``other_frames`` over the same visible set.
     """
     policy = policy if policy is not None else PolicyConfig()
     mode = mode if mode is not None else SimilarityMode()
@@ -250,7 +264,9 @@ def denoise_block(
     if policy.freezing and freeze_basis is None:
         raise ValueError("policy 'edit_freeze' requires a freeze basis")
 
-    tap = tap if tap is not None else model.default_tap()
+    taps = tuple(taps) if taps is not None else (model.default_tap(),)
+    if not taps or len(set(taps)) != len(taps):
+        raise ValueError(f"taps must be nonempty and distinct, got {taps}")
     stop_cfg = policy.stop.for_block(block_index)
     monitor = StabilityMonitor(policy.stop, block_index) if policy.monitored else None
     freezer = TokenFreezer(freeze_basis, policy.freeze) if policy.freezing else None
@@ -272,9 +288,9 @@ def denoise_block(
     for step in range(1, budget + 1):
         # Rerun forward only when the last step changed the tokens.
         if step == 1 or newly:
-            result = forward(model, tokens[None, :], taps=(tap,), first_row=lo)
+            result = forward(model, tokens[None, :], taps=taps, first_row=lo)
             forward_passes += 1
-            tap_rows = result.taps[tap][0]
+            tap_rows, *other_rows = (result.taps[t][0] for t in taps)
             probs = predictive_distributions(result.logits[0], cfg.vocab_size)
             choice = probs.argmax(axis=1)
         acts = tap_rows
@@ -287,7 +303,7 @@ def denoise_block(
 
         prev = records[-1] if records else None
         if freezer is None and repeats_previous(prev, newly):
-            frame = prev.frame
+            frame, others = prev.frame, prev.other_frames
             alignment = None if prev.alignment is None else replace(prev.alignment, step=step)
         else:
             if freezer is not None:
@@ -301,6 +317,7 @@ def denoise_block(
 
             visible = VisibleSet(tuple(lo + np.flatnonzero(committed)))
             frame = ActivationFrame(step, acts[committed], visible)
+            others = tuple(ActivationFrame(step, rows[committed], visible) for rows in other_rows)
             alignment = (
                 score_frame(frame, reasoning_map, mode, stop_cfg.tau_blk)
                 if monitor is not None
@@ -336,6 +353,7 @@ def denoise_block(
                 choice=tuple(choice.tolist()),
                 frame=frame,
                 alignment=alignment,
+                other_frames=others,
             )
         )
         if stop_decision is not None:
@@ -376,11 +394,12 @@ def generate(
     budget: int = DEFAULT_STEP_BUDGET,
     reasoning_map: EvolutionVector | SubspaceBasis | None = None,
     mode: SimilarityMode | None = None,
-    tap: TapSpec | None = None,
+    taps: tuple[TapSpec, ...] | None = None,
     freeze_basis: SubspaceBasis | None = None,
     alpha_hat: float | None = None,
 ) -> GenerateResult:
-    """Denoise every block after the prompt, left to right."""
+    """Denoise every block after the prompt, left to right; each block
+    records ``taps`` as :func:`denoise_block` does."""
     policy = policy if policy is not None else PolicyConfig()
     cfg = model.cfg
     L = cfg.block_length
@@ -405,7 +424,7 @@ def generate(
             policy=policy,
             reasoning_map=reasoning_map,
             mode=mode,
-            tap=tap,
+            taps=taps,
             freeze_basis=freeze_basis,
             alpha_hat=alpha_hat,
         )

@@ -270,12 +270,14 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 class SeedReport:
     """One seed's results. The counters cover every instance, not only the
     traced ones: ``stop_step_histogram`` lists ``[steps, blocks]`` pairs in
-    increasing step order, ``max_step_divergence`` is the largest finite
+    increasing step order, ``max_step_divergence`` is the largest
     step divergence any monitor recorded, and ``vacuity_ratio`` is that
     divergence over delta. Both are None without a monitor (``fixed``), and
     the ratio is also None at delta 0. ``stop_reasons`` counts blocks per
     stop reason (None under ``fixed``); ``rejected_stops`` and
-    ``freeze_events`` are totals over all blocks."""
+    ``freeze_events`` are totals over all blocks. ``min_margin`` and
+    ``beta_quantile_margin`` (``margin_quantile`` at the config's beta) read
+    every early-stopped block's certificate margin; None without stops."""
 
     seed: int
     accuracy: float
@@ -289,6 +291,8 @@ class SeedReport:
     stop_step_histogram: list[list[int]]
     max_step_divergence: Optional[float]
     vacuity_ratio: Optional[float]
+    min_margin: Optional[float]
+    beta_quantile_margin: Optional[float]
     stop_reasons: Optional[dict[str, int]]
     rejected_stops: int
     freeze_events: int
@@ -450,7 +454,7 @@ def cmd_infer(
         exacts: list[bool] = []
         steps: list[float] = []
         certs_all: list = []
-        n_early = 0
+        margins: list[float] = []
         trace_files: list[str] = []
         for index, ((prompt, target), result) in enumerate(zip(instances, results)):
             output_block = np.asarray(result.tokens[prompt.size :])
@@ -462,7 +466,7 @@ def cmd_infer(
             ]
             for block, cert in zip(result.blocks, certs):
                 if block.stopped_early:
-                    n_early += 1
+                    margins.append(block.certificate.margin_report.margin)
                     if cert is not None:
                         certs_all.append(cert)
             generation_lines.append(
@@ -516,14 +520,13 @@ def cmd_infer(
         baseline = float(config.budget)
         blocks = [b for r in results for b in r.blocks]
         stop_steps = Counter(b.steps_used for b in blocks)
-        finite = [
+        divergences = [
             row.divergence
             for b in blocks
             if b.monitor_state is not None
             for row in b.monitor_state.divergence_trace
-            if math.isfinite(row.divergence)
         ]
-        max_divergence = max(finite) if finite else None
+        max_divergence = max(divergences) if divergences else None
         vacuity = (
             max_divergence / stop_cfg.delta
             if max_divergence is not None and stop_cfg.delta > 0.0
@@ -548,11 +551,13 @@ def cmd_infer(
                 reduction_percent=100.0 * (1.0 - avg_steps / baseline),
                 certified_fraction=certified,
                 n_instances=len(instances),
-                n_early_stops=n_early,
+                n_early_stops=len(margins),
                 forward_passes=sum(b.forward_passes for b in blocks),
                 stop_step_histogram=sorted([k, n] for k, n in stop_steps.items()),
                 max_step_divergence=max_divergence,
                 vacuity_ratio=vacuity,
+                min_margin=min(margins) if margins else None,
+                beta_quantile_margin=margin_quantile(margins, config.beta) if margins else None,
                 stop_reasons=reasons,
                 rejected_stops=sum(len(b.rejected_stops) for b in blocks),
                 freeze_events=sum(len(b.freeze_events) for b in blocks),
@@ -821,10 +826,11 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 
     Such a monitor never changes what gets committed, and freezing is
     off, so the frames a cell scores are those of a fixed-budget run that
-    taps its projection. Each evaluation prompt is therefore decoded once
-    per projection, and that projection's four cells replay the recorded
-    frames through a fresh monitor each. A frame that repeats the one
-    before (``repeats_previous``) reuses its score.
+    taps its projection. Each evaluation prompt is therefore decoded once,
+    tapping all three projections off each step's one forward, and each
+    projection's four cells replay its recorded frames through a fresh
+    monitor each. A frame that repeats the one before
+    (``repeats_previous``) reuses its score.
     """
     run_dir = run_dir if run_dir is not None else config.out_dir
     if not os.path.exists(os.path.join(run_dir, CHECKPOINT_FILE)):
@@ -836,6 +842,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     }
     task = make_task(config.task, config.vocab_size, config.block_length)
     last = config.n_blocks - 1
+    taps = tuple(TapSpec(f"block{last}.{proj}") for proj in ABLATION_PROJECTIONS)
 
     n_eval = min(config.eval_instances, 16)
     instances = _sample_instances(task, (config.model_seed, 505), n_eval)
@@ -844,21 +851,23 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 
     # One prompt at a time, so only one run's frames are held.
     divergences: dict[tuple[str, str, str], list[float]] = {site: [] for site in ABLATION_SITES}
+    forward_passes = 0
     for prompt, _ in instances:
-        for proj in ABLATION_PROJECTIONS:
-            (block,) = generate(
-                artifacts.model,
-                prompt,
-                config.seq_len,
-                PolicyConfig("fixed"),
-                budget=config.budget,
-                tap=TapSpec(f"block{last}.{proj}"),
-            ).blocks
-            records = block.trajectory.records
-            repeats = [
-                repeats_previous(records[i - 1] if i else None, rec.committed)
-                for i, rec in enumerate(records)
-            ]
+        (block,) = generate(
+            artifacts.model,
+            prompt,
+            config.seq_len,
+            PolicyConfig("fixed"),
+            budget=config.budget,
+            taps=taps,
+        ).blocks
+        forward_passes += block.forward_passes
+        records = block.trajectory.records
+        repeats = [
+            repeats_previous(records[i - 1] if i else None, rec.committed)
+            for i, rec in enumerate(records)
+        ]
+        for which, proj in enumerate(ABLATION_PROJECTIONS):
             for adapter, reduction in product(ABLATION_ADAPTERS, ABLATION_REDUCTIONS):
                 site = (proj, adapter, reduction)
                 monitor = StabilityMonitor(probe_stop, block.block_index)
@@ -868,14 +877,10 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
                     dist = (
                         replace(dist, step=rec.step)
                         if repeat
-                        else score_frame(rec.frame, vectors[site], mode, config.tau_blk)
+                        else score_frame(rec.frames[which], vectors[site], mode, config.tau_blk)
                     )
                     monitor.observe(dist)
-                divergences[site] += [
-                    row.divergence
-                    for row in monitor.state.divergence_trace
-                    if math.isfinite(row.divergence)
-                ]
+                divergences[site] += [row.divergence for row in monitor.state.divergence_trace]
 
     cells = [
         {
@@ -889,7 +894,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
         for proj, adapter, reduction in ABLATION_SITES
     ]
     cells.sort(key=lambda c: (c["projection"], c["adapter"], c["reduction"]))
-    payload = {"cells": cells, "n_eval_instances": n_eval}
+    payload = {"cells": cells, "n_eval_instances": n_eval, "forward_passes": forward_passes}
     _write_json(os.path.join(run_dir, ABLATION_JSON), payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -353,13 +353,16 @@ def forward(
 
 
 def backward_lora(
-    model: ToyModel, result: ForwardResult, dlogits: np.ndarray
+    model: ToyModel, result: ForwardResult, dlogits: np.ndarray, keys=None
 ) -> dict[str, np.ndarray]:
-    """Reverse pass from a logit gradient to every adapter parameter.
+    """Reverse pass from a logit gradient to the adapter parameters ``keys``
+    (all of them when None).
 
     The frozen base receives no gradients; the stream gradient is still
-    propagated through it so adapters in earlier layers see the full
-    chain."""
+    propagated through it so adapters in earlier layers see the full chain.
+    It stops in the lowest block holding a requested key, computing there
+    only the projection gradients those keys read; each array is bit for bit
+    the full pass's."""
     if result.cache is None:
         raise NoRecordedGraphError("forward pass was not recorded; rerun with record=True")
     cfg = model.cfg
@@ -369,9 +372,12 @@ def backward_lora(
             f"dlogits shape {dlogits.shape} != logits shape {result.logits.shape}"
         )
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    grads = {key: np.zeros_like(val) for key, val in model.lora.items()}
+    keys = model.lora if keys is None else keys
+    grads = {key: np.zeros_like(model.lora[key]) for key in keys}
+    sites = {parse_module_path(key.rpartition(".")[0]) for key in grads}
+    lowest = min(b for b, _ in sites)
     dx = dlogits @ model.base["head"]
-    for b in reversed(range(cfg.n_blocks)):
+    for b in reversed(range(lowest, cfg.n_blocks)):
         c = result.cache["blocks"][b]
         w2 = model.base[f"block{b}.w2"]
         w1 = model.base[f"block{b}.w1"]
@@ -380,31 +386,31 @@ def backward_lora(
         dx = dx + dh1 @ w1  # gradient at x_mid
         dmerged = dx @ model.base[f"block{b}.wo"]
         dctx = _split_heads(dmerged, cfg.n_heads, cfg.head_dim)
-        dattn = dctx @ c["v"].swapaxes(-1, -2)
-        dv = c["attn"].swapaxes(-1, -2) @ dctx
-        inner = (dattn * c["attn"]).sum(axis=-1, keepdims=True)
-        dscores = c["attn"] * (dattn - inner) * scale
-        dq = dscores @ c["k"]
-        dk = dscores.swapaxes(-1, -2) @ c["q"]
-        d_full = {
-            "q": _merge_heads(dq),
-            "k": _merge_heads(dk),
-            "v": _merge_heads(dv),
-        }
-        dx_in = dx.copy()
-        for proj in PROJECTIONS:
+        needed = [p for p in PROJECTIONS if b > lowest or (b, p) in sites]
+        d_full = {}
+        if "v" in needed:
+            d_full["v"] = _merge_heads(c["attn"].swapaxes(-1, -2) @ dctx)
+        if "q" in needed or "k" in needed:
+            dattn = dctx @ c["v"].swapaxes(-1, -2)
+            inner = (dattn * c["attn"]).sum(axis=-1, keepdims=True)
+            dscores = c["attn"] * (dattn - inner) * scale
+            if "q" in needed:
+                d_full["q"] = _merge_heads(dscores @ c["k"])
+            if "k" in needed:
+                d_full["k"] = _merge_heads(dscores.swapaxes(-1, -2) @ c["q"])
+        dx_in = dx.copy() if b > lowest else None
+        for proj in needed:
             dproj = d_full[proj]
-            a = model.lora[lora_param_key(b, proj, "a")]
-            bb = model.lora[lora_param_key(b, proj, "b")]
-            ax = c[f"ax_{proj}"]
-            grads[lora_param_key(b, proj, "b")] += np.einsum(
-                "ntd,ntr->dr", dproj, ax
-            )
-            dax = dproj @ bb
-            grads[lora_param_key(b, proj, "a")] += np.einsum(
-                "ntr,ntd->rd", dax, c["x_in"]
-            )
-            dx_in += dproj @ model.base[f"block{b}.w{proj}"] + dax @ a
+            key_a, key_b = (lora_param_key(b, proj, ad) for ad in ADAPTERS)
+            if key_b in grads:
+                grads[key_b] += np.einsum("ntd,ntr->dr", dproj, c[f"ax_{proj}"])
+            if b == lowest and key_a not in grads:
+                continue
+            dax = dproj @ model.lora[key_b]
+            if key_a in grads:
+                grads[key_a] += np.einsum("ntr,ntd->rd", dax, c["x_in"])
+            if b > lowest:
+                dx_in += dproj @ model.base[f"block{b}.w{proj}"] + dax @ model.lora[key_a]
         dx = dx_in
     return grads
 

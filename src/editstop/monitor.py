@@ -1,8 +1,9 @@
 """Run-length stability tracking and the early-termination decision.
 
-Alignment distributions arrive one per denoising step. Consecutive
-distributions are restricted to their common visible support and
-renormalized, the step-wise KL divergence is computed, and a run-length
+Alignment distributions arrive one per denoising step. Unmasking is
+monotone, so consecutive distributions share the earlier one's visible
+support: both are restricted to it and renormalized, the step-wise KL
+divergence is computed on index arrays (``matched_kl``), and a run-length
 counter tracks how many consecutive steps stayed strictly below the
 divergence threshold. The first time the counter reaches the required
 span, the block is declared stable and denoising stops.
@@ -16,12 +17,11 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .alignment import AlignmentDistribution, VisibleSet
-from .errors import (
-    EmptyIntersectionError,
-    NonMonotoneVisibleSetError,
-)
-from .linalg import ProbVector, kl_divergence
+import numpy as np
+
+from .alignment import AlignmentDistribution
+from .errors import NonMonotoneVisibleSetError
+from .linalg import PROB_FLOOR, ProbVector
 
 DEFAULT_DELTA = 0.05
 DEFAULT_OMEGA = 6
@@ -77,7 +77,7 @@ class StopDecision:
 @dataclass(frozen=True)
 class TraceRow:
     step: int
-    divergence: float  # NaN when the step was skipped (empty intersection)
+    divergence: float  # always finite: the monitor skips no step
     matched_support: int
     counter: int
     stopped: bool
@@ -94,24 +94,24 @@ class StabilityState:
         return self.divergence_trace[-1].step if self.divergence_trace else None
 
 
-def matched_renormalize(
-    curr: AlignmentDistribution, prev: AlignmentDistribution
-) -> tuple[ProbVector, ProbVector, VisibleSet]:
-    """Restrict both distributions to their common support and renormalize.
+def matched_kl(curr: ProbVector, prev: ProbVector) -> float:
+    """KL of ``curr`` from ``prev`` on ``prev``'s support, a subset of ``curr``'s.
 
-    Returns (current restricted, previous restricted, intersection).
+    Both are restricted to that support and renormalized, floored at
+    ``PROB_FLOOR`` and renormalized again, with the sums and the clamp of
+    ``kl_divergence``; it takes index arrays where that takes ``ProbVector``s.
+    Supports are sorted, so ``searchsorted`` finds ``prev``'s members in
+    ``curr``.
     """
-    inter = tuple(sorted(set(curr.dist.support) & set(prev.dist.support)))
-    if not inter:
-        raise EmptyIntersectionError(
-            f"supports {prev.dist.support} and {curr.dist.support} are disjoint"
-        )
-    return curr.dist.restrict(inter), prev.dist.restrict(inter), VisibleSet(inter)
-
-
-def step_divergence(p_tilde: ProbVector, q_tilde: ProbVector) -> float:
-    """KL of the current restricted distribution from the previous one."""
-    return kl_divergence(p_tilde, q_tilde)
+    sides = []
+    for sub in (curr.probs[np.searchsorted(curr.support, prev.support)], prev.probs):
+        floored = np.maximum(sub / float(sub.sum()), PROB_FLOOR)
+        sides.append(floored / floored.sum())
+    pp, qq = sides
+    val = float(np.sum(pp * (np.log(pp) - np.log(qq))))
+    if val < -1e-12:
+        raise ValueError(f"KL computed as {val}, below rounding tolerance")
+    return max(val, 0.0)
 
 
 def update_counter(
@@ -179,24 +179,13 @@ class StabilityMonitor:
             return StopDecision(False, dist.step, StopReason.STILL_RUNNING, 0)
         if dist.dist is prev.dist:
             # A repeated distribution diverges from itself by exactly 0.0.
-            d_t, matched = 0.0, len(dist.dist)
+            d_t = 0.0
         else:
-            try:
-                p_tilde, q_tilde, inter = matched_renormalize(dist, prev)
-            except EmptyIntersectionError:
-                # Defensive: cannot happen under monotone unmasking. Skip the
-                # step entirely, leaving the counter as it was.
-                self.state.divergence_trace.append(
-                    TraceRow(dist.step, float("nan"), 0, self.state.counter, False)
-                )
-                self.state.prev_distribution = dist
-                return StopDecision(
-                    False, dist.step, StopReason.STILL_RUNNING, self.state.counter
-                )
-            d_t, matched = step_divergence(p_tilde, q_tilde), len(inter)
+            # The monotone check above makes prev's support the matched one.
+            d_t = matched_kl(dist.dist, prev.dist)
         self.state.prev_distribution = dist
         _, decision = update_counter(
-            self.state, d_t, self.cfg, step=dist.step, matched_support=matched
+            self.state, d_t, self.cfg, step=dist.step, matched_support=len(prev.dist)
         )
         return decision
 

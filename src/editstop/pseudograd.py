@@ -7,8 +7,9 @@ between step ``t`` and step ``t+1``. Backpropagating that step-to-step
 divergence through the adapter down-projections yields a pseudo-gradient
 whose root-mean-square magnitude can be compared against the band of
 gradient magnitudes seen in training. This module computes those
-pseudo-gradients by re-running the recorded forward passes, summarizes
-them, and detects the step at which their magnitude settles into the
+pseudo-gradients by re-running the recorded forward passes, each once,
+and backpropagating only as deep as the selected adapters; it summarizes
+them and detects the step at which their magnitude settles into the
 training band.
 
 Everything here is post-hoc: the analyzer consumes finished trajectories
@@ -196,27 +197,32 @@ def pseudo_gradient(
     keys = _selected_keys(model, config)
     res_t = _step_forward(model, trajectory, step, config.differentiate_reference)
     res_t1 = _step_forward(model, trajectory, step + 1, True)
-    return _pair_gradient(model, trajectory, step, keys, config, res_t, res_t1)
+    sides = [_with_dists(model, trajectory, res) for res in (res_t, res_t1)]
+    return _pair_gradient(model, trajectory, step, keys, config, *sides)
+
+
+def _with_dists(model: ToyModel, trajectory: DenoiseTrajectory, res):
+    """``res`` and the predictive distributions of its block rows."""
+    cfg = model.cfg
+    lo = trajectory.block_index * cfg.block_length
+    return res, predictive_distributions(res.logits[0, lo : lo + cfg.block_length], cfg.vocab_size)
 
 
 def _pair_gradient(
-    model: ToyModel, trajectory: DenoiseTrajectory, step: int, keys, config, res_t, res_t1
+    model: ToyModel, trajectory: DenoiseTrajectory, step: int, keys, config, side_t, side_t1
 ) -> dict[str, np.ndarray]:
-    """:func:`pseudo_gradient` from the forward results of ``step`` and ``step+1``."""
+    """:func:`pseudo_gradient` from the ``(forward result, block
+    distributions)`` of ``step`` and ``step+1``. Backward passes run only as
+    deep as ``keys`` reach."""
+    (res_t, p_t), (res_t1, p_t1) = side_t, side_t1
     cfg = model.cfg
     lo = trajectory.block_index * cfg.block_length
-    hi = lo + cfg.block_length
-    support = trajectory.records[step].frame.visible.members
-    p_t = predictive_distributions(res_t.logits[0, lo:hi], cfg.vocab_size)
-    p_t1 = predictive_distributions(res_t1.logits[0, lo:hi], cfg.vocab_size)
+    support = np.array(trajectory.records[step].frame.visible.members, dtype=np.intp)
 
     real = cfg.vocab_size - 1
     dlogits_t1 = np.zeros_like(res_t1.logits)
-    for s in support:
-        p = p_t[s - lo]
-        q = p_t1[s - lo]
-        dlogits_t1[0, s, :real] = q - p
-    grads = backward_lora(model, res_t1, dlogits_t1)
+    dlogits_t1[0, support, :real] = p_t1[support - lo] - p_t[support - lo]
+    grads = backward_lora(model, res_t1, dlogits_t1, keys)
     out = {key: grads[key] for key in keys}
 
     if config.differentiate_reference:
@@ -227,7 +233,7 @@ def _pair_gradient(
             log_ratio = np.log(p) - np.log(q)
             kl = float(np.sum(p * log_ratio))
             dlogits_t[0, s, :real] = p * (log_ratio - kl)
-        ref_grads = backward_lora(model, res_t, dlogits_t)
+        ref_grads = backward_lora(model, res_t, dlogits_t, keys)
         out = {key: out[key] + ref_grads[key] for key in keys}
     return out
 
@@ -248,7 +254,7 @@ def analyze_trajectory(
     rows: list[PseudoGradRow] = []
     values: list[float] = []
     inp_t = _step_input(model, trajectory, 1)
-    res_t = forward(model, inp_t[None, :], taps=(), record=True)
+    side_t = _with_dists(model, trajectory, forward(model, inp_t[None, :], taps=(), record=True))
     for step in range(1, len(trajectory.records)):
         inp_t1 = _step_input(model, trajectory, step + 1)
         if np.array_equal(inp_t1, inp_t):
@@ -257,9 +263,11 @@ def analyze_trajectory(
             value = 0.0
         else:
             res_t1 = forward(model, inp_t1[None, :], taps=(), record=True)
-            grads = _pair_gradient(model, trajectory, step, keys, config, res_t, res_t1)
-            # The next pair's step side: each distinct input's forward runs once.
-            inp_t, res_t = inp_t1, res_t1
+            side_t1 = _with_dists(model, trajectory, res_t1)
+            grads = _pair_gradient(model, trajectory, step, keys, config, side_t, side_t1)
+            # The next pair's step side: each distinct input's forward and
+            # distributions are computed once.
+            inp_t, side_t = inp_t1, side_t1
             value = rms(np.concatenate([g.ravel() for g in grads.values()]))
         values.append(value)
         rows.append(PseudoGradRow(step=step, rms_value=value, in_band=band.contains(value)))

@@ -1,6 +1,7 @@
 """Shared builders for synthetic distributions, chains, and frames, test
-oracles (a scalar cosine, the windowed TV bound, the step objective of
-the pseudo-gradient and the per-token freezing rule), the per-token
+oracles (a scalar cosine, the monitor's matched-support KL, the windowed
+TV bound, the step objective of the pseudo-gradient and the per-token
+freezing rule), the per-token
 reference path of the denoising step, and the live per-cell sweeps that
 calibrate's and ablate's replays stand in for."""
 
@@ -33,6 +34,7 @@ from editstop.certify import (
 )
 from editstop.errors import (
     DimMismatchError,
+    EmptyIntersectionError,
     MissingStepError,
     SupportMismatchError,
     WindowTooShortError,
@@ -49,7 +51,13 @@ from editstop.harness import (
 )
 from editstop.linalg import NORM_FLOOR, ProbVector, kl_divergence, softmax, total_variation
 from editstop.metaformat import load_metadata
-from editstop.model import TapSpec, forward, load_checkpoint, predictive_distributions
+from editstop.model import (
+    TapSpec,
+    backward_lora,
+    forward,
+    load_checkpoint,
+    predictive_distributions,
+)
 from editstop.monitor import StabilityMonitor, StopConfig
 from editstop.tasks import make_task
 
@@ -69,6 +77,32 @@ def cosine_similarity(a, b) -> float:
     if na < NORM_FLOOR or nb < NORM_FLOOR:
         raise ZeroNormError("cosine similarity undefined for (near-)zero vectors")
     return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+
+
+def matched_renormalize(
+    curr: AlignmentDistribution, prev: AlignmentDistribution
+) -> tuple[ProbVector, ProbVector, VisibleSet]:
+    """Restrict both distributions to their common support and renormalize.
+
+    Returns (current restricted, previous restricted, intersection).
+    """
+    inter = tuple(sorted(set(curr.dist.support) & set(prev.dist.support)))
+    if not inter:
+        raise EmptyIntersectionError(
+            f"supports {prev.dist.support} and {curr.dist.support} are disjoint"
+        )
+    return curr.dist.restrict(inter), prev.dist.restrict(inter), VisibleSet(inter)
+
+
+def step_divergence(p_tilde: ProbVector, q_tilde: ProbVector) -> float:
+    """KL of the current restricted distribution from the previous one."""
+    return kl_divergence(p_tilde, q_tilde)
+
+
+def monitor_divergence(curr: AlignmentDistribution, prev: AlignmentDistribution) -> float:
+    """The step divergence ``StabilityMonitor.observe`` records, through
+    restricted ``ProbVector``s: the oracle of ``monitor.matched_kl``."""
+    return step_divergence(*matched_renormalize(curr, prev)[:2])
 
 
 def verify_runlength_bound(distributions, delta: float, omega: int, state=None) -> bool:
@@ -129,6 +163,42 @@ def step_kl_objective(model, trajectory, step: int) -> float:
         p, q = p_t[s - lo], p_t1[s - lo]
         total += float(np.sum(p * (np.log(p) - np.log(q))))
     return total
+
+
+def reference_pseudo_gradient(model, trajectory, step: int, keys, differentiate_reference):
+    """The pseudo-gradient of ``keys`` by the slow path: two fresh recorded
+    forwards, one support row at a time, and the full reverse pass over
+    every adapter, of which ``keys`` are kept."""
+    cfg = model.cfg
+    L = cfg.block_length
+    lo = trajectory.block_index * L
+    prefix = np.asarray(trajectory.prefix, dtype=np.int64)
+
+    def run(at: int):
+        if at == 1:
+            block = np.full(L, cfg.mask_id, dtype=np.int64)
+        else:
+            block = np.asarray(trajectory.records[at - 2].tokens, dtype=np.int64)
+        res = forward(model, np.concatenate([prefix, block])[None, :], taps=(), record=True)
+        return res, predictive_distributions(res.logits[0, lo : lo + L], cfg.vocab_size)
+
+    (res_t, p_t), (res_t1, p_t1) = run(step), run(step + 1)
+    support = trajectory.records[step].frame.visible.members
+    real = cfg.vocab_size - 1
+    dlogits_t1 = np.zeros_like(res_t1.logits)
+    for s in support:
+        dlogits_t1[0, s, :real] = p_t1[s - lo] - p_t[s - lo]
+    grads = backward_lora(model, res_t1, dlogits_t1)
+    out = {key: grads[key] for key in keys}
+    if differentiate_reference:
+        dlogits_t = np.zeros_like(res_t.logits)
+        for s in support:
+            p, q = p_t[s - lo], p_t1[s - lo]
+            log_ratio = np.log(p) - np.log(q)
+            dlogits_t[0, s, :real] = p * (log_ratio - float(np.sum(p * log_ratio)))
+        ref_grads = backward_lora(model, res_t, dlogits_t)
+        out = {key: out[key] + ref_grads[key] for key in keys}
+    return out
 
 
 def local_distribution(f_s: np.ndarray, basis: SubspaceBasis, tau_sub: float) -> ProbVector:
@@ -593,7 +663,7 @@ def reference_ablation_cells(config, run_dir) -> dict:
         values = []
         for prompt, _ in instances:
             run = generate(model, prompt, config.seq_len, policy, budget=config.budget,
-                           reasoning_map=vector, mode=mode, tap=TapSpec(module))
+                           reasoning_map=vector, mode=mode, taps=(TapSpec(module),))
             values += [row.divergence for block in run.blocks
                        for row in block.monitor_state.divergence_trace
                        if math.isfinite(row.divergence)]

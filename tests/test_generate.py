@@ -22,7 +22,7 @@ from editstop.generate import (
     repeats_previous,
 )
 from editstop.harness import cmd_train, load_artifacts
-from editstop.model import ModelConfig, forward, init_model, predictive_distributions
+from editstop.model import ModelConfig, TapSpec, forward, init_model, predictive_distributions
 from editstop.monitor import StopConfig, StopReason
 from editstop.tasks import make_task
 from editstop.train import sft_train
@@ -432,6 +432,73 @@ class TestForwardReuse:
             assert rec.choice == tuple(probs.argmax(axis=1).tolist())
             rows = [s - lo for s in rec.frame.visible.members]
             assert rec.frame.activations.tobytes() == fresh.taps[tap][0, lo + np.array(rows)].tobytes()
+
+
+class TestMultiTap:
+    """A decode that records several taps off each step's one forward: each
+    tap's frames equal a single-tap decode of that tap, bit for bit."""
+
+    QKV = tuple(TapSpec(f"block1.{proj}") for proj in ("q", "k", "v"))
+
+    @pytest.mark.parametrize(
+        "kind, order, seq_len",
+        [("fixed", (0, 1, 2), 64), ("edit", (0, 1, 2), 32), ("edit", (1, 0, 2), 32),
+         ("edit", (2, 1, 0), 32)],
+    )
+    def test_each_tap_matches_a_single_tap_decode(self, default_block, kind, order, seq_len):
+        cfg, artifacts, prompt = default_block
+        taps = tuple(self.QKV[i] for i in order)
+
+        def decode(taps):
+            return generate(
+                artifacts.model, prompt, seq_len, cfg.policy_config(kind),
+                reasoning_map=artifacts.vector, taps=taps,
+            )
+
+        multi = decode(taps)
+        for which, tap in enumerate(taps):
+            single = decode((tap,))
+            for mb, sb in zip(multi.blocks, single.blocks, strict=True):
+                assert mb.forward_passes == sb.forward_passes
+                m_recs, s_recs = mb.trajectory.records, sb.trajectory.records
+                if which == 0:
+                    # The first tap is the scored one: the whole run agrees.
+                    assert len(m_recs) == len(s_recs)
+                    if kind == "edit":
+                        trace = mb.monitor_state.divergence_trace
+                        assert trace == sb.monitor_state.divergence_trace
+                    assert mb.stop_decision == sb.stop_decision
+                # Unscored taps do not steer a one-block decode: its steps
+                # agree up to the shorter run's stop.
+                for m, s in zip(m_recs, s_recs):
+                    assert s.other_frames == ()
+                    frame = m.frames[which]
+                    assert (frame.step, frame.visible) == (s.frame.step, s.frame.visible)
+                    assert np.array_equal(frame.activations, s.frame.activations)
+                    assert (m.tokens, m.choice, m.committed) == (s.tokens, s.choice, s.committed)
+            if which == 0:
+                assert multi.tokens == single.tokens
+
+    def test_frames_share_the_step_and_repeats_share_the_frames(self, default_block):
+        cfg, artifacts, prompt = default_block
+        (block,) = generate(
+            artifacts.model, prompt, 32, cfg.policy_config("fixed"), taps=self.QKV
+        ).blocks
+        records = block.trajectory.records
+        n_repeats = 0
+        for prev, rec in zip(records, records[1:]):
+            assert len(rec.frames) == 3
+            assert all(f.visible is rec.frame.visible for f in rec.other_frames)
+            repeat = repeats_previous(prev, rec.committed)
+            n_repeats += repeat
+            assert all((a is b) == repeat for a, b in zip(rec.frames, prev.frames))
+        assert n_repeats == 15
+
+    def test_duplicate_or_empty_taps_rejected(self, default_block):
+        cfg, artifacts, prompt = default_block
+        for taps in ((self.QKV[1], self.QKV[0], self.QKV[1]), ()):
+            with pytest.raises(ValueError, match="taps"):
+                generate(artifacts.model, prompt, 32, taps=taps)
 
 
 class TestSkippedStepWork:

@@ -16,6 +16,7 @@ from helpers import count_forwards, reference_ablation_cells, reference_utility_
 
 from editstop import harness
 from editstop.capture import AdamWConfig
+from editstop.certify import margin_quantile
 from editstop.config import ExperimentConfig
 from editstop.errors import ArtifactMismatchError, NoAdmissiblePairError
 from editstop.generate import generate
@@ -234,6 +235,38 @@ class TestInfer:
             assert seed_entry["max_step_divergence"] == largest > 0.0
             assert seed_entry["vacuity_ratio"] == largest / cfg.delta
         stored = json.load(open(os.path.join(out, REPORT_FILE)))
+        assert stored == report
+
+    @pytest.mark.parametrize("kind", ["edit", "fixed"])
+    def test_margins_cover_every_stop(self, trained_run, tmp_path, kind):
+        # Every early-stopped block's certificate margin, not only the traced ones.
+        cfg, run_dir = trained_run
+        report = cmd_infer(cfg, artifacts_dir=run_dir, run_dir=str(tmp_path), policy_kind=kind)
+        art = load_artifacts(cfg, run_dir)
+        task = make_task(cfg.task, cfg.vocab_size, cfg.block_length)
+        for seed_entry in report["per_seed"]:
+            margins = [
+                b.certificate.margin_report.margin
+                for prompt, _ in harness._sample_instances(
+                    task, (seed_entry["seed"], 101), cfg.eval_instances
+                )
+                for b in generate(
+                    art.model, prompt, cfg.seq_len, cfg.policy_config(kind),
+                    budget=cfg.budget, reasoning_map=art.vector,
+                ).blocks
+                if b.stopped_early
+            ]
+            assert len(margins) == seed_entry["n_early_stops"]
+            if kind == "fixed":
+                assert margins == []
+                assert seed_entry["min_margin"] is None
+                assert seed_entry["beta_quantile_margin"] is None
+                continue
+            assert len(margins) > cfg.trace_retention
+            assert seed_entry["min_margin"] == min(margins)
+            assert seed_entry["beta_quantile_margin"] == margin_quantile(margins, cfg.beta)
+            assert seed_entry["min_margin"] <= seed_entry["beta_quantile_margin"]
+        stored = json.load(open(os.path.join(str(tmp_path), REPORT_FILE)))
         assert stored == report
 
     def test_early_stop_beats_budget(self, trained_run):
@@ -485,13 +518,20 @@ class TestAblate:
         assert got == want
 
     def test_ablate_decodes_each_prompt_once_per_projection(self, ablation):
+        # One decode per prompt now serves all three projections: it taps
+        # q, k and v off each step's one forward.
         payload, runs = ablation[2], ablation[4]
-        assert len(runs) == 3 * payload["n_eval_instances"]
+        assert len(runs) == payload["n_eval_instances"]
+        for run in runs:
+            for rec in run.blocks[0].trajectory.records:
+                assert len(rec.frames) == 3
 
     def test_ablate_reads_the_trained_run(self, ablation):
         assert ablation[3] == []  # no sft_train call
 
     def test_scores_each_distinct_frame_once(self, ablation):
+        # Each distinct step of the one run per prompt is scored by the 12
+        # cells: four per projection, each on its own projection's frame.
         runs, scored = ablation[4], ablation[5]
         distinct = 0
         total = 0
@@ -503,7 +543,7 @@ class TestAblate:
                 total += 1
                 prev = key
         assert distinct < total
-        assert len(scored) == 4 * distinct
+        assert len(scored) == 12 * distinct
 
     def test_standalone_run_trains_first(self, ablation, tmp_path):
         # An empty directory is trained first, then ablated like a trained run.
@@ -590,7 +630,17 @@ class TestForwardCounts:
         calls = count_forwards(monkeypatch)
         payload = cmd_ablate(cfg)
         assert payload["n_eval_instances"] == 2
-        assert len(calls) == 3 * 2 * 17
+        # One three-tap decode per prompt.
+        assert len(calls) == 2 * 17
+        assert payload["forward_passes"] == len(calls)
+
+    def test_ablate_default_config_records_272_forwards(self, tmp_path):
+        cfg = ExperimentConfig(train_steps=20, out_dir=str(tmp_path))
+        payload = cmd_ablate(cfg)
+        assert payload["n_eval_instances"] == 16
+        assert payload["forward_passes"] == 16 * 17 == 272
+        stored = json.load(open(os.path.join(str(tmp_path), ABLATION_JSON)))
+        assert stored["forward_passes"] == 272
 
     def test_infer_records_forward_passes(self, trained_run, tmp_path, monkeypatch):
         cfg, artifacts_dir = trained_run

@@ -286,6 +286,69 @@ class TestBackward:
             assert np.abs(g).max() < 1e-12, key
 
 
+class TestSelectedBackward:
+    """``backward_lora(keys=...)`` against the full reverse pass, bit for bit."""
+
+    def recorded(self, cfg=TINY):
+        model = init_model(cfg)
+        randomize_lora(model, np.random.default_rng(21))
+        tokens = np.random.default_rng(22).integers(0, cfg.vocab_size, size=(2, 8))
+        res = forward(model, tokens, taps=(), record=True)
+        dlogits = np.random.default_rng(23).normal(size=res.logits.shape)
+        return model, res, dlogits
+
+    @pytest.mark.parametrize("key", sorted(init_model(TINY).lora))
+    def test_each_key_alone_matches_the_full_pass(self, key):
+        model, res, dlogits = self.recorded()
+        full = backward_lora(model, res, dlogits)
+        got = backward_lora(model, res, dlogits, keys={key})
+        assert list(got) == [key]
+        assert np.array_equal(got[key], full[key])
+        assert np.any(full[key] != 0.0)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("block1.q.lora_b", "block0.v.lora_b"),
+            ("block0.k.lora_a", "block1.v.lora_a", "block1.q.lora_b"),
+            ("block0.q.lora_b", "block0.q.lora_a", "block0.v.lora_b"),
+        ],
+    )
+    def test_key_sets_match_the_full_pass(self, keys):
+        model, res, dlogits = self.recorded()
+        full = backward_lora(model, res, dlogits)
+        got = backward_lora(model, res, dlogits, keys=keys)
+        assert list(got) == list(keys)
+        for key in keys:
+            assert np.array_equal(got[key], full[key]), key
+
+    def test_three_blocks(self):
+        cfg = ModelConfig(**{**TINY.to_json_dict(), "n_blocks": 3})
+        model, res, dlogits = self.recorded(cfg)
+        full = backward_lora(model, res, dlogits)
+        assert backward_lora(model, res, dlogits).keys() == full.keys()
+        for key in ("block1.v.lora_b", "block0.k.lora_a", "block2.q.lora_b"):
+            got = backward_lora(model, res, dlogits, keys=(key,))
+            assert np.array_equal(got[key], full[key]), key
+
+    def test_default_key_stops_at_its_query(self):
+        # The default pseudo-gradient key reads the last block's attention
+        # down to dq: no block 0, no dk (which reads q), no dv branch into
+        # the stream, no adapter-A gradient (which reads x_in).
+        model, res, dlogits = self.recorded()
+        full = backward_lora(model, res, dlogits)["block1.q.lora_b"]
+        blocks = res.cache["blocks"]
+        kept = ("t1", "attn", "v", "k", "ax_q")
+        blocks[:] = [None, {name: blocks[1][name] for name in kept}]
+        got = backward_lora(model, res, dlogits, keys=("block1.q.lora_b",))
+        assert np.array_equal(got["block1.q.lora_b"], full)
+
+    def test_unknown_key_rejected(self):
+        model, res, dlogits = self.recorded()
+        with pytest.raises(KeyError):
+            backward_lora(model, res, dlogits, keys=("block0.z.lora_b",))
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = tiny_model()

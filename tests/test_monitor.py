@@ -7,7 +7,16 @@ import math
 
 import numpy as np
 import pytest
-from helpers import constant_frames, count_forwards, frame_from, make_chain, make_dist
+from helpers import (
+    constant_frames,
+    count_forwards,
+    frame_from,
+    make_chain,
+    make_dist,
+    matched_renormalize,
+    monitor_divergence,
+    step_divergence,
+)
 
 from editstop.alignment import SimilarityMode, score_frame
 from editstop.capture import EvolutionVector
@@ -17,8 +26,7 @@ from editstop.monitor import (
     StabilityState,
     StopConfig,
     StopReason,
-    matched_renormalize,
-    step_divergence,
+    matched_kl,
     trace_to_csv,
     update_counter,
 )
@@ -112,6 +120,72 @@ class TestStepDivergence:
         assert step_divergence(q, p) == pytest.approx(0.3680642071684971, rel=1e-7)
 
 
+def random_pair(rng, n_curr: int, n_prev: int, step: int = 2):
+    """A (curr, prev) pair of alignment distributions over random sorted
+    supports, with prev's support a random subset of curr's."""
+    support = tuple(sorted(rng.choice(32, size=n_curr, replace=False).tolist()))
+    kept = tuple(sorted(rng.choice(support, size=n_prev, replace=False).tolist()))
+    w_curr = rng.random(n_curr) ** 3 + 1e-14
+    w_prev = rng.random(n_prev) ** 3 + 1e-14
+    return (
+        make_dist(w_curr / w_curr.sum(), support, step=step),
+        make_dist(w_prev / w_prev.sum(), kept, step=step - 1),
+    )
+
+
+class TestMatchedKl:
+    """``matched_kl`` against the restricted-``ProbVector`` oracle, bit for bit."""
+
+    def test_random_supports_match_the_oracle(self):
+        rng = np.random.default_rng(91)
+        for _ in range(400):
+            n_curr = int(rng.integers(1, 17))
+            curr, prev = random_pair(rng, n_curr, int(rng.integers(1, n_curr + 1)))
+            assert matched_kl(curr.dist, prev.dist) == monitor_divergence(curr, prev)
+
+    def test_member_inserted_mid_support(self):
+        # Token 3 joins between 2 and 7: prev's members sit at positions
+        # 0, 1 and 3 of curr's support, not at its first three.
+        prev = make_dist([0.2, 0.5, 0.3], (1, 2, 7), step=1)
+        curr = make_dist([0.1, 0.15, 0.4, 0.35], (1, 2, 3, 7), step=2)
+        got = matched_kl(curr.dist, prev.dist)
+        assert got == monitor_divergence(curr, prev)
+        p = np.array([0.1, 0.15, 0.35]) / 0.6
+        q = np.array([0.2, 0.5, 0.3])
+        assert got == pytest.approx(float(np.sum(p * np.log(p / q))), rel=1e-12)
+
+    def test_singleton_prev_support_is_zero(self):
+        prev = make_dist([1.0], (4,), step=1)
+        curr = make_dist([0.25, 0.75], (4, 5), step=2)
+        assert matched_kl(curr.dist, prev.dist) == monitor_divergence(curr, prev) == 0.0
+
+    def test_repeated_distribution(self):
+        rng = np.random.default_rng(92)
+        for n in (1, 2, 7, 16):
+            curr, _ = random_pair(rng, n, n)
+            again = make_dist(curr.dist.probs.copy(), curr.dist.support, step=3)
+            assert matched_kl(again.dist, curr.dist) == monitor_divergence(again, curr)
+            assert matched_kl(again.dist, curr.dist) == 0.0
+
+    def test_monitor_records_the_oracle_divergence(self):
+        rng = np.random.default_rng(93)
+        support = sorted(rng.choice(40, size=16, replace=False).tolist())
+        order = rng.permutation(16)
+        chain = []
+        for step in range(1, 17):
+            members = tuple(sorted(support[i] for i in order[:step]))
+            w = rng.random(step) + 0.01
+            chain.append(make_dist(w / w.sum(), members, step=step))
+        monitor = StabilityMonitor(StopConfig(delta=0.0))
+        for dist in chain:
+            monitor.observe(dist)
+        rows = monitor.state.divergence_trace
+        assert [r.divergence for r in rows] == [
+            monitor_divergence(curr, prev) for prev, curr in zip(chain, chain[1:])
+        ]
+        assert [r.matched_support for r in rows] == list(range(1, 16))
+
+
 class TestUpdateCounter:
     def run_stream(self, divergences, cfg):
         state = StabilityState()
@@ -199,6 +273,19 @@ class TestStabilityMonitor:
         with pytest.raises(NonMonotoneVisibleSetError):
             monitor.observe(make_dist([1.0], (0,), step=2))
 
+    @pytest.mark.parametrize(
+        "before, after", [((0, 1), (1, 2, 3)), ((2,), (3,)), ((0, 4, 5), (0, 1, 2, 3, 5))]
+    )
+    def test_support_dropping_a_member_is_rejected(self, before, after):
+        # Growing support does not excuse a dropped member, and disjoint
+        # supports are one more dropped member: the step is refused whole.
+        monitor = StabilityMonitor(StopConfig())
+        monitor.observe(make_dist(np.full(len(before), 1.0 / len(before)), before, step=1))
+        with pytest.raises(NonMonotoneVisibleSetError):
+            monitor.observe(make_dist(np.full(len(after), 1.0 / len(after)), after, step=2))
+        assert monitor.state.divergence_trace == []
+        assert len(monitor.distributions) == 1
+
     def test_step_must_advance(self):
         monitor = StabilityMonitor(StopConfig())
         monitor.observe(make_dist([0.5, 0.5], step=3))
@@ -238,7 +325,7 @@ class TestStabilityMonitor:
 
     def test_repeated_distribution_skips_the_divergence(self, monkeypatch):
         # A repeated step hands the monitor the previous distribution object
-        # again; an equal-valued copy takes the restrict-and-KL path.
+        # again; an equal-valued copy takes the matched-support KL path.
         rows = [
             ([0.5, 0.5], (0, 1)),
             None,
@@ -259,7 +346,7 @@ class TestStabilityMonitor:
             else:
                 shared.append(make_dist(row[0], row[1], step=step))
                 copied.append(make_dist(row[0], row[1], step=step))
-        calls = count_forwards(monkeypatch, "editstop.monitor", name="step_divergence")
+        calls = count_forwards(monkeypatch, "editstop.monitor", name="matched_kl")
         fast = StabilityMonitor(StopConfig(delta=0.05, omega=3))
         fast_decisions = [fast.observe(d) for d in shared]
         assert len(calls) == 2  # steps 3 and 5, the new distributions

@@ -7,7 +7,7 @@ import io
 
 import numpy as np
 import pytest
-from helpers import count_forwards, step_kl_objective
+from helpers import count_forwards, reference_pseudo_gradient, step_kl_objective
 
 from editstop.alignment import ActivationFrame, VisibleSet
 from editstop.errors import (
@@ -351,6 +351,28 @@ class TestAnalyzeTrajectory:
             grads = pseudo_gradient(model, traj, row.step, config)
             assert row.rms_value == rms(np.concatenate([g.ravel() for g in grads.values()]))
         assert [r.rms_value for r in trace.rows[4:]] == [0.0] * 7
+
+    @pytest.mark.parametrize("both", [False, True], ids=["frozen-ref", "both-branches"])
+    @pytest.mark.parametrize(
+        "modules",
+        [None, ("block1.v",), ("block0.q", "block1.k"), ("block1.q", "block0.v", "block0.k")],
+    )
+    def test_matches_the_full_backward_oracle(self, both, modules):
+        # Backward passes that stop at the selected adapters, the indexed
+        # dlogits and the reused step-side distributions change no bit.
+        model = perturbed_model(TINY)
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6).trajectory
+        config = PseudoGradConfig(modules=modules, differentiate_reference=both)
+        keys = [f"{m}.lora_b" for m in (modules or ("block1.q",))]
+        band = SftBand(mu=0.1, sigma=0.1, n_steps=4)
+        trace = analyze_trajectory(model, traj, band, config)
+        for row in trace.rows:
+            want = reference_pseudo_gradient(model, traj, row.step, keys, both)
+            got = pseudo_gradient(model, traj, row.step, config)
+            assert list(got) == keys
+            for key in keys:
+                assert np.array_equal(got[key], want[key]), (row.step, key)
+            assert row.rms_value == rms(np.concatenate([want[k].ravel() for k in keys]))
 
     def test_single_step_trajectory_rejected(self):
         model = perturbed_model(TINY)
