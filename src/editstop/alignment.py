@@ -10,7 +10,7 @@ Downstream stability tracking consumes only these distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,7 +20,6 @@ from .errors import DimMismatchError, EmptyVisibleSetError
 from .linalg import NORM_FLOOR, ProbVector, softmax
 
 DEFAULT_BLOCK_TEMPERATURE = 1.0
-DEFAULT_SUBSPACE_K = 3
 
 
 class SimilarityVariant(Enum):
@@ -31,15 +30,16 @@ class SimilarityVariant(Enum):
 
 @dataclass(frozen=True)
 class SimilarityMode:
-    variant: SimilarityVariant = SimilarityVariant.VECTOR_COSINE
-    basis_k: int | None = None
+    """How a visible token's activation is scored against the training map.
 
-    def __post_init__(self):
-        subspace = self.variant is not SimilarityVariant.VECTOR_COSINE
-        if subspace and self.basis_k is None:
-            object.__setattr__(self, "basis_k", DEFAULT_SUBSPACE_K)
-        if not subspace and self.basis_k is not None:
-            raise ValueError("basis_k only applies to subspace variants")
+    ``vector_cosine`` takes the cosine with an ``EvolutionVector``; the
+    subspace variants project onto a ``SubspaceBasis``, whose own ``k``
+    sets the number of columns, and score the projection's length
+    (``subspace_norm``) or its cosine with the activation
+    (``subspace_cosine``).
+    """
+
+    variant: SimilarityVariant = SimilarityVariant.VECTOR_COSINE
 
     @property
     def minimum_score(self) -> float:
@@ -100,26 +100,24 @@ class ActivationFrame:
 
 @dataclass(frozen=True)
 class AlignmentDistribution:
+    """The alignment softmax of one step, over that step's visible tokens."""
+
     dist: ProbVector
     step: int
-    temperature_used: float
-    scores: dict[int, float] = field(compare=False)
-
-    def __post_init__(self):
-        if tuple(sorted(self.scores)) != self.dist.support:
-            raise ValueError("score keys must match the distribution support")
 
 
 def score_alignment(
     frame: ActivationFrame,
     reasoning_map: EvolutionVector | SubspaceBasis,
     mode: SimilarityMode = SimilarityMode(),
-) -> dict[int, float]:
+) -> np.ndarray:
     """Similarity of each visible token's activation to the training map.
 
-    Every row of the frame is scored by one array expression per
-    variant. Zero-norm activations never abort scoring; they are pinned
-    to the mode's minimum score so they cannot win the alignment softmax.
+    Returns the ``(n,)`` score array; entry ``i`` scores row ``i``, the
+    activation of ``frame.visible.members[i]``. Every row is scored by one
+    array expression per variant. Zero-norm activations never abort
+    scoring; they are pinned to the mode's minimum score so they cannot
+    win the alignment softmax.
     """
     if len(frame.visible) == 0:
         raise EmptyVisibleSetError("cannot score a frame with no visible tokens")
@@ -152,30 +150,7 @@ def score_alignment(
             coords = np.einsum("ij,jk->ik", acts, reasoning_map.columns)
             raw = np.minimum(np.linalg.norm(coords, axis=1) / np.where(live, norms, 1.0), 1.0)
         scores = np.where(live, raw, mode.minimum_score)
-    return dict(zip(frame.visible.members, scores.tolist()))
-
-
-def alignment_distribution(
-    scores: dict[int, float],
-    visible: VisibleSet,
-    tau_blk: float = DEFAULT_BLOCK_TEMPERATURE,
-    step: int = 0,
-) -> AlignmentDistribution:
-    """Softmax of the scores over exactly the visible support."""
-    if len(visible) == 0:
-        raise EmptyVisibleSetError("cannot build a distribution on an empty visible set")
-    if set(scores.keys()) != set(visible.members):
-        raise ValueError(
-            f"score keys {sorted(scores)} do not match visible set {visible.members}"
-        )
-    raw = np.array([scores[s] for s in visible.members], dtype=np.float64)
-    dist = softmax(raw, temperature=tau_blk, support=visible.members)
-    return AlignmentDistribution(
-        dist=dist,
-        step=step,
-        temperature_used=tau_blk,
-        scores={s: float(scores[s]) for s in visible.members},
-    )
+    return scores
 
 
 def score_frame(
@@ -184,6 +159,8 @@ def score_frame(
     mode: SimilarityMode = SimilarityMode(),
     tau_blk: float = DEFAULT_BLOCK_TEMPERATURE,
 ) -> AlignmentDistribution:
-    """Convenience composition of scoring and softmax for one frame."""
+    """The frame's alignment distribution: the softmax at ``tau_blk`` of
+    its ``score_alignment`` scores, over exactly its visible tokens."""
     scores = score_alignment(frame, reasoning_map, mode)
-    return alignment_distribution(scores, frame.visible, tau_blk, frame.step)
+    dist = softmax(scores, temperature=tau_blk, support=frame.visible.members)
+    return AlignmentDistribution(dist, frame.step)

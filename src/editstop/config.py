@@ -133,12 +133,9 @@ class ExperimentConfig:
 
     def similarity_mode(self) -> SimilarityMode:
         try:
-            variant = SimilarityVariant(self.similarity)
+            return SimilarityMode(SimilarityVariant(self.similarity))
         except ValueError as exc:
             raise ConfigError(f"unknown similarity {self.similarity!r}") from exc
-        if variant is SimilarityVariant.VECTOR_COSINE:
-            return SimilarityMode(variant=variant)
-        return SimilarityMode(variant=variant, basis_k=self.subspace_k)
 
     def policy_config(self, kind: str | None = None) -> PolicyConfig:
         return PolicyConfig(

@@ -267,8 +267,7 @@ def denoise_block(
     taps = tuple(taps) if taps is not None else (model.default_tap(),)
     if not taps or len(set(taps)) != len(taps):
         raise ValueError(f"taps must be nonempty and distinct, got {taps}")
-    stop_cfg = policy.stop.for_block(block_index)
-    monitor = StabilityMonitor(policy.stop, block_index) if policy.monitored else None
+    monitor = StabilityMonitor(policy.stop) if policy.monitored else None
     freezer = TokenFreezer(freeze_basis, policy.freeze) if policy.freezing else None
 
     lo = block_index * L
@@ -319,7 +318,7 @@ def denoise_block(
             frame = ActivationFrame(step, acts[committed], visible)
             others = tuple(ActivationFrame(step, rows[committed], visible) for rows in other_rows)
             alignment = (
-                score_frame(frame, reasoning_map, mode, stop_cfg.tau_blk)
+                score_frame(frame, reasoning_map, mode, policy.stop.tau_blk)
                 if monitor is not None
                 else None
             )
@@ -328,7 +327,7 @@ def denoise_block(
             decision = monitor.observe(alignment)
             if decision.stop:
                 margin = MarginReport.from_distribution(alignment.dist, step)
-                cert = build_certificate(step, margin, stop_cfg, alpha_hat=alpha_hat)
+                cert = build_certificate(step, margin, policy.stop, alpha_hat=alpha_hat)
                 accept = True
                 if policy.strict_certificates:
                     accept = cert.local_pass and cert.global_pass is not False

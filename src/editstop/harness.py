@@ -140,7 +140,6 @@ class Artifacts:
     vector: EvolutionVector
     basis: Optional[SubspaceBasis]
     band: Optional[SftBand]
-    rms_trace: list[float]
     # Every stored row summary by module id: the default tap's vector
     # plus the ablation sites that ``cmd_train`` captures.
     summaries: dict[str, EvolutionVector]
@@ -180,22 +179,21 @@ def load_artifacts(config: ExperimentConfig, run_dir: str) -> Artifacts:
                 f"metadata dimension {entry.d_out} does not match d_model {config.d_model}"
             )
     basis = next((b for b in bases if b.source_module == wanted + SUBSPACE_SUFFIX), None)
+    if basis is not None and basis.k != config.subspace_k:
+        raise ArtifactMismatchError(
+            f"metadata basis has k={basis.k}, but the config sets subspace_k={config.subspace_k}"
+        )
     band = None
-    rms_trace: list[float] = []
     band_path = os.path.join(run_dir, BAND_FILE)
     if os.path.exists(band_path):
         payload = _read_json(band_path)
-        rms_trace = [float(v) for v in payload.get("rms_trace", [])]
         if payload.get("band") is not None:
             band = SftBand(
                 mu=float(payload["band"]["mu"]),
                 sigma=float(payload["band"]["sigma"]),
                 n_steps=int(payload["band"]["n_steps"]),
             )
-    return Artifacts(
-        model=model, vector=vector, basis=basis, band=band, rms_trace=rms_trace,
-        summaries=summaries,
-    )
+    return Artifacts(model=model, vector=vector, basis=basis, band=band, summaries=summaries)
 
 
 # --- cmd_train ------------------------------------------------------------
@@ -322,32 +320,32 @@ class RunReport:
         }
 
 
-def _usable_alpha(alpha_hat: Optional[float]) -> Optional[float]:
-    if alpha_hat is None:
-        return None
-    if not 0.0 <= alpha_hat < 1.0:
-        return None
-    return float(alpha_hat)
+def _read_calibration(path: str | None) -> tuple[Optional[float], Optional[float]]:
+    """``(alpha_hat, margin_quantile)`` of a calibration file; ``alpha_hat`` is
+    None unless it lies in [0, 1), and both are None without a file."""
+    if path is None:
+        return None, None
+    calibration = _read_json(path)
+    alpha_hat = calibration.get("alpha_hat")
+    if alpha_hat is not None and not 0.0 <= alpha_hat < 1.0:
+        alpha_hat = None
+    quantile = calibration.get("margin_quantile")
+    return (
+        None if alpha_hat is None else float(alpha_hat),
+        None if quantile is None else float(quantile),
+    )
 
 
-def _recertify_block(
-    block: BlockResult,
+def _recertify(
+    stop_step: int,
+    margin: MarginReport,
     stop_cfg: StopConfig,
     alpha_hat: Optional[float],
     quantile: Optional[float],
 ):
-    """Attach tail and calibration verdicts to a block's stop certificate."""
-    if block.certificate is None:
-        return None
-    cert = block.certificate
-    pac_pass = None if quantile is None else bool(cert.margin_report.margin >= quantile)
-    return build_certificate(
-        cert.stop_step,
-        cert.margin_report,
-        stop_cfg.for_block(block.block_index),
-        alpha_hat=alpha_hat,
-        pac_pass=pac_pass,
-    )
+    """The certificate of a stop with its tail and calibration verdicts."""
+    pac_pass = None if quantile is None else bool(margin.margin >= quantile)
+    return build_certificate(stop_step, margin, stop_cfg, alpha_hat=alpha_hat, pac_pass=pac_pass)
 
 
 def _instance_trace_payload(
@@ -420,14 +418,7 @@ def cmd_infer(
     mode = config.similarity_mode()
     reasoning_map = artifacts.basis if mode.variant.value.startswith("subspace") else artifacts.vector
 
-    alpha_hat: Optional[float] = None
-    quantile: Optional[float] = None
-    if calibration_path is not None:
-        calibration = _read_json(calibration_path)
-        alpha_hat = _usable_alpha(calibration.get("alpha_hat"))
-        if calibration.get("margin_quantile") is not None:
-            quantile = float(calibration["margin_quantile"])
-
+    alpha_hat, quantile = _read_calibration(calibration_path)
     stop_cfg = config.stop_config()
     seed_reports: list[SeedReport] = []
     generation_lines: list[str] = []
@@ -462,7 +453,10 @@ def cmd_infer(
             exacts.append(exact)
             steps.append(result.avg_steps)
             certs = [
-                _recertify_block(b, stop_cfg, alpha_hat, quantile) for b in result.blocks
+                None
+                if (own := b.certificate) is None
+                else _recertify(own.stop_step, own.margin_report, stop_cfg, alpha_hat, quantile)
+                for b in result.blocks
             ]
             for block, cert in zip(result.blocks, certs):
                 if block.stopped_early:
@@ -746,17 +740,10 @@ def cmd_certify(
     if not names:
         raise ArtifactMismatchError(f"no instance traces in {traces_dir!r}")
 
-    alpha_hat = None
-    quantile = None
     if calibration_path is None:
         default_cal = os.path.join(run_dir, CALIBRATION_FILE)
         calibration_path = default_cal if os.path.exists(default_cal) else None
-    if calibration_path is not None:
-        calibration = _read_json(calibration_path)
-        alpha_hat = _usable_alpha(calibration.get("alpha_hat"))
-        if calibration.get("margin_quantile") is not None:
-            quantile = float(calibration["margin_quantile"])
-
+    alpha_hat, quantile = _read_calibration(calibration_path)
     stop_cfg = config.stop_config()
     entries = []
     n_local = n_global = n_pac = 0
@@ -776,14 +763,7 @@ def cmd_certify(
                 step=int(stored["margin_step"]),
                 support_size=int(stored["support_size"]),
             )
-            pac_pass = None if quantile is None else bool(margin.margin >= quantile)
-            cert = build_certificate(
-                int(stored["stop_step"]),
-                margin,
-                stop_cfg.for_block(int(block["block_index"])),
-                alpha_hat=alpha_hat,
-                pac_pass=pac_pass,
-            )
+            cert = _recertify(int(stored["stop_step"]), margin, stop_cfg, alpha_hat, quantile)
             n_local += int(cert.local_pass)
             n_global += int(cert.global_pass is True)
             n_pac += int(cert.pac_pass is True)
@@ -870,7 +850,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
         for which, proj in enumerate(ABLATION_PROJECTIONS):
             for adapter, reduction in product(ABLATION_ADAPTERS, ABLATION_REDUCTIONS):
                 site = (proj, adapter, reduction)
-                monitor = StabilityMonitor(probe_stop, block.block_index)
+                monitor = StabilityMonitor(probe_stop)
                 for rec, repeat in zip(records, repeats):
                     # The monitor needs each step to advance, so a repeated
                     # frame's distribution takes its own step.

@@ -3,9 +3,8 @@
 The base network is frozen at construction; only the rank-r adapter
 pairs on the query/key/value projections train. The forward pass can
 record every intermediate needed for a hand-written reverse pass over
-the adapter parameters, and can tap the adapter-branch (or full
-projection) output of any attention projection as per-position
-activation vectors.
+the adapter parameters, and can tap the adapter-branch output of any
+attention projection as per-position activation vectors.
 
 The base initialization is structured rather than fully random: token
 identity occupies the leading embedding dimensions, a two-frequency
@@ -134,15 +133,13 @@ def parse_module_path(path: str) -> tuple[int, str]:
 
 @dataclass(frozen=True)
 class TapSpec:
-    """Where to read per-position activations during a forward pass."""
+    """A projection whose adapter-branch output (``x @ A.T @ B.T``, without
+    the frozen base projection) a forward pass reads per position."""
 
     module: str
-    mode: str = "branch"  # "branch": adapter output only; "full": whole projection
 
     def __post_init__(self):
         parse_module_path(self.module)
-        if self.mode not in ("branch", "full"):
-            raise ValueError(f"tap mode must be 'branch' or 'full', got {self.mode!r}")
 
 
 @dataclass
@@ -150,10 +147,9 @@ class ToyModel:
     cfg: ModelConfig
     base: dict[str, np.ndarray]
     lora: dict[str, np.ndarray]
-    taps: tuple[TapSpec, ...] = ()
 
     def default_tap(self) -> TapSpec:
-        return TapSpec(module_path(self.cfg.n_blocks - 1, "q"), "branch")
+        return TapSpec(module_path(self.cfg.n_blocks - 1, "q"))
 
     def base_checksum(self) -> str:
         h = hashlib.sha256()
@@ -161,9 +157,6 @@ class ToyModel:
             h.update(name.encode("utf-8"))
             h.update(np.ascontiguousarray(self.base[name]).tobytes())
         return h.hexdigest()
-
-    def set_taps(self, taps) -> None:
-        self.taps = tuple(taps)
 
 
 def init_model(cfg: ModelConfig) -> ToyModel:
@@ -267,15 +260,16 @@ def _softmax_last(scores: np.ndarray) -> np.ndarray:
 def forward(
     model: ToyModel,
     tokens: np.ndarray,
-    taps: tuple[TapSpec, ...] | None = None,
+    taps: tuple[TapSpec, ...] = (),
     record: bool = False,
     first_row: int = 0,
 ) -> ForwardResult:
     """Full-sequence forward pass.
 
     ``tokens`` is (N, T) or (T,); outputs always carry the batch axis.
-    With ``record=True`` every intermediate needed by
-    :func:`backward_lora` is kept on the result.
+    ``taps`` name the projections whose adapter-branch outputs come back
+    on ``ForwardResult.taps``. With ``record=True`` every intermediate
+    needed by :func:`backward_lora` is kept on the result.
 
     Logits and taps come back for rows ``first_row:`` only: the last
     layer's queries, attention, MLP and head skip the rows before it, while
@@ -303,8 +297,6 @@ def forward(
         raise ValueError(f"first_row {first_row} outside [0, {t})")
     if record and first_row:
         raise ValueError("record=True needs first_row=0")
-    if taps is None:
-        taps = model.taps
     by_block: dict[int, list[TapSpec]] = {}
     for spec in taps:
         blk, _ = parse_module_path(spec.module)
@@ -331,8 +323,7 @@ def forward(
             full[proj] = x_in[:, start:] @ w.T + branch
             for spec in by_block.get(b, ()):
                 if spec.module == module_path(b, proj):
-                    out = branch if spec.mode == "branch" else full[proj]
-                    tap_out[spec] = out[:, first_row - start:]
+                    tap_out[spec] = branch[:, first_row - start:]
             if record:
                 cache_b[f"ax_{proj}"] = ax
         qh = _split_heads(full["q"], cfg.n_heads, cfg.head_dim)

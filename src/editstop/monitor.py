@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -29,10 +29,13 @@ DEFAULT_OMEGA = 6
 
 @dataclass(frozen=True)
 class StopConfig:
+    """The block stop rule: stop once ``omega`` consecutive step divergences
+    fall strictly below ``delta``; ``tau_blk`` is the alignment softmax's
+    temperature. Every block of a run uses the same rule."""
+
     delta: float = DEFAULT_DELTA
     omega: int = DEFAULT_OMEGA
     tau_blk: float = 1.0
-    first_block_overrides: tuple[float, int] | None = None
 
     def __post_init__(self):
         # delta == 0.0 is the degenerate limit: with the strict comparison
@@ -43,17 +46,6 @@ class StopConfig:
             raise ValueError(f"omega must be >= 1, got {self.omega}")
         if not self.tau_blk > 0.0:
             raise ValueError(f"tau_blk must be positive, got {self.tau_blk}")
-        if self.first_block_overrides is not None:
-            d, o = self.first_block_overrides
-            if not d > 0.0 or o < 1:
-                raise ValueError(f"bad first-block overrides {self.first_block_overrides}")
-
-    def for_block(self, block_index: int) -> "StopConfig":
-        """Config effective for one block; overrides apply to block 0 only."""
-        if block_index == 0 and self.first_block_overrides is not None:
-            d, o = self.first_block_overrides
-            return replace(self, delta=d, omega=o, first_block_overrides=None)
-        return replace(self, first_block_overrides=None)
 
 
 class StopReason(Enum):
@@ -156,8 +148,8 @@ class StabilityMonitor:
     the stability window after the fact.
     """
 
-    def __init__(self, cfg: StopConfig, block_index: int = 0):
-        self.cfg = cfg.for_block(block_index)
+    def __init__(self, cfg: StopConfig):
+        self.cfg = cfg
         self.state = StabilityState()
         self.distributions: list[AlignmentDistribution] = []
 

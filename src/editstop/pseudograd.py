@@ -45,21 +45,14 @@ DEFAULT_PERSISTENCE = 3
 
 @dataclass(frozen=True)
 class PseudoGradConfig:
-    """Which adapters to differentiate and how the step-t side is treated.
+    """Which adapters' down-projections (``lora_b``) to differentiate.
 
     ``modules=None`` selects the model's default tapped projection. The
-    step-t distribution is a fixed reference by default; setting
-    ``differentiate_reference`` also propagates through the earlier
-    step's forward pass.
+    step-t distributions are a fixed reference: only step t+1's forward
+    pass is differentiated.
     """
 
     modules: Optional[tuple[str, ...]] = None
-    differentiate_reference: bool = False
-    persistence: int = DEFAULT_PERSISTENCE
-
-    def __post_init__(self):
-        if self.persistence < 1:
-            raise ValueError(f"persistence must be >= 1, got {self.persistence}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,7 @@ def _step_input(model: ToyModel, trajectory: DenoiseTrajectory, step: int) -> np
 
 
 def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int, record: bool):
-    return forward(model, _step_input(model, trajectory, step)[None, :], taps=(), record=record)
+    return forward(model, _step_input(model, trajectory, step)[None, :], record=record)
 
 
 def _check_pair(trajectory: DenoiseTrajectory, step: int) -> None:
@@ -189,16 +182,14 @@ def pseudo_gradient(
 
     Re-runs the recorded forward passes for ``step`` and ``step+1`` and
     backpropagates the summed divergence over the later step's committed
-    support. The earlier step's distributions act as constants unless the
-    config differentiates the reference branch too.
+    support. The earlier step's distributions act as constants.
     """
     config = config if config is not None else PseudoGradConfig()
     _check_pair(trajectory, step)
     keys = _selected_keys(model, config)
-    res_t = _step_forward(model, trajectory, step, config.differentiate_reference)
-    res_t1 = _step_forward(model, trajectory, step + 1, True)
-    sides = [_with_dists(model, trajectory, res) for res in (res_t, res_t1)]
-    return _pair_gradient(model, trajectory, step, keys, config, *sides)
+    _, p_t = _with_dists(model, trajectory, _step_forward(model, trajectory, step, False))
+    res_t1, p_t1 = _with_dists(model, trajectory, _step_forward(model, trajectory, step + 1, True))
+    return _pair_gradient(model, trajectory, step, keys, p_t, res_t1, p_t1)
 
 
 def _with_dists(model: ToyModel, trajectory: DenoiseTrajectory, res):
@@ -209,12 +200,11 @@ def _with_dists(model: ToyModel, trajectory: DenoiseTrajectory, res):
 
 
 def _pair_gradient(
-    model: ToyModel, trajectory: DenoiseTrajectory, step: int, keys, config, side_t, side_t1
+    model: ToyModel, trajectory: DenoiseTrajectory, step: int, keys, p_t, res_t1, p_t1
 ) -> dict[str, np.ndarray]:
-    """:func:`pseudo_gradient` from the ``(forward result, block
-    distributions)`` of ``step`` and ``step+1``. Backward passes run only as
-    deep as ``keys`` reach."""
-    (res_t, p_t), (res_t1, p_t1) = side_t, side_t1
+    """:func:`pseudo_gradient` from the block distributions ``p_t`` of
+    ``step``, and the recorded forward result and block distributions of
+    ``step+1``. The backward pass runs only as deep as ``keys`` reach."""
     cfg = model.cfg
     lo = trajectory.block_index * cfg.block_length
     support = np.array(trajectory.records[step].frame.visible.members, dtype=np.intp)
@@ -222,20 +212,7 @@ def _pair_gradient(
     real = cfg.vocab_size - 1
     dlogits_t1 = np.zeros_like(res_t1.logits)
     dlogits_t1[0, support, :real] = p_t1[support - lo] - p_t[support - lo]
-    grads = backward_lora(model, res_t1, dlogits_t1, keys)
-    out = {key: grads[key] for key in keys}
-
-    if config.differentiate_reference:
-        dlogits_t = np.zeros_like(res_t.logits)
-        for s in support:
-            p = p_t[s - lo]
-            q = p_t1[s - lo]
-            log_ratio = np.log(p) - np.log(q)
-            kl = float(np.sum(p * log_ratio))
-            dlogits_t[0, s, :real] = p * (log_ratio - kl)
-        ref_grads = backward_lora(model, res_t, dlogits_t, keys)
-        out = {key: out[key] + ref_grads[key] for key in keys}
-    return out
+    return backward_lora(model, res_t1, dlogits_t1, keys)
 
 
 def analyze_trajectory(
@@ -254,7 +231,7 @@ def analyze_trajectory(
     rows: list[PseudoGradRow] = []
     values: list[float] = []
     inp_t = _step_input(model, trajectory, 1)
-    side_t = _with_dists(model, trajectory, forward(model, inp_t[None, :], taps=(), record=True))
+    _, p_t = _with_dists(model, trajectory, forward(model, inp_t[None, :]))
     for step in range(1, len(trajectory.records)):
         inp_t1 = _step_input(model, trajectory, step + 1)
         if np.array_equal(inp_t1, inp_t):
@@ -262,16 +239,17 @@ def analyze_trajectory(
             # forward, so the divergence and its gradient are exactly zero.
             value = 0.0
         else:
-            res_t1 = forward(model, inp_t1[None, :], taps=(), record=True)
-            side_t1 = _with_dists(model, trajectory, res_t1)
-            grads = _pair_gradient(model, trajectory, step, keys, config, side_t, side_t1)
+            res_t1, p_t1 = _with_dists(
+                model, trajectory, forward(model, inp_t1[None, :], record=True)
+            )
+            grads = _pair_gradient(model, trajectory, step, keys, p_t, res_t1, p_t1)
             # The next pair's step side: each distinct input's forward and
             # distributions are computed once.
-            inp_t, side_t = inp_t1, side_t1
+            inp_t, p_t = inp_t1, p_t1
             value = rms(np.concatenate([g.ravel() for g in grads.values()]))
         values.append(value)
         rows.append(PseudoGradRow(step=step, rms_value=value, in_band=band.contains(value)))
-    index = detect_convergence(values, band, config.persistence)
+    index = detect_convergence(values, band)
     convergence_step = rows[index].step if index is not None else None
     return PseudoGradTrace(rows=rows, band=band, convergence_step=convergence_step)
 

@@ -145,7 +145,7 @@ def sft_train(
         prompts, targets = task.sample_batch(rng, batch_size)
         seqs = np.concatenate([prompts, targets], axis=1)
         masked, loss_mask = mask_targets(seqs, cfg.block_length, cfg.mask_id, rng)
-        res = forward(model, masked, taps=(), record=True)
+        res = forward(model, masked, record=True)
         loss, dlogits = masked_cross_entropy(res.logits, seqs, loss_mask)
         if not math.isfinite(loss):
             raise TrainingDivergedError(

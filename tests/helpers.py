@@ -21,7 +21,6 @@ from editstop.alignment import (
     SimilarityMode,
     SimilarityVariant,
     VisibleSet,
-    alignment_distribution,
 )
 from editstop.certify import (
     DELTA_GRID,
@@ -140,8 +139,8 @@ def verify_runlength_bound(distributions, delta: float, omega: int, state=None) 
 
 def step_kl_objective(model, trajectory, step: int) -> float:
     """Summed KL of step ``step``'s predictive rows from step ``step + 1``'s
-    over the later step's committed support: the objective whose gradient
-    ``pseudo_gradient`` computes, by two fresh forward passes."""
+    over the later step's committed support, by two fresh forward passes.
+    ``pseudo_gradient`` is its gradient with step ``step``'s rows held fixed."""
     if step < 1 or step + 1 > len(trajectory.records):
         raise MissingStepError(f"steps {step} and {step + 1} are not both recorded")
     cfg = model.cfg
@@ -165,7 +164,7 @@ def step_kl_objective(model, trajectory, step: int) -> float:
     return total
 
 
-def reference_pseudo_gradient(model, trajectory, step: int, keys, differentiate_reference):
+def reference_pseudo_gradient(model, trajectory, step: int, keys):
     """The pseudo-gradient of ``keys`` by the slow path: two fresh recorded
     forwards, one support row at a time, and the full reverse pass over
     every adapter, of which ``keys`` are kept."""
@@ -182,23 +181,14 @@ def reference_pseudo_gradient(model, trajectory, step: int, keys, differentiate_
         res = forward(model, np.concatenate([prefix, block])[None, :], taps=(), record=True)
         return res, predictive_distributions(res.logits[0, lo : lo + L], cfg.vocab_size)
 
-    (res_t, p_t), (res_t1, p_t1) = run(step), run(step + 1)
+    (_, p_t), (res_t1, p_t1) = run(step), run(step + 1)
     support = trajectory.records[step].frame.visible.members
     real = cfg.vocab_size - 1
     dlogits_t1 = np.zeros_like(res_t1.logits)
     for s in support:
         dlogits_t1[0, s, :real] = p_t1[s - lo] - p_t[s - lo]
     grads = backward_lora(model, res_t1, dlogits_t1)
-    out = {key: grads[key] for key in keys}
-    if differentiate_reference:
-        dlogits_t = np.zeros_like(res_t.logits)
-        for s in support:
-            p, q = p_t[s - lo], p_t1[s - lo]
-            log_ratio = np.log(p) - np.log(q)
-            dlogits_t[0, s, :real] = p * (log_ratio - float(np.sum(p * log_ratio)))
-        ref_grads = backward_lora(model, res_t, dlogits_t)
-        out = {key: out[key] + ref_grads[key] for key in keys}
-    return out
+    return {key: grads[key] for key in keys}
 
 
 def local_distribution(f_s: np.ndarray, basis: SubspaceBasis, tau_sub: float) -> ProbVector:
@@ -282,16 +272,11 @@ def token_stability_step(
     return state, False
 
 
-def make_dist(probs, support=None, step=0, temperature=1.0) -> AlignmentDistribution:
+def make_dist(probs, support=None, step=0) -> AlignmentDistribution:
     """Alignment distribution with given probabilities, bypassing scoring."""
     probs = np.asarray(probs, dtype=np.float64)
     sup = tuple(support) if support is not None else tuple(range(probs.size))
-    return AlignmentDistribution(
-        dist=ProbVector(probs, sup),
-        step=step,
-        temperature_used=temperature,
-        scores={s: 0.0 for s in sup},
-    )
+    return AlignmentDistribution(dist=ProbVector(probs, sup), step=step)
 
 
 def make_chain(prob_rows, support=None, start_step=1) -> list[AlignmentDistribution]:
@@ -508,8 +493,8 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
     L = cfg.block_length
     lo = block_index * L
     tap = model.default_tap()
-    stop_cfg = policy.stop.for_block(block_index)
-    monitor = StabilityMonitor(policy.stop, block_index) if policy.monitored else None
+    stop_cfg = policy.stop
+    monitor = StabilityMonitor(stop_cfg) if policy.monitored else None
     freeze_states: dict[int, ReferenceTokenState] = {}
     events: list[FreezeEvent] = []
     tokens = np.concatenate([np.asarray(prefix, dtype=np.int64),
@@ -559,7 +544,8 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         visible = VisibleSet(tuple(lo + i for i in range(L) if committed[i]))
         scores = reference_scores({s: effective[s] for s in visible.members},
                                   reasoning_map, mode)
-        alignment = alignment_distribution(scores, visible, stop_cfg.tau_blk, step)
+        raw = np.array([scores[s] for s in visible.members])
+        alignment = AlignmentDistribution(softmax(raw, stop_cfg.tau_blk, visible.members), step)
         decision = monitor.observe(alignment)
         if not decision.stop:
             continue

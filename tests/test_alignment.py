@@ -8,23 +8,26 @@ from helpers import frame_from, reference_scores
 
 from editstop.alignment import (
     ActivationFrame,
-    AlignmentDistribution,
     SimilarityMode,
     SimilarityVariant,
     VisibleSet,
-    alignment_distribution,
     score_alignment,
     score_frame,
 )
 from editstop.capture import EvolutionVector, build_subspace
 from editstop.errors import DimMismatchError, EmptyVisibleSetError
-from editstop.linalg import ProbVector
+from editstop.linalg import softmax
 
 
 def unit_map(d=2) -> EvolutionVector:
     u = np.zeros(d)
     u[0] = 1.0
     return EvolutionVector(u, "m", 4)
+
+
+def cosine_frame(cosines: dict[int, float], step: int = 0) -> ActivationFrame:
+    """Frame whose rows score ``cosines`` against ``unit_map()``."""
+    return frame_from({s: np.array([c, np.sqrt(1.0 - c * c)]) for s, c in cosines.items()}, step)
 
 
 class TestVisibleSet:
@@ -61,7 +64,8 @@ class TestScoreAlignment:
         scores = score_alignment(
             frame_from({2: u.copy()}), EvolutionVector(u, "m", 4)
         )
-        assert scores[2] == pytest.approx(1.0, abs=1e-12)
+        assert scores.shape == (1,)
+        assert scores[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_cosine_example(self):
         scores = score_alignment(
@@ -88,7 +92,7 @@ class TestScoreAlignment:
         rng = np.random.default_rng(61)
         basis = build_subspace(rng.normal(size=(8, 4)), 2, "m")
         f = rng.normal(size=8)
-        mode = SimilarityMode(SimilarityVariant.SUBSPACE_NORM, basis_k=2)
+        mode = SimilarityMode(SimilarityVariant.SUBSPACE_NORM)
         scores = score_alignment(frame_from({0: f}), basis, mode)
         assert scores[0] == pytest.approx(np.linalg.norm(basis.columns.T @ f), rel=1e-12)
 
@@ -128,8 +132,7 @@ class TestScoreAlignment:
         ]:
             s1 = score_alignment(frame_from(vecs), reasoning_map, mode)
             s2 = score_alignment(frame_from(scaled), reasoning_map, mode)
-            for i in vecs:
-                assert abs(s1[i] - s2[i]) < 1e-12
+            np.testing.assert_allclose(s1, s2, rtol=0, atol=1e-12)
 
     def test_subspace_norm_scales_with_activation(self):
         rng = np.random.default_rng(64)
@@ -146,8 +149,7 @@ class TestScoreAlignment:
         vecs = {i: rng.normal(size=6) for i in range(3)}
         s1 = score_alignment(frame_from(vecs), EvolutionVector(base, "m", 4))
         s2 = score_alignment(frame_from(vecs), EvolutionVector(4.2 * base, "m", 4))
-        for i in vecs:
-            assert abs(s1[i] - s2[i]) < 1e-12
+        np.testing.assert_allclose(s1, s2, rtol=0, atol=1e-12)
 
     def test_extending_visible_set_keeps_existing_scores(self):
         rng = np.random.default_rng(66)
@@ -156,8 +158,8 @@ class TestScoreAlignment:
         before = score_alignment(frame_from(vecs), u)
         vecs[3] = rng.normal(size=4)
         after = score_alignment(frame_from(vecs), u)
-        for i in (0, 2):
-            assert before[i] == after[i]
+        # Tokens 0 and 2 are rows 0 and 1 of both frames.
+        assert before.tolist() == after[:2].tolist()
 
     def test_matches_per_token_reference(self):
         rng = np.random.default_rng(76)
@@ -173,10 +175,12 @@ class TestScoreAlignment:
             mode = SimilarityMode(variant)
             got = score_alignment(frame_from(vecs), reasoning_map, mode)
             want = reference_scores(vecs, reasoning_map, mode)
-            assert list(got) == list(vecs)
-            assert got[4] == mode.minimum_score
+            # Row i scores members[i], the tokens in increasing order.
+            members = sorted(vecs)
+            assert got.shape == (len(members),)
+            assert got[members.index(4)] == mode.minimum_score
             np.testing.assert_allclose(
-                [got[s] for s in vecs], [want[s] for s in vecs], rtol=1e-12, atol=1e-15
+                got, [want[s] for s in members], rtol=1e-12, atol=1e-15
             )
 
     def test_dimension_mismatch_rejected(self):
@@ -196,32 +200,25 @@ class TestScoreAlignment:
 
 
 class TestSimilarityMode:
-    def test_subspace_default_k(self):
-        assert SimilarityMode(SimilarityVariant.SUBSPACE_NORM).basis_k == 3
-        assert SimilarityMode(SimilarityVariant.SUBSPACE_COSINE, basis_k=2).basis_k == 2
-
-    def test_vector_mode_rejects_k(self):
-        with pytest.raises(ValueError):
-            SimilarityMode(SimilarityVariant.VECTOR_COSINE, basis_k=3)
-
     def test_minimum_scores(self):
         assert SimilarityMode().minimum_score == -1.0
         assert SimilarityMode(SimilarityVariant.SUBSPACE_NORM).minimum_score == 0.0
 
 
 class TestAlignmentDistribution:
+    """``score_frame``'s softmax of the scores over the visible tokens."""
+
     def test_singleton_gets_probability_one(self):
-        d = alignment_distribution({4: 0.37}, VisibleSet((4,)))
+        d = score_frame(cosine_frame({4: 0.37}), unit_map())
         assert d.dist.support == (4,)
         assert d.dist.probs[0] == pytest.approx(1.0)
 
     def test_equal_scores_uniform(self):
-        vis = VisibleSet((0, 1, 2, 3))
-        d = alignment_distribution({s: 0.5 for s in vis.members}, vis)
+        d = score_frame(cosine_frame({s: 0.5 for s in range(4)}), unit_map())
         np.testing.assert_allclose(d.dist.probs, 0.25, rtol=1e-12)
 
     def test_frozen_two_score_example(self):
-        d = alignment_distribution({0: 0.2, 1: 0.8}, VisibleSet((0, 1)))
+        d = score_frame(cosine_frame({0: 0.2, 1: 0.8}), unit_map())
         np.testing.assert_allclose(
             d.dist.probs, [0.3543436937742045, 0.6456563062257954], rtol=1e-12
         )
@@ -230,29 +227,15 @@ class TestAlignmentDistribution:
         rng = np.random.default_rng(67)
         for _ in range(100):
             members = tuple(sorted(rng.choice(16, size=rng.integers(1, 8), replace=False)))
-            vis = VisibleSet(members)
-            scores = {s: float(rng.normal()) for s in members}
-            d = alignment_distribution(scores, vis, tau_blk=1.0, step=3)
+            cosines = {s: float(rng.uniform(-1.0, 1.0)) for s in members}
+            d = score_frame(cosine_frame(cosines, step=3), unit_map(), tau_blk=1.0)
             assert d.dist.support == members
             assert d.step == 3
-            assert d.temperature_used == 1.0
 
     def test_empty_visible_set_rejected(self):
+        empty = ActivationFrame(0, np.zeros((0, 2)), VisibleSet(()))
         with pytest.raises(EmptyVisibleSetError):
-            alignment_distribution({}, VisibleSet(()))
-
-    def test_score_key_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            alignment_distribution({0: 1.0}, VisibleSet((0, 1)))
-
-    def test_score_support_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            AlignmentDistribution(
-                dist=ProbVector(np.array([1.0]), (0,)),
-                step=0,
-                temperature_used=1.0,
-                scores={1: 0.0},
-            )
+            score_frame(empty, unit_map())
 
 
 class TestScoreFrame:
@@ -261,10 +244,9 @@ class TestScoreFrame:
         u = EvolutionVector(rng.random(4) + 0.1, "m", 4)
         frame = frame_from({i: rng.normal(size=4) for i in (0, 2, 5)}, step=7)
         d = score_frame(frame, u, tau_blk=0.7)
-        manual = alignment_distribution(
-            score_alignment(frame, u), frame.visible, 0.7, 7
-        )
-        np.testing.assert_array_equal(d.dist.probs, manual.dist.probs)
+        manual = softmax(score_alignment(frame, u), 0.7, frame.visible.members)
+        np.testing.assert_array_equal(d.dist.probs, manual.probs)
+        assert d.dist.support == manual.support == (0, 2, 5)
         assert d.step == 7
 
     def test_rescaled_activations_same_distribution(self):

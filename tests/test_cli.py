@@ -82,6 +82,27 @@ class TestExitCodes:
         assert "artifact error" in err
         assert "block1.q.lora_a" in err
 
+    @pytest.mark.parametrize("policy", ["fixed", "edit", "edit-freeze"])
+    @pytest.mark.parametrize("similarity", ["vector_cosine", "subspace_norm"])
+    def test_basis_k_other_than_subspace_k_exits_three(
+        self, trained_cli, tmp_path, capsys, policy, similarity
+    ):
+        # The run was trained at subspace_k = 2.
+        _, run_dir = trained_cli
+        cfg_path = tmp_path / "k3.txt"
+        cfg_path.write_text(
+            SMALL.replace("subspace_k = 2", "subspace_k = 3") + f"similarity = {similarity}\n"
+        )
+        out = str(tmp_path / "infer")
+        code = main(
+            ["infer", "--config", str(cfg_path), "--artifacts", run_dir, "--out", out,
+             "--policy", policy]
+        )
+        assert code == EXIT_ARTIFACT
+        err = capsys.readouterr().err
+        assert "artifact error" in err
+        assert "subspace_k=3" in err
+
 
 class TestCommands:
     def test_train_prints_loss(self, trained_cli, capsys):

@@ -46,7 +46,7 @@ class TestDefaults:
             is SimilarityVariant.VECTOR_COSINE
         )
         sub = ExperimentConfig(similarity="subspace_cosine", subspace_k=2)
-        assert sub.similarity_mode().basis_k == 2
+        assert sub.similarity_mode().variant is SimilarityVariant.SUBSPACE_COSINE
 
     def test_strict_flag_reaches_policy(self):
         cfg = ExperimentConfig(strict_certificates=True)

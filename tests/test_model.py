@@ -117,32 +117,21 @@ class TestForward:
 class TestTaps:
     def test_branch_tap_zero_at_init(self):
         model = tiny_model()
-        spec = TapSpec(module_path(1, "q"), "branch")
+        spec = TapSpec(module_path(1, "q"))
         res = forward(model, np.array([[1, 2, 3]]), taps=(spec,))
         np.testing.assert_array_equal(res.taps[spec], 0.0)
 
     def test_full_tap_matches_manual_projection(self):
         model = tiny_model()
         randomize_lora(model, np.random.default_rng(0))
-        spec = TapSpec(module_path(0, "k"), "full")
-        branch_spec = TapSpec(module_path(0, "k"), "branch")
+        branch_spec = TapSpec(module_path(0, "k"))
         tokens = np.array([[5, 6, 7, 8]])
-        res = forward(model, tokens, taps=(spec, branch_spec))
+        res = forward(model, tokens, taps=(branch_spec,))
         x = model.base["emb_tok"][tokens] + model.base["emb_pos"][:4][None]
-        w = model.base["block0.wk"]
         a = model.lora["block0.k.lora_a"]
         b = model.lora["block0.k.lora_b"]
         expect_branch = (x @ a.T) @ b.T
         np.testing.assert_allclose(res.taps[branch_spec], expect_branch, atol=1e-12)
-        np.testing.assert_allclose(res.taps[spec], x @ w.T + expect_branch, atol=1e-12)
-
-    def test_registered_taps_used_by_default(self):
-        model = tiny_model()
-        spec = model.default_tap()
-        model.set_taps([spec])
-        res = forward(model, np.array([[1, 2]]))
-        assert spec in res.taps
-        assert res.taps[spec].shape == (1, 2, TINY.d_model)
 
     def test_unknown_module_rejected(self):
         with pytest.raises(ValueError):
@@ -160,12 +149,7 @@ class TestFirstRow:
     trained default model, 8.3e-14 on logits over 300 inputs).
     """
 
-    TAPS = tuple(
-        TapSpec(module_path(b, proj), mode)
-        for b in range(2)
-        for proj in ("q", "k", "v")
-        for mode in ("branch", "full")
-    )
+    TAPS = tuple(TapSpec(module_path(b, proj)) for b in range(2) for proj in ("q", "k", "v"))
 
     @pytest.mark.parametrize("t", [32, 48, 64])
     def test_matches_the_full_pass_rows(self, t):

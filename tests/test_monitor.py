@@ -46,20 +46,6 @@ class TestStopConfig:
             StopConfig(omega=0)
         with pytest.raises(ValueError):
             StopConfig(tau_blk=-1.0)
-        with pytest.raises(ValueError):
-            StopConfig(first_block_overrides=(0.0, 6))
-
-    def test_first_block_overrides_apply_to_block_zero_only(self):
-        cfg = StopConfig(delta=0.1, omega=8, first_block_overrides=(0.05, 6))
-        first = cfg.for_block(0)
-        later = cfg.for_block(1)
-        assert (first.delta, first.omega) == (0.05, 6)
-        assert (later.delta, later.omega) == (0.1, 8)
-        assert first.first_block_overrides is None
-
-    def test_no_overrides_passthrough(self):
-        cfg = StopConfig(delta=0.1, omega=8)
-        assert cfg.for_block(0).delta == 0.1
 
 
 class TestMatchedRenormalize:
