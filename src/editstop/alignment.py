@@ -141,10 +141,11 @@ def score_alignment(
         norms = np.linalg.norm(acts, axis=1)
         live = norms >= NORM_FLOOR
         if mode.variant is SimilarityVariant.VECTOR_COSINE:
-            u = reasoning_map.u
-            norm_u = float(np.linalg.norm(u))
+            norm_u = reasoning_map.norm()
             live &= norm_u >= NORM_FLOOR
-            cosines = np.einsum("ij,j->i", acts, u) / np.where(live, norms * norm_u, 1.0)
+            cosines = np.einsum("ij,j->i", acts, reasoning_map.u) / np.where(
+                live, norms * norm_u, 1.0
+            )
             raw = np.clip(cosines, -1.0, 1.0)
         else:
             coords = np.einsum("ij,jk->ik", acts, reasoning_map.columns)

@@ -125,6 +125,8 @@ class EvolutionVector:
     u: np.ndarray
     module_id: str
     rank: int
+    # ``np.linalg.norm(u)``, taken once: every ``vector_cosine`` score reads it.
+    _norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=np.float64)
@@ -139,13 +141,14 @@ class EvolutionVector:
         u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "_norm", float(np.linalg.norm(u)))
 
     @property
     def d_out(self) -> int:
         return self.u.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.u))
+        return self._norm
 
 
 @dataclass(frozen=True)

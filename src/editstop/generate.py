@@ -16,7 +16,8 @@ rows that the freezer and the alignment scorer read whole.
 after a step that committed a slot; other steps reuse its outputs exactly.
 It returns only the block's rows, so its last layer skips the prefix rows.
 One forward emits every requested tap (``taps``), so extra taps cost no
-forward; the first tap's frame is the one scored and frozen.
+forward; the first tap's frame is the one scored and frozen. ``record=True``
+keeps each step's recorded forward for the offline pseudo-gradient.
 
 Step work that no caller reads is skipped. Frames are scored only for a
 monitor, so a ``fixed`` decode ignores its reasoning map and records no
@@ -54,7 +55,7 @@ from .capture import EvolutionVector, SubspaceBasis
 from .certify import Certificate, MarginReport, build_certificate
 from .errors import ScheduleExhaustedError
 from .freeze import FreezeConfig, FreezeEvent, TokenFreezer
-from .model import ToyModel, TapSpec, forward, predictive_distributions
+from .model import ForwardResult, ToyModel, TapSpec, forward, predictive_distributions
 from .monitor import StabilityMonitor, StabilityState, StopConfig, StopDecision, StopReason
 
 POLICY_KINDS = ("fixed", "edit", "edit_freeze")
@@ -124,6 +125,8 @@ class DenoiseTrajectory:
     # Committed tokens of every earlier block; kept so offline analyses
     # can re-run any step's forward pass from the trajectory alone.
     prefix: tuple[int, ...] = ()
+    # ``record=True``: one recorded forward per step, shared by reused steps.
+    forwards: tuple[ForwardResult, ...] = ()
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -233,6 +236,7 @@ def denoise_block(
     taps: tuple[TapSpec, ...] | None = None,
     freeze_basis: SubspaceBasis | None = None,
     alpha_hat: float | None = None,
+    record: bool = False,
 ) -> BlockResult:
     """Denoise one block given all earlier tokens.
 
@@ -244,7 +248,8 @@ def denoise_block(
 
     ``taps`` (default: the model's default tap) are read off each step's
     one forward: ``taps[0]`` gives the scored and frozen ``StepRecord.frame``,
-    the rest raw ``other_frames`` over the same visible set.
+    the rest raw ``other_frames`` over the same visible set. ``record``
+    keeps each step's recorded forward on ``trajectory.forwards``.
     """
     policy = policy if policy is not None else PolicyConfig()
     mode = mode if mode is not None else SimilarityMode()
@@ -277,6 +282,7 @@ def denoise_block(
     whole_block = VisibleSet(tuple(range(lo, lo + L)))
 
     records: list[StepRecord] = []
+    forwards: list[ForwardResult] = []
     stop_decision: Optional[StopDecision] = None
     certificate: Optional[Certificate] = None
     rejected: list[int] = []
@@ -287,7 +293,7 @@ def denoise_block(
     for step in range(1, budget + 1):
         # Rerun forward only when the last step changed the tokens.
         if step == 1 or newly:
-            result = forward(model, tokens[None, :], taps=taps, first_row=lo)
+            result = forward(model, tokens[None, :], taps=taps, record=record, first_row=lo)
             forward_passes += 1
             tap_rows, *other_rows = (result.taps[t][0] for t in taps)
             probs = predictive_distributions(result.logits[0], cfg.vocab_size)
@@ -355,6 +361,8 @@ def denoise_block(
                 other_frames=others,
             )
         )
+        if record:
+            forwards.append(result)
         if stop_decision is not None:
             break
 
@@ -372,6 +380,7 @@ def denoise_block(
         final_commit=final_commit,
         tokens=tuple(int(t) for t in tokens[lo : lo + L]),
         prefix=tuple(int(t) for t in prefix),
+        forwards=tuple(forwards),
     )
     return BlockResult(
         block_index=block_index,
@@ -396,9 +405,10 @@ def generate(
     taps: tuple[TapSpec, ...] | None = None,
     freeze_basis: SubspaceBasis | None = None,
     alpha_hat: float | None = None,
+    record: bool = False,
 ) -> GenerateResult:
     """Denoise every block after the prompt, left to right; each block
-    records ``taps`` as :func:`denoise_block` does."""
+    records ``taps`` (and with ``record`` its forwards) as :func:`denoise_block` does."""
     policy = policy if policy is not None else PolicyConfig()
     cfg = model.cfg
     L = cfg.block_length
@@ -426,6 +436,7 @@ def generate(
             taps=taps,
             freeze_basis=freeze_basis,
             alpha_hat=alpha_hat,
+            record=record,
         )
         tokens = np.concatenate([tokens, np.asarray(block.trajectory.tokens)])
         blocks.append(block)

@@ -31,7 +31,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import product
 from os import PathLike
 from typing import Optional, Sequence
@@ -57,7 +57,7 @@ from .errors import (
 )
 from .generate import BlockResult, GenerateResult, PolicyConfig, generate, repeats_previous
 from .model import TapSpec, ToyModel, load_checkpoint, save_checkpoint
-from .monitor import StabilityMonitor, StopConfig, StopReason, trace_to_csv
+from .monitor import StopConfig, StopReason, matched_kl, trace_to_csv
 from .pseudograd import SftBand, analyze_trajectory, pseudograd_to_csv, sft_band
 from .tasks import SyntheticTask, make_task
 from .train import CaptureSpec, sft_train
@@ -90,10 +90,13 @@ ABLATION_SITES = tuple(product(ABLATION_PROJECTIONS, ABLATION_ADAPTERS, ABLATION
 
 # --- small shared utilities ----------------------------------------------
 
-def _write_json(path: str, obj) -> None:
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_json(path: str, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path: str):
@@ -196,6 +199,16 @@ def load_artifacts(config: ExperimentConfig, run_dir: str) -> Artifacts:
     return Artifacts(model=model, vector=vector, basis=basis, band=band, summaries=summaries)
 
 
+def _load_setup(config: ExperimentConfig, artifacts_dir: str):
+    """The artifacts, task, similarity mode and reasoning map (the stored
+    basis under a subspace mode, else the default tap's summary)."""
+    artifacts = load_artifacts(config, artifacts_dir)
+    task = make_task(config.task, config.vocab_size, config.block_length)
+    mode = config.similarity_mode()
+    reasoning_map = artifacts.basis if mode.variant.value.startswith("subspace") else artifacts.vector
+    return artifacts, task, mode, reasoning_map
+
+
 # --- cmd_train ------------------------------------------------------------
 
 def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
@@ -204,8 +217,7 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 
     run_dir = run_dir if run_dir is not None else config.out_dir
     os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, CONFIG_FILE), "w", encoding="utf-8") as fh:
-        fh.write(config.to_text())
+    _write_text(os.path.join(run_dir, CONFIG_FILE), config.to_text())
 
     model_cfg = config.model_config()
     from .model import init_model
@@ -248,7 +260,6 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
             "band": None
             if band is None
             else {"mu": band.mu, "sigma": band.sigma, "n_steps": band.n_steps},
-            "rms_trace": result.rms_trace,
             "final_loss": result.loss_trace[-1],
         },
     )
@@ -408,15 +419,12 @@ def cmd_infer(
     traces_dir = os.path.join(run_dir, TRACES_DIR)
     os.makedirs(traces_dir, exist_ok=True)
 
-    artifacts = load_artifacts(config, artifacts_dir)
+    artifacts, task, mode, reasoning_map = _load_setup(config, artifacts_dir)
     policy = config.policy_config(policy_kind)
     if policy.freezing and artifacts.basis is None:
         raise ArtifactMismatchError(
             "policy 'edit_freeze' needs a subspace entry in the metadata file"
         )
-    task = make_task(config.task, config.vocab_size, config.block_length)
-    mode = config.similarity_mode()
-    reasoning_map = artifacts.basis if mode.variant.value.startswith("subspace") else artifacts.vector
 
     alpha_hat, quantile = _read_calibration(calibration_path)
     stop_cfg = config.stop_config()
@@ -425,10 +433,17 @@ def cmd_infer(
 
     for seed in config.seeds:
         instances = _sample_instances(task, (seed, 101), config.eval_instances)
-
-        def run_one(item):
-            prompt, target = item
-            return generate(
+        blocks: list[BlockResult] = []
+        exacts: list[bool] = []
+        steps: list[float] = []
+        certs_all: list = []
+        margins: list[float] = []
+        trace_files: list[str] = []
+        for index, (prompt, target) in enumerate(instances):
+            traced = index < config.trace_retention
+            # A traced decode keeps its forwards for the pseudo-gradient,
+            # which reads them before the next instance decodes.
+            result = generate(
                 artifacts.model,
                 prompt,
                 config.seq_len,
@@ -438,16 +453,9 @@ def cmd_infer(
                 mode=mode,
                 freeze_basis=artifacts.basis,
                 alpha_hat=alpha_hat,
+                record=traced,
             )
-
-        results = [run_one(item) for item in instances]
-
-        exacts: list[bool] = []
-        steps: list[float] = []
-        certs_all: list = []
-        margins: list[float] = []
-        trace_files: list[str] = []
-        for index, ((prompt, target), result) in enumerate(zip(instances, results)):
+            blocks += result.blocks
             output_block = np.asarray(result.tokens[prompt.size :])
             exact = task.exact_match(output_block, target)
             exacts.append(exact)
@@ -478,7 +486,7 @@ def cmd_infer(
                     sort_keys=True,
                 )
             )
-            if index < config.trace_retention:
+            if traced:
                 csv_names: list[Optional[str]] = []
                 pseudo_names: list[Optional[str]] = []
                 for block in result.blocks:
@@ -486,20 +494,17 @@ def cmd_infer(
                     csv_name = None
                     if block.monitor_state is not None:
                         csv_name = stem + "_divergence.csv"
-                        with open(
-                            os.path.join(traces_dir, csv_name), "w", encoding="utf-8"
-                        ) as fh:
-                            fh.write(trace_to_csv(block.monitor_state))
+                        _write_text(
+                            os.path.join(traces_dir, csv_name), trace_to_csv(block.monitor_state)
+                        )
                     pseudo_name = None
                     if artifacts.band is not None and len(block.trajectory.records) >= 2:
                         pseudo_name = stem + "_pseudograd.csv"
                         trace = analyze_trajectory(
                             artifacts.model, block.trajectory, artifacts.band
                         )
-                        with open(
-                            os.path.join(traces_dir, pseudo_name), "w", encoding="utf-8"
-                        ) as fh:
-                            fh.write(pseudograd_to_csv(trace))
+                        _write_text(os.path.join(traces_dir, pseudo_name), pseudograd_to_csv(trace))
+                    block.trajectory.forwards = ()  # held for one instance only
                     csv_names.append(csv_name)
                     pseudo_names.append(pseudo_name)
                 payload = _instance_trace_payload(
@@ -512,7 +517,6 @@ def cmd_infer(
 
         avg_steps = float(np.mean(steps))
         baseline = float(config.budget)
-        blocks = [b for r in results for b in r.blocks]
         stop_steps = Counter(b.steps_used for b in blocks)
         divergences = [
             row.divergence
@@ -561,8 +565,7 @@ def cmd_infer(
 
     report = RunReport(policy=policy.kind, budget=config.budget, per_seed=seed_reports)
     _write_json(os.path.join(run_dir, REPORT_FILE), report.to_json_dict())
-    with open(os.path.join(run_dir, GENERATIONS_FILE), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(generation_lines) + "\n")
+    _write_text(os.path.join(run_dir, GENERATIONS_FILE), "\n".join(generation_lines) + "\n")
     return report.to_json_dict()
 
 
@@ -616,10 +619,7 @@ def cmd_calibrate(
     run_dir = run_dir if run_dir is not None else config.out_dir
     artifacts_dir = artifacts_dir if artifacts_dir is not None else run_dir
     os.makedirs(run_dir, exist_ok=True)
-    artifacts = load_artifacts(config, artifacts_dir)
-    task = make_task(config.task, config.vocab_size, config.block_length)
-    mode = config.similarity_mode()
-    reasoning_map = artifacts.basis if mode.variant.value.startswith("subspace") else artifacts.vector
+    artifacts, task, mode, reasoning_map = _load_setup(config, artifacts_dir)
 
     n_val = max(1, int(round(config.validation_fraction * config.eval_instances)))
     instances = _sample_instances(task, (config.model_seed, 707), n_val)
@@ -808,26 +808,24 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     off, so the frames a cell scores are those of a fixed-budget run that
     taps its projection. Each evaluation prompt is therefore decoded once,
     tapping all three projections off each step's one forward, and each
-    projection's four cells replay its recorded frames through a fresh
-    monitor each. A frame that repeats the one before
-    (``repeats_previous``) reuses its score.
+    projection's four cells score its recorded frames and take the
+    monitor's step divergence (``matched_kl``) between consecutive ones.
+    A frame that repeats the one before (``repeats_previous``) diverges by
+    0.0, as the monitor records it.
     """
     run_dir = run_dir if run_dir is not None else config.out_dir
     if not os.path.exists(os.path.join(run_dir, CHECKPOINT_FILE)):
         cmd_train(config, run_dir)
-    artifacts = load_artifacts(config, run_dir)
+    artifacts, task, mode, _ = _load_setup(config, run_dir)
     vectors = {
         site: _summary(artifacts.summaries, _ablation_capture(config, site).metadata_id)
         for site in ABLATION_SITES
     }
-    task = make_task(config.task, config.vocab_size, config.block_length)
     last = config.n_blocks - 1
     taps = tuple(TapSpec(f"block{last}.{proj}") for proj in ABLATION_PROJECTIONS)
 
     n_eval = min(config.eval_instances, 16)
     instances = _sample_instances(task, (config.model_seed, 505), n_eval)
-    probe_stop = StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk)
-    mode = config.similarity_mode()
 
     # One prompt at a time, so only one run's frames are held.
     divergences: dict[tuple[str, str, str], list[float]] = {site: [] for site in ABLATION_SITES}
@@ -850,17 +848,15 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
         for which, proj in enumerate(ABLATION_PROJECTIONS):
             for adapter, reduction in product(ABLATION_ADAPTERS, ABLATION_REDUCTIONS):
                 site = (proj, adapter, reduction)
-                monitor = StabilityMonitor(probe_stop)
+                prev = None
                 for rec, repeat in zip(records, repeats):
-                    # The monitor needs each step to advance, so a repeated
-                    # frame's distribution takes its own step.
-                    dist = (
-                        replace(dist, step=rec.step)
-                        if repeat
-                        else score_frame(rec.frames[which], vectors[site], mode, config.tau_blk)
-                    )
-                    monitor.observe(dist)
-                divergences[site] += [row.divergence for row in monitor.state.divergence_trace]
+                    if repeat:
+                        divergences[site].append(0.0)
+                        continue
+                    dist = score_frame(rec.frames[which], vectors[site], mode, config.tau_blk).dist
+                    if prev is not None:
+                        divergences[site].append(matched_kl(dist, prev))
+                    prev = dist
 
     cells = [
         {
@@ -892,8 +888,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
                 c["n_samples"],
             ]
         )
-    with open(os.path.join(run_dir, ABLATION_CSV), "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    _write_text(os.path.join(run_dir, ABLATION_CSV), buf.getvalue())
     return payload
 
 
@@ -950,6 +945,5 @@ def cmd_report(run_dirs: Sequence[str | PathLike], out_dir: str) -> dict:
     )
     for row in rows:
         writer.writerow(row)
-    with open(os.path.join(out_dir, CONSOLIDATED_CSV), "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    _write_text(os.path.join(out_dir, CONSOLIDATED_CSV), buf.getvalue())
     return payload

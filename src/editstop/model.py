@@ -274,8 +274,8 @@ def forward(
     Logits and taps come back for rows ``first_row:`` only: the last
     layer's queries, attention, MLP and head skip the rows before it, while
     every layer's keys and values still cover all rows. The kept rows match
-    the full pass to rounding, not bit for bit. ``record=True`` needs the
-    full pass (``first_row=0``).
+    the full pass to rounding, not bit for bit; so do the gradients of a
+    recorded block-row pass.
     """
     cfg = model.cfg
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -295,8 +295,6 @@ def forward(
         raise ValueError(f"sequence length {t} exceeds {cfg.max_positions} positions")
     if not 0 <= first_row < t:
         raise ValueError(f"first_row {first_row} outside [0, {t})")
-    if record and first_row:
-        raise ValueError("record=True needs first_row=0")
     by_block: dict[int, list[TapSpec]] = {}
     for spec in taps:
         blk, _ = parse_module_path(spec.module)
@@ -353,7 +351,9 @@ def backward_lora(
     propagated through it so adapters in earlier layers see the full chain.
     It stops in the lowest block holding a requested key, computing there
     only the projection gradients those keys read; each array is bit for bit
-    the full pass's."""
+    the full pass's. On a block-row pass the last layer's query side keeps
+    to the block's rows; the rows before them feed only dropped logits, whose
+    gradient is zero, so every key matches the full pass to rounding."""
     if result.cache is None:
         raise NoRecordedGraphError("forward pass was not recorded; rerun with record=True")
     cfg = model.cfg
@@ -367,9 +367,11 @@ def backward_lora(
     grads = {key: np.zeros_like(model.lora[key]) for key in keys}
     sites = {parse_module_path(key.rpartition(".")[0]) for key in grads}
     lowest = min(b for b, _ in sites)
+    first_row = result.cache["tokens"].shape[1] - result.logits.shape[1]
     dx = dlogits @ model.base["head"]
     for b in reversed(range(lowest, cfg.n_blocks)):
         c = result.cache["blocks"][b]
+        q_from = first_row if b == cfg.n_blocks - 1 else 0
         w2 = model.base[f"block{b}.w2"]
         w1 = model.base[f"block{b}.w1"]
         dt1 = dx @ w2
@@ -389,9 +391,13 @@ def backward_lora(
                 d_full["q"] = _merge_heads(dscores @ c["k"])
             if "k" in needed:
                 d_full["k"] = _merge_heads(dscores.swapaxes(-1, -2) @ c["q"])
-        dx_in = dx.copy() if b > lowest else None
+        dx_in = None
+        if b > lowest:
+            dx_in = np.zeros_like(c["x_in"])
+            dx_in[:, q_from:] = dx
         for proj in needed:
             dproj = d_full[proj]
+            start = q_from if proj == "q" else 0
             key_a, key_b = (lora_param_key(b, proj, ad) for ad in ADAPTERS)
             if key_b in grads:
                 grads[key_b] += np.einsum("ntd,ntr->dr", dproj, c[f"ax_{proj}"])
@@ -399,9 +405,10 @@ def backward_lora(
                 continue
             dax = dproj @ model.lora[key_b]
             if key_a in grads:
-                grads[key_a] += np.einsum("ntr,ntd->rd", dax, c["x_in"])
+                grads[key_a] += np.einsum("ntr,ntd->rd", dax, c["x_in"][:, start:])
             if b > lowest:
-                dx_in += dproj @ model.base[f"block{b}.w{proj}"] + dax @ model.lora[key_a]
+                w = model.base[f"block{b}.w{proj}"]
+                dx_in[:, start:] += dproj @ w + dax @ model.lora[key_a]
         dx = dx_in
     return grads
 

@@ -7,10 +7,12 @@ between step ``t`` and step ``t+1``. Backpropagating that step-to-step
 divergence through the adapter down-projections yields a pseudo-gradient
 whose root-mean-square magnitude can be compared against the band of
 gradient magnitudes seen in training. This module computes those
-pseudo-gradients by re-running the recorded forward passes, each once,
-and backpropagating only as deep as the selected adapters; it summarizes
-them and detects the step at which their magnitude settles into the
-training band.
+pseudo-gradients from each step's recorded block-row forward pass, the one
+the decode itself ran (``generate(record=True)``), and backpropagates only
+as deep as the selected adapters; a trajectory decoded without ``record``
+has those forwards run here, once per distinct step input. It summarizes
+the pseudo-gradients and detects the step at which their magnitude settles
+into the training band.
 
 Everything here is post-hoc: the analyzer consumes finished trajectories
 and never feeds back into the stopping decision.
@@ -160,8 +162,28 @@ def _step_input(model: ToyModel, trajectory: DenoiseTrajectory, step: int) -> np
     return np.concatenate([prefix, block])
 
 
-def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int, record: bool):
-    return forward(model, _step_input(model, trajectory, step)[None, :], record=record)
+def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int):
+    """The recorded block-row forward of ``step``: the decode's own when the
+    trajectory kept it, else the same forward run here."""
+    if trajectory.forwards:
+        return trajectory.forwards[step - 1]
+    lo = trajectory.block_index * model.cfg.block_length
+    inp = _step_input(model, trajectory, step)
+    return forward(model, inp[None, :], record=True, first_row=lo)
+
+
+def _step_forwards(model: ToyModel, trajectory: DenoiseTrajectory) -> Sequence:
+    """One recorded forward per step, as the decode keeps them: a step whose
+    input repeats its predecessor's shares that step's forward."""
+    if trajectory.forwards:
+        return trajectory.forwards
+    forwards = [_step_forward(model, trajectory, 1)]
+    for step in range(2, len(trajectory.records) + 1):
+        same = np.array_equal(
+            _step_input(model, trajectory, step), _step_input(model, trajectory, step - 1)
+        )
+        forwards.append(forwards[-1] if same else _step_forward(model, trajectory, step))
+    return forwards
 
 
 def _check_pair(trajectory: DenoiseTrajectory, step: int) -> None:
@@ -180,23 +202,21 @@ def pseudo_gradient(
 ) -> dict[str, np.ndarray]:
     """Gradient of the step divergence through the selected down-projections.
 
-    Re-runs the recorded forward passes for ``step`` and ``step+1`` and
+    Reads the recorded forward passes of ``step`` and ``step+1`` and
     backpropagates the summed divergence over the later step's committed
     support. The earlier step's distributions act as constants.
     """
     config = config if config is not None else PseudoGradConfig()
     _check_pair(trajectory, step)
     keys = _selected_keys(model, config)
-    _, p_t = _with_dists(model, trajectory, _step_forward(model, trajectory, step, False))
-    res_t1, p_t1 = _with_dists(model, trajectory, _step_forward(model, trajectory, step + 1, True))
-    return _pair_gradient(model, trajectory, step, keys, p_t, res_t1, p_t1)
+    p_t = _block_dists(model, _step_forward(model, trajectory, step))
+    res_t1 = _step_forward(model, trajectory, step + 1)
+    return _pair_gradient(model, trajectory, step, keys, p_t, res_t1, _block_dists(model, res_t1))
 
 
-def _with_dists(model: ToyModel, trajectory: DenoiseTrajectory, res):
-    """``res`` and the predictive distributions of its block rows."""
-    cfg = model.cfg
-    lo = trajectory.block_index * cfg.block_length
-    return res, predictive_distributions(res.logits[0, lo : lo + cfg.block_length], cfg.vocab_size)
+def _block_dists(model: ToyModel, res) -> np.ndarray:
+    """The predictive distributions of a block-row forward's rows."""
+    return predictive_distributions(res.logits[0], model.cfg.vocab_size)
 
 
 def _pair_gradient(
@@ -207,11 +227,11 @@ def _pair_gradient(
     ``step+1``. The backward pass runs only as deep as ``keys`` reach."""
     cfg = model.cfg
     lo = trajectory.block_index * cfg.block_length
-    support = np.array(trajectory.records[step].frame.visible.members, dtype=np.intp)
+    rows = np.array(trajectory.records[step].frame.visible.members, dtype=np.intp) - lo
 
     real = cfg.vocab_size - 1
     dlogits_t1 = np.zeros_like(res_t1.logits)
-    dlogits_t1[0, support, :real] = p_t1[support - lo] - p_t[support - lo]
+    dlogits_t1[0, rows, :real] = p_t1[rows] - p_t[rows]
     return backward_lora(model, res_t1, dlogits_t1, keys)
 
 
@@ -230,22 +250,21 @@ def analyze_trajectory(
     keys = _selected_keys(model, config)
     rows: list[PseudoGradRow] = []
     values: list[float] = []
-    inp_t = _step_input(model, trajectory, 1)
-    _, p_t = _with_dists(model, trajectory, forward(model, inp_t[None, :]))
+    forwards = _step_forwards(model, trajectory)
+    res_t = forwards[0]
+    p_t = _block_dists(model, res_t)
     for step in range(1, len(trajectory.records)):
-        inp_t1 = _step_input(model, trajectory, step + 1)
-        if np.array_equal(inp_t1, inp_t):
-            # Step ``step`` committed nothing: both sides run the same
+        res_t1 = forwards[step]
+        if res_t1 is res_t:
+            # Step ``step`` committed nothing: both sides read the same
             # forward, so the divergence and its gradient are exactly zero.
             value = 0.0
         else:
-            res_t1, p_t1 = _with_dists(
-                model, trajectory, forward(model, inp_t1[None, :], record=True)
-            )
+            p_t1 = _block_dists(model, res_t1)
             grads = _pair_gradient(model, trajectory, step, keys, p_t, res_t1, p_t1)
-            # The next pair's step side: each distinct input's forward and
+            # The next pair's step side: each distinct forward's
             # distributions are computed once.
-            inp_t, p_t = inp_t1, p_t1
+            res_t, p_t = res_t1, p_t1
             value = rms(np.concatenate([g.ravel() for g in grads.values()]))
         values.append(value)
         rows.append(PseudoGradRow(step=step, rms_value=value, in_band=band.contains(value)))

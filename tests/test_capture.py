@@ -219,6 +219,15 @@ class TestEvolutionVector:
         assert v.norm() == pytest.approx(5.0)
         assert v.d_out == 2
 
+    def test_cached_norm_equals_a_fresh_one(self):
+        # vector_cosine scores divide by the cached norm, so it must be the
+        # very float a fresh np.linalg.norm gives.
+        rng = np.random.default_rng(0)
+        for size in (1, 7, 64, 300):
+            v = EvolutionVector(np.abs(rng.normal(size=size)), "m", 4)
+            assert v.norm() == float(np.linalg.norm(v.u))
+        assert EvolutionVector(np.zeros(3), "m", 4).norm() == 0.0
+
 
 class TestBuildSubspace:
     def test_rank_one_tensor_spans_column_direction(self):

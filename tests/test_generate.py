@@ -416,6 +416,31 @@ class TestForwardReuse:
         for (_, tokens), kwargs in calls:
             assert kwargs["first_row"] == tokens.shape[1] - L
 
+    @pytest.mark.parametrize("kind", ["fixed", "edit", "edit_freeze"])
+    def test_record_keeps_one_forward_per_step(self, default_block, monkeypatch, kind):
+        # Each step's forward rides on the trajectory, shared by the steps
+        # that reused it; recording changes no record, token or count.
+        cfg, artifacts, prompt = default_block
+        kwargs = dict(
+            policy=cfg.policy_config(kind), reasoning_map=artifacts.vector,
+            freeze_basis=artifacts.basis,
+        )
+        plain = denoise_block(artifacts.model, prompt, 1, **kwargs)
+        calls = count_forwards(monkeypatch)
+        block = denoise_block(artifacts.model, prompt, 1, record=True, **kwargs)
+        forwards = block.trajectory.forwards
+        assert [kw["record"] for _, kw in calls] == [True] * block.forward_passes
+        assert len(forwards) == block.steps_used
+        assert len({id(f) for f in forwards}) == block.forward_passes
+        assert [f.cache is not None for f in forwards] == [True] * len(forwards)
+        for got, want in zip(block.trajectory.records, plain.trajectory.records, strict=True):
+            assert (got.step, got.committed, got.tokens, got.choice) == (
+                want.step, want.committed, want.tokens, want.choice
+            )
+            assert np.array_equal(got.frame.activations, want.frame.activations)
+        assert block.trajectory.tokens == plain.trajectory.tokens
+        assert block.forward_passes == plain.forward_passes
+
     def test_reused_steps_equal_a_fresh_forward(self, default_block):
         cfg, artifacts, prompt = default_block
         model = artifacts.model

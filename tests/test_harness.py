@@ -152,7 +152,7 @@ class TestTrain:
     def test_band_file_structure(self, trained_run):
         cfg, run_dir = trained_run
         payload = json.load(open(os.path.join(run_dir, BAND_FILE)))
-        assert len(payload["rms_trace"]) == cfg.train_steps
+        assert sorted(payload) == ["band", "final_loss"]
         band = payload["band"]
         assert band["n_steps"] == cfg.train_steps
         assert band["sigma"] >= 0.0
@@ -657,6 +657,25 @@ class TestForwardCounts:
         for name in report["per_seed"][0]["trace_files"]:
             payload = json.load(open(os.path.join(run_dir, name)))
             assert [b["forward_passes"] for b in payload["blocks"]] == [5]
+
+    @pytest.mark.parametrize("policy", ["edit", "fixed"])
+    def test_infer_runs_only_the_decodes_forwards(self, tmp_path, monkeypatch, policy):
+        # Traced instances decode with record=True, and their pseudo-gradient
+        # reads those forwards: infer runs no forward besides the decodes'.
+        cfg = ExperimentConfig(
+            train_steps=20, eval_instances=4, seeds=[1], trace_retention=3, out_dir=str(tmp_path)
+        )
+        cmd_train(cfg)
+        decodes = count_forwards(monkeypatch)
+        analyses = count_forwards(monkeypatch, "editstop.pseudograd")
+        report = cmd_infer(cfg, policy_kind=policy)
+        (seed,) = report["per_seed"]
+        assert len(analyses) == 0
+        assert len(decodes) == seed["forward_passes"] == 4 * (7 if policy == "edit" else 17)
+        names = sorted(os.listdir(os.path.join(str(tmp_path), TRACES_DIR)))
+        assert [n for n in names if n.endswith("_pseudograd.csv")] == [
+            f"seed1_inst{i:03d}_block1_pseudograd.csv" for i in range(3)
+        ]
 
     def test_edit_trace_counts_forwards_up_to_the_full_block(self, trained_run):
         # The 4-slot block is full after step 4; later steps reuse step 5's forward.

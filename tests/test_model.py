@@ -169,9 +169,27 @@ class TestFirstRow:
                     part.taps[spec], full.taps[spec][:, k:], rtol=0, atol=1e-12
                 )
 
-    def test_record_needs_the_full_pass(self):
-        with pytest.raises(ValueError):
-            forward(tiny_model(), np.array([[1, 2, 3, 4]]), record=True, first_row=2)
+    @pytest.mark.parametrize("t, first_row", [(32, 16), (64, 48)])
+    def test_recorded_backward_matches_the_full_pass(self, t, first_row):
+        # The block-row backward leaves out only rows whose logit gradient
+        # is zero, so every adapter of both blocks matches to rounding.
+        cfg = ModelConfig()
+        rng = np.random.default_rng(t)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        tokens = rng.integers(0, cfg.vocab_size, size=(2, t))
+        part = forward(model, tokens, record=True, first_row=first_row)
+        assert np.array_equal(part.logits, forward(model, tokens, first_row=first_row).logits)
+        full = forward(model, tokens, record=True)
+        dlogits = rng.normal(size=part.logits.shape)
+        full_dlogits = np.zeros_like(full.logits)
+        full_dlogits[:, first_row:] = dlogits
+        want = backward_lora(model, full, full_dlogits)
+        got = backward_lora(model, part, dlogits)
+        assert list(got) == list(want) and len(got) == 12
+        for key in want:
+            assert np.any(want[key] != 0.0), key
+            np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12, err_msg=key)
 
     @pytest.mark.parametrize("first_row", [-1, 4])
     def test_out_of_range_rejected(self, first_row):

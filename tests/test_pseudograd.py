@@ -307,6 +307,25 @@ class TestAnalyzeTrajectory:
         assert len(traj.records) == 6
         assert len(calls) == 5
 
+    @pytest.mark.parametrize("budget", [6, 12])
+    def test_recorded_trajectory_runs_no_forward(self, monkeypatch, budget):
+        # A trajectory decoded with record=True carries each step's
+        # forward; reading them gives the rows of the forwards run here.
+        model = perturbed_model(TINY)
+        prompt = np.array([1, 5, 2, 9])
+        recorded = denoise_block(model, prompt, 1, budget=budget, record=True).trajectory
+        plain = denoise_block(model, prompt, 1, budget=budget).trajectory
+        assert len(recorded.forwards) == len(recorded.records) and not plain.forwards
+        band = SftBand(mu=0.1, sigma=0.1, n_steps=4)
+        calls = count_forwards(monkeypatch, "editstop.pseudograd")
+        trace = analyze_trajectory(model, recorded, band)
+        grads = pseudo_gradient(model, recorded, 2)
+        assert len(calls) == 0
+        monkeypatch.undo()
+        assert trace.rows == analyze_trajectory(model, plain, band).rows
+        want = pseudo_gradient(model, plain, 2)
+        assert all(np.array_equal(grads[key], want[key]) for key in want)
+
     def test_fixed_budget_tail_matches_per_pair_gradient(self, monkeypatch):
         # A fixed-budget run past the full block: every pair after step 4
         # has identical inputs. Its rows equal per-pair pseudo_gradient
