@@ -64,6 +64,12 @@ class ExperimentConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type in ("int", "list[int]"):
+                value = getattr(self, f.name)
+                entries = value if isinstance(value, list) else [value]
+                if any(isinstance(v, (bool, float)) for v in entries):
+                    raise ConfigError(f"{f.name} takes integers only, got {value!r}")
         if self.task not in TASK_NAMES:
             raise ConfigError(f"task must be one of {TASK_NAMES}, got {self.task!r}")
         if self.policy not in POLICY_ALIASES:

@@ -24,11 +24,10 @@ from .certify import tv_budget
 from .errors import (
     AlphaNotContractiveError,
     DimMismatchError,
-    EmptyInputError,
     ProbeUnsupportedError,
     VisibleSetChangedError,
 )
-from .linalg import PROB_FLOOR
+from .linalg import kl_rows, softmax_rows
 from .monitor import StopConfig
 
 
@@ -216,24 +215,14 @@ class TokenFreezer:
 
     def _local_distributions(self, rows: np.ndarray) -> np.ndarray:
         """Each row's distribution over the subspace components, as an
-        (n, k) array: coordinates in the basis, folded by absolute value,
-        softmaxed at the sub-token temperature and floored at
-        ``PROB_FLOOR``. A row that is non-finite or does not sum to one
-        within 1e-9 is rejected, as ``ProbVector`` rejects it."""
+        (n, k) array: coordinates in the basis, folded by absolute value and
+        put through ``linalg.softmax_rows`` at the sub-token temperature."""
         columns_t = self.basis.columns.T
         g = np.empty((len(rows), self.basis.k))
         for j, row in enumerate(rows):
             # One gemv per row: a single matmul may sum in another order.
             g[j] = columns_t @ row
-        z = np.abs(g) / self.cfg.tau_sub
-        ez = np.exp(z - z.max(axis=1, keepdims=True))
-        probs = ez / ez.sum(axis=1, keepdims=True)
-        if not np.all(np.isfinite(probs)):
-            raise EmptyInputError("local distributions contain non-finite entries")
-        worst = float(np.abs(probs.sum(axis=1) - 1.0).max())
-        if worst > 1e-9:
-            raise EmptyInputError(f"a local distribution is {worst!r} from summing to 1")
-        return np.maximum(probs, PROB_FLOOR)
+        return softmax_rows(np.abs(g) / self.cfg.tau_sub)
 
     def process(self, frame: ActivationFrame) -> tuple[np.ndarray, list[int]]:
         """Advance every token that is not frozen by one step.
@@ -265,16 +254,8 @@ class TokenFreezer:
         live = np.flatnonzero(~self._frozen)
         newly_frozen: list[int] = []
         if live.size:
-            # Row-wise KL(this step || last step), renormalized and clamped
-            # at 0 as kl_divergence does.
             p = self._local_distributions(acts[live])
-            q = self._last_q[live]
-            pp = p / p.sum(axis=1, keepdims=True)
-            qq = q / q.sum(axis=1, keepdims=True)
-            kl = np.sum(pp * (np.log(pp) - np.log(qq)), axis=1)
-            if np.any(kl < -1e-12):
-                raise ValueError(f"KL computed as {kl.min()}, below rounding tolerance")
-            stable = np.maximum(kl, 0.0) <= self.cfg.delta_tok
+            stable = kl_rows(p, self._last_q[live]) <= self.cfg.delta_tok
             for i in live[stable]:
                 diff = float(np.linalg.norm(acts[i] - self._prev[i]))
                 self._epsilon[i] = max(self._epsilon[i], diff)

@@ -28,9 +28,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import product
 from os import PathLike
@@ -54,10 +54,18 @@ from .errors import (
     ArtifactMismatchError,
     NoAdmissiblePairError,
     NoValidSamplesError,
+    TooFewSamplesError,
 )
 from .generate import BlockResult, GenerateResult, PolicyConfig, generate, repeats_previous
 from .model import TapSpec, ToyModel, load_checkpoint, save_checkpoint
-from .monitor import StopConfig, StopReason, matched_kl, trace_to_csv
+from .monitor import (
+    StabilityState,
+    StopConfig,
+    StopReason,
+    matched_kl,
+    trace_to_csv,
+    update_counter,
+)
 from .pseudograd import SftBand, analyze_trajectory, pseudograd_to_csv, sft_band
 from .tasks import SyntheticTask, make_task
 from .train import CaptureSpec, sft_train
@@ -109,23 +117,14 @@ def _read_json(path: str):
         raise ArtifactMismatchError(f"malformed JSON in {path!r}: {exc}") from exc
 
 
-def simulate_stop(
-    divergences: Sequence[tuple[int, float]], delta: float, omega: int
-) -> Optional[int]:
-    """Replay the run-length rule over a recorded divergence sequence.
-
-    Mirrors the online counter: strictly-below-threshold steps increment,
-    anything else resets, non-finite rows are skipped. Returns the stop
-    step or None if the counter never fills.
-    """
-    counter = 0
-    for step, d in divergences:
-        if not math.isfinite(d):
-            continue
-        counter = counter + 1 if d < delta else 0
-        if counter >= omega:
-            return int(step)
-    return None
+@contextmanager
+def _parsing(path: str):
+    """Report an entry of ``path`` that is missing or of the wrong kind or
+    value as ``ArtifactMismatchError``."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, TooFewSamplesError) as exc:
+        raise ArtifactMismatchError(f"malformed {path!r}: {exc!r}") from exc
 
 
 def _sample_instances(
@@ -190,12 +189,13 @@ def load_artifacts(config: ExperimentConfig, run_dir: str) -> Artifacts:
     band_path = os.path.join(run_dir, BAND_FILE)
     if os.path.exists(band_path):
         payload = _read_json(band_path)
-        if payload.get("band") is not None:
-            band = SftBand(
-                mu=float(payload["band"]["mu"]),
-                sigma=float(payload["band"]["sigma"]),
-                n_steps=int(payload["band"]["n_steps"]),
-            )
+        with _parsing(band_path):
+            if (stored := payload.get("band")) is not None:
+                band = SftBand(
+                    mu=float(stored["mu"]),
+                    sigma=float(stored["sigma"]),
+                    n_steps=int(stored["n_steps"]),
+                )
     return Artifacts(model=model, vector=vector, basis=basis, band=band, summaries=summaries)
 
 
@@ -337,14 +337,15 @@ def _read_calibration(path: str | None) -> tuple[Optional[float], Optional[float
     if path is None:
         return None, None
     calibration = _read_json(path)
-    alpha_hat = calibration.get("alpha_hat")
-    if alpha_hat is not None and not 0.0 <= alpha_hat < 1.0:
-        alpha_hat = None
-    quantile = calibration.get("margin_quantile")
-    return (
-        None if alpha_hat is None else float(alpha_hat),
-        None if quantile is None else float(quantile),
-    )
+    with _parsing(path):
+        alpha_hat = calibration.get("alpha_hat")
+        if alpha_hat is not None and not 0.0 <= alpha_hat < 1.0:
+            alpha_hat = None
+        quantile = calibration.get("margin_quantile")
+        return (
+            None if alpha_hat is None else float(alpha_hat),
+            None if quantile is None else float(quantile),
+        )
 
 
 def _recertify(
@@ -589,10 +590,14 @@ def replay_stop(
     never changes what gets committed, so a run that stops at step t
     equals the recorded one up to step t and then fills every slot still
     masked with step t's row argmax. Without a stop the run is the
-    recorded one, all budgeted steps included.
+    recorded one, all budgeted steps included. The stop is the first one
+    that ``update_counter`` fires over the recorded step divergences.
     """
-    rows = [(r.step, r.divergence) for r in block.monitor_state.divergence_trace]
-    stop = simulate_stop(rows, delta, omega)
+    state, cfg = StabilityState(), StopConfig(delta=delta, omega=omega)
+    for row in block.monitor_state.divergence_trace:
+        if update_counter(state, row.divergence, cfg, step=row.step)[1].stop:
+            break
+    stop = state.stopped_at
     if stop is None:
         return block.trajectory.tokens, block.steps_used
     rec = block.trajectory.records[stop - 1]
@@ -749,31 +754,33 @@ def cmd_certify(
     n_local = n_global = n_pac = 0
     n_stops = 0
     for name in names:
-        payload = _read_json(os.path.join(traces_dir, name))
-        for block in payload.get("blocks", []):
-            if not block.get("stopped_early"):
-                continue
-            stored = block.get("certificate")
-            if stored is None:
-                continue
-            n_stops += 1
-            margin = MarginReport(
-                argmax_index=int(stored["argmax_index"]),
-                margin=float(stored["margin"]),
-                step=int(stored["margin_step"]),
-                support_size=int(stored["support_size"]),
-            )
-            cert = _recertify(int(stored["stop_step"]), margin, stop_cfg, alpha_hat, quantile)
-            n_local += int(cert.local_pass)
-            n_global += int(cert.global_pass is True)
-            n_pac += int(cert.pac_pass is True)
-            entries.append(
-                {
-                    "trace": name,
-                    "block_index": block["block_index"],
-                    "certificate": cert.to_json_dict(),
-                }
-            )
+        path = os.path.join(traces_dir, name)
+        payload = _read_json(path)
+        with _parsing(path):
+            for block in payload.get("blocks", []):
+                if not block.get("stopped_early"):
+                    continue
+                stored = block.get("certificate")
+                if stored is None:
+                    continue
+                n_stops += 1
+                margin = MarginReport(
+                    argmax_index=int(stored["argmax_index"]),
+                    margin=float(stored["margin"]),
+                    step=int(stored["margin_step"]),
+                    support_size=int(stored["support_size"]),
+                )
+                cert = _recertify(int(stored["stop_step"]), margin, stop_cfg, alpha_hat, quantile)
+                n_local += int(cert.local_pass)
+                n_global += int(cert.global_pass is True)
+                n_pac += int(cert.pac_pass is True)
+                entries.append(
+                    {
+                        "trace": name,
+                        "block_index": block["block_index"],
+                        "certificate": cert.to_json_dict(),
+                    }
+                )
     report = {
         "n_stops": n_stops,
         "local_pass_rate": n_local / n_stops if n_stops else 0.0,

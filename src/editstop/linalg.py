@@ -102,17 +102,30 @@ class ProbVector:
         return ProbVector(sub / mass, tuple(subset))
 
 
+def softmax_rows(z) -> np.ndarray:
+    """Softmax along the last axis with max-subtraction, floored at
+    ``PROB_FLOOR``. A row that is non-finite or more than 1e-9 from summing
+    to one raises ``EmptyInputError``. Row ``i`` is bit for bit the softmax
+    of ``z[i]`` alone, so 1-D and row-stacked callers agree exactly."""
+    ez = np.exp(z - z.max(axis=-1, keepdims=True))
+    probs = ez / ez.sum(axis=-1, keepdims=True)
+    # A non-finite entry makes its row's sum, and so ``worst``, NaN or inf.
+    worst = abs(probs.sum(axis=-1) - 1.0).max()
+    if not worst <= 1e-9:
+        raise EmptyInputError(
+            f"a softmax row is non-finite or {float(worst)!r} from summing to 1"
+        )
+    return np.maximum(probs, PROB_FLOOR)
+
+
 def softmax(scores, temperature: float = 1.0, support: tuple[int, ...] | None = None) -> ProbVector:
-    """Temperature softmax with max-subtraction for stability."""
+    """Temperature softmax (``softmax_rows``) over ``support``."""
     scores = _as_vector(scores, "scores")
     if scores.size == 0:
         raise EmptyInputError("softmax of empty score vector")
     if not temperature > 0.0:
         raise NonPositiveTemperatureError(f"temperature must be positive, got {temperature}")
-    z = scores / temperature
-    z = z - z.max()
-    ez = np.exp(z)
-    probs = ez / ez.sum()
+    probs = softmax_rows(scores / temperature)
     return ProbVector(probs, support if support is not None else tuple(range(scores.size)))
 
 
@@ -121,22 +134,27 @@ def _check_same_support(p: ProbVector, q: ProbVector) -> None:
         raise SupportMismatchError(f"supports differ: {p.support} vs {q.support}")
 
 
-def kl_divergence(p: ProbVector, q: ProbVector) -> float:
-    """KL(p || q) in nats over a shared support.
+def kl_rows(p, q) -> np.ndarray:
+    """KL(p || q) in nats along the last axis, one value per row.
 
-    Both vectors are already floored at ``PROB_FLOOR``, which keeps the
-    log ratio finite but can lift a sum above one; they are renormalized
-    first, since KL of two near-identical vectors that do not sum to one
-    can come out below zero. The result is clamped to be nonnegative (it
-    can only go negative by rounding, never below -1e-12).
+    Floored probabilities can sum above one, and KL of two near-identical
+    vectors that do not sum to one can come out below zero, so each side is
+    renormalized first. A result below -1e-12 raises; rounding below zero
+    is clamped to 0. Row ``i`` is bit for bit the KL of ``p[i]`` and
+    ``q[i]`` alone.
     """
+    pp = p / p.sum(axis=-1, keepdims=True)
+    qq = q / q.sum(axis=-1, keepdims=True)
+    val = (pp * (np.log(pp) - np.log(qq))).sum(axis=-1)
+    if val.min() < -1e-12:
+        raise ValueError(f"KL computed as {val.min()}, below rounding tolerance")
+    return np.maximum(val, 0.0)
+
+
+def kl_divergence(p: ProbVector, q: ProbVector) -> float:
+    """KL(p || q) in nats over a shared support (``kl_rows``)."""
     _check_same_support(p, q)
-    pp = p.probs / p.probs.sum()
-    qq = q.probs / q.probs.sum()
-    val = float(np.sum(pp * (np.log(pp) - np.log(qq))))
-    if val < -1e-12:
-        raise ValueError(f"KL computed as {val}, below rounding tolerance")
-    return max(val, 0.0)
+    return float(kl_rows(p.probs, q.probs))
 
 
 def total_variation(p: ProbVector, q: ProbVector) -> float:

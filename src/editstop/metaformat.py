@@ -1,9 +1,13 @@
-"""Binary persistence for training-dynamics metadata (EDITMETA files).
+"""Binary persistence for training-dynamics metadata (EDITMETA files), and
+the file framing that the model checkpoint shares.
 
-Layout, little-endian throughout:
+Every artifact file is framed by ``write_framed``: magic bytes, a u16
+format version, the body, and a u32 CRC32 of everything before it.
+``read_framed`` checks the length, magic, version and file CRC, and its
+reader's ``done()`` rejects trailing bytes. Little-endian throughout.
 
-    magic            8 bytes  b"EDITMETA"
-    version          u16      currently 1
+An EDITMETA body (magic b"EDITMETA", version 1):
+
     entry_count      u16
     per entry:
         id_len       u16
@@ -13,7 +17,6 @@ Layout, little-endian throughout:
         rank         u32      vectors: adapter rank; subspaces: column count
         payload      d_out * (1 if vector else k) float32, C order
         payload_crc  u32      CRC32 of the payload bytes
-    file_crc         u32      CRC32 of everything before it
 
 Coefficients are stored at 32-bit precision (a 4096-row vector is exactly
 16384 payload bytes); in-memory math stays 64-bit.
@@ -45,8 +48,68 @@ VERSION = 1
 KIND_VECTOR = 0
 KIND_SUBSPACE = 1
 
-# magic + version + entry_count at the front, file CRC at the back.
-_MIN_FILE_BYTES = len(MAGIC) + 2 + 2 + 4
+
+class _Reader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise TruncatedFileError(
+                f"needed {n} bytes at offset {self.pos}, file has {len(self.data)}"
+            )
+        chunk = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return struct.unpack("<H", self.take(2))[0]
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def done(self) -> None:
+        if self.pos != len(self.data):
+            raise TruncatedFileError(f"{len(self.data) - self.pos} unexpected trailing bytes")
+
+
+def write_framed(path, magic: bytes, version: int, body: bytes) -> bytes:
+    """Frame ``body`` with ``magic``, ``version`` and the file CRC, write it to
+    ``path`` unless that is None, and return the framed bytes."""
+    blob = magic + struct.pack("<H", version) + body
+    blob += struct.pack("<I", zlib.crc32(blob))
+    if path is not None:
+        try:
+            with open(path, "wb") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            raise IoFailureError(f"cannot write {path!r}: {exc}") from exc
+    return blob
+
+
+def read_framed(path, magic: bytes, version: int) -> _Reader:
+    """Read a ``write_framed`` file, check its frame, and return a reader
+    over its body."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise IoFailureError(f"cannot read {path!r}: {exc}") from exc
+    minimum = len(magic) + 2 + 4
+    if len(data) < minimum:
+        raise TruncatedFileError(f"file is {len(data)} bytes, minimum is {minimum}")
+    if data[: len(magic)] != magic:
+        raise BadMagicError(f"bad magic {data[:len(magic)]!r}")
+    found = struct.unpack_from("<H", data, len(magic))[0]
+    if found != version:
+        raise VersionUnsupportedError(f"version {found} unsupported (expected {version})")
+    if zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
+        raise ChecksumMismatchError("file checksum mismatch")
+    return _Reader(data[len(magic) + 2 : -4])
 
 
 def _encode_entry(module_id: str, kind: int, d_out: int, rank: int, coeffs: np.ndarray) -> bytes:
@@ -80,45 +143,12 @@ def persist_metadata(
         if v.norm() == 0.0:
             raise DegenerateVectorError(f"all-zero summary for module {v.module_id!r}")
 
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<HH", VERSION, len(vectors) + len(bases))
+    body = bytearray(struct.pack("<H", len(vectors) + len(bases)))
     for v in vectors:
-        blob += _encode_entry(v.module_id, KIND_VECTOR, v.d_out, v.rank, v.u)
+        body += _encode_entry(v.module_id, KIND_VECTOR, v.d_out, v.rank, v.u)
     for b in bases:
-        blob += _encode_entry(b.source_module, KIND_SUBSPACE, b.d_out, b.k, b.columns)
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-
-    try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
-    except OSError as exc:
-        raise IoFailureError(f"cannot write {path!r}: {exc}") from exc
-    return len(blob)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedFileError(
-                f"needed {n} bytes at offset {self.pos}, file has {len(self.data)}"
-            )
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        body += _encode_entry(b.source_module, KIND_SUBSPACE, b.d_out, b.k, b.columns)
+    return len(write_framed(path, MAGIC, VERSION, bytes(body)))
 
 
 def load_metadata(path: str | PathLike) -> tuple[list[EvolutionVector], list[SubspaceBasis]]:
@@ -127,25 +157,7 @@ def load_metadata(path: str | PathLike) -> tuple[list[EvolutionVector], list[Sub
     Values come back at the stored 32-bit precision; subspace orthonormality
     is re-checked at a tolerance loose enough for the float32 round trip.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailureError(f"cannot read {path!r}: {exc}") from exc
-
-    if len(data) < _MIN_FILE_BYTES:
-        raise TruncatedFileError(f"file is {len(data)} bytes, minimum is {_MIN_FILE_BYTES}")
-    if data[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:len(MAGIC)]!r}")
-    version = struct.unpack_from("<H", data, len(MAGIC))[0]
-    if version != VERSION:
-        raise VersionUnsupportedError(f"version {version} unsupported (expected {VERSION})")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise ChecksumMismatchError("file checksum mismatch")
-
-    rd = _Reader(data[: len(data) - 4])
-    rd.pos = len(MAGIC) + 2
+    rd = read_framed(path, MAGIC, VERSION)
     entry_count = rd.u16()
 
     vectors: list[EvolutionVector] = []
@@ -168,6 +180,5 @@ def load_metadata(path: str | PathLike) -> tuple[list[EvolutionVector], list[Sub
             vectors.append(EvolutionVector(coeffs, ident, rank))
         else:
             bases.append(SubspaceBasis(coeffs.reshape(d_out, rank), ident, orthogonality_tol=1e-5))
-    if rd.pos != len(rd.data):
-        raise TruncatedFileError(f"{len(rd.data) - rd.pos} unexpected trailing bytes")
+    rd.done()
     return vectors, bases

@@ -27,17 +27,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    ChecksumMismatchError,
-    EmptyInputError,
-    IoFailureError,
-    NoRecordedGraphError,
-    TruncatedFileError,
-    VersionUnsupportedError,
-    VocabOverflowError,
-)
-from .linalg import PROB_FLOOR
+from .errors import BadMagicError, ChecksumMismatchError, NoRecordedGraphError, VocabOverflowError
+from .linalg import softmax_rows
+from .metaformat import read_framed, write_framed
 
 PROJECTIONS = ("q", "k", "v")
 ADAPTERS = ("a", "b")
@@ -439,20 +431,10 @@ def masked_cross_entropy(
 def predictive_distributions(logits_rows: np.ndarray, vocab_size: int) -> np.ndarray:
     """Per-position distributions over the real (non-mask) token ids.
 
-    One (L, V-1) array: row ``i`` is the softmax of position ``i``'s real
-    logits, column ``t`` the probability of token ``t``. Entries are
-    floored at ``PROB_FLOOR`` the way ``ProbVector`` floors them, and a
-    row that is non-finite or does not sum to one within 1e-9 is rejected.
+    One (L, V-1) array: row ``i`` is ``linalg.softmax_rows`` of position
+    ``i``'s real logits, column ``t`` the probability of token ``t``.
     """
-    real = np.asarray(logits_rows, dtype=np.float64)[:, : vocab_size - 1]
-    ez = np.exp(real - real.max(axis=1, keepdims=True))
-    probs = ez / ez.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(probs)):
-        raise EmptyInputError("predictive distributions contain non-finite entries")
-    worst = float(np.abs(probs.sum(axis=1) - 1.0).max())
-    if worst > 1e-9:
-        raise EmptyInputError(f"a predictive distribution is {worst!r} from summing to 1")
-    return np.maximum(probs, PROB_FLOOR)
+    return softmax_rows(np.asarray(logits_rows, dtype=np.float64)[:, : vocab_size - 1])
 
 
 # --- checkpoint persistence ----------------------------------------------
@@ -465,53 +447,25 @@ def _pack_array(name: str, arr: np.ndarray) -> bytes:
     for dim in arr.shape:
         out += struct.pack("<I", dim)
     out += payload
-    out += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+    out += struct.pack("<I", zlib.crc32(payload))
     return out
 
 
 def save_checkpoint(model: ToyModel, path) -> bytes:
-    """Serialize config and every parameter tensor; returns the bytes."""
-    body = CKPT_MAGIC + struct.pack("<H", CKPT_VERSION)
+    """Serialize config and every parameter tensor through
+    ``metaformat.write_framed``; returns the bytes."""
     cfg_blob = json.dumps(model.cfg.to_json_dict(), sort_keys=True).encode("utf-8")
-    body += struct.pack("<I", len(cfg_blob)) + cfg_blob
+    body = struct.pack("<I", len(cfg_blob)) + cfg_blob
     names = [("base/" + k, model.base[k]) for k in sorted(model.base)]
     names += [("lora/" + k, model.lora[k]) for k in sorted(model.lora)]
     body += struct.pack("<H", len(names))
     for name, arr in names:
         body += _pack_array(name, arr)
-    blob = body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    if path is not None:
-        try:
-            with open(path, "wb") as fh:
-                fh.write(blob)
-        except OSError as exc:
-            raise IoFailureError(f"cannot write checkpoint {path}: {exc}") from exc
-    return blob
+    return write_framed(path, CKPT_MAGIC, CKPT_VERSION, body)
 
 
 def load_checkpoint(path) -> ToyModel:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailureError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(blob) < len(CKPT_MAGIC) + 2 + 4:
-        raise TruncatedFileError(f"checkpoint is only {len(blob)} bytes")
-    if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise BadMagicError(f"bad magic {blob[:8]!r}")
-    stored = struct.unpack("<I", blob[-4:])[0]
-    actual = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
-    if stored != actual:
-        raise ChecksumMismatchError(
-            f"file checksum {stored:#010x} != computed {actual:#010x}"
-        )
-    from .metaformat import _Reader
-
-    r = _Reader(blob[:-4])
-    r.take(len(CKPT_MAGIC))
-    version = r.u16()
-    if version != CKPT_VERSION:
-        raise VersionUnsupportedError(f"checkpoint version {version} unsupported")
+    r = read_framed(path, CKPT_MAGIC, CKPT_VERSION)
     cfg_blob = r.take(r.u32())
     cfg = ModelConfig(**json.loads(cfg_blob.decode("utf-8")))
     n_arrays = r.u16()
@@ -523,8 +477,7 @@ def load_checkpoint(path) -> ToyModel:
         shape = tuple(r.u32() for _ in range(ndim))
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         payload = r.take(8 * size)
-        crc = r.u32()
-        if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
+        if r.u32() != zlib.crc32(payload):
             raise ChecksumMismatchError(f"payload checksum mismatch for {name!r}")
         arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
         if name.startswith("base/"):
@@ -533,6 +486,5 @@ def load_checkpoint(path) -> ToyModel:
             lora[name[len("lora/"):]] = arr
         else:
             raise BadMagicError(f"unknown parameter namespace in {name!r}")
-    if r.pos != len(blob) - 4:
-        raise TruncatedFileError(f"{len(blob) - 4 - r.pos} trailing bytes after entries")
+    r.done()
     return ToyModel(cfg=cfg, base=base, lora=lora)

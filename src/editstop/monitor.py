@@ -21,7 +21,7 @@ import numpy as np
 
 from .alignment import AlignmentDistribution
 from .errors import NonMonotoneVisibleSetError
-from .linalg import PROB_FLOOR, ProbVector
+from .linalg import PROB_FLOOR, ProbVector, kl_rows
 
 DEFAULT_DELTA = 0.05
 DEFAULT_OMEGA = 6
@@ -90,20 +90,13 @@ def matched_kl(curr: ProbVector, prev: ProbVector) -> float:
     """KL of ``curr`` from ``prev`` on ``prev``'s support, a subset of ``curr``'s.
 
     Both are restricted to that support and renormalized, floored at
-    ``PROB_FLOOR`` and renormalized again, with the sums and the clamp of
-    ``kl_divergence``; it takes index arrays where that takes ``ProbVector``s.
-    Supports are sorted, so ``searchsorted`` finds ``prev``'s members in
-    ``curr``.
+    ``PROB_FLOOR``, and handed to ``kl_rows``. Supports are sorted, so
+    ``searchsorted`` finds ``prev``'s members in ``curr``.
     """
-    sides = []
-    for sub in (curr.probs[np.searchsorted(curr.support, prev.support)], prev.probs):
-        floored = np.maximum(sub / float(sub.sum()), PROB_FLOOR)
-        sides.append(floored / floored.sum())
-    pp, qq = sides
-    val = float(np.sum(pp * (np.log(pp) - np.log(qq))))
-    if val < -1e-12:
-        raise ValueError(f"KL computed as {val}, below rounding tolerance")
-    return max(val, 0.0)
+    sub = curr.probs[np.searchsorted(curr.support, prev.support)]
+    p = np.maximum(sub / float(sub.sum()), PROB_FLOOR)
+    q = np.maximum(prev.probs / float(prev.probs.sum()), PROB_FLOOR)
+    return float(kl_rows(p, q))
 
 
 def update_counter(

@@ -10,7 +10,13 @@ import pytest
 
 from editstop import harness
 from editstop.cli import EXIT_ARTIFACT, EXIT_CONFIG, EXIT_NO_PAIR, EXIT_OK, main
-from editstop.harness import CHECKPOINT_FILE, METADATA_FILE, REPORT_FILE
+from editstop.harness import (
+    BAND_FILE,
+    CHECKPOINT_FILE,
+    METADATA_FILE,
+    REPORT_FILE,
+    TRACES_DIR,
+)
 from editstop.metaformat import load_metadata, persist_metadata
 
 SMALL = """\
@@ -102,6 +108,91 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "artifact error" in err
         assert "subspace_k=3" in err
+
+
+def artifacts_with(run_dir: str, dest: str, band) -> str:
+    """A copy of ``run_dir``'s checkpoint and metadata with ``band`` as the
+    stored band file."""
+    os.makedirs(dest)
+    for name in (CHECKPOINT_FILE, METADATA_FILE):
+        shutil.copy(os.path.join(run_dir, name), dest)
+    with open(os.path.join(dest, BAND_FILE), "w") as fh:
+        json.dump(band, fh)
+    return dest
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize(
+        "band",
+        [
+            {"band": {"mu": 1.0}},
+            {"band": {"mu": 1.0, "sigma": -1, "n_steps": 5}},
+            {"band": {"mu": 1.0, "sigma": 0.5, "n_steps": 1}},
+            [1.0, 0.5, 5],
+        ],
+        ids=["missing_sigma", "negative_sigma", "one_step", "list"],
+    )
+    def test_malformed_band_exits_three(self, trained_cli, tmp_path, capsys, band):
+        cfg_path, run_dir = trained_cli
+        artifacts = artifacts_with(run_dir, str(tmp_path / "art"), band)
+        code = main(
+            ["infer", "--config", cfg_path, "--artifacts", artifacts,
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_ARTIFACT
+        assert os.path.join(artifacts, BAND_FILE) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "calibration",
+        [{"alpha_hat": "x"}, {"margin_quantile": "abc"}, [0.5, 0.1]],
+        ids=["text_alpha_hat", "text_margin_quantile", "list"],
+    )
+    def test_malformed_calibration_exits_three(
+        self, trained_cli, tmp_path, capsys, calibration
+    ):
+        cfg_path, run_dir = trained_cli
+        path = str(tmp_path / "calibration.json")
+        with open(path, "w") as fh:
+            json.dump(calibration, fh)
+        code = main(
+            ["infer", "--config", cfg_path, "--artifacts", run_dir,
+             "--out", str(tmp_path / "out"), "--calibration", path]
+        )
+        assert code == EXIT_ARTIFACT
+        assert path in capsys.readouterr().err
+
+    def test_certificate_without_margin_exits_three(self, trained_cli, tmp_path, capsys):
+        cfg_path, _ = trained_cli
+        traces = tmp_path / "run" / TRACES_DIR
+        traces.mkdir(parents=True)
+        certificate = {"argmax_index": 0, "margin_step": 7, "support_size": 4, "stop_step": 7}
+        (traces / "seed1_inst000.json").write_text(
+            json.dumps({"blocks": [{"stopped_early": True, "certificate": certificate}]})
+        )
+        code = main(["certify", "--config", cfg_path, "--out", str(tmp_path / "run")])
+        assert code == EXIT_ARTIFACT
+        assert "seed1_inst000.json" in capsys.readouterr().err
+
+
+class TestNonIntegerConfig:
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("train_steps = 120", "train_steps = 1.5"),
+            ("eval_instances = 6", "eval_instances = 6\nbatch_size = 2.5"),
+            ("block_length = 4", "block_length = 4.0"),
+            ("seeds = [1]", "seeds = [1.7]"),
+            ("eval_instances = 6", "eval_instances = 6\nomega = 2.5"),
+        ],
+        ids=["train_steps", "batch_size", "block_length", "seeds", "omega"],
+    )
+    def test_non_integer_value_exits_two(self, tmp_path, capsys, old, new):
+        cfg_path = tmp_path / "exp.txt"
+        cfg_path.write_text(SMALL.replace(old, new))
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert "takes integers only" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
 
 
 class TestCommands:

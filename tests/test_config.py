@@ -91,6 +91,27 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(similarity="dot_product")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "train_steps = 1.5",
+            "batch_size = 2.5",
+            "block_length = 16.0",
+            "seeds = [1.7]",
+            "omega = 2.5",
+            "budget = true",
+            "seeds = [1, false]",
+        ],
+    )
+    def test_integer_keys_take_integers_only(self, line):
+        key = line.partition(" ")[0]
+        with pytest.raises(ConfigError, match=f"{key} takes integers only"):
+            ExperimentConfig.from_text(line + "\n")
+
+    def test_float_keys_still_take_integers(self):
+        cfg = ExperimentConfig.from_text("delta = 1\ntau_blk = 2\n")
+        assert (cfg.delta, cfg.tau_blk) == (1, 2)
+
 
 class TestTextFormat:
     def test_round_trip(self):

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,11 +44,10 @@ from editstop.harness import (
     cmd_train,
     load_artifacts,
     replay_stop,
-    simulate_stop,
 )
 from editstop.metaformat import load_metadata, persist_metadata
 from editstop.model import init_model, load_checkpoint
-from editstop.monitor import StopReason
+from editstop.monitor import StabilityState, StopReason, TraceRow
 from editstop.tasks import make_task
 from editstop.train import CaptureSpec, sft_train
 
@@ -94,30 +94,40 @@ def recording(fn, results: list):
     return wrapper
 
 
-class TestSimulateStop:
+def recorded_block(divergences, mask_id=9):
+    """A stand-in for a never-stopping monitored block. Its trace holds
+    ``divergences`` for steps 2, 3, ...; step ``s``'s record has slot 0
+    committed as ``s`` and slot 1 masked with row argmax ``10 * s``."""
+    trace = [TraceRow(step, d, 1, 0, False) for step, d in enumerate(divergences, start=2)]
+    steps = len(divergences) + 1
+    records = [
+        SimpleNamespace(tokens=(s, mask_id), choice=(0, 10 * s)) for s in range(1, steps + 1)
+    ]
+    return SimpleNamespace(
+        monitor_state=StabilityState(divergence_trace=trace),
+        trajectory=SimpleNamespace(records=records, tokens=(-1, -1)),
+        steps_used=steps,
+    )
+
+
+class TestReplayStop:
     def test_never_below_threshold(self):
-        rows = [(i, 1.0) for i in range(1, 10)]
-        assert simulate_stop(rows, 0.5, 3) is None
+        assert replay_stop(recorded_block([1.0] * 9), 0.5, 3, 9) == ((-1, -1), 10)
 
     def test_stops_at_run_completion(self):
-        rows = [(1, 0.9), (2, 0.01), (3, 0.01), (4, 0.01), (5, 0.01)]
-        assert simulate_stop(rows, 0.05, 3) == 4
+        block = recorded_block([0.9, 0.01, 0.01, 0.01, 0.01])
+        assert replay_stop(block, 0.05, 3, 9) == ((5, 50), 5)
 
     def test_reset_mid_run(self):
-        rows = [(1, 0.0), (2, 0.0), (3, 0.9), (4, 0.0), (5, 0.0), (6, 0.0)]
-        assert simulate_stop(rows, 0.05, 3) == 6
+        block = recorded_block([0.0, 0.0, 0.9, 0.0, 0.0, 0.0])
+        assert replay_stop(block, 0.05, 3, 9) == ((7, 70), 7)
 
     def test_threshold_is_strict(self):
-        rows = [(i, 0.05) for i in range(1, 8)]
-        assert simulate_stop(rows, 0.05, 2) is None
-
-    def test_nan_rows_skipped_not_reset(self):
-        rows = [(1, 0.0), (2, float("nan")), (3, 0.0), (4, 0.0)]
-        assert simulate_stop(rows, 0.05, 3) == 4
+        assert replay_stop(recorded_block([0.05] * 7), 0.05, 2, 9) == ((-1, -1), 8)
 
     def test_infinite_threshold(self):
-        rows = [(i, 10.0**i) for i in range(1, 6)]
-        assert simulate_stop(rows, math.inf, 4) == 4
+        block = recorded_block([10.0**i for i in range(1, 6)])
+        assert replay_stop(block, math.inf, 4, 9) == ((5, 50), 5)
 
 
 class TestTrain:

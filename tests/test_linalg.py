@@ -18,7 +18,9 @@ from editstop.linalg import (
     PROB_FLOOR,
     ProbVector,
     kl_divergence,
+    kl_rows,
     softmax,
+    softmax_rows,
     total_variation,
     truncated_svd,
 )
@@ -237,6 +239,54 @@ class TestKlDivergence:
         q = ProbVector(np.array([1.0, 0.0, 0.0]))
         assert q.probs.sum() > 1.0
         assert 0.0 <= kl_divergence(p, q) < 1e-11
+
+
+class TestRowHelpers:
+    """Row ``i`` of ``softmax_rows`` and ``kl_rows`` is bit for bit an inline
+    1-D formula on row ``i``, so single-vector callers get the same bits as
+    row-stacked ones (and ``kl_divergence``, the tests' KL oracle, rests on
+    an independent check)."""
+
+    SHAPES = [(rows, n) for rows in (1, 3, 16) for n in range(1, 514)]
+
+    @staticmethod
+    def softmax_1d(z):
+        ez = np.exp(z - z.max())
+        return np.maximum(ez / ez.sum(), PROB_FLOOR)
+
+    @staticmethod
+    def kl_1d(p, q):
+        pp = p / p.sum()
+        qq = q / q.sum()
+        return max(float(np.sum(pp * (np.log(pp) - np.log(qq)))), 0.0)
+
+    def test_softmax_rows_match_1d_formula(self):
+        rng = np.random.default_rng(5)
+        for rows, n in self.SHAPES:
+            z = rng.normal(scale=4.0, size=(rows, n))
+            got = softmax_rows(z)
+            for i in range(rows):
+                assert np.array_equal(got[i], self.softmax_1d(z[i])), (rows, n, i)
+                assert np.array_equal(softmax_rows(z[i]), got[i]), (rows, n, i)
+
+    def test_kl_rows_match_1d_formula(self):
+        rng = np.random.default_rng(6)
+        for rows, n in self.SHAPES:
+            p = softmax_rows(rng.normal(scale=4.0, size=(rows, n)))
+            # Every other row compares p with a small nudge of itself, where
+            # rounding can push the raw sum below zero.
+            nudge = softmax_rows(np.log(p) + rng.normal(scale=1e-9, size=(rows, n)))
+            other = softmax_rows(rng.normal(scale=4.0, size=(rows, n)))
+            q = np.where((np.arange(rows) % 2 == 0)[:, None], nudge, other)
+            got = kl_rows(p, q)
+            assert got.shape == (rows,)
+            for i in range(rows):
+                assert got[i] == self.kl_1d(p[i], q[i]), (rows, n, i)
+                assert kl_rows(p[i], q[i]) == got[i], (rows, n, i)
+
+    def test_softmax_rows_rejects_non_finite_rows(self):
+        with pytest.raises(EmptyInputError):
+            softmax_rows(np.array([[0.0, 1.0], [np.nan, 0.0]]))
 
 
 class TestTotalVariation:
