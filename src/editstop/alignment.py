@@ -107,34 +107,37 @@ class AlignmentDistribution:
 
 
 def score_alignment(
-    frame: ActivationFrame,
+    acts: np.ndarray,
     reasoning_map: EvolutionVector | SubspaceBasis,
     mode: SimilarityMode = SimilarityMode(),
 ) -> np.ndarray:
-    """Similarity of each visible token's activation to the training map.
+    """Similarity of each row of the ``(n, d)`` array ``acts`` to the training map.
 
-    Returns the ``(n,)`` score array; entry ``i`` scores row ``i``, the
-    activation of ``frame.visible.members[i]``. Every row is scored by one
-    array expression per variant. Zero-norm activations never abort
-    scoring; they are pinned to the mode's minimum score so they cannot
-    win the alignment softmax.
+    Returns the ``(n,)`` score array; entry ``i`` scores row ``i``. A
+    frame's rows are its ``activations``, row ``i`` belonging to
+    ``visible.members[i]``; several frames' rows may be stacked and scored
+    in one call. Every row is scored by one array expression per variant.
+    Zero-norm activations never abort scoring; they are pinned to the
+    mode's minimum score so they cannot win the alignment softmax.
     """
-    if len(frame.visible) == 0:
-        raise EmptyVisibleSetError("cannot score a frame with no visible tokens")
+    if acts.ndim != 2:
+        raise DimMismatchError(f"activations must be 2-D, got shape {acts.shape}")
+    if acts.shape[0] == 0:
+        raise EmptyVisibleSetError("no activation rows to score")
     want_vector = mode.variant is SimilarityVariant.VECTOR_COSINE
     if want_vector and not isinstance(reasoning_map, EvolutionVector):
         raise DimMismatchError("vector_cosine requires an EvolutionVector map")
     if not want_vector and not isinstance(reasoning_map, SubspaceBasis):
         raise DimMismatchError(f"{mode.variant.value} requires a SubspaceBasis map")
-    if frame.d_out != reasoning_map.d_out:
+    if acts.shape[1] != reasoning_map.d_out:
         raise DimMismatchError(
-            f"activation length {frame.d_out} != map dimension {reasoning_map.d_out}"
+            f"activation length {acts.shape[1]} != map dimension {reasoning_map.d_out}"
         )
 
     # Row-wise einsum rather than a BLAS matmul: BLAS blocks rows, so a
     # row's score could change in its last bits with the number of rows
-    # scored alongside it.
-    acts = frame.activations
+    # scored alongside it. The einsum and the ``axis=1`` norm give each row
+    # the same bits whatever the row count.
     if mode.variant is SimilarityVariant.SUBSPACE_NORM:
         scores = np.linalg.norm(np.einsum("ij,jk->ik", acts, reasoning_map.columns), axis=1)
     else:
@@ -162,6 +165,6 @@ def score_frame(
 ) -> AlignmentDistribution:
     """The frame's alignment distribution: the softmax at ``tau_blk`` of
     its ``score_alignment`` scores, over exactly its visible tokens."""
-    scores = score_alignment(frame, reasoning_map, mode)
+    scores = score_alignment(frame.activations, reasoning_map, mode)
     dist = softmax(scores, temperature=tau_blk, support=frame.visible.members)
     return AlignmentDistribution(dist, frame.step)

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .alignment import score_frame
+from .alignment import score_alignment
 from .capture import AdamWConfig, EvolutionVector, SubspaceBasis, build_subspace
 from .certify import (
     DELTA_GRID,
@@ -57,12 +57,13 @@ from .errors import (
     TooFewSamplesError,
 )
 from .generate import BlockResult, GenerateResult, PolicyConfig, generate, repeats_previous
+from .linalg import softmax_rows
 from .model import TapSpec, ToyModel, load_checkpoint, save_checkpoint
 from .monitor import (
     StabilityState,
     StopConfig,
     StopReason,
-    matched_kl,
+    matched_kl_rows,
     trace_to_csv,
     update_counter,
 )
@@ -125,6 +126,21 @@ def _parsing(path: str):
         yield
     except (AttributeError, KeyError, TypeError, ValueError, TooFewSamplesError) as exc:
         raise ArtifactMismatchError(f"malformed {path!r}: {exc!r}") from exc
+
+
+def _json_float(value) -> float:
+    """A JSON number as a float; a string or a bool raises ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
+def _json_int(value) -> int:
+    """A JSON integer; any other value, ``2.0`` and ``true`` included, raises
+    ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
 
 
 def _sample_instances(
@@ -192,9 +208,9 @@ def load_artifacts(config: ExperimentConfig, run_dir: str) -> Artifacts:
         with _parsing(band_path):
             if (stored := payload.get("band")) is not None:
                 band = SftBand(
-                    mu=float(stored["mu"]),
-                    sigma=float(stored["sigma"]),
-                    n_steps=int(stored["n_steps"]),
+                    mu=_json_float(stored["mu"]),
+                    sigma=_json_float(stored["sigma"]),
+                    n_steps=_json_int(stored["n_steps"]),
                 )
     return Artifacts(model=model, vector=vector, basis=basis, band=band, summaries=summaries)
 
@@ -339,12 +355,12 @@ def _read_calibration(path: str | None) -> tuple[Optional[float], Optional[float
     calibration = _read_json(path)
     with _parsing(path):
         alpha_hat = calibration.get("alpha_hat")
-        if alpha_hat is not None and not 0.0 <= alpha_hat < 1.0:
+        if alpha_hat is not None and not 0.0 <= _json_float(alpha_hat) < 1.0:
             alpha_hat = None
         quantile = calibration.get("margin_quantile")
         return (
-            None if alpha_hat is None else float(alpha_hat),
-            None if quantile is None else float(quantile),
+            None if alpha_hat is None else _json_float(alpha_hat),
+            None if quantile is None else _json_float(quantile),
         )
 
 
@@ -814,11 +830,13 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     Such a monitor never changes what gets committed, and freezing is
     off, so the frames a cell scores are those of a fixed-budget run that
     taps its projection. Each evaluation prompt is therefore decoded once,
-    tapping all three projections off each step's one forward, and each
-    projection's four cells score its recorded frames and take the
-    monitor's step divergence (``matched_kl``) between consecutive ones.
-    A frame that repeats the one before (``repeats_previous``) diverges by
-    0.0, as the monitor records it.
+    tapping all three projections off each step's one forward. Each cell
+    scores its projection's distinct frames, stacked, in one
+    ``score_alignment`` call. At each distinct step the 12 cells' scores
+    take one ``softmax_rows`` at ``tau_blk`` and one ``matched_kl_rows``
+    against the previous distinct step: the alignment softmax and the
+    monitor's step divergence, row by row. A frame that repeats the one
+    before (``repeats_previous``) diverges by 0.0, as the monitor records it.
     """
     run_dir = run_dir if run_dir is not None else config.out_dir
     if not os.path.exists(os.path.join(run_dir, CHECKPOINT_FILE)):
@@ -852,18 +870,34 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
             repeats_previous(records[i - 1] if i else None, rec.committed)
             for i, rec in enumerate(records)
         ]
+        distinct = [rec for rec, repeat in zip(records, repeats) if not repeat]
+        cell_scores = []
         for which, proj in enumerate(ABLATION_PROJECTIONS):
-            for adapter, reduction in product(ABLATION_ADAPTERS, ABLATION_REDUCTIONS):
-                site = (proj, adapter, reduction)
-                prev = None
-                for rec, repeat in zip(records, repeats):
-                    if repeat:
-                        divergences[site].append(0.0)
-                        continue
-                    dist = score_frame(rec.frames[which], vectors[site], mode, config.tau_blk).dist
-                    if prev is not None:
-                        divergences[site].append(matched_kl(dist, prev))
-                    prev = dist
+            # One projection's frames at a time, so one stack is held.
+            stacked = np.concatenate([rec.frames[which].activations for rec in distinct])
+            cell_scores += [
+                score_alignment(stacked, vectors[proj, adapter, reduction], mode)
+                for adapter, reduction in product(ABLATION_ADAPTERS, ABLATION_REDUCTIONS)
+            ]
+        # Row c scores cell ABLATION_SITES[c]; each distinct step owns the
+        # next columns.
+        scores = np.stack(cell_scores)
+        rows: list[list[float]] = []
+        prev_probs = prev_members = None
+        lo = 0
+        for rec, repeat in zip(records, repeats):
+            if repeat:
+                rows.append([0.0] * len(ABLATION_SITES))
+                continue
+            members = rec.frame.visible.members
+            probs = softmax_rows(scores[:, lo : lo + len(members)] / config.tau_blk)
+            lo += len(members)
+            if prev_probs is not None:
+                idx = np.searchsorted(members, prev_members)
+                rows.append(matched_kl_rows(probs, prev_probs, idx).tolist())
+            prev_probs, prev_members = probs, members
+        for site, column in zip(ABLATION_SITES, zip(*rows)):
+            divergences[site].extend(column)
 
     cells = [
         {

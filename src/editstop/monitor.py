@@ -3,10 +3,11 @@
 Alignment distributions arrive one per denoising step. Unmasking is
 monotone, so consecutive distributions share the earlier one's visible
 support: both are restricted to it and renormalized, the step-wise KL
-divergence is computed on index arrays (``matched_kl``), and a run-length
-counter tracks how many consecutive steps stayed strictly below the
-divergence threshold. The first time the counter reaches the required
-span, the block is declared stable and denoising stops.
+divergence is computed on index arrays (``matched_kl``, the one-row case
+of ``matched_kl_rows``), and a run-length counter tracks how many
+consecutive steps stayed strictly below the divergence threshold. The
+first time the counter reaches the required span, the block is declared
+stable and denoising stops.
 """
 
 from __future__ import annotations
@@ -86,17 +87,28 @@ class StabilityState:
         return self.divergence_trace[-1].step if self.divergence_trace else None
 
 
-def matched_kl(curr: ProbVector, prev: ProbVector) -> float:
-    """KL of ``curr`` from ``prev`` on ``prev``'s support, a subset of ``curr``'s.
+def matched_kl_rows(curr: np.ndarray, prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row-wise KL of ``curr`` ``(n, k)`` from ``prev`` ``(n, j)`` on prev's support.
 
-    Both are restricted to that support and renormalized, floored at
-    ``PROB_FLOOR``, and handed to ``kl_rows``. Supports are sorted, so
-    ``searchsorted`` finds ``prev``'s members in ``curr``.
+    ``idx`` holds the ``j`` columns of ``curr`` that carry prev's support
+    members. Each side is restricted to that support and renormalized,
+    floored at ``PROB_FLOOR`` and handed to ``kl_rows``; returns ``(n,)``.
     """
-    sub = curr.probs[np.searchsorted(curr.support, prev.support)]
-    p = np.maximum(sub / float(sub.sum()), PROB_FLOOR)
-    q = np.maximum(prev.probs / float(prev.probs.sum()), PROB_FLOOR)
-    return float(kl_rows(p, q))
+    # A column gather comes back column-major, and a row sum over it
+    # differs in the last bits from the sum of that row alone; a row-major
+    # copy keeps row ``i`` bit for bit the one-row result.
+    sub = np.ascontiguousarray(curr[:, idx])
+    p = np.maximum(sub / sub.sum(axis=-1, keepdims=True), PROB_FLOOR)
+    q = np.maximum(prev / prev.sum(axis=-1, keepdims=True), PROB_FLOOR)
+    return kl_rows(p, q)
+
+
+def matched_kl(curr: ProbVector, prev: ProbVector) -> float:
+    """KL of ``curr`` from ``prev`` on ``prev``'s support, a subset of
+    ``curr``'s: the one-row ``matched_kl_rows``. Supports are sorted, so
+    ``searchsorted`` finds ``prev``'s members in ``curr``."""
+    idx = np.searchsorted(curr.support, prev.support)
+    return float(matched_kl_rows(curr.probs[None], prev.probs[None], idx)[0])
 
 
 def update_counter(

@@ -25,6 +25,11 @@ def unit_map(d=2) -> EvolutionVector:
     return EvolutionVector(u, "m", 4)
 
 
+def rows_of(vectors: dict[int, np.ndarray]) -> np.ndarray:
+    """The ``(n, d)`` activation rows of ``frame_from(vectors)``."""
+    return frame_from(vectors).activations
+
+
 def cosine_frame(cosines: dict[int, float], step: int = 0) -> ActivationFrame:
     """Frame whose rows score ``cosines`` against ``unit_map()``."""
     return frame_from({s: np.array([c, np.sqrt(1.0 - c * c)]) for s, c in cosines.items()}, step)
@@ -62,14 +67,14 @@ class TestScoreAlignment:
     def test_identical_vector_scores_one(self):
         u = np.array([0.3, 0.4, 0.5])
         scores = score_alignment(
-            frame_from({2: u.copy()}), EvolutionVector(u, "m", 4)
+            rows_of({2: u.copy()}), EvolutionVector(u, "m", 4)
         )
         assert scores.shape == (1,)
         assert scores[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_cosine_example(self):
         scores = score_alignment(
-            frame_from({0: np.array([3.0, 4.0])}),
+            rows_of({0: np.array([3.0, 4.0])}),
             EvolutionVector(np.array([4.0, 3.0]), "m", 4),
         )
         assert scores[0] == pytest.approx(0.96, abs=1e-12)
@@ -78,12 +83,12 @@ class TestScoreAlignment:
         rng = np.random.default_rng(60)
         u = EvolutionVector(rng.random(6) + 0.1, "m", 4)
         for _ in range(200):
-            scores = score_alignment(frame_from({0: rng.normal(size=6)}), u)
+            scores = score_alignment(rows_of({0: rng.normal(size=6)}), u)
             assert -1.0 <= scores[0] <= 1.0
 
     def test_zero_activation_gets_cosine_minimum(self):
         scores = score_alignment(
-            frame_from({0: np.zeros(2), 1: np.array([1.0, 0.0])}), unit_map()
+            rows_of({0: np.zeros(2), 1: np.array([1.0, 0.0])}), unit_map()
         )
         assert scores[0] == -1.0
         assert scores[1] == pytest.approx(1.0)
@@ -93,14 +98,14 @@ class TestScoreAlignment:
         basis = build_subspace(rng.normal(size=(8, 4)), 2, "m")
         f = rng.normal(size=8)
         mode = SimilarityMode(SimilarityVariant.SUBSPACE_NORM)
-        scores = score_alignment(frame_from({0: f}), basis, mode)
+        scores = score_alignment(rows_of({0: f}), basis, mode)
         assert scores[0] == pytest.approx(np.linalg.norm(basis.columns.T @ f), rel=1e-12)
 
     def test_subspace_cosine_orthogonal_is_zero(self):
         basis = build_subspace(np.eye(4, 2), 2, "m")
         f = np.array([0.0, 0.0, 1.0, 2.0])
         mode = SimilarityMode(SimilarityVariant.SUBSPACE_COSINE)
-        scores = score_alignment(frame_from({0: f}), basis, mode)
+        scores = score_alignment(rows_of({0: f}), basis, mode)
         assert scores[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_subspace_cosine_in_unit_interval(self):
@@ -108,14 +113,14 @@ class TestScoreAlignment:
         basis = build_subspace(rng.normal(size=(8, 4)), 3, "m")
         mode = SimilarityMode(SimilarityVariant.SUBSPACE_COSINE)
         for _ in range(300):
-            scores = score_alignment(frame_from({0: rng.normal(size=8)}), basis, mode)
+            scores = score_alignment(rows_of({0: rng.normal(size=8)}), basis, mode)
             assert 0.0 <= scores[0] <= 1.0
 
     def test_zero_activation_gets_subspace_minimum(self):
         basis = build_subspace(np.eye(4, 2), 2, "m")
         for variant in (SimilarityVariant.SUBSPACE_NORM, SimilarityVariant.SUBSPACE_COSINE):
             scores = score_alignment(
-                frame_from({0: np.zeros(4)}), basis, SimilarityMode(variant)
+                rows_of({0: np.zeros(4)}), basis, SimilarityMode(variant)
             )
             assert scores[0] == 0.0
 
@@ -130,8 +135,8 @@ class TestScoreAlignment:
             (u, SimilarityMode()),
             (basis, SimilarityMode(SimilarityVariant.SUBSPACE_COSINE)),
         ]:
-            s1 = score_alignment(frame_from(vecs), reasoning_map, mode)
-            s2 = score_alignment(frame_from(scaled), reasoning_map, mode)
+            s1 = score_alignment(rows_of(vecs), reasoning_map, mode)
+            s2 = score_alignment(rows_of(scaled), reasoning_map, mode)
             np.testing.assert_allclose(s1, s2, rtol=0, atol=1e-12)
 
     def test_subspace_norm_scales_with_activation(self):
@@ -139,25 +144,25 @@ class TestScoreAlignment:
         basis = build_subspace(rng.normal(size=(5, 3)), 2, "m")
         f = rng.normal(size=5)
         mode = SimilarityMode(SimilarityVariant.SUBSPACE_NORM)
-        s1 = score_alignment(frame_from({0: f}), basis, mode)[0]
-        s2 = score_alignment(frame_from({0: 3.0 * f}), basis, mode)[0]
+        s1 = score_alignment(rows_of({0: f}), basis, mode)[0]
+        s2 = score_alignment(rows_of({0: 3.0 * f}), basis, mode)[0]
         assert s2 == pytest.approx(3.0 * s1, rel=1e-12)
 
     def test_map_rescaling_preserves_vector_cosine(self):
         rng = np.random.default_rng(65)
         base = rng.random(6) + 0.1
         vecs = {i: rng.normal(size=6) for i in range(3)}
-        s1 = score_alignment(frame_from(vecs), EvolutionVector(base, "m", 4))
-        s2 = score_alignment(frame_from(vecs), EvolutionVector(4.2 * base, "m", 4))
+        s1 = score_alignment(rows_of(vecs), EvolutionVector(base, "m", 4))
+        s2 = score_alignment(rows_of(vecs), EvolutionVector(4.2 * base, "m", 4))
         np.testing.assert_allclose(s1, s2, rtol=0, atol=1e-12)
 
     def test_extending_visible_set_keeps_existing_scores(self):
         rng = np.random.default_rng(66)
         u = EvolutionVector(rng.random(4) + 0.1, "m", 4)
         vecs = {0: rng.normal(size=4), 2: rng.normal(size=4)}
-        before = score_alignment(frame_from(vecs), u)
+        before = score_alignment(rows_of(vecs), u)
         vecs[3] = rng.normal(size=4)
-        after = score_alignment(frame_from(vecs), u)
+        after = score_alignment(rows_of(vecs), u)
         # Tokens 0 and 2 are rows 0 and 1 of both frames.
         assert before.tolist() == after[:2].tolist()
 
@@ -173,7 +178,7 @@ class TestScoreAlignment:
             (basis, SimilarityVariant.SUBSPACE_COSINE),
         ]:
             mode = SimilarityMode(variant)
-            got = score_alignment(frame_from(vecs), reasoning_map, mode)
+            got = score_alignment(rows_of(vecs), reasoning_map, mode)
             want = reference_scores(vecs, reasoning_map, mode)
             # Row i scores members[i], the tokens in increasing order.
             members = sorted(vecs)
@@ -183,17 +188,42 @@ class TestScoreAlignment:
                 got, [want[s] for s in members], rtol=1e-12, atol=1e-15
             )
 
+    def test_stacked_frames_score_as_one_call_per_frame(self):
+        # Frames of 1..16 rows (136 in all), some rows zero, scored in one
+        # call over their stacked rows give each frame's own scores.
+        rng = np.random.default_rng(77)
+        u = EvolutionVector(rng.random(64) + 0.1, "m", 4)
+        basis = build_subspace(rng.normal(size=(64, 8)), 3, "m")
+        frames = [rng.normal(size=(n, 64)) for n in range(1, 17)]
+        for n, row in ((1, 0), (4, 2), (16, 15)):
+            frames[n - 1][row] = 0.0
+        stacked = np.concatenate(frames)
+        bounds = np.cumsum([len(f) for f in frames])[:-1]
+        for reasoning_map, variant in [
+            (u, SimilarityVariant.VECTOR_COSINE),
+            (basis, SimilarityVariant.SUBSPACE_NORM),
+            (basis, SimilarityVariant.SUBSPACE_COSINE),
+        ]:
+            mode = SimilarityMode(variant)
+            parts = np.split(score_alignment(stacked, reasoning_map, mode), bounds)
+            for frame, part in zip(frames, parts):
+                assert part.tobytes() == score_alignment(frame, reasoning_map, mode).tobytes()
+
+    def test_rows_must_be_two_dimensional(self):
+        with pytest.raises(DimMismatchError):
+            score_alignment(np.ones(2), unit_map())
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimMismatchError):
-            score_alignment(frame_from({0: np.ones(3)}), unit_map(2))
+            score_alignment(rows_of({0: np.ones(3)}), unit_map(2))
 
     def test_map_kind_must_match_mode(self):
         basis = build_subspace(np.eye(4, 2), 2, "m")
         with pytest.raises(DimMismatchError):
-            score_alignment(frame_from({0: np.ones(4)}), basis, SimilarityMode())
+            score_alignment(rows_of({0: np.ones(4)}), basis, SimilarityMode())
         with pytest.raises(DimMismatchError):
             score_alignment(
-                frame_from({0: np.ones(2)}),
+                rows_of({0: np.ones(2)}),
                 unit_map(),
                 SimilarityMode(SimilarityVariant.SUBSPACE_NORM),
             )
@@ -244,7 +274,7 @@ class TestScoreFrame:
         u = EvolutionVector(rng.random(4) + 0.1, "m", 4)
         frame = frame_from({i: rng.normal(size=4) for i in (0, 2, 5)}, step=7)
         d = score_frame(frame, u, tau_blk=0.7)
-        manual = softmax(score_alignment(frame, u), 0.7, frame.visible.members)
+        manual = softmax(score_alignment(frame.activations, u), 0.7, frame.visible.members)
         np.testing.assert_array_equal(d.dist.probs, manual.probs)
         assert d.dist.support == manual.support == (0, 2, 5)
         assert d.step == 7

@@ -129,8 +129,10 @@ class TestMalformedArtifacts:
             {"band": {"mu": 1.0, "sigma": -1, "n_steps": 5}},
             {"band": {"mu": 1.0, "sigma": 0.5, "n_steps": 1}},
             [1.0, 0.5, 5],
+            # Strings, bools and fractional step counts are not coerced.
+            {"band": {"mu": "0.01", "sigma": True, "n_steps": 2.9}},
         ],
-        ids=["missing_sigma", "negative_sigma", "one_step", "list"],
+        ids=["missing_sigma", "negative_sigma", "one_step", "list", "non_numbers"],
     )
     def test_malformed_band_exits_three(self, trained_cli, tmp_path, capsys, band):
         cfg_path, run_dir = trained_cli
@@ -144,8 +146,14 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize(
         "calibration",
-        [{"alpha_hat": "x"}, {"margin_quantile": "abc"}, [0.5, 0.1]],
-        ids=["text_alpha_hat", "text_margin_quantile", "list"],
+        [
+            {"alpha_hat": "x"},
+            {"margin_quantile": "abc"},
+            [0.5, 0.1],
+            # A quoted quantile and a bool contraction are not coerced.
+            {"margin_quantile": "0.5", "alpha_hat": False},
+        ],
+        ids=["text_alpha_hat", "text_margin_quantile", "list", "non_numbers"],
     )
     def test_malformed_calibration_exits_three(
         self, trained_cli, tmp_path, capsys, calibration

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from helpers import count_forwards, reference_ablation_cells, reference_utility_table
 
-from editstop import harness
+from editstop import alignment, harness, linalg
 from editstop.capture import AdamWConfig
 from editstop.certify import margin_quantile
 from editstop.config import ExperimentConfig
@@ -472,19 +473,22 @@ ABLATION_SMALL = dict(train_steps=80, eval_instances=4, budget=8)
 @pytest.fixture(scope="module")
 def ablation(tmp_path_factory):
     """cmd_ablate on a trained run, recording its sft_train, generate and
-    score_frame calls."""
+    score_alignment calls and any score_frame call."""
     run_dir = str(tmp_path_factory.mktemp("ablate"))
     cfg = small_config(run_dir, **ABLATION_SMALL)
     cmd_train(cfg)
     trained: list = []
     runs: list = []
     scored: list = []
+    framed: list = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "sft_train", recording(harness.sft_train, trained))
         mp.setattr(harness, "generate", recording(harness.generate, runs))
-        mp.setattr(harness, "score_frame", recording(harness.score_frame, scored))
+        mp.setattr(harness, "score_alignment", recording(harness.score_alignment, scored))
+        for owner in (alignment, importlib.import_module("editstop.generate")):
+            mp.setattr(owner, "score_frame", recording(owner.score_frame, framed))
         payload = cmd_ablate(cfg)
-    return cfg, run_dir, payload, trained, runs, scored
+    return cfg, run_dir, payload, trained, runs, scored, framed
 
 
 class TestAblate:
@@ -539,21 +543,20 @@ class TestAblate:
     def test_ablate_reads_the_trained_run(self, ablation):
         assert ablation[3] == []  # no sft_train call
 
-    def test_scores_each_distinct_frame_once(self, ablation):
-        # Each distinct step of the one run per prompt is scored by the 12
-        # cells: four per projection, each on its own projection's frame.
-        runs, scored = ablation[4], ablation[5]
-        distinct = 0
-        total = 0
+    def test_scores_each_cell_once_per_prompt(self, ablation):
+        # No frame is scored on its own: each of the 12 cells scores its
+        # projection's distinct frames of a prompt, stacked, in one call.
+        runs, scored, framed = ablation[4:7]
+        distinct_rows = 0
         for run in runs:
             prev = None
             for rec in run.blocks[0].trajectory.records:
                 key = (rec.frame.visible.members, rec.frame.activations.tobytes())
-                distinct += key != prev
-                total += 1
+                distinct_rows += len(rec.frame.visible) if key != prev else 0
                 prev = key
-        assert distinct < total
-        assert len(scored) == 12 * distinct
+        assert framed == []
+        assert len(scored) == 12 * len(runs)
+        assert sum(len(scores) for scores in scored) == 12 * distinct_rows
 
     def test_standalone_run_trains_first(self, ablation, tmp_path):
         # An empty directory is trained first, then ablated like a trained run.
@@ -651,6 +654,32 @@ class TestForwardCounts:
         assert payload["forward_passes"] == 16 * 17 == 272
         stored = json.load(open(os.path.join(str(tmp_path), ABLATION_JSON)))
         assert stored["forward_passes"] == 272
+
+    def test_default_ablate_work_counts(self, tmp_path, monkeypatch):
+        # Each of the 16 prompts has 17 distinct frames over its 32 steps.
+        # Scoring is counted per cell and prompt, and the softmax and the
+        # step divergence per distinct step; no ProbVector is built.
+        cfg = ExperimentConfig(train_steps=20, out_dir=str(tmp_path))
+        cmd_train(cfg)
+        built = []
+        real_init = linalg.ProbVector.__init__
+
+        def counting_init(obj, *args, **kwargs):
+            real_init(obj, *args, **kwargs)
+            built.append(obj)
+
+        monkeypatch.setattr(linalg.ProbVector, "__init__", counting_init)
+        forwards = count_forwards(monkeypatch)
+        scored, softmaxes, kls = (
+            count_forwards(monkeypatch, "editstop.harness", name)
+            for name in ("score_alignment", "softmax_rows", "matched_kl_rows")
+        )
+        payload = cmd_ablate(cfg)
+        assert len(built) == 0
+        assert len(scored) == 12 * 16 == 192
+        assert len(softmaxes) == 17 * 16 == 272
+        assert len(kls) == 16 * 16 == 256
+        assert len(forwards) == payload["forward_passes"] == 272
 
     def test_infer_records_forward_passes(self, trained_run, tmp_path, monkeypatch):
         cfg, artifacts_dir = trained_run

@@ -21,12 +21,14 @@ from helpers import (
 from editstop.alignment import SimilarityMode, score_frame
 from editstop.capture import EvolutionVector
 from editstop.errors import EmptyIntersectionError, NonMonotoneVisibleSetError
+from editstop.linalg import ProbVector, softmax_rows
 from editstop.monitor import (
     StabilityMonitor,
     StabilityState,
     StopConfig,
     StopReason,
     matched_kl,
+    matched_kl_rows,
     trace_to_csv,
     update_counter,
 )
@@ -170,6 +172,30 @@ class TestMatchedKl:
             monitor_divergence(curr, prev) for prev, curr in zip(chain, chain[1:])
         ]
         assert [r.matched_support for r in rows] == list(range(1, 16))
+
+
+class TestMatchedKlRows:
+    """Row ``i`` of ``matched_kl_rows`` is ``matched_kl`` of row ``i``'s
+    distributions, bit for bit. The column gather comes back column-major,
+    and its row sums differ in the last bits from one row's sum unless the
+    gather is copied to row-major first."""
+
+    @pytest.mark.parametrize("n_rows", [12, 192])
+    def test_rows_match_one_row_calls(self, n_rows):
+        rng = np.random.default_rng(94 + n_rows)
+        for k in range(2, 17):
+            support = tuple(sorted(rng.choice(40, size=k, replace=False).tolist()))
+            # The newest member joins first, mid-support or last.
+            for joined in sorted({0, k // 2, k - 1}):
+                kept = support[:joined] + support[joined + 1 :]
+                curr = softmax_rows(3.0 * rng.normal(size=(n_rows, k)))
+                prev = softmax_rows(3.0 * rng.normal(size=(n_rows, k - 1)))
+                got = matched_kl_rows(curr, prev, np.searchsorted(support, kept))
+                assert got.shape == (n_rows,)
+                assert got.tolist() == [
+                    matched_kl(ProbVector(c, support), ProbVector(q, kept))
+                    for c, q in zip(curr, prev)
+                ], (k, joined)
 
 
 class TestUpdateCounter:
