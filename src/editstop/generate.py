@@ -14,7 +14,8 @@ rows that the freezer and the alignment scorer read whole.
 
 ``forward`` is deterministic in the tokens, so it runs only at step 1 and
 after a step that committed a slot; other steps reuse its outputs exactly.
-It returns only the block's rows, so its last layer skips the prefix rows.
+It returns only the block's rows, so its last layer skips the prefix rows,
+and runs on the model's ``merged_projections``, built once per ``generate``.
 One forward emits every requested tap (``taps``), so extra taps cost no
 forward; the first tap's frame is the one scored and frozen. ``record=True``
 keeps each step's recorded forward for the offline pseudo-gradient.
@@ -55,7 +56,14 @@ from .capture import EvolutionVector, SubspaceBasis
 from .certify import Certificate, MarginReport, build_certificate
 from .errors import ScheduleExhaustedError
 from .freeze import FreezeConfig, FreezeEvent, TokenFreezer
-from .model import ForwardResult, ToyModel, TapSpec, forward, predictive_distributions
+from .model import (
+    ForwardResult,
+    ToyModel,
+    TapSpec,
+    forward,
+    merged_projections,
+    predictive_distributions,
+)
 from .monitor import StabilityMonitor, StabilityState, StopConfig, StopDecision, StopReason
 
 POLICY_KINDS = ("fixed", "edit", "edit_freeze")
@@ -237,6 +245,7 @@ def denoise_block(
     freeze_basis: SubspaceBasis | None = None,
     alpha_hat: float | None = None,
     record: bool = False,
+    merged: tuple[np.ndarray, ...] | None = None,
 ) -> BlockResult:
     """Denoise one block given all earlier tokens.
 
@@ -250,6 +259,8 @@ def denoise_block(
     one forward: ``taps[0]`` gives the scored and frozen ``StepRecord.frame``,
     the rest raw ``other_frames`` over the same visible set. ``record``
     keeps each step's recorded forward on ``trajectory.forwards``.
+    Every forward runs on ``merged``, the model's ``merged_projections``,
+    built here when not given.
     """
     policy = policy if policy is not None else PolicyConfig()
     mode = mode if mode is not None else SimilarityMode()
@@ -274,6 +285,7 @@ def denoise_block(
         raise ValueError(f"taps must be nonempty and distinct, got {taps}")
     monitor = StabilityMonitor(policy.stop) if policy.monitored else None
     freezer = TokenFreezer(freeze_basis, policy.freeze) if policy.freezing else None
+    merged = merged if merged is not None else merged_projections(model)
 
     lo = block_index * L
     tokens = np.concatenate([prefix, np.full(L, cfg.mask_id, dtype=np.int64)])
@@ -293,7 +305,9 @@ def denoise_block(
     for step in range(1, budget + 1):
         # Rerun forward only when the last step changed the tokens.
         if step == 1 or newly:
-            result = forward(model, tokens[None, :], taps=taps, record=record, first_row=lo)
+            result = forward(
+                model, tokens[None, :], taps=taps, record=record, first_row=lo, merged=merged
+            )
             forward_passes += 1
             tap_rows, *other_rows = (result.taps[t][0] for t in taps)
             probs = predictive_distributions(result.logits[0], cfg.vocab_size)
@@ -408,7 +422,8 @@ def generate(
     record: bool = False,
 ) -> GenerateResult:
     """Denoise every block after the prompt, left to right; each block
-    records ``taps`` (and with ``record`` its forwards) as :func:`denoise_block` does."""
+    records ``taps`` (and with ``record`` its forwards) as :func:`denoise_block` does.
+    The model's ``merged_projections`` are built once and serve every block."""
     policy = policy if policy is not None else PolicyConfig()
     cfg = model.cfg
     L = cfg.block_length
@@ -422,6 +437,7 @@ def generate(
     if seq_len > cfg.max_positions:
         raise ValueError(f"seq_len {seq_len} exceeds {cfg.max_positions} positions")
 
+    merged = merged_projections(model)
     tokens = prompt.copy()
     blocks: list[BlockResult] = []
     for block_index in range(prompt.size // L, seq_len // L):
@@ -437,6 +453,7 @@ def generate(
             freeze_basis=freeze_basis,
             alpha_hat=alpha_hat,
             record=record,
+            merged=merged,
         )
         tokens = np.concatenate([tokens, np.asarray(block.trajectory.tokens)])
         blocks.append(block)

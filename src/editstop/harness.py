@@ -143,6 +143,14 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_real(value) -> float:
+    """A real written as text (``fmt_real``) or as a JSON number; a bool
+    raises ``TypeError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a real, got {value!r}")
+    return float(value)
+
+
 def _sample_instances(
     task: SyntheticTask, seed_key: Sequence[int], count: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -781,19 +789,21 @@ def cmd_certify(
                     continue
                 n_stops += 1
                 margin = MarginReport(
-                    argmax_index=int(stored["argmax_index"]),
-                    margin=float(stored["margin"]),
-                    step=int(stored["margin_step"]),
-                    support_size=int(stored["support_size"]),
+                    argmax_index=_json_int(stored["argmax_index"]),
+                    margin=_json_real(stored["margin"]),
+                    step=_json_int(stored["margin_step"]),
+                    support_size=_json_int(stored["support_size"]),
                 )
-                cert = _recertify(int(stored["stop_step"]), margin, stop_cfg, alpha_hat, quantile)
+                cert = _recertify(
+                    _json_int(stored["stop_step"]), margin, stop_cfg, alpha_hat, quantile
+                )
                 n_local += int(cert.local_pass)
                 n_global += int(cert.global_pass is True)
                 n_pac += int(cert.pac_pass is True)
                 entries.append(
                     {
                         "trace": name,
-                        "block_index": block["block_index"],
+                        "block_index": _json_int(block["block_index"]),
                         "certificate": cert.to_json_dict(),
                     }
                 )
@@ -825,7 +835,9 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     cell scores the chosen projection's own activations against the row
     summary that ``cmd_train`` stored for that site, under a
     never-stopping monitor (threshold zero), so the recorded per-step
-    divergences describe alignment stability.
+    divergences describe alignment stability. The summaries are
+    ``EvolutionVector``s, so the cells are scored under ``vector_cosine``
+    whatever the config's ``similarity``.
 
     Such a monitor never changes what gets committed, and freezing is
     off, so the frames a cell scores are those of a fixed-budget run that
@@ -841,7 +853,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     run_dir = run_dir if run_dir is not None else config.out_dir
     if not os.path.exists(os.path.join(run_dir, CHECKPOINT_FILE)):
         cmd_train(config, run_dir)
-    artifacts, task, mode, _ = _load_setup(config, run_dir)
+    artifacts, task, _, _ = _load_setup(config, run_dir)
     vectors = {
         site: _summary(artifacts.summaries, _ablation_capture(config, site).metadata_id)
         for site in ABLATION_SITES
@@ -876,7 +888,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
             # One projection's frames at a time, so one stack is held.
             stacked = np.concatenate([rec.frames[which].activations for rec in distinct])
             cell_scores += [
-                score_alignment(stacked, vectors[proj, adapter, reduction], mode)
+                score_alignment(stacked, vectors[proj, adapter, reduction])
                 for adapter, reduction in product(ABLATION_ADAPTERS, ABLATION_REDUCTIONS)
             ]
         # Row c scores cell ABLATION_SITES[c]; each distinct step owns the

@@ -4,7 +4,9 @@ The base network is frozen at construction; only the rank-r adapter
 pairs on the query/key/value projections train. The forward pass can
 record every intermediate needed for a hand-written reverse pass over
 the adapter parameters, and can tap the adapter-branch output of any
-attention projection as per-position activation vectors.
+attention projection as per-position activation vectors. Decoding runs
+it on ``merged_projections``, the adapters folded into the frozen
+weights; training runs it factored.
 
 The base initialization is structured rather than fully random: token
 identity occupies the leading embedding dimensions, a two-frequency
@@ -249,12 +251,31 @@ def _softmax_last(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def merged_projections(model: ToyModel) -> tuple[np.ndarray, ...]:
+    """The adapted q/k/v weights of every block with the adapters folded in.
+
+    Entry ``b`` is the ``(3 * d_model, d_model)`` stack of ``W + B @ A`` for
+    ``PROJECTIONS`` in order, so one GEMM gives a layer's three projections
+    and a slice of rows gives any of them. Built from the current
+    parameters: rebuild after the adapters change.
+    """
+    return tuple(
+        np.concatenate([
+            model.base[f"block{b}.w{proj}"]
+            + model.lora[lora_param_key(b, proj, "b")] @ model.lora[lora_param_key(b, proj, "a")]
+            for proj in PROJECTIONS
+        ])
+        for b in range(model.cfg.n_blocks)
+    )
+
+
 def forward(
     model: ToyModel,
     tokens: np.ndarray,
     taps: tuple[TapSpec, ...] = (),
     record: bool = False,
     first_row: int = 0,
+    merged: tuple[np.ndarray, ...] | None = None,
 ) -> ForwardResult:
     """Full-sequence forward pass.
 
@@ -268,6 +289,15 @@ def forward(
     every layer's keys and values still cover all rows. The kept rows match
     the full pass to rounding, not bit for bit; so do the gradients of a
     recorded block-row pass.
+
+    Without ``merged`` every projection runs factored, ``x @ W.T`` plus its
+    adapter branch ``(x @ A.T) @ B.T``, as training differentiates it. With
+    ``merged``, :func:`merged_projections` of this model, a layer makes one
+    projection GEMM per row range: q, k and v together, or in the last layer
+    k and v over every row and q over rows ``first_row:``. Only a tapped
+    projection then computes its adapter branch, on rows ``first_row:``, and
+    ``record=True`` adds each projection's ``x @ A.T``. The outputs match
+    the factored pass to rounding, not bit for bit.
     """
     cfg = model.cfg
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -287,6 +317,11 @@ def forward(
         raise ValueError(f"sequence length {t} exceeds {cfg.max_positions} positions")
     if not 0 <= first_row < t:
         raise ValueError(f"first_row {first_row} outside [0, {t})")
+    d = cfg.d_model
+    if merged is not None and (
+        len(merged) != cfg.n_blocks or any(w.shape != (3 * d, d) for w in merged)
+    ):
+        raise ValueError(f"merged must hold {cfg.n_blocks} ({3 * d}, {d}) weight stacks")
     by_block: dict[int, list[TapSpec]] = {}
     for spec in taps:
         blk, _ = parse_module_path(spec.module)
@@ -301,30 +336,56 @@ def forward(
     for b in range(cfg.n_blocks):
         x_in = x
         q_from = first_row if b == cfg.n_blocks - 1 else 0
-        full = {}
         cache_b = {"x_in": x_in} if record else None
-        for proj in PROJECTIONS:
-            w = model.base[f"block{b}.w{proj}"]
-            a = model.lora[lora_param_key(b, proj, "a")]
-            bb = model.lora[lora_param_key(b, proj, "b")]
-            start = q_from if proj == "q" else 0
-            ax = x_in[:, start:] @ a.T
-            branch = ax @ bb.T
-            full[proj] = x_in[:, start:] @ w.T + branch
+        if merged is None:
+            full = {}
+            for proj in PROJECTIONS:
+                w = model.base[f"block{b}.w{proj}"]
+                a = model.lora[lora_param_key(b, proj, "a")]
+                bb = model.lora[lora_param_key(b, proj, "b")]
+                start = q_from if proj == "q" else 0
+                ax = x_in[:, start:] @ a.T
+                branch = ax @ bb.T
+                full[proj] = x_in[:, start:] @ w.T
+                full[proj] += branch
+                for spec in by_block.get(b, ()):
+                    if spec.module == module_path(b, proj):
+                        tap_out[spec] = branch[:, first_row - start:]
+                if record:
+                    cache_b[f"ax_{proj}"] = ax
+        else:
+            w = merged[b]
+            if q_from:
+                kv = x_in @ w[d:].T
+                full = {"q": x_in[:, q_from:] @ w[:d].T, "k": kv[..., :d], "v": kv[..., d:]}
+            else:
+                qkv = x_in @ w.T
+                full = {"q": qkv[..., :d], "k": qkv[..., d : 2 * d], "v": qkv[..., 2 * d :]}
             for spec in by_block.get(b, ()):
-                if spec.module == module_path(b, proj):
-                    tap_out[spec] = branch[:, first_row - start:]
+                _, proj = parse_module_path(spec.module)
+                a, bb = (model.lora[lora_param_key(b, proj, ad)] for ad in ADAPTERS)
+                tap_out[spec] = (x_in[:, first_row:] @ a.T) @ bb.T
             if record:
-                cache_b[f"ax_{proj}"] = ax
+                for proj in PROJECTIONS:
+                    start = q_from if proj == "q" else 0
+                    a = model.lora[lora_param_key(b, proj, "a")]
+                    cache_b[f"ax_{proj}"] = x_in[:, start:] @ a.T
         qh = _split_heads(full["q"], cfg.n_heads, cfg.head_dim)
         kh = _split_heads(full["k"], cfg.n_heads, cfg.head_dim)
         vh = _split_heads(full["v"], cfg.n_heads, cfg.head_dim)
-        attn = _softmax_last(qh @ kh.swapaxes(-1, -2) * scale)
-        merged = _merge_heads(attn @ vh)
-        x_mid = x_in[:, q_from:] + merged @ model.base[f"block{b}.wo"].T
-        h1 = x_mid @ model.base[f"block{b}.w1"].T
-        t1 = np.tanh(h1)
-        x = x_mid + t1 @ model.base[f"block{b}.w2"].T
+        # Softmax in place: the same operations, in the same order, as
+        # ``_softmax_last(qh @ kh.T * scale)``, with no temporaries.
+        attn = qh @ kh.swapaxes(-1, -2)
+        attn *= scale
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        x_mid = _merge_heads(attn @ vh) @ model.base[f"block{b}.wo"].T
+        x_mid += x_in[:, q_from:]
+        t1 = x_mid @ model.base[f"block{b}.w1"].T
+        np.tanh(t1, out=t1)
+        x = t1 @ model.base[f"block{b}.w2"].T
+        x += x_mid
         if record:
             cache_b.update(q=qh, k=kh, v=vh, attn=attn, t1=t1)
             block_caches.append(cache_b)

@@ -36,6 +36,7 @@ from editstop.errors import (
     EmptyIntersectionError,
     MissingStepError,
     SupportMismatchError,
+    VocabOverflowError,
     WindowTooShortError,
     ZeroNormError,
 )
@@ -51,14 +52,128 @@ from editstop.harness import (
 from editstop.linalg import NORM_FLOOR, ProbVector, kl_divergence, softmax, total_variation
 from editstop.metaformat import load_metadata
 from editstop.model import (
+    PROJECTIONS,
+    ForwardResult,
     TapSpec,
+    ToyModel,
     backward_lora,
     forward,
     load_checkpoint,
+    lora_param_key,
+    merged_projections,
+    module_path,
+    parse_module_path,
     predictive_distributions,
 )
 from editstop.monitor import StabilityMonitor, StopConfig
 from editstop.tasks import make_task
+
+
+# --- the out-of-place forward pass --------------------------------------------
+#
+# ``model.forward`` as it ran before its attention and MLP worked in place and
+# before it took merged projection weights, verbatim but for its name. Without
+# ``merged``, ``forward`` must match it bit for bit.
+
+
+def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
+    n, t, _ = x.shape
+    return x.reshape(n, t, n_heads, head_dim).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    n, h, t, hd = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(n, t, h * hd)
+
+
+def _softmax_last(scores: np.ndarray) -> np.ndarray:
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_forward(
+    model: ToyModel,
+    tokens: np.ndarray,
+    taps: tuple[TapSpec, ...] = (),
+    record: bool = False,
+    first_row: int = 0,
+) -> ForwardResult:
+    """Full-sequence forward pass.
+
+    ``tokens`` is (N, T) or (T,); outputs always carry the batch axis.
+    ``taps`` name the projections whose adapter-branch outputs come back
+    on ``ForwardResult.taps``. With ``record=True`` every intermediate
+    needed by :func:`backward_lora` is kept on the result.
+
+    Logits and taps come back for rows ``first_row:`` only: the last
+    layer's queries, attention, MLP and head skip the rows before it, while
+    every layer's keys and values still cover all rows. The kept rows match
+    the full pass to rounding, not bit for bit; so do the gradients of a
+    recorded block-row pass.
+    """
+    cfg = model.cfg
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim == 1:
+        tokens = tokens[None, :]
+    if tokens.ndim != 2:
+        raise ValueError(f"tokens must be 1-D or 2-D, got shape {tokens.shape}")
+    if tokens.size == 0:
+        raise ValueError("tokens must be nonempty")
+    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+        raise VocabOverflowError(
+            f"token ids must be in [0, {cfg.vocab_size}), got range "
+            f"[{tokens.min()}, {tokens.max()}]"
+        )
+    n, t = tokens.shape
+    if t > cfg.max_positions:
+        raise ValueError(f"sequence length {t} exceeds {cfg.max_positions} positions")
+    if not 0 <= first_row < t:
+        raise ValueError(f"first_row {first_row} outside [0, {t})")
+    by_block: dict[int, list[TapSpec]] = {}
+    for spec in taps:
+        blk, _ = parse_module_path(spec.module)
+        if not 0 <= blk < cfg.n_blocks:
+            raise ValueError(f"tap {spec.module!r} outside model depth {cfg.n_blocks}")
+        by_block.setdefault(blk, []).append(spec)
+
+    x = model.base["emb_tok"][tokens] + model.base["emb_pos"][:t][None, :, :]
+    tap_out: dict[TapSpec, np.ndarray] = {}
+    block_caches: list[dict] = []
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    for b in range(cfg.n_blocks):
+        x_in = x
+        q_from = first_row if b == cfg.n_blocks - 1 else 0
+        full = {}
+        cache_b = {"x_in": x_in} if record else None
+        for proj in PROJECTIONS:
+            w = model.base[f"block{b}.w{proj}"]
+            a = model.lora[lora_param_key(b, proj, "a")]
+            bb = model.lora[lora_param_key(b, proj, "b")]
+            start = q_from if proj == "q" else 0
+            ax = x_in[:, start:] @ a.T
+            branch = ax @ bb.T
+            full[proj] = x_in[:, start:] @ w.T + branch
+            for spec in by_block.get(b, ()):
+                if spec.module == module_path(b, proj):
+                    tap_out[spec] = branch[:, first_row - start:]
+            if record:
+                cache_b[f"ax_{proj}"] = ax
+        qh = _split_heads(full["q"], cfg.n_heads, cfg.head_dim)
+        kh = _split_heads(full["k"], cfg.n_heads, cfg.head_dim)
+        vh = _split_heads(full["v"], cfg.n_heads, cfg.head_dim)
+        attn = _softmax_last(qh @ kh.swapaxes(-1, -2) * scale)
+        merged = _merge_heads(attn @ vh)
+        x_mid = x_in[:, q_from:] + merged @ model.base[f"block{b}.wo"].T
+        h1 = x_mid @ model.base[f"block{b}.w1"].T
+        t1 = np.tanh(h1)
+        x = x_mid + t1 @ model.base[f"block{b}.w2"].T
+        if record:
+            cache_b.update(q=qh, k=kh, v=vh, attn=attn, t1=t1)
+            block_caches.append(cache_b)
+    logits = x @ model.base["head"].T
+    cache = {"tokens": tokens, "blocks": block_caches} if record else None
+    return ForwardResult(logits=logits, taps=tap_out, cache=cache)
 
 
 # --- oracles -----------------------------------------------------------------
@@ -167,8 +282,10 @@ def step_kl_objective(model, trajectory, step: int) -> float:
 def reference_pseudo_gradient(model, trajectory, step: int, keys):
     """The pseudo-gradient of ``keys`` by the slow path: two fresh recorded
     forwards, one support row at a time, and the full reverse pass over
-    every adapter, of which ``keys`` are kept."""
+    every adapter, of which ``keys`` are kept. The forwards run on the
+    merged weights, as the decode's do."""
     cfg = model.cfg
+    merged = merged_projections(model)
     L = cfg.block_length
     lo = trajectory.block_index * L
     prefix = np.asarray(trajectory.prefix, dtype=np.int64)
@@ -178,7 +295,9 @@ def reference_pseudo_gradient(model, trajectory, step: int, keys):
             block = np.full(L, cfg.mask_id, dtype=np.int64)
         else:
             block = np.asarray(trajectory.records[at - 2].tokens, dtype=np.int64)
-        res = forward(model, np.concatenate([prefix, block])[None, :], taps=(), record=True)
+        res = forward(
+            model, np.concatenate([prefix, block])[None, :], record=True, merged=merged
+        )
         return res, predictive_distributions(res.logits[0, lo : lo + L], cfg.vocab_size)
 
     (_, p_t), (res_t1, p_t1) = run(step), run(step + 1)
@@ -493,6 +612,8 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
     L = cfg.block_length
     lo = block_index * L
     tap = model.default_tap()
+    # The decode's own forward: this path is a reference for the step loop.
+    merged = merged_projections(model)
     stop_cfg = policy.stop
     monitor = StabilityMonitor(stop_cfg) if policy.monitored else None
     freeze_states: dict[int, ReferenceTokenState] = {}
@@ -513,7 +634,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         committed[i] = True
 
     for step in range(1, budget + 1):
-        result = forward(model, tokens[None, :], taps=(tap,))
+        result = forward(model, tokens[None, :], taps=(tap,), merged=merged)
         acts = result.taps[tap][0]
         logits = result.logits[0, lo: lo + L, : cfg.vocab_size - 1]
         dists = [softmax(logits[i], 1.0, support) for i in range(L)]
@@ -635,7 +756,7 @@ def reference_ablation_cells(config, run_dir) -> dict:
     vectors, _ = load_metadata(os.path.join(run_dir, "metadata.editmeta"))
     stored = {v.module_id: v for v in vectors}
     task = make_task(config.task, config.vocab_size, config.block_length)
-    mode = config.similarity_mode()
+    mode = SimilarityMode()  # the summaries are EvolutionVectors under any config
     instances = _sample_instances(task, (config.model_seed, 505), min(config.eval_instances, 16))
     policy = PolicyConfig(
         "edit", stop=StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk)

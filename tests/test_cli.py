@@ -181,6 +181,41 @@ class TestMalformedArtifacts:
         assert code == EXIT_ARTIFACT
         assert "seed1_inst000.json" in capsys.readouterr().err
 
+    GOOD_CERTIFICATE = {
+        "argmax_index": 0, "margin": "0.5", "margin_step": 7, "support_size": 4, "stop_step": 7
+    }
+
+    def certify_trace(self, cfg_path, tmp_path, certificate, block_index=1) -> int:
+        traces = tmp_path / "run" / TRACES_DIR
+        traces.mkdir(parents=True)
+        block = {"block_index": block_index, "stopped_early": True, "certificate": certificate}
+        (traces / "seed1_inst000.json").write_text(json.dumps({"blocks": [block]}))
+        return main(["certify", "--config", cfg_path, "--out", str(tmp_path / "run")])
+
+    def test_well_formed_certificate_is_read(self, trained_cli, tmp_path):
+        # The margin is stored as text (``fmt_real``) and read as such.
+        assert self.certify_trace(trained_cli[0], tmp_path, self.GOOD_CERTIFICATE) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"argmax_index": True},
+            {"margin_step": 7.9},
+            {"support_size": "4"},
+            {"stop_step": 7.0},
+            {"margin": True},
+            {"block_index": "1"},
+        ],
+        ids=["bool_argmax_index", "fractional_margin_step",
+             "text_support_size", "float_stop_step", "bool_margin", "text_block_index"],
+    )
+    def test_mistyped_certificate_exits_three(self, trained_cli, tmp_path, capsys, changes):
+        certificate = {**self.GOOD_CERTIFICATE, **changes}
+        block_index = certificate.pop("block_index", 1)
+        code = self.certify_trace(trained_cli[0], tmp_path, certificate, block_index)
+        assert code == EXIT_ARTIFACT
+        assert "seed1_inst000.json" in capsys.readouterr().err
+
 
 class TestNonIntegerConfig:
     @pytest.mark.parametrize(
@@ -251,6 +286,23 @@ class TestCommands:
         assert main(["ablate", "--config", cfg_path]) == EXIT_OK
         assert "12 cells" in capsys.readouterr().out
         assert os.path.exists(os.path.join(run_dir, "ablation.json"))
+
+    @pytest.mark.parametrize("similarity", ["subspace_norm", "subspace_cosine"])
+    def test_ablate_under_subspace_similarity(self, trained_cli, tmp_path, similarity):
+        # The cells score row summaries, which are EvolutionVectors, so the
+        # configured similarity does not change them.
+        _, run_dir = trained_cli
+        ablated = {}
+        for name, extra in (("default", ""), (similarity, f"similarity = {similarity}\n")):
+            out = tmp_path / name
+            out.mkdir()
+            for artifact in (CHECKPOINT_FILE, METADATA_FILE, BAND_FILE):
+                shutil.copy(os.path.join(run_dir, artifact), out)
+            cfg_path = tmp_path / f"{name}.txt"
+            cfg_path.write_text(SMALL + extra)
+            assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+            ablated[name] = (out / "ablation.json").read_bytes()
+        assert ablated[similarity] == ablated["default"]
 
     def test_certify_after_infer(self, trained_cli, capsys):
         cfg_path, run_dir = trained_cli

@@ -22,7 +22,14 @@ from editstop.generate import (
     repeats_previous,
 )
 from editstop.harness import cmd_train, load_artifacts
-from editstop.model import ModelConfig, TapSpec, forward, init_model, predictive_distributions
+from editstop.model import (
+    ModelConfig,
+    TapSpec,
+    forward,
+    init_model,
+    merged_projections,
+    predictive_distributions,
+)
 from editstop.monitor import StopConfig, StopReason
 from editstop.tasks import make_task
 from editstop.train import sft_train
@@ -441,6 +448,26 @@ class TestForwardReuse:
         assert block.trajectory.tokens == plain.trajectory.tokens
         assert block.forward_passes == plain.forward_passes
 
+    @pytest.mark.parametrize("seq_len", [32, 64])
+    def test_record_changes_no_output(self, default_block, seq_len):
+        # The recorded forward keeps its adapter inputs on the side, so a
+        # decode's bits do not depend on whether it is traced.
+        cfg, artifacts, prompt = default_block
+        kwargs = dict(policy=cfg.policy_config("edit"), reasoning_map=artifacts.vector)
+        plain = generate(artifacts.model, prompt, seq_len, **kwargs)
+        recorded = generate(artifacts.model, prompt, seq_len, record=True, **kwargs)
+        assert recorded.tokens == plain.tokens
+        for got, want in zip(recorded.blocks, plain.blocks, strict=True):
+            assert got.trajectory.forwards and not want.trajectory.forwards
+            for a, b in zip(got.trajectory.records, want.trajectory.records, strict=True):
+                assert (a.committed, a.tokens, a.choice) == (b.committed, b.tokens, b.choice)
+                assert a.frame.activations.tobytes() == b.frame.activations.tobytes()
+            divergences = [
+                np.array([r.divergence for r in block.monitor_state.divergence_trace]).tobytes()
+                for block in (got, want)
+            ]
+            assert divergences[0] == divergences[1]
+
     def test_reused_steps_equal_a_fresh_forward(self, default_block):
         cfg, artifacts, prompt = default_block
         model = artifacts.model
@@ -449,10 +476,13 @@ class TestForwardReuse:
         L = cfg.block_length
         lo = L  # block 1 follows the one-block prompt
         tap = model.default_tap()
+        merged = merged_projections(model)  # as the decode runs its forwards
         masked = np.full(L, model.cfg.mask_id)
         before = [masked] + [np.asarray(r.tokens) for r in block.trajectory.records[:-1]]
         for rec, block_tokens in zip(block.trajectory.records, before):
-            fresh = forward(model, np.concatenate([prompt, block_tokens])[None, :], taps=(tap,))
+            fresh = forward(
+                model, np.concatenate([prompt, block_tokens])[None, :], taps=(tap,), merged=merged
+            )
             probs = predictive_distributions(fresh.logits[0, lo : lo + L], model.cfg.vocab_size)
             assert rec.choice == tuple(probs.argmax(axis=1).tolist())
             rows = [s - lo for s in rec.frame.visible.members]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import reference_forward
 
 from editstop.errors import (
     BadMagicError,
@@ -20,6 +21,7 @@ from editstop.model import (
     init_model,
     load_checkpoint,
     masked_cross_entropy,
+    merged_projections,
     module_path,
     predictive_distributions,
     save_checkpoint,
@@ -195,6 +197,99 @@ class TestFirstRow:
     def test_out_of_range_rejected(self, first_row):
         with pytest.raises(ValueError):
             forward(tiny_model(), np.array([[1, 2, 3, 4]]), first_row=first_row)
+
+
+SIX_TAPS = tuple(TapSpec(module_path(b, proj)) for b in range(2) for proj in ("q", "k", "v"))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceForward:
+    """The factored forward (no ``merged``) works in place; it must give the
+    out-of-place ``helpers.reference_forward`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, t, first_row, record",
+        [(1, 32, 16, False), (1, 48, 32, True), (1, 64, 48, True), (2, 64, 0, True),
+         (16, 32, 0, True)],  # the last: a batch as sft_train runs it
+    )
+    def test_matches_the_out_of_place_pass(self, n, t, first_row, record):
+        cfg = ModelConfig()
+        rng = np.random.default_rng(t + n)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        tokens = rng.integers(0, cfg.vocab_size, size=(n, t))
+        taps = () if n == 16 else SIX_TAPS
+        got = forward(model, tokens, taps=taps, record=record, first_row=first_row)
+        want = reference_forward(model, tokens, taps=taps, record=record, first_row=first_row)
+        assert same_bits(got.logits, want.logits)
+        assert list(got.taps) == list(want.taps)
+        for spec in taps:
+            assert same_bits(got.taps[spec], want.taps[spec]), spec
+        if not record:
+            assert got.cache is None and want.cache is None
+            return
+        assert same_bits(got.cache["tokens"], want.cache["tokens"])
+        blocks = zip(got.cache["blocks"], want.cache["blocks"], strict=True)
+        for b, (mine, theirs) in enumerate(blocks):
+            assert sorted(mine) == sorted(theirs)
+            for key in theirs:
+                assert same_bits(mine[key], theirs[key]), (b, key)
+
+
+class TestMergedProjections:
+    """The merged-weight forward against the factored one: the same network
+    with ``B @ A`` folded into ``W``, so equal to rounding."""
+
+    def test_stacks_the_folded_weights(self):
+        model = tiny_model()
+        randomize_lora(model, np.random.default_rng(0), scale=0.3)
+        merged = merged_projections(model)
+        d = TINY.d_model
+        assert len(merged) == TINY.n_blocks
+        for b, stack in enumerate(merged):
+            assert stack.shape == (3 * d, d)
+            for i, proj in enumerate(("q", "k", "v")):
+                lora_a, lora_b = (model.lora[f"block{b}.{proj}.lora_{ad}"] for ad in ("a", "b"))
+                want = model.base[f"block{b}.w{proj}"] + lora_b @ lora_a
+                assert same_bits(stack[i * d : (i + 1) * d], want)
+
+    @pytest.mark.parametrize("t", [32, 48, 64])
+    def test_matches_the_factored_pass(self, t):
+        cfg = ModelConfig()
+        rng = np.random.default_rng(100 + t)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        merged = merged_projections(model)
+        tokens = rng.integers(0, cfg.vocab_size, size=(2, t))
+        for first_row in (0, 1, t - cfg.block_length, t - 1):
+            want = forward(model, tokens, taps=SIX_TAPS, record=True, first_row=first_row)
+            got = forward(
+                model, tokens, taps=SIX_TAPS, record=True, first_row=first_row, merged=merged
+            )
+            np.testing.assert_allclose(got.logits, want.logits, rtol=0, atol=1e-12)
+            for spec in SIX_TAPS:
+                assert got.taps[spec].shape == want.taps[spec].shape
+                np.testing.assert_allclose(
+                    got.taps[spec], want.taps[spec], rtol=0, atol=1e-12, err_msg=spec.module
+                )
+            dlogits = rng.normal(size=want.logits.shape)
+            want_grads = backward_lora(model, want, dlogits)
+            got_grads = backward_lora(model, got, dlogits)
+            assert list(got_grads) == list(want_grads) and len(got_grads) == 12
+            for key in want_grads:
+                np.testing.assert_allclose(
+                    got_grads[key], want_grads[key], rtol=0, atol=1e-12, err_msg=key
+                )
+
+    @pytest.mark.parametrize("cut", ["short", "wide"])
+    def test_wrong_stack_rejected(self, cut):
+        merged = merged_projections(tiny_model())
+        bad = merged[:1] if cut == "short" else tuple(np.hstack([w, w]) for w in merged)
+        with pytest.raises(ValueError):
+            forward(tiny_model(), np.array([[1, 2]]), merged=bad)
 
 
 class TestMaskedCrossEntropy:
