@@ -2,13 +2,15 @@
 
 The package tracks how a model's internal update direction, captured
 during fine-tuning, aligns with activations at inference time. When the
-alignment distribution stops changing between denoising steps, remaining
-steps are provably near-redundant and generation can stop early.
+alignment distribution stops changing between denoising steps, generation
+stops the block early.
 
 Typical flow: ``sft_train`` captures update summaries while fine-tuning,
 ``persist_metadata`` stores them, ``generate`` runs block denoising under
-a stopping policy, and ``build_certificate`` bounds the output drift the
-skipped steps could have caused.
+a stopping policy, and ``build_certificate`` checks whether the argmax of
+the alignment distribution over the visible positions could still move
+within the change the stopping rule allows. It speaks of that argmax, not
+of the decoded tokens.
 """
 
 from __future__ import annotations

@@ -184,13 +184,6 @@ class SubspaceBasis:
     def k(self) -> int:
         return self.columns.shape[1]
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of ``x`` in the basis (columns^T @ x)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d_out,):
-            raise ShapeMismatchError(f"x shape {x.shape} != ({self.d_out},)")
-        return self.columns.T @ x
-
 
 def reduce_row_energy(
     evolution_tensor: np.ndarray, module_id: str = "", rank: int | None = None

@@ -122,10 +122,6 @@ class ContractionEstimate:
     samples_used: int
     skipped_small_denominators: int
 
-    @property
-    def contractive(self) -> bool:
-        return self.alpha_hat < 1.0
-
 
 def estimate_contraction(
     post_unmask_traces, denom_floor: float = 1e-9

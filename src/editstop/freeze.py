@@ -209,10 +209,6 @@ class TokenFreezer:
         self.events: list[FreezeEvent] = []
         self._members: tuple[int, ...] | None = None
 
-    @property
-    def frozen_tokens(self) -> tuple[int, ...]:
-        return tuple(sorted(self.states))
-
     def _local_distributions(self, rows: np.ndarray) -> np.ndarray:
         """Each row's distribution over the subspace components, as an
         (n, k) array: coordinates in the basis, folded by absolute value and

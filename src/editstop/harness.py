@@ -143,6 +143,15 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_int_in(entry: dict, key: str, lo: int, hi: int) -> int:
+    """``entry[key]`` as a JSON integer in ``[lo, hi)``; out of range raises
+    ``ValueError``."""
+    value = _json_int(entry[key])
+    if not lo <= value < hi:
+        raise ValueError(f"{key} {value} outside [{lo}, {hi})")
+    return value
+
+
 def _json_real(value) -> float:
     """A real written as text (``fmt_real``) or as a JSON number; a bool
     raises ``TypeError``."""
@@ -774,6 +783,7 @@ def cmd_certify(
         calibration_path = default_cal if os.path.exists(default_cal) else None
     alpha_hat, quantile = _read_calibration(calibration_path)
     stop_cfg = config.stop_config()
+    L = config.block_length
     entries = []
     n_local = n_global = n_pac = 0
     n_stops = 0
@@ -788,22 +798,23 @@ def cmd_certify(
                 if stored is None:
                     continue
                 n_stops += 1
+                block_index = _json_int_in(block, "block_index", 0, config.max_blocks)
+                lo = block_index * L
                 margin = MarginReport(
-                    argmax_index=_json_int(stored["argmax_index"]),
+                    argmax_index=_json_int_in(stored, "argmax_index", lo, lo + L),
                     margin=_json_real(stored["margin"]),
-                    step=_json_int(stored["margin_step"]),
-                    support_size=_json_int(stored["support_size"]),
+                    step=_json_int_in(stored, "margin_step", 1, config.budget + 1),
+                    support_size=_json_int_in(stored, "support_size", 1, L + 1),
                 )
-                cert = _recertify(
-                    _json_int(stored["stop_step"]), margin, stop_cfg, alpha_hat, quantile
-                )
+                stop_step = _json_int_in(stored, "stop_step", 1, config.budget + 1)
+                cert = _recertify(stop_step, margin, stop_cfg, alpha_hat, quantile)
                 n_local += int(cert.local_pass)
                 n_global += int(cert.global_pass is True)
                 n_pac += int(cert.pac_pass is True)
                 entries.append(
                     {
                         "trace": name,
-                        "block_index": _json_int(block["block_index"]),
+                        "block_index": block_index,
                         "certificate": cert.to_json_dict(),
                     }
                 )

@@ -73,12 +73,6 @@ class ProbVector:
     def __len__(self) -> int:
         return self.probs.size
 
-    def index_of(self, token: int) -> int:
-        return self.support.index(token)
-
-    def prob_of(self, token: int) -> float:
-        return float(self.probs[self.index_of(token)])
-
     def argmax_token(self) -> int:
         """Support member with the largest probability; ties break to the
         lowest token index (supports are stored in increasing token order

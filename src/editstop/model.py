@@ -4,9 +4,9 @@ The base network is frozen at construction; only the rank-r adapter
 pairs on the query/key/value projections train. The forward pass can
 record every intermediate needed for a hand-written reverse pass over
 the adapter parameters, and can tap the adapter-branch output of any
-attention projection as per-position activation vectors. Decoding runs
-it on ``merged_projections``, the adapters folded into the frozen
-weights; training runs it factored.
+attention projection as per-position activation vectors. Decoding and
+training both run it on ``merged_projections``, the adapters folded into
+the frozen weights.
 
 The base initialization is structured rather than fully random: token
 identity occupies the leading embedding dimensions, a two-frequency
@@ -20,7 +20,6 @@ steps genuinely improves at block-reversal-style tasks.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import struct
@@ -144,13 +143,6 @@ class ToyModel:
 
     def default_tap(self) -> TapSpec:
         return TapSpec(module_path(self.cfg.n_blocks - 1, "q"))
-
-    def base_checksum(self) -> str:
-        h = hashlib.sha256()
-        for name in sorted(self.base):
-            h.update(name.encode("utf-8"))
-            h.update(np.ascontiguousarray(self.base[name]).tobytes())
-        return h.hexdigest()
 
 
 def init_model(cfg: ModelConfig) -> ToyModel:
@@ -290,14 +282,14 @@ def forward(
     the full pass to rounding, not bit for bit; so do the gradients of a
     recorded block-row pass.
 
-    Without ``merged`` every projection runs factored, ``x @ W.T`` plus its
-    adapter branch ``(x @ A.T) @ B.T``, as training differentiates it. With
-    ``merged``, :func:`merged_projections` of this model, a layer makes one
-    projection GEMM per row range: q, k and v together, or in the last layer
-    k and v over every row and q over rows ``first_row:``. Only a tapped
-    projection then computes its adapter branch, on rows ``first_row:``, and
-    ``record=True`` adds each projection's ``x @ A.T``. The outputs match
-    the factored pass to rounding, not bit for bit.
+    Every projection runs on :func:`merged_projections` of this model, the
+    adapters folded into the frozen weights: ``merged`` when given, else
+    built here, with the same bits either way. A layer makes one projection
+    GEMM per row range: q, k and v together, or in the last layer k and v
+    over every row and q over rows ``first_row:``. Only a tapped projection
+    computes its adapter branch ``(x @ A.T) @ B.T``, on rows ``first_row:``,
+    and ``record=True`` adds each projection's ``x @ A.T`` for
+    :func:`backward_lora`.
     """
     cfg = model.cfg
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -318,10 +310,11 @@ def forward(
     if not 0 <= first_row < t:
         raise ValueError(f"first_row {first_row} outside [0, {t})")
     d = cfg.d_model
-    if merged is not None and (
-        len(merged) != cfg.n_blocks or any(w.shape != (3 * d, d) for w in merged)
-    ):
-        raise ValueError(f"merged must hold {cfg.n_blocks} ({3 * d}, {d}) weight stacks")
+    if merged is not None:
+        if len(merged) != cfg.n_blocks or any(w.shape != (3 * d, d) for w in merged):
+            raise ValueError(f"merged must hold {cfg.n_blocks} ({3 * d}, {d}) weight stacks")
+    else:
+        merged = merged_projections(model)
     by_block: dict[int, list[TapSpec]] = {}
     for spec in taps:
         blk, _ = parse_module_path(spec.module)
@@ -337,39 +330,22 @@ def forward(
         x_in = x
         q_from = first_row if b == cfg.n_blocks - 1 else 0
         cache_b = {"x_in": x_in} if record else None
-        if merged is None:
-            full = {}
-            for proj in PROJECTIONS:
-                w = model.base[f"block{b}.w{proj}"]
-                a = model.lora[lora_param_key(b, proj, "a")]
-                bb = model.lora[lora_param_key(b, proj, "b")]
-                start = q_from if proj == "q" else 0
-                ax = x_in[:, start:] @ a.T
-                branch = ax @ bb.T
-                full[proj] = x_in[:, start:] @ w.T
-                full[proj] += branch
-                for spec in by_block.get(b, ()):
-                    if spec.module == module_path(b, proj):
-                        tap_out[spec] = branch[:, first_row - start:]
-                if record:
-                    cache_b[f"ax_{proj}"] = ax
+        w = merged[b]
+        if q_from:
+            kv = x_in @ w[d:].T
+            full = {"q": x_in[:, q_from:] @ w[:d].T, "k": kv[..., :d], "v": kv[..., d:]}
         else:
-            w = merged[b]
-            if q_from:
-                kv = x_in @ w[d:].T
-                full = {"q": x_in[:, q_from:] @ w[:d].T, "k": kv[..., :d], "v": kv[..., d:]}
-            else:
-                qkv = x_in @ w.T
-                full = {"q": qkv[..., :d], "k": qkv[..., d : 2 * d], "v": qkv[..., 2 * d :]}
-            for spec in by_block.get(b, ()):
-                _, proj = parse_module_path(spec.module)
-                a, bb = (model.lora[lora_param_key(b, proj, ad)] for ad in ADAPTERS)
-                tap_out[spec] = (x_in[:, first_row:] @ a.T) @ bb.T
-            if record:
-                for proj in PROJECTIONS:
-                    start = q_from if proj == "q" else 0
-                    a = model.lora[lora_param_key(b, proj, "a")]
-                    cache_b[f"ax_{proj}"] = x_in[:, start:] @ a.T
+            qkv = x_in @ w.T
+            full = {"q": qkv[..., :d], "k": qkv[..., d : 2 * d], "v": qkv[..., 2 * d :]}
+        for spec in by_block.get(b, ()):
+            _, proj = parse_module_path(spec.module)
+            a, bb = (model.lora[lora_param_key(b, proj, ad)] for ad in ADAPTERS)
+            tap_out[spec] = (x_in[:, first_row:] @ a.T) @ bb.T
+        if record:
+            for proj in PROJECTIONS:
+                start = q_from if proj == "q" else 0
+                a = model.lora[lora_param_key(b, proj, "a")]
+                cache_b[f"ax_{proj}"] = x_in[:, start:] @ a.T
         qh = _split_heads(full["q"], cfg.n_heads, cfg.head_dim)
         kh = _split_heads(full["k"], cfg.n_heads, cfg.head_dim)
         vh = _split_heads(full["v"], cfg.n_heads, cfg.head_dim)

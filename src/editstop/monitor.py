@@ -147,16 +147,11 @@ def update_counter(
 
 
 class StabilityMonitor:
-    """Sequential consumer of alignment distributions for one block.
-
-    Retains every observed distribution so certificate checks can replay
-    the stability window after the fact.
-    """
+    """Sequential consumer of alignment distributions for one block."""
 
     def __init__(self, cfg: StopConfig):
         self.cfg = cfg
         self.state = StabilityState()
-        self.distributions: list[AlignmentDistribution] = []
 
     def observe(self, dist: AlignmentDistribution) -> StopDecision:
         prev = self.state.prev_distribution
@@ -169,7 +164,6 @@ class StabilityMonitor:
                 raise NonMonotoneVisibleSetError(
                     f"visible set {dist.dist.support} dropped tokens from {prev.dist.support}"
                 )
-        self.distributions.append(dist)
         if prev is None:
             # No predecessor to compare against; counter untouched.
             self.state.prev_distribution = dist

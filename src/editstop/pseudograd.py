@@ -38,7 +38,6 @@ from .model import (
     ToyModel,
     backward_lora,
     forward,
-    merged_projections,
     parse_module_path,
     predictive_distributions,
 )
@@ -163,16 +162,14 @@ def _step_input(model: ToyModel, trajectory: DenoiseTrajectory, step: int) -> np
     return np.concatenate([prefix, block])
 
 
-def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int, merged=None):
+def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int):
     """The recorded block-row forward of ``step``: the decode's own when the
-    trajectory kept it, else the same forward run here, on ``merged`` (the
-    model's ``merged_projections``, built when not given) as the decode ran it."""
+    trajectory kept it, else the same forward run here."""
     if trajectory.forwards:
         return trajectory.forwards[step - 1]
-    merged = merged if merged is not None else merged_projections(model)
     lo = trajectory.block_index * model.cfg.block_length
     inp = _step_input(model, trajectory, step)
-    return forward(model, inp[None, :], record=True, first_row=lo, merged=merged)
+    return forward(model, inp[None, :], record=True, first_row=lo)
 
 
 def _step_forwards(model: ToyModel, trajectory: DenoiseTrajectory) -> Sequence:
@@ -180,13 +177,12 @@ def _step_forwards(model: ToyModel, trajectory: DenoiseTrajectory) -> Sequence:
     input repeats its predecessor's shares that step's forward."""
     if trajectory.forwards:
         return trajectory.forwards
-    merged = merged_projections(model)
-    forwards = [_step_forward(model, trajectory, 1, merged)]
+    forwards = [_step_forward(model, trajectory, 1)]
     for step in range(2, len(trajectory.records) + 1):
         same = np.array_equal(
             _step_input(model, trajectory, step), _step_input(model, trajectory, step - 1)
         )
-        forwards.append(forwards[-1] if same else _step_forward(model, trajectory, step, merged))
+        forwards.append(forwards[-1] if same else _step_forward(model, trajectory, step))
     return forwards
 
 

@@ -60,7 +60,6 @@ from editstop.model import (
     forward,
     load_checkpoint,
     lora_param_key,
-    merged_projections,
     module_path,
     parse_module_path,
     predictive_distributions,
@@ -72,8 +71,10 @@ from editstop.tasks import make_task
 # --- the out-of-place forward pass --------------------------------------------
 #
 # ``model.forward`` as it ran before its attention and MLP worked in place and
-# before it took merged projection weights, verbatim but for its name. Without
-# ``merged``, ``forward`` must match it bit for bit.
+# before it folded the adapters into the frozen projections, verbatim but for
+# its name: every projection factored, ``x @ W.T`` plus ``(x @ A.T) @ B.T``.
+# ``forward`` must match it to rounding, and its block-0 ``x_in`` and ``ax_*``
+# bit for bit.
 
 
 def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
@@ -282,10 +283,8 @@ def step_kl_objective(model, trajectory, step: int) -> float:
 def reference_pseudo_gradient(model, trajectory, step: int, keys):
     """The pseudo-gradient of ``keys`` by the slow path: two fresh recorded
     forwards, one support row at a time, and the full reverse pass over
-    every adapter, of which ``keys`` are kept. The forwards run on the
-    merged weights, as the decode's do."""
+    every adapter, of which ``keys`` are kept."""
     cfg = model.cfg
-    merged = merged_projections(model)
     L = cfg.block_length
     lo = trajectory.block_index * L
     prefix = np.asarray(trajectory.prefix, dtype=np.int64)
@@ -295,9 +294,7 @@ def reference_pseudo_gradient(model, trajectory, step: int, keys):
             block = np.full(L, cfg.mask_id, dtype=np.int64)
         else:
             block = np.asarray(trajectory.records[at - 2].tokens, dtype=np.int64)
-        res = forward(
-            model, np.concatenate([prefix, block])[None, :], record=True, merged=merged
-        )
+        res = forward(model, np.concatenate([prefix, block])[None, :], record=True)
         return res, predictive_distributions(res.logits[0, lo : lo + L], cfg.vocab_size)
 
     (_, p_t), (res_t1, p_t1) = run(step), run(step + 1)
@@ -323,7 +320,7 @@ def local_distribution(f_s: np.ndarray, basis: SubspaceBasis, tau_sub: float) ->
         raise DimMismatchError(
             f"activation shape {f_s.shape} != basis dimension ({basis.d_out},)"
         )
-    g = basis.project(f_s)
+    g = basis.columns.T @ f_s
     return softmax(np.abs(g), temperature=tau_sub, support=tuple(range(basis.k)))
 
 
@@ -580,12 +577,12 @@ def reference_scores(vectors: dict[int, np.ndarray], reasoning_map, mode: Simila
             if mode.variant is SimilarityVariant.VECTOR_COSINE:
                 scores[s] = cosine_similarity(f, reasoning_map.u)
             elif mode.variant is SimilarityVariant.SUBSPACE_NORM:
-                scores[s] = float(np.linalg.norm(reasoning_map.project(f)))
+                scores[s] = float(np.linalg.norm(reasoning_map.columns.T @ f))
             else:
                 norm = float(np.linalg.norm(f))
                 if norm < NORM_FLOOR:
                     raise ZeroNormError("zero activation")
-                coords = reasoning_map.project(f)
+                coords = reasoning_map.columns.T @ f
                 scores[s] = min(float(np.linalg.norm(coords)) / norm, 1.0)
         except ZeroNormError:
             scores[s] = mode.minimum_score
@@ -612,8 +609,6 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
     L = cfg.block_length
     lo = block_index * L
     tap = model.default_tap()
-    # The decode's own forward: this path is a reference for the step loop.
-    merged = merged_projections(model)
     stop_cfg = policy.stop
     monitor = StabilityMonitor(stop_cfg) if policy.monitored else None
     freeze_states: dict[int, ReferenceTokenState] = {}
@@ -634,7 +629,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         committed[i] = True
 
     for step in range(1, budget + 1):
-        result = forward(model, tokens[None, :], taps=(tap,), merged=merged)
+        result = forward(model, tokens[None, :], taps=(tap,))
         acts = result.taps[tap][0]
         logits = result.logits[0, lo: lo + L, : cfg.vocab_size - 1]
         dists = [softmax(logits[i], 1.0, support) for i in range(L)]

@@ -253,11 +253,6 @@ class TestBuildSubspace:
         with pytest.raises(RankTooLargeError):
             build_subspace(np.ones((16, 4)), 5, "m")
 
-    def test_project_shape_checked(self):
-        basis = build_subspace(np.eye(4, 2), 2, "m")
-        with pytest.raises(ShapeMismatchError):
-            basis.project(np.ones(5))
-
 
 class TestSubspaceBasis:
     def test_rejects_non_orthonormal(self):

@@ -175,7 +175,7 @@ class TestEstimateContraction:
             est = estimate_contraction([chain])
             assert est.alpha_hat == pytest.approx(alpha, abs=1e-9)
             assert est.skipped_small_denominators == 0
-            assert est.contractive
+            assert est.alpha_hat < 1.0
 
     def test_constant_trace_has_no_valid_samples(self):
         chain = make_chain([[0.5, 0.5]] * 5)
@@ -205,7 +205,7 @@ class TestEstimateContraction:
         assert est.skipped_small_denominators == 1
         assert est.samples_used == 2
         assert est.alpha_hat == pytest.approx(1.0, rel=1e-12)
-        assert not est.contractive
+        assert est.alpha_hat >= 1.0
 
     def test_short_trace_rejected(self):
         with pytest.raises(WindowTooShortError):

@@ -181,8 +181,9 @@ class TestMalformedArtifacts:
         assert code == EXIT_ARTIFACT
         assert "seed1_inst000.json" in capsys.readouterr().err
 
+    # Block 1 of the SMALL config: positions 4..7, block_length 4, budget 12.
     GOOD_CERTIFICATE = {
-        "argmax_index": 0, "margin": "0.5", "margin_step": 7, "support_size": 4, "stop_step": 7
+        "argmax_index": 5, "margin": "0.5", "margin_step": 7, "support_size": 4, "stop_step": 7
     }
 
     def certify_trace(self, cfg_path, tmp_path, certificate, block_index=1) -> int:
@@ -215,6 +216,47 @@ class TestMalformedArtifacts:
         code = self.certify_trace(trained_cli[0], tmp_path, certificate, block_index)
         assert code == EXIT_ARTIFACT
         assert "seed1_inst000.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"block_index": -1},
+            {"block_index": 2},
+            {"stop_step": 0},
+            {"stop_step": 13},
+            {"margin_step": 0},
+            {"margin_step": 13},
+            {"support_size": 0},
+            {"support_size": 5},
+            {"argmax_index": 3},
+            {"argmax_index": 8},
+            {"block_index": -4, "argmax_index": 99, "margin_step": -2, "stop_step": -3},
+        ],
+        ids=["negative_block", "block_past_max_blocks", "stop_step_zero", "stop_step_past_budget",
+             "margin_step_zero", "margin_step_past_budget", "empty_support",
+             "support_past_block_length", "argmax_before_block", "argmax_after_block",
+             "all_out_of_range"],
+    )
+    def test_out_of_range_certificate_exits_three(self, trained_cli, tmp_path, capsys, changes):
+        certificate = {**self.GOOD_CERTIFICATE, **changes}
+        block_index = certificate.pop("block_index", 1)
+        code = self.certify_trace(trained_cli[0], tmp_path, certificate, block_index)
+        assert code == EXIT_ARTIFACT
+        assert "seed1_inst000.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"block_index": 0, "argmax_index": 0},
+            {"argmax_index": 7, "stop_step": 12, "margin_step": 12},
+            {"argmax_index": 4, "stop_step": 1, "margin_step": 1, "support_size": 1, "margin": "1"},
+        ],
+        ids=["first_block", "last_position_and_step", "first_position_and_step"],
+    )
+    def test_range_edges_are_read(self, trained_cli, tmp_path, changes):
+        certificate = {**self.GOOD_CERTIFICATE, **changes}
+        block_index = certificate.pop("block_index", 1)
+        assert self.certify_trace(trained_cli[0], tmp_path, certificate, block_index) == EXIT_OK
 
 
 class TestNonIntegerConfig:

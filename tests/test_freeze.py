@@ -375,7 +375,7 @@ class TestTokenFreezer:
         for t in range(1, 12):
             acts = [stable[s] if t > s * 2 else rng.normal(size=3) for s in range(3)]
             freezer.process(ActivationFrame(t, np.stack(acts), vis))
-            seen.append(set(freezer.frozen_tokens))
+            seen.append(set(freezer.states))
         for a, b in zip(seen, seen[1:]):
             assert b >= a
         assert seen[-1] == {0, 1, 2}
@@ -471,7 +471,7 @@ class TestArrayFreezerMatchesOracle:
             assert effective.tobytes() == expected.tobytes()
         assert freezer.events == events
         frozen = {s: st for s, st in states.items() if st.frozen}
-        assert freezer.frozen_tokens == tuple(sorted(frozen))
+        assert sorted(freezer.states) == sorted(frozen)
         for s, st in frozen.items():
             got = freezer.states[s]
             assert (got.token, got.frozen_at, got.epsilon_s) == (s, st.frozen_at, st.epsilon_s)

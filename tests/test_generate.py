@@ -27,7 +27,6 @@ from editstop.model import (
     TapSpec,
     forward,
     init_model,
-    merged_projections,
     predictive_distributions,
 )
 from editstop.monitor import StopConfig, StopReason
@@ -476,13 +475,10 @@ class TestForwardReuse:
         L = cfg.block_length
         lo = L  # block 1 follows the one-block prompt
         tap = model.default_tap()
-        merged = merged_projections(model)  # as the decode runs its forwards
         masked = np.full(L, model.cfg.mask_id)
         before = [masked] + [np.asarray(r.tokens) for r in block.trajectory.records[:-1]]
         for rec, block_tokens in zip(block.trajectory.records, before):
-            fresh = forward(
-                model, np.concatenate([prompt, block_tokens])[None, :], taps=(tap,), merged=merged
-            )
+            fresh = forward(model, np.concatenate([prompt, block_tokens])[None, :], taps=(tap,))
             probs = predictive_distributions(fresh.logits[0, lo : lo + L], model.cfg.vocab_size)
             assert rec.choice == tuple(probs.argmax(axis=1).tolist())
             rows = [s - lo for s in rec.frame.visible.members]

@@ -35,7 +35,7 @@ class TestProbVector:
     def test_accepts_valid_distribution(self):
         p = ProbVector(np.array([0.25, 0.75]), (3, 7))
         assert p.support == (3, 7)
-        assert p.prob_of(7) == pytest.approx(0.75)
+        assert p.probs[p.support.index(7)] == pytest.approx(0.75)
 
     def test_default_support_is_positional(self):
         p = ProbVector(np.array([0.5, 0.5]))

@@ -85,8 +85,9 @@ class TestMatchedRenormalize:
             prev = make_dist(wp / wp.sum(), keep, step=1)
             p, _, inter = matched_renormalize(curr, prev)
             i, j = inter.members[0], inter.members[1]
-            ratio_full = curr.dist.prob_of(i) / curr.dist.prob_of(j)
-            ratio_matched = p.prob_of(i) / p.prob_of(j)
+            full = curr.dist.probs[[curr.dist.support.index(i), curr.dist.support.index(j)]]
+            matched = p.probs[[p.support.index(i), p.support.index(j)]]
+            ratio_full, ratio_matched = full[0] / full[1], matched[0] / matched[1]
             assert ratio_matched == pytest.approx(ratio_full, rel=1e-12)
 
     def test_disjoint_supports_rejected(self):
@@ -296,20 +297,13 @@ class TestStabilityMonitor:
         with pytest.raises(NonMonotoneVisibleSetError):
             monitor.observe(make_dist(np.full(len(after), 1.0 / len(after)), after, step=2))
         assert monitor.state.divergence_trace == []
-        assert len(monitor.distributions) == 1
+        assert monitor.state.prev_distribution.step == 1
 
     def test_step_must_advance(self):
         monitor = StabilityMonitor(StopConfig())
         monitor.observe(make_dist([0.5, 0.5], step=3))
         with pytest.raises(NonMonotoneVisibleSetError):
             monitor.observe(make_dist([0.5, 0.5], step=3))
-
-    def test_distributions_retained_for_replay(self):
-        monitor = StabilityMonitor(StopConfig())
-        chain = make_chain([[0.5, 0.5], [0.6, 0.4], [0.7, 0.3]])
-        for dist in chain:
-            monitor.observe(dist)
-        assert monitor.distributions == chain
 
     def test_observation_after_stop_keeps_first_stop_step(self):
         monitor = StabilityMonitor(StopConfig(delta=0.05, omega=2))

@@ -1,0 +1,128 @@
+"""Every definition in the package is reached from outside the tests.
+
+A top-level function or class, or a non-dunder method of a top-level class,
+in ``src/editstop`` must be referenced somewhere other than its own body: by
+an AST ``Name`` or ``Attribute`` in another part of the package (not
+``__init__.py``, which only re-exports), or anywhere in ``bench/``, whose
+quoted tracing targets count too. ``ALLOWED`` names the exceptions: test
+oracles and code a later change wires in or deletes.
+"""
+
+from __future__ import annotations
+
+import ast
+import functools
+import glob
+import os
+import re
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PACKAGE_DIR = os.path.join(ROOT, "src", "editstop")
+BENCH_DIR = os.path.join(ROOT, "bench")
+
+ALLOWED = {
+    "pseudo_gradient": "the per-pair oracle of acceptance criterion 02",
+    "kl_divergence": "the unmatched KL of acceptance criterion 03",
+    "freeze_safety": "the freeze bound of acceptance criterion 07",
+    "probe_coupling_pooled": "the pooled coupling probe of acceptance criterion 07",
+    "AlignmentProbeHandle": "the streaming probe that is to be wired in or deleted",
+    "EmptyIntersectionError": "raised by the certificate oracle in tests/helpers.py",
+}
+
+DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Top-level functions and classes, and the non-dunder methods of the
+    classes, each with its node."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    found.append((f"{node.name}.{item.name}", item))
+    return found
+
+
+def references(tree: ast.Module, strings: bool = False) -> list[tuple[str, int]]:
+    """Each name a ``Name`` or ``Attribute`` node uses, with its line; with
+    ``strings``, also each part of a dotted identifier written as a string."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                refs += [(part, node.lineno) for part in node.value.split(".")]
+    return refs
+
+
+def unreached(package: dict[str, str], bench: dict[str, str]) -> list[str]:
+    """The definitions in ``package`` (path -> source) that no other code
+    there, and nothing in ``bench`` (path -> source), refers to."""
+    trees = {path: ast.parse(src, filename=path) for path, src in package.items()}
+    outside = {
+        name
+        for path, src in bench.items()
+        for name, _ in references(ast.parse(src, filename=path), strings=True)
+    }
+    sites: dict[str, list[tuple[str, int]]] = {}
+    for path, tree in trees.items():
+        if os.path.basename(path) != "__init__.py":
+            for name, line in references(tree):
+                sites.setdefault(name, []).append((path, line))
+    missing = []
+    for path, tree in trees.items():
+        for qualname, node in definitions(tree):
+            name = qualname.rpartition(".")[2]
+            lo, hi = node.lineno, node.end_lineno
+            if name not in outside and not any(
+                other != path or not lo <= line <= hi for other, line in sites.get(name, ())
+            ):
+                missing.append(qualname)
+    return sorted(missing)
+
+
+def read_all(directory: str) -> dict[str, str]:
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sources[path] = fh.read()
+    return sources
+
+
+@functools.cache
+def package_unreached() -> tuple[str, ...]:
+    return tuple(unreached(read_all(PACKAGE_DIR), read_all(BENCH_DIR)))
+
+
+def test_every_definition_is_reached():
+    assert [q for q in package_unreached() if q.rpartition(".")[2] not in ALLOWED] == []
+
+
+def test_every_allowed_name_is_still_unreached():
+    """An allowlisted name that gains a caller, or is deleted, leaves the list."""
+    found = {q.rpartition(".")[2] for q in package_unreached()}
+    assert sorted(set(ALLOWED) - found) == []
+
+
+def test_an_unreached_definition_is_found():
+    package = {
+        "pkg/a.py": (
+            "def used():\n    return 1\n"
+            "def lonely():\n    return lonely()\n"
+            "class K:\n    def m(self):\n        return self.m()\n"
+            "    def __len__(self):\n        return 0\n"
+            "def traced():\n    pass\n"
+        ),
+        "pkg/b.py": "from .a import used\nx = used() + K().n\n",
+        "pkg/__init__.py": "from .a import lonely\nlonely()\n",
+    }
+    bench = {"bench/t.py": 'TARGETS = (("a", "traced"),)\n'}
+    assert unreached(package, bench) == ["K.m", "lonely"]
