@@ -237,10 +237,12 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(n, t, h * hd)
 
 
-def _softmax_last(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` as one 2-D GEMM where numpy's batched matmul would run one
+    per sample; a single sample is one GEMM already, and runs as is."""
+    if x.shape[0] == 1:
+        return x @ w
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
 
 
 def merged_projections(model: ToyModel) -> tuple[np.ndarray, ...]:
@@ -289,7 +291,9 @@ def forward(
     over every row and q over rows ``first_row:``. Only a tapped projection
     computes its adapter branch ``(x @ A.T) @ B.T``, on rows ``first_row:``,
     and ``record=True`` adds each projection's ``x @ A.T`` for
-    :func:`backward_lora`.
+    :func:`backward_lora`. Every other GEMM of a batch runs on a 2-D view
+    (:func:`_mm`). ``x @ A.T`` stays a batched matmul, whose bits a 2-D view
+    would change at batch 16.
     """
     cfg = model.cfg
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -332,15 +336,15 @@ def forward(
         cache_b = {"x_in": x_in} if record else None
         w = merged[b]
         if q_from:
-            kv = x_in @ w[d:].T
-            full = {"q": x_in[:, q_from:] @ w[:d].T, "k": kv[..., :d], "v": kv[..., d:]}
+            kv = _mm(x_in, w[d:].T)
+            full = {"q": _mm(x_in[:, q_from:], w[:d].T), "k": kv[..., :d], "v": kv[..., d:]}
         else:
-            qkv = x_in @ w.T
+            qkv = _mm(x_in, w.T)
             full = {"q": qkv[..., :d], "k": qkv[..., d : 2 * d], "v": qkv[..., 2 * d :]}
         for spec in by_block.get(b, ()):
             _, proj = parse_module_path(spec.module)
             a, bb = (model.lora[lora_param_key(b, proj, ad)] for ad in ADAPTERS)
-            tap_out[spec] = (x_in[:, first_row:] @ a.T) @ bb.T
+            tap_out[spec] = _mm(x_in[:, first_row:] @ a.T, bb.T)
         if record:
             for proj in PROJECTIONS:
                 start = q_from if proj == "q" else 0
@@ -349,23 +353,22 @@ def forward(
         qh = _split_heads(full["q"], cfg.n_heads, cfg.head_dim)
         kh = _split_heads(full["k"], cfg.n_heads, cfg.head_dim)
         vh = _split_heads(full["v"], cfg.n_heads, cfg.head_dim)
-        # Softmax in place: the same operations, in the same order, as
-        # ``_softmax_last(qh @ kh.T * scale)``, with no temporaries.
+        # Softmax in place, with no temporaries.
         attn = qh @ kh.swapaxes(-1, -2)
         attn *= scale
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
-        x_mid = _merge_heads(attn @ vh) @ model.base[f"block{b}.wo"].T
+        x_mid = _mm(_merge_heads(attn @ vh), model.base[f"block{b}.wo"].T)
         x_mid += x_in[:, q_from:]
-        t1 = x_mid @ model.base[f"block{b}.w1"].T
+        t1 = _mm(x_mid, model.base[f"block{b}.w1"].T)
         np.tanh(t1, out=t1)
-        x = t1 @ model.base[f"block{b}.w2"].T
+        x = _mm(t1, model.base[f"block{b}.w2"].T)
         x += x_mid
         if record:
             cache_b.update(q=qh, k=kh, v=vh, attn=attn, t1=t1)
             block_caches.append(cache_b)
-    logits = x @ model.base["head"].T
+    logits = _mm(x, model.base["head"].T)
     cache = {"tokens": tokens, "blocks": block_caches} if record else None
     return ForwardResult(logits=logits, taps=tap_out, cache=cache)
 
@@ -382,7 +385,8 @@ def backward_lora(
     only the projection gradients those keys read; each array is bit for bit
     the full pass's. On a block-row pass the last layer's query side keeps
     to the block's rows; the rows before them feed only dropped logits, whose
-    gradient is zero, so every key matches the full pass to rounding."""
+    gradient is zero, so every key matches the full pass to rounding. Its
+    GEMMs run on 2-D views, as do the adapter-gradient sums over samples and rows."""
     if result.cache is None:
         raise NoRecordedGraphError("forward pass was not recorded; rerun with record=True")
     cfg = model.cfg
@@ -392,21 +396,22 @@ def backward_lora(
             f"dlogits shape {dlogits.shape} != logits shape {result.logits.shape}"
         )
     scale = 1.0 / math.sqrt(cfg.head_dim)
+    d, r = cfg.d_model, cfg.lora_rank
     keys = model.lora if keys is None else keys
     grads = {key: np.zeros_like(model.lora[key]) for key in keys}
     sites = {parse_module_path(key.rpartition(".")[0]) for key in grads}
     lowest = min(b for b, _ in sites)
     first_row = result.cache["tokens"].shape[1] - result.logits.shape[1]
-    dx = dlogits @ model.base["head"]
+    dx = _mm(dlogits, model.base["head"])
     for b in reversed(range(lowest, cfg.n_blocks)):
         c = result.cache["blocks"][b]
         q_from = first_row if b == cfg.n_blocks - 1 else 0
         w2 = model.base[f"block{b}.w2"]
         w1 = model.base[f"block{b}.w1"]
-        dt1 = dx @ w2
+        dt1 = _mm(dx, w2)
         dh1 = dt1 * (1.0 - c["t1"] ** 2)
-        dx = dx + dh1 @ w1  # gradient at x_mid
-        dmerged = dx @ model.base[f"block{b}.wo"]
+        dx = dx + _mm(dh1, w1)  # gradient at x_mid
+        dmerged = _mm(dx, model.base[f"block{b}.wo"])
         dctx = _split_heads(dmerged, cfg.n_heads, cfg.head_dim)
         needed = [p for p in PROJECTIONS if b > lowest or (b, p) in sites]
         d_full = {}
@@ -429,15 +434,15 @@ def backward_lora(
             start = q_from if proj == "q" else 0
             key_a, key_b = (lora_param_key(b, proj, ad) for ad in ADAPTERS)
             if key_b in grads:
-                grads[key_b] += np.einsum("ntd,ntr->dr", dproj, c[f"ax_{proj}"])
+                grads[key_b] += dproj.reshape(-1, d).T @ c[f"ax_{proj}"].reshape(-1, r)
             if b == lowest and key_a not in grads:
                 continue
-            dax = dproj @ model.lora[key_b]
+            dax = _mm(dproj, model.lora[key_b])
             if key_a in grads:
-                grads[key_a] += np.einsum("ntr,ntd->rd", dax, c["x_in"][:, start:])
+                grads[key_a] += dax.reshape(-1, r).T @ c["x_in"][:, start:].reshape(-1, d)
             if b > lowest:
                 w = model.base[f"block{b}.w{proj}"]
-                dx_in[:, start:] += dproj @ w + dax @ model.lora[key_a]
+                dx_in[:, start:] += _mm(dproj, w) + _mm(dax, model.lora[key_a])
         dx = dx_in
     return grads
 
@@ -445,7 +450,8 @@ def backward_lora(
 def masked_cross_entropy(
     logits: np.ndarray, targets: np.ndarray, loss_mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean cross entropy over the masked positions and its logit gradient."""
+    """Mean cross entropy over the masked positions and its logit gradient.
+    Only the masked rows are softmaxed; every other row's gradient is zero."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     loss_mask = np.asarray(loss_mask, dtype=bool)
@@ -454,13 +460,15 @@ def masked_cross_entropy(
     count = int(loss_mask.sum())
     if count == 0:
         raise ValueError("loss_mask selects no positions")
-    probs = _softmax_last(logits)
     n_idx, t_idx = np.nonzero(loss_mask)
-    picked = probs[n_idx, t_idx, targets[n_idx, t_idx]]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
+    rows = logits[n_idx, t_idx]
+    probs = np.exp(rows - rows.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    picked = (np.arange(count), targets[n_idx, t_idx])
+    loss = float(-np.log(np.maximum(probs[picked], 1e-300)).mean())
+    probs[picked] -= 1.0
     dlogits = np.zeros_like(logits)
-    dlogits[n_idx, t_idx] = probs[n_idx, t_idx]
-    dlogits[n_idx, t_idx, targets[n_idx, t_idx]] -= 1.0
+    dlogits[n_idx, t_idx] = probs
     dlogits /= count
     return loss, dlogits
 

@@ -117,7 +117,8 @@ def sft_train(
     """Train the adapters in place and capture their update dynamics.
 
     Deterministic given the generator state; the model's base tensors
-    are never touched.
+    are never touched. Each step's recorded forward and loss cover the
+    target block's rows alone, as no prompt row is ever masked.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -132,6 +133,7 @@ def sft_train(
     if rng is None:
         rng = np.random.default_rng(model.cfg.seed + 1)
     cfg = model.cfg
+    L = cfg.block_length
     moments = {key: MomentState.zeros(val.shape) for key, val in model.lora.items()}
     accums = {
         spec.param_key: EvolutionAccumulator(model.lora[spec.param_key].shape)
@@ -144,9 +146,9 @@ def sft_train(
     for step in range(steps):
         prompts, targets = task.sample_batch(rng, batch_size)
         seqs = np.concatenate([prompts, targets], axis=1)
-        masked, loss_mask = mask_targets(seqs, cfg.block_length, cfg.mask_id, rng)
-        res = forward(model, masked, record=True)
-        loss, dlogits = masked_cross_entropy(res.logits, seqs, loss_mask)
+        masked, loss_mask = mask_targets(seqs, L, cfg.mask_id, rng)
+        res = forward(model, masked, record=True, first_row=L)
+        loss, dlogits = masked_cross_entropy(res.logits, seqs[:, L:], loss_mask[:, L:])
         if not math.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss {loss} at optimization step {step}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import reference_forward
 
+import editstop.model as model_module
 from editstop.errors import (
     BadMagicError,
     ChecksumMismatchError,
@@ -258,6 +259,48 @@ class TestInPlaceForward:
                     )
         dlogits = rng.normal(size=want.logits.shape)
         assert_close_grads(backward_lora(model, got, dlogits), backward_lora(model, want, dlogits))
+
+
+class TestTwoDimensionalGemms:
+    """``forward`` and ``backward_lora`` run the GEMMs of a batch of several
+    samples on 2-D views (``model._mm``), which moves bits: training's,
+    while a single-sample decode keeps numpy's plain matmul."""
+
+    def test_training_batch_matches_per_sample_full_passes(self):
+        # sft_train's shape: 16 samples of 32 tokens, loss on rows 16:. The
+        # slow path runs each sample alone through the factored reference
+        # forward over every row, with a zero gradient on the prompt rows.
+        cfg = ModelConfig()
+        rng = np.random.default_rng(16)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        tokens = rng.integers(0, cfg.vocab_size, size=(16, 32))
+        res = forward(model, tokens, record=True, first_row=16)
+        dlogits = rng.normal(size=res.logits.shape)
+        got = backward_lora(model, res, dlogits)
+        want = None
+        for i in range(16):
+            one = reference_forward(model, tokens[i : i + 1], record=True)
+            one_dlogits = np.zeros_like(one.logits)
+            one_dlogits[0, 16:] = dlogits[i]
+            grads = backward_lora(model, one, one_dlogits)
+            want = grads if want is None else {k: want[k] + grads[k] for k in want}
+        assert len(got) == 12
+        assert_close_grads(got, want)
+
+    @pytest.mark.parametrize("t", [32, 64])
+    def test_decode_shapes_keep_the_plain_matmul_bits(self, t, monkeypatch):
+        cfg = ModelConfig()
+        rng = np.random.default_rng(200 + t)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        tokens = rng.integers(0, cfg.vocab_size, size=(1, t))
+        tap = model.default_tap()
+        got = forward(model, tokens, taps=(tap,), first_row=t - 16)
+        monkeypatch.setattr(model_module, "_mm", lambda x, w: x @ w)
+        want = forward(model, tokens, taps=(tap,), first_row=t - 16)
+        assert same_bits(got.logits, want.logits)
+        assert same_bits(got.taps[tap], want.taps[tap])
 
 
 class TestMergedProjections:

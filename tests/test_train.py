@@ -134,6 +134,25 @@ class TestSftTrain:
             result.evolution_tensors[spec.metadata_id], offline_mean, rtol=1e-12
         )
 
+    def test_trains_on_the_target_block_rows_only(self, monkeypatch):
+        # The loss reads only the target block, so every training forward
+        # is a recorded block-row pass with block_length logit rows.
+        calls = []
+
+        def spy(*args, **kwargs):
+            res = forward(*args, **kwargs)
+            calls.append((kwargs, res.logits.shape))
+            return res
+
+        monkeypatch.setattr("editstop.train.forward", spy)
+        sft_train(init_model(CFG), small_task(), steps=3, rng=np.random.default_rng(2),
+                  batch_size=5)
+        assert len(calls) == 3
+        for kwargs, shape in calls:
+            assert kwargs.get("record") is True
+            assert kwargs.get("first_row") == CFG.block_length
+            assert shape == (5, CFG.block_length, CFG.vocab_size)
+
     def test_loss_trend_on_copy_reverse(self):
         cfg = ModelConfig()
         model = init_model(cfg)
