@@ -2,11 +2,13 @@
 
 During supervised fine-tuning, each tracked adapter matrix gets a
 :class:`MomentState` fed by :func:`adamw_step` and an
-:class:`EvolutionAccumulator` fed with the per-step update magnitudes.
-After training the accumulated tensor is reduced to a per-output-row
-summary (:func:`reduce_row_energy` / :func:`reduce_row_mean`) or to a
-low-rank orthonormal basis (:func:`build_subspace`), which is what gets
-persisted next to the model weights.
+:class:`EvolutionAccumulator` that sums the per-step update magnitudes
+into one tensor of the adapter's shape, so capture memory does not grow
+with the step count. After training their mean is reduced to a
+per-output-row summary (:func:`reduce_row_energy` /
+:func:`reduce_row_mean`) or to a low-rank orthonormal basis
+(:func:`build_subspace`), which is what gets persisted next to the model
+weights.
 """
 
 from __future__ import annotations
@@ -76,42 +78,29 @@ def adamw_step(
 class EvolutionAccumulator:
     """Mean of update-magnitude tensors over a training run.
 
-    Tensors are buffered and the mean is taken with pairwise summation
-    over a canonically sorted buffer, so the result is independent of the
-    order in which updates arrive.
+    Keeps one running float64 sum, added to in arrival order, and a count,
+    so its memory does not grow with the number of steps. ``finalize``
+    returns the sum over the count; the same updates fed in the same order
+    give the same bits.
     """
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = tuple(shape)
-        self._buffer: list[np.ndarray] = []
-
-    @property
-    def count(self) -> int:
-        return len(self._buffer)
+        self._total = np.zeros(self.shape)
+        self.count = 0
 
     def accumulate(self, update_tensor: np.ndarray) -> None:
-        t = np.ascontiguousarray(update_tensor, dtype=np.float64)
+        t = np.asarray(update_tensor, dtype=np.float64)
         if t.shape != self.shape:
             raise ShapeMismatchError(f"update shape {t.shape} != accumulator shape {self.shape}")
-        self._buffer.append(t.copy())
+        self._total += t
+        self.count += 1
 
     def finalize(self) -> np.ndarray:
         """Mean over all accumulated tensors."""
-        if not self._buffer:
+        if not self.count:
             raise EmptyInputError("no update tensors accumulated")
-        chunks = sorted(self._buffer, key=lambda t: t.tobytes())
-        total = _pairwise_sum(chunks)
-        return total / len(chunks)
-
-
-def _pairwise_sum(chunks: list[np.ndarray]) -> np.ndarray:
-    while len(chunks) > 1:
-        nxt = [
-            chunks[i] + chunks[i + 1] if i + 1 < len(chunks) else chunks[i]
-            for i in range(0, len(chunks), 2)
-        ]
-        chunks = nxt
-    return chunks[0].copy()
+        return self._total / self.count
 
 
 @dataclass(frozen=True)

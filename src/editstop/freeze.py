@@ -213,11 +213,9 @@ class TokenFreezer:
         """Each row's distribution over the subspace components, as an
         (n, k) array: coordinates in the basis, folded by absolute value and
         put through ``linalg.softmax_rows`` at the sub-token temperature."""
-        columns_t = self.basis.columns.T
-        g = np.empty((len(rows), self.basis.k))
-        for j, row in enumerate(rows):
-            # One gemv per row: a single matmul may sum in another order.
-            g[j] = columns_t @ row
+        # A stacked gemv, one per row: a single (n, d) @ (d, k) GEMM may sum
+        # in another order.
+        g = (self.basis.columns.T @ rows[:, :, None])[:, :, 0]
         return softmax_rows(np.abs(g) / self.cfg.tau_sub)
 
     def process(self, frame: ActivationFrame) -> tuple[np.ndarray, list[int]]:
@@ -252,9 +250,12 @@ class TokenFreezer:
         if live.size:
             p = self._local_distributions(acts[live])
             stable = kl_rows(p, self._last_q[live]) <= self.cfg.delta_tok
-            for i in live[stable]:
-                diff = float(np.linalg.norm(acts[i] - self._prev[i]))
-                self._epsilon[i] = max(self._epsilon[i], diff)
+            moved = live[stable]
+            diff = acts[moved] - self._prev[moved]
+            # Each row's norm as numpy's 1-D norm takes it, sqrt(x.dot(x)):
+            # a stacked (1, d) @ (d, 1) matmul runs the same dot.
+            norms = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+            self._epsilon[moved] = np.maximum(self._epsilon[moved], norms)
             self._epsilon[live[~stable]] = 0.0
             self._run[live] = np.where(stable, self._run[live] + 1, 0)
             self._last_q[live] = p

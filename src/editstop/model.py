@@ -408,9 +408,11 @@ def backward_lora(
         q_from = first_row if b == cfg.n_blocks - 1 else 0
         w2 = model.base[f"block{b}.w2"]
         w1 = model.base[f"block{b}.w1"]
-        dt1 = _mm(dx, w2)
-        dh1 = dt1 * (1.0 - c["t1"] ** 2)
-        dx = dx + _mm(dh1, w1)  # gradient at x_mid
+        # tanh' = 1 - t1², built in one array and multiplied in place.
+        dh1 = c["t1"] ** 2
+        np.subtract(1.0, dh1, out=dh1)
+        dh1 *= _mm(dx, w2)
+        dx += _mm(dh1, w1)  # gradient at x_mid
         dmerged = _mm(dx, model.base[f"block{b}.wo"])
         dctx = _split_heads(dmerged, cfg.n_heads, cfg.head_dim)
         needed = [p for p in PROJECTIONS if b > lowest or (b, p) in sites]
@@ -418,13 +420,16 @@ def backward_lora(
         if "v" in needed:
             d_full["v"] = _merge_heads(c["attn"].swapaxes(-1, -2) @ dctx)
         if "q" in needed or "k" in needed:
+            # Softmax backward in place on the fresh dattn, never the cache:
+            # attn * (dattn - inner) * scale with each product commuted.
             dattn = dctx @ c["v"].swapaxes(-1, -2)
-            inner = (dattn * c["attn"]).sum(axis=-1, keepdims=True)
-            dscores = c["attn"] * (dattn - inner) * scale
+            dattn -= (dattn * c["attn"]).sum(axis=-1, keepdims=True)
+            dattn *= c["attn"]
+            dattn *= scale
             if "q" in needed:
-                d_full["q"] = _merge_heads(dscores @ c["k"])
+                d_full["q"] = _merge_heads(dattn @ c["k"])
             if "k" in needed:
-                d_full["k"] = _merge_heads(dscores.swapaxes(-1, -2) @ c["q"])
+                d_full["k"] = _merge_heads(dattn.swapaxes(-1, -2) @ c["q"])
         dx_in = None
         if b > lowest:
             dx_in = np.zeros_like(c["x_in"])

@@ -120,16 +120,24 @@ class TestEvolutionAccumulator:
         ref /= len(tensors)
         np.testing.assert_allclose(acc.finalize(), ref, rtol=1e-12, atol=1e-15)
 
-    def test_order_invariance_is_exact(self):
+    def test_mean_is_the_arrival_order_sum_over_the_count(self):
+        # Bit for bit: the running sum in the order updates arrive, divided
+        # once by the count. Magnitudes spread over six decades, so any
+        # other summation order would round differently.
         rng = np.random.default_rng(33)
-        tensors = [rng.normal(size=(5, 3)) for _ in range(25)]
-        acc1 = EvolutionAccumulator((5, 3))
-        acc2 = EvolutionAccumulator((5, 3))
+        tensors = [rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-3, 4) for _ in range(25)]
+        acc = EvolutionAccumulator((5, 3))
+        total = np.zeros((5, 3))
         for t in tensors:
-            acc1.accumulate(t)
+            acc.accumulate(t)
+            total = total + t
+        assert acc.count == len(tensors)
+        got = acc.finalize()
+        np.testing.assert_array_equal(got, total / len(tensors))
+        reordered = np.zeros((5, 3))
         for i in rng.permutation(len(tensors)):
-            acc2.accumulate(tensors[i])
-        np.testing.assert_array_equal(acc1.finalize(), acc2.finalize())
+            reordered = reordered + tensors[i]
+        assert not np.array_equal(got, reordered / len(tensors))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):

@@ -35,7 +35,7 @@ from editstop.freeze import (
     probe_coupling,
     probe_coupling_pooled,
 )
-from editstop.linalg import ProbVector, kl_divergence, total_variation
+from editstop.linalg import ProbVector, kl_divergence, softmax_rows, total_variation
 from editstop.monitor import StopConfig
 
 
@@ -484,3 +484,49 @@ class TestArrayFreezerMatchesOracle:
         if omega_tok >= 3:
             assert frozen[7].frozen_at == 5 + omega_tok
             assert frozen[7].epsilon_s < 1.0
+
+
+class TestStackedFreezerArithmetic:
+    """The freezer's stacked matmuls against the per-row loops they replace,
+    bit for bit: one gemv per row for the basis coordinates, and numpy's
+    1-D norm per row for the window movement."""
+
+    def test_local_distributions_match_a_gemv_per_row(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            d = int(rng.choice([4, 16, 64, 128]))
+            k = int(rng.integers(1, min(d, 8) + 1))
+            n = int(rng.integers(1, 33))
+            basis = build_subspace(rng.normal(size=(d, k + 2)), k)
+            tau = float(rng.choice([0.5, 1.0, 2.0]))
+            rows = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-2, 3)
+            coords = np.stack([basis.columns.T @ row for row in rows])
+            want = softmax_rows(np.abs(coords) / tau)
+            got = TokenFreezer(basis, FreezeConfig(tau_sub=tau, k=k))._local_distributions(rows)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_window_movement_matches_a_norm_per_row(self, seed):
+        # Sixteen 64-dim rows settling at different rates, so tokens freeze
+        # at different steps with different window movements.
+        rng = np.random.default_rng(seed)
+        d, n = 64, 16
+        basis = build_subspace(rng.normal(size=(d, 5)), 3)
+        cfg = FreezeConfig(delta_tok=0.01, omega_tok=3, k=3)
+        centers = rng.normal(size=(n, d)) * 3.0
+        rates = rng.uniform(0.3, 0.9, size=(n, 1))
+        freezer = TokenFreezer(basis, cfg)
+        states = {s: ReferenceTokenState(token=s) for s in range(n)}
+        for t in range(1, 25):
+            acts = centers + rng.normal(size=(n, d)) * rates**t
+            freezer.process(ActivationFrame(t, acts, VisibleSet(tuple(range(n)))))
+            for s, st in states.items():
+                if not st.frozen:
+                    token_stability_step(st, acts[s], basis, cfg, t)
+        frozen = {s: st for s, st in states.items() if st.frozen}
+        assert len(frozen) >= n // 2
+        assert len({st.epsilon_s for st in frozen.values()}) == len(frozen)
+        assert sorted(freezer.states) == sorted(frozen)
+        for s, st in frozen.items():
+            got = freezer.states[s]
+            assert (got.frozen_at, got.epsilon_s) == (st.frozen_at, st.epsilon_s), s

@@ -425,6 +425,30 @@ class TestBackward:
         for key in g1:
             np.testing.assert_allclose(g2[key], 2.0 * g1[key], rtol=1e-10, atol=1e-14)
 
+    def test_leaves_the_recorded_cache_untouched(self):
+        # The reverse pass works in place on its own arrays only: pseudograd
+        # runs it more than once on one recorded forward.
+        cfg = ModelConfig()
+        rng = np.random.default_rng(17)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        res = forward(model, rng.integers(0, cfg.vocab_size, size=(16, 32)),
+                      record=True, first_row=16)
+        dlogits = rng.normal(size=res.logits.shape)
+        blocks = res.cache["blocks"]
+        before = [{name: arr.copy() for name, arr in c.items()} for c in blocks]
+        tokens = res.cache["tokens"].copy()
+        first = backward_lora(model, res, dlogits)
+        second = backward_lora(model, res, dlogits)
+        assert same_bits(res.cache["tokens"], tokens)
+        assert [list(c) for c in blocks] == [list(c) for c in before]
+        for c, kept in zip(blocks, before):
+            for name, arr in kept.items():
+                assert same_bits(c[name], arr), name
+        assert list(first) == list(second)
+        for key in first:
+            assert same_bits(first[key], second[key]), key
+
     def test_finite_difference_agreement(self):
         # Central differences at step 1e-5 on >= 50 random coordinates
         # spanning every adapter tensor of a 2-layer model.

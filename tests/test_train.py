@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from editstop.capture import (
     adamw_step,
     reduce_row_energy,
 )
+from editstop.config import ExperimentConfig
 from editstop.errors import TrainingDivergedError
+from editstop.harness import ABLATION_SITES
 from editstop.model import ModelConfig, backward_lora, forward, init_model, masked_cross_entropy
 from editstop.tasks import make_task
 from editstop.train import CaptureSpec, SftResult, mask_targets, sft_train
@@ -222,3 +226,35 @@ class TestSftTrain:
             CaptureSpec("block0.q", adapter="c")
         with pytest.raises(ValueError):
             CaptureSpec("block0.q", reduction="max")
+
+
+class TestCaptureMemory:
+    def test_peak_does_not_grow_with_the_step_count(self):
+        # cmd_train's capture: the default tap's B energy first, then every
+        # ablation site of the last block. A buffer of per-step updates
+        # would add one step's update tensors to the peak per extra step.
+        config = ExperimentConfig()
+        model_cfg = config.model_config()
+        task = make_task(config.task, config.vocab_size, config.block_length)
+        last = config.n_blocks - 1
+        default = CaptureSpec(f"block{last}.q", "b", "energy")
+        captures = (default, *(
+            spec
+            for spec in (CaptureSpec(f"block{last}.{p}", a, r) for p, a, r in ABLATION_SITES)
+            if spec != default
+        ))
+
+        def traced_peak(steps: int) -> int:
+            model = init_model(model_cfg)
+            tracemalloc.start()
+            try:
+                sft_train(model, task, steps=steps, captures=captures,
+                          rng=np.random.default_rng(model_cfg.seed + 1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        shapes = init_model(model_cfg).lora
+        one_step = sum(shapes[key].nbytes for key in {spec.param_key for spec in captures})
+        assert one_step == 6 * model_cfg.d_model * model_cfg.lora_rank * 8
+        assert traced_peak(40) - traced_peak(10) < one_step
