@@ -2,9 +2,10 @@
 
 Each visible token gets a local distribution over the components of the
 training-dynamics subspace. Tokens whose local distribution holds still
-for a run of steps get their activation pinned; a coupling probe plus
-the global contraction estimate then turn the pin into an explicit
-safety verdict against the block-level margin.
+for a run of steps get their activation pinned. ``freeze_safety`` turns a
+coupling probe plus the global contraction estimate into an explicit
+safety verdict against the block-level margin; the sampler asks for none,
+so a pin changes only the alignment frame and never what is committed.
 
 A step of the freezer is one array pass over the block's rows: the local
 distributions are one (n, k) softmax array, their KLs against the

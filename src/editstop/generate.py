@@ -23,18 +23,22 @@ keeps each step's recorded forward for the offline pseudo-gradient.
 Step work that no caller reads is skipped. Frames are scored only for a
 monitor, so a ``fixed`` decode ignores its reasoning map and records no
 alignment. A step that repeats its predecessor (``repeats_previous``:
-neither step committed a slot, and no freezer runs) has exactly the
-predecessor's frame, ``choice`` and tokens, so its record is the
-predecessor's with ``step`` advanced, and the monitor is handed the
-predecessor's distribution again, which it scores as divergence 0.0
-without a KL. The stop and certificate logic still runs on such steps.
+neither step committed a slot) has exactly the predecessor's frame,
+``choice`` and tokens, so its record is the predecessor's with ``step``
+advanced, and the monitor is handed the predecessor's distribution again,
+which it scores as divergence 0.0 without a KL. The stop and certificate
+logic still runs on such steps.
 
-Commitment schedule: ``ceil(block_length / budget)`` tokens per step, ties
-broken toward the lowest position index, so a run with budget ``T`` fully
-commits the block no later than step ``T``. The fixed policy always runs the
-whole budget; a monitored run that stops at step ``t`` commits every
-remaining position from step ``t``'s predictive distributions, so it reads
-no forward pass past step ``t``.
+Every policy commits by one rule: ``ceil(block_length / budget)`` tokens
+per step, ties broken toward the lowest position index, so a run with
+budget ``T`` fully commits the block no later than step ``T``. The fixed
+policy always runs the whole budget; a monitored run that stops at step
+``t`` commits every remaining position from step ``t``'s predictive
+distributions, so it reads no forward pass past step ``t``. The freezer of
+``edit_freeze`` runs first on every step and only pins rows of the frame;
+it commits nothing. A pinned row keeps its bits, and a row that freezes on
+an unchanged forward takes the value it already had, so a step that
+repeats its predecessor repeats it under a freezer too.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .alignment import (
 )
 from .capture import EvolutionVector, SubspaceBasis
 from .certify import Certificate, MarginReport, build_certificate
-from .errors import ScheduleExhaustedError
+from .errors import NonMonotoneVisibleSetError, ScheduleExhaustedError
 from .freeze import FreezeConfig, FreezeEvent, TokenFreezer
 from .model import (
     ForwardResult,
@@ -77,7 +81,7 @@ class PolicyConfig:
     ``fixed`` runs every budgeted step. ``edit`` wires the stability
     monitor and stops once the alignment distribution settles.
     ``edit_freeze`` additionally pins per-token alignment inputs once
-    their local readouts stop moving.
+    their local readouts stop moving; it commits as ``edit`` does.
     """
 
     kind: str = "fixed"
@@ -140,7 +144,7 @@ class DenoiseTrajectory:
         seen: set[int] = set()
         for rec in self.records:
             if not set(rec.frame.visible.members) >= seen:
-                raise ScheduleExhaustedError(
+                raise NonMonotoneVisibleSetError(
                     f"visible set shrank at step {rec.step} of block {self.block_index}"
                 )
             seen = set(rec.frame.visible.members)
@@ -189,46 +193,12 @@ class GenerateResult:
         return float(np.mean(self.block_steps))
 
 
-@dataclass(frozen=True)
-class AlignmentProbeHandle:
-    """Counterfactual re-execution of the alignment readout.
-
-    Satisfies the probing protocol used by the coupling estimator: the
-    block state is an activation frame, and a perturbation ``delta`` is
-    added to one token's activation before the alignment softmax is
-    recomputed. Only the readout is re-run; committed tokens and model
-    parameters are untouched, which is exactly the counterfactual the
-    freeze-safety bound needs.
-    """
-
-    reasoning_map: EvolutionVector | SubspaceBasis
-    mode: SimilarityMode = field(default_factory=SimilarityMode)
-    tau_blk: float = 1.0
-
-    @property
-    def activation_dim(self) -> int:
-        return self.reasoning_map.d_out
-
-    def counterfactual_distribution(
-        self, block_state: ActivationFrame, token: int, delta: Optional[np.ndarray]
-    ):
-        if token not in block_state.visible:
-            raise KeyError(f"token {token} is not visible in the probed frame")
-        frame = block_state
-        if delta is not None:
-            acts = block_state.activations.copy()
-            acts[block_state.visible.members.index(token)] += np.asarray(delta, dtype=np.float64)
-            frame = ActivationFrame(block_state.step, acts, block_state.visible)
-        return score_frame(frame, self.reasoning_map, self.mode, self.tau_blk).dist
-
-
 def repeats_previous(prev: StepRecord | None, committed: Sequence[int]) -> bool:
     """Whether a step that commits ``committed`` reproduces ``prev`` exactly.
 
     It does when neither step committed a slot: both then read the same
     forward pass over the same committed set, so frame, ``choice`` and
-    tokens are ``prev``'s. A freezer changes the frame on its own, so
-    callers that run one must not apply this rule.
+    tokens are ``prev``'s, under every policy.
     """
     return prev is not None and not prev.committed and not committed
 
@@ -313,6 +283,9 @@ def denoise_block(
             probs = predictive_distributions(result.logits[0], cfg.vocab_size)
             choice = probs.argmax(axis=1)
         acts = tap_rows
+        if freezer is not None:
+            # Every step advances the freezer; it pins rows and commits nothing.
+            acts, _ = freezer.process(ActivationFrame(step, acts, whole_block))
 
         # Quota commitment: most confident masked positions, lowest index first.
         open_slots = np.flatnonzero(~committed)
@@ -321,19 +294,11 @@ def denoise_block(
         committed[newly] = True
 
         prev = records[-1] if records else None
-        if freezer is None and repeats_previous(prev, newly):
+        if repeats_previous(prev, newly):
             frame, others = prev.frame, prev.other_frames
             alignment = None if prev.alignment is None else replace(prev.alignment, step=step)
         else:
-            if freezer is not None:
-                acts, frozen_now = freezer.process(ActivationFrame(step, acts, whole_block))
-                # A frozen readout on a masked slot: its prediction is settled,
-                # so commit it outside the quota.
-                outside = [t - lo for t in frozen_now if not committed[t - lo]]
-                committed[outside] = True
-                newly += outside
             tokens[[lo + i for i in newly]] = choice[newly]
-
             visible = VisibleSet(tuple(lo + np.flatnonzero(committed)))
             frame = ActivationFrame(step, acts[committed], visible)
             others = tuple(ActivationFrame(step, rows[committed], visible) for rows in other_rows)

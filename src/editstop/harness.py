@@ -619,12 +619,12 @@ def replay_stop(
     """Tokens and step count of ``block`` had it stopped under (delta, omega).
 
     ``block`` must come from a never-stopping monitored run (threshold
-    zero) without freezing or strict certificates. The stop rule then
-    never changes what gets committed, so a run that stops at step t
-    equals the recorded one up to step t and then fills every slot still
-    masked with step t's row argmax. Without a stop the run is the
-    recorded one, all budgeted steps included. The stop is the first one
-    that ``update_counter`` fires over the recorded step divergences.
+    zero) without strict certificates. The stop rule then never changes
+    what gets committed, so a run that stops at step t equals the
+    recorded one up to step t and then fills every slot still masked with
+    step t's row argmax. Without a stop the run is the recorded one, all
+    budgeted steps included. The stop is the first one that
+    ``update_counter`` fires over the recorded step divergences.
     """
     state, cfg = StabilityState(), StopConfig(delta=delta, omega=omega)
     for row in block.monitor_state.divergence_trace:
@@ -665,7 +665,6 @@ def cmd_calibrate(
     probe_policy = PolicyConfig(
         "edit",
         stop=StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk),
-        freeze=config.freeze_config(),
     )
     probe_blocks: list[BlockResult] = []
     for prompt, _ in instances:

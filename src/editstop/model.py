@@ -28,7 +28,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadMagicError, ChecksumMismatchError, NoRecordedGraphError, VocabOverflowError
+from .errors import (
+    BadMagicError,
+    ChecksumMismatchError,
+    EmptyInputError,
+    NoRecordedGraphError,
+    VocabOverflowError,
+)
 from .linalg import softmax_rows
 from .metaformat import read_framed, write_framed
 
@@ -398,6 +404,8 @@ def backward_lora(
     scale = 1.0 / math.sqrt(cfg.head_dim)
     d, r = cfg.d_model, cfg.lora_rank
     keys = model.lora if keys is None else keys
+    if not keys:
+        raise EmptyInputError("backward_lora needs at least one adapter key")
     grads = {key: np.zeros_like(model.lora[key]) for key in keys}
     sites = {parse_module_path(key.rpartition(".")[0]) for key in grads}
     lowest = min(b for b, _ in sites)

@@ -565,8 +565,8 @@ def subdelta_walks(rng, n_walks, k, delta, steps):
 #
 # The step loop as it was written before it became array-shaped: one
 # ProbVector per position, a sorted ranking, one cosine (or projection)
-# per token and one freezer call per token. Tests compare ``generate``
-# against it.
+# per token and one freezer call per token, which pins a row and commits
+# nothing. Tests compare ``generate`` against it.
 
 
 def reference_scores(vectors: dict[int, np.ndarray], reasoning_map, mode: SimilarityMode):
@@ -648,9 +648,6 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
                                                   policy.freeze, step)
                     if now:
                         events.append(FreezeEvent(step, s, st.epsilon_s))
-                        if not committed[s - lo]:
-                            commit(dists[s - lo], s - lo)
-                            newly.append(s)
                 if st.frozen:
                     effective[s] = st.frozen_value
         steps.append(tuple(newly))

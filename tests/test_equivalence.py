@@ -99,12 +99,15 @@ def run_both(trained, kind, seq_len, variant=SimilarityVariant.VECTOR_COSINE, **
         freeze_basis=artifacts.basis if policy.freezing else None,
         alpha_hat=0.5,
     )
+    results = []
     for prompt in prompts:
         result = generate(artifacts.model, prompt, seq_len, policy, budget=cfg.budget, **kwargs)
         ref_tokens, ref_blocks = reference_generate(
             artifacts.model, prompt, seq_len, policy, cfg.budget, **kwargs
         )
         assert_same_run(result, ref_tokens, ref_blocks)
+        results.append(result)
+    return results
 
 
 @pytest.mark.parametrize("seq_len", [32, 64])
@@ -131,6 +134,20 @@ def test_zero_threshold_matches_reference(trained):
     cfg, artifacts, prompts = trained
     trained_zero = (dataclasses.replace(cfg, delta=0.0), artifacts, prompts)
     run_both(trained_zero, "edit", 64)
+
+
+def test_zero_threshold_freeze_matches_reference(trained):
+    # Under the freezer too, steps 18-32 of a never-stopping 32-step run
+    # repeat their predecessor and reuse its frame; the reference reruns
+    # every step's forward and scores every frame.
+    cfg, artifacts, prompts = trained
+    trained_zero = (dataclasses.replace(cfg, delta=0.0), artifacts, prompts)
+    for result in run_both(trained_zero, "edit_freeze", 32):
+        (block,) = result.blocks
+        records = block.trajectory.records
+        assert block.freeze_events and block.steps_used == 32
+        shared = [b.step for a, b in zip(records, records[1:]) if a.frame is b.frame]
+        assert shared == list(range(18, 33))
 
 
 def test_tied_confidences_match_reference(trained):

@@ -1,4 +1,4 @@
-"""Tests for block denoising, stop policies, and the probe handle."""
+"""Tests for block denoising and its stop and freezing policies."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from helpers import count_forwards, frame_from, frame_row, reference_generate
 
-from editstop.alignment import SimilarityMode
 from editstop.capture import AdamWConfig, EvolutionVector, SubspaceBasis, build_subspace
 from editstop.config import ExperimentConfig
-from editstop.errors import ScheduleExhaustedError
-from editstop.freeze import FreezeConfig, TokenFreezer, probe_coupling
+from editstop.errors import NonMonotoneVisibleSetError, ScheduleExhaustedError
+from editstop.freeze import FreezeConfig, TokenFreezer
 from editstop.generate import (
-    AlignmentProbeHandle,
+    DenoiseTrajectory,
     PolicyConfig,
     StepRecord,
     denoise_block,
@@ -102,6 +101,17 @@ class TestSchedule:
         for rec in block.trajectory.records:
             for pos in rec.frame.visible.members:
                 assert rec.tokens[pos - lo] == final[pos - lo]
+
+    def test_shrinking_visible_set_rejected(self):
+        # A trajectory whose visible set drops a member is refused with the
+        # error the monitor raises for the same fault.
+        def record(step, members):
+            frame = frame_from({s: np.ones(3) for s in members}, step=step)
+            return StepRecord(step, (), (0,), (0,), frame, None)
+
+        DenoiseTrajectory(1, [record(1, (4,)), record(2, (4, 5))], (), (0,))
+        with pytest.raises(NonMonotoneVisibleSetError, match="shrank at step 2 of block 1"):
+            DenoiseTrajectory(1, [record(1, (4, 5)), record(2, (5,))], (), (0,))
 
     def test_mask_token_never_emitted(self):
         block = denoise_block(tiny_model(), prompt_block(), 1, budget=2)
@@ -209,7 +219,7 @@ class TestStopBehavior:
 class TestFreezePolicy:
     def test_zero_branch_freezes_everything(self):
         # Constant (zero) branch activations freeze every slot at the
-        # same step; frozen masked slots are committed out of quota.
+        # same step, masked or not.
         policy = PolicyConfig(
             "edit_freeze",
             stop=StopConfig(delta=0.0),
@@ -223,11 +233,31 @@ class TestFreezePolicy:
         assert len(events) == TINY.block_length
         freeze_step = events[0].step
         assert {e.step for e in events} == {freeze_step}
-        committed_through = {
-            p for r in block.trajectory.records[: freeze_step]
-            for p in r.committed
-        }
-        assert len(committed_through) == TINY.block_length
+
+    def test_commits_only_by_quota_and_stop_fill(self):
+        # Every slot freezes at step 3, while slot 6 is still masked. Each
+        # step still commits its quota of one slot, as edit does: without a
+        # stop slot 6 waits for step 4, and a stop at step 3 fills it.
+        model, prompt = tiny_model(), prompt_block()
+        freeze = FreezeConfig(delta_tok=0.05, omega_tok=2, k=2)
+        cases = [
+            (StopConfig(delta=0.0), [(4,), (7,), (5,), (6,)] + [()] * 12, ()),
+            (StopConfig(delta=1.0, omega=2), [(4,), (7,), (5,)], (6,)),
+        ]
+        for stop, commits, fill in cases:
+            edit, frozen = (
+                denoise_block(
+                    model, prompt, 1, budget=16,
+                    policy=PolicyConfig(kind, stop=stop, freeze=freeze),
+                    reasoning_map=synthetic_map(), freeze_basis=synthetic_basis(),
+                )
+                for kind in ("edit", "edit_freeze")
+            )
+            assert {e.step for e in frozen.freeze_events} == {3}
+            for block in (edit, frozen):
+                assert [r.committed for r in block.trajectory.records] == commits
+                assert block.trajectory.final_commit == fill
+            assert frozen.trajectory.tokens == edit.trajectory.tokens
 
     def test_frozen_activations_pinned_in_frames(self):
         policy = PolicyConfig(
@@ -283,48 +313,6 @@ class TestGenerate:
             generate(model, prompt_block(), 4, budget=4)
         with pytest.raises(ValueError):
             generate(model, prompt_block(), 24, budget=4)
-
-
-class TestProbeHandle:
-    def frame(self):
-        rng = np.random.default_rng(3)
-        return frame_from({s: rng.normal(size=16) for s in (4, 5, 6)}, step=2)
-
-    def test_unperturbed_matches_direct_scoring(self):
-        from editstop.alignment import score_frame
-
-        handle = AlignmentProbeHandle(synthetic_map(), SimilarityMode(), tau_blk=1.0)
-        frame = self.frame()
-        base = handle.counterfactual_distribution(frame, 5, None)
-        direct = score_frame(frame, synthetic_map(), SimilarityMode(), 1.0).dist
-        np.testing.assert_array_equal(base.probs, direct.probs)
-        assert base.support == direct.support
-
-    def test_perturbation_moves_only_through_named_token(self):
-        handle = AlignmentProbeHandle(synthetic_map())
-        frame = self.frame()
-        base = handle.counterfactual_distribution(frame, 5, None)
-        shifted = handle.counterfactual_distribution(frame, 5, np.full(16, 0.3))
-        assert not np.array_equal(shifted.probs, base.probs)
-        # The source frame must not be mutated by probing.
-        np.testing.assert_array_equal(
-            handle.counterfactual_distribution(frame, 5, None).probs, base.probs
-        )
-
-    def test_unknown_token_rejected(self):
-        handle = AlignmentProbeHandle(synthetic_map())
-        with pytest.raises(KeyError):
-            handle.counterfactual_distribution(self.frame(), 9, None)
-
-    def test_integrates_with_coupling_probe(self):
-        handle = AlignmentProbeHandle(synthetic_map())
-        est = probe_coupling(
-            handle, self.frame(), 5, probe_magnitude=0.05, trials=8,
-            rng=np.random.default_rng(0),
-        )
-        assert est.beta_s >= 0.0
-        assert np.isfinite(est.beta_s)
-        assert est.token == 5
 
 
 class TestTrainedEndToEnd:
@@ -400,11 +388,16 @@ class TestForwardReuse:
         assert block.forward_passes == 17
 
     def test_freeze_commits_count(self, default_block, monkeypatch):
+        # The freezer commits nothing, so edit_freeze commits one slot per
+        # step as edit does and runs the same 17 forwards.
         block = self.run_block(default_block, monkeypatch, "edit_freeze", delta=0.0)
-        records = block.trajectory.records
-        assert block.forward_passes == 1 + sum(1 for r in records[:-1] if r.committed)
-        # Freezing filled the block well before the quota would have.
-        assert block.forward_passes < 17
+        edit = self.run_block(default_block, monkeypatch, "edit", delta=0.0)
+        assert block.freeze_events
+        assert [r.committed for r in block.trajectory.records] == [
+            r.committed for r in edit.trajectory.records
+        ]
+        assert block.steps_used == 32
+        assert block.forward_passes == 17
 
     @pytest.mark.parametrize("kind", ["fixed", "edit"])
     def test_forward_computes_only_the_block_rows(self, default_block, monkeypatch, kind):
@@ -610,8 +603,8 @@ class TestSkippedStepWork:
         assert len(scored) == 3 * 32 - n_repeats
 
     def test_freezer_runs_every_step(self, default_block, monkeypatch):
-        # The freezer changes the frame on its own, so no step of
-        # edit_freeze reuses its predecessor, even once the block is full.
+        # The freezer advances on every step, also on the steps 18-32 that
+        # repeat their predecessor; those still reuse the predecessor's frame.
         cfg, artifacts, prompt = default_block
         processed = []
         real = TokenFreezer.process
@@ -628,8 +621,9 @@ class TestSkippedStepWork:
         )
         assert block.steps_used == 32
         assert processed == list(range(1, 33))
-        frames = [r.frame for r in block.trajectory.records]
-        assert all(a is not b for a, b in zip(frames, frames[1:]))
+        records = block.trajectory.records
+        shared = [b.step for a, b in zip(records, records[1:]) if a.frame is b.frame]
+        assert shared == list(range(18, 33))
 
     def test_repeats_previous(self):
         frame = frame_from({4: np.ones(3)}, step=1)

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import shutil
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,10 +19,10 @@ from helpers import count_forwards, reference_ablation_cells, reference_utility_
 
 from editstop import alignment, harness, linalg
 from editstop.capture import AdamWConfig
-from editstop.certify import margin_quantile
+from editstop.certify import DELTA_GRID, OMEGA_GRID, margin_quantile
 from editstop.config import ExperimentConfig
 from editstop.errors import ArtifactMismatchError, NoAdmissiblePairError
-from editstop.generate import generate
+from editstop.generate import PolicyConfig, generate
 from editstop.harness import (
     ABLATION_CSV,
     ABLATION_JSON,
@@ -48,7 +49,7 @@ from editstop.harness import (
 )
 from editstop.metaformat import load_metadata, persist_metadata
 from editstop.model import init_model, load_checkpoint
-from editstop.monitor import StabilityState, StopReason, TraceRow
+from editstop.monitor import StabilityState, StopConfig, StopReason, TraceRow
 from editstop.tasks import make_task
 from editstop.train import CaptureSpec, sft_train
 
@@ -431,6 +432,42 @@ class TestCalibrateReplay:
         assert early > 0 and never > 0
         if refills:
             assert refilled > 0
+
+    def test_freezing_probe_replays_live_freezing_runs(self, calibrated):
+        # The freezer pins frame rows and commits nothing, so a delta = 0
+        # edit_freeze decode replays live edit_freeze runs cell by cell.
+        cfg = calibrated[0]
+        artifacts, task, mode, reasoning_map = harness._load_setup(cfg, cfg.out_dir)
+        prompts = [p for p, _ in harness._sample_instances(task, (cfg.model_seed, 707), 4)]
+        mask_id = artifacts.model.cfg.mask_id
+
+        def decode(delta, omega):
+            policy = PolicyConfig(
+                "edit_freeze",
+                stop=StopConfig(delta=delta, omega=omega, tau_blk=cfg.tau_blk),
+                freeze=cfg.freeze_config(),
+            )
+            return [
+                generate(
+                    artifacts.model, prompt, cfg.seq_len, policy, budget=cfg.budget,
+                    reasoning_map=reasoning_map, mode=mode, freeze_basis=artifacts.basis,
+                ).blocks[0]
+                for prompt in prompts
+            ]
+
+        probes = decode(0.0, cfg.omega)
+        assert all(probe.freeze_events for probe in probes)
+        early = never = 0
+        for delta, omega in product(DELTA_GRID[::2], OMEGA_GRID):
+            for probe, live in zip(probes, decode(delta, omega), strict=True):
+                replayed = replay_stop(probe, delta, omega, mask_id)
+                assert replayed == (live.trajectory.tokens, live.steps_used)
+                assert live.freeze_events == tuple(
+                    e for e in probe.freeze_events if e.step <= live.steps_used
+                )
+                early += live.stopped_early
+                never += not live.stopped_early
+        assert early > 0 and never > 0
 
     def test_calibrate_decodes_each_prompt_once(self, calibrated):
         payload, probes = calibrated[2:4]

@@ -10,6 +10,7 @@ import editstop.model as model_module
 from editstop.errors import (
     BadMagicError,
     ChecksumMismatchError,
+    EmptyInputError,
     NoRecordedGraphError,
     TruncatedFileError,
     VocabOverflowError,
@@ -414,6 +415,13 @@ class TestBackward:
         res = forward(model, np.array([[1, 2]]))
         with pytest.raises(NoRecordedGraphError):
             backward_lora(model, res, np.zeros_like(res.logits))
+
+    @pytest.mark.parametrize("keys", [[], ()])
+    def test_empty_keys_rejected(self, keys):
+        model = tiny_model()
+        res = forward(model, np.array([[1, 2]]), record=True)
+        with pytest.raises(EmptyInputError, match="at least one adapter key"):
+            backward_lora(model, res, np.zeros_like(res.logits), keys=keys)
 
     def test_linearity_in_dlogits(self):
         model = tiny_model()

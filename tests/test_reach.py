@@ -25,7 +25,6 @@ ALLOWED = {
     "kl_divergence": "the unmatched KL of acceptance criterion 03",
     "freeze_safety": "the freeze bound of acceptance criterion 07",
     "probe_coupling_pooled": "the pooled coupling probe of acceptance criterion 07",
-    "AlignmentProbeHandle": "the streaming probe that is to be wired in or deleted",
     "EmptyIntersectionError": "raised by the certificate oracle in tests/helpers.py",
 }
 
