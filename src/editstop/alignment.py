@@ -10,6 +10,7 @@ Downstream stability tracking consumes only these distributions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,10 +57,10 @@ class VisibleSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(int(m) for m in self.members)
-        if any(m < 0 for m in members):
+        members = tuple(map(int, self.members))
+        if min(members, default=0) < 0:
             raise ValueError(f"negative token index in {members}")
-        if any(b <= a for a, b in zip(members, members[1:])):
+        if not all(map(operator.lt, members, members[1:])):
             raise ValueError(f"members must be strictly increasing, got {members}")
         object.__setattr__(self, "members", members)
 

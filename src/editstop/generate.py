@@ -7,44 +7,41 @@ the committed set. Under the monitored policies that frame drives the
 alignment distribution whose stability decides when to cut the remaining
 steps short.
 
-A step takes one array-shaped path: the block's predictive distributions
-are one (L, V-1) softmax array, commits are ranked on its row maxima and
-write its row argmaxes, and the frame is the (n, d) array of committed
-rows that the freezer and the alignment scorer read whole.
+A step takes one array-shaped path. A forward's (L, V-1) softmax array gives
+each row's argmax (``choice``) and largest probability; one stable argsort
+of the open slots on the latter ranks them, so tied slots commit lowest
+index first, and a full block ranks nothing. The frame is the (n, d) array
+of committed rows that the freezer and the alignment scorer read whole.
 
 ``forward`` is deterministic in the tokens, so it runs only at step 1 and
-after a step that committed a slot; other steps reuse its outputs exactly.
-It returns only the block's rows, so its last layer skips the prefix rows,
-and runs on the model's ``merged_projections``, built once per ``generate``.
-One forward emits every requested tap (``taps``), so extra taps cost no
-forward; the first tap's frame is the one scored and frozen. ``record=True``
-keeps each step's recorded forward for the offline pseudo-gradient.
+after a step that committed a slot. It returns only the block's rows, runs
+on the model's ``merged_projections``, built once per ``generate``, and
+emits every requested tap (``taps``); the first tap's frame is the one
+scored and frozen. ``record=True`` keeps each step's recorded forward for
+the offline pseudo-gradient.
 
-Step work that no caller reads is skipped. Frames are scored only for a
-monitor, so a ``fixed`` decode ignores its reasoning map and records no
-alignment. A step that repeats its predecessor (``repeats_previous``:
-neither step committed a slot) has exactly the predecessor's frame,
-``choice`` and tokens, so its record is the predecessor's with ``step``
+Step work that no caller reads is skipped. A ``fixed`` decode scores no
+frame and records no alignment. A step that repeats its predecessor
+(``repeats_previous``: neither step committed a slot, so the block is
+full) reuses the predecessor's frame, ``choice`` and tokens with ``step``
 advanced, and the monitor is handed the predecessor's distribution again,
 which it scores as divergence 0.0 without a KL. The stop and certificate
 logic still runs on such steps.
 
-Every policy commits by one rule: ``ceil(block_length / budget)`` tokens
-per step, ties broken toward the lowest position index, so a run with
-budget ``T`` fully commits the block no later than step ``T``. The fixed
-policy always runs the whole budget; a monitored run that stops at step
+Every policy commits ``ceil(block_length / budget)`` tokens per step, so a
+run with budget ``T`` fully commits the block no later than step ``T``.
+The fixed policy runs the whole budget; a monitored run that stops at step
 ``t`` commits every remaining position from step ``t``'s predictive
-distributions, so it reads no forward pass past step ``t``. The freezer of
-``edit_freeze`` runs first on every step and only pins rows of the frame;
-it commits nothing. A pinned row keeps its bits, and a row that freezes on
-an unchanged forward takes the value it already had, so a step that
-repeats its predecessor repeats it under a freezer too.
+distributions. The freezer of ``edit_freeze`` runs first on every step and
+only pins rows of the frame. A pinned row keeps its bits, and a row that
+freezes on an unchanged forward takes the value it already had, so a
+repeated step repeats under a freezer too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -271,6 +268,7 @@ def denoise_block(
     final_commit: tuple[int, ...] = ()
     forward_passes = 0
     newly: list[int] = []
+    full = False
 
     for step in range(1, budget + 1):
         # Rerun forward only when the last step changed the tokens.
@@ -282,24 +280,30 @@ def denoise_block(
             tap_rows, *other_rows = (result.taps[t][0] for t in taps)
             probs = predictive_distributions(result.logits[0], cfg.vocab_size)
             choice = probs.argmax(axis=1)
+            confidence = probs.max(axis=1)
+            choice_t = tuple(choice.tolist())
         acts = tap_rows
         if freezer is not None:
             # Every step advances the freezer; it pins rows and commits nothing.
             acts, _ = freezer.process(ActivationFrame(step, acts, whole_block))
 
-        # Quota commitment: most confident masked positions, lowest index first.
-        open_slots = np.flatnonzero(~committed)
-        ranked = open_slots[np.lexsort((open_slots, -probs[open_slots].max(axis=1)))]
-        newly = ranked[:quota].tolist()
-        committed[newly] = True
+        # Quota commitment: most confident open slots, ties lowest index first.
+        newly = []
+        if not full:
+            open_slots = (~committed).nonzero()[0]
+            newly = open_slots[np.argsort(-confidence[open_slots], kind="stable")[:quota]].tolist()
+            committed[newly] = True
+            full = len(newly) == open_slots.size
 
         prev = records[-1] if records else None
-        if repeats_previous(prev, newly):
+        # A repeated step's block is full, so even a stop fills no slot.
+        repeat = repeats_previous(prev, newly)
+        if repeat:
             frame, others = prev.frame, prev.other_frames
-            alignment = None if prev.alignment is None else replace(prev.alignment, step=step)
+            alignment = prev.alignment and AlignmentDistribution(prev.alignment.dist, step)
         else:
             tokens[[lo + i for i in newly]] = choice[newly]
-            visible = VisibleSet(tuple(lo + np.flatnonzero(committed)))
+            visible = VisibleSet(tuple((lo + committed.nonzero()[0]).tolist()))
             frame = ActivationFrame(step, acts[committed], visible)
             others = tuple(ActivationFrame(step, rows[committed], visible) for rows in other_rows)
             alignment = (
@@ -333,8 +337,8 @@ def denoise_block(
             StepRecord(
                 step=step,
                 committed=tuple(lo + i for i in newly),
-                tokens=tuple(tokens[lo : lo + L].tolist()),
-                choice=tuple(choice.tolist()),
+                tokens=prev.tokens if repeat else tuple(tokens[lo:].tolist()),
+                choice=choice_t,
                 frame=frame,
                 alignment=alignment,
                 other_frames=others,
@@ -357,8 +361,8 @@ def denoise_block(
         block_index=block_index,
         records=records,
         final_commit=final_commit,
-        tokens=tuple(int(t) for t in tokens[lo : lo + L]),
-        prefix=tuple(int(t) for t in prefix),
+        tokens=records[-1].tokens,
+        prefix=tuple(prefix.tolist()),
         forwards=tuple(forwards),
     )
     return BlockResult(
@@ -423,5 +427,5 @@ def generate(
         tokens = np.concatenate([tokens, np.asarray(block.trajectory.tokens)])
         blocks.append(block)
     return GenerateResult(
-        tokens=tuple(int(t) for t in tokens), blocks=blocks, policy=policy, budget=budget
+        tokens=tuple(tokens.tolist()), blocks=blocks, policy=policy, budget=budget
     )

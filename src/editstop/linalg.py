@@ -53,16 +53,14 @@ class ProbVector:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise EmptyInputError("probs must be a nonempty 1-D array")
-        support = tuple(int(s) for s in self.support) if self.support else tuple(range(probs.size))
+        support = tuple(map(int, self.support)) if self.support else tuple(range(probs.size))
         if len(support) != probs.size:
             raise SupportMismatchError(
                 f"support length {len(support)} != probs length {probs.size}"
             )
-        if not np.all(np.isfinite(probs)):
-            raise EmptyInputError("probs contain non-finite entries")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise EmptyInputError(f"probs sum to {total!r}, expected 1 within 1e-9")
+        total = float(probs.sum())  # NaN or inf when an entry is non-finite
+        if not abs(total - 1.0) <= 1e-9:
+            raise EmptyInputError(f"probs are non-finite or sum to {total!r}, not 1 within 1e-9")
         if probs.min() < -1e-12 or probs.max() > 1.0 + 1e-9:
             raise EmptyInputError("probs outside [0, 1]")
         probs = np.maximum(probs, PROB_FLOOR)
@@ -96,13 +94,17 @@ class ProbVector:
         return ProbVector(sub / mass, tuple(subset))
 
 
+def _softmax_unchecked(z) -> np.ndarray:
+    ez = np.exp(z - z.max(axis=-1, keepdims=True))
+    return ez / ez.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(z) -> np.ndarray:
     """Softmax along the last axis with max-subtraction, floored at
     ``PROB_FLOOR``. A row that is non-finite or more than 1e-9 from summing
     to one raises ``EmptyInputError``. Row ``i`` is bit for bit the softmax
     of ``z[i]`` alone, so 1-D and row-stacked callers agree exactly."""
-    ez = np.exp(z - z.max(axis=-1, keepdims=True))
-    probs = ez / ez.sum(axis=-1, keepdims=True)
+    probs = _softmax_unchecked(z)
     # A non-finite entry makes its row's sum, and so ``worst``, NaN or inf.
     worst = abs(probs.sum(axis=-1) - 1.0).max()
     if not worst <= 1e-9:
@@ -113,13 +115,14 @@ def softmax_rows(z) -> np.ndarray:
 
 
 def softmax(scores, temperature: float = 1.0, support: tuple[int, ...] | None = None) -> ProbVector:
-    """Temperature softmax (``softmax_rows``) over ``support``."""
+    """Temperature softmax over ``support``: ``softmax_rows``'s formula,
+    with ``ProbVector`` making the sum check and the floor."""
     scores = _as_vector(scores, "scores")
     if scores.size == 0:
         raise EmptyInputError("softmax of empty score vector")
     if not temperature > 0.0:
         raise NonPositiveTemperatureError(f"temperature must be positive, got {temperature}")
-    probs = softmax_rows(scores / temperature)
+    probs = _softmax_unchecked(scores / temperature)
     return ProbVector(probs, support if support is not None else tuple(range(scores.size)))
 
 

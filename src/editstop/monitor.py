@@ -4,10 +4,10 @@ Alignment distributions arrive one per denoising step. Unmasking is
 monotone, so consecutive distributions share the earlier one's visible
 support: both are restricted to it and renormalized, the step-wise KL
 divergence is computed on index arrays (``matched_kl``, the one-row case
-of ``matched_kl_rows``), and a run-length counter tracks how many
-consecutive steps stayed strictly below the divergence threshold. The
-first time the counter reaches the required span, the block is declared
-stable and denoising stops.
+of ``matched_kl_rows``, which also refuses a support that shrank), and a
+run-length counter tracks how many consecutive steps stayed strictly
+below the divergence threshold. The first time the counter reaches the
+required span, the block is declared stable and denoising stops.
 """
 
 from __future__ import annotations
@@ -104,10 +104,14 @@ def matched_kl_rows(curr: np.ndarray, prev: np.ndarray, idx: np.ndarray) -> np.n
 
 
 def matched_kl(curr: ProbVector, prev: ProbVector) -> float:
-    """KL of ``curr`` from ``prev`` on ``prev``'s support, a subset of
-    ``curr``'s: the one-row ``matched_kl_rows``. Supports are sorted, so
-    ``searchsorted`` finds ``prev``'s members in ``curr``."""
-    idx = np.searchsorted(curr.support, prev.support)
+    """KL of ``curr`` from ``prev`` on ``prev``'s support: the one-row
+    ``matched_kl_rows``. The lookup of ``prev``'s members in ``curr`` also
+    refuses a ``curr`` without one (``NonMonotoneVisibleSetError``)."""
+    column = dict(zip(curr.support, range(len(curr))))
+    try:
+        idx = [column[s] for s in prev.support]
+    except KeyError:
+        raise NonMonotoneVisibleSetError(f"{prev.support} not within {curr.support}") from None
     return float(matched_kl_rows(curr.probs[None], prev.probs[None], idx)[0])
 
 
@@ -155,24 +159,19 @@ class StabilityMonitor:
 
     def observe(self, dist: AlignmentDistribution) -> StopDecision:
         prev = self.state.prev_distribution
-        if prev is not None:
-            if dist.step <= prev.step:
-                raise NonMonotoneVisibleSetError(
-                    f"step {dist.step} does not advance past {prev.step}"
-                )
-            if not set(dist.dist.support) >= set(prev.dist.support):
-                raise NonMonotoneVisibleSetError(
-                    f"visible set {dist.dist.support} dropped tokens from {prev.dist.support}"
-                )
         if prev is None:
             # No predecessor to compare against; counter untouched.
             self.state.prev_distribution = dist
             return StopDecision(False, dist.step, StopReason.STILL_RUNNING, 0)
+        if dist.step <= prev.step:
+            raise NonMonotoneVisibleSetError(
+                f"step {dist.step} does not advance past {prev.step}"
+            )
         if dist.dist is prev.dist:
             # A repeated distribution diverges from itself by exactly 0.0.
             d_t = 0.0
         else:
-            # The monotone check above makes prev's support the matched one.
+            # Refuses a support that dropped a member of prev's.
             d_t = matched_kl(dist.dist, prev.dist)
         self.state.prev_distribution = dist
         _, decision = update_counter(

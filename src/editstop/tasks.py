@@ -48,27 +48,26 @@ class SyntheticTask:
         return prompt, self.target_for(prompt)
 
     def target_for(self, prompt: np.ndarray) -> np.ndarray:
+        """Targets of an ``(L,)`` prompt or ``(n, L)`` batch (``L = block_length``)."""
         prompt = np.asarray(prompt, dtype=np.int64)
-        if prompt.shape != (self.block_length,):
-            raise ValueError(
-                f"prompt shape {prompt.shape} != ({self.block_length},)"
-            )
-        if prompt.min() < 0 or prompt.max() >= self.modulus:
+        if prompt.ndim not in (1, 2) or prompt.shape[-1] != self.block_length:
+            raise ValueError(f"prompt shape {prompt.shape} is not (L,) or (n, L), L = block_length")
+        if prompt.size and (prompt.min() < 0 or prompt.max() >= self.modulus):
             raise ValueError("prompt tokens outside the task range")
         if self.name == "copy_reverse":
-            return prompt[::-1].copy()
+            return prompt[..., ::-1].copy()
         if self.name == "modular_sum":
-            return np.cumsum(prompt) % self.modulus
-        return np.sort(prompt)
+            return np.cumsum(prompt, axis=-1) % self.modulus
+        return np.sort(prompt, axis=-1)
 
     def sample_batch(
         self, rng: np.random.Generator, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` prompts drawn as ``n`` :meth:`sample` calls draw them; one target call."""
         prompts = np.empty((n, self.block_length), dtype=np.int64)
-        targets = np.empty((n, self.block_length), dtype=np.int64)
         for i in range(n):
-            prompts[i], targets[i] = self.sample(rng)
-        return prompts, targets
+            prompts[i] = rng.integers(0, self.modulus, size=self.block_length, dtype=np.int64)
+        return prompts, self.target_for(prompts)
 
     def exact_match(self, output_block: np.ndarray, target: np.ndarray) -> bool:
         output_block = np.asarray(output_block, dtype=np.int64)

@@ -1,9 +1,9 @@
 """Shared builders for synthetic distributions, chains, and frames, test
-oracles (a scalar cosine, the monitor's matched-support KL, the windowed
-TV bound, the step objective of the pseudo-gradient and the per-token
-freezing rule), the per-token
-reference path of the denoising step, and the live per-cell sweeps that
-calibrate's and ablate's replays stand in for."""
+oracles (the out-of-place and the batched forward pass, a scalar cosine,
+the monitor's matched-support KL, the windowed TV bound, the step
+objective of the pseudo-gradient and the per-token freezing rule), the
+per-token reference path of the denoising step, and the live per-cell
+sweeps that calibrate's and ablate's replays stand in for."""
 
 from __future__ import annotations
 
@@ -60,6 +60,7 @@ from editstop.model import (
     forward,
     load_checkpoint,
     lora_param_key,
+    merged_projections,
     module_path,
     parse_module_path,
     predictive_distributions,
@@ -173,6 +174,87 @@ def reference_forward(
             cache_b.update(q=qh, k=kh, v=vh, attn=attn, t1=t1)
             block_caches.append(cache_b)
     logits = x @ model.base["head"].T
+    cache = {"tokens": tokens, "blocks": block_caches} if record else None
+    return ForwardResult(logits=logits, taps=tap_out, cache=cache)
+
+
+# --- the batched forward pass -------------------------------------------------
+#
+# ``model.forward`` as it ran before its residual stream became one 2-D
+# ``(N * T, d)`` array, verbatim but for its name and its input checks: the
+# adapters folded into row-major projection stacks, attention and the MLP in
+# place, each GEMM of a batch on a 2-D view (``_mm``) and a single sample on
+# plain ``x @ W``. ``forward`` must match it bit for bit: logits, taps and
+# every recorded array.
+
+
+def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    if x.shape[0] == 1:
+        return x @ w
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
+def batched_forward(
+    model: ToyModel,
+    tokens: np.ndarray,
+    taps: tuple[TapSpec, ...] = (),
+    record: bool = False,
+    first_row: int = 0,
+) -> ForwardResult:
+    cfg = model.cfg
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim == 1:
+        tokens = tokens[None, :]
+    t = tokens.shape[1]
+    d = cfg.d_model
+    merged = tuple(np.ascontiguousarray(w) for w in merged_projections(model))
+    by_block: dict[int, list[TapSpec]] = {}
+    for spec in taps:
+        blk, _ = parse_module_path(spec.module)
+        by_block.setdefault(blk, []).append(spec)
+
+    x = model.base["emb_tok"][tokens] + model.base["emb_pos"][:t][None, :, :]
+    tap_out: dict[TapSpec, np.ndarray] = {}
+    block_caches: list[dict] = []
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    for b in range(cfg.n_blocks):
+        x_in = x
+        q_from = first_row if b == cfg.n_blocks - 1 else 0
+        cache_b = {"x_in": x_in} if record else None
+        w = merged[b]
+        if q_from:
+            kv = _mm(x_in, w[d:].T)
+            full = {"q": _mm(x_in[:, q_from:], w[:d].T), "k": kv[..., :d], "v": kv[..., d:]}
+        else:
+            qkv = _mm(x_in, w.T)
+            full = {"q": qkv[..., :d], "k": qkv[..., d : 2 * d], "v": qkv[..., 2 * d :]}
+        for spec in by_block.get(b, ()):
+            _, proj = parse_module_path(spec.module)
+            a, bb = (model.lora[lora_param_key(b, proj, ad)] for ad in ("a", "b"))
+            tap_out[spec] = _mm(x_in[:, first_row:] @ a.T, bb.T)
+        if record:
+            for proj in PROJECTIONS:
+                start = q_from if proj == "q" else 0
+                a = model.lora[lora_param_key(b, proj, "a")]
+                cache_b[f"ax_{proj}"] = x_in[:, start:] @ a.T
+        qh = _split_heads(full["q"], cfg.n_heads, cfg.head_dim)
+        kh = _split_heads(full["k"], cfg.n_heads, cfg.head_dim)
+        vh = _split_heads(full["v"], cfg.n_heads, cfg.head_dim)
+        attn = qh @ kh.swapaxes(-1, -2)
+        attn *= scale
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        x_mid = _mm(_merge_heads(attn @ vh), model.base[f"block{b}.wo"].T)
+        x_mid += x_in[:, q_from:]
+        t1 = _mm(x_mid, model.base[f"block{b}.w1"].T)
+        np.tanh(t1, out=t1)
+        x = _mm(t1, model.base[f"block{b}.w2"].T)
+        x += x_mid
+        if record:
+            cache_b.update(q=qh, k=kh, v=vh, attn=attn, t1=t1)
+            block_caches.append(cache_b)
+    logits = _mm(x, model.base["head"].T)
     cache = {"tokens": tokens, "blocks": block_caches} if record else None
     return ForwardResult(logits=logits, taps=tap_out, cache=cache)
 

@@ -2,7 +2,8 @@
 
 ``bench/tracing.py`` wraps each ``(module, path)`` of its ``TARGETS`` and
 ``linalg.ProbVector.__init__`` in place, so a rename or deletion in the
-package breaks the benchmark. These tests fail first.
+package breaks the benchmark, and a decode that stops calling through
+those bindings zeroes the bench's counters. These tests fail first.
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
+import pytest
+
 from editstop import linalg
+from editstop.capture import EvolutionVector, build_subspace
+from editstop.generate import PolicyConfig, generate
+from editstop.model import ModelConfig, init_model
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
@@ -48,3 +55,39 @@ def test_every_traced_binding_resolves(monkeypatch):
 
 def test_probvector_defines_its_own_init():
     assert "__init__" in vars(linalg.ProbVector)
+
+
+@pytest.mark.parametrize("kind", ["fixed", "edit", "edit_freeze"])
+def test_a_traced_decode_counts_every_forward_and_probvector(monkeypatch, kind):
+    """``generate`` reaches ``forward`` and ``ProbVector.__init__`` through
+    the bindings the bench wraps: with its recorder installed, a decode
+    counts one forward per ``forward_passes`` and one ``ProbVector`` per
+    scored step, never zero because a decode went round them."""
+    tracing = load_tracing(monkeypatch)
+    cfg = ModelConfig()
+    rng = np.random.default_rng(6)
+    vector = EvolutionVector(u=np.abs(rng.normal(size=cfg.d_model)), module_id="m", rank=4)
+    basis = build_subspace(rng.normal(size=(cfg.d_model, 6)), 3, "m")
+    prompt = rng.integers(0, cfg.vocab_size - 1, size=cfg.block_length)
+    recorder = tracing.Recorder()
+    with tracing.Installed(recorder):
+        result = generate(
+            init_model(cfg), prompt, 48, PolicyConfig(kind), reasoning_map=vector,
+            freeze_basis=basis,
+        )
+    # A step is scored unless it repeats its predecessor's distribution.
+    scored = 0
+    for block in result.blocks:
+        records = block.trajectory.records
+        for prev, rec in zip([None, *records], records):
+            if rec.alignment is not None:
+                scored += prev is None or rec.alignment.dist is not prev.alignment.dist
+    counts = recorder.counts
+    assert counts["model.forward.calls"] == sum(b.forward_passes for b in result.blocks) > 0
+    assert counts["linalg.ProbVector.built"] == scored
+    assert sum(s.name == "alignment.score_frame" for s in recorder.spans) == scored
+    assert counts["generate.steps"] == sum(result.block_steps)
+    if kind == "fixed":
+        assert scored == 0 and counts["monitor.observe.calls"] == 0
+    else:
+        assert scored > 0 and counts["monitor.observe.calls"] == sum(result.block_steps)

@@ -1,6 +1,6 @@
 """The array-shaped step loop against the per-token reference path.
 
-``generate`` ranks commits with one ``lexsort`` over a softmax array and
+``generate`` ranks commits with one stable argsort over a softmax array and
 scores a frame with one array expression; ``helpers.reference_generate``
 builds a ProbVector per position, sorts positions and scores one token
 at a time. Tokens, commit order, each step's row argmax, stop steps and

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -134,6 +135,46 @@ class TestSchedule:
                 policy=PolicyConfig("edit_freeze"),
                 reasoning_map=synthetic_map(),
             )
+
+
+class TestCommitRanking:
+    """Open slots are ranked by one stable sort on their row's largest
+    probability, so tied slots commit lowest index first, and a full block
+    ranks nothing."""
+
+    def test_full_block_reuses_step_17(self):
+        cfg = ModelConfig()
+        prompt = np.random.default_rng(8).integers(0, cfg.vocab_size - 1, size=cfg.block_length)
+        block = denoise_block(init_model(cfg), prompt, 1, budget=32)
+        records = block.trajectory.records
+        assert block.forward_passes == 17
+        assert [len(r.committed) for r in records] == [1] * 16 + [0] * 16
+        assert records[16].frame is not records[15].frame
+        assert all(r.frame is records[16].frame for r in records[17:])
+        assert all((r.tokens, r.choice) == (records[16].tokens, records[16].choice)
+                   for r in records[17:])
+
+    def test_ties_commit_lowest_index_first_at_quota_4(self, monkeypatch):
+        # Every forward reads the same confidences, three values over 16
+        # slots, so each step's four commits cut through a tie and the
+        # stable order alone decides which of the tied slots go first.
+        cfg = ModelConfig()
+        L, V = cfg.block_length, cfg.vocab_size
+        confidence = np.array([0.3, 0.6, 0.9, 0.6, 0.3, 0.6, 0.6, 0.3,
+                               0.9, 0.6, 0.3, 0.3, 0.6, 0.9, 0.3, 0.3])
+        probs = np.empty((L, V - 1))
+        probs[:] = ((1.0 - confidence) / (V - 2))[:, None]
+        probs[np.arange(L), np.arange(L) % (V - 1)] = confidence
+        gen = importlib.import_module("editstop.generate")
+        monkeypatch.setattr(gen, "predictive_distributions", lambda logits, vocab: probs.copy())
+        prompt = np.random.default_rng(9).integers(0, V - 1, size=L)
+        block = denoise_block(init_model(cfg), prompt, 1, budget=4)
+        order = sorted(range(L), key=lambda i: (-confidence[i], i))
+        want = [tuple(L + i for i in order[k : k + 4]) for k in range(0, L, 4)]
+        assert [r.committed for r in block.trajectory.records] == want
+        # The three 0.9 slots, then the lowest of the six tied at 0.6.
+        assert want[0] == (L + 2, L + 8, L + 13, L + 1)
+        assert block.trajectory.tokens == tuple(i % (V - 1) for i in range(L))
 
 
 class TestStopBehavior:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import reference_forward
+from helpers import batched_forward, reference_forward
 
 import editstop.model as model_module
 from editstop.errors import (
@@ -263,9 +263,10 @@ class TestInPlaceForward:
 
 
 class TestTwoDimensionalGemms:
-    """``forward`` and ``backward_lora`` run the GEMMs of a batch of several
-    samples on 2-D views (``model._mm``), which moves bits: training's,
-    while a single-sample decode keeps numpy's plain matmul."""
+    """``backward_lora`` runs the GEMMs of a batch of several samples on 2-D
+    views (``model._mm``), and ``forward`` on its 2-D residual stream, which
+    moves bits: training's, while a single-sample decode keeps numpy's
+    plain matmul."""
 
     def test_training_batch_matches_per_sample_full_passes(self):
         # sft_train's shape: 16 samples of 32 tokens, loss on rows 16:. The
@@ -302,6 +303,84 @@ class TestTwoDimensionalGemms:
         want = forward(model, tokens, taps=(tap,), first_row=t - 16)
         assert same_bits(got.logits, want.logits)
         assert same_bits(got.taps[tap], want.taps[tap])
+
+
+def assert_same_forward(got, want) -> None:
+    """Logits, taps and every recorded array, bit for bit."""
+    assert same_bits(got.logits, want.logits)
+    assert list(got.taps) == list(want.taps)
+    for spec in want.taps:
+        assert same_bits(got.taps[spec], want.taps[spec]), spec.module
+    if want.cache is None:
+        assert got.cache is None
+        return
+    assert same_bits(got.cache["tokens"], want.cache["tokens"])
+    blocks = zip(got.cache["blocks"], want.cache["blocks"], strict=True)
+    for b, (mine, theirs) in enumerate(blocks):
+        assert list(mine) == list(theirs)
+        for key in theirs:
+            assert same_bits(mine[key], theirs[key]), (b, key)
+
+
+class TestTwoDimensionalForward:
+    """``forward`` keeps its residual stream as one 2-D ``(N * T, d)``
+    array; it must keep every bit of the batched formulation it replaced
+    (``helpers.batched_forward``): a decode's single sample and training's
+    batch alike."""
+
+    @pytest.mark.parametrize("t", [32, 48, 64])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_decode_forward_keeps_the_batched_bits(self, t, record):
+        cfg = ModelConfig()
+        rng = np.random.default_rng(300 + t)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        tokens = rng.integers(0, cfg.vocab_size, size=(1, t))
+        tap = model.default_tap()
+        got = forward(model, tokens, taps=(tap,), record=record, first_row=t - 16)
+        want = batched_forward(model, tokens, taps=(tap,), record=record, first_row=t - 16)
+        assert got.logits.shape == (1, 16, cfg.vocab_size)
+        assert_same_forward(got, want)
+
+    def test_training_batch_keeps_the_batched_bits(self):
+        cfg = ModelConfig()
+        rng = np.random.default_rng(316)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        tokens = rng.integers(0, cfg.vocab_size, size=(16, 32))
+        got = forward(model, tokens, record=True, first_row=16)
+        want = batched_forward(model, tokens, record=True, first_row=16)
+        assert got.logits.shape == (16, 16, cfg.vocab_size)
+        assert_same_forward(got, want)
+
+    @pytest.mark.parametrize("n, t, first_row", [(1, 32, 16), (1, 64, 48), (16, 32, 16)])
+    def test_stack_layout_keeps_the_bits(self, n, t, first_row):
+        # merged_projections stores its stacks column-major for speed; a
+        # row-major copy of the same stacks gives every bit back.
+        cfg = ModelConfig()
+        rng = np.random.default_rng(318 + t)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        merged = merged_projections(model)
+        assert all(w.flags.f_contiguous for w in merged)
+        tokens = rng.integers(0, cfg.vocab_size, size=(n, t))
+        row_major = tuple(np.ascontiguousarray(w) for w in merged)
+        kwargs = dict(taps=SIX_TAPS, record=True, first_row=first_row)
+        assert_same_forward(
+            forward(model, tokens, merged=merged, **kwargs),
+            forward(model, tokens, merged=row_major, **kwargs),
+        )
+
+    def test_every_tap_of_a_batch_keeps_the_batched_bits(self):
+        cfg = ModelConfig()
+        rng = np.random.default_rng(317)
+        model = init_model(cfg)
+        randomize_lora(model, rng, scale=0.3)
+        tokens = rng.integers(0, cfg.vocab_size, size=(16, 32))
+        for first_row in (0, 5, 16):
+            got = forward(model, tokens, taps=SIX_TAPS, record=True, first_row=first_row)
+            want = batched_forward(model, tokens, taps=SIX_TAPS, record=True, first_row=first_row)
+            assert_same_forward(got, want)
 
 
 class TestMergedProjections:

@@ -31,6 +31,11 @@ class TestTargets:
         with pytest.raises(ValueError):
             SyntheticTask("palindrome", 63, 4)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 2, 3), ()])
+    def test_wrong_prompt_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            SyntheticTask("sort_small", 8, 3).target_for(np.zeros(shape, dtype=np.int64))
+
     def test_out_of_range_prompt_rejected(self):
         task = SyntheticTask("copy_reverse", 8, 3)
         with pytest.raises(ValueError):
@@ -57,6 +62,19 @@ class TestSampling:
         b = task.sample_batch(np.random.default_rng(11), 5)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("name", ["copy_reverse", "modular_sum", "sort_small"])
+    def test_batch_equals_per_sample_draws(self, name):
+        # One target_for call over the batch, and the random stream of n
+        # sample calls: the same prompts and targets, bit for bit.
+        task = make_task(name, 64, 16)
+        prompts, targets = task.sample_batch(np.random.default_rng(12), 16)
+        rng = np.random.default_rng(12)
+        rows = [task.sample(rng) for _ in range(16)]
+        for got, want in ((prompts, [p for p, _ in rows]), (targets, [t for _, t in rows])):
+            want = np.stack(want)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert task.sample_batch(np.random.default_rng(12), 0)[1].shape == (0, 16)
 
     def test_exact_match(self):
         task = make_task("copy_reverse", 64, 4)
