@@ -15,10 +15,10 @@ of committed rows that the freezer and the alignment scorer read whole.
 
 ``forward`` is deterministic in the tokens, so it runs only at step 1 and
 after a step that committed a slot. It returns only the block's rows, runs
-on the model's ``merged_projections``, built once per ``generate``, and
-emits every requested tap (``taps``); the first tap's frame is the one
-scored and frozen. ``record=True`` keeps each step's recorded forward for
-the offline pseudo-gradient.
+on ``forward_weights``, built once per ``generate``, and emits every
+requested tap (``taps``); the first tap's frame is the one scored and
+frozen. ``record=True`` keeps each step's recorded forward for the offline
+pseudo-gradient.
 
 Step work that no caller reads is skipped. A ``fixed`` decode scores no
 frame and records no alignment. A step that repeats its predecessor
@@ -59,10 +59,11 @@ from .errors import NonMonotoneVisibleSetError, ScheduleExhaustedError
 from .freeze import FreezeConfig, FreezeEvent, TokenFreezer
 from .model import (
     ForwardResult,
+    ForwardWeights,
     ToyModel,
     TapSpec,
     forward,
-    merged_projections,
+    forward_weights,
     predictive_distributions,
 )
 from .monitor import StabilityMonitor, StabilityState, StopConfig, StopDecision, StopReason
@@ -212,7 +213,7 @@ def denoise_block(
     freeze_basis: SubspaceBasis | None = None,
     alpha_hat: float | None = None,
     record: bool = False,
-    merged: tuple[np.ndarray, ...] | None = None,
+    weights: ForwardWeights | None = None,
 ) -> BlockResult:
     """Denoise one block given all earlier tokens.
 
@@ -226,7 +227,7 @@ def denoise_block(
     one forward: ``taps[0]`` gives the scored and frozen ``StepRecord.frame``,
     the rest raw ``other_frames`` over the same visible set. ``record``
     keeps each step's recorded forward on ``trajectory.forwards``.
-    Every forward runs on ``merged``, the model's ``merged_projections``,
+    Every forward runs on ``weights``, the model's ``forward_weights``,
     built here when not given.
     """
     policy = policy if policy is not None else PolicyConfig()
@@ -252,7 +253,7 @@ def denoise_block(
         raise ValueError(f"taps must be nonempty and distinct, got {taps}")
     monitor = StabilityMonitor(policy.stop) if policy.monitored else None
     freezer = TokenFreezer(freeze_basis, policy.freeze) if policy.freezing else None
-    merged = merged if merged is not None else merged_projections(model)
+    weights = weights if weights is not None else forward_weights(model)
 
     lo = block_index * L
     tokens = np.concatenate([prefix, np.full(L, cfg.mask_id, dtype=np.int64)])
@@ -274,7 +275,7 @@ def denoise_block(
         # Rerun forward only when the last step changed the tokens.
         if step == 1 or newly:
             result = forward(
-                model, tokens[None, :], taps=taps, record=record, first_row=lo, merged=merged
+                model, tokens[None, :], taps=taps, record=record, first_row=lo, weights=weights
             )
             forward_passes += 1
             tap_rows, *other_rows = (result.taps[t][0] for t in taps)
@@ -392,7 +393,7 @@ def generate(
 ) -> GenerateResult:
     """Denoise every block after the prompt, left to right; each block
     records ``taps`` (and with ``record`` its forwards) as :func:`denoise_block` does.
-    The model's ``merged_projections`` are built once and serve every block."""
+    The model's ``forward_weights`` are built once and serve every block."""
     policy = policy if policy is not None else PolicyConfig()
     cfg = model.cfg
     L = cfg.block_length
@@ -406,7 +407,7 @@ def generate(
     if seq_len > cfg.max_positions:
         raise ValueError(f"seq_len {seq_len} exceeds {cfg.max_positions} positions")
 
-    merged = merged_projections(model)
+    weights = forward_weights(model)
     tokens = prompt.copy()
     blocks: list[BlockResult] = []
     for block_index in range(prompt.size // L, seq_len // L):
@@ -422,7 +423,7 @@ def generate(
             freeze_basis=freeze_basis,
             alpha_hat=alpha_hat,
             record=record,
-            merged=merged,
+            weights=weights,
         )
         tokens = np.concatenate([tokens, np.asarray(block.trajectory.tokens)])
         blocks.append(block)

@@ -5,7 +5,7 @@ pairs on the query/key/value projections train. The forward pass can
 record every intermediate needed for a hand-written reverse pass over
 the adapter parameters, and can tap the adapter-branch output of any
 attention projection as per-position activation vectors. Decoding and
-training both run it on ``merged_projections``, the adapters folded into
+training both run it on ``forward_weights``, the adapters folded into
 the frozen weights.
 
 The base initialization is structured rather than fully random: token
@@ -247,23 +247,34 @@ def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
 
 
-def merged_projections(model: ToyModel) -> tuple[np.ndarray, ...]:
-    """The adapted q/k/v weights of every block with the adapters folded in.
+@dataclass(frozen=True)
+class ForwardWeights:
+    """Every weight operand of :func:`forward`, from the current parameters
+    (rebuild after the adapters change), in the layout its GEMM reads fastest
+    with the same bits. ``qkv[b]``: layer ``b``'s ``W + B @ A`` for q, k, v in
+    one column-major ``(3 * d_model, d_model)`` stack. ``wq_last``: the last
+    Wq, row-major as its 16-row GEMM's bits need. ``adapters``: each module
+    path's (A, B). ``mlp[b]``: ``(Woᵀ, W1ᵀ, W2ᵀ)``, row-major copies below the
+    last layer, ``.T`` views in it. The copies keep the views' bits at the
+    default sizes from 19 rows up; fewer rows or other sizes may move bits."""
 
-    Entry ``b`` is the ``(3 * d_model, d_model)`` stack of ``W + B @ A`` for
-    ``PROJECTIONS`` in order, so one GEMM gives a layer's three projections
-    and a slice of rows gives any of them. Column-major, so ``x @ w.T`` reads
-    a row-major operand: 1.4-1.8x faster at decode shapes, the same bits.
-    Built from the current parameters: rebuild after the adapters change.
-    """
-    return tuple(
-        np.asfortranarray(np.concatenate([
-            model.base[f"block{b}.w{proj}"]
-            + model.lora[lora_param_key(b, proj, "b")] @ model.lora[lora_param_key(b, proj, "a")]
-            for proj in PROJECTIONS
-        ]))
-        for b in range(model.cfg.n_blocks)
-    )
+    qkv: tuple[np.ndarray, ...]
+    wq_last: np.ndarray
+    adapters: dict[str, tuple[np.ndarray, np.ndarray]]
+    mlp: tuple[tuple[np.ndarray, ...], ...]
+
+
+def forward_weights(model: ToyModel) -> ForwardWeights:
+    cfg, base, last = model.cfg, model.base, model.cfg.n_blocks - 1
+    adapters = {module_path(b, p): tuple(model.lora[lora_param_key(b, p, ad)] for ad in ADAPTERS)
+                for b in range(cfg.n_blocks) for p in PROJECTIONS}
+    qkv = tuple(np.asfortranarray(np.concatenate([
+        base[f"block{b}.w{p}"] + adapters[module_path(b, p)][1] @ adapters[module_path(b, p)][0]
+        for p in PROJECTIONS
+    ])) for b in range(cfg.n_blocks))
+    mlp = tuple(tuple((np.asarray if b == last else np.ascontiguousarray)(base[f"block{b}.{w}"].T)
+                      for w in ("wo", "w1", "w2")) for b in range(cfg.n_blocks))
+    return ForwardWeights(qkv, np.ascontiguousarray(qkv[last][: cfg.d_model]), adapters, mlp)
 
 
 def forward(
@@ -272,7 +283,7 @@ def forward(
     taps: tuple[TapSpec, ...] = (),
     record: bool = False,
     first_row: int = 0,
-    merged: tuple[np.ndarray, ...] | None = None,
+    weights: ForwardWeights | None = None,
 ) -> ForwardResult:
     """Full-sequence forward pass.
 
@@ -287,15 +298,15 @@ def forward(
     the full pass to rounding, not bit for bit; so do the gradients of a
     recorded block-row pass.
 
-    Every projection runs on :func:`merged_projections`, the adapters folded
-    into the frozen weights (``merged`` or built here, in any memory order:
-    the same bits). The residual stream is one 2-D ``(N * T, d_model)``
-    array, so each row-wise op is one 2-D GEMM, and a reshape and transpose
-    of a layer's projection GEMM give its q/k/v heads (in the last layer, k
-    and v over every row and q over rows ``first_row:``). A tapped
-    projection computes its adapter branch ``(x @ A.T) @ B.T`` on rows
-    ``first_row:``; ``record=True`` adds each ``x @ A.T``. ``x @ A.T`` stays
-    a batched ``(N, T, d)`` matmul, whose bits a 2-D view changes at batch 16.
+    Every GEMM reads ``weights`` (:func:`forward_weights`, built here when not
+    given: the same bits). The residual stream is one 2-D
+    ``(N * T, d_model)`` array, so each row-wise op is one 2-D GEMM, and a
+    reshape and transpose of a layer's projection GEMM give its q/k/v heads
+    (in the last layer, k and v over every row and q over rows
+    ``first_row:``). A tapped projection computes its adapter branch
+    ``(x @ A.T) @ B.T`` on rows ``first_row:``; ``record=True`` adds each
+    ``x @ A.T``, a batched ``(N, T, d)`` matmul, whose bits a 2-D view changes
+    at batch 16.
     """
     cfg = model.cfg
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -316,11 +327,9 @@ def forward(
     if not 0 <= first_row < t:
         raise ValueError(f"first_row {first_row} outside [0, {t})")
     d, h, hd = cfg.d_model, cfg.n_heads, cfg.head_dim
-    if merged is not None:
-        if len(merged) != cfg.n_blocks or any(w.shape != (3 * d, d) for w in merged):
-            raise ValueError(f"merged must hold {cfg.n_blocks} ({3 * d}, {d}) weight stacks")
-    else:
-        merged = merged_projections(model)
+    weights = weights if weights is not None else forward_weights(model)
+    if len(weights.qkv) != cfg.n_blocks or any(w.shape != (3 * d, d) for w in weights.qkv):
+        raise ValueError(f"weights must hold {cfg.n_blocks} ({3 * d}, {d}) q/k/v stacks")
     tap_sites = [(spec, *parse_module_path(spec.module)) for spec in taps]
     for spec, blk, _ in tap_sites:
         if not 0 <= blk < cfg.n_blocks:
@@ -333,43 +342,45 @@ def forward(
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for b in range(cfg.n_blocks):
         x_in = x.reshape(n, t, d)
-        w = merged[b]
+        w = weights.qkv[b]
+        wo, w1, w2 = weights.mlp[b]
         q_from = first_row if b == cfg.n_blocks - 1 else 0
         m = n * (t - q_from)  # the rows past this layer's attention
         if q_from:
             rows = x_in[:, q_from:].reshape(m, d)
             kh, vh = (x @ w[d:].T).reshape(n, t, 2, h, hd).transpose(2, 0, 3, 1, 4)
-            # Row-major Wq: a GEMM over a block's 16 rows moves bits with the layout.
-            qh = (rows @ np.ascontiguousarray(w[:d]).T).reshape(n, tq, h, hd).transpose(0, 2, 1, 3)
+            qh = (rows @ weights.wq_last.T).reshape(n, tq, h, hd).transpose(0, 2, 1, 3)
         else:
             rows = x
             qh, kh, vh = (x @ w.T).reshape(n, t, 3, h, hd).transpose(2, 0, 3, 1, 4)
-        for spec, blk, proj in tap_sites:
+        for spec, blk, _ in tap_sites:
             if blk == b:
-                a, bb = (model.lora[lora_param_key(b, proj, ad)] for ad in ADAPTERS)
+                a, bb = weights.adapters[spec.module]
                 ax = (x_in[:, first_row:] @ a.T).reshape(n * tq, -1)
                 tap_out[spec] = (ax @ bb.T).reshape(n, tq, d)
-        # Softmax in place, with no temporaries.
+        # Softmax in place, with no temporaries. fmax is faster than max; on a
+        # ±0 tie it may pick the other zero, which exp maps to 1.0 all the same.
         attn = qh @ kh.swapaxes(-1, -2)
         attn *= scale
-        attn -= attn.max(axis=-1, keepdims=True)
+        attn -= np.fmax.reduce(attn, axis=-1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
-        x_mid = (attn @ vh).transpose(0, 2, 1, 3).reshape(m, d) @ model.base[f"block{b}.wo"].T
+        x_mid = (attn @ vh).transpose(0, 2, 1, 3).reshape(m, d) @ wo
         x_mid += rows
-        t1 = x_mid @ model.base[f"block{b}.w1"].T
+        t1 = x_mid @ w1
         np.tanh(t1, out=t1)
-        x = t1 @ model.base[f"block{b}.w2"].T
+        x = t1 @ w2
         x += x_mid
         if record:
             cache_b = {"x_in": x_in}
             for proj in PROJECTIONS:
-                a = model.lora[lora_param_key(b, proj, "a")]
+                a = weights.adapters[module_path(b, proj)][0]
                 cache_b[f"ax_{proj}"] = x_in[:, q_from if proj == "q" else 0:] @ a.T
             cache_b.update(q=qh, k=kh, v=vh, attn=attn, t1=t1.reshape(n, t - q_from, -1))
             block_caches.append(cache_b)
     logits = (x @ model.base["head"].T).reshape(n, tq, -1)
-    cache = {"tokens": tokens, "blocks": block_caches} if record else None
+    # A copy: a decode goes on to commit into the array it passed.
+    cache = {"tokens": tokens.copy(), "blocks": block_caches} if record else None
     return ForwardResult(logits=logits, taps=tap_out, cache=cache)
 
 

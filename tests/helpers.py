@@ -58,9 +58,9 @@ from editstop.model import (
     ToyModel,
     backward_lora,
     forward,
+    forward_weights,
     load_checkpoint,
     lora_param_key,
-    merged_projections,
     module_path,
     parse_module_path,
     predictive_distributions,
@@ -207,7 +207,7 @@ def batched_forward(
         tokens = tokens[None, :]
     t = tokens.shape[1]
     d = cfg.d_model
-    merged = tuple(np.ascontiguousarray(w) for w in merged_projections(model))
+    merged = tuple(np.ascontiguousarray(w) for w in forward_weights(model).qkv)
     by_block: dict[int, list[TapSpec]] = {}
     for spec in taps:
         blk, _ = parse_module_path(spec.module)
@@ -260,6 +260,27 @@ def batched_forward(
 
 
 # --- oracles -----------------------------------------------------------------
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_forward(got: ForwardResult, want: ForwardResult) -> None:
+    """Logits, taps and every recorded array, bit for bit."""
+    assert same_bits(got.logits, want.logits)
+    assert list(got.taps) == list(want.taps)
+    for spec in want.taps:
+        assert same_bits(got.taps[spec], want.taps[spec]), spec.module
+    if want.cache is None:
+        assert got.cache is None
+        return
+    assert same_bits(got.cache["tokens"], want.cache["tokens"])
+    blocks = zip(got.cache["blocks"], want.cache["blocks"], strict=True)
+    for b, (mine, theirs) in enumerate(blocks):
+        assert list(mine) == list(theirs)
+        for key in theirs:
+            assert same_bits(mine[key], theirs[key]), (b, key)
 
 
 def cosine_similarity(a, b) -> float:

@@ -61,8 +61,9 @@ def test_probvector_defines_its_own_init():
 def test_a_traced_decode_counts_every_forward_and_probvector(monkeypatch, kind):
     """``generate`` reaches ``forward`` and ``ProbVector.__init__`` through
     the bindings the bench wraps: with its recorder installed, a decode
-    counts one forward per ``forward_passes`` and one ``ProbVector`` per
-    scored step, never zero because a decode went round them."""
+    counts one forward per ``forward_passes``, over all of its rows, and one
+    ``ProbVector`` per scored step, never zero because a decode went round
+    them."""
     tracing = load_tracing(monkeypatch)
     cfg = ModelConfig()
     rng = np.random.default_rng(6)
@@ -72,7 +73,7 @@ def test_a_traced_decode_counts_every_forward_and_probvector(monkeypatch, kind):
     recorder = tracing.Recorder()
     with tracing.Installed(recorder):
         result = generate(
-            init_model(cfg), prompt, 48, PolicyConfig(kind), reasoning_map=vector,
+            init_model(cfg), prompt, 64, PolicyConfig(kind), reasoning_map=vector,
             freeze_basis=basis,
         )
     # A step is scored unless it repeats its predecessor's distribution.
@@ -83,7 +84,14 @@ def test_a_traced_decode_counts_every_forward_and_probvector(monkeypatch, kind):
             if rec.alignment is not None:
                 scored += prev is None or rec.alignment.dist is not prev.alignment.dist
     counts = recorder.counts
-    assert counts["model.forward.calls"] == sum(b.forward_passes for b in result.blocks) > 0
+    calls = sum(b.forward_passes for b in result.blocks)
+    assert counts["model.forward.calls"] == calls > 0
+    assert sum(s.name == "model.forward" for s in recorder.spans) == calls
+    # Block b's forwards read all (b + 1) * L rows of its tokens.
+    L = cfg.block_length
+    assert [b.block_index for b in result.blocks] == [1, 2, 3]
+    rows = sum(b.forward_passes * (b.block_index + 1) * L for b in result.blocks)
+    assert counts["model.forward.rows"] == rows
     assert counts["linalg.ProbVector.built"] == scored
     assert sum(s.name == "alignment.score_frame" for s in recorder.spans) == scored
     assert counts["generate.steps"] == sum(result.block_steps)

@@ -7,7 +7,15 @@ import importlib
 
 import numpy as np
 import pytest
-from helpers import count_forwards, frame_from, frame_row, reference_generate
+from helpers import (
+    assert_same_forward,
+    batched_forward,
+    count_forwards,
+    frame_from,
+    frame_row,
+    reference_generate,
+    same_bits,
+)
 
 from editstop.capture import AdamWConfig, EvolutionVector, SubspaceBasis, build_subspace
 from editstop.config import ExperimentConfig
@@ -517,6 +525,58 @@ class TestForwardReuse:
             assert rec.choice == tuple(probs.argmax(axis=1).tolist())
             rows = [s - lo for s in rec.frame.visible.members]
             assert rec.frame.activations.tobytes() == fresh.taps[tap][0, lo + np.array(rows)].tobytes()
+
+
+class TestDecodeForwardBits:
+    """Every forward of a decode runs on the ``forward_weights`` that
+    ``generate`` builds once. The decode must keep every bit of one whose
+    forwards build their own weights, and of ``helpers.batched_forward``:
+    logits, taps, every recorded array (``pseudograd`` reads them), tokens,
+    frames and alignments."""
+
+    TAPS = (TapSpec("block1.q"), TapSpec("block0.q"), TapSpec("block0.v"))
+
+    @pytest.mark.parametrize("kind", ["fixed", "edit"])
+    @pytest.mark.parametrize("seq_len", [32, 48, 64])
+    def test_shared_weights_keep_every_bit(self, default_block, monkeypatch, kind, seq_len):
+        cfg, artifacts, prompt = default_block
+        model = artifacts.model
+        policy = dataclasses.replace(cfg, delta=0.0).policy_config(kind)
+        kwargs = dict(reasoning_map=artifacts.vector, taps=self.TAPS, record=True)
+        got = generate(model, prompt, seq_len, policy, **kwargs)
+        gen_module = importlib.import_module("editstop.generate")
+        real = gen_module.forward
+
+        def own_weights(*args, weights=None, **kw):
+            return real(*args, **kw)
+
+        monkeypatch.setattr(gen_module, "forward", own_weights)
+        want = generate(model, prompt, seq_len, policy, **kwargs)
+        assert (got.tokens, got.block_steps) == (want.tokens, want.block_steps)
+        for gb, wb in zip(got.blocks, want.blocks, strict=True):
+            lo = gb.block_index * cfg.block_length
+            for g, w in zip(gb.trajectory.records, wb.trajectory.records, strict=True):
+                assert (g.committed, g.tokens, g.choice) == (w.committed, w.tokens, w.choice)
+                for gf, wf in zip(g.frames, w.frames, strict=True):
+                    assert gf.visible == wf.visible
+                    assert same_bits(gf.activations, wf.activations)
+                if kind == "edit":
+                    assert same_bits(g.alignment.dist.probs, w.alignment.dist.probs)
+            assert len(gb.trajectory.forwards) == len(wb.trajectory.forwards)
+            for g, w in zip(gb.trajectory.forwards, wb.trajectory.forwards):
+                assert_same_forward(g, w)
+            # Step s reads the tokens step s - 1 left; its recorded forward
+            # keeps them, though the decode commits on into its own array.
+            mask = np.full(cfg.block_length, cfg.vocab_size - 1)
+            before = [mask] + [np.asarray(r.tokens) for r in gb.trajectory.records[:-1]]
+            checked = set()
+            for g, block_tokens in zip(gb.trajectory.forwards, before, strict=True):
+                tokens = np.concatenate([np.asarray(got.tokens[:lo]), block_tokens])[None, :]
+                assert same_bits(g.cache["tokens"], tokens)
+                if id(g) not in checked:
+                    checked.add(id(g))
+                    batched = batched_forward(model, tokens, self.TAPS, record=True, first_row=lo)
+                    assert_same_forward(g, batched)
 
 
 class TestMultiTap:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from helpers import batched_forward, reference_forward
+from helpers import assert_same_forward, batched_forward, reference_forward, same_bits
 
-import editstop.model as model_module
 from editstop.errors import (
     BadMagicError,
     ChecksumMismatchError,
@@ -20,10 +21,10 @@ from editstop.model import (
     TapSpec,
     backward_lora,
     forward,
+    forward_weights,
     init_model,
     load_checkpoint,
     masked_cross_entropy,
-    merged_projections,
     module_path,
     predictive_distributions,
     save_checkpoint,
@@ -204,10 +205,6 @@ class TestFirstRow:
 SIX_TAPS = tuple(TapSpec(module_path(b, proj)) for b in range(2) for proj in ("q", "k", "v"))
 
 
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def assert_close_grads(got: dict, want: dict) -> None:
     """Every adapter key, within 1e-10 of that key's largest entry."""
     assert list(got) == list(want)
@@ -265,8 +262,8 @@ class TestInPlaceForward:
 class TestTwoDimensionalGemms:
     """``backward_lora`` runs the GEMMs of a batch of several samples on 2-D
     views (``model._mm``), and ``forward`` on its 2-D residual stream, which
-    moves bits: training's, while a single-sample decode keeps numpy's
-    plain matmul."""
+    moves bits: training's, while a single-sample decode keeps the bits of
+    plain GEMMs over every row."""
 
     def test_training_batch_matches_per_sample_full_passes(self):
         # sft_train's shape: 16 samples of 32 tokens, loss on rows 16:. The
@@ -291,35 +288,31 @@ class TestTwoDimensionalGemms:
         assert_close_grads(got, want)
 
     @pytest.mark.parametrize("t", [32, 64])
-    def test_decode_shapes_keep_the_plain_matmul_bits(self, t, monkeypatch):
+    def test_decode_shapes_keep_the_plain_matmul_bits(self, t):
+        # forward_weights lays each operand out for speed: column-major q/k/v
+        # stacks, a row-major last Wq, row-major copies of block 0's MLP
+        # transposes. At decode shapes a forward on them, passed or built,
+        # keeps every bit of one on row-major stacks and plain .T views.
         cfg = ModelConfig()
         rng = np.random.default_rng(200 + t)
         model = init_model(cfg)
         randomize_lora(model, rng, scale=0.3)
         tokens = rng.integers(0, cfg.vocab_size, size=(1, t))
-        tap = model.default_tap()
-        got = forward(model, tokens, taps=(tap,), first_row=t - 16)
-        monkeypatch.setattr(model_module, "_mm", lambda x, w: x @ w)
-        want = forward(model, tokens, taps=(tap,), first_row=t - 16)
-        assert same_bits(got.logits, want.logits)
-        assert same_bits(got.taps[tap], want.taps[tap])
-
-
-def assert_same_forward(got, want) -> None:
-    """Logits, taps and every recorded array, bit for bit."""
-    assert same_bits(got.logits, want.logits)
-    assert list(got.taps) == list(want.taps)
-    for spec in want.taps:
-        assert same_bits(got.taps[spec], want.taps[spec]), spec.module
-    if want.cache is None:
-        assert got.cache is None
-        return
-    assert same_bits(got.cache["tokens"], want.cache["tokens"])
-    blocks = zip(got.cache["blocks"], want.cache["blocks"], strict=True)
-    for b, (mine, theirs) in enumerate(blocks):
-        assert list(mine) == list(theirs)
-        for key in theirs:
-            assert same_bits(mine[key], theirs[key]), (b, key)
+        kwargs = dict(taps=SIX_TAPS, record=True, first_row=t - 16)
+        weights = forward_weights(model)
+        qkv = tuple(np.ascontiguousarray(w) for w in weights.qkv)
+        plain = dataclasses.replace(
+            weights,
+            qkv=qkv,
+            wq_last=qkv[-1][: cfg.d_model],
+            mlp=tuple(
+                tuple(model.base[f"block{b}.{name}"].T for name in ("wo", "w1", "w2"))
+                for b in range(cfg.n_blocks)
+            ),
+        )
+        want = forward(model, tokens, weights=plain, **kwargs)
+        assert_same_forward(forward(model, tokens, weights=weights, **kwargs), want)
+        assert_same_forward(forward(model, tokens, **kwargs), want)
 
 
 class TestTwoDimensionalForward:
@@ -355,21 +348,41 @@ class TestTwoDimensionalForward:
 
     @pytest.mark.parametrize("n, t, first_row", [(1, 32, 16), (1, 64, 48), (16, 32, 16)])
     def test_stack_layout_keeps_the_bits(self, n, t, first_row):
-        # merged_projections stores its stacks column-major for speed; a
+        # forward_weights stores its q/k/v stacks column-major for speed; a
         # row-major copy of the same stacks gives every bit back.
         cfg = ModelConfig()
         rng = np.random.default_rng(318 + t)
         model = init_model(cfg)
         randomize_lora(model, rng, scale=0.3)
-        merged = merged_projections(model)
-        assert all(w.flags.f_contiguous for w in merged)
+        weights = forward_weights(model)
+        assert all(w.flags.f_contiguous for w in weights.qkv)
         tokens = rng.integers(0, cfg.vocab_size, size=(n, t))
-        row_major = tuple(np.ascontiguousarray(w) for w in merged)
+        row_major = tuple(np.ascontiguousarray(w) for w in weights.qkv)
         kwargs = dict(taps=SIX_TAPS, record=True, first_row=first_row)
         assert_same_forward(
-            forward(model, tokens, merged=merged, **kwargs),
-            forward(model, tokens, merged=row_major, **kwargs),
+            forward(model, tokens, weights=weights, **kwargs),
+            forward(model, tokens, weights=dataclasses.replace(weights, qkv=row_major), **kwargs),
         )
+
+    @pytest.mark.parametrize("rows", [32, 48, 64, 512])
+    def test_row_major_mlp_copies_keep_the_view_bits(self, rows):
+        # Layer 0 runs its Wo/W1/W2 GEMMs over every row (32 to 64 in a
+        # decode, 512 in training) on row-major copies of the transposes;
+        # they give the .T views' bits. The last layer's 16-row GEMMs,
+        # whose bits a copy moves, read the views themselves.
+        cfg = ModelConfig()
+        rng = np.random.default_rng(400 + rows)
+        model = init_model(cfg)
+        weights = forward_weights(model)
+        last = cfg.n_blocks - 1
+        for i, name in enumerate(("wo", "w1", "w2")):
+            base = model.base[f"block0.{name}"]
+            copy = weights.mlp[0][i]
+            assert copy.flags.c_contiguous and not np.shares_memory(copy, base)
+            x = rng.normal(size=(rows, base.shape[1]))
+            assert same_bits(x @ copy, x @ base.T), name
+            view = weights.mlp[last][i]
+            assert view.base is model.base[f"block{last}.{name}"] and view.flags.f_contiguous
 
     def test_every_tap_of_a_batch_keeps_the_batched_bits(self):
         cfg = ModelConfig()
@@ -390,7 +403,7 @@ class TestMergedProjections:
     def test_stacks_the_folded_weights(self):
         model = tiny_model()
         randomize_lora(model, np.random.default_rng(0), scale=0.3)
-        merged = merged_projections(model)
+        merged = forward_weights(model).qkv
         d = TINY.d_model
         assert len(merged) == TINY.n_blocks
         for b, stack in enumerate(merged):
@@ -406,14 +419,14 @@ class TestMergedProjections:
         rng = np.random.default_rng(100 + t)
         model = init_model(cfg)
         randomize_lora(model, rng, scale=0.3)
-        merged = merged_projections(model)
+        weights = forward_weights(model)
         tokens = rng.integers(0, cfg.vocab_size, size=(2, t))
         for first_row in (0, 1, t - cfg.block_length, t - 1):
             want = reference_forward(
                 model, tokens, taps=SIX_TAPS, record=True, first_row=first_row
             )
             got = forward(
-                model, tokens, taps=SIX_TAPS, record=True, first_row=first_row, merged=merged
+                model, tokens, taps=SIX_TAPS, record=True, first_row=first_row, weights=weights
             )
             np.testing.assert_allclose(got.logits, want.logits, rtol=0, atol=1e-12)
             for spec in SIX_TAPS:
@@ -432,7 +445,7 @@ class TestMergedProjections:
 
     @pytest.mark.parametrize("n, t, first_row", [(1, 32, 16), (1, 64, 48), (16, 32, 0)])
     def test_built_stack_equals_a_passed_one(self, n, t, first_row):
-        """``merged=None`` builds the stack a caller would pass: same bits."""
+        """``weights=None`` builds the weights a caller would pass: same bits."""
         cfg = ModelConfig()
         rng = np.random.default_rng(7 + t)
         model = init_model(cfg)
@@ -441,7 +454,7 @@ class TestMergedProjections:
         built = forward(model, tokens, taps=SIX_TAPS, record=True, first_row=first_row)
         passed = forward(
             model, tokens, taps=SIX_TAPS, record=True, first_row=first_row,
-            merged=merged_projections(model),
+            weights=forward_weights(model),
         )
         assert same_bits(built.logits, passed.logits)
         for spec in SIX_TAPS:
@@ -453,10 +466,11 @@ class TestMergedProjections:
 
     @pytest.mark.parametrize("cut", ["short", "wide"])
     def test_wrong_stack_rejected(self, cut):
-        merged = merged_projections(tiny_model())
+        weights = forward_weights(tiny_model())
+        merged = weights.qkv
         bad = merged[:1] if cut == "short" else tuple(np.hstack([w, w]) for w in merged)
         with pytest.raises(ValueError):
-            forward(tiny_model(), np.array([[1, 2]]), merged=bad)
+            forward(tiny_model(), np.array([[1, 2]]), weights=dataclasses.replace(weights, qkv=bad))
 
 
 class TestMaskedCrossEntropy:
