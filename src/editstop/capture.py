@@ -196,10 +196,7 @@ def build_subspace(
     evolution_tensor: np.ndarray, k: int, source_module: str = ""
 ) -> SubspaceBasis:
     """Top-k left singular directions of the accumulated update tensor."""
-    t = _check_tensor(evolution_tensor)
-    if not 1 <= k <= min(t.shape):
-        raise RankTooLargeError(f"k={k} outside [1, {min(t.shape)}]")
-    u, _ = truncated_svd(t, k)
+    u, _ = truncated_svd(_check_tensor(evolution_tensor), k)
     return SubspaceBasis(u, source_module)
 
 

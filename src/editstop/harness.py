@@ -31,7 +31,7 @@ import json
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from os import PathLike
 from typing import Optional, Sequence
@@ -58,7 +58,7 @@ from .errors import (
 )
 from .generate import BlockResult, GenerateResult, PolicyConfig, generate, repeats_previous
 from .linalg import softmax_rows
-from .model import TapSpec, ToyModel, load_checkpoint, save_checkpoint
+from .model import TapSpec, ToyModel, load_checkpoint, module_path, save_checkpoint
 from .monitor import (
     StabilityState,
     StopConfig,
@@ -381,18 +381,6 @@ def _read_calibration(path: str | None) -> tuple[Optional[float], Optional[float
         )
 
 
-def _recertify(
-    stop_step: int,
-    margin: MarginReport,
-    stop_cfg: StopConfig,
-    alpha_hat: Optional[float],
-    quantile: Optional[float],
-):
-    """The certificate of a stop with its tail and calibration verdicts."""
-    pac_pass = None if quantile is None else bool(margin.margin >= quantile)
-    return build_certificate(stop_step, margin, stop_cfg, alpha_hat=alpha_hat, pac_pass=pac_pass)
-
-
 def _instance_trace_payload(
     index: int,
     seed: int,
@@ -494,10 +482,12 @@ def cmd_infer(
             exact = task.exact_match(output_block, target)
             exacts.append(exact)
             steps.append(result.avg_steps)
+            # The decode certified each stop under the same stop config and
+            # alpha_hat; only the calibration verdict is added here.
             certs = [
-                None
-                if (own := b.certificate) is None
-                else _recertify(own.stop_step, own.margin_report, stop_cfg, alpha_hat, quantile)
+                cert
+                if (cert := b.certificate) is None or quantile is None
+                else replace(cert, pac_pass=bool(cert.margin_report.margin >= quantile))
                 for b in result.blocks
             ]
             for block, cert in zip(result.blocks, certs):
@@ -806,7 +796,10 @@ def cmd_certify(
                     support_size=_json_int_in(stored, "support_size", 1, L + 1),
                 )
                 stop_step = _json_int_in(stored, "stop_step", 1, config.budget + 1)
-                cert = _recertify(stop_step, margin, stop_cfg, alpha_hat, quantile)
+                pac_pass = None if quantile is None else bool(margin.margin >= quantile)
+                cert = build_certificate(
+                    stop_step, margin, stop_cfg, alpha_hat=alpha_hat, pac_pass=pac_pass
+                )
                 n_local += int(cert.local_pass)
                 n_global += int(cert.global_pass is True)
                 n_pac += int(cert.pac_pass is True)
@@ -834,7 +827,7 @@ def cmd_certify(
 
 def _ablation_capture(config: ExperimentConfig, site: tuple[str, str, str]) -> CaptureSpec:
     proj, adapter, reduction = site
-    return CaptureSpec(f"block{config.n_blocks - 1}.{proj}", adapter, reduction)
+    return CaptureSpec(module_path(config.n_blocks - 1, proj), adapter, reduction)
 
 
 def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
@@ -869,7 +862,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
         for site in ABLATION_SITES
     }
     last = config.n_blocks - 1
-    taps = tuple(TapSpec(f"block{last}.{proj}") for proj in ABLATION_PROJECTIONS)
+    taps = tuple(TapSpec(module_path(last, proj)) for proj in ABLATION_PROJECTIONS)
 
     n_eval = min(config.eval_instances, 16)
     instances = _sample_instances(task, (config.model_seed, 505), n_eval)
@@ -923,7 +916,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 
     cells = [
         {
-            "module": f"block{last}.{proj}",
+            "module": module_path(last, proj),
             "projection": proj,
             "adapter": adapter,
             "reduction": reduction,
@@ -972,18 +965,19 @@ def cmd_report(run_dirs: Sequence[str | PathLike], out_dir: str) -> dict:
             continue
         report = _read_json(report_path)
         runs.append({"run_dir": d, "report": report})
-        for seed_entry in report.get("per_seed", []):
-            rows.append(
-                [
-                    d,
-                    report.get("policy"),
-                    seed_entry["seed"],
-                    seed_entry["accuracy"],
-                    seed_entry["avg_steps"],
-                    seed_entry["reduction_percent"],
-                    seed_entry["certified_fraction"],
-                ]
-            )
+        with _parsing(report_path):
+            for seed_entry in report.get("per_seed", []):
+                rows.append(
+                    [
+                        d,
+                        report.get("policy"),
+                        seed_entry["seed"],
+                        seed_entry["accuracy"],
+                        seed_entry["avg_steps"],
+                        seed_entry["reduction_percent"],
+                        seed_entry["certified_fraction"],
+                    ]
+                )
         traces_dir = os.path.join(d, TRACES_DIR)
         if os.path.isdir(traces_dir):
             for name in sorted(os.listdir(traces_dir)):

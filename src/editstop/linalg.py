@@ -163,12 +163,10 @@ def total_variation(p: ProbVector, q: ProbVector) -> float:
 def truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k left singular vectors and singular values of a dense matrix.
 
-    Computed via symmetric eigendecomposition of the smaller Gram matrix
-    (the matrices here are tall-thin with tiny rank, so this is both exact
-    enough and dependency-free). Returns ``(U, s)`` with ``U`` of shape
-    (rows, k), orthonormal columns, and ``s`` the singular values in
-    decreasing order. Zero singular directions are completed to an
-    orthonormal set.
+    Returns ``(U, s)`` from ``np.linalg.svd``: ``U`` of shape (rows, k)
+    with orthonormal columns, and ``s`` the singular values in decreasing
+    order. Each column is signed so that its largest-magnitude entry (the
+    first, on ties) is positive, which keeps stored bases canonical.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -176,58 +174,7 @@ def truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = m.shape
     if not 1 <= k <= min(rows, cols):
         raise RankTooLargeError(f"k={k} outside [1, {min(rows, cols)}]")
-
-    if rows <= cols:
-        gram = m @ m.T
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1][:k]
-        s = np.sqrt(np.maximum(evals[order], 0.0))
-        u = evecs[:, order]
-    else:
-        gram = m.T @ m
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1][:k]
-        s = np.sqrt(np.maximum(evals[order], 0.0))
-        u = np.zeros((rows, k))
-        tol = max(s[0], 1.0) * 1e-14 if s.size else 0.0
-        dead: list[int] = []
-        for j in range(k):
-            if s[j] > tol:
-                u[:, j] = (m @ evecs[:, order[j]]) / s[j]
-            else:
-                dead.append(j)
-        if dead:
-            # Complete zero-singular directions orthonormally.
-            live = u[:, [j for j in range(k) if j not in dead]]
-            basis = _orthonormal_completion(live, rows, len(dead))
-            for idx, j in enumerate(dead):
-                u[:, j] = basis[:, idx]
-    # One re-orthonormalization pass against accumulated rounding.
-    u, _ = np.linalg.qr(u)
-    # qr can flip signs; re-anchor each column's sign to its largest entry.
-    for j in range(u.shape[1]):
-        pivot = np.argmax(np.abs(u[:, j]))
-        if u[pivot, j] < 0:
-            u[:, j] = -u[:, j]
-    return u, s
-
-
-def _orthonormal_completion(existing: np.ndarray, dim: int, count: int) -> np.ndarray:
-    """Deterministically extend ``existing`` orthonormal columns by ``count``."""
-    cols = []
-    have = existing
-    for e in range(dim):
-        if len(cols) == count:
-            break
-        cand = np.zeros(dim)
-        cand[e] = 1.0
-        if have.size:
-            cand = cand - have @ (have.T @ cand)
-        for c in cols:
-            cand = cand - c * (c @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-10:
-            cols.append(cand / norm)
-    if len(cols) < count:
-        raise RankTooLargeError("cannot complete orthonormal basis")
-    return np.column_stack(cols)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    u, s = u[:, :k], s[:k]
+    pivots = u[np.abs(u).argmax(axis=0), np.arange(k)]
+    return u * np.where(pivots < 0, -1.0, 1.0), s

@@ -6,13 +6,15 @@ objective: how far the committed tokens' predictive distributions moved
 between step ``t`` and step ``t+1``. Backpropagating that step-to-step
 divergence through the adapter down-projections yields a pseudo-gradient
 whose root-mean-square magnitude can be compared against the band of
-gradient magnitudes seen in training. This module computes those
-pseudo-gradients from each step's recorded block-row forward pass, the one
-the decode itself ran (``generate(record=True)``), and backpropagates only
-as deep as the selected adapters; a trajectory decoded without ``record``
-has those forwards run here, once per distinct step input. It summarizes
-the pseudo-gradients and detects the step at which their magnitude settles
-into the training band.
+gradient magnitudes seen in training. :func:`analyze_trajectory` computes
+those pseudo-gradients from each step's recorded block-row forward pass,
+the one the decode itself ran (``generate(record=True)``), and
+backpropagates only as deep as the selected adapters; it refuses a
+trajectory decoded without ``record``. It summarizes the pseudo-gradients
+and detects the step at which their magnitude settles into the training
+band. :func:`pseudo_gradient`, one step pair's gradient from forwards it
+runs itself, is the oracle the recorded route is tested against
+(acceptance criterion 02 checks it by finite differences).
 
 Everything here is post-hoc: the analyzer consumes finished trajectories
 and never feeds back into the stopping decision.
@@ -30,6 +32,7 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     MissingStepError,
+    NoRecordedGraphError,
     TooFewSamplesError,
     WindowTooShortError,
 )
@@ -38,6 +41,7 @@ from .model import (
     ToyModel,
     backward_lora,
     forward,
+    lora_param_key,
     parse_module_path,
     predictive_distributions,
 )
@@ -138,16 +142,15 @@ def _selected_keys(model: ToyModel, config: PseudoGradConfig) -> tuple[str, ...]
     )
     keys = []
     for module in modules:
-        parse_module_path(module)
-        key = f"{module}.lora_b"
+        key = lora_param_key(*parse_module_path(module), "b")
         if key not in model.lora:
             raise KeyError(f"unknown adapter module {module!r}")
         keys.append(key)
     return tuple(keys)
 
 
-def _step_input(model: ToyModel, trajectory: DenoiseTrajectory, step: int) -> np.ndarray:
-    """Full-sequence token input to the forward pass of ``step``."""
+def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int):
+    """The block-row forward of ``step``, run here on the step's input."""
     L = model.cfg.block_length
     if step == 1:
         block = np.full(L, model.cfg.mask_id, dtype=np.int64)
@@ -159,31 +162,8 @@ def _step_input(model: ToyModel, trajectory: DenoiseTrajectory, step: int) -> np
             f"trajectory prefix has {prefix.size} tokens, block {trajectory.block_index}"
             f" needs {trajectory.block_index * L}"
         )
-    return np.concatenate([prefix, block])
-
-
-def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int):
-    """The recorded block-row forward of ``step``: the decode's own when the
-    trajectory kept it, else the same forward run here."""
-    if trajectory.forwards:
-        return trajectory.forwards[step - 1]
-    lo = trajectory.block_index * model.cfg.block_length
-    inp = _step_input(model, trajectory, step)
-    return forward(model, inp[None, :], record=True, first_row=lo)
-
-
-def _step_forwards(model: ToyModel, trajectory: DenoiseTrajectory) -> Sequence:
-    """One recorded forward per step, as the decode keeps them: a step whose
-    input repeats its predecessor's shares that step's forward."""
-    if trajectory.forwards:
-        return trajectory.forwards
-    forwards = [_step_forward(model, trajectory, 1)]
-    for step in range(2, len(trajectory.records) + 1):
-        same = np.array_equal(
-            _step_input(model, trajectory, step), _step_input(model, trajectory, step - 1)
-        )
-        forwards.append(forwards[-1] if same else _step_forward(model, trajectory, step))
-    return forwards
+    inp = np.concatenate([prefix, block])[None, :]
+    return forward(model, inp, record=True, first_row=prefix.size)
 
 
 def _check_pair(trajectory: DenoiseTrajectory, step: int) -> None:
@@ -202,9 +182,11 @@ def pseudo_gradient(
 ) -> dict[str, np.ndarray]:
     """Gradient of the step divergence through the selected down-projections.
 
-    Reads the recorded forward passes of ``step`` and ``step+1`` and
-    backpropagates the summed divergence over the later step's committed
-    support. The earlier step's distributions act as constants.
+    Runs the recorded block-row forwards of ``step`` and ``step+1`` on the
+    trajectory's tokens and backpropagates the summed divergence over the
+    later step's committed support. The earlier step's distributions act
+    as constants. This is the oracle of :func:`analyze_trajectory`'s rows,
+    which read the decode's own forwards instead.
     """
     config = config if config is not None else PseudoGradConfig()
     _check_pair(trajectory, step)
@@ -241,16 +223,20 @@ def analyze_trajectory(
     band: SftBand,
     config: PseudoGradConfig | None = None,
 ) -> PseudoGradTrace:
-    """Pseudo-gradient magnitude trace for every consecutive step pair."""
+    """Pseudo-gradient magnitude trace for every consecutive step pair, read
+    off the forwards a ``generate(record=True)`` decode kept on the
+    trajectory; a trajectory without them raises ``NoRecordedGraphError``."""
     config = config if config is not None else PseudoGradConfig()
     if len(trajectory.records) < 2:
         raise WindowTooShortError(
             f"need at least 2 recorded steps, got {len(trajectory.records)}"
         )
+    forwards = trajectory.forwards
+    if not forwards:
+        raise NoRecordedGraphError("trajectory kept no forwards; decode it with record=True")
     keys = _selected_keys(model, config)
     rows: list[PseudoGradRow] = []
     values: list[float] = []
-    forwards = _step_forwards(model, trajectory)
     res_t = forwards[0]
     p_t = _block_dists(model, res_t)
     for step in range(1, len(trajectory.records)):

@@ -25,7 +25,14 @@ from .capture import (
     reduce_row_mean,
 )
 from .errors import TrainingDivergedError
-from .model import ToyModel, backward_lora, forward, masked_cross_entropy, parse_module_path
+from .model import (
+    ToyModel,
+    backward_lora,
+    forward,
+    lora_param_key,
+    masked_cross_entropy,
+    parse_module_path,
+)
 from .tasks import SyntheticTask
 
 MASKING_RATES = (0.25, 0.5, 0.75)
@@ -48,9 +55,7 @@ class CaptureSpec:
     reduction: str = "energy"
 
     def __post_init__(self):
-        parse_module_path(self.module)
-        if self.adapter not in ("a", "b"):
-            raise ValueError(f"adapter must be 'a' or 'b', got {self.adapter!r}")
+        self.param_key  # raises ValueError on a bad module path or adapter
         if self.reduction not in ("energy", "mean"):
             raise ValueError(
                 f"reduction must be 'energy' or 'mean', got {self.reduction!r}"
@@ -58,7 +63,7 @@ class CaptureSpec:
 
     @property
     def param_key(self) -> str:
-        return f"{self.module}.lora_{self.adapter}"
+        return lora_param_key(*parse_module_path(self.module), self.adapter)
 
     @property
     def metadata_id(self) -> str:

@@ -181,6 +181,22 @@ class TestMalformedArtifacts:
         assert code == EXIT_ARTIFACT
         assert "seed1_inst000.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "report",
+        [
+            [{"seed": 1, "accuracy": 0.5}],
+            {"policy": "edit", "per_seed": [{"seed": 1, "avg_steps": 7.0}]},
+        ],
+        ids=["list", "seed_without_accuracy"],
+    )
+    def test_malformed_report_exits_three(self, tmp_path, capsys, report):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / REPORT_FILE).write_text(json.dumps(report))
+        code = main(["report", "--out", str(tmp_path / "merged"), str(run_dir)])
+        assert code == EXIT_ARTIFACT
+        assert os.path.join(str(run_dir), REPORT_FILE) in capsys.readouterr().err
+
     # Block 1 of the SMALL config: positions 4..7, block_length 4, budget 12.
     GOOD_CERTIFICATE = {
         "argmax_index": 5, "margin": "0.5", "margin_step": 7, "support_size": 4, "stop_step": 7

@@ -498,6 +498,33 @@ class TestCertify:
         assert cert["tail_budget"] is not None
         assert cert["pac_pass"] is True
 
+    def test_infer_certificates_equal_certify(self, trained_run, tmp_path):
+        # infer adds only the calibration verdict to each decode's own
+        # certificate; certify rebuilds every field from the stored ones.
+        cfg, artifacts_dir = trained_run
+
+        def stored(run_dir):
+            (seed,) = json.load(open(os.path.join(run_dir, REPORT_FILE)))["per_seed"]
+            return [
+                block["certificate"]
+                for name in seed["trace_files"]
+                for block in json.load(open(os.path.join(run_dir, name)))["blocks"]
+                if block["stopped_early"]
+            ]
+
+        margins = sorted(float(cert["margin"]) for cert in stored(artifacts_dir))
+        cal_path = str(tmp_path / "cal.json")
+        with open(cal_path, "w") as fh:
+            # Strictly between the smallest and largest stored margin, so
+            # the verdict does not hinge on their 12-digit text form.
+            json.dump({"alpha_hat": 0.5, "margin_quantile": (margins[0] + margins[-1]) / 2}, fh)
+        run_dir = str(tmp_path / "run")
+        cmd_infer(cfg, artifacts_dir=artifacts_dir, run_dir=run_dir, calibration_path=cal_path)
+        certs = stored(run_dir)
+        assert {cert["pac_pass"] for cert in certs} == {True, False}
+        certified = cmd_certify(cfg, run_dir=run_dir, calibration_path=cal_path)
+        assert [e["certificate"] for e in certified["certificates"]] == certs
+
     def test_missing_traces(self, trained_run, tmp_path):
         cfg, _ = trained_run
         with pytest.raises(ArtifactMismatchError, match="trace"):

@@ -367,6 +367,21 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(u.T @ u, np.eye(2), atol=1e-10)
         assert s[1] == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "rows, cols, rank",
+        [(9, 4, 4), (4, 9, 4), (8, 6, 2)],
+        ids=["tall", "wide", "rank_deficient"],
+    )
+    def test_largest_entry_of_each_column_is_positive(self, rows, cols, rank):
+        # The sign rule that keeps stored bases canonical, for every k;
+        # on the rank-deficient input it covers zero singular directions.
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        for k in range(1, min(rows, cols) + 1):
+            u, _ = truncated_svd(m, k)
+            pivots = np.abs(u).argmax(axis=0)
+            assert np.all(u[pivots, np.arange(k)] > 0.0), k
+
     def test_rank_too_large_rejected(self):
         with pytest.raises(RankTooLargeError):
             truncated_svd(np.eye(3), 4)

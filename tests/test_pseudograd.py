@@ -13,6 +13,7 @@ from editstop.alignment import ActivationFrame, VisibleSet
 from editstop.errors import (
     EmptyInputError,
     MissingStepError,
+    NoRecordedGraphError,
     TooFewSamplesError,
     WindowTooShortError,
 )
@@ -269,7 +270,7 @@ class TestPseudoGradient:
 class TestAnalyzeTrajectory:
     def test_rows_and_convergence_consistency(self):
         model = perturbed_model(TINY)
-        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=8).trajectory
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=8, record=True).trajectory
         band = SftBand(mu=0.0, sigma=1e-6, n_steps=5)
         trace = analyze_trajectory(model, traj, band)
         assert [r.step for r in trace.rows] == list(range(1, 8))
@@ -281,7 +282,7 @@ class TestAnalyzeTrajectory:
 
     def test_deterministic(self):
         model = perturbed_model(TINY)
-        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6).trajectory
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6, record=True).trajectory
         band = SftBand(mu=0.1, sigma=0.1, n_steps=4)
         a = analyze_trajectory(model, traj, band)
         b = analyze_trajectory(model, traj, band)
@@ -290,27 +291,27 @@ class TestAnalyzeTrajectory:
 
     def test_rows_equal_per_step_pseudo_gradient(self):
         model = perturbed_model(TINY)
-        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6).trajectory
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6, record=True).trajectory
         trace = analyze_trajectory(model, traj, SftBand(mu=0.1, sigma=0.1, n_steps=4))
         assert [r.step for r in trace.rows] == list(range(1, 6))
         for row in trace.rows:
             grads = pseudo_gradient(model, traj, row.step)
             assert row.rms_value == rms(np.concatenate([g.ravel() for g in grads.values()]))
 
-    def test_one_forward_per_distinct_input(self, monkeypatch):
-        # Budget 6 over a 4-slot block: steps 5 and 6 both see the full
-        # block, so 6 steps take 5 forwards.
+    def test_trajectory_without_forwards_is_refused(self):
+        # The rows are read off the decode's own forwards; a trajectory
+        # decoded without record=True has none to read.
         model = perturbed_model(TINY)
         traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6).trajectory
-        calls = count_forwards(monkeypatch, "editstop.pseudograd")
-        analyze_trajectory(model, traj, SftBand(mu=0.1, sigma=0.1, n_steps=4))
-        assert len(traj.records) == 6
-        assert len(calls) == 5
+        assert not traj.forwards
+        with pytest.raises(NoRecordedGraphError):
+            analyze_trajectory(model, traj, SftBand(mu=0.1, sigma=0.1, n_steps=4))
 
     @pytest.mark.parametrize("budget", [6, 12])
     def test_recorded_trajectory_runs_no_forward(self, monkeypatch, budget):
         # A trajectory decoded with record=True carries each step's
-        # forward; reading them gives the rows of the forwards run here.
+        # forward; reading them gives the rows of pseudo_gradient, which
+        # runs its own forwards, on the same decode without them.
         model = perturbed_model(TINY)
         prompt = np.array([1, 5, 2, 9])
         recorded = denoise_block(model, prompt, 1, budget=budget, record=True).trajectory
@@ -319,24 +320,23 @@ class TestAnalyzeTrajectory:
         band = SftBand(mu=0.1, sigma=0.1, n_steps=4)
         calls = count_forwards(monkeypatch, "editstop.pseudograd")
         trace = analyze_trajectory(model, recorded, band)
-        grads = pseudo_gradient(model, recorded, 2)
         assert len(calls) == 0
         monkeypatch.undo()
-        assert trace.rows == analyze_trajectory(model, plain, band).rows
-        want = pseudo_gradient(model, plain, 2)
-        assert all(np.array_equal(grads[key], want[key]) for key in want)
+        for row in trace.rows:
+            grads = pseudo_gradient(model, plain, row.step)
+            assert row.rms_value == rms(np.concatenate([g.ravel() for g in grads.values()]))
 
     def test_fixed_budget_tail_matches_per_pair_gradient(self, monkeypatch):
         # A fixed-budget run past the full block: every pair after step 4
         # has identical inputs. Its rows equal per-pair pseudo_gradient
         # without running a forward or backward for those pairs.
         model = perturbed_model(TINY)
-        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=12).trajectory
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=12, record=True).trajectory
         band = SftBand(mu=0.1, sigma=0.1, n_steps=4)
         calls = count_forwards(monkeypatch, "editstop.pseudograd")
         backwards = count_forwards(monkeypatch, "editstop.pseudograd", name="backward_lora")
         trace = analyze_trajectory(model, traj, band)
-        assert len(calls) == 5
+        assert len(calls) == 0
         assert len(backwards) == 4
         monkeypatch.undo()
         assert [r.step for r in trace.rows] == list(range(1, 12))
@@ -353,7 +353,7 @@ class TestAnalyzeTrajectory:
         # Backward passes that stop at the selected adapters, the indexed
         # dlogits and the reused step-side distributions change no bit.
         model = perturbed_model(TINY)
-        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6).trajectory
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=6, record=True).trajectory
         config = PseudoGradConfig(modules=modules)
         keys = [f"{m}.lora_b" for m in (modules or ("block1.q",))]
         band = SftBand(mu=0.1, sigma=0.1, n_steps=4)
@@ -368,13 +368,13 @@ class TestAnalyzeTrajectory:
 
     def test_single_step_trajectory_rejected(self):
         model = perturbed_model(TINY)
-        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=1).trajectory
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=1, record=True).trajectory
         with pytest.raises(WindowTooShortError):
             analyze_trajectory(model, traj, SftBand(mu=1.0, sigma=1.0, n_steps=2))
 
     def test_csv_shape(self):
         model = perturbed_model(TINY)
-        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=5).trajectory
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=5, record=True).trajectory
         band = SftBand(mu=0.0, sigma=1e-6, n_steps=5)
         trace = analyze_trajectory(model, traj, band)
         text = pseudograd_to_csv(trace)
@@ -390,7 +390,7 @@ class TestAnalyzeTrajectory:
 
     def test_csv_reports_detected_step(self):
         model = perturbed_model(TINY)
-        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=8).trajectory
+        traj = denoise_block(model, np.array([1, 5, 2, 9]), 1, budget=8, record=True).trajectory
         band = SftBand(mu=0.0, sigma=1e-6, n_steps=5)
         trace = analyze_trajectory(model, traj, band)
         assert trace.convergence_step is not None
