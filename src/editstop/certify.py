@@ -278,34 +278,48 @@ def calibrate_pac(
 
 @dataclass(frozen=True)
 class Certificate:
-    """Everything known about one run-length stop, in checkable form."""
+    """One run-length stop's inputs, in checkable form. Every budget and
+    verdict is derived from them: the tail budget and ``global_pass`` need
+    ``alpha_hat``, and ``pac_pass`` needs ``margin_quantile``; each is None
+    without its input."""
 
     stop_step: int
     omega: int
     delta: float
-    tv_budget: float
     margin_report: MarginReport
-    local_pass: bool
-    tail_budget: float | None = None
-    global_pass: bool | None = None
-    pac_pass: bool | None = None
+    alpha_hat: float | None = None
+    margin_quantile: float | None = None
 
-    def __post_init__(self):
-        if (self.tail_budget is None) != (self.global_pass is None):
-            raise ValueError("tail_budget and global_pass must be set together")
-        m = self.margin_report
-        if m.support_size == 1:
-            if not self.local_pass:
-                raise ValueError("singleton support must pass the local certificate")
-            return
-        if self.local_pass != (self.tv_budget < m.margin / 2.0):
-            raise ValueError("local_pass inconsistent with budget and margin")
-        if self.tail_budget is not None:
-            expected = (self.tv_budget + self.tail_budget) < m.margin / 2.0
-            if self.global_pass != expected:
-                raise ValueError("global_pass inconsistent with combined budget")
+    @property
+    def tv_budget(self) -> float:
+        return tv_budget(self.delta, self.omega)
+
+    @property
+    def local_pass(self) -> bool:
+        return local_argmax_certificate(self.margin_report, StopConfig(self.delta, self.omega))
+
+    @property
+    def tail_budget(self) -> float | None:
+        return None if self.alpha_hat is None else tail_budget(self.alpha_hat, self.delta)
+
+    @property
+    def global_pass(self) -> bool | None:
+        if self.alpha_hat is None:
+            return None
+        cfg = StopConfig(self.delta, self.omega)
+        return global_argmax_certificate(self.margin_report, cfg, self.alpha_hat)
+
+    @property
+    def pac_pass(self) -> bool | None:
+        """Whether the margin reaches the calibrated quantile, read as
+        ``to_json_dict`` reports it, so a certificate rebuilt from its own
+        report reaches the same verdict."""
+        if self.margin_quantile is None:
+            return None
+        return float(fmt_real(self.margin_report.margin)) >= self.margin_quantile
 
     def to_json_dict(self) -> dict:
+        tail = self.tail_budget
         return {
             "stop_step": int(self.stop_step),
             "omega": int(self.omega),
@@ -316,7 +330,7 @@ class Certificate:
             "margin_step": int(self.margin_report.step),
             "support_size": int(self.margin_report.support_size),
             "local_pass": bool(self.local_pass),
-            "tail_budget": None if self.tail_budget is None else fmt_real(self.tail_budget),
+            "tail_budget": None if tail is None else fmt_real(tail),
             "global_pass": self.global_pass,
             "pac_pass": self.pac_pass,
         }
@@ -327,24 +341,14 @@ def build_certificate(
     margin: MarginReport,
     cfg: StopConfig,
     alpha_hat: float | None = None,
-    pac_pass: bool | None = None,
+    margin_quantile: float | None = None,
 ) -> Certificate:
-    """Assemble a certificate for one stop from its measured quantities."""
-    budget = tv_budget(cfg.delta, cfg.omega)
-    local = local_argmax_certificate(margin, cfg)
-    tail = None
-    global_p = None
-    if alpha_hat is not None:
-        tail = tail_budget(alpha_hat, cfg.delta)
-        global_p = global_argmax_certificate(margin, cfg, alpha_hat)
+    """The certificate of one stop under the stop rule ``cfg``."""
     return Certificate(
         stop_step=stop_step,
         omega=cfg.omega,
         delta=cfg.delta,
-        tv_budget=budget,
         margin_report=margin,
-        local_pass=local,
-        tail_budget=tail,
-        global_pass=global_p,
-        pac_pass=pac_pass,
+        alpha_hat=alpha_hat,
+        margin_quantile=margin_quantile,
     )

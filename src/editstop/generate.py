@@ -179,8 +179,6 @@ class BlockResult:
 class GenerateResult:
     tokens: tuple[int, ...]
     blocks: list[BlockResult]
-    policy: PolicyConfig
-    budget: int
 
     @property
     def block_steps(self) -> tuple[int, ...]:
@@ -427,6 +425,4 @@ def generate(
         )
         tokens = np.concatenate([tokens, np.asarray(block.trajectory.tokens)])
         blocks.append(block)
-    return GenerateResult(
-        tokens=tuple(tokens.tolist()), blocks=blocks, policy=policy, budget=budget
-    )
+    return GenerateResult(tokens=tuple(tokens.tolist()), blocks=blocks)

@@ -25,8 +25,6 @@ Run directory layout::
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from collections import Counter
@@ -58,6 +56,7 @@ from .errors import (
 )
 from .generate import BlockResult, GenerateResult, PolicyConfig, generate, repeats_previous
 from .linalg import softmax_rows
+from .metaformat import csv_text
 from .model import TapSpec, ToyModel, load_checkpoint, module_path, save_checkpoint
 from .monitor import (
     StabilityState,
@@ -387,14 +386,13 @@ def _instance_trace_payload(
     prompt: np.ndarray,
     target: np.ndarray,
     result: GenerateResult,
-    certs: list,
     exact: bool,
     csv_names: list[Optional[str]],
     pseudo_names: list[Optional[str]],
 ) -> dict:
     blocks = []
     for which, block in enumerate(result.blocks):
-        cert = certs[which]
+        cert = block.certificate
         entry = {
             "block_index": block.block_index,
             "steps_used": block.steps_used,
@@ -458,7 +456,7 @@ def cmd_infer(
         blocks: list[BlockResult] = []
         exacts: list[bool] = []
         steps: list[float] = []
-        certs_all: list = []
+        n_pac = 0
         margins: list[float] = []
         trace_files: list[str] = []
         for index, (prompt, target) in enumerate(instances):
@@ -482,19 +480,13 @@ def cmd_infer(
             exact = task.exact_match(output_block, target)
             exacts.append(exact)
             steps.append(result.avg_steps)
-            # The decode certified each stop under the same stop config and
-            # alpha_hat; only the calibration verdict is added here.
-            certs = [
-                cert
-                if (cert := b.certificate) is None or quantile is None
-                else replace(cert, pac_pass=bool(cert.margin_report.margin >= quantile))
-                for b in result.blocks
-            ]
-            for block, cert in zip(result.blocks, certs):
+            for block in result.blocks:
                 if block.stopped_early:
+                    # The decode certified the stop under the same stop config
+                    # and alpha_hat; only the calibrated quantile is added here.
+                    block.certificate = replace(block.certificate, margin_quantile=quantile)
                     margins.append(block.certificate.margin_report.margin)
-                    if cert is not None:
-                        certs_all.append(cert)
+                    n_pac += block.certificate.pac_pass is True
             generation_lines.append(
                 json.dumps(
                     {
@@ -532,8 +524,7 @@ def cmd_infer(
                     csv_names.append(csv_name)
                     pseudo_names.append(pseudo_name)
                 payload = _instance_trace_payload(
-                    index, seed, prompt, target, result, certs, exact,
-                    csv_names, pseudo_names,
+                    index, seed, prompt, target, result, exact, csv_names, pseudo_names
                 )
                 trace_name = f"seed{seed}_inst{index:03d}.json"
                 _write_json(os.path.join(traces_dir, trace_name), payload)
@@ -559,11 +550,7 @@ def cmd_infer(
             if policy.monitored
             else None
         )
-        certified = (
-            sum(1 for c in certs_all if c.pac_pass is True) / len(certs_all)
-            if certs_all
-            else 0.0
-        )
+        certified = n_pac / len(margins) if margins else 0.0
         seed_reports.append(
             SeedReport(
                 seed=seed,
@@ -774,8 +761,6 @@ def cmd_certify(
     stop_cfg = config.stop_config()
     L = config.block_length
     entries = []
-    n_local = n_global = n_pac = 0
-    n_stops = 0
     for name in names:
         path = os.path.join(traces_dir, name)
         payload = _read_json(path)
@@ -786,7 +771,6 @@ def cmd_certify(
                 stored = block.get("certificate")
                 if stored is None:
                     continue
-                n_stops += 1
                 block_index = _json_int_in(block, "block_index", 0, config.max_blocks)
                 lo = block_index * L
                 margin = MarginReport(
@@ -796,25 +780,23 @@ def cmd_certify(
                     support_size=_json_int_in(stored, "support_size", 1, L + 1),
                 )
                 stop_step = _json_int_in(stored, "stop_step", 1, config.budget + 1)
-                pac_pass = None if quantile is None else bool(margin.margin >= quantile)
                 cert = build_certificate(
-                    stop_step, margin, stop_cfg, alpha_hat=alpha_hat, pac_pass=pac_pass
+                    stop_step, margin, stop_cfg, alpha_hat=alpha_hat, margin_quantile=quantile
                 )
-                n_local += int(cert.local_pass)
-                n_global += int(cert.global_pass is True)
-                n_pac += int(cert.pac_pass is True)
                 entries.append(
-                    {
-                        "trace": name,
-                        "block_index": block_index,
-                        "certificate": cert.to_json_dict(),
-                    }
+                    {"trace": name, "block_index": block_index, "certificate": cert.to_json_dict()}
                 )
+    n_stops = len(entries)
+
+    def rate(verdict: str) -> float:
+        passed = sum(e["certificate"][verdict] is True for e in entries)
+        return passed / n_stops if n_stops else 0.0
+
     report = {
         "n_stops": n_stops,
-        "local_pass_rate": n_local / n_stops if n_stops else 0.0,
-        "global_pass_rate": n_global / n_stops if n_stops else 0.0,
-        "certified_fraction": n_pac / n_stops if n_stops else 0.0,
+        "local_pass_rate": rate("local_pass"),
+        "global_pass_rate": rate("global_pass"),
+        "certified_fraction": rate("pac_pass"),
         "alpha_hat": alpha_hat,
         "margin_quantile": quantile,
         "certificates": entries,
@@ -928,23 +910,12 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     cells.sort(key=lambda c: (c["projection"], c["adapter"], c["reduction"]))
     payload = {"cells": cells, "n_eval_instances": n_eval, "forward_passes": forward_passes}
     _write_json(os.path.join(run_dir, ABLATION_JSON), payload)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["module", "projection", "adapter", "reduction", "mean_divergence", "n_samples"]
+    columns = ["module", "projection", "adapter", "reduction", "mean_divergence", "n_samples"]
+    table = csv_text(
+        columns,
+        ([repr(c[k]) if k == "mean_divergence" else c[k] for k in columns] for c in cells),
     )
-    for c in cells:
-        writer.writerow(
-            [
-                c["module"],
-                c["projection"],
-                c["adapter"],
-                c["reduction"],
-                repr(c["mean_divergence"]),
-                c["n_samples"],
-            ]
-        )
-    _write_text(os.path.join(run_dir, ABLATION_CSV), buf.getvalue())
+    _write_text(os.path.join(run_dir, ABLATION_CSV), table)
     return payload
 
 
@@ -987,20 +958,7 @@ def cmd_report(run_dirs: Sequence[str | PathLike], out_dir: str) -> dict:
                     bundle["pseudograd_csv"].append(os.path.join(traces_dir, name))
     payload = {"runs": runs, "skipped": skipped, "figure_data": bundle}
     _write_json(os.path.join(out_dir, CONSOLIDATED_JSON), payload)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "run_dir",
-            "policy",
-            "seed",
-            "accuracy",
-            "avg_steps",
-            "reduction_percent",
-            "certified_fraction",
-        ]
-    )
-    for row in rows:
-        writer.writerow(row)
-    _write_text(os.path.join(out_dir, CONSOLIDATED_CSV), buf.getvalue())
+    header = ["run_dir", "policy", "seed", "accuracy", "avg_steps", "reduction_percent",
+              "certified_fraction"]
+    _write_text(os.path.join(out_dir, CONSOLIDATED_CSV), csv_text(header, rows))
     return payload

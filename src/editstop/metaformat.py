@@ -1,5 +1,6 @@
-"""Binary persistence for training-dynamics metadata (EDITMETA files), and
-the file framing that the model checkpoint shares.
+"""Binary persistence for training-dynamics metadata (EDITMETA files), the
+file framing that the model checkpoint shares, and the CSV text of every
+run-directory table (``csv_text``).
 
 Every artifact file is framed by ``write_framed``: magic bytes, a u16
 format version, the body, and a u32 CRC32 of everything before it.
@@ -24,6 +25,8 @@ Coefficients are stored at 32-bit precision (a 4096-row vector is exactly
 
 from __future__ import annotations
 
+import csv
+import io
 import struct
 import zlib
 from os import PathLike
@@ -110,6 +113,15 @@ def read_framed(path, magic: bytes, version: int) -> _Reader:
     if zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
         raise ChecksumMismatchError("file checksum mismatch")
     return _Reader(data[len(magic) + 2 : -4])
+
+
+def csv_text(header, rows) -> str:
+    """``header`` and ``rows`` as CSV text, one ``\\n``-terminated line each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _encode_entry(module_id: str, kind: int, d_out: int, rank: int, coeffs: np.ndarray) -> bytes:

@@ -234,19 +234,6 @@ class ForwardResult:
     cache: dict | None
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    n, h, t, hd = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(n, t, h * hd)
-
-
-def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` as one 2-D GEMM where numpy's batched matmul would run one
-    per sample; a single sample is one GEMM already, and runs as is."""
-    if x.shape[0] == 1:
-        return x @ w
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
-
-
 @dataclass(frozen=True)
 class ForwardWeights:
     """Every weight operand of :func:`forward`, from the current parameters
@@ -396,8 +383,10 @@ def backward_lora(
     only the projection gradients those keys read; each array is bit for bit
     the full pass's. On a block-row pass the last layer's query side keeps
     to the block's rows; the rows before them feed only dropped logits, whose
-    gradient is zero, so every key matches the full pass to rounding. Its
-    GEMMs run on 2-D views, as do the adapter-gradient sums over samples and rows."""
+    gradient is zero, so every key matches the full pass to rounding. As in
+    :func:`forward`, the stream gradient is one 2-D ``(rows, d_model)`` array,
+    so every GEMM, the adapter-gradient sums over samples and rows included,
+    is one 2-D GEMM."""
     if result.cache is None:
         raise NoRecordedGraphError("forward pass was not recorded; rerun with record=True")
     cfg = model.cfg
@@ -414,24 +403,24 @@ def backward_lora(
     grads = {key: np.zeros_like(model.lora[key]) for key in keys}
     sites = {parse_module_path(key.rpartition(".")[0]) for key in grads}
     lowest = min(b for b, _ in sites)
-    first_row = result.cache["tokens"].shape[1] - result.logits.shape[1]
-    dx = _mm(dlogits, model.base["head"])
+    n, t = result.cache["tokens"].shape
+    first_row = t - result.logits.shape[1]
+    dx = dlogits.reshape(-1, dlogits.shape[-1]) @ model.base["head"]
     for b in reversed(range(lowest, cfg.n_blocks)):
         c = result.cache["blocks"][b]
         q_from = first_row if b == cfg.n_blocks - 1 else 0
         w2 = model.base[f"block{b}.w2"]
         w1 = model.base[f"block{b}.w1"]
         # tanh' = 1 - t1², built in one array and multiplied in place.
-        dh1 = c["t1"] ** 2
+        dh1 = c["t1"].reshape(dx.shape[0], -1) ** 2
         np.subtract(1.0, dh1, out=dh1)
-        dh1 *= _mm(dx, w2)
-        dx += _mm(dh1, w1)  # gradient at x_mid
-        dmerged = _mm(dx, model.base[f"block{b}.wo"])
-        dctx = dmerged.reshape(*dmerged.shape[:2], h, hd).transpose(0, 2, 1, 3)
+        dh1 *= dx @ w2
+        dx += dh1 @ w1  # gradient at x_mid
+        dctx = (dx @ model.base[f"block{b}.wo"]).reshape(n, -1, h, hd).transpose(0, 2, 1, 3)
         needed = [p for p in PROJECTIONS if b > lowest or (b, p) in sites]
-        d_full = {}
+        d_full = {}  # per-head (n, h, rows, hd) gradients
         if "v" in needed:
-            d_full["v"] = _merge_heads(c["attn"].swapaxes(-1, -2) @ dctx)
+            d_full["v"] = c["attn"].swapaxes(-1, -2) @ dctx
         if "q" in needed or "k" in needed:
             # Softmax backward in place on the fresh dattn, never the cache:
             # attn * (dattn - inner) * scale with each product commuted.
@@ -440,28 +429,29 @@ def backward_lora(
             dattn *= c["attn"]
             dattn *= scale
             if "q" in needed:
-                d_full["q"] = _merge_heads(dattn @ c["k"])
+                d_full["q"] = dattn @ c["k"]
             if "k" in needed:
-                d_full["k"] = _merge_heads(dattn.swapaxes(-1, -2) @ c["q"])
-        dx_in = None
+                d_full["k"] = dattn.swapaxes(-1, -2) @ c["q"]
         if b > lowest:
             dx_in = np.zeros_like(c["x_in"])
-            dx_in[:, q_from:] = dx
+            dx_in[:, q_from:] = dx.reshape(n, -1, d)
         for proj in needed:
-            dproj = d_full[proj]
+            # Heads merged to (rows, d_model); popped, so the split array goes.
+            dproj = d_full.pop(proj).transpose(0, 2, 1, 3).reshape(-1, d)
             start = q_from if proj == "q" else 0
             key_a, key_b = (lora_param_key(b, proj, ad) for ad in ADAPTERS)
             if key_b in grads:
-                grads[key_b] += dproj.reshape(-1, d).T @ c[f"ax_{proj}"].reshape(-1, r)
+                grads[key_b] += dproj.T @ c[f"ax_{proj}"].reshape(-1, r)
             if b == lowest and key_a not in grads:
                 continue
-            dax = _mm(dproj, model.lora[key_b])
+            dax = dproj @ model.lora[key_b]
             if key_a in grads:
-                grads[key_a] += dax.reshape(-1, r).T @ c["x_in"][:, start:].reshape(-1, d)
+                grads[key_a] += dax.T @ c["x_in"][:, start:].reshape(-1, d)
             if b > lowest:
                 w = model.base[f"block{b}.w{proj}"]
-                dx_in[:, start:] += _mm(dproj, w) + _mm(dax, model.lora[key_a])
-        dx = dx_in
+                dx_in[:, start:] += (dproj @ w + dax @ model.lora[key_a]).reshape(n, -1, d)
+        if b > lowest:
+            dx = dx_in.reshape(-1, d)
     return grads
 
 

@@ -12,8 +12,6 @@ required span, the block is declared stable and denoising stops.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,6 +21,7 @@ import numpy as np
 from .alignment import AlignmentDistribution
 from .errors import NonMonotoneVisibleSetError
 from .linalg import PROB_FLOOR, ProbVector, kl_rows
+from .metaformat import csv_text
 
 DEFAULT_DELTA = 0.05
 DEFAULT_OMEGA = 6
@@ -83,9 +82,6 @@ class StabilityState:
     divergence_trace: list[TraceRow] = field(default_factory=list)
     stopped_at: int | None = None
 
-    def last_step(self) -> int | None:
-        return self.divergence_trace[-1].step if self.divergence_trace else None
-
 
 def matched_kl_rows(curr: np.ndarray, prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Row-wise KL of ``curr`` ``(n, k)`` from ``prev`` ``(n, j)`` on prev's support.
@@ -119,10 +115,10 @@ def update_counter(
     state: StabilityState,
     d_t: float,
     cfg: StopConfig,
-    step: int | None = None,
+    step: int,
     matched_support: int = 0,
 ) -> tuple[StabilityState, StopDecision]:
-    """Advance the run-length counter with one divergence observation.
+    """Advance the run-length counter with the divergence observed at ``step``.
 
     Strictly-below-threshold divergences increment; anything at or above
     the threshold resets to zero. The stop fires the first time the
@@ -130,9 +126,6 @@ def update_counter(
     """
     if d_t < 0.0 or math.isnan(d_t):
         raise ValueError(f"divergence must be nonnegative, got {d_t}")
-    if step is None:
-        last = state.last_step()
-        step = (last + 1) if last is not None else 1
     if d_t < cfg.delta:
         state.counter += 1
     else:
@@ -197,11 +190,10 @@ class StabilityMonitor:
 
 def trace_to_csv(state: StabilityState) -> str:
     """Divergence trace as CSV text (step, divergence, support, counter, stop)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step", "divergence", "matched_support", "counter", "stopped"])
-    for row in state.divergence_trace:
-        writer.writerow(
+    return csv_text(
+        ["step", "divergence", "matched_support", "counter", "stopped"],
+        (
             [row.step, repr(row.divergence), row.matched_support, row.counter, int(row.stopped)]
-        )
-    return buf.getvalue()
+            for row in state.divergence_trace
+        ),
+    )

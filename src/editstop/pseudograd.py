@@ -22,8 +22,6 @@ and never feeds back into the stopping decision.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,6 +35,7 @@ from .errors import (
     WindowTooShortError,
 )
 from .generate import DenoiseTrajectory
+from .metaformat import csv_text
 from .model import (
     ToyModel,
     backward_lora,
@@ -261,10 +260,8 @@ def analyze_trajectory(
 
 def pseudograd_to_csv(trace: PseudoGradTrace) -> str:
     """Trace rows as CSV text (step, rms, in_band, t_conv)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step", "rms", "in_band", "t_conv"])
     conv = "" if trace.convergence_step is None else trace.convergence_step
-    for row in trace.rows:
-        writer.writerow([row.step, repr(row.rms_value), int(row.in_band), conv])
-    return buf.getvalue()
+    return csv_text(
+        ["step", "rms", "in_band", "t_conv"],
+        ([row.step, repr(row.rms_value), int(row.in_band), conv] for row in trace.rows),
+    )

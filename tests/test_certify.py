@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -120,16 +121,16 @@ class TestVerifyRunlengthBound:
     def test_trace_precondition_checked(self):
         chain = make_chain([[0.5, 0.5]] * 4)
         state = StabilityState()
-        for d in (0.01, 0.2, 0.01):
-            state, _ = update_counter(state, d, StopConfig(delta=0.05, omega=3))
+        for step, d in enumerate((0.01, 0.2, 0.01), 1):
+            state, _ = update_counter(state, d, StopConfig(delta=0.05, omega=3), step)
         with pytest.raises(ValueError):
             verify_runlength_bound(chain, 0.05, 3, state=state)
 
     def test_trace_precondition_ok(self):
         chain = make_chain([[0.5, 0.5]] * 4)
         state = StabilityState()
-        for d in (0.01, 0.02, 0.01):
-            state, _ = update_counter(state, d, StopConfig(delta=0.05, omega=3))
+        for step, d in enumerate((0.01, 0.02, 0.01), 1):
+            state, _ = update_counter(state, d, StopConfig(delta=0.05, omega=3), step)
         assert verify_runlength_bound(chain, 0.05, 3, state=state)
 
 
@@ -406,48 +407,10 @@ class TestCertificate:
     def test_build_with_contraction(self):
         margin = MarginReport(3, 0.5, 9, 4)
         cfg = StopConfig(delta=1e-4, omega=6)
-        cert = build_certificate(9, margin, cfg, alpha_hat=0.5, pac_pass=True)
+        cert = build_certificate(9, margin, cfg, alpha_hat=0.5, margin_quantile=0.5)
         assert cert.global_pass
         assert cert.pac_pass
-
-    def test_inconsistent_local_flag_rejected(self):
-        margin = MarginReport(3, 0.2, 9, 4)
-        with pytest.raises(ValueError):
-            Certificate(
-                stop_step=9,
-                omega=6,
-                delta=0.05,
-                tv_budget=tv_budget(0.05, 6),
-                margin_report=margin,
-                local_pass=True,
-            )
-
-    def test_inconsistent_global_flag_rejected(self):
-        margin = MarginReport(3, 0.2, 9, 4)
-        with pytest.raises(ValueError):
-            Certificate(
-                stop_step=9,
-                omega=6,
-                delta=1e-4,
-                tv_budget=tv_budget(1e-4, 6),
-                margin_report=margin,
-                local_pass=True,
-                tail_budget=5.0,
-                global_pass=True,
-            )
-
-    def test_tail_and_global_must_travel_together(self):
-        margin = MarginReport(3, 0.2, 9, 4)
-        with pytest.raises(ValueError):
-            Certificate(
-                stop_step=9,
-                omega=6,
-                delta=1e-4,
-                tv_budget=tv_budget(1e-4, 6),
-                margin_report=margin,
-                local_pass=True,
-                tail_budget=0.01,
-            )
+        assert build_certificate(9, margin, cfg, margin_quantile=0.6).pac_pass is False
 
     def test_json_round_trip_fields(self):
         margin = MarginReport(3, 0.125, 9, 4)
@@ -460,6 +423,32 @@ class TestCertificate:
         assert isinstance(d["tv_budget"], str)
         assert d["local_pass"] is True
         json.dumps(d)
+
+    def test_certificate_stores_only_its_inputs(self):
+        assert [f.name for f in dataclasses.fields(Certificate)] == [
+            "stop_step", "omega", "delta", "margin_report", "alpha_hat", "margin_quantile",
+        ]
+
+    @pytest.mark.parametrize(
+        "margin, quantile",
+        [
+            (0.1 - 3e-14, 0.1),  # reported as "0.1": rounded up onto the quantile
+            (0.1 + 3e-14, 0.1 + 3e-14),  # rounded down below the quantile
+            (0.1, 0.1),
+            (0.4, 0.1),
+            (0.01, 0.1),
+        ],
+    )
+    def test_rebuilt_from_its_report_reaches_the_same_verdicts(self, margin, quantile):
+        # cmd_certify rebuilds a certificate from the fields a trace
+        # reports; every budget and verdict must come out unchanged.
+        cfg = StopConfig(delta=1e-4, omega=6)
+        inputs = dict(cfg=cfg, alpha_hat=0.25, margin_quantile=quantile)
+        d = build_certificate(9, MarginReport(3, margin, 9, 4), **inputs).to_json_dict()
+        report = MarginReport(d["argmax_index"], float(d["margin"]), d["margin_step"], 4)
+        rebuilt = build_certificate(d["stop_step"], report, **inputs)
+        assert rebuilt.to_json_dict() == d
+        assert d["pac_pass"] is (float(fmt_real(margin)) >= quantile)
 
     def test_fmt_real_12_significant_digits(self):
         assert fmt_real(1 / 3) == "0.333333333333"

@@ -19,7 +19,7 @@ from helpers import count_forwards, reference_ablation_cells, reference_utility_
 
 from editstop import alignment, harness, linalg
 from editstop.capture import AdamWConfig
-from editstop.certify import DELTA_GRID, OMEGA_GRID, margin_quantile
+from editstop.certify import DELTA_GRID, OMEGA_GRID, fmt_real, margin_quantile
 from editstop.config import ExperimentConfig
 from editstop.errors import ArtifactMismatchError, NoAdmissiblePairError
 from editstop.generate import PolicyConfig, generate
@@ -524,6 +524,42 @@ class TestCertify:
         assert {cert["pac_pass"] for cert in certs} == {True, False}
         certified = cmd_certify(cfg, run_dir=run_dir, calibration_path=cal_path)
         assert [e["certificate"] for e in certified["certificates"]] == certs
+
+    def test_quantile_at_a_reported_margin_gets_one_verdict(
+        self, trained_run, tmp_path, monkeypatch
+    ):
+        # The quantile is a stop's margin as the trace reports it, rounded
+        # up from the exact margin: infer, which holds the exact margin, and
+        # certify, which reads the reported one, must reach one verdict.
+        cfg, artifacts_dir = trained_run
+        decoded = []
+        monkeypatch.setattr(harness, "generate", recording(generate, decoded))
+        cmd_infer(cfg, artifacts_dir=artifacts_dir, run_dir=str(tmp_path / "plain"))
+        margins = [
+            b.certificate.margin_report.margin
+            for r in decoded[: cfg.trace_retention]
+            for b in r.blocks
+            if b.stopped_early
+        ]
+        text = next(fmt_real(m) for m in margins if float(fmt_real(m)) > m)
+        cal_path = str(tmp_path / "cal.json")
+        with open(cal_path, "w") as fh:
+            json.dump({"margin_quantile": float(text)}, fh)
+        run_dir = str(tmp_path / "run")
+        cmd_infer(cfg, artifacts_dir=artifacts_dir, run_dir=run_dir, calibration_path=cal_path)
+        certified = cmd_certify(cfg, run_dir=run_dir, calibration_path=cal_path)
+        verdicts = {
+            (e["trace"], e["block_index"]): e["certificate"]["pac_pass"]
+            for e in certified["certificates"]
+        }
+        assert any(e["certificate"]["margin"] == text for e in certified["certificates"])
+        for name in os.listdir(os.path.join(run_dir, TRACES_DIR)):
+            if name.endswith(".json"):
+                trace = json.load(open(os.path.join(run_dir, TRACES_DIR, name)))
+                for block in trace["blocks"]:
+                    if block["stopped_early"]:
+                        key = (name, block["block_index"])
+                        assert block["certificate"]["pac_pass"] is verdicts[key], key
 
     def test_missing_traces(self, trained_run, tmp_path):
         cfg, _ = trained_run

@@ -260,10 +260,10 @@ class TestInPlaceForward:
 
 
 class TestTwoDimensionalGemms:
-    """``backward_lora`` runs the GEMMs of a batch of several samples on 2-D
-    views (``model._mm``), and ``forward`` on its 2-D residual stream, which
-    moves bits: training's, while a single-sample decode keeps the bits of
-    plain GEMMs over every row."""
+    """``forward`` and ``backward_lora`` run every GEMM of a batch of several
+    samples on their 2-D ``(rows, d_model)`` streams, which moves bits:
+    training's, while a single-sample decode keeps the bits of plain GEMMs
+    over every row."""
 
     def test_training_batch_matches_per_sample_full_passes(self):
         # sft_train's shape: 16 samples of 32 tokens, loss on rows 16:. The

@@ -203,8 +203,8 @@ class TestUpdateCounter:
     def run_stream(self, divergences, cfg):
         state = StabilityState()
         decisions = []
-        for d in divergences:
-            state, dec = update_counter(state, d, cfg)
+        for step, d in enumerate(divergences, 1):
+            state, dec = update_counter(state, d, cfg, step)
             decisions.append(dec)
         return state, decisions
 
@@ -237,8 +237,8 @@ class TestUpdateCounter:
         rng = np.random.default_rng(71)
         state = StabilityState()
         hits = 0
-        for _ in range(200):
-            state, dec = update_counter(state, float(rng.uniform(0.0, 0.1)), cfg)
+        for step in range(1, 201):
+            state, dec = update_counter(state, float(rng.uniform(0.0, 0.1)), cfg, step)
             if dec.stop:
                 hits += 1
                 break
@@ -249,14 +249,14 @@ class TestUpdateCounter:
         cfg = StopConfig(delta=1.0, omega=100)
         state = StabilityState()
         for i in range(50):
-            state, _ = update_counter(state, 0.0, cfg)
+            state, _ = update_counter(state, 0.0, cfg, i + 1)
             assert state.counter == i + 1
 
     def test_negative_divergence_rejected(self):
         with pytest.raises(ValueError):
-            update_counter(StabilityState(), -0.1, StopConfig())
+            update_counter(StabilityState(), -0.1, StopConfig(), 1)
         with pytest.raises(ValueError):
-            update_counter(StabilityState(), float("nan"), StopConfig())
+            update_counter(StabilityState(), float("nan"), StopConfig(), 1)
 
 
 class TestStabilityMonitor:
@@ -459,8 +459,8 @@ class TestTraceCsv:
     def test_csv_shape_and_content(self):
         cfg = StopConfig(delta=0.05, omega=2)
         state = StabilityState()
-        for d in (0.2, 0.01, 0.01):
-            state, _ = update_counter(state, d, cfg, matched_support=3)
+        for step, d in enumerate((0.2, 0.01, 0.01), 1):
+            state, _ = update_counter(state, d, cfg, step, matched_support=3)
         text = trace_to_csv(state)
         lines = text.strip().split("\n")
         assert lines[0] == "step,divergence,matched_support,counter,stopped"
