@@ -15,7 +15,7 @@ of the decoded tokens.
 
 from __future__ import annotations
 
-from .alignment import SimilarityMode, SimilarityVariant, score_frame
+from .alignment import SimilarityMode, score_frame
 from .capture import (
     AdamWConfig,
     EvolutionVector,
@@ -69,7 +69,6 @@ __all__ = [
     "SftBand",
     "SftResult",
     "SimilarityMode",
-    "SimilarityVariant",
     "StabilityMonitor",
     "StopConfig",
     "StopDecision",

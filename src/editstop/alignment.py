@@ -23,14 +23,7 @@ from .linalg import NORM_FLOOR, ProbVector, softmax
 DEFAULT_BLOCK_TEMPERATURE = 1.0
 
 
-class SimilarityVariant(Enum):
-    VECTOR_COSINE = "vector_cosine"
-    SUBSPACE_NORM = "subspace_norm"
-    SUBSPACE_COSINE = "subspace_cosine"
-
-
-@dataclass(frozen=True)
-class SimilarityMode:
+class SimilarityMode(Enum):
     """How a visible token's activation is scored against the training map.
 
     ``vector_cosine`` takes the cosine with an ``EvolutionVector``; the
@@ -40,12 +33,14 @@ class SimilarityMode:
     (``subspace_cosine``).
     """
 
-    variant: SimilarityVariant = SimilarityVariant.VECTOR_COSINE
+    VECTOR_COSINE = "vector_cosine"
+    SUBSPACE_NORM = "subspace_norm"
+    SUBSPACE_COSINE = "subspace_cosine"
 
     @property
     def minimum_score(self) -> float:
         """Score assigned to a degenerate (zero-norm) activation."""
-        if self.variant is SimilarityVariant.VECTOR_COSINE:
+        if self is SimilarityMode.VECTOR_COSINE:
             return -1.0
         return 0.0
 
@@ -110,7 +105,7 @@ class AlignmentDistribution:
 def score_alignment(
     acts: np.ndarray,
     reasoning_map: EvolutionVector | SubspaceBasis,
-    mode: SimilarityMode = SimilarityMode(),
+    mode: SimilarityMode = SimilarityMode.VECTOR_COSINE,
 ) -> np.ndarray:
     """Similarity of each row of the ``(n, d)`` array ``acts`` to the training map.
 
@@ -125,11 +120,11 @@ def score_alignment(
         raise DimMismatchError(f"activations must be 2-D, got shape {acts.shape}")
     if acts.shape[0] == 0:
         raise EmptyVisibleSetError("no activation rows to score")
-    want_vector = mode.variant is SimilarityVariant.VECTOR_COSINE
+    want_vector = mode is SimilarityMode.VECTOR_COSINE
     if want_vector and not isinstance(reasoning_map, EvolutionVector):
         raise DimMismatchError("vector_cosine requires an EvolutionVector map")
     if not want_vector and not isinstance(reasoning_map, SubspaceBasis):
-        raise DimMismatchError(f"{mode.variant.value} requires a SubspaceBasis map")
+        raise DimMismatchError(f"{mode.value} requires a SubspaceBasis map")
     if acts.shape[1] != reasoning_map.d_out:
         raise DimMismatchError(
             f"activation length {acts.shape[1]} != map dimension {reasoning_map.d_out}"
@@ -139,12 +134,12 @@ def score_alignment(
     # row's score could change in its last bits with the number of rows
     # scored alongside it. The einsum and the ``axis=1`` norm give each row
     # the same bits whatever the row count.
-    if mode.variant is SimilarityVariant.SUBSPACE_NORM:
+    if mode is SimilarityMode.SUBSPACE_NORM:
         scores = np.linalg.norm(np.einsum("ij,jk->ik", acts, reasoning_map.columns), axis=1)
     else:
         norms = np.linalg.norm(acts, axis=1)
         live = norms >= NORM_FLOOR
-        if mode.variant is SimilarityVariant.VECTOR_COSINE:
+        if mode is SimilarityMode.VECTOR_COSINE:
             norm_u = reasoning_map.norm()
             live &= norm_u >= NORM_FLOOR
             cosines = np.einsum("ij,j->i", acts, reasoning_map.u) / np.where(
@@ -161,7 +156,7 @@ def score_alignment(
 def score_frame(
     frame: ActivationFrame,
     reasoning_map: EvolutionVector | SubspaceBasis,
-    mode: SimilarityMode = SimilarityMode(),
+    mode: SimilarityMode = SimilarityMode.VECTOR_COSINE,
     tau_blk: float = DEFAULT_BLOCK_TEMPERATURE,
 ) -> AlignmentDistribution:
     """The frame's alignment distribution: the softmax at ``tau_blk`` of

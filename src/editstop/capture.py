@@ -27,7 +27,6 @@ class AdamWConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     learning_rate: float = 1e-2
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.beta1 < 1.0:
@@ -38,8 +37,6 @@ class AdamWConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
 
 
 @dataclass

@@ -30,6 +30,7 @@ DELTA_GRID: tuple[float, ...] = (0.025, 0.05, 0.1, 0.25, 0.45, 0.55)
 OMEGA_GRID: tuple[int, ...] = (6, 8, 10, 12)
 
 TV_SLACK = 1e-9
+DENOM_FLOOR = 1e-9
 
 
 def fmt_real(x: float) -> str:
@@ -80,40 +81,13 @@ def tv_budget(delta: float, omega: int) -> float:
     return omega * math.sqrt(delta / 2.0)
 
 
-def window_intersection(distributions) -> tuple[int, ...]:
-    """Running intersection of the supports of all given distributions."""
-    if not distributions:
-        raise EmptyInputError("no distributions in window")
-    common = set(_as_probvector(distributions[0]).support)
-    for d in distributions[1:]:
-        common &= set(_as_probvector(d).support)
-    return tuple(sorted(common))
-
-
-def local_argmax_certificate(
-    margin: MarginReport, cfg: StopConfig, window=None
-) -> bool:
+def local_argmax_certificate(margin: MarginReport, cfg: StopConfig) -> bool:
     """Pass iff the window TV budget cannot overcome half the margin.
 
     A singleton support passes vacuously (there is no competitor to flip
-    to). When the certificate passes and the window distributions are
-    supplied, a direct replay confirms the argmax was constant; a
-    violation there would mean the bound itself is broken, so it raises
-    rather than returning False.
+    to).
     """
-    passed = margin.support_size == 1 or tv_budget(cfg.delta, cfg.omega) < margin.margin / 2.0
-    if passed and window:
-        pvs = [_as_probvector(d) for d in window]
-        common = window_intersection(pvs)
-        restricted = [p.restrict(common) for p in pvs]
-        target = restricted[-1].argmax_token()
-        for r in restricted:
-            if r.argmax_token() != target:
-                raise AssertionError(
-                    "certificate passed but the window argmax moved; "
-                    "the stability window violates its own TV budget"
-                )
-    return passed
+    return margin.support_size == 1 or tv_budget(cfg.delta, cfg.omega) < margin.margin / 2.0
 
 
 @dataclass(frozen=True)
@@ -123,14 +97,12 @@ class ContractionEstimate:
     skipped_small_denominators: int
 
 
-def estimate_contraction(
-    post_unmask_traces, denom_floor: float = 1e-9
-) -> ContractionEstimate:
+def estimate_contraction(post_unmask_traces) -> ContractionEstimate:
     """Max ratio of consecutive TV steps over all traces.
 
     Each trace is a sequence of distributions on one fixed support,
     covering steps after the visible set stopped growing. Ratios whose
-    denominator is below ``denom_floor`` are skipped and counted.
+    denominator is below ``DENOM_FLOOR`` are skipped and counted.
     """
     if not post_unmask_traces:
         raise EmptyInputError("no traces given")
@@ -149,13 +121,13 @@ def estimate_contraction(
         for r in range(1, len(pvs) - 1):
             den = total_variation(pvs[r], pvs[r - 1])
             num = total_variation(pvs[r + 1], pvs[r])
-            if den < denom_floor:
+            if den < DENOM_FLOOR:
                 skipped += 1
                 continue
             ratios.append(num / den)
     if not ratios:
         raise NoValidSamplesError(
-            f"all {skipped} ratio samples had denominators below {denom_floor}"
+            f"all {skipped} ratio samples had denominators below {DENOM_FLOOR}"
         )
     return ContractionEstimate(
         alpha_hat=float(max(ratios)),
@@ -164,24 +136,16 @@ def estimate_contraction(
     )
 
 
-def tail_budget(alpha_hat: float, delta: float, s: int | None = None) -> float:
-    """TV budget for movement after the stop under estimated contraction.
-
-    With ``s`` given, the budget for exactly ``s`` steps ahead; without,
-    the supremum over all horizons.
-    """
+def tail_budget(alpha_hat: float, delta: float) -> float:
+    """TV budget for movement after the stop under estimated contraction:
+    the supremum over all horizons."""
     if not 0.0 <= alpha_hat < 1.0:
         raise AlphaNotContractiveError(
             f"alpha_hat must be in [0, 1), got {alpha_hat}"
         )
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    root = math.sqrt(delta / 2.0)
-    if s is None:
-        return root / (1.0 - alpha_hat)
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    return (alpha_hat**s / (1.0 - alpha_hat)) * root
+    return math.sqrt(delta / 2.0) / (1.0 - alpha_hat)
 
 
 def global_argmax_certificate(

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from os import PathLike
 
-from .alignment import SimilarityMode, SimilarityVariant
+from .alignment import SimilarityMode
 from .errors import ConfigError
 from .freeze import FreezeConfig
 from .generate import PolicyConfig
@@ -139,7 +139,7 @@ class ExperimentConfig:
 
     def similarity_mode(self) -> SimilarityMode:
         try:
-            return SimilarityMode(SimilarityVariant(self.similarity))
+            return SimilarityMode(self.similarity)
         except ValueError as exc:
             raise ConfigError(f"unknown similarity {self.similarity!r}") from exc
 

@@ -31,6 +31,8 @@ from .errors import (
 from .linalg import kl_rows, softmax_rows
 from .monitor import StopConfig
 
+POOLED_MAX_TOKENS = 8
+
 
 @dataclass(frozen=True)
 class FreezeConfig:
@@ -124,12 +126,12 @@ def probe_coupling_pooled(
     probe_magnitude: float,
     trials: int,
     rng: np.random.Generator,
-    max_tokens: int = 8,
 ) -> CouplingEstimate:
-    """Conservative pooled coupling: max over a sampled token subset."""
+    """Conservative pooled coupling: max over at most ``POOLED_MAX_TOKENS``
+    sampled tokens."""
     tokens = list(tokens)
-    if len(tokens) > max_tokens:
-        picked = rng.choice(len(tokens), size=max_tokens, replace=False)
+    if len(tokens) > POOLED_MAX_TOKENS:
+        picked = rng.choice(len(tokens), size=POOLED_MAX_TOKENS, replace=False)
         tokens = [tokens[i] for i in sorted(picked)]
     best = 0.0
     for s in tokens:

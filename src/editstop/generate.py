@@ -206,7 +206,7 @@ def denoise_block(
     budget: int = DEFAULT_STEP_BUDGET,
     policy: PolicyConfig | None = None,
     reasoning_map: EvolutionVector | SubspaceBasis | None = None,
-    mode: SimilarityMode | None = None,
+    mode: SimilarityMode = SimilarityMode.VECTOR_COSINE,
     taps: tuple[TapSpec, ...] | None = None,
     freeze_basis: SubspaceBasis | None = None,
     alpha_hat: float | None = None,
@@ -229,7 +229,6 @@ def denoise_block(
     built here when not given.
     """
     policy = policy if policy is not None else PolicyConfig()
-    mode = mode if mode is not None else SimilarityMode()
     cfg = model.cfg
     L = cfg.block_length
     if budget < 1:
@@ -383,7 +382,7 @@ def generate(
     policy: PolicyConfig | None = None,
     budget: int = DEFAULT_STEP_BUDGET,
     reasoning_map: EvolutionVector | SubspaceBasis | None = None,
-    mode: SimilarityMode | None = None,
+    mode: SimilarityMode = SimilarityMode.VECTOR_COSINE,
     taps: tuple[TapSpec, ...] | None = None,
     freeze_basis: SubspaceBasis | None = None,
     alpha_hat: float | None = None,

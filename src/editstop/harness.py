@@ -237,7 +237,7 @@ def _load_setup(config: ExperimentConfig, artifacts_dir: str):
     artifacts = load_artifacts(config, artifacts_dir)
     task = make_task(config.task, config.vocab_size, config.block_length)
     mode = config.similarity_mode()
-    reasoning_map = artifacts.basis if mode.variant.value.startswith("subspace") else artifacts.vector
+    reasoning_map = artifacts.basis if mode.value.startswith("subspace") else artifacts.vector
     return artifacts, task, mode, reasoning_map
 
 

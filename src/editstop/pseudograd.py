@@ -9,7 +9,7 @@ whose root-mean-square magnitude can be compared against the band of
 gradient magnitudes seen in training. :func:`analyze_trajectory` computes
 those pseudo-gradients from each step's recorded block-row forward pass,
 the one the decode itself ran (``generate(record=True)``), and
-backpropagates only as deep as the selected adapters; it refuses a
+backpropagates only as deep as the default tap's adapter; it refuses a
 trajectory decoded without ``record``. It summarizes the pseudo-gradients
 and detects the step at which their magnitude settles into the training
 band. :func:`pseudo_gradient`, one step pair's gradient from forwards it
@@ -45,7 +45,7 @@ from .model import (
     predictive_distributions,
 )
 
-DEFAULT_PERSISTENCE = 3
+PERSISTENCE = 3
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,18 @@ def sft_band(rms_trace: Sequence[float]) -> SftBand:
     )
 
 
-def detect_convergence(
-    trace: Sequence[float], band: SftBand, persistence: int = DEFAULT_PERSISTENCE
-) -> Optional[int]:
-    """Index of the first entry opening a run of ``persistence`` in-band values.
+def detect_convergence(trace: Sequence[float], band: SftBand) -> Optional[int]:
+    """Index of the first entry opening a run of ``PERSISTENCE`` in-band values.
 
     Detection is first-hit: later excursions outside the band never
     retract the returned index. Returns None when no such run exists.
     """
-    if persistence < 1:
-        raise ValueError(f"persistence must be >= 1, got {persistence}")
     flags = [band.contains(float(v)) for v in trace]
     run = 0
     for i, ok in enumerate(flags):
         run = run + 1 if ok else 0
-        if run >= persistence:
-            return i - persistence + 1
+        if run >= PERSISTENCE:
+            return i - PERSISTENCE + 1
     return None
 
 
@@ -220,12 +216,11 @@ def analyze_trajectory(
     model: ToyModel,
     trajectory: DenoiseTrajectory,
     band: SftBand,
-    config: PseudoGradConfig | None = None,
 ) -> PseudoGradTrace:
-    """Pseudo-gradient magnitude trace for every consecutive step pair, read
-    off the forwards a ``generate(record=True)`` decode kept on the
-    trajectory; a trajectory without them raises ``NoRecordedGraphError``."""
-    config = config if config is not None else PseudoGradConfig()
+    """Pseudo-gradient magnitude trace of the default tap's ``lora_b`` for
+    every consecutive step pair, read off the forwards a
+    ``generate(record=True)`` decode kept on the trajectory; a trajectory
+    without them raises ``NoRecordedGraphError``."""
     if len(trajectory.records) < 2:
         raise WindowTooShortError(
             f"need at least 2 recorded steps, got {len(trajectory.records)}"
@@ -233,7 +228,7 @@ def analyze_trajectory(
     forwards = trajectory.forwards
     if not forwards:
         raise NoRecordedGraphError("trajectory kept no forwards; decode it with record=True")
-    keys = _selected_keys(model, config)
+    keys = _selected_keys(model, PseudoGradConfig())
     rows: list[PseudoGradRow] = []
     values: list[float] = []
     res_t = forwards[0]

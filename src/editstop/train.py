@@ -33,6 +33,7 @@ from .model import (
     masked_cross_entropy,
     parse_module_path,
 )
+from .pseudograd import rms
 from .tasks import SyntheticTask
 
 MASKING_RATES = (0.25, 0.5, 0.75)
@@ -164,13 +165,10 @@ def sft_train(
         grads = backward_lora(model, res, dlogits)
         for key in sorted(model.lora):
             moments[key], update = adamw_step(moments[key], grads[key], adamw_cfg)
-            model.lora[key] = model.lora[key] - adamw_cfg.learning_rate * (
-                update + adamw_cfg.weight_decay * model.lora[key]
-            )
+            model.lora[key] = model.lora[key] - adamw_cfg.learning_rate * update
             if key in accums:
                 accums[key].accumulate(update)
-        g = grads[rms_key]
-        rms_trace.append(float(np.sqrt(np.mean(g * g))))
+        rms_trace.append(rms(grads[rms_key]))
         loss_trace.append(loss)
 
     tensors = {key: acc.finalize() for key, acc in accums.items()}

@@ -19,7 +19,6 @@ from editstop.alignment import (
     ActivationFrame,
     AlignmentDistribution,
     SimilarityMode,
-    SimilarityVariant,
     VisibleSet,
 )
 from editstop.certify import (
@@ -29,7 +28,6 @@ from editstop.certify import (
     MarginReport,
     build_certificate,
     tv_budget,
-    window_intersection,
 )
 from editstop.errors import (
     DimMismatchError,
@@ -348,7 +346,7 @@ def verify_runlength_bound(distributions, delta: float, omega: int, state=None) 
         d.dist if isinstance(d, AlignmentDistribution) else d
         for d in distributions[-(omega + 1):]
     ]
-    common = window_intersection(window)
+    common = tuple(sorted(set.intersection(*(set(p.support) for p in window))))
     if not common:
         raise SupportMismatchError("window supports have empty intersection")
     first = window[0].restrict(common)
@@ -677,9 +675,9 @@ def reference_scores(vectors: dict[int, np.ndarray], reasoning_map, mode: Simila
     scores: dict[int, float] = {}
     for s, f in vectors.items():
         try:
-            if mode.variant is SimilarityVariant.VECTOR_COSINE:
+            if mode is SimilarityMode.VECTOR_COSINE:
                 scores[s] = cosine_similarity(f, reasoning_map.u)
-            elif mode.variant is SimilarityVariant.SUBSPACE_NORM:
+            elif mode is SimilarityMode.SUBSPACE_NORM:
                 scores[s] = float(np.linalg.norm(reasoning_map.columns.T @ f))
             else:
                 norm = float(np.linalg.norm(f))
@@ -706,8 +704,8 @@ class ReferenceBlock:
 
 
 def reference_denoise_block(model, prefix, block_index, budget, policy, reasoning_map=None,
-                            mode=None, freeze_basis=None, alpha_hat=None) -> ReferenceBlock:
-    mode = mode if mode is not None else SimilarityMode()
+                            mode=SimilarityMode.VECTOR_COSINE, freeze_basis=None,
+                            alpha_hat=None) -> ReferenceBlock:
     cfg = model.cfg
     L = cfg.block_length
     lo = block_index * L
@@ -809,7 +807,7 @@ def reference_utility_table(config, artifacts):
     """
     task = make_task(config.task, config.vocab_size, config.block_length)
     mode = config.similarity_mode()
-    reasoning_map = artifacts.basis if mode.variant.value.startswith("subspace") else artifacts.vector
+    reasoning_map = artifacts.basis if mode.value.startswith("subspace") else artifacts.vector
     n_val = max(1, int(round(config.validation_fraction * config.eval_instances)))
     instances = _sample_instances(task, (config.model_seed, 707), n_val)
     rows, best, runs = [], None, {}
@@ -851,7 +849,7 @@ def reference_ablation_cells(config, run_dir) -> dict:
     vectors, _ = load_metadata(os.path.join(run_dir, "metadata.editmeta"))
     stored = {v.module_id: v for v in vectors}
     task = make_task(config.task, config.vocab_size, config.block_length)
-    mode = SimilarityMode()  # the summaries are EvolutionVectors under any config
+    mode = SimilarityMode.VECTOR_COSINE  # the summaries are EvolutionVectors under any config
     instances = _sample_instances(task, (config.model_seed, 505), min(config.eval_instances, 16))
     policy = PolicyConfig(
         "edit", stop=StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk)

@@ -9,7 +9,6 @@ from helpers import frame_from, reference_scores
 from editstop.alignment import (
     ActivationFrame,
     SimilarityMode,
-    SimilarityVariant,
     VisibleSet,
     score_alignment,
     score_frame,
@@ -97,31 +96,29 @@ class TestScoreAlignment:
         rng = np.random.default_rng(61)
         basis = build_subspace(rng.normal(size=(8, 4)), 2, "m")
         f = rng.normal(size=8)
-        mode = SimilarityMode(SimilarityVariant.SUBSPACE_NORM)
+        mode = SimilarityMode.SUBSPACE_NORM
         scores = score_alignment(rows_of({0: f}), basis, mode)
         assert scores[0] == pytest.approx(np.linalg.norm(basis.columns.T @ f), rel=1e-12)
 
     def test_subspace_cosine_orthogonal_is_zero(self):
         basis = build_subspace(np.eye(4, 2), 2, "m")
         f = np.array([0.0, 0.0, 1.0, 2.0])
-        mode = SimilarityMode(SimilarityVariant.SUBSPACE_COSINE)
+        mode = SimilarityMode.SUBSPACE_COSINE
         scores = score_alignment(rows_of({0: f}), basis, mode)
         assert scores[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_subspace_cosine_in_unit_interval(self):
         rng = np.random.default_rng(62)
         basis = build_subspace(rng.normal(size=(8, 4)), 3, "m")
-        mode = SimilarityMode(SimilarityVariant.SUBSPACE_COSINE)
+        mode = SimilarityMode.SUBSPACE_COSINE
         for _ in range(300):
             scores = score_alignment(rows_of({0: rng.normal(size=8)}), basis, mode)
             assert 0.0 <= scores[0] <= 1.0
 
     def test_zero_activation_gets_subspace_minimum(self):
         basis = build_subspace(np.eye(4, 2), 2, "m")
-        for variant in (SimilarityVariant.SUBSPACE_NORM, SimilarityVariant.SUBSPACE_COSINE):
-            scores = score_alignment(
-                rows_of({0: np.zeros(4)}), basis, SimilarityMode(variant)
-            )
+        for mode in (SimilarityMode.SUBSPACE_NORM, SimilarityMode.SUBSPACE_COSINE):
+            scores = score_alignment(rows_of({0: np.zeros(4)}), basis, mode)
             assert scores[0] == 0.0
 
     def test_activation_rescaling_preserves_cosine_scores(self):
@@ -132,8 +129,8 @@ class TestScoreAlignment:
         lam = 7.3
         scaled = {i: lam * v for i, v in vecs.items()}
         for reasoning_map, mode in [
-            (u, SimilarityMode()),
-            (basis, SimilarityMode(SimilarityVariant.SUBSPACE_COSINE)),
+            (u, SimilarityMode.VECTOR_COSINE),
+            (basis, SimilarityMode.SUBSPACE_COSINE),
         ]:
             s1 = score_alignment(rows_of(vecs), reasoning_map, mode)
             s2 = score_alignment(rows_of(scaled), reasoning_map, mode)
@@ -143,7 +140,7 @@ class TestScoreAlignment:
         rng = np.random.default_rng(64)
         basis = build_subspace(rng.normal(size=(5, 3)), 2, "m")
         f = rng.normal(size=5)
-        mode = SimilarityMode(SimilarityVariant.SUBSPACE_NORM)
+        mode = SimilarityMode.SUBSPACE_NORM
         s1 = score_alignment(rows_of({0: f}), basis, mode)[0]
         s2 = score_alignment(rows_of({0: 3.0 * f}), basis, mode)[0]
         assert s2 == pytest.approx(3.0 * s1, rel=1e-12)
@@ -172,12 +169,11 @@ class TestScoreAlignment:
         basis = build_subspace(rng.normal(size=(8, 4)), 3, "m")
         vecs = {s: rng.normal(size=8) for s in (1, 3, 4, 9)}
         vecs[4] = np.zeros(8)
-        for reasoning_map, variant in [
-            (u, SimilarityVariant.VECTOR_COSINE),
-            (basis, SimilarityVariant.SUBSPACE_NORM),
-            (basis, SimilarityVariant.SUBSPACE_COSINE),
+        for reasoning_map, mode in [
+            (u, SimilarityMode.VECTOR_COSINE),
+            (basis, SimilarityMode.SUBSPACE_NORM),
+            (basis, SimilarityMode.SUBSPACE_COSINE),
         ]:
-            mode = SimilarityMode(variant)
             got = score_alignment(rows_of(vecs), reasoning_map, mode)
             want = reference_scores(vecs, reasoning_map, mode)
             # Row i scores members[i], the tokens in increasing order.
@@ -199,12 +195,11 @@ class TestScoreAlignment:
             frames[n - 1][row] = 0.0
         stacked = np.concatenate(frames)
         bounds = np.cumsum([len(f) for f in frames])[:-1]
-        for reasoning_map, variant in [
-            (u, SimilarityVariant.VECTOR_COSINE),
-            (basis, SimilarityVariant.SUBSPACE_NORM),
-            (basis, SimilarityVariant.SUBSPACE_COSINE),
+        for reasoning_map, mode in [
+            (u, SimilarityMode.VECTOR_COSINE),
+            (basis, SimilarityMode.SUBSPACE_NORM),
+            (basis, SimilarityMode.SUBSPACE_COSINE),
         ]:
-            mode = SimilarityMode(variant)
             parts = np.split(score_alignment(stacked, reasoning_map, mode), bounds)
             for frame, part in zip(frames, parts):
                 assert part.tobytes() == score_alignment(frame, reasoning_map, mode).tobytes()
@@ -220,19 +215,19 @@ class TestScoreAlignment:
     def test_map_kind_must_match_mode(self):
         basis = build_subspace(np.eye(4, 2), 2, "m")
         with pytest.raises(DimMismatchError):
-            score_alignment(rows_of({0: np.ones(4)}), basis, SimilarityMode())
+            score_alignment(rows_of({0: np.ones(4)}), basis, SimilarityMode.VECTOR_COSINE)
         with pytest.raises(DimMismatchError):
             score_alignment(
                 rows_of({0: np.ones(2)}),
                 unit_map(),
-                SimilarityMode(SimilarityVariant.SUBSPACE_NORM),
+                SimilarityMode.SUBSPACE_NORM,
             )
 
 
 class TestSimilarityMode:
     def test_minimum_scores(self):
-        assert SimilarityMode().minimum_score == -1.0
-        assert SimilarityMode(SimilarityVariant.SUBSPACE_NORM).minimum_score == 0.0
+        assert SimilarityMode.VECTOR_COSINE.minimum_score == -1.0
+        assert SimilarityMode.SUBSPACE_NORM.minimum_score == 0.0
 
 
 class TestAlignmentDistribution:

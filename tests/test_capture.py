@@ -34,7 +34,6 @@ class TestAdamWConfig:
             {"beta2": 1.0},
             {"epsilon": 0.0},
             {"learning_rate": 0.0},
-            {"weight_decay": -1.0},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):

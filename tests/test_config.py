@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from editstop.alignment import SimilarityVariant
+from editstop.alignment import SimilarityMode
 from editstop.config import ExperimentConfig
 from editstop.errors import ConfigError
 
@@ -42,11 +42,11 @@ class TestDefaults:
 
     def test_similarity_mode_variants(self):
         assert (
-            ExperimentConfig(similarity="vector_cosine").similarity_mode().variant
-            is SimilarityVariant.VECTOR_COSINE
+            ExperimentConfig(similarity="vector_cosine").similarity_mode()
+            is SimilarityMode.VECTOR_COSINE
         )
         sub = ExperimentConfig(similarity="subspace_cosine", subspace_k=2)
-        assert sub.similarity_mode().variant is SimilarityVariant.SUBSPACE_COSINE
+        assert sub.similarity_mode() is SimilarityMode.SUBSPACE_COSINE
 
     def test_strict_flag_reaches_policy(self):
         cfg = ExperimentConfig(strict_certificates=True)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from helpers import reference_generate
 
-from editstop.alignment import SimilarityMode, SimilarityVariant
+from editstop.alignment import SimilarityMode
 from editstop.config import ExperimentConfig
 from editstop.generate import PolicyConfig, generate
 from editstop.harness import cmd_train, load_artifacts
@@ -88,10 +88,9 @@ def assert_same_run(result, ref_tokens, ref_blocks):
             np.testing.assert_allclose(margin.margin, want_margin.margin, rtol=RTOL, atol=ATOL)
 
 
-def run_both(trained, kind, seq_len, variant=SimilarityVariant.VECTOR_COSINE, **policy_kw):
+def run_both(trained, kind, seq_len, mode=SimilarityMode.VECTOR_COSINE, **policy_kw):
     cfg, artifacts, prompts = trained
-    mode = SimilarityMode(variant)
-    reasoning_map = artifacts.vector if variant is SimilarityVariant.VECTOR_COSINE else artifacts.basis
+    reasoning_map = artifacts.vector if mode is SimilarityMode.VECTOR_COSINE else artifacts.basis
     policy = PolicyConfig(kind, stop=cfg.stop_config(), freeze=cfg.freeze_config(), **policy_kw)
     kwargs = dict(
         reasoning_map=reasoning_map if policy.monitored else None,
@@ -117,11 +116,11 @@ def test_policies_match_reference(trained, kind, seq_len):
 
 
 @pytest.mark.parametrize(
-    "variant", [SimilarityVariant.SUBSPACE_NORM, SimilarityVariant.SUBSPACE_COSINE]
+    "mode", [SimilarityMode.SUBSPACE_NORM, SimilarityMode.SUBSPACE_COSINE]
 )
 @pytest.mark.parametrize("kind", ["edit", "edit_freeze"])
-def test_subspace_variants_match_reference(trained, kind, variant):
-    run_both(trained, kind, 32, variant)
+def test_subspace_variants_match_reference(trained, kind, mode):
+    run_both(trained, kind, 32, mode)
 
 
 def test_strict_certificates_match_reference(trained):

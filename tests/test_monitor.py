@@ -376,7 +376,7 @@ def drive_monitor(frames, reasoning_map, cfg: StopConfig, max_steps: int):
     frames or ``max_steps`` run out; returns (decision, state)."""
     monitor = StabilityMonitor(cfg)
     for frame in frames[:max_steps]:
-        decision = monitor.observe(score_frame(frame, reasoning_map, SimilarityMode()))
+        decision = monitor.observe(score_frame(frame, reasoning_map, SimilarityMode.VECTOR_COSINE))
         if decision.stop:
             return decision, monitor.state
     return monitor.exhausted(frame.step), monitor.state

@@ -1,4 +1,5 @@
-"""Every definition in the package is reached from outside the tests.
+"""Every definition and every defaulted parameter in the package is reached
+from outside the tests.
 
 A top-level function or class, or a non-dunder method of a top-level class,
 in ``src/editstop`` must be referenced somewhere other than its own body: by
@@ -6,6 +7,12 @@ an AST ``Name`` or ``Attribute`` in another part of the package (not
 ``__init__.py``, which only re-exports), or anywhere in ``bench/``, whose
 quoted tracing targets count too. ``ALLOWED`` names the exceptions: test
 oracles and code a later change wires in or deletes.
+
+Each defaulted parameter of such a function or method must be passed by
+some call outside its own body, in the package (not ``__init__.py``) or in
+``bench/``. Calls are matched by the name they call. A call passes the
+parameter when it names it as a keyword, fills its position, or passes
+``*`` or ``**`` arguments. ``ALLOWED_PARAMETERS`` names the exceptions.
 """
 
 from __future__ import annotations
@@ -26,6 +33,13 @@ ALLOWED = {
     "freeze_safety": "the freeze bound of acceptance criterion 07",
     "probe_coupling_pooled": "the pooled coupling probe of acceptance criterion 07",
     "EmptyIntersectionError": "raised by the certificate oracle in tests/helpers.py",
+    "restrict": "the restricted-ProbVector oracles in tests/helpers.py use it",
+}
+
+ALLOWED_PARAMETERS = {
+    "main.argv": "the CLI's test hook: tests pass an argument list for sys.argv",
+    "pseudo_gradient.config": "acceptance criterion 02 passes the modules it checks",
+    "cmd_infer.policy_kind": "the desk_run fixture in tests/test_acceptance.py passes it",
 }
 
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
@@ -88,6 +102,69 @@ def unreached(package: dict[str, str], bench: dict[str, str]) -> list[str]:
     return sorted(missing)
 
 
+def defaulted_parameters(node: ast.AST, method: bool) -> list[tuple[str, int | None]]:
+    """Each defaulted parameter of a function node, with the index of the
+    positional argument that fills it in a call (None if keyword-only).
+    A method's ``self`` or ``cls`` is not filled by position."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    if method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+    ):
+        positional = positional[1:]
+    found = [
+        (arg.arg, index)
+        for index, arg in enumerate(positional)
+        if index >= len(positional) - len(args.defaults)
+    ]
+    found += [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether ``call`` may pass ``param``, which fills positional argument
+    ``index``."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def unpassed(package: dict[str, str], bench: dict[str, str]) -> list[str]:
+    """The defaulted parameters (``function.param``) of the definitions in
+    ``package`` that no call elsewhere there, or in ``bench``, passes."""
+    trees = {path: ast.parse(src, filename=path) for path, src in package.items()}
+    callers = [(path, ast.parse(src, filename=path)) for path, src in bench.items()]
+    callers += [(p, tree) for p, tree in trees.items() if os.path.basename(p) != "__init__.py"]
+    calls: dict[str, list[tuple[str, ast.Call]]] = {}
+    for path, tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name is not None:
+                    calls.setdefault(name, []).append((path, node))
+    missing = []
+    for path, tree in trees.items():
+        for qualname, node in definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            outside = [
+                call
+                for other, call in calls.get(node.name, ())
+                if other != path or not node.lineno <= call.lineno <= node.end_lineno
+            ]
+            for param, index in defaulted_parameters(node, "." in qualname):
+                if not any(passes(call, param, index) for call in outside):
+                    missing.append(f"{qualname}.{param}")
+    return sorted(missing)
+
+
 def read_all(directory: str) -> dict[str, str]:
     sources = {}
     for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
@@ -99,6 +176,11 @@ def read_all(directory: str) -> dict[str, str]:
 @functools.cache
 def package_unreached() -> tuple[str, ...]:
     return tuple(unreached(read_all(PACKAGE_DIR), read_all(BENCH_DIR)))
+
+
+@functools.cache
+def package_unpassed() -> tuple[str, ...]:
+    return tuple(unpassed(read_all(PACKAGE_DIR), read_all(BENCH_DIR)))
 
 
 def test_every_definition_is_reached():
@@ -125,3 +207,29 @@ def test_an_unreached_definition_is_found():
     }
     bench = {"bench/t.py": 'TARGETS = (("a", "traced"),)\n'}
     assert unreached(package, bench) == ["K.m", "lonely"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert [p for p in package_unpassed() if p not in ALLOWED_PARAMETERS] == []
+
+
+def test_every_allowed_parameter_is_still_unpassed():
+    """An allowlisted parameter that gains a caller, or is deleted, leaves the list."""
+    assert sorted(set(ALLOWED_PARAMETERS) - set(package_unpassed())) == []
+
+
+def test_an_unpassed_parameter_is_found():
+    package = {
+        "pkg/a.py": (
+            "def f(a, b=1, c=2, *, d=3, e=4):\n    return f(a, 0, 0, d=0, e=0)\n"
+            "def g(x=1, y=2):\n    return x\n"
+            "def h(x=1):\n    return x\n"
+            "class K:\n"
+            "    def m(self, p=1, q=2):\n        return p\n"
+            "    @staticmethod\n    def s(p=1):\n        return p\n"
+        ),
+        "pkg/b.py": "from .a import f, g\nf(1, 2, d=3)\ng(*()); K().m(1); K.s(1)\n",
+        "pkg/__init__.py": "from .a import h\nh(2)\n",
+    }
+    bench = {"bench/t.py": "import pkg\npkg.h(**{})\n"}
+    assert unpassed(package, bench) == ["K.m.q", "f.c", "f.e"]

@@ -244,6 +244,12 @@ class TestCaptureMemory:
             if spec != default
         ))
 
+        # Interpreter free lists (up to 2000 tuples of each size) keep the
+        # blocks a traced run allocated counted as traced until they are
+        # full, about 200 steps in. An untraced run fills them first, so the
+        # two traced runs differ only by what training holds, in any test order.
+        sft_train(init_model(model_cfg), task, steps=400, captures=captures, batch_size=1)
+
         def traced_peak(steps: int) -> int:
             model = init_model(model_cfg)
             tracemalloc.start()
