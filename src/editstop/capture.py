@@ -14,6 +14,7 @@ weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,18 +24,13 @@ from .linalg import truncated_svd
 
 @dataclass(frozen=True)
 class AdamWConfig:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    # Fixed moment decays and denominator floor; only the learning rate is set.
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
     learning_rate: float = 1e-2
 
     def __post_init__(self):
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not self.learning_rate > 0.0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 

@@ -11,7 +11,7 @@ routine that picks (threshold, span) pairs backed by a margin quantile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .alignment import AlignmentDistribution
 from .errors import (
@@ -245,7 +245,9 @@ class Certificate:
     """One run-length stop's inputs, in checkable form. Every budget and
     verdict is derived from them: the tail budget and ``global_pass`` need
     ``alpha_hat``, and ``pac_pass`` needs ``margin_quantile``; each is None
-    without its input."""
+    without its input. Every verdict reads the margin as ``to_json_dict``
+    reports it, so a certificate rebuilt from its own report reaches the
+    same verdicts."""
 
     stop_step: int
     omega: int
@@ -259,8 +261,12 @@ class Certificate:
         return tv_budget(self.delta, self.omega)
 
     @property
+    def _reported(self) -> MarginReport:
+        return replace(self.margin_report, margin=float(fmt_real(self.margin_report.margin)))
+
+    @property
     def local_pass(self) -> bool:
-        return local_argmax_certificate(self.margin_report, StopConfig(self.delta, self.omega))
+        return local_argmax_certificate(self._reported, StopConfig(self.delta, self.omega))
 
     @property
     def tail_budget(self) -> float | None:
@@ -271,16 +277,13 @@ class Certificate:
         if self.alpha_hat is None:
             return None
         cfg = StopConfig(self.delta, self.omega)
-        return global_argmax_certificate(self.margin_report, cfg, self.alpha_hat)
+        return global_argmax_certificate(self._reported, cfg, self.alpha_hat)
 
     @property
     def pac_pass(self) -> bool | None:
-        """Whether the margin reaches the calibrated quantile, read as
-        ``to_json_dict`` reports it, so a certificate rebuilt from its own
-        report reaches the same verdict."""
         if self.margin_quantile is None:
             return None
-        return float(fmt_real(self.margin_report.margin)) >= self.margin_quantile
+        return self._reported.margin >= self.margin_quantile
 
     def to_json_dict(self) -> dict:
         tail = self.tail_budget

@@ -105,33 +105,28 @@ class StepRecord:
     """One denoising step: what was committed and what the taps saw.
 
     ``choice`` is the block's row argmax at this step, the token each
-    position would take if it were committed now. ``frame`` is the scored
-    first tap's; all of a step's frames share one visible set. A step that
-    repeats its predecessor shares the predecessor's frame objects, whose
-    own ``step`` stays the predecessor's.
+    position would take if it were committed now. ``frames`` holds one
+    frame per tap, in ``taps`` order, over one visible set; ``frame`` is
+    the scored first tap's. A step that repeats its predecessor shares the
+    predecessor's ``frames``, whose own ``step`` stays the predecessor's.
     """
 
     step: int
     committed: tuple[int, ...]
     tokens: tuple[int, ...]
     choice: tuple[int, ...]
-    frame: ActivationFrame
+    frames: tuple[ActivationFrame, ...]
     alignment: Optional[AlignmentDistribution]
-    # The frames of the decode's other taps, in ``taps[1:]`` order.
-    other_frames: tuple[ActivationFrame, ...] = ()
 
     @property
-    def frames(self) -> tuple[ActivationFrame, ...]:
-        """One frame per tap of the decode, ``frame`` first."""
-        return (self.frame, *self.other_frames)
+    def frame(self) -> ActivationFrame:
+        return self.frames[0]
 
 
 @dataclass
 class DenoiseTrajectory:
     block_index: int
     records: list[StepRecord]
-    final_commit: tuple[int, ...]
-    tokens: tuple[int, ...]
     # Committed tokens of every earlier block; kept so offline analyses
     # can re-run any step's forward pass from the trajectory alone.
     prefix: tuple[int, ...] = ()
@@ -151,17 +146,27 @@ class DenoiseTrajectory:
     def steps_used(self) -> int:
         return len(self.records)
 
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        """The block's final tokens: the last step's, a stop's fill included."""
+        return self.records[-1].tokens
+
 
 @dataclass
 class BlockResult:
-    block_index: int
+    """One block's decode. The monitor's state holds the stop rule's whole
+    record, so the stop decision, the stops a strict certificate refused
+    and whether the block stopped early are read off it, not stored."""
+
     trajectory: DenoiseTrajectory
-    stop_decision: Optional[StopDecision]
     monitor_state: Optional[StabilityState]
     certificate: Optional[Certificate]
     freeze_events: tuple[FreezeEvent, ...]
-    rejected_stops: tuple[int, ...]
     forward_passes: int
+
+    @property
+    def block_index(self) -> int:
+        return self.trajectory.block_index
 
     @property
     def steps_used(self) -> int:
@@ -169,10 +174,26 @@ class BlockResult:
 
     @property
     def stopped_early(self) -> bool:
-        return (
-            self.stop_decision is not None
-            and self.stop_decision.reason is StopReason.RUN_LENGTH_MET
-        )
+        return self.monitor_state is not None and self.monitor_state.stopped_at is not None
+
+    @property
+    def stop_decision(self) -> Optional[StopDecision]:
+        """None without a monitor; else the accepted stop, or the budget's end."""
+        state = self.monitor_state
+        if state is None:
+            return None
+        if state.stopped_at is not None:
+            return StopDecision(True, state.stopped_at, StopReason.RUN_LENGTH_MET, state.counter)
+        return StopDecision(True, self.steps_used, StopReason.BUDGET_EXHAUSTED, state.counter)
+
+    @property
+    def rejected_stops(self) -> tuple[int, ...]:
+        """Steps whose stop a strict certificate refused: each fired stop
+        leaves a ``stopped`` trace row, and a refused one releases
+        ``stopped_at``."""
+        state = self.monitor_state
+        rows = state.divergence_trace if state is not None else ()
+        return tuple(r.step for r in rows if r.stopped and r.step != state.stopped_at)
 
 
 @dataclass
@@ -222,8 +243,8 @@ def denoise_block(
     stopping certificate when available.
 
     ``taps`` (default: the model's default tap) are read off each step's
-    one forward: ``taps[0]`` gives the scored and frozen ``StepRecord.frame``,
-    the rest raw ``other_frames`` over the same visible set. ``record``
+    one forward into ``StepRecord.frames``: ``taps[0]`` gives the scored
+    and frozen ``frame``, the rest raw frames over the same visible set. ``record``
     keeps each step's recorded forward on ``trajectory.forwards``.
     Every forward runs on ``weights``, the model's ``forward_weights``,
     built here when not given.
@@ -260,10 +281,7 @@ def denoise_block(
 
     records: list[StepRecord] = []
     forwards: list[ForwardResult] = []
-    stop_decision: Optional[StopDecision] = None
     certificate: Optional[Certificate] = None
-    rejected: list[int] = []
-    final_commit: tuple[int, ...] = ()
     forward_passes = 0
     newly: list[int] = []
     full = False
@@ -297,39 +315,34 @@ def denoise_block(
         # A repeated step's block is full, so even a stop fills no slot.
         repeat = repeats_previous(prev, newly)
         if repeat:
-            frame, others = prev.frame, prev.other_frames
+            frames = prev.frames
             alignment = prev.alignment and AlignmentDistribution(prev.alignment.dist, step)
         else:
             tokens[[lo + i for i in newly]] = choice[newly]
             visible = VisibleSet(tuple((lo + committed.nonzero()[0]).tolist()))
-            frame = ActivationFrame(step, acts[committed], visible)
-            others = tuple(ActivationFrame(step, rows[committed], visible) for rows in other_rows)
+            frames = tuple(
+                ActivationFrame(step, rows[committed], visible) for rows in (acts, *other_rows)
+            )
             alignment = (
-                score_frame(frame, reasoning_map, mode, policy.stop.tau_blk)
+                score_frame(frames[0], reasoning_map, mode, policy.stop.tau_blk)
                 if monitor is not None
                 else None
             )
 
-        if monitor is not None:
-            decision = monitor.observe(alignment)
-            if decision.stop:
-                margin = MarginReport.from_distribution(alignment.dist, step)
-                cert = build_certificate(step, margin, policy.stop, alpha_hat=alpha_hat)
-                accept = True
-                if policy.strict_certificates:
-                    accept = cert.local_pass and cert.global_pass is not False
-                if accept:
-                    stop_decision = decision
-                    certificate = cert
-                    rest = np.flatnonzero(~committed)
-                    tokens[lo + rest] = choice[rest]
-                    committed[rest] = True
-                    final_commit = tuple((lo + rest).tolist())
-                else:
-                    # Certificate refused the stop: keep denoising until a
-                    # certified step shows up.
-                    monitor.reject(step)
-                    rejected.append(step)
+        if monitor is not None and monitor.observe(alignment).stop:
+            margin = MarginReport.from_distribution(alignment.dist, step)
+            cert = build_certificate(step, margin, policy.stop, alpha_hat=alpha_hat)
+            if policy.strict_certificates and not (
+                cert.local_pass and cert.global_pass is not False
+            ):
+                # Certificate refused the stop: keep denoising until a
+                # certified step shows up.
+                monitor.reject(step)
+            else:
+                certificate = cert
+                rest = np.flatnonzero(~committed)
+                tokens[lo + rest] = choice[rest]
+                committed[rest] = True
 
         records.append(
             StepRecord(
@@ -337,14 +350,13 @@ def denoise_block(
                 committed=tuple(lo + i for i in newly),
                 tokens=prev.tokens if repeat else tuple(tokens[lo:].tolist()),
                 choice=choice_t,
-                frame=frame,
+                frames=frames,
                 alignment=alignment,
-                other_frames=others,
             )
         )
         if record:
             forwards.append(result)
-        if stop_decision is not None:
+        if certificate is not None:
             break
 
     if not committed.all():
@@ -352,25 +364,18 @@ def denoise_block(
         raise ScheduleExhaustedError(
             f"budget {budget} ended with masked positions {missing}"
         )
-    if monitor is not None and stop_decision is None:
-        stop_decision = monitor.exhausted(records[-1].step)
 
     trajectory = DenoiseTrajectory(
         block_index=block_index,
         records=records,
-        final_commit=final_commit,
-        tokens=records[-1].tokens,
         prefix=tuple(prefix.tolist()),
         forwards=tuple(forwards),
     )
     return BlockResult(
-        block_index=block_index,
         trajectory=trajectory,
-        stop_decision=stop_decision,
         monitor_state=monitor.state if monitor is not None else None,
         certificate=certificate,
         freeze_events=tuple(freezer.events) if freezer is not None else (),
-        rejected_stops=tuple(rejected),
         forward_passes=forward_passes,
     )
 

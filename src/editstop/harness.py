@@ -18,7 +18,8 @@ Run directory layout::
     traces/               per-instance JSON + CSV detail (first N only)
     calibration.json      contraction + threshold calibration; ``fallback``
                           names the configured (delta, omega) kept when no
-                          pair is admissible
+                          pair is admissible; ``samples_used`` and
+                          ``skipped_small_denominators`` count alpha_hat's ratios
     certificates.json     batch re-evaluation of stopping certificates
     ablation.json/.csv    capture-site sweep over the stored summaries
 """
@@ -392,18 +393,14 @@ def _instance_trace_payload(
 ) -> dict:
     blocks = []
     for which, block in enumerate(result.blocks):
-        cert = block.certificate
+        cert, decision = block.certificate, block.stop_decision
         entry = {
             "block_index": block.block_index,
             "steps_used": block.steps_used,
             "forward_passes": block.forward_passes,
             "stopped_early": block.stopped_early,
-            "stop_reason": None
-            if block.stop_decision is None
-            else block.stop_decision.reason.value,
-            "final_counter": None
-            if block.stop_decision is None
-            else block.stop_decision.final_counter,
+            "stop_reason": decision and decision.reason.value,
+            "final_counter": decision and decision.final_counter,
             "rejected_stops": list(block.rejected_stops),
             "freeze_events": [
                 {"step": e.step, "token": e.token, "epsilon": e.epsilon_s}
@@ -671,7 +668,7 @@ def cmd_calibrate(
             if len(tail) >= 3:
                 contraction_traces.append(tail)
 
-    alpha_note = None
+    alpha_note = estimate = None
     try:
         estimate = estimate_contraction(contraction_traces)
         alpha_hat = estimate.alpha_hat
@@ -724,6 +721,8 @@ def cmd_calibrate(
         "n_validation": n_val,
         "alpha_hat": alpha_hat,
         "alpha_note": alpha_note,
+        "samples_used": estimate and estimate.samples_used,
+        "skipped_small_denominators": estimate and estimate.skipped_small_denominators,
         "margin_quantile": quantile,
         "n_margins": len(margins),
         "pac": pac_result,

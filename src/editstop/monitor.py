@@ -183,10 +183,6 @@ class StabilityMonitor:
             )
         self.state.stopped_at = None
 
-    def exhausted(self, step: int) -> StopDecision:
-        """Decision reported when the step budget ran out before stability."""
-        return StopDecision(True, step, StopReason.BUDGET_EXHAUSTED, self.state.counter)
-
 
 def trace_to_csv(state: StabilityState) -> str:
     """Divergence trace as CSV text (step, divergence, support, counter, stop)."""

@@ -63,7 +63,7 @@ from editstop.model import (
     parse_module_path,
     predictive_distributions,
 )
-from editstop.monitor import StabilityMonitor, StopConfig
+from editstop.monitor import StabilityMonitor, StopConfig, StopDecision, StopReason
 from editstop.tasks import make_task
 
 
@@ -776,9 +776,19 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         final_commit = tuple(lo + i for i in rest)
         break
     if monitor is not None and stop_decision is None:
-        stop_decision = monitor.exhausted(len(steps))
+        stop_decision = StopDecision(
+            True, len(steps), StopReason.BUDGET_EXHAUSTED, monitor.state.counter
+        )
     return ReferenceBlock(steps, choices, final_commit, tuple(int(t) for t in tokens[lo: lo + L]),
                           monitor, stop_decision, certificate, tuple(rejected), tuple(events))
+
+
+def final_commit(trajectory) -> tuple[int, ...]:
+    """The block positions a stop filled: those no step's ``committed`` lists."""
+    L = len(trajectory.tokens)
+    lo = trajectory.block_index * L
+    scheduled = {p for rec in trajectory.records for p in rec.committed}
+    return tuple(p for p in range(lo, lo + L) if p not in scheduled)
 
 
 def reference_generate(model, prompt, seq_len, policy, budget, **kwargs):

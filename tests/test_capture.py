@@ -29,10 +29,10 @@ class TestAdamWConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"beta1": 1.0},
-            {"beta1": -0.1},
-            {"beta2": 1.0},
-            {"epsilon": 0.0},
+            {"learning_rate": -1e-2},
+            {"learning_rate": -0.0},
+            {"learning_rate": float("-inf")},
+            {"learning_rate": float("nan")},
             {"learning_rate": 0.0},
         ],
     )

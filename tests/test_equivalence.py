@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import reference_generate
+from helpers import final_commit, reference_generate
 
 from editstop.alignment import SimilarityMode
 from editstop.config import ExperimentConfig
@@ -57,7 +57,7 @@ def assert_same_run(result, ref_tokens, ref_blocks):
     for block, ref in zip(result.blocks, ref_blocks):
         assert [r.committed for r in block.trajectory.records] == ref.committed
         assert [r.choice for r in block.trajectory.records] == ref.choices
-        assert block.trajectory.final_commit == ref.final_commit
+        assert final_commit(block.trajectory) == ref.final_commit
         assert block.trajectory.tokens == ref.tokens
         assert block.stop_decision == ref.stop_decision
         assert block.rejected_stops == ref.rejected_stops

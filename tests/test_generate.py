@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     assert_same_forward,
     batched_forward,
     count_forwards,
+    final_commit,
     frame_from,
     frame_row,
     reference_generate,
@@ -37,7 +39,7 @@ from editstop.model import (
     init_model,
     predictive_distributions,
 )
-from editstop.monitor import StopConfig, StopReason
+from editstop.monitor import StabilityMonitor, StopConfig, StopDecision, StopReason
 from editstop.tasks import make_task
 from editstop.train import sft_train
 
@@ -99,6 +101,7 @@ class TestSchedule:
         block = denoise_block(tiny_model(), prompt_block(), 1, budget=9)
         assert block.steps_used == 9
         assert block.stop_decision is None
+        assert (block.stopped_early, block.rejected_stops) == (False, ())
         assert block.certificate is None
         # Visible set is full well before the budget ends.
         assert len(block.trajectory.records[3].frame.visible) == TINY.block_length
@@ -116,11 +119,11 @@ class TestSchedule:
         # error the monitor raises for the same fault.
         def record(step, members):
             frame = frame_from({s: np.ones(3) for s in members}, step=step)
-            return StepRecord(step, (), (0,), (0,), frame, None)
+            return StepRecord(step, (), (0,), (0,), (frame,), None)
 
-        DenoiseTrajectory(1, [record(1, (4,)), record(2, (4, 5))], (), (0,))
+        DenoiseTrajectory(1, [record(1, (4,)), record(2, (4, 5))])
         with pytest.raises(NonMonotoneVisibleSetError, match="shrank at step 2 of block 1"):
-            DenoiseTrajectory(1, [record(1, (4, 5)), record(2, (5,))], (), (0,))
+            DenoiseTrajectory(1, [record(1, (4, 5)), record(2, (5,))])
 
     def test_mask_token_never_emitted(self):
         block = denoise_block(tiny_model(), prompt_block(), 1, budget=2)
@@ -202,7 +205,7 @@ class TestStopBehavior:
         committed_by_schedule = {
             p for r in block.trajectory.records for p in r.committed
         }
-        assert len(committed_by_schedule) + len(block.trajectory.final_commit) == 4
+        assert len(committed_by_schedule) + len(final_commit(block.trajectory)) == 4
         assert TINY.mask_id not in block.trajectory.tokens
 
     def test_infinite_delta_stops_at_omega_plus_one(self):
@@ -305,7 +308,7 @@ class TestFreezePolicy:
             assert {e.step for e in frozen.freeze_events} == {3}
             for block in (edit, frozen):
                 assert [r.committed for r in block.trajectory.records] == commits
-                assert block.trajectory.final_commit == fill
+                assert final_commit(block.trajectory) == fill
             assert frozen.trajectory.tokens == edit.trajectory.tokens
 
     def test_frozen_activations_pinned_in_frames(self):
@@ -616,7 +619,7 @@ class TestMultiTap:
                 # Unscored taps do not steer a one-block decode: its steps
                 # agree up to the shorter run's stop.
                 for m, s in zip(m_recs, s_recs):
-                    assert s.other_frames == ()
+                    assert len(s.frames) == 1
                     frame = m.frames[which]
                     assert (frame.step, frame.visible) == (s.frame.step, s.frame.visible)
                     assert np.array_equal(frame.activations, s.frame.activations)
@@ -633,7 +636,7 @@ class TestMultiTap:
         n_repeats = 0
         for prev, rec in zip(records, records[1:]):
             assert len(rec.frames) == 3
-            assert all(f.visible is rec.frame.visible for f in rec.other_frames)
+            assert all(f.visible is rec.frame.visible for f in rec.frames[1:])
             repeat = repeats_previous(prev, rec.committed)
             n_repeats += repeat
             assert all((a is b) == repeat for a, b in zip(rec.frames, prev.frames))
@@ -730,9 +733,90 @@ class TestSkippedStepWork:
         frame = frame_from({4: np.ones(3)}, step=1)
 
         def record(committed):
-            return StepRecord(1, committed, (0,), (0,), frame, None)
+            return StepRecord(1, committed, (0,), (0,), (frame,), None)
 
         assert not repeats_previous(None, ())
         assert not repeats_previous(record((4,)), ())
         assert not repeats_previous(record(()), (5,))
         assert repeats_previous(record(()), ())
+
+
+class TestDerivedStop:
+    """``stop_decision``, ``stopped_early`` and ``rejected_stops`` are read
+    off the monitor's state; they must tell what the monitor decided."""
+
+    @staticmethod
+    def prompt(cfg, seed=7):
+        task = make_task(cfg.task, cfg.vocab_size, cfg.block_length)
+        return task.sample(np.random.default_rng(seed))[0]
+
+    def test_refused_stops_then_an_accepted_one(self, default_block):
+        # At delta 0.001 and omega 1 the stops at steps 2-4 fail the local
+        # certificate and the one at step 5 passes it.
+        cfg, artifacts, _ = default_block
+        stop = StopConfig(delta=0.001, omega=1, tau_blk=cfg.tau_blk)
+        (lax, strict) = (
+            generate(
+                artifacts.model, self.prompt(cfg), 32,
+                PolicyConfig("edit", stop=stop, strict_certificates=strict),
+                budget=16, reasoning_map=artifacts.vector,
+            ).blocks[0]
+            for strict in (False, True)
+        )
+        assert (lax.steps_used, lax.rejected_stops) == (2, ())
+        assert not lax.certificate.local_pass
+        assert strict.rejected_stops == (2, 3, 4)
+        assert strict.stopped_early and strict.steps_used == 5
+        assert strict.certificate.stop_step == 5 and strict.certificate.local_pass
+        trace = strict.monitor_state.divergence_trace
+        assert [row.step for row in trace if row.stopped] == [2, 3, 4, 5]
+        assert strict.stop_decision == StopDecision(
+            True, 5, StopReason.RUN_LENGTH_MET, trace[-1].counter
+        )
+
+    def test_derived_stop_matches_the_monitor_decisions(self, default_block, monkeypatch):
+        cfg, artifacts, _ = default_block
+        decisions: dict[int, list[StopDecision]] = {}
+        observe = StabilityMonitor.observe
+
+        def recording(monitor, dist):
+            decision = observe(monitor, dist)
+            decisions.setdefault(id(monitor.state), []).append(decision)
+            return decision
+
+        monkeypatch.setattr(StabilityMonitor, "observe", recording)
+        grid = product(
+            ("edit", "edit_freeze"), (False, True), (0.0, 0.001, 0.05, 10.0), (1, 3), (8, 16)
+        )
+        seen = {"refused": 0, "accepted after refusal": 0, "exhausted after refusal": 0}
+        for kind, strict, delta, omega, budget in grid:
+            stop = StopConfig(delta=delta, omega=omega, tau_blk=cfg.tau_blk)
+            policy = PolicyConfig(kind, stop=stop, strict_certificates=strict)
+            decisions.clear()
+            result = generate(
+                artifacts.model, self.prompt(cfg), 64, policy, budget=budget,
+                reasoning_map=artifacts.vector, freeze_basis=artifacts.basis,
+            )
+            for block in result.blocks:
+                observed = decisions[id(block.monitor_state)]
+                assert len(observed) == block.steps_used
+                fired = [d for d in observed if d.stop]
+                accepted = block.certificate is not None
+                if accepted:
+                    assert observed[-1] is fired[-1]
+                    assert block.certificate.stop_step == fired[-1].step
+                    want, refused = fired[-1], fired[:-1]
+                else:
+                    last = observed[-1]
+                    want = StopDecision(
+                        True, last.step, StopReason.BUDGET_EXHAUSTED, last.final_counter
+                    )
+                    refused = fired
+                assert strict or not refused
+                assert block.stop_decision == want
+                assert block.stopped_early == accepted
+                assert block.rejected_stops == tuple(d.step for d in refused)
+                seen["refused"] += bool(refused)
+                seen["accepted after refusal"] += bool(refused) and accepted
+                seen["exhausted after refusal"] += bool(refused) and not accepted
+        assert all(seen.values()), seen

@@ -19,9 +19,19 @@ from helpers import count_forwards, reference_ablation_cells, reference_utility_
 
 from editstop import alignment, harness, linalg
 from editstop.capture import AdamWConfig
-from editstop.certify import DELTA_GRID, OMEGA_GRID, fmt_real, margin_quantile
+from editstop.certify import (
+    DELTA_GRID,
+    OMEGA_GRID,
+    ContractionEstimate,
+    MarginReport,
+    build_certificate,
+    fmt_real,
+    margin_quantile,
+    tail_budget,
+    tv_budget,
+)
 from editstop.config import ExperimentConfig
-from editstop.errors import ArtifactMismatchError, NoAdmissiblePairError
+from editstop.errors import ArtifactMismatchError, NoAdmissiblePairError, NoValidSamplesError
 from editstop.generate import PolicyConfig, generate
 from editstop.harness import (
     ABLATION_CSV,
@@ -365,6 +375,37 @@ class TestCalibrate:
         assert payload["fallback"] is None
         assert json.load(open(os.path.join(out, CALIBRATION_FILE))) == payload
 
+    def test_contraction_counts_are_reported(self, trained_run, tmp_path, monkeypatch):
+        # The ratio counts behind alpha_hat, or null beside alpha_note when
+        # no ratio was measurable.
+        cfg, run_dir = trained_run
+
+        def calibrate(out: str) -> dict:
+            with contextlib.suppress(NoAdmissiblePairError):
+                cmd_calibrate(cfg, artifacts_dir=run_dir, run_dir=out)
+            return json.load(open(os.path.join(out, CALIBRATION_FILE)))
+
+        payload = calibrate(str(tmp_path / "live"))
+        counts = [payload["samples_used"], payload["skipped_small_denominators"]]
+        assert (counts == [None, None]) == (payload["alpha_note"] is not None)
+
+        def fake(outcome):
+            def estimate_contraction(traces):
+                if isinstance(outcome, Exception):
+                    raise outcome
+                return outcome
+
+            return estimate_contraction
+
+        cases = [
+            (ContractionEstimate(0.25, 7, 2), [7, 2]),
+            (NoValidSamplesError("no ratio"), [None, None]),
+        ]
+        for which, (outcome, want) in enumerate(cases):
+            monkeypatch.setattr(harness, "estimate_contraction", fake(outcome))
+            payload = calibrate(str(tmp_path / f"cal{which}"))
+            assert [payload["samples_used"], payload["skipped_small_denominators"]] == want
+
     def test_margin_count_matches_validation_set(self, trained_run, tmp_path):
         cfg, run_dir = trained_run
         out = str(tmp_path / "cal2")
@@ -560,6 +601,35 @@ class TestCertify:
                     if block["stopped_early"]:
                         key = (name, block["block_index"])
                         assert block["certificate"]["pac_pass"] is verdicts[key], key
+
+    def test_a_margin_at_a_budget_boundary_gets_one_verdict(self, tmp_path):
+        # Each exact margin lies within rounding of twice a budget (the
+        # window's for block 0, window plus tail for block 1), so its
+        # 12-digit report falls on the other side of it. The certificate
+        # infer writes from the exact margin and the one certify rebuilds
+        # from the report must still reach one verdict.
+        cfg = small_config(str(tmp_path), delta=0.005, omega=1)
+        alpha_hat = 0.5
+        window = tv_budget(cfg.delta, cfg.omega)
+        stored = []
+        for block_index, bound in enumerate((window, window + tail_budget(alpha_hat, cfg.delta))):
+            rounds_up = float(fmt_real(2.0 * bound)) > 2.0 * bound
+            margin = 2.0 * bound * (1.0 - 1e-14 if rounds_up else 1.0 + 1e-14)
+            assert (bound < margin / 2.0) != (bound < float(fmt_real(margin)) / 2.0)
+            report = MarginReport(block_index * cfg.block_length, margin, 7, 4)
+            cert = build_certificate(7, report, cfg.stop_config(), alpha_hat=alpha_hat)
+            stored.append(cert.to_json_dict())
+        traces = tmp_path / TRACES_DIR
+        traces.mkdir()
+        blocks = [
+            {"block_index": i, "stopped_early": True, "certificate": cert}
+            for i, cert in enumerate(stored)
+        ]
+        (traces / "seed1_inst000.json").write_text(json.dumps({"blocks": blocks}))
+        cal_path = tmp_path / "cal.json"
+        cal_path.write_text(json.dumps({"alpha_hat": alpha_hat}))
+        certified = cmd_certify(cfg, run_dir=str(tmp_path), calibration_path=str(cal_path))
+        assert [e["certificate"] for e in certified["certificates"]] == stored
 
     def test_missing_traces(self, trained_run, tmp_path):
         cfg, _ = trained_run

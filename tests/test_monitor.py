@@ -26,6 +26,7 @@ from editstop.monitor import (
     StabilityMonitor,
     StabilityState,
     StopConfig,
+    StopDecision,
     StopReason,
     matched_kl,
     matched_kl_rows,
@@ -379,7 +380,8 @@ def drive_monitor(frames, reasoning_map, cfg: StopConfig, max_steps: int):
         decision = monitor.observe(score_frame(frame, reasoning_map, SimilarityMode.VECTOR_COSINE))
         if decision.stop:
             return decision, monitor.state
-    return monitor.exhausted(frame.step), monitor.state
+    exhausted = StopDecision(True, frame.step, StopReason.BUDGET_EXHAUSTED, monitor.state.counter)
+    return exhausted, monitor.state
 
 
 class TestRunBlock:

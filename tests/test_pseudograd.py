@@ -157,13 +157,11 @@ def synthetic_pair_trajectory(support_members, tokens_after_1, block_index=1):
     frame = ActivationFrame(1, acts, visible)
     frame2 = ActivationFrame(2, acts, visible)
     choice = tuple(tokens_after_1)
-    rec1 = StepRecord(1, (), tuple(tokens_after_1), choice, frame, None)
-    rec2 = StepRecord(2, (), tuple(tokens_after_1), choice, frame2, None)
+    rec1 = StepRecord(1, (), tuple(tokens_after_1), choice, (frame,), None)
+    rec2 = StepRecord(2, (), tuple(tokens_after_1), choice, (frame2,), None)
     return DenoiseTrajectory(
         block_index=block_index,
         records=[rec1, rec2],
-        final_commit=(),
-        tokens=tuple(tokens_after_1),
         prefix=tuple(range(1, lo + 1)),
     )
 

@@ -13,6 +13,14 @@ some call outside its own body, in the package (not ``__init__.py``) or in
 ``bench/``. Calls are matched by the name they call. A call passes the
 parameter when it names it as a keyword, fills its position, or passes
 ``*`` or ``**`` arguments. ``ALLOWED_PARAMETERS`` names the exceptions.
+
+Each defaulted ``init`` field of a package dataclass must be set by some
+construction in the package (not ``__init__.py``) or in ``bench/``: a call
+of the class's name, or a ``cls(...)`` call inside the class, that names
+the field as a keyword, fills its position, or passes ``*`` or ``**``
+arguments. ``ClassVar`` constants and ``field(init=False)`` state are not
+fields of ``__init__``. ``ALLOWED_FIELDS`` names the exceptions, a whole
+class or one ``Class.field``.
 """
 
 from __future__ import annotations
@@ -40,6 +48,11 @@ ALLOWED_PARAMETERS = {
     "main.argv": "the CLI's test hook: tests pass an argument list for sys.argv",
     "pseudo_gradient.config": "acceptance criterion 02 passes the modules it checks",
     "cmd_infer.policy_kind": "the desk_run fixture in tests/test_acceptance.py passes it",
+}
+
+ALLOWED_FIELDS = {
+    "PseudoGradConfig.modules": "acceptance criterion 02 passes the modules it checks",
+    "StabilityState": "the monitor's state: code assigns it after construction",
 }
 
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
@@ -135,10 +148,11 @@ def passes(call: ast.Call, param: str, index: int | None) -> bool:
     return index is not None and index < len(call.args)
 
 
-def unpassed(package: dict[str, str], bench: dict[str, str]) -> list[str]:
-    """The defaulted parameters (``function.param``) of the definitions in
-    ``package`` that no call elsewhere there, or in ``bench``, passes."""
-    trees = {path: ast.parse(src, filename=path) for path, src in package.items()}
+def calls_by_name(
+    trees: dict[str, ast.Module], bench: dict[str, str]
+) -> dict[str, list[tuple[str, ast.Call]]]:
+    """Each call in ``bench`` and in the package ``trees`` but
+    ``__init__.py``, with its path, keyed by the name it calls."""
     callers = [(path, ast.parse(src, filename=path)) for path, src in bench.items()]
     callers += [(p, tree) for p, tree in trees.items() if os.path.basename(p) != "__init__.py"]
     calls: dict[str, list[tuple[str, ast.Call]]] = {}
@@ -149,6 +163,14 @@ def unpassed(package: dict[str, str], bench: dict[str, str]) -> list[str]:
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 if name is not None:
                     calls.setdefault(name, []).append((path, node))
+    return calls
+
+
+def unpassed(package: dict[str, str], bench: dict[str, str]) -> list[str]:
+    """The defaulted parameters (``function.param``) of the definitions in
+    ``package`` that no call elsewhere there, or in ``bench``, passes."""
+    trees = {path: ast.parse(src, filename=path) for path, src in package.items()}
+    calls = calls_by_name(trees, bench)
     missing = []
     for path, tree in trees.items():
         for qualname, node in definitions(tree):
@@ -162,6 +184,53 @@ def unpassed(package: dict[str, str], bench: dict[str, str]) -> list[str]:
             for param, index in defaulted_parameters(node, "." in qualname):
                 if not any(passes(call, param, index) for call in outside):
                     missing.append(f"{qualname}.{param}")
+    return sorted(missing)
+
+
+def init_fields(node: ast.ClassDef) -> list[tuple[str, int, bool]]:
+    """Each ``__init__`` field of a dataclass node, with its position and
+    whether it has a default; none for a class that is not a dataclass."""
+    if not any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    ):
+        return []
+    found = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        if ast.unparse(item.annotation).startswith("ClassVar"):
+            continue
+        value, defaulted = item.value, item.value is not None
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            options = {kw.arg: kw.value for kw in value.keywords}
+            init = options.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in options or "default_factory" in options
+        found.append((item.target.id, len(found), defaulted))
+    return found
+
+
+def unset(package: dict[str, str], bench: dict[str, str]) -> list[str]:
+    """The defaulted ``__init__`` fields (``Class.field``) of the dataclasses
+    in ``package`` that no construction there, or in ``bench``, sets."""
+    trees = {path: ast.parse(src, filename=path) for path, src in package.items()}
+    calls = calls_by_name(trees, bench)
+    missing = []
+    for tree in trees.values():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            constructions = [call for _, call in calls.get(node.name, ())]
+            constructions += [
+                call
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls"
+            ]
+            for name, index, defaulted in init_fields(node):
+                if defaulted and not any(passes(call, name, index) for call in constructions):
+                    missing.append(f"{node.name}.{name}")
     return sorted(missing)
 
 
@@ -181,6 +250,15 @@ def package_unreached() -> tuple[str, ...]:
 @functools.cache
 def package_unpassed() -> tuple[str, ...]:
     return tuple(unpassed(read_all(PACKAGE_DIR), read_all(BENCH_DIR)))
+
+
+@functools.cache
+def package_unset() -> tuple[str, ...]:
+    return tuple(unset(read_all(PACKAGE_DIR), read_all(BENCH_DIR)))
+
+
+def allowed_field(qualname: str) -> bool:
+    return qualname in ALLOWED_FIELDS or qualname.partition(".")[0] in ALLOWED_FIELDS
 
 
 def test_every_definition_is_reached():
@@ -233,3 +311,36 @@ def test_an_unpassed_parameter_is_found():
     }
     bench = {"bench/t.py": "import pkg\npkg.h(**{})\n"}
     assert unpassed(package, bench) == ["K.m.q", "f.c", "f.e"]
+
+
+def test_every_defaulted_field_is_set():
+    assert [f for f in package_unset() if not allowed_field(f)] == []
+
+
+def test_every_allowed_field_is_still_unset():
+    """An allowlisted class or field whose every default gains a setter,
+    or that is deleted, leaves the list."""
+    found = set(package_unset()) | {f.partition(".")[0] for f in package_unset()}
+    assert sorted(set(ALLOWED_FIELDS) - found) == []
+
+
+def test_an_unset_field_is_found():
+    package = {
+        "pkg/a.py": (
+            "from dataclasses import dataclass, field\n"
+            "from typing import ClassVar\n"
+            "@dataclass\nclass D:\n"
+            "    a: int\n    b: int = 1\n    c: int = 2\n"
+            "    k: ClassVar[int] = 3\n"
+            "    s: int = field(init=False)\n"
+            "    f: list = field(default_factory=list)\n"
+            "    @classmethod\n    def make(cls):\n        return cls(0, 1)\n"
+            "@dataclass(frozen=True)\nclass E:\n    x: int = 0\n    y: int = 0\n"
+            "class Plain:\n    z: int = 0\n"
+            "@dataclass\nclass G:\n    w: int = 0\n"
+        ),
+        "pkg/b.py": "from .a import D, E\nE(**{})\n",
+        "pkg/__init__.py": "from .a import G\nG(w=1)\n",
+    }
+    bench = {"bench/t.py": "import pkg\npkg.D(0, f=[])\n"}
+    assert unset(package, bench) == ["D.c", "G.w"]
