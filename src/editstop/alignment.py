@@ -62,9 +62,6 @@ class VisibleSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, item: int) -> bool:
-        return item in self.members
-
 
 @dataclass(frozen=True)
 class ActivationFrame:

@@ -22,7 +22,7 @@ from .errors import (
     SupportMismatchError,
     WindowTooShortError,
 )
-from .linalg import ProbVector, total_variation
+from .linalg import total_variation
 from .monitor import StopConfig
 
 # Calibration search grids (threshold, span).
@@ -36,10 +36,6 @@ DENOM_FLOOR = 1e-9
 def fmt_real(x: float) -> str:
     """Decimal string at 12 significant digits, for stable reports."""
     return "%.12g" % float(x)
-
-
-def _as_probvector(d) -> ProbVector:
-    return d.dist if isinstance(d, AlignmentDistribution) else d
 
 
 @dataclass(frozen=True)
@@ -60,14 +56,12 @@ class MarginReport:
             raise ValueError("singleton support has margin 1 by convention")
 
     @classmethod
-    def from_distribution(cls, dist, step: int | None = None) -> "MarginReport":
-        pv = _as_probvector(dist)
-        if step is None:
-            step = dist.step if isinstance(dist, AlignmentDistribution) else 0
+    def from_distribution(cls, alignment: AlignmentDistribution) -> "MarginReport":
+        pv = alignment.dist
         return cls(
             argmax_index=pv.argmax_token(),
             margin=pv.top2_margin(),
-            step=step,
+            step=alignment.step,
             support_size=len(pv),
         )
 
@@ -101,15 +95,17 @@ def estimate_contraction(post_unmask_traces) -> ContractionEstimate:
     """Max ratio of consecutive TV steps over all traces.
 
     Each trace is a sequence of distributions on one fixed support,
-    covering steps after the visible set stopped growing. Ratios whose
-    denominator is below ``DENOM_FLOOR`` are skipped and counted.
+    covering steps after the visible set stopped growing: alignment
+    distributions, or the bare ``ProbVector``s of a synthetic chain.
+    Ratios whose denominator is below ``DENOM_FLOOR`` are skipped and
+    counted.
     """
     if not post_unmask_traces:
         raise EmptyInputError("no traces given")
     ratios: list[float] = []
     skipped = 0
     for trace in post_unmask_traces:
-        pvs = [_as_probvector(d) for d in trace]
+        pvs = [d.dist if isinstance(d, AlignmentDistribution) else d for d in trace]
         if len(pvs) < 3:
             raise WindowTooShortError(f"trace has {len(pvs)} steps, need >= 3")
         support = pvs[0].support

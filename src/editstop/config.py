@@ -4,7 +4,10 @@ One file per experiment. Every field has a default; the harness prints
 the fully resolved configuration into the output directory so each run
 records its own provenance. Values are parsed as JSON where possible
 (numbers, booleans, lists) and fall back to bare strings, so
-``task = copy_reverse`` and ``task = "copy_reverse"`` both work.
+``task = copy_reverse`` and ``task = "copy_reverse"`` both work. Each
+value must then fit its field's annotation (``FIELD_TYPES``): a bare
+``strict_certificates = no`` is the string ``"no"`` and is refused, not
+read as true.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 from os import PathLike
 
 from .alignment import SimilarityMode
+from .capture import AdamWConfig
 from .errors import ConfigError
 from .freeze import FreezeConfig
 from .generate import PolicyConfig
@@ -27,6 +31,21 @@ POLICY_ALIASES = {
     "edit": "edit",
     "edit_freeze": "edit_freeze",
     "edit-freeze": "edit_freeze",
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each field annotation takes, and how a refusal names it. A float
+# field takes an integer too, so ``delta = 1`` keeps its text.
+FIELD_TYPES = {
+    "int": (_is_int, "integers only"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "integers only"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
 }
 
 
@@ -65,11 +84,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            if f.type in ("int", "list[int]"):
-                value = getattr(self, f.name)
-                entries = value if isinstance(value, list) else [value]
-                if any(isinstance(v, (bool, float)) for v in entries):
-                    raise ConfigError(f"{f.name} takes integers only, got {value!r}")
+            accepts, takes = FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ConfigError(f"{f.name} takes {takes}, got {value!r}")
         if self.task not in TASK_NAMES:
             raise ConfigError(f"task must be one of {TASK_NAMES}, got {self.task!r}")
         if self.policy not in POLICY_ALIASES:
@@ -89,10 +107,6 @@ class ExperimentConfig:
                 f"seq_len must equal 2 * block_length = {2 * self.block_length},"
                 f" got {self.seq_len}"
             )
-        try:
-            self.seeds = [int(s) for s in self.seeds]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"seeds must be a list of integers: {exc}") from exc
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         for name, minimum in (
@@ -108,6 +122,7 @@ class ExperimentConfig:
             self.model_config()
             self.stop_config()
             self.freeze_config()
+            self.adamw_config()
             self.similarity_mode()
         except (ValueError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -136,6 +151,9 @@ class ExperimentConfig:
             tau_sub=self.tau_sub,
             k=self.subspace_k,
         )
+
+    def adamw_config(self) -> AdamWConfig:
+        return AdamWConfig(learning_rate=self.learning_rate)
 
     def similarity_mode(self) -> SimilarityMode:
         try:

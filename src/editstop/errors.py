@@ -11,10 +11,6 @@ class DimMismatchError(EditStopError):
     pass
 
 
-class ZeroNormError(EditStopError):
-    pass
-
-
 class EmptyInputError(EditStopError):
     pass
 
@@ -68,10 +64,6 @@ class TruncatedFileError(EditStopError):
 # --- alignment / stability ---
 
 class EmptyVisibleSetError(EditStopError):
-    pass
-
-
-class EmptyIntersectionError(EditStopError):
     pass
 
 

@@ -7,18 +7,22 @@ the committed set. Under the monitored policies that frame drives the
 alignment distribution whose stability decides when to cut the remaining
 steps short.
 
-A step takes one array-shaped path. A forward's (L, V-1) softmax array gives
-each row's argmax (``choice``) and largest probability; one stable argsort
-of the open slots on the latter ranks them, so tied slots commit lowest
-index first, and a full block ranks nothing. The frame is the (n, d) array
-of committed rows that the freezer and the alignment scorer read whole.
+A step takes one array-shaped path. The open slots are the block's slots
+that still hold the mask id, and the visible set is the rest: the softmax
+array has no mask column, so no commit writes the mask id. A forward's
+(L, V-1) softmax array gives each row's argmax (``choice``) and largest
+probability; one stable argsort of the open slots on the latter ranks
+them, so tied slots commit lowest index first. The frame is the (n, d)
+array of committed rows that the freezer and the alignment scorer read
+whole.
 
 ``forward`` is deterministic in the tokens, so it runs only at step 1 and
-after a step that committed a slot. It returns only the block's rows, runs
-on ``forward_weights``, built once per ``generate``, and emits every
-requested tap (``taps``); the first tap's frame is the one scored and
-frozen. ``record=True`` keeps each step's recorded forward for the offline
-pseudo-gradient.
+after a step that committed a slot; the open slots are ranked right after
+it, since a step that committed none found the block full. It returns
+only the block's rows, runs on ``forward_weights``, built once per
+``generate``, and emits every requested tap (``taps``); the first tap's
+frame is the one scored and frozen. ``record=True`` keeps each step's
+recorded forward for the offline pseudo-gradient.
 
 Step work that no caller reads is skipped. A ``fixed`` decode scores no
 frame and records no alignment. A step that repeats its predecessor
@@ -31,11 +35,12 @@ logic still runs on such steps.
 Every policy commits ``ceil(block_length / budget)`` tokens per step, so a
 run with budget ``T`` fully commits the block no later than step ``T``.
 The fixed policy runs the whole budget; a monitored run that stops at step
-``t`` commits every remaining position from step ``t``'s predictive
-distributions. The freezer of ``edit_freeze`` runs first on every step and
-only pins rows of the frame. A pinned row keeps its bits, and a row that
-freezes on an unchanged forward takes the value it already had, so a
-repeated step repeats under a freezer too.
+``t`` fills every slot still masked with step ``t``'s row argmax
+(``stop_fill``, which replays of a stop use too). The freezer of
+``edit_freeze`` runs first on every step and only pins rows of the frame.
+A pinned row keeps its bits, and a row that freezes on an unchanged
+forward takes the value it already had, so a repeated step repeats under
+a freezer too.
 """
 
 from __future__ import annotations
@@ -198,8 +203,14 @@ class BlockResult:
 
 @dataclass
 class GenerateResult:
-    tokens: tuple[int, ...]
     blocks: list[BlockResult]
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        """The decoded sequence: the prompt and every block, which the
+        last block's prefix and tokens hold."""
+        last = self.blocks[-1].trajectory
+        return last.prefix + last.tokens
 
     @property
     def block_steps(self) -> tuple[int, ...]:
@@ -208,6 +219,13 @@ class GenerateResult:
     @property
     def avg_steps(self) -> float:
         return float(np.mean(self.block_steps))
+
+
+def stop_fill(tokens, choice, mask_id: int) -> np.ndarray:
+    """A stopped block's tokens: each slot of ``tokens`` that still holds
+    ``mask_id`` takes its row argmax from ``choice``."""
+    tokens = np.asarray(tokens)
+    return np.where(tokens == mask_id, choice, tokens)
 
 
 def repeats_previous(prev: StepRecord | None, committed: Sequence[int]) -> bool:
@@ -273,9 +291,9 @@ def denoise_block(
     freezer = TokenFreezer(freeze_basis, policy.freeze) if policy.freezing else None
     weights = weights if weights is not None else forward_weights(model)
 
-    lo = block_index * L
-    tokens = np.concatenate([prefix, np.full(L, cfg.mask_id, dtype=np.int64)])
-    committed = np.zeros(L, dtype=bool)
+    lo, mask_id = block_index * L, cfg.mask_id
+    tokens = np.concatenate([prefix, np.full(L, mask_id, dtype=np.int64)])
+    block = tokens[lo:]  # a view: open slots are the ones still holding the mask id
     quota = math.ceil(L / budget)
     whole_block = VisibleSet(tuple(range(lo, lo + L)))
 
@@ -284,10 +302,10 @@ def denoise_block(
     certificate: Optional[Certificate] = None
     forward_passes = 0
     newly: list[int] = []
-    full = False
 
     for step in range(1, budget + 1):
-        # Rerun forward only when the last step changed the tokens.
+        # Rerun forward and rank the open slots only when the last step
+        # committed a slot: a step that committed none found the block full.
         if step == 1 or newly:
             result = forward(
                 model, tokens[None, :], taps=taps, record=record, first_row=lo, weights=weights
@@ -296,20 +314,17 @@ def denoise_block(
             tap_rows, *other_rows = (result.taps[t][0] for t in taps)
             probs = predictive_distributions(result.logits[0], cfg.vocab_size)
             choice = probs.argmax(axis=1)
-            confidence = probs.max(axis=1)
             choice_t = tuple(choice.tolist())
+            # Quota commitment: most confident open slots, ties lowest index first.
+            open_slots = (block == mask_id).nonzero()[0]
+            ranked = np.argsort(-probs.max(axis=1)[open_slots], kind="stable")
+            newly = open_slots[ranked[:quota]].tolist()
+        else:
+            newly = []
         acts = tap_rows
         if freezer is not None:
             # Every step advances the freezer; it pins rows and commits nothing.
             acts, _ = freezer.process(ActivationFrame(step, acts, whole_block))
-
-        # Quota commitment: most confident open slots, ties lowest index first.
-        newly = []
-        if not full:
-            open_slots = (~committed).nonzero()[0]
-            newly = open_slots[np.argsort(-confidence[open_slots], kind="stable")[:quota]].tolist()
-            committed[newly] = True
-            full = len(newly) == open_slots.size
 
         prev = records[-1] if records else None
         # A repeated step's block is full, so even a stop fills no slot.
@@ -318,10 +333,11 @@ def denoise_block(
             frames = prev.frames
             alignment = prev.alignment and AlignmentDistribution(prev.alignment.dist, step)
         else:
-            tokens[[lo + i for i in newly]] = choice[newly]
-            visible = VisibleSet(tuple((lo + committed.nonzero()[0]).tolist()))
+            block[newly] = choice[newly]
+            visible = block != mask_id
+            members = VisibleSet(tuple((lo + visible.nonzero()[0]).tolist()))
             frames = tuple(
-                ActivationFrame(step, rows[committed], visible) for rows in (acts, *other_rows)
+                ActivationFrame(step, rows[visible], members) for rows in (acts, *other_rows)
             )
             alignment = (
                 score_frame(frames[0], reasoning_map, mode, policy.stop.tau_blk)
@@ -330,8 +346,9 @@ def denoise_block(
             )
 
         if monitor is not None and monitor.observe(alignment).stop:
-            margin = MarginReport.from_distribution(alignment.dist, step)
-            cert = build_certificate(step, margin, policy.stop, alpha_hat=alpha_hat)
+            cert = build_certificate(
+                step, MarginReport.from_distribution(alignment), policy.stop, alpha_hat=alpha_hat
+            )
             if policy.strict_certificates and not (
                 cert.local_pass and cert.global_pass is not False
             ):
@@ -340,15 +357,13 @@ def denoise_block(
                 monitor.reject(step)
             else:
                 certificate = cert
-                rest = np.flatnonzero(~committed)
-                tokens[lo + rest] = choice[rest]
-                committed[rest] = True
+                block[:] = stop_fill(block, choice, mask_id)
 
         records.append(
             StepRecord(
                 step=step,
                 committed=tuple(lo + i for i in newly),
-                tokens=prev.tokens if repeat else tuple(tokens[lo:].tolist()),
+                tokens=prev.tokens if repeat else tuple(block.tolist()),
                 choice=choice_t,
                 frames=frames,
                 alignment=alignment,
@@ -358,12 +373,6 @@ def denoise_block(
             forwards.append(result)
         if certificate is not None:
             break
-
-    if not committed.all():
-        missing = [lo + i for i in range(L) if not committed[i]]
-        raise ScheduleExhaustedError(
-            f"budget {budget} ended with masked positions {missing}"
-        )
 
     trajectory = DenoiseTrajectory(
         block_index=block_index,
@@ -429,4 +438,4 @@ def generate(
         )
         tokens = np.concatenate([tokens, np.asarray(block.trajectory.tokens)])
         blocks.append(block)
-    return GenerateResult(tokens=tuple(tokens.tolist()), blocks=blocks)
+    return GenerateResult(blocks)

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .alignment import score_alignment
-from .capture import AdamWConfig, EvolutionVector, SubspaceBasis, build_subspace
+from .capture import EvolutionVector, SubspaceBasis, build_subspace
 from .certify import (
     DELTA_GRID,
     OMEGA_GRID,
@@ -55,7 +55,14 @@ from .errors import (
     NoValidSamplesError,
     TooFewSamplesError,
 )
-from .generate import BlockResult, GenerateResult, PolicyConfig, generate, repeats_previous
+from .generate import (
+    BlockResult,
+    GenerateResult,
+    PolicyConfig,
+    generate,
+    repeats_previous,
+    stop_fill,
+)
 from .linalg import softmax_rows
 from .metaformat import csv_text
 from .model import TapSpec, ToyModel, load_checkpoint, module_path, save_checkpoint
@@ -265,7 +272,7 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
         model,
         task,
         steps=config.train_steps,
-        adamw_cfg=AdamWConfig(learning_rate=config.learning_rate),
+        adamw_cfg=config.adamw_config(),
         captures=(default, *(spec for spec in ablation if spec != default)),
         rng=np.random.default_rng(model_cfg.seed + 1),
         batch_size=config.batch_size,
@@ -341,29 +348,6 @@ class SeedReport:
     trace_files: list[str]
 
 
-@dataclass
-class RunReport:
-    policy: str
-    budget: int
-    per_seed: list[SeedReport]
-
-    def mean(self, attr: str) -> float:
-        return float(np.mean([getattr(s, attr) for s in self.per_seed]))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "budget": self.budget,
-            "per_seed": [asdict(s) for s in self.per_seed],
-            "mean": {
-                "accuracy": self.mean("accuracy"),
-                "avg_steps": self.mean("avg_steps"),
-                "reduction_percent": self.mean("reduction_percent"),
-                "certified_fraction": self.mean("certified_fraction"),
-            },
-        }
-
-
 def _read_calibration(path: str | None) -> tuple[Optional[float], Optional[float]]:
     """``(alpha_hat, margin_quantile)`` of a calibration file; ``alpha_hat`` is
     None unless it lies in [0, 1), and both are None without a file."""
@@ -429,7 +413,8 @@ def cmd_infer(
     policy_kind: str | None = None,
     calibration_path: str | None = None,
 ) -> dict:
-    """Evaluate the chosen stop policy across seeds and write a RunReport."""
+    """Evaluate the chosen stop policy across seeds and write the report:
+    each seed's ``SeedReport`` and the mean of its headline figures."""
     run_dir = run_dir if run_dir is not None else config.out_dir
     artifacts_dir = artifacts_dir if artifacts_dir is not None else run_dir
     os.makedirs(run_dir, exist_ok=True)
@@ -571,10 +556,16 @@ def cmd_infer(
             )
         )
 
-    report = RunReport(policy=policy.kind, budget=config.budget, per_seed=seed_reports)
-    _write_json(os.path.join(run_dir, REPORT_FILE), report.to_json_dict())
+    means = ("accuracy", "avg_steps", "reduction_percent", "certified_fraction")
+    report = {
+        "policy": policy.kind,
+        "budget": config.budget,
+        "per_seed": [asdict(s) for s in seed_reports],
+        "mean": {k: float(np.mean([getattr(s, k) for s in seed_reports])) for k in means},
+    }
+    _write_json(os.path.join(run_dir, REPORT_FILE), report)
     _write_text(os.path.join(run_dir, GENERATIONS_FILE), "\n".join(generation_lines) + "\n")
-    return report.to_json_dict()
+    return report
 
 
 # --- cmd_calibrate --------------------------------------------------------
@@ -608,8 +599,7 @@ def replay_stop(
     if stop is None:
         return block.trajectory.tokens, block.steps_used
     rec = block.trajectory.records[stop - 1]
-    tokens = tuple(c if t == mask_id else t for t, c in zip(rec.tokens, rec.choice))
-    return tokens, stop
+    return tuple(stop_fill(rec.tokens, rec.choice, mask_id).tolist()), stop
 
 
 def cmd_calibrate(
@@ -659,9 +649,7 @@ def cmd_calibrate(
     for block in probe_blocks:
         _, stop_step = replay_stop(block, config.delta, config.omega, mask_id)
         record = block.trajectory.records[stop_step - 1]
-        margins.append(
-            MarginReport.from_distribution(record.alignment.dist, stop_step).margin
-        )
+        margins.append(MarginReport.from_distribution(record.alignment).margin)
         full = _full_visibility_index(block)
         if full is not None:
             tail = [r.alignment.dist for r in block.trajectory.records[full:]]
@@ -889,8 +877,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
             probs = softmax_rows(scores[:, lo : lo + len(members)] / config.tau_blk)
             lo += len(members)
             if prev_probs is not None:
-                idx = np.searchsorted(members, prev_members)
-                rows.append(matched_kl_rows(probs, prev_probs, idx).tolist())
+                rows.append(matched_kl_rows(probs, members, prev_probs, prev_members).tolist())
             prev_probs, prev_members = probs, members
         for site, column in zip(ABLATION_SITES, zip(*rows)):
             divergences[site].extend(column)
@@ -921,7 +908,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 # --- cmd_report -----------------------------------------------------------
 
 def cmd_report(run_dirs: Sequence[str | PathLike], out_dir: str) -> dict:
-    """Merge RunReports from several run directories into one bundle."""
+    """Merge the reports of several run directories into one bundle."""
     os.makedirs(out_dir, exist_ok=True)
     runs = []
     skipped = []

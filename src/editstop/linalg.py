@@ -18,7 +18,6 @@ from .errors import (
     NonPositiveTemperatureError,
     RankTooLargeError,
     SupportMismatchError,
-    ZeroNormError,
 )
 
 # Floor applied to probabilities before any log ratio; keeps KL finite on
@@ -83,15 +82,6 @@ class ProbVector:
             return 1.0
         top2 = np.partition(self.probs, -2)[-2:]
         return float(top2[1] - top2[0])
-
-    def restrict(self, subset: tuple[int, ...]) -> "ProbVector":
-        """Restrict to ``subset`` of the support and renormalize."""
-        idx = [self.support.index(s) for s in subset]
-        sub = self.probs[idx]
-        mass = float(sub.sum())
-        if mass <= 0.0:
-            raise ZeroNormError("restriction has zero mass")
-        return ProbVector(sub / mass, tuple(subset))
 
 
 def _softmax_unchecked(z) -> np.ndarray:
@@ -158,6 +148,14 @@ def total_variation(p: ProbVector, q: ProbVector) -> float:
     """Total variation distance 0.5 * sum |p_i - q_i| over a shared support."""
     _check_same_support(p, q)
     return float(0.5 * np.abs(p.probs - q.probs).sum())
+
+
+def rms(matrix) -> float:
+    """Root-mean-square of all entries."""
+    arr = np.asarray(matrix, dtype=np.float64)
+    if arr.size == 0:
+        raise EmptyInputError("rms of an empty matrix is undefined")
+    return float(np.sqrt(np.mean(np.square(arr))))
 
 
 def truncated_svd(m, k: int) -> tuple[np.ndarray, np.ndarray]:

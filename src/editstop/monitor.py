@@ -3,10 +3,10 @@
 Alignment distributions arrive one per denoising step. Unmasking is
 monotone, so consecutive distributions share the earlier one's visible
 support: both are restricted to it and renormalized, the step-wise KL
-divergence is computed on index arrays (``matched_kl``, the one-row case
-of ``matched_kl_rows``, which also refuses a support that shrank), and a
-run-length counter tracks how many consecutive steps stayed strictly
-below the divergence threshold. The first time the counter reaches the
+divergence is computed on index arrays (a one-row ``matched_kl_rows``,
+which finds prev's members in the current support and refuses a support
+that shrank), and a run-length counter tracks how many consecutive steps
+stayed strictly below the divergence threshold. The first time the counter reaches the
 required span, the block is declared stable and denoising stops.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .alignment import AlignmentDistribution
 from .errors import NonMonotoneVisibleSetError
-from .linalg import PROB_FLOOR, ProbVector, kl_rows
+from .linalg import PROB_FLOOR, kl_rows
 from .metaformat import csv_text
 
 DEFAULT_DELTA = 0.05
@@ -83,13 +83,23 @@ class StabilityState:
     stopped_at: int | None = None
 
 
-def matched_kl_rows(curr: np.ndarray, prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def matched_kl_rows(
+    curr: np.ndarray, curr_members, prev: np.ndarray, prev_members
+) -> np.ndarray:
     """Row-wise KL of ``curr`` ``(n, k)`` from ``prev`` ``(n, j)`` on prev's support.
 
-    ``idx`` holds the ``j`` columns of ``curr`` that carry prev's support
-    members. Each side is restricted to that support and renormalized,
-    floored at ``PROB_FLOOR`` and handed to ``kl_rows``; returns ``(n,)``.
+    Column ``i`` of ``curr`` carries ``curr_members[i]``, and likewise for
+    ``prev``; both member lists are sorted. One ``np.searchsorted`` finds
+    prev's members among curr's, and a member of prev's that curr lacks
+    raises ``NonMonotoneVisibleSetError``. Each side is restricted to
+    prev's support and renormalized, floored at ``PROB_FLOOR`` and handed
+    to ``kl_rows``; returns ``(n,)``.
     """
+    have = np.array(curr_members)
+    idx = have.searchsorted(prev_members)
+    # A list compare of these few members costs less than an array ``any``.
+    if have.take(idx, mode="clip").tolist() != list(prev_members):
+        raise NonMonotoneVisibleSetError(f"{list(prev_members)} not within {have.tolist()}")
     # A column gather comes back column-major, and a row sum over it
     # differs in the last bits from the sum of that row alone; a row-major
     # copy keeps row ``i`` bit for bit the one-row result.
@@ -97,18 +107,6 @@ def matched_kl_rows(curr: np.ndarray, prev: np.ndarray, idx: np.ndarray) -> np.n
     p = np.maximum(sub / sub.sum(axis=-1, keepdims=True), PROB_FLOOR)
     q = np.maximum(prev / prev.sum(axis=-1, keepdims=True), PROB_FLOOR)
     return kl_rows(p, q)
-
-
-def matched_kl(curr: ProbVector, prev: ProbVector) -> float:
-    """KL of ``curr`` from ``prev`` on ``prev``'s support: the one-row
-    ``matched_kl_rows``. The lookup of ``prev``'s members in ``curr`` also
-    refuses a ``curr`` without one (``NonMonotoneVisibleSetError``)."""
-    column = dict(zip(curr.support, range(len(curr))))
-    try:
-        idx = [column[s] for s in prev.support]
-    except KeyError:
-        raise NonMonotoneVisibleSetError(f"{prev.support} not within {curr.support}") from None
-    return float(matched_kl_rows(curr.probs[None], prev.probs[None], idx)[0])
 
 
 def update_counter(
@@ -165,7 +163,8 @@ class StabilityMonitor:
             d_t = 0.0
         else:
             # Refuses a support that dropped a member of prev's.
-            d_t = matched_kl(dist.dist, prev.dist)
+            p, q = dist.dist, prev.dist
+            d_t = float(matched_kl_rows(p.probs[None], p.support, q.probs[None], q.support)[0])
         self.state.prev_distribution = dist
         _, decision = update_counter(
             self.state, d_t, self.cfg, step=dist.step, matched_support=len(prev.dist)

@@ -28,13 +28,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    EmptyInputError,
     MissingStepError,
     NoRecordedGraphError,
     TooFewSamplesError,
     WindowTooShortError,
 )
 from .generate import DenoiseTrajectory
+from .linalg import rms
 from .metaformat import csv_text
 from .model import (
     ToyModel,
@@ -92,14 +92,6 @@ class PseudoGradTrace:
     rows: list[PseudoGradRow]
     band: SftBand
     convergence_step: Optional[int]
-
-
-def rms(matrix) -> float:
-    """Root-mean-square of all entries."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyInputError("rms of an empty matrix is undefined")
-    return float(np.sqrt(np.mean(np.square(arr))))
 
 
 def sft_band(rms_trace: Sequence[float]) -> SftBand:

@@ -25,6 +25,7 @@ from .capture import (
     reduce_row_mean,
 )
 from .errors import TrainingDivergedError
+from .linalg import rms
 from .model import (
     ToyModel,
     backward_lora,
@@ -33,7 +34,6 @@ from .model import (
     masked_cross_entropy,
     parse_module_path,
 )
-from .pseudograd import rms
 from .tasks import SyntheticTask
 
 MASKING_RATES = (0.25, 0.5, 0.75)

@@ -1,6 +1,7 @@
 """Shared builders for synthetic distributions, chains, and frames, test
 oracles (the out-of-place and the batched forward pass, a scalar cosine,
-the monitor's matched-support KL, the windowed TV bound, the step
+the monitor's matched-support KL through ``restrict`` and its two error
+classes, which only these oracles use, the windowed TV bound, the step
 objective of the pseudo-gradient and the per-token freezing rule), the
 per-token reference path of the denoising step, and the live per-cell
 sweeps that calibrate's and ablate's replays stand in for."""
@@ -31,12 +32,11 @@ from editstop.certify import (
 )
 from editstop.errors import (
     DimMismatchError,
-    EmptyIntersectionError,
+    EditStopError,
     MissingStepError,
     SupportMismatchError,
     VocabOverflowError,
     WindowTooShortError,
-    ZeroNormError,
 )
 from editstop.capture import SubspaceBasis
 from editstop.freeze import FreezeConfig, FreezeEvent
@@ -281,6 +281,24 @@ def assert_same_forward(got: ForwardResult, want: ForwardResult) -> None:
             assert same_bits(mine[key], theirs[key]), (b, key)
 
 
+class ZeroNormError(EditStopError):
+    """A vector or a restriction whose norm or mass is zero."""
+
+
+class EmptyIntersectionError(EditStopError):
+    """Two supports that share no member."""
+
+
+def restrict(pv: ProbVector, subset: tuple[int, ...]) -> ProbVector:
+    """``pv`` restricted to ``subset`` of its support and renormalized."""
+    idx = [pv.support.index(s) for s in subset]
+    sub = pv.probs[idx]
+    mass = float(sub.sum())
+    if mass <= 0.0:
+        raise ZeroNormError("restriction has zero mass")
+    return ProbVector(sub / mass, tuple(subset))
+
+
 def cosine_similarity(a, b) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1]; the
     per-token form of the ``vector_cosine`` score."""
@@ -307,7 +325,7 @@ def matched_renormalize(
         raise EmptyIntersectionError(
             f"supports {prev.dist.support} and {curr.dist.support} are disjoint"
         )
-    return curr.dist.restrict(inter), prev.dist.restrict(inter), VisibleSet(inter)
+    return restrict(curr.dist, inter), restrict(prev.dist, inter), VisibleSet(inter)
 
 
 def step_divergence(p_tilde: ProbVector, q_tilde: ProbVector) -> float:
@@ -317,7 +335,7 @@ def step_divergence(p_tilde: ProbVector, q_tilde: ProbVector) -> float:
 
 def monitor_divergence(curr: AlignmentDistribution, prev: AlignmentDistribution) -> float:
     """The step divergence ``StabilityMonitor.observe`` records, through
-    restricted ``ProbVector``s: the oracle of ``monitor.matched_kl``."""
+    restricted ``ProbVector``s: the oracle of ``monitor.matched_kl_rows``."""
     return step_divergence(*matched_renormalize(curr, prev)[:2])
 
 
@@ -349,8 +367,8 @@ def verify_runlength_bound(distributions, delta: float, omega: int, state=None) 
     common = tuple(sorted(set.intersection(*(set(p.support) for p in window))))
     if not common:
         raise SupportMismatchError("window supports have empty intersection")
-    first = window[0].restrict(common)
-    last = window[-1].restrict(common)
+    first = restrict(window[0], common)
+    last = restrict(window[-1], common)
     return total_variation(last, first) <= tv_budget(delta, omega) + TV_SLACK
 
 
@@ -763,7 +781,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         decision = monitor.observe(alignment)
         if not decision.stop:
             continue
-        margin = MarginReport.from_distribution(alignment.dist, step)
+        margin = MarginReport.from_distribution(alignment)
         cert = build_certificate(step, margin, stop_cfg, alpha_hat=alpha_hat)
         if policy.strict_certificates and not (cert.local_pass and cert.global_pass is not False):
             monitor.reject(step)

@@ -38,7 +38,7 @@ class TestVisibleSet:
     def test_sorted_membership(self):
         v = VisibleSet((0, 3, 7))
         assert len(v) == 3
-        assert 3 in v and 5 not in v
+        assert v.members == (0, 3, 7)
 
     def test_rejects_unsorted_or_duplicate(self):
         with pytest.raises(ValueError):

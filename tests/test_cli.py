@@ -296,6 +296,40 @@ class TestNonIntegerConfig:
         assert not os.path.exists(tmp_path / "run")
 
 
+class TestMistypedConfig:
+    """A value that does not fit its key's annotation, or a learning rate
+    that is not positive, exits 2 before anything is written."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("strict_certificates = no", "strict_certificates takes true or false"),
+            ('strict_certificates = "false"', "strict_certificates takes true or false"),
+            ("delta = true", "delta takes a number"),
+            ("out_dir = 5", "out_dir takes a string"),
+            ("learning_rate = 0", "learning_rate must be positive"),
+            ("learning_rate = -1", "learning_rate must be positive"),
+            ('learning_rate = "x"', "learning_rate takes a number"),
+        ],
+        ids=[
+            "strict_bare_no",
+            "strict_quoted_false",
+            "delta_true",
+            "out_dir_number",
+            "learning_rate_zero",
+            "learning_rate_negative",
+            "learning_rate_string",
+        ],
+    )
+    def test_mistyped_value_exits_two(self, tmp_path, capsys, line, message):
+        cfg_path = tmp_path / "exp.txt"
+        cfg_path.write_text(SMALL + line + "\n")
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
+
+
 class TestCommands:
     def test_train_prints_loss(self, trained_cli, capsys):
         cfg_path, run_dir = trained_cli

@@ -108,6 +108,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{key} takes integers only"):
             ExperimentConfig.from_text(line + "\n")
 
+    @pytest.mark.parametrize(
+        "line, takes",
+        [
+            ("strict_certificates = no", "true or false"),
+            ('strict_certificates = "false"', "true or false"),
+            ("strict_certificates = 1", "true or false"),
+            ("delta = true", "a number"),
+            ('learning_rate = "x"', "a number"),
+            ("beta = [0.1]", "a number"),
+            ("out_dir = 5", "a string"),
+            ("task = [1]", "a string"),
+        ],
+    )
+    def test_keys_take_their_annotated_type(self, line, takes):
+        key = line.partition(" ")[0]
+        with pytest.raises(ConfigError, match=f"{key} takes {takes}"):
+            ExperimentConfig.from_text(line + "\n")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "0.0", "NaN"])
+    def test_learning_rate_must_be_positive(self, value):
+        with pytest.raises(ConfigError, match="learning_rate must be positive"):
+            ExperimentConfig.from_text(f"learning_rate = {value}\n")
+
     def test_float_keys_still_take_integers(self):
         cfg = ExperimentConfig.from_text("delta = 1\ntau_blk = 2\n")
         assert (cfg.delta, cfg.tau_blk) == (1, 2)

@@ -106,6 +106,28 @@ class TestSchedule:
         # Visible set is full well before the budget ends.
         assert len(block.trajectory.records[3].frame.visible) == TINY.block_length
 
+    def test_every_slot_filled_by_the_last_step(self):
+        # A quota of ceil(L / budget) per step fills the block by step
+        # ``budget``, so a decode that never stops ends with no slot still
+        # holding the mask id, and its own commits cover every slot.
+        never_stop = PolicyConfig("edit", stop=StopConfig(delta=0.0))
+        cells = 0
+        for L in range(2, 9):
+            cfg = dataclasses.replace(TINY, block_length=L)
+            model = init_model(cfg)
+            prompt = np.random.default_rng(L).integers(0, cfg.vocab_size - 1, size=L)
+            for budget, policy in product(range(1, L + 3), (PolicyConfig("fixed"), never_stop)):
+                block = denoise_block(
+                    model, prompt, 1, budget=budget, policy=policy, reasoning_map=synthetic_map()
+                )
+                last = block.trajectory.records[-1]
+                assert block.steps_used == budget, (L, budget, policy.kind)
+                assert cfg.mask_id not in last.tokens, (L, budget, policy.kind)
+                assert len(last.frame.visible) == L
+                assert final_commit(block.trajectory) == ()
+                cells += 1
+        assert cells == 2 * sum(L + 2 for L in range(2, 9))
+
     def test_committed_tokens_never_change(self):
         block = denoise_block(tiny_model(), prompt_block(), 1, budget=4)
         final = block.trajectory.tokens

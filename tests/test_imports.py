@@ -1,7 +1,15 @@
-"""Every import in a package module is used by that module.
+"""Every import in a package module is used by that module, and the lower
+layers do not import the decode stack.
 
 ``__init__.py`` re-exports names, so it is left out. A name used only in
 a quoted annotation counts as used.
+
+The lower layers (``LOWER``: errors, the numeric core, the file formats,
+the optimizer capture, the tasks, the model and fine-tuning) import no
+module of ``UPPER`` (alignment scoring, the monitor, certificates, the
+freezer, decoding, the pseudo-gradient, the config, the harness and the
+CLI), not even inside a function, so fine-tuning does not depend on the
+decode stack.
 """
 
 from __future__ import annotations
@@ -15,6 +23,13 @@ import pytest
 PACKAGE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "editstop")
 MODULES = sorted(
     p for p in glob.glob(os.path.join(PACKAGE_DIR, "*.py")) if not p.endswith("__init__.py")
+)
+
+
+LOWER = ("errors", "linalg", "metaformat", "capture", "tasks", "model", "train")
+UPPER = frozenset(
+    ("alignment", "monitor", "certify", "freeze", "generate", "pseudograd", "config", "harness",
+     "cli")
 )
 
 
@@ -71,3 +86,41 @@ def test_an_unused_import_is_found():
         "def f(v: 'c') -> None:\n    return os.sep\n"
     )
     assert set(imported_names(tree)) - used_names(tree) == {"math", "b"}
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, at any depth: ``from .x``,
+    ``from . import x``, ``import editstop.x`` and ``from editstop.x``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("editstop."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("editstop.")
+            )
+    return found
+
+
+@pytest.mark.parametrize("name", LOWER)
+def test_lower_layer_imports_no_upper_module(name):
+    path = os.path.join(PACKAGE_DIR, name + ".py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    assert sorted(package_imports(tree) & UPPER) == []
+
+
+def test_an_upper_layer_import_is_found():
+    tree = ast.parse(
+        "from .linalg import rms\nfrom .pseudograd import x\nimport editstop.cli\n"
+        "def f():\n    from . import harness\n    from editstop.monitor import y\n"
+    )
+    assert package_imports(tree) == {"linalg", "pseudograd", "cli", "harness", "monitor"}
+    assert package_imports(tree) & UPPER == {"pseudograd", "cli", "harness", "monitor"}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import cosine_similarity
+from helpers import ZeroNormError, cosine_similarity, restrict
 
 from editstop.errors import (
     DimMismatchError,
@@ -12,7 +12,6 @@ from editstop.errors import (
     NonPositiveTemperatureError,
     RankTooLargeError,
     SupportMismatchError,
-    ZeroNormError,
 )
 from editstop.linalg import (
     PROB_FLOOR,
@@ -81,7 +80,7 @@ class TestProbVector:
 
     def test_restrict_renormalizes(self):
         p = ProbVector(np.array([0.2, 0.3, 0.5]), (1, 2, 3))
-        r = p.restrict((1, 3))
+        r = restrict(p, (1, 3))
         assert r.support == (1, 3)
         np.testing.assert_allclose(r.probs, [0.2 / 0.7, 0.5 / 0.7], rtol=1e-12)
 

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    EmptyIntersectionError,
     constant_frames,
     count_forwards,
     frame_from,
@@ -20,7 +21,7 @@ from helpers import (
 
 from editstop.alignment import SimilarityMode, score_frame
 from editstop.capture import EvolutionVector
-from editstop.errors import EmptyIntersectionError, NonMonotoneVisibleSetError
+from editstop.errors import NonMonotoneVisibleSetError
 from editstop.linalg import ProbVector, softmax_rows
 from editstop.monitor import (
     StabilityMonitor,
@@ -28,7 +29,6 @@ from editstop.monitor import (
     StopConfig,
     StopDecision,
     StopReason,
-    matched_kl,
     matched_kl_rows,
     trace_to_csv,
     update_counter,
@@ -123,8 +123,16 @@ def random_pair(rng, n_curr: int, n_prev: int, step: int = 2):
     )
 
 
+def matched_kl(curr: ProbVector, prev: ProbVector) -> float:
+    """A one-row ``matched_kl_rows`` call: the monitor's step divergence."""
+    return float(
+        matched_kl_rows(curr.probs[None], curr.support, prev.probs[None], prev.support)[0]
+    )
+
+
 class TestMatchedKl:
-    """``matched_kl`` against the restricted-``ProbVector`` oracle, bit for bit."""
+    """One-row ``matched_kl_rows`` calls against the restricted-``ProbVector``
+    oracle, bit for bit."""
 
     def test_random_supports_match_the_oracle(self):
         rng = np.random.default_rng(91)
@@ -177,7 +185,7 @@ class TestMatchedKl:
 
 
 class TestMatchedKlRows:
-    """Row ``i`` of ``matched_kl_rows`` is ``matched_kl`` of row ``i``'s
+    """Row ``i`` of ``matched_kl_rows`` is the one-row call on row ``i``'s
     distributions, bit for bit. The column gather comes back column-major,
     and its row sums differ in the last bits from one row's sum unless the
     gather is copied to row-major first."""
@@ -192,12 +200,29 @@ class TestMatchedKlRows:
                 kept = support[:joined] + support[joined + 1 :]
                 curr = softmax_rows(3.0 * rng.normal(size=(n_rows, k)))
                 prev = softmax_rows(3.0 * rng.normal(size=(n_rows, k - 1)))
-                got = matched_kl_rows(curr, prev, np.searchsorted(support, kept))
+                got = matched_kl_rows(curr, support, prev, kept)
                 assert got.shape == (n_rows,)
                 assert got.tolist() == [
                     matched_kl(ProbVector(c, support), ProbVector(q, kept))
                     for c, q in zip(curr, prev)
                 ], (k, joined)
+
+    @pytest.mark.parametrize("n_rows", [1, 12])
+    @pytest.mark.parametrize(
+        "curr_members, prev_members",
+        [
+            ((1, 2, 7), (1, 3)),  # a member dropped mid-support
+            ((1, 2, 7), (0, 1)),  # below curr's first member
+            ((1, 2, 7), (2, 9)),  # past curr's last member
+            ((1, 2), (1, 2, 7)),  # prev larger than curr
+        ],
+    )
+    def test_missing_member_refused(self, n_rows, curr_members, prev_members):
+        rng = np.random.default_rng(95)
+        curr = softmax_rows(rng.normal(size=(n_rows, len(curr_members))))
+        prev = softmax_rows(rng.normal(size=(n_rows, len(prev_members))))
+        with pytest.raises(NonMonotoneVisibleSetError, match="not within"):
+            matched_kl_rows(curr, curr_members, prev, prev_members)
 
 
 class TestUpdateCounter:
@@ -353,7 +378,7 @@ class TestStabilityMonitor:
             else:
                 shared.append(make_dist(row[0], row[1], step=step))
                 copied.append(make_dist(row[0], row[1], step=step))
-        calls = count_forwards(monkeypatch, "editstop.monitor", name="matched_kl")
+        calls = count_forwards(monkeypatch, "editstop.monitor", name="matched_kl_rows")
         fast = StabilityMonitor(StopConfig(delta=0.05, omega=3))
         fast_decisions = [fast.observe(d) for d in shared]
         assert len(calls) == 2  # steps 3 and 5, the new distributions

@@ -18,6 +18,7 @@ from editstop.errors import (
     WindowTooShortError,
 )
 from editstop.generate import DenoiseTrajectory, StepRecord, denoise_block
+from editstop.linalg import rms
 from editstop.model import ModelConfig, init_model, forward, predictive_distributions
 from editstop.pseudograd import (
     PseudoGradConfig,
@@ -26,7 +27,6 @@ from editstop.pseudograd import (
     detect_convergence,
     pseudo_gradient,
     pseudograd_to_csv,
-    rms,
     sft_band,
 )
 

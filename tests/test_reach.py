@@ -40,8 +40,6 @@ ALLOWED = {
     "kl_divergence": "the unmatched KL of acceptance criterion 03",
     "freeze_safety": "the freeze bound of acceptance criterion 07",
     "probe_coupling_pooled": "the pooled coupling probe of acceptance criterion 07",
-    "EmptyIntersectionError": "raised by the certificate oracle in tests/helpers.py",
-    "restrict": "the restricted-ProbVector oracles in tests/helpers.py use it",
 }
 
 ALLOWED_PARAMETERS = {
