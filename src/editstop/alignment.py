@@ -17,8 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .capture import EvolutionVector, SubspaceBasis
-from .errors import DimMismatchError, EmptyVisibleSetError
-from .linalg import NORM_FLOOR, ProbVector, softmax
+from .errors import DimMismatchError, EmptyVisibleSetError, NonPositiveTemperatureError
+from .linalg import NORM_FLOOR, ProbVector, softmax_rows
 
 DEFAULT_BLOCK_TEMPERATURE = 1.0
 
@@ -156,8 +156,11 @@ def score_frame(
     mode: SimilarityMode = SimilarityMode.VECTOR_COSINE,
     tau_blk: float = DEFAULT_BLOCK_TEMPERATURE,
 ) -> AlignmentDistribution:
-    """The frame's alignment distribution: the softmax at ``tau_blk`` of
-    its ``score_alignment`` scores, over exactly its visible tokens."""
+    """The frame's alignment distribution: the ``softmax_rows`` at
+    ``tau_blk`` of its ``score_alignment`` scores, over exactly its visible
+    tokens."""
+    if not tau_blk > 0.0:
+        raise NonPositiveTemperatureError(f"tau_blk must be positive, got {tau_blk}")
     scores = score_alignment(frame.activations, reasoning_map, mode)
-    dist = softmax(scores, temperature=tau_blk, support=frame.visible.members)
+    dist = ProbVector(softmax_rows(scores / tau_blk), frame.visible.members)
     return AlignmentDistribution(dist, frame.step)

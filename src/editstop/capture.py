@@ -41,11 +41,10 @@ class MomentState:
 
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
 
     @classmethod
     def zeros(cls, shape: tuple[int, ...]) -> "MomentState":
-        return cls(np.zeros(shape), np.zeros(shape), 0)
+        return cls(np.zeros(shape), np.zeros(shape))
 
 
 def adamw_step(
@@ -65,7 +64,7 @@ def adamw_step(
     m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
     v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
     update = m / (np.sqrt(v) + cfg.epsilon)
-    return MomentState(m, v, state.step + 1), update
+    return MomentState(m, v), update
 
 
 class EvolutionAccumulator:

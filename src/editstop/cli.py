@@ -4,9 +4,13 @@ Subcommands mirror the harness functions: ``train``, ``infer``,
 ``calibrate``, ``certify``, ``ablate``, and ``report``. Exit codes:
 
 * 0 success
-* 2 configuration problem (bad file, unknown key, invalid value)
-* 3 artifact problem (missing, corrupt, or mismatched on-disk state)
-* 4 calibration found no admissible threshold pair
+* 2 ``ConfigError``: a configuration problem (bad file, unknown key,
+  invalid value)
+* 3 ``ArtifactMismatchError`` and its subclasses (``IoFailureError``,
+  ``BadMagicError``, ``VersionUnsupportedError``, ``ChecksumMismatchError``,
+  ``TruncatedFileError``): an artifact that is missing, unreadable,
+  unwritable, corrupt or mismatched with the config
+* 4 ``NoAdmissiblePairError``: calibration found no admissible threshold pair
 """
 
 from __future__ import annotations
@@ -18,25 +22,7 @@ from typing import Optional, Sequence
 
 from . import harness
 from .config import ExperimentConfig
-from .errors import (
-    ArtifactMismatchError,
-    BadMagicError,
-    ChecksumMismatchError,
-    ConfigError,
-    IoFailureError,
-    NoAdmissiblePairError,
-    TruncatedFileError,
-    VersionUnsupportedError,
-)
-
-ARTIFACT_ERRORS = (
-    ArtifactMismatchError,
-    IoFailureError,
-    BadMagicError,
-    ChecksumMismatchError,
-    TruncatedFileError,
-    VersionUnsupportedError,
-)
+from .errors import ArtifactMismatchError, ConfigError, NoAdmissiblePairError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -173,7 +159,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ARTIFACT_ERRORS as exc:
+    except ArtifactMismatchError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)
         return EXIT_ARTIFACT
     except NoAdmissiblePairError as exc:

@@ -41,23 +41,29 @@ class DuplicateModuleIdError(EditStopError):
     pass
 
 
-class IoFailureError(EditStopError):
+class ArtifactMismatchError(EditStopError):
+    """An on-disk artifact is missing, unreadable, unwritable, corrupt or
+    does not fit the config; the CLI exits 3 on this class and its
+    subclasses."""
+
+
+class IoFailureError(ArtifactMismatchError):
     pass
 
 
-class BadMagicError(EditStopError):
+class BadMagicError(ArtifactMismatchError):
     pass
 
 
-class VersionUnsupportedError(EditStopError):
+class VersionUnsupportedError(ArtifactMismatchError):
     pass
 
 
-class ChecksumMismatchError(EditStopError):
+class ChecksumMismatchError(ArtifactMismatchError):
     pass
 
 
-class TruncatedFileError(EditStopError):
+class TruncatedFileError(ArtifactMismatchError):
     pass
 
 
@@ -128,8 +134,4 @@ class TooFewSamplesError(EditStopError):
 # --- harness ---
 
 class ConfigError(EditStopError):
-    pass
-
-
-class ArtifactMismatchError(EditStopError):
     pass

@@ -200,7 +200,7 @@ class TokenFreezer:
     previous step is at most ``delta_tok`` (non-strict) extends the
     token's run and any other step resets it; a run of ``omega_tok``
     steps freezes the token at that step's activation. ``states`` holds
-    the frozen tokens only.
+    the frozen tokens only, in the order they froze.
     """
 
     def __init__(self, basis: SubspaceBasis, cfg: FreezeConfig):
@@ -209,8 +209,14 @@ class TokenFreezer:
         self.basis = basis
         self.cfg = cfg
         self.states: dict[int, TokenFreezeState] = {}
-        self.events: list[FreezeEvent] = []
         self._members: tuple[int, ...] | None = None
+
+    @property
+    def events(self) -> tuple[FreezeEvent, ...]:
+        """One event per frozen token, in freeze order."""
+        return tuple(
+            FreezeEvent(st.frozen_at, st.token, st.epsilon_s) for st in self.states.values()
+        )
 
     def _local_distributions(self, rows: np.ndarray) -> np.ndarray:
         """Each row's distribution over the subspace components, as an
@@ -267,9 +273,7 @@ class TokenFreezer:
                 s = members[i]
                 pinned = acts[i].copy()
                 pinned.setflags(write=False)
-                epsilon = float(self._epsilon[i])
-                self.states[s] = TokenFreezeState(s, frame.step, pinned, epsilon)
-                self.events.append(FreezeEvent(frame.step, s, epsilon))
+                self.states[s] = TokenFreezeState(s, frame.step, pinned, float(self._epsilon[i]))
                 self._frozen[i] = True
                 newly_frozen.append(s)
         effective[self._frozen] = self._prev[self._frozen]

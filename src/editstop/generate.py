@@ -188,8 +188,8 @@ class BlockResult:
         if state is None:
             return None
         if state.stopped_at is not None:
-            return StopDecision(True, state.stopped_at, StopReason.RUN_LENGTH_MET, state.counter)
-        return StopDecision(True, self.steps_used, StopReason.BUDGET_EXHAUSTED, state.counter)
+            return StopDecision(state.stopped_at, StopReason.RUN_LENGTH_MET, state.counter)
+        return StopDecision(self.steps_used, StopReason.BUDGET_EXHAUSTED, state.counter)
 
     @property
     def rejected_stops(self) -> tuple[int, ...]:
@@ -384,7 +384,7 @@ def denoise_block(
         trajectory=trajectory,
         monitor_state=monitor.state if monitor is not None else None,
         certificate=certificate,
-        freeze_events=tuple(freezer.events) if freezer is not None else (),
+        freeze_events=freezer.events if freezer is not None else (),
         forward_passes=forward_passes,
     )
 

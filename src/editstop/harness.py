@@ -57,14 +57,13 @@ from .errors import (
 )
 from .generate import (
     BlockResult,
-    GenerateResult,
     PolicyConfig,
     generate,
     repeats_previous,
     stop_fill,
 )
 from .linalg import softmax_rows
-from .metaformat import csv_text
+from .metaformat import csv_text, io_failure
 from .model import TapSpec, ToyModel, load_checkpoint, module_path, save_checkpoint
 from .monitor import (
     StabilityState,
@@ -106,8 +105,13 @@ ABLATION_SITES = tuple(product(ABLATION_PROJECTIONS, ABLATION_ADAPTERS, ABLATION
 
 # --- small shared utilities ----------------------------------------------
 
+def _make_dir(path: str) -> None:
+    with io_failure("create", path):
+        os.makedirs(path, exist_ok=True)
+
+
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with io_failure("write", path), open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -116,13 +120,11 @@ def _write_json(path: str, obj) -> None:
 
 
 def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with io_failure("read", path), open(path, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except OSError as exc:
-        raise ArtifactMismatchError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArtifactMismatchError(f"malformed JSON in {path!r}: {exc}") from exc
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise ArtifactMismatchError(f"malformed JSON in {path!r}: {exc}") from exc
 
 
 @contextmanager
@@ -180,7 +182,7 @@ def _sample_instances(
 class Artifacts:
     model: ToyModel
     vector: EvolutionVector
-    basis: Optional[SubspaceBasis]
+    basis: SubspaceBasis
     band: Optional[SftBand]
     # Every stored row summary by module id: the default tap's vector
     # plus the ablation sites that ``cmd_train`` captures.
@@ -221,7 +223,9 @@ def load_artifacts(config: ExperimentConfig, run_dir: str) -> Artifacts:
                 f"metadata dimension {entry.d_out} does not match d_model {config.d_model}"
             )
     basis = next((b for b in bases if b.source_module == wanted + SUBSPACE_SUFFIX), None)
-    if basis is not None and basis.k != config.subspace_k:
+    if basis is None:
+        raise ArtifactMismatchError(f"metadata has no subspace basis for {wanted!r}")
+    if basis.k != config.subspace_k:
         raise ArtifactMismatchError(
             f"metadata basis has k={basis.k}, but the config sets subspace_k={config.subspace_k}"
         )
@@ -256,7 +260,7 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     from .metaformat import persist_metadata
 
     run_dir = run_dir if run_dir is not None else config.out_dir
-    os.makedirs(run_dir, exist_ok=True)
+    _make_dir(run_dir)
     _write_text(os.path.join(run_dir, CONFIG_FILE), config.to_text())
 
     model_cfg = config.model_config()
@@ -365,44 +369,25 @@ def _read_calibration(path: str | None) -> tuple[Optional[float], Optional[float
         )
 
 
-def _instance_trace_payload(
-    index: int,
-    seed: int,
-    prompt: np.ndarray,
-    target: np.ndarray,
-    result: GenerateResult,
-    exact: bool,
-    csv_names: list[Optional[str]],
-    pseudo_names: list[Optional[str]],
-) -> dict:
-    blocks = []
-    for which, block in enumerate(result.blocks):
-        cert, decision = block.certificate, block.stop_decision
-        entry = {
-            "block_index": block.block_index,
-            "steps_used": block.steps_used,
-            "forward_passes": block.forward_passes,
-            "stopped_early": block.stopped_early,
-            "stop_reason": decision and decision.reason.value,
-            "final_counter": decision and decision.final_counter,
-            "rejected_stops": list(block.rejected_stops),
-            "freeze_events": [
-                {"step": e.step, "token": e.token, "epsilon": e.epsilon_s}
-                for e in block.freeze_events
-            ],
-            "certificate": None if cert is None else cert.to_json_dict(),
-            "divergence_csv": csv_names[which],
-            "pseudograd_csv": pseudo_names[which],
-        }
-        blocks.append(entry)
+def _block_trace(block: BlockResult, csv_name: Optional[str], pseudo_name: Optional[str]) -> dict:
+    """One block's entry in an instance trace: its stop, certificate and
+    freeze events, and the names of its trace CSVs."""
+    cert, decision = block.certificate, block.stop_decision
     return {
-        "instance": index,
-        "seed": seed,
-        "prompt": [int(t) for t in prompt],
-        "target": [int(t) for t in target],
-        "output": [int(t) for t in result.tokens[prompt.size :]],
-        "exact_match": bool(exact),
-        "blocks": blocks,
+        "block_index": block.block_index,
+        "steps_used": block.steps_used,
+        "forward_passes": block.forward_passes,
+        "stopped_early": block.stopped_early,
+        "stop_reason": decision and decision.reason.value,
+        "final_counter": decision and decision.final_counter,
+        "rejected_stops": list(block.rejected_stops),
+        "freeze_events": [
+            {"step": e.step, "token": e.token, "epsilon": e.epsilon_s}
+            for e in block.freeze_events
+        ],
+        "certificate": None if cert is None else cert.to_json_dict(),
+        "divergence_csv": csv_name,
+        "pseudograd_csv": pseudo_name,
     }
 
 
@@ -417,16 +402,11 @@ def cmd_infer(
     each seed's ``SeedReport`` and the mean of its headline figures."""
     run_dir = run_dir if run_dir is not None else config.out_dir
     artifacts_dir = artifacts_dir if artifacts_dir is not None else run_dir
-    os.makedirs(run_dir, exist_ok=True)
     traces_dir = os.path.join(run_dir, TRACES_DIR)
-    os.makedirs(traces_dir, exist_ok=True)
+    _make_dir(traces_dir)
 
     artifacts, task, mode, reasoning_map = _load_setup(config, artifacts_dir)
     policy = config.policy_config(policy_kind)
-    if policy.freezing and artifacts.basis is None:
-        raise ArtifactMismatchError(
-            "policy 'edit_freeze' needs a subspace entry in the metadata file"
-        )
 
     alpha_hat, quantile = _read_calibration(calibration_path)
     stop_cfg = config.stop_config()
@@ -469,24 +449,24 @@ def cmd_infer(
                     block.certificate = replace(block.certificate, margin_quantile=quantile)
                     margins.append(block.certificate.margin_report.margin)
                     n_pac += block.certificate.pac_pass is True
+            # The instance's one record, which its generations line and its
+            # trace both carry.
+            instance = {
+                "seed": seed,
+                "instance": index,
+                "prompt": [int(t) for t in prompt],
+                "target": [int(t) for t in target],
+                "output": [int(t) for t in output_block],
+                "exact_match": bool(exact),
+            }
             generation_lines.append(
                 json.dumps(
-                    {
-                        "seed": seed,
-                        "instance": index,
-                        "prompt": [int(t) for t in prompt],
-                        "target": [int(t) for t in target],
-                        "output": [int(t) for t in output_block],
-                        "exact_match": bool(exact),
-                        "block_steps": list(result.block_steps),
-                        "policy": policy.kind,
-                    },
+                    {**instance, "block_steps": list(result.block_steps), "policy": policy.kind},
                     sort_keys=True,
                 )
             )
             if traced:
-                csv_names: list[Optional[str]] = []
-                pseudo_names: list[Optional[str]] = []
+                block_traces = []
                 for block in result.blocks:
                     stem = f"seed{seed}_inst{index:03d}_block{block.block_index}"
                     csv_name = None
@@ -503,13 +483,11 @@ def cmd_infer(
                         )
                         _write_text(os.path.join(traces_dir, pseudo_name), pseudograd_to_csv(trace))
                     block.trajectory.forwards = ()  # held for one instance only
-                    csv_names.append(csv_name)
-                    pseudo_names.append(pseudo_name)
-                payload = _instance_trace_payload(
-                    index, seed, prompt, target, result, exact, csv_names, pseudo_names
-                )
+                    block_traces.append(_block_trace(block, csv_name, pseudo_name))
                 trace_name = f"seed{seed}_inst{index:03d}.json"
-                _write_json(os.path.join(traces_dir, trace_name), payload)
+                _write_json(
+                    os.path.join(traces_dir, trace_name), {**instance, "blocks": block_traces}
+                )
                 trace_files.append(os.path.join(TRACES_DIR, trace_name))
 
         avg_steps = float(np.mean(steps))
@@ -620,7 +598,7 @@ def cmd_calibrate(
     """
     run_dir = run_dir if run_dir is not None else config.out_dir
     artifacts_dir = artifacts_dir if artifacts_dir is not None else run_dir
-    os.makedirs(run_dir, exist_ok=True)
+    _make_dir(run_dir)
     artifacts, task, mode, reasoning_map = _load_setup(config, artifacts_dir)
 
     n_val = max(1, int(round(config.validation_fraction * config.eval_instances)))
@@ -909,7 +887,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 
 def cmd_report(run_dirs: Sequence[str | PathLike], out_dir: str) -> dict:
     """Merge the reports of several run directories into one bundle."""
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     runs = []
     skipped = []
     rows = []

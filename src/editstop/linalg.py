@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     DimMismatchError,
     EmptyInputError,
-    NonPositiveTemperatureError,
     RankTooLargeError,
     SupportMismatchError,
 )
@@ -27,13 +26,6 @@ PROB_FLOOR = 1e-12
 
 # Norms below this are treated as exactly zero.
 NORM_FLOOR = 1e-30
-
-
-def _as_vector(x, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimMismatchError(f"{name} must be 1-D, got shape {arr.shape}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -84,17 +76,13 @@ class ProbVector:
         return float(top2[1] - top2[0])
 
 
-def _softmax_unchecked(z) -> np.ndarray:
-    ez = np.exp(z - z.max(axis=-1, keepdims=True))
-    return ez / ez.sum(axis=-1, keepdims=True)
-
-
 def softmax_rows(z) -> np.ndarray:
     """Softmax along the last axis with max-subtraction, floored at
     ``PROB_FLOOR``. A row that is non-finite or more than 1e-9 from summing
     to one raises ``EmptyInputError``. Row ``i`` is bit for bit the softmax
     of ``z[i]`` alone, so 1-D and row-stacked callers agree exactly."""
-    probs = _softmax_unchecked(z)
+    ez = np.exp(z - z.max(axis=-1, keepdims=True))
+    probs = ez / ez.sum(axis=-1, keepdims=True)
     # A non-finite entry makes its row's sum, and so ``worst``, NaN or inf.
     worst = abs(probs.sum(axis=-1) - 1.0).max()
     if not worst <= 1e-9:
@@ -102,18 +90,6 @@ def softmax_rows(z) -> np.ndarray:
             f"a softmax row is non-finite or {float(worst)!r} from summing to 1"
         )
     return np.maximum(probs, PROB_FLOOR)
-
-
-def softmax(scores, temperature: float = 1.0, support: tuple[int, ...] | None = None) -> ProbVector:
-    """Temperature softmax over ``support``: ``softmax_rows``'s formula,
-    with ``ProbVector`` making the sum check and the floor."""
-    scores = _as_vector(scores, "scores")
-    if scores.size == 0:
-        raise EmptyInputError("softmax of empty score vector")
-    if not temperature > 0.0:
-        raise NonPositiveTemperatureError(f"temperature must be positive, got {temperature}")
-    probs = _softmax_unchecked(scores / temperature)
-    return ProbVector(probs, support if support is not None else tuple(range(scores.size)))
 
 
 def _check_same_support(p: ProbVector, q: ProbVector) -> None:

@@ -29,6 +29,7 @@ import csv
 import io
 import struct
 import zlib
+from contextlib import contextmanager
 from os import PathLike
 
 import numpy as np
@@ -75,9 +76,28 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def name(self) -> str:
+        """A u16-length-prefixed UTF-8 name (a module id or parameter name)."""
+        raw = self.take(self.u16())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TruncatedFileError(f"name {raw!r} is not UTF-8") from exc
+
     def done(self) -> None:
         if self.pos != len(self.data):
             raise TruncatedFileError(f"{len(self.data) - self.pos} unexpected trailing bytes")
+
+
+@contextmanager
+def io_failure(verb: str, path):
+    """Raise an ``OSError`` from the block as ``IoFailureError``, saying it
+    could not ``verb`` ``path``. Every artifact file and run directory is
+    read, written or created under it."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailureError(f"cannot {verb} {path!r}: {exc}") from exc
 
 
 def write_framed(path, magic: bytes, version: int, body: bytes) -> bytes:
@@ -86,22 +106,16 @@ def write_framed(path, magic: bytes, version: int, body: bytes) -> bytes:
     blob = magic + struct.pack("<H", version) + body
     blob += struct.pack("<I", zlib.crc32(blob))
     if path is not None:
-        try:
-            with open(path, "wb") as fh:
-                fh.write(blob)
-        except OSError as exc:
-            raise IoFailureError(f"cannot write {path!r}: {exc}") from exc
+        with io_failure("write", path), open(path, "wb") as fh:
+            fh.write(blob)
     return blob
 
 
 def read_framed(path, magic: bytes, version: int) -> _Reader:
     """Read a ``write_framed`` file, check its frame, and return a reader
     over its body."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailureError(f"cannot read {path!r}: {exc}") from exc
+    with io_failure("read", path), open(path, "rb") as fh:
+        data = fh.read()
     minimum = len(magic) + 2 + 4
     if len(data) < minimum:
         raise TruncatedFileError(f"file is {len(data)} bytes, minimum is {minimum}")
@@ -175,7 +189,7 @@ def load_metadata(path: str | PathLike) -> tuple[list[EvolutionVector], list[Sub
     vectors: list[EvolutionVector] = []
     bases: list[SubspaceBasis] = []
     for _ in range(entry_count):
-        ident = rd.take(rd.u16()).decode("utf-8")
+        ident = rd.name()
         kind = rd.u8()
         d_out = rd.u32()
         rank = rd.u32()

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (
+    ArtifactMismatchError,
     BadMagicError,
     ChecksumMismatchError,
     EmptyInputError,
@@ -520,12 +521,15 @@ def save_checkpoint(model: ToyModel, path) -> bytes:
 def load_checkpoint(path) -> ToyModel:
     r = read_framed(path, CKPT_MAGIC, CKPT_VERSION)
     cfg_blob = r.take(r.u32())
-    cfg = ModelConfig(**json.loads(cfg_blob.decode("utf-8")))
+    try:
+        cfg = ModelConfig(**json.loads(cfg_blob.decode("utf-8")))
+    except (TypeError, ValueError) as exc:  # not JSON, not an object, or refused
+        raise ArtifactMismatchError(f"checkpoint holds no valid model config: {exc}") from exc
     n_arrays = r.u16()
     base: dict[str, np.ndarray] = {}
     lora: dict[str, np.ndarray] = {}
     for _ in range(n_arrays):
-        name = r.take(r.u16()).decode("utf-8")
+        name = r.name()
         ndim = r.u8()
         shape = tuple(r.u32() for _ in range(ndim))
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1

@@ -56,14 +56,13 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class StopDecision:
-    stop: bool
     step: int
     reason: StopReason
     final_counter: int
 
-    def __post_init__(self):
-        if self.stop != (self.reason is not StopReason.STILL_RUNNING):
-            raise ValueError(f"stop={self.stop} inconsistent with reason={self.reason}")
+    @property
+    def stop(self) -> bool:
+        return self.reason is not StopReason.STILL_RUNNING
 
 
 @dataclass(frozen=True)
@@ -135,9 +134,9 @@ def update_counter(
         TraceRow(step, d_t, matched_support, state.counter, fired)
     )
     if state.stopped_at is not None:
-        decision = StopDecision(True, state.stopped_at, StopReason.RUN_LENGTH_MET, state.counter)
+        decision = StopDecision(state.stopped_at, StopReason.RUN_LENGTH_MET, state.counter)
     else:
-        decision = StopDecision(False, step, StopReason.STILL_RUNNING, state.counter)
+        decision = StopDecision(step, StopReason.STILL_RUNNING, state.counter)
     return state, decision
 
 
@@ -153,7 +152,7 @@ class StabilityMonitor:
         if prev is None:
             # No predecessor to compare against; counter untouched.
             self.state.prev_distribution = dist
-            return StopDecision(False, dist.step, StopReason.STILL_RUNNING, 0)
+            return StopDecision(dist.step, StopReason.STILL_RUNNING, 0)
         if dist.step <= prev.step:
             raise NonMonotoneVisibleSetError(
                 f"step {dist.step} does not advance past {prev.step}"

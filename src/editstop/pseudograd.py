@@ -90,7 +90,6 @@ class PseudoGradRow:
 @dataclass
 class PseudoGradTrace:
     rows: list[PseudoGradRow]
-    band: SftBand
     convergence_step: Optional[int]
 
 
@@ -242,7 +241,7 @@ def analyze_trajectory(
         rows.append(PseudoGradRow(step=step, rms_value=value, in_band=band.contains(value)))
     index = detect_convergence(values, band)
     convergence_step = rows[index].step if index is not None else None
-    return PseudoGradTrace(rows=rows, band=band, convergence_step=convergence_step)
+    return PseudoGradTrace(rows=rows, convergence_step=convergence_step)
 
 
 def pseudograd_to_csv(trace: PseudoGradTrace) -> str:

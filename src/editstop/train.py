@@ -115,10 +115,10 @@ def sft_train(
     model: ToyModel,
     task: SyntheticTask,
     steps: int,
-    adamw_cfg: AdamWConfig | None = None,
-    captures: tuple[CaptureSpec, ...] | None = None,
-    rng: np.random.Generator | None = None,
-    batch_size: int = 16,
+    adamw_cfg: AdamWConfig,
+    captures: tuple[CaptureSpec, ...],
+    rng: np.random.Generator,
+    batch_size: int,
 ) -> SftResult:
     """Train the adapters in place and capture their update dynamics.
 
@@ -130,14 +130,8 @@ def sft_train(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if adamw_cfg is None:
-        adamw_cfg = AdamWConfig()
-    if captures is None:
-        captures = (CaptureSpec(model.default_tap().module),)
     if not captures:
         raise ValueError("need at least one capture target")
-    if rng is None:
-        rng = np.random.default_rng(model.cfg.seed + 1)
     cfg = model.cfg
     L = cfg.block_length
     moments = {key: MomentState.zeros(val.shape) for key, val in model.lora.items()}

@@ -47,7 +47,7 @@ from editstop.harness import (
     ABLATION_REDUCTIONS,
     _sample_instances,
 )
-from editstop.linalg import NORM_FLOOR, ProbVector, kl_divergence, softmax, total_variation
+from editstop.linalg import NORM_FLOOR, ProbVector, kl_divergence, softmax_rows, total_variation
 from editstop.metaformat import load_metadata
 from editstop.model import (
     PROJECTIONS,
@@ -440,7 +440,7 @@ def local_distribution(f_s: np.ndarray, basis: SubspaceBasis, tau_sub: float) ->
             f"activation shape {f_s.shape} != basis dimension ({basis.d_out},)"
         )
     g = basis.columns.T @ f_s
-    return softmax(np.abs(g), temperature=tau_sub, support=tuple(range(basis.k)))
+    return ProbVector(softmax_rows(np.abs(g) / tau_sub), tuple(range(basis.k)))
 
 
 @dataclass
@@ -612,7 +612,7 @@ class CoupledLinearModel:
         scores = np.array(
             [cosine_similarity(state[s], self.map_u) for s in range(self.n_tokens)]
         )
-        return softmax(scores, support=tuple(range(self.n_tokens)))
+        return ProbVector(softmax_rows(scores), tuple(range(self.n_tokens)))
 
     def counterfactual_distribution(self, state, token, delta=None) -> ProbVector:
         perturbed = np.array(state, dtype=np.float64, copy=True)
@@ -751,7 +751,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         result = forward(model, tokens[None, :], taps=(tap,))
         acts = result.taps[tap][0]
         logits = result.logits[0, lo: lo + L, : cfg.vocab_size - 1]
-        dists = [softmax(logits[i], 1.0, support) for i in range(L)]
+        dists = [ProbVector(softmax_rows(logits[i]), support) for i in range(L)]
         newly: list[int] = []
         open_positions = [i for i in range(L) if not committed[i]]
         ranked = sorted(open_positions, key=lambda i: (-float(dists[i].probs.max()), i))
@@ -777,7 +777,9 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         scores = reference_scores({s: effective[s] for s in visible.members},
                                   reasoning_map, mode)
         raw = np.array([scores[s] for s in visible.members])
-        alignment = AlignmentDistribution(softmax(raw, stop_cfg.tau_blk, visible.members), step)
+        alignment = AlignmentDistribution(
+            ProbVector(softmax_rows(raw / stop_cfg.tau_blk), visible.members), step
+        )
         decision = monitor.observe(alignment)
         if not decision.stop:
             continue
@@ -795,7 +797,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         break
     if monitor is not None and stop_decision is None:
         stop_decision = StopDecision(
-            True, len(steps), StopReason.BUDGET_EXHAUSTED, monitor.state.counter
+            len(steps), StopReason.BUDGET_EXHAUSTED, monitor.state.counter
         )
     return ReferenceBlock(steps, choices, final_commit, tuple(int(t) for t in tokens[lo: lo + L]),
                           monitor, stop_decision, certificate, tuple(rejected), tuple(events))

@@ -14,8 +14,8 @@ from editstop.alignment import (
     score_frame,
 )
 from editstop.capture import EvolutionVector, build_subspace
-from editstop.errors import DimMismatchError, EmptyVisibleSetError
-from editstop.linalg import softmax
+from editstop.errors import DimMismatchError, EmptyVisibleSetError, NonPositiveTemperatureError
+from editstop.linalg import softmax_rows
 
 
 def unit_map(d=2) -> EvolutionVector:
@@ -269,10 +269,16 @@ class TestScoreFrame:
         u = EvolutionVector(rng.random(4) + 0.1, "m", 4)
         frame = frame_from({i: rng.normal(size=4) for i in (0, 2, 5)}, step=7)
         d = score_frame(frame, u, tau_blk=0.7)
-        manual = softmax(score_alignment(frame.activations, u), 0.7, frame.visible.members)
-        np.testing.assert_array_equal(d.dist.probs, manual.probs)
-        assert d.dist.support == manual.support == (0, 2, 5)
+        manual = softmax_rows(score_alignment(frame.activations, u) / 0.7)
+        np.testing.assert_array_equal(d.dist.probs, manual)
+        assert d.dist.support == frame.visible.members == (0, 2, 5)
         assert d.step == 7
+
+    def test_rejects_bad_temperature(self):
+        frame = cosine_frame({0: 0.2, 1: 0.8})
+        for tau in (0.0, -1.0, float("nan")):
+            with pytest.raises(NonPositiveTemperatureError):
+                score_frame(frame, unit_map(), tau_blk=tau)
 
     def test_rescaled_activations_same_distribution(self):
         rng = np.random.default_rng(69)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import struct
 
 import pytest
 
@@ -17,7 +18,8 @@ from editstop.harness import (
     REPORT_FILE,
     TRACES_DIR,
 )
-from editstop.metaformat import load_metadata, persist_metadata
+from editstop.metaformat import load_metadata, persist_metadata, read_framed, write_framed
+from editstop.model import CKPT_MAGIC, CKPT_VERSION
 
 SMALL = """\
 vocab_size = 12
@@ -273,6 +275,101 @@ class TestMalformedArtifacts:
         certificate = {**self.GOOD_CERTIFICATE, **changes}
         block_index = certificate.pop("block_index", 1)
         assert self.certify_trace(trained_cli[0], tmp_path, certificate, block_index) == EXIT_OK
+
+
+class TestUnusableArtifacts:
+    """On-disk state that the harness cannot create, write or use exits 3
+    with an artifact error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--config", "{cfg}", "--out", "{file}"],
+            ["train", "--config", "{cfg}", "--out", "{dir_with_config_dir}"],
+            ["infer", "--config", "{cfg}", "--artifacts", "{run}", "--out", "{file}/x"],
+            ["calibrate", "--config", "{cfg}", "--artifacts", "{run}", "--out", "{file}"],
+            ["report", "--out", "{file}", "{run}"],
+        ],
+        ids=["train_out_is_a_file", "train_config_txt_is_a_directory", "infer_out_under_a_file",
+             "calibrate_out_is_a_file", "report_out_is_a_file"],
+    )
+    def test_run_directory_that_cannot_be_written_exits_three(
+        self, trained_cli, tmp_path, capsys, argv
+    ):
+        cfg_path, run_dir = trained_cli
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        (tmp_path / "blocked" / "config.txt").mkdir(parents=True)
+        paths = {"cfg": cfg_path, "run": run_dir, "file": str(regular),
+                 "dir_with_config_dir": str(tmp_path / "blocked")}
+        code = main([arg.format(**paths) for arg in argv])
+        assert code == EXIT_ARTIFACT
+        assert "artifact error: cannot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            lambda cfg: {**cfg, "dropout": 0.1},
+            lambda cfg: {**cfg, "vocab_size": 2},
+            lambda cfg: list(cfg),
+            lambda cfg: "not json",
+        ],
+        ids=["extra_key", "refused_value", "not_an_object", "not_json"],
+    )
+    def test_checkpoint_with_a_config_the_model_refuses_exits_three(
+        self, trained_cli, tmp_path, capsys, blob
+    ):
+        # A validly framed checkpoint whose config blob is rewritten.
+        cfg_path, run_dir = trained_cli
+        art = tmp_path / "art"
+        art.mkdir()
+        shutil.copy(os.path.join(run_dir, METADATA_FILE), art)
+        body = read_framed(os.path.join(run_dir, CHECKPOINT_FILE), CKPT_MAGIC, CKPT_VERSION)
+        old = json.loads(body.take(body.u32()))
+        new = blob(old)
+        new = (new if isinstance(new, str) else json.dumps(new)).encode()
+        rest = body.data[body.pos :]
+        write_framed(str(art / CHECKPOINT_FILE), CKPT_MAGIC, CKPT_VERSION,
+                     struct.pack("<I", len(new)) + new + rest)
+        code = main(["infer", "--config", cfg_path, "--artifacts", str(art),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_ARTIFACT
+        assert "checkpoint holds no valid model config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, similarity, policy",
+        [
+            ("infer", "subspace_norm", "edit"),
+            ("calibrate", "subspace_norm", None),
+            ("infer", "vector_cosine", "edit-freeze"),
+        ],
+        ids=["infer_subspace_norm", "calibrate_subspace_norm", "infer_edit_freeze"],
+    )
+    def test_metadata_without_a_basis_exits_three(
+        self, trained_cli, tmp_path, capsys, command, similarity, policy
+    ):
+        _, run_dir = trained_cli
+        art = tmp_path / "art"
+        art.mkdir()
+        shutil.copy(os.path.join(run_dir, CHECKPOINT_FILE), art)
+        vectors, _ = load_metadata(os.path.join(run_dir, METADATA_FILE))
+        persist_metadata(vectors, [], str(art / METADATA_FILE))
+        cfg_path = tmp_path / "exp.txt"
+        cfg_path.write_text(SMALL + f"similarity = {similarity}\n")
+        argv = [command, "--config", str(cfg_path), "--artifacts", str(art),
+                "--out", str(tmp_path / "out")]
+        code = main(argv + (["--policy", policy] if policy else []))
+        assert code == EXIT_ARTIFACT
+        assert "metadata has no subspace basis" in capsys.readouterr().err
+
+    def test_json_artifact_that_is_not_utf8_exits_three(self, trained_cli, tmp_path, capsys):
+        cfg_path, _ = trained_cli
+        traces = tmp_path / "run" / TRACES_DIR
+        traces.mkdir(parents=True)
+        (traces / "seed1_inst000.json").write_bytes(b"\xff\xfe{")
+        code = main(["certify", "--config", cfg_path, "--out", str(tmp_path / "run")])
+        assert code == EXIT_ARTIFACT
+        assert "malformed JSON" in capsys.readouterr().err
 
 
 class TestNonIntegerConfig:

@@ -469,7 +469,7 @@ class TestArrayFreezerMatchesOracle:
                     expected[i] = st.frozen_value
             assert newly == expected_newly
             assert effective.tobytes() == expected.tobytes()
-        assert freezer.events == events
+        assert freezer.events == tuple(events)
         frozen = {s: st for s, st in states.items() if st.frozen}
         assert sorted(freezer.states) == sorted(frozen)
         for s, st in frozen.items():

@@ -41,7 +41,7 @@ from editstop.model import (
 )
 from editstop.monitor import StabilityMonitor, StopConfig, StopDecision, StopReason
 from editstop.tasks import make_task
-from editstop.train import sft_train
+from editstop.train import CaptureSpec, sft_train
 
 TINY = ModelConfig(
     vocab_size=12,
@@ -396,7 +396,9 @@ class TestTrainedEndToEnd:
         result = sft_train(
             model, task, steps=150,
             adamw_cfg=AdamWConfig(learning_rate=0.01),
+            captures=(CaptureSpec(model.default_tap().module),),
             rng=np.random.default_rng(1),
+            batch_size=16,
         )
         emap = result.evolution[next(iter(result.evolution))]
         rng = np.random.default_rng(5)
@@ -793,7 +795,7 @@ class TestDerivedStop:
         trace = strict.monitor_state.divergence_trace
         assert [row.step for row in trace if row.stopped] == [2, 3, 4, 5]
         assert strict.stop_decision == StopDecision(
-            True, 5, StopReason.RUN_LENGTH_MET, trace[-1].counter
+            5, StopReason.RUN_LENGTH_MET, trace[-1].counter
         )
 
     def test_derived_stop_matches_the_monitor_decisions(self, default_block, monkeypatch):
@@ -831,7 +833,7 @@ class TestDerivedStop:
                 else:
                     last = observed[-1]
                     want = StopDecision(
-                        True, last.step, StopReason.BUDGET_EXHAUSTED, last.final_counter
+                        last.step, StopReason.BUDGET_EXHAUSTED, last.final_counter
                     )
                     refused = fired
                 assert strict or not refused

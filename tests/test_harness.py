@@ -181,6 +181,29 @@ class TestTrain:
         assert payload["final_loss"] < 1.0
 
 
+    def test_matches_sft_train_with_the_config(self, tmp_path):
+        # cmd_train hands sft_train the config's learning rate, batch size
+        # and model seed, none of them a default.
+        cfg = small_config(
+            str(tmp_path), train_steps=3, batch_size=5, learning_rate=0.02, model_seed=4
+        )
+        cmd_train(cfg)
+        model = init_model(cfg.model_config())
+        result = sft_train(
+            model,
+            make_task(cfg.task, cfg.vocab_size, cfg.block_length),
+            steps=3,
+            adamw_cfg=AdamWConfig(learning_rate=0.02),
+            captures=(CaptureSpec(model.default_tap().module),),
+            rng=np.random.default_rng(5),
+            batch_size=5,
+        )
+        stored = load_checkpoint(os.path.join(str(tmp_path), CHECKPOINT_FILE))
+        assert sorted(result.model.lora) == sorted(stored.lora)
+        for key, value in result.model.lora.items():
+            assert value.tobytes() == stored.lora[key].tobytes(), key
+
+
 class TestLoadArtifacts:
     def test_loads_trained_state(self, trained_run):
         cfg, run_dir = trained_run
@@ -303,6 +326,22 @@ class TestInfer:
         assert len(lines) == len(cfg.seeds) * cfg.eval_instances
         first = json.loads(lines[0])
         assert set(first) >= {"prompt", "target", "output", "exact_match", "block_steps"}
+
+    def test_trace_and_generations_line_share_the_record(self, trained_run):
+        # An instance's trace and its generations line carry one record:
+        # the same six fields, and the trace's block steps match the line's.
+        _, run_dir = trained_run
+        lines = open(os.path.join(run_dir, GENERATIONS_FILE)).read().splitlines()
+        by_instance = {(g["seed"], g["instance"]): g for g in map(json.loads, lines)}
+        traces = os.path.join(run_dir, TRACES_DIR)
+        names = sorted(n for n in os.listdir(traces) if n.endswith(".json"))
+        assert names
+        for name in names:
+            trace = json.load(open(os.path.join(traces, name)))
+            line = by_instance[trace["seed"], trace["instance"]]
+            record = {k: v for k, v in trace.items() if k != "blocks"}
+            assert record == {k: v for k, v in line.items() if k not in ("block_steps", "policy")}
+            assert [b["steps_used"] for b in trace["blocks"]] == line["block_steps"]
 
     def test_trace_retention_limit(self, trained_run):
         cfg, run_dir = trained_run

@@ -9,7 +9,6 @@ from helpers import ZeroNormError, cosine_similarity, restrict
 from editstop.errors import (
     DimMismatchError,
     EmptyInputError,
-    NonPositiveTemperatureError,
     RankTooLargeError,
     SupportMismatchError,
 )
@@ -18,7 +17,6 @@ from editstop.linalg import (
     ProbVector,
     kl_divergence,
     kl_rows,
-    softmax,
     softmax_rows,
     total_variation,
     truncated_svd,
@@ -124,30 +122,31 @@ class TestCosineSimilarity:
 
 
 class TestSoftmax:
+    """``softmax_rows``, the one softmax: its formula on single rows, and
+    ``ProbVector`` over an explicit support on top."""
+
     def test_frozen_small_example(self):
-        p = softmax(np.array([1.0, 2.0, 3.0]))
+        p = softmax_rows(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(
-            p.probs,
+            p,
             [0.09003057317038046, 0.24472847105479764, 0.6652409557748218],
             rtol=1e-12,
         )
 
     def test_frozen_temperature_example(self):
-        p = softmax(np.array([1.0, 2.0, 3.0]), temperature=2.0)
+        p = softmax_rows(np.array([1.0, 2.0, 3.0]) / 2.0)
         np.testing.assert_allclose(
-            p.probs,
+            p,
             [0.1863237232258476, 0.3071958857184984, 0.506480391055654],
             rtol=1e-12,
         )
 
     def test_frozen_two_point_example(self):
-        p = softmax(np.array([0.2, 0.8]))
-        np.testing.assert_allclose(
-            p.probs, [0.3543436937742045, 0.6456563062257954], rtol=1e-12
-        )
+        p = softmax_rows(np.array([0.2, 0.8]))
+        np.testing.assert_allclose(p, [0.3543436937742045, 0.6456563062257954], rtol=1e-12)
 
     def test_support_is_attached(self):
-        p = softmax(np.array([0.0, 1.0]), support=(5, 9))
+        p = ProbVector(softmax_rows(np.array([0.0, 1.0])), (5, 9))
         assert p.support == (5, 9)
         assert p.argmax_token() == 9
 
@@ -155,38 +154,28 @@ class TestSoftmax:
         rng = np.random.default_rng(13)
         for _ in range(200):
             s = rng.normal(size=6)
-            p1 = softmax(s)
-            p2 = softmax(s + rng.uniform(-100.0, 100.0))
-            np.testing.assert_allclose(p1.probs, p2.probs, atol=1e-12)
+            p1 = softmax_rows(s)
+            p2 = softmax_rows(s + rng.uniform(-100.0, 100.0))
+            np.testing.assert_allclose(p1, p2, atol=1e-12)
 
     def test_large_scores_do_not_overflow(self):
-        p = softmax(np.array([1e4, 1e4 + 1.0]))
-        assert np.all(np.isfinite(p.probs))
-        np.testing.assert_allclose(p.probs.sum(), 1.0, rtol=1e-12)
+        p = softmax_rows(np.array([1e4, 1e4 + 1.0]))
+        assert np.all(np.isfinite(p))
+        np.testing.assert_allclose(p.sum(), 1.0, rtol=1e-12)
 
     def test_higher_temperature_flattens(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
             s = rng.normal(size=5) * 3.0
-            cold = softmax(s, temperature=0.5)
-            hot = softmax(s, temperature=4.0)
-            assert hot.probs.max() <= cold.probs.max() + 1e-12
+            cold = softmax_rows(s / 0.5)
+            hot = softmax_rows(s / 4.0)
+            assert hot.max() <= cold.max() + 1e-12
 
     def test_preserves_argmax(self):
         rng = np.random.default_rng(15)
         for _ in range(300):
             s = rng.normal(size=7)
-            assert softmax(s).argmax_token() == int(np.argmax(s))
-
-    def test_rejects_bad_temperature(self):
-        with pytest.raises(NonPositiveTemperatureError):
-            softmax(np.array([1.0, 2.0]), temperature=0.0)
-        with pytest.raises(NonPositiveTemperatureError):
-            softmax(np.array([1.0, 2.0]), temperature=-1.0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(EmptyInputError):
-            softmax(np.array([]))
+            assert ProbVector(softmax_rows(s)).argmax_token() == int(np.argmax(s))
 
 
 class TestKlDivergence:

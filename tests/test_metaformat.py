@@ -20,7 +20,7 @@ from editstop.errors import (
     TruncatedFileError,
     VersionUnsupportedError,
 )
-from editstop.metaformat import MAGIC, load_metadata, persist_metadata
+from editstop.metaformat import MAGIC, VERSION, load_metadata, persist_metadata, write_framed
 
 
 def sample_vectors(rng, n=2, d_out=16):
@@ -193,6 +193,16 @@ class TestLoadValidation:
         path = self.make_file(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises((TruncatedFileError, ChecksumMismatchError)):
+            load_metadata(path)
+
+    def test_module_id_that_is_not_utf8_is_refused(self, tmp_path):
+        # A validly framed file whose first module id starts with 0xff.
+        path = tmp_path / "m.editmeta"
+        persist_metadata(sample_vectors(np.random.default_rng(7)), [], path)
+        body = bytearray(path.read_bytes()[len(MAGIC) + 2 : -4])
+        body[4] = 0xFF  # after the u16 entry count and the u16 id length
+        write_framed(path, MAGIC, VERSION, bytes(body))
+        with pytest.raises(TruncatedFileError, match="is not UTF-8"):
             load_metadata(path)
 
     def test_per_entry_crc_checked_when_file_crc_forged(self, tmp_path):

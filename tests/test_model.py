@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from editstop.errors import (
     TruncatedFileError,
     VocabOverflowError,
 )
+from editstop.metaformat import write_framed
 from editstop.model import (
+    CKPT_MAGIC,
+    CKPT_VERSION,
     ModelConfig,
     TapSpec,
     backward_lora,
@@ -691,6 +695,16 @@ class TestCheckpoint:
         blob = save_checkpoint(tiny_model(), path)
         path.write_bytes(blob[:10])
         with pytest.raises(TruncatedFileError):
+            load_checkpoint(path)
+
+    def test_parameter_name_that_is_not_utf8_is_refused(self, tmp_path):
+        # A validly framed checkpoint whose first parameter name starts with 0xff.
+        path = tmp_path / "m.editckpt"
+        body = bytearray(save_checkpoint(tiny_model(), None)[len(CKPT_MAGIC) + 2 : -4])
+        first_name = 4 + struct.unpack_from("<I", body)[0] + 2 + 2
+        body[first_name] = 0xFF
+        write_framed(path, CKPT_MAGIC, CKPT_VERSION, bytes(body))
+        with pytest.raises(TruncatedFileError, match="is not UTF-8"):
             load_checkpoint(path)
 
     def test_bad_magic_detected(self, tmp_path):

@@ -405,7 +405,7 @@ def drive_monitor(frames, reasoning_map, cfg: StopConfig, max_steps: int):
         decision = monitor.observe(score_frame(frame, reasoning_map, SimilarityMode.VECTOR_COSINE))
         if decision.stop:
             return decision, monitor.state
-    exhausted = StopDecision(True, frame.step, StopReason.BUDGET_EXHAUSTED, monitor.state.counter)
+    exhausted = StopDecision(frame.step, StopReason.BUDGET_EXHAUSTED, monitor.state.counter)
     return exhausted, monitor.state
 
 

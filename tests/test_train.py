@@ -32,6 +32,16 @@ CFG = ModelConfig(
 )
 
 
+def train(model, steps, rng, task=None, **args):
+    """``sft_train`` on ``small_task()`` unless ``task`` is given, with the
+    learning rate's default, the default tap's B-energy capture and 16
+    samples per step for every argument ``args`` leaves out."""
+    args.setdefault("adamw_cfg", AdamWConfig())
+    args.setdefault("captures", (CaptureSpec(model.default_tap().module),))
+    args.setdefault("batch_size", 16)
+    return sft_train(model, task or small_task(), steps=steps, rng=rng, **args)
+
+
 def small_task():
     return make_task("copy_reverse", CFG.vocab_size, CFG.block_length)
 
@@ -63,7 +73,7 @@ class TestSftTrain:
     def test_base_parameters_frozen(self):
         model = init_model(CFG)
         before = {name: arr.copy() for name, arr in model.base.items()}
-        sft_train(model, small_task(), steps=5, rng=np.random.default_rng(0))
+        train(model, steps=5, rng=np.random.default_rng(0))
         assert sorted(model.base) == sorted(before)
         for name, arr in before.items():
             assert np.array_equal(model.base[name], arr), name
@@ -104,13 +114,8 @@ class TestSftTrain:
     def test_captured_mean_matches_offline_replay(self):
         model = init_model(CFG)
         spec = CaptureSpec("block0.v", "b", "energy")
-        result = sft_train(
-            model,
-            small_task(),
-            steps=7,
-            captures=(spec,),
-            rng=np.random.default_rng(9),
-            batch_size=4,
+        result = train(
+            model, steps=7, captures=(spec,), rng=np.random.default_rng(9), batch_size=4
         )
 
         replay_model = init_model(CFG)
@@ -149,8 +154,7 @@ class TestSftTrain:
             return res
 
         monkeypatch.setattr("editstop.train.forward", spy)
-        sft_train(init_model(CFG), small_task(), steps=3, rng=np.random.default_rng(2),
-                  batch_size=5)
+        train(init_model(CFG), steps=3, rng=np.random.default_rng(2), batch_size=5)
         assert len(calls) == 3
         for kwargs, shape in calls:
             assert kwargs.get("record") is True
@@ -161,9 +165,9 @@ class TestSftTrain:
         cfg = ModelConfig()
         model = init_model(cfg)
         task = make_task("copy_reverse", cfg.vocab_size, cfg.block_length)
-        result = sft_train(
+        result = train(
             model,
-            task,
+            task=task,
             steps=50,
             adamw_cfg=AdamWConfig(learning_rate=0.01),
             rng=np.random.default_rng(1),
@@ -174,9 +178,7 @@ class TestSftTrain:
 
     def test_rms_trace_matches_gradient_norms(self):
         model = init_model(CFG)
-        result = sft_train(
-            model, small_task(), steps=6, rng=np.random.default_rng(5), batch_size=4
-        )
+        result = train(model, steps=6, rng=np.random.default_rng(5), batch_size=4)
         assert len(result.rms_trace) == 6
         assert all(v >= 0.0 for v in result.rms_trace)
         assert any(v > 0.0 for v in result.rms_trace)
@@ -186,7 +188,7 @@ class TestSftTrain:
         for _ in range(2):
             model = init_model(CFG)
             results.append(
-                sft_train(model, small_task(), steps=4, rng=np.random.default_rng(8))
+                train(model, steps=4, rng=np.random.default_rng(8))
             )
         for key in results[0].model.lora:
             assert (
@@ -202,9 +204,7 @@ class TestSftTrain:
     def test_adapter_a_capture_indexes_model_dim(self):
         model = init_model(CFG)
         spec = CaptureSpec("block1.q", "a", "mean")
-        result = sft_train(
-            model, small_task(), steps=2, captures=(spec,), rng=np.random.default_rng(3)
-        )
+        result = train(model, steps=2, captures=(spec,), rng=np.random.default_rng(3))
         vec = result.evolution[spec.metadata_id]
         assert vec.d_out == CFG.d_model
 
@@ -214,14 +214,16 @@ class TestSftTrain:
         key = next(iter(model.lora))
         model.lora[key][0, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
-            sft_train(model, small_task(), steps=3, rng=np.random.default_rng(0))
+            train(model, steps=3, rng=np.random.default_rng(0))
 
     def test_validation(self):
         model = init_model(CFG)
         with pytest.raises(ValueError):
-            sft_train(model, small_task(), steps=0)
+            train(model, steps=0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sft_train(model, small_task(), steps=1, captures=())
+            train(model, steps=1, captures=(), rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            train(model, steps=1, rng=np.random.default_rng(0), batch_size=0)
         with pytest.raises(ValueError):
             CaptureSpec("block0.q", adapter="c")
         with pytest.raises(ValueError):
@@ -248,14 +250,15 @@ class TestCaptureMemory:
         # blocks a traced run allocated counted as traced until they are
         # full, about 200 steps in. An untraced run fills them first, so the
         # two traced runs differ only by what training holds, in any test order.
-        sft_train(init_model(model_cfg), task, steps=400, captures=captures, batch_size=1)
+        train(init_model(model_cfg), task=task, steps=400, captures=captures,
+              rng=np.random.default_rng(model_cfg.seed + 1), batch_size=1)
 
         def traced_peak(steps: int) -> int:
             model = init_model(model_cfg)
             tracemalloc.start()
             try:
-                sft_train(model, task, steps=steps, captures=captures,
-                          rng=np.random.default_rng(model_cfg.seed + 1))
+                train(model, task=task, steps=steps, captures=captures,
+                      rng=np.random.default_rng(model_cfg.seed + 1))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

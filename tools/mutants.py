@@ -1,0 +1,230 @@
+"""Re-runnable mutation checks for the tests that guard fast paths and rules.
+
+Each entry of ``MUTANTS`` names a file, an exact text that occurs once in
+it, the text that replaces it, and the pytest ids that must fail once it is
+replaced. For each mutant the script copies this checkout's ``src/``,
+``tests/``, ``bench/`` and ``pyproject.toml`` to a temporary directory,
+applies the one edit there, and runs the named tests. The checkout itself
+is never edited.
+
+A named id fails when at least one test collected under it fails or
+errors. A mutant is killed when every named id fails. The script exits 1
+when a mutant survives (some named id passes), when an old text no longer
+occurs exactly once, or when a named id collects no test.
+
+Usage::
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # the named mutants
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # --- fast paths whose bits the tests pin ---
+    Mutant(
+        "recorded_ax_on_a_2d_view",
+        "src/editstop/model.py",
+        'cache_b[f"ax_{proj}"] = x_in[:, q_from if proj == "q" else 0:] @ a.T',
+        'cache_b[f"ax_{proj}"] = (x_in[:, q_from if proj == "q" else 0:].reshape(-1, d)'
+        " @ a.T).reshape(n, -1, a.shape[0])",
+        ("tests/test_model.py::TestInPlaceForward::test_matches_the_out_of_place_pass",),
+    ),
+    Mutant(
+        "q_gemm_on_the_column_major_slice",
+        "src/editstop/model.py",
+        "qh = (rows @ weights.wq_last.T)",
+        "qh = (rows @ w[:d].T)",
+        ("tests/test_model.py::TestTwoDimensionalForward::test_decode_forward_keeps_the_batched_bits",),
+    ),
+    Mutant(
+        "row_major_copies_in_the_last_block",
+        "src/editstop/model.py",
+        "(np.asarray if b == last else np.ascontiguousarray)(",
+        "np.ascontiguousarray(",
+        ("tests/test_model.py::TestTwoDimensionalForward::test_decode_forward_keeps_the_batched_bits",),
+    ),
+    Mutant(
+        "cache_keeps_aliased_tokens",
+        "src/editstop/model.py",
+        'cache = {"tokens": tokens.copy(), "blocks": block_caches}',
+        'cache = {"tokens": tokens, "blocks": block_caches}',
+        ("tests/test_generate.py::TestDecodeForwardBits::test_shared_weights_keep_every_bit",),
+    ),
+    Mutant(
+        "unstable_commit_argsort",
+        "src/editstop/generate.py",
+        'ranked = np.argsort(-probs.max(axis=1)[open_slots], kind="stable")',
+        'ranked = np.argsort(-probs.max(axis=1)[open_slots], kind="quicksort")',
+        ("tests/test_generate.py::TestCommitRanking::test_ties_commit_lowest_index_first_at_quota_4",),
+    ),
+    Mutant(
+        "extra_forward_per_block",
+        "src/editstop/generate.py",
+        "        if step == 1 or newly:\n",
+        "        if step == 1:\n"
+        "            forward(model, tokens[None, :], first_row=lo, weights=weights)\n"
+        "        if step == 1 or newly:\n",
+        ("tests/test_bench_bindings.py::test_a_traced_decode_counts_every_forward_and_probvector",),
+    ),
+    Mutant(
+        "capture_keeps_every_step",
+        "src/editstop/capture.py",
+        "        self._total += t\n",
+        "        self._total += t\n"
+        '        self.__dict__.setdefault("kept", []).append(t.copy())\n',
+        ("tests/test_train.py::TestCaptureMemory::test_peak_does_not_grow_with_the_step_count",),
+    ),
+    Mutant(
+        "transposed_lora_a_reshape",
+        "src/editstop/model.py",
+        'grads[key_a] += dax.T @ c["x_in"][:, start:].reshape(-1, d)',
+        'grads[key_a] += dax.T @ c["x_in"][:, start:].transpose(1, 0, 2).reshape(-1, d)',
+        ("tests/test_model.py::TestTwoDimensionalGemms::test_training_batch_matches_per_sample_full_passes",),
+    ),
+    # --- one owner per rule ---
+    Mutant(
+        "alignment_softmax_ignores_tau_blk",
+        "src/editstop/alignment.py",
+        "softmax_rows(scores / tau_blk)",
+        "softmax_rows(scores)",
+        ("tests/test_alignment.py::TestScoreFrame::test_composition_matches_manual_pipeline",),
+    ),
+    Mutant(
+        "io_failure_outside_the_exit_3_family",
+        "src/editstop/errors.py",
+        "class IoFailureError(ArtifactMismatchError):",
+        "class IoFailureError(EditStopError):",
+        ("tests/test_cli.py::TestUnusableArtifacts::test_run_directory_that_cannot_be_written_exits_three",),
+    ),
+    Mutant(
+        "metadata_without_a_basis_loads",
+        "src/editstop/harness.py",
+        "    if basis is None:\n",
+        "    if basis is None and False:\n",
+        ("tests/test_cli.py::TestUnusableArtifacts::test_metadata_without_a_basis_exits_three",),
+    ),
+    Mutant(
+        "trace_record_differs_from_generations_line",
+        "src/editstop/harness.py",
+        '{**instance, "blocks": block_traces}',
+        '{**instance, "output": instance["prompt"], "blocks": block_traces}',
+        ("tests/test_harness.py::TestInfer::test_trace_and_generations_line_share_the_record",),
+    ),
+    Mutant(
+        "freeze_events_out_of_freeze_order",
+        "src/editstop/freeze.py",
+        "for st in self.states.values()",
+        "for st in sorted(self.states.values(), key=lambda st: -st.token)",
+        ("tests/test_freeze.py",),
+    ),
+    Mutant(
+        "cmd_train_batch_size_fixed",
+        "src/editstop/harness.py",
+        "        batch_size=config.batch_size,\n",
+        "        batch_size=16,\n",
+        ("tests/test_harness.py::TestTrain::test_matches_sft_train_with_the_config",),
+    ),
+)
+
+
+def apply(mutant: Mutant, root: str) -> None:
+    """Replace the mutant's old text, which must occur exactly once, under ``root``."""
+    with open(os.path.join(root, mutant.path), encoding="utf-8") as fh:
+        text = fh.read()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {count} times in {mutant.path}")
+    with open(os.path.join(root, mutant.path), "w", encoding="utf-8") as fh:
+        fh.write(text.replace(mutant.old, mutant.new))
+
+
+def outcomes(report: str, test_id: str) -> list[str]:
+    """Outcomes (PASSED, FAILED, ERROR) of the tests under ``test_id`` in a
+    ``pytest -rA`` report."""
+    found = []
+    for line in report.splitlines():
+        word, _, rest = line.partition(" ")
+        node = rest.split(" - ")[0]
+        if word in ("PASSED", "FAILED", "ERROR") and (
+            node == test_id or node.startswith((test_id + "::", test_id + "["))
+        ):
+            found.append(word)
+    return found
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """Apply ``mutant`` to a temporary copy and run its tests; returns
+    ``(verdict, detail)``, the verdict one of ``killed``, ``SURVIVED`` and
+    ``STALE`` (the old text does not occur once, or a named id collects no
+    test)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        for name in COPIED:
+            src = os.path.join(ROOT, name)
+            if os.path.isdir(src):
+                shutil.copytree(src, os.path.join(tmp, name),
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(src, tmp)
+        try:
+            apply(mutant, tmp)
+        except ValueError as exc:
+            return "STALE", str(exc)
+        env = {**os.environ, "PYTHONPATH": os.path.join(tmp, "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rA", "--tb=no", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+    details = []
+    verdict = "killed"
+    for test_id in mutant.tests:
+        seen = outcomes(proc.stdout, test_id)
+        failed = sum(w != "PASSED" for w in seen)
+        details.append(f"{test_id}: {failed} of {len(seen)} failed")
+        if not seen:
+            verdict = "STALE"
+        elif not failed and verdict == "killed":
+            verdict = "SURVIVED"
+    return verdict, "; ".join(details)
+
+
+def main(argv: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutants: {unknown}", file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in argv] if argv else list(MUTANTS)
+    killed = 0
+    for mutant in chosen:
+        verdict, detail = run(mutant)
+        killed += verdict == "killed"
+        print(f"{verdict:8} {mutant.name}: {detail}", flush=True)
+    print(f"{killed} of {len(chosen)} mutants killed")
+    return 0 if killed == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
