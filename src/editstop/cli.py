@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from . import harness
 from .config import ExperimentConfig
 from .errors import ArtifactMismatchError, ConfigError, NoAdmissiblePairError
+from .generate import POLICY_ALIASES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_infer.add_argument(
         "--policy",
-        choices=("fixed", "edit", "edit-freeze"),
+        choices=tuple(POLICY_ALIASES),
         default=None,
         help="override the configured policy",
     )

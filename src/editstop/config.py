@@ -21,17 +21,10 @@ from .alignment import SimilarityMode
 from .capture import AdamWConfig
 from .errors import ConfigError
 from .freeze import FreezeConfig
-from .generate import PolicyConfig
+from .generate import POLICY_ALIASES, PolicyConfig
 from .model import ModelConfig
 from .monitor import StopConfig
 from .tasks import TASK_NAMES
-
-POLICY_ALIASES = {
-    "fixed": "fixed",
-    "edit": "edit",
-    "edit_freeze": "edit_freeze",
-    "edit-freeze": "edit_freeze",
-}
 
 
 def _is_int(value) -> bool:
@@ -107,8 +100,8 @@ class ExperimentConfig:
                 f"seq_len must equal 2 * block_length = {2 * self.block_length},"
                 f" got {self.seq_len}"
             )
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError(f"seeds takes one or more integers >= 0, got {self.seeds}")
         for name, minimum in (
             ("train_steps", 1),
             ("batch_size", 1),

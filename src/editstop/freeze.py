@@ -28,7 +28,7 @@ from .errors import (
     ProbeUnsupportedError,
     VisibleSetChangedError,
 )
-from .linalg import kl_rows, softmax_rows
+from .linalg import kl_rows, softmax_rows, total_variation
 from .monitor import StopConfig
 
 POOLED_MAX_TOKENS = 8
@@ -112,8 +112,7 @@ def probe_coupling(
             continue
         delta = probe_magnitude * direction / norm
         perturbed = model_handle.counterfactual_distribution(block_state, token, delta)
-        tv = 0.5 * float(np.abs(perturbed.probs - base.probs).sum())
-        beta = max(beta, tv / probe_magnitude)
+        beta = max(beta, total_variation(perturbed, base) / probe_magnitude)
     return CouplingEstimate(
         beta_s=beta, probe_magnitude=probe_magnitude, samples=trials, token=token
     )

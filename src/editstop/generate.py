@@ -16,18 +16,18 @@ them, so tied slots commit lowest index first. The frame is the (n, d)
 array of committed rows that the freezer and the alignment scorer read
 whole.
 
-``forward`` is deterministic in the tokens, so it runs only at step 1 and
-after a step that committed a slot; the open slots are ranked right after
-it, since a step that committed none found the block full. It returns
+``forward`` is deterministic in the tokens, so it runs only on a step
+that does not repeat its predecessor (``repeats_previous``: the
+predecessor committed no slot, so it found the block full and the tokens
+are unchanged); the open slots are ranked right after it. It returns
 only the block's rows, runs on ``forward_weights``, built once per
 ``generate``, and emits every requested tap (``taps``); the first tap's
 frame is the one scored and frozen. ``record=True`` keeps each step's
 recorded forward for the offline pseudo-gradient.
 
 Step work that no caller reads is skipped. A ``fixed`` decode scores no
-frame and records no alignment. A step that repeats its predecessor
-(``repeats_previous``: neither step committed a slot, so the block is
-full) reuses the predecessor's frame, ``choice`` and tokens with ``step``
+frame and records no alignment. A repeated step commits nothing and
+reuses the predecessor's frame, ``choice`` and tokens with ``step``
 advanced, and the monitor is handed the predecessor's distribution again,
 which it scores as divergence 0.0 without a KL. The stop and certificate
 logic still runs on such steps.
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -74,6 +74,8 @@ from .model import (
 from .monitor import StabilityMonitor, StabilityState, StopConfig, StopDecision, StopReason
 
 POLICY_KINDS = ("fixed", "edit", "edit_freeze")
+# Every spelling of a kind that a config file or ``infer --policy`` takes.
+POLICY_ALIASES = {**{kind: kind for kind in POLICY_KINDS}, "edit-freeze": "edit_freeze"}
 DEFAULT_STEP_BUDGET = 32
 
 
@@ -228,14 +230,15 @@ def stop_fill(tokens, choice, mask_id: int) -> np.ndarray:
     return np.where(tokens == mask_id, choice, tokens)
 
 
-def repeats_previous(prev: StepRecord | None, committed: Sequence[int]) -> bool:
-    """Whether a step that commits ``committed`` reproduces ``prev`` exactly.
+def repeats_previous(prev: StepRecord | None) -> bool:
+    """Whether the step after ``prev`` reproduces ``prev`` exactly.
 
-    It does when neither step committed a slot: both then read the same
-    forward pass over the same committed set, so frame, ``choice`` and
-    tokens are ``prev``'s, under every policy.
+    It does when ``prev`` committed no slot: ``prev`` then found the block
+    full, so the next step reads the same forward pass over the same
+    committed set and commits nothing either; frame, ``choice`` and tokens
+    are ``prev``'s, under every policy.
     """
-    return prev is not None and not prev.committed and not committed
+    return prev is not None and not prev.committed
 
 
 def denoise_block(
@@ -301,12 +304,14 @@ def denoise_block(
     forwards: list[ForwardResult] = []
     certificate: Optional[Certificate] = None
     forward_passes = 0
-    newly: list[int] = []
 
     for step in range(1, budget + 1):
-        # Rerun forward and rank the open slots only when the last step
-        # committed a slot: a step that committed none found the block full.
-        if step == 1 or newly:
+        # Rerun forward and rank the open slots unless the step repeats
+        # its predecessor, which committed nothing as it found the block full.
+        prev = records[-1] if records else None
+        repeat = repeats_previous(prev)
+        newly: list[int] = []
+        if not repeat:
             result = forward(
                 model, tokens[None, :], taps=taps, record=record, first_row=lo, weights=weights
             )
@@ -319,16 +324,12 @@ def denoise_block(
             open_slots = (block == mask_id).nonzero()[0]
             ranked = np.argsort(-probs.max(axis=1)[open_slots], kind="stable")
             newly = open_slots[ranked[:quota]].tolist()
-        else:
-            newly = []
         acts = tap_rows
         if freezer is not None:
             # Every step advances the freezer; it pins rows and commits nothing.
             acts, _ = freezer.process(ActivationFrame(step, acts, whole_block))
 
-        prev = records[-1] if records else None
         # A repeated step's block is full, so even a stop fills no slot.
-        repeat = repeats_previous(prev, newly)
         if repeat:
             frames = prev.frames
             alignment = prev.alignment and AlignmentDistribution(prev.alignment.dist, step)

@@ -30,7 +30,7 @@ import json
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from os import PathLike
 from typing import Optional, Sequence
@@ -64,7 +64,15 @@ from .generate import (
 )
 from .linalg import softmax_rows
 from .metaformat import csv_text, io_failure
-from .model import TapSpec, ToyModel, load_checkpoint, module_path, save_checkpoint
+from .model import (
+    ADAPTERS,
+    PROJECTIONS,
+    TapSpec,
+    ToyModel,
+    load_checkpoint,
+    module_path,
+    save_checkpoint,
+)
 from .monitor import (
     StabilityState,
     StopConfig,
@@ -75,7 +83,7 @@ from .monitor import (
 )
 from .pseudograd import SftBand, analyze_trajectory, pseudograd_to_csv, sft_band
 from .tasks import SyntheticTask, make_task
-from .train import CaptureSpec, sft_train
+from .train import REDUCTIONS, CaptureSpec, sft_train
 
 CONFIG_FILE = "config.txt"
 CHECKPOINT_FILE = "checkpoint.editckpt"
@@ -91,16 +99,9 @@ ABLATION_CSV = "ablation.csv"
 CONSOLIDATED_JSON = "consolidated.json"
 CONSOLIDATED_CSV = "consolidated.csv"
 
-# The basis entry shares the captured module's name; the suffix keeps
-# module ids unique inside one metadata file.
-SUBSPACE_SUFFIX = "#subspace"
-
 # Ablation cells: every (projection, adapter, reduction) of the last
-# block's q/k/v adapters, each captured by cmd_train.
-ABLATION_PROJECTIONS = ("q", "k", "v")
-ABLATION_ADAPTERS = ("a", "b")
-ABLATION_REDUCTIONS = ("energy", "mean")
-ABLATION_SITES = tuple(product(ABLATION_PROJECTIONS, ABLATION_ADAPTERS, ABLATION_REDUCTIONS))
+# block's q/k/v adapters, each captured by cmd_train in this order.
+ABLATION_SITES = tuple(product(PROJECTIONS, ADAPTERS, REDUCTIONS))
 
 
 # --- small shared utilities ----------------------------------------------
@@ -215,16 +216,16 @@ def load_artifacts(config: ExperimentConfig, run_dir: str) -> Artifacts:
         )
     vectors, bases = load_metadata(meta_path)
     summaries = {v.module_id: v for v in vectors}
-    wanted = CaptureSpec(model.default_tap().module).metadata_id
-    vector = _summary(summaries, wanted)
+    default = CaptureSpec(model.default_tap().module)
+    vector = _summary(summaries, default.metadata_id)
     for entry in [*vectors, *bases]:
         if entry.d_out != config.d_model:
             raise ArtifactMismatchError(
                 f"metadata dimension {entry.d_out} does not match d_model {config.d_model}"
             )
-    basis = next((b for b in bases if b.source_module == wanted + SUBSPACE_SUFFIX), None)
+    basis = next((b for b in bases if b.source_module == default.basis_id), None)
     if basis is None:
-        raise ArtifactMismatchError(f"metadata has no subspace basis for {wanted!r}")
+        raise ArtifactMismatchError(f"metadata has no subspace basis for {default.metadata_id!r}")
     if basis.k != config.subspace_k:
         raise ArtifactMismatchError(
             f"metadata basis has k={basis.k}, but the config sets subspace_k={config.subspace_k}"
@@ -286,9 +287,7 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     save_checkpoint(result.model, ckpt_path)
 
     basis = build_subspace(
-        result.evolution_tensors[default.param_key],
-        config.subspace_k,
-        default.metadata_id + SUBSPACE_SUFFIX,
+        result.evolution_tensors[default.param_key], config.subspace_k, default.basis_id
     )
     # An adapter A that never moved (one step from B = 0) has an all-zero
     # summary, which the metadata format refuses; ablate reports it missing.
@@ -318,39 +317,6 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 
 
 # --- cmd_infer ------------------------------------------------------------
-
-@dataclass
-class SeedReport:
-    """One seed's results. The counters cover every instance, not only the
-    traced ones: ``stop_step_histogram`` lists ``[steps, blocks]`` pairs in
-    increasing step order, ``max_step_divergence`` is the largest
-    step divergence any monitor recorded, and ``vacuity_ratio`` is that
-    divergence over delta. Both are None without a monitor (``fixed``), and
-    the ratio is also None at delta 0. ``stop_reasons`` counts blocks per
-    stop reason (None under ``fixed``); ``rejected_stops`` and
-    ``freeze_events`` are totals over all blocks. ``min_margin`` and
-    ``beta_quantile_margin`` (``margin_quantile`` at the config's beta) read
-    every early-stopped block's certificate margin; None without stops."""
-
-    seed: int
-    accuracy: float
-    avg_steps: float
-    baseline_steps: float
-    reduction_percent: float
-    certified_fraction: float
-    n_instances: int
-    n_early_stops: int
-    forward_passes: int
-    stop_step_histogram: list[list[int]]
-    max_step_divergence: Optional[float]
-    vacuity_ratio: Optional[float]
-    min_margin: Optional[float]
-    beta_quantile_margin: Optional[float]
-    stop_reasons: Optional[dict[str, int]]
-    rejected_stops: int
-    freeze_events: int
-    trace_files: list[str]
-
 
 def _read_calibration(path: str | None) -> tuple[Optional[float], Optional[float]]:
     """``(alpha_hat, margin_quantile)`` of a calibration file; ``alpha_hat`` is
@@ -399,7 +365,19 @@ def cmd_infer(
     calibration_path: str | None = None,
 ) -> dict:
     """Evaluate the chosen stop policy across seeds and write the report:
-    each seed's ``SeedReport`` and the mean of its headline figures."""
+    each seed's results and the mean of its headline figures.
+
+    A seed's counters cover every instance, not only the traced ones:
+    ``stop_step_histogram`` lists ``[steps, blocks]`` pairs in increasing
+    step order, ``max_step_divergence`` is the largest step divergence any
+    monitor recorded, and ``vacuity_ratio`` is that divergence over delta.
+    Both are None without a monitor (``fixed``), and the ratio is also None
+    at delta 0. ``stop_reasons`` counts blocks per stop reason (None under
+    ``fixed``); ``rejected_stops`` and ``freeze_events`` are totals over all
+    blocks. ``min_margin`` and ``beta_quantile_margin`` (``margin_quantile``
+    at the config's beta) read every early-stopped block's certificate
+    margin; None without stops.
+    """
     run_dir = run_dir if run_dir is not None else config.out_dir
     artifacts_dir = artifacts_dir if artifacts_dir is not None else run_dir
     traces_dir = os.path.join(run_dir, TRACES_DIR)
@@ -410,7 +388,7 @@ def cmd_infer(
 
     alpha_hat, quantile = _read_calibration(calibration_path)
     stop_cfg = config.stop_config()
-    seed_reports: list[SeedReport] = []
+    seed_reports: list[dict] = []
     generation_lines: list[str] = []
 
     for seed in config.seeds:
@@ -512,34 +490,34 @@ def cmd_infer(
         )
         certified = n_pac / len(margins) if margins else 0.0
         seed_reports.append(
-            SeedReport(
-                seed=seed,
-                accuracy=float(np.mean(exacts)),
-                avg_steps=avg_steps,
-                baseline_steps=baseline,
-                reduction_percent=100.0 * (1.0 - avg_steps / baseline),
-                certified_fraction=certified,
-                n_instances=len(instances),
-                n_early_stops=len(margins),
-                forward_passes=sum(b.forward_passes for b in blocks),
-                stop_step_histogram=sorted([k, n] for k, n in stop_steps.items()),
-                max_step_divergence=max_divergence,
-                vacuity_ratio=vacuity,
-                min_margin=min(margins) if margins else None,
-                beta_quantile_margin=margin_quantile(margins, config.beta) if margins else None,
-                stop_reasons=reasons,
-                rejected_stops=sum(len(b.rejected_stops) for b in blocks),
-                freeze_events=sum(len(b.freeze_events) for b in blocks),
-                trace_files=trace_files,
-            )
+            {
+                "seed": seed,
+                "accuracy": float(np.mean(exacts)),
+                "avg_steps": avg_steps,
+                "baseline_steps": baseline,
+                "reduction_percent": 100.0 * (1.0 - avg_steps / baseline),
+                "certified_fraction": certified,
+                "n_instances": len(instances),
+                "n_early_stops": len(margins),
+                "forward_passes": sum(b.forward_passes for b in blocks),
+                "stop_step_histogram": sorted([k, n] for k, n in stop_steps.items()),
+                "max_step_divergence": max_divergence,
+                "vacuity_ratio": vacuity,
+                "min_margin": min(margins) if margins else None,
+                "beta_quantile_margin": margin_quantile(margins, config.beta) if margins else None,
+                "stop_reasons": reasons,
+                "rejected_stops": sum(len(b.rejected_stops) for b in blocks),
+                "freeze_events": sum(len(b.freeze_events) for b in blocks),
+                "trace_files": trace_files,
+            }
         )
 
     means = ("accuracy", "avg_steps", "reduction_percent", "certified_fraction")
     report = {
         "policy": policy.kind,
         "budget": config.budget,
-        "per_seed": [asdict(s) for s in seed_reports],
-        "mean": {k: float(np.mean([getattr(s, k) for s in seed_reports])) for k in means},
+        "per_seed": seed_reports,
+        "mean": {k: float(np.mean([s[k] for s in seed_reports])) for k in means},
     }
     _write_json(os.path.join(run_dir, REPORT_FILE), report)
     _write_text(os.path.join(run_dir, GENERATIONS_FILE), "\n".join(generation_lines) + "\n")
@@ -571,7 +549,7 @@ def replay_stop(
     """
     state, cfg = StabilityState(), StopConfig(delta=delta, omega=omega)
     for row in block.monitor_state.divergence_trace:
-        if update_counter(state, row.divergence, cfg, step=row.step)[1].stop:
+        if update_counter(state, row.divergence, cfg, step=row.step).stop:
             break
     stop = state.stopped_at
     if stop is None:
@@ -809,7 +787,7 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
         for site in ABLATION_SITES
     }
     last = config.n_blocks - 1
-    taps = tuple(TapSpec(module_path(last, proj)) for proj in ABLATION_PROJECTIONS)
+    taps = tuple(TapSpec(module_path(last, proj)) for proj in PROJECTIONS)
 
     n_eval = min(config.eval_instances, 16)
     instances = _sample_instances(task, (config.model_seed, 505), n_eval)
@@ -828,19 +806,14 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
         ).blocks
         forward_passes += block.forward_passes
         records = block.trajectory.records
-        repeats = [
-            repeats_previous(records[i - 1] if i else None, rec.committed)
-            for i, rec in enumerate(records)
-        ]
+        repeats = [repeats_previous(prev) for prev in [None, *records[:-1]]]
         distinct = [rec for rec, repeat in zip(records, repeats) if not repeat]
         cell_scores = []
-        for which, proj in enumerate(ABLATION_PROJECTIONS):
+        for which, proj in enumerate(PROJECTIONS):
             # One projection's frames at a time, so one stack is held.
             stacked = np.concatenate([rec.frames[which].activations for rec in distinct])
-            cell_scores += [
-                score_alignment(stacked, vectors[proj, adapter, reduction])
-                for adapter, reduction in product(ABLATION_ADAPTERS, ABLATION_REDUCTIONS)
-            ]
+            sites = [site for site in ABLATION_SITES if site[0] == proj]
+            cell_scores += [score_alignment(stacked, vectors[site]) for site in sites]
         # Row c scores cell ABLATION_SITES[c]; each distinct step owns the
         # next columns.
         scores = np.stack(cell_scores)

@@ -76,6 +76,14 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def payload(self, n: int, name: str) -> bytes:
+        """``n`` payload bytes of the entry ``name``, checked against the
+        CRC32 that follows them (``checked_payload``)."""
+        data = self.take(n)
+        if self.u32() != zlib.crc32(data):
+            raise ChecksumMismatchError(f"payload checksum mismatch for {name!r}")
+        return data
+
     def name(self) -> str:
         """A u16-length-prefixed UTF-8 name (a module id or parameter name)."""
         raw = self.take(self.u16())
@@ -138,18 +146,19 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def checked_payload(arr: np.ndarray, dtype: str) -> bytes:
+    """``arr`` as C-order ``dtype`` bytes followed by their CRC32, the
+    payload that ``_Reader.payload`` reads back."""
+    data = np.ascontiguousarray(arr, dtype=dtype).tobytes()
+    return data + struct.pack("<I", zlib.crc32(data))
+
+
 def _encode_entry(module_id: str, kind: int, d_out: int, rank: int, coeffs: np.ndarray) -> bytes:
     ident = module_id.encode("utf-8")
     if len(ident) > 0xFFFF:
         raise EmptyInputError(f"module_id too long: {len(ident)} bytes")
-    payload = np.ascontiguousarray(coeffs, dtype="<f4").tobytes()
-    out = bytearray()
-    out += struct.pack("<H", len(ident))
-    out += ident
-    out += struct.pack("<BII", kind, d_out, rank)
-    out += payload
-    out += struct.pack("<I", zlib.crc32(payload))
-    return bytes(out)
+    header = struct.pack("<H", len(ident)) + ident + struct.pack("<BII", kind, d_out, rank)
+    return header + checked_payload(coeffs, "<f4")
 
 
 def persist_metadata(
@@ -193,14 +202,9 @@ def load_metadata(path: str | PathLike) -> tuple[list[EvolutionVector], list[Sub
         kind = rd.u8()
         d_out = rd.u32()
         rank = rd.u32()
-        if kind == KIND_VECTOR:
-            payload = rd.take(d_out * 4)
-        elif kind == KIND_SUBSPACE:
-            payload = rd.take(d_out * rank * 4)
-        else:
+        if kind not in (KIND_VECTOR, KIND_SUBSPACE):
             raise TruncatedFileError(f"unknown entry kind {kind}")
-        if rd.u32() != zlib.crc32(payload):
-            raise ChecksumMismatchError(f"payload checksum mismatch for {ident!r}")
+        payload = rd.payload(d_out * (1 if kind == KIND_VECTOR else rank) * 4, ident)
         coeffs = np.frombuffer(payload, dtype="<f4").astype(np.float64)
         if kind == KIND_VECTOR:
             vectors.append(EvolutionVector(coeffs, ident, rank))

@@ -77,7 +77,6 @@ class TraceRow:
 @dataclass
 class StabilityState:
     counter: int = 0
-    prev_distribution: AlignmentDistribution | None = None
     divergence_trace: list[TraceRow] = field(default_factory=list)
     stopped_at: int | None = None
 
@@ -114,8 +113,8 @@ def update_counter(
     cfg: StopConfig,
     step: int,
     matched_support: int = 0,
-) -> tuple[StabilityState, StopDecision]:
-    """Advance the run-length counter with the divergence observed at ``step``.
+) -> StopDecision:
+    """Advance ``state``'s run-length counter with the divergence observed at ``step``.
 
     Strictly-below-threshold divergences increment; anything at or above
     the threshold resets to zero. The stop fires the first time the
@@ -134,24 +133,24 @@ def update_counter(
         TraceRow(step, d_t, matched_support, state.counter, fired)
     )
     if state.stopped_at is not None:
-        decision = StopDecision(state.stopped_at, StopReason.RUN_LENGTH_MET, state.counter)
-    else:
-        decision = StopDecision(step, StopReason.STILL_RUNNING, state.counter)
-    return state, decision
+        return StopDecision(state.stopped_at, StopReason.RUN_LENGTH_MET, state.counter)
+    return StopDecision(step, StopReason.STILL_RUNNING, state.counter)
 
 
 class StabilityMonitor:
-    """Sequential consumer of alignment distributions for one block."""
+    """Sequential consumer of alignment distributions for one block; the
+    last distribution it accepted is ``prev_distribution``."""
 
     def __init__(self, cfg: StopConfig):
         self.cfg = cfg
         self.state = StabilityState()
+        self.prev_distribution: AlignmentDistribution | None = None
 
     def observe(self, dist: AlignmentDistribution) -> StopDecision:
-        prev = self.state.prev_distribution
+        prev = self.prev_distribution
         if prev is None:
             # No predecessor to compare against; counter untouched.
-            self.state.prev_distribution = dist
+            self.prev_distribution = dist
             return StopDecision(dist.step, StopReason.STILL_RUNNING, 0)
         if dist.step <= prev.step:
             raise NonMonotoneVisibleSetError(
@@ -164,11 +163,10 @@ class StabilityMonitor:
             # Refuses a support that dropped a member of prev's.
             p, q = dist.dist, prev.dist
             d_t = float(matched_kl_rows(p.probs[None], p.support, q.probs[None], q.support)[0])
-        self.state.prev_distribution = dist
-        _, decision = update_counter(
+        self.prev_distribution = dist
+        return update_counter(
             self.state, d_t, self.cfg, step=dist.step, matched_support=len(prev.dist)
         )
-        return decision
 
     def reject(self, step: int) -> None:
         """Release the stop that fired at ``step`` after the caller refused it.

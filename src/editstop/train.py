@@ -37,6 +37,7 @@ from .model import (
 from .tasks import SyntheticTask
 
 MASKING_RATES = (0.25, 0.5, 0.75)
+REDUCTIONS = ("energy", "mean")
 MEAN_SUFFIX = "#mean"
 
 
@@ -47,8 +48,9 @@ class CaptureSpec:
     ``reduction`` picks how the accumulated update tensor is summarized
     into a per-dimension vector: L2 norm per output row or mean absolute
     value per output row. Energy summaries keep the bare parameter key
-    as their id; mean summaries add ``MEAN_SUFFIX``, so both reductions
-    of one adapter can sit in one metadata file.
+    as their id; mean summaries add ``MEAN_SUFFIX``, and the adapter's
+    subspace basis adds ``#subspace`` (``basis_id``), so every summary of
+    one adapter can sit in one metadata file.
     """
 
     module: str
@@ -57,10 +59,8 @@ class CaptureSpec:
 
     def __post_init__(self):
         self.param_key  # raises ValueError on a bad module path or adapter
-        if self.reduction not in ("energy", "mean"):
-            raise ValueError(
-                f"reduction must be 'energy' or 'mean', got {self.reduction!r}"
-            )
+        if self.reduction not in REDUCTIONS:
+            raise ValueError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
 
     @property
     def param_key(self) -> str:
@@ -69,6 +69,10 @@ class CaptureSpec:
     @property
     def metadata_id(self) -> str:
         return self.param_key + (MEAN_SUFFIX if self.reduction == "mean" else "")
+
+    @property
+    def basis_id(self) -> str:
+        return self.param_key + "#subspace"
 
 
 @dataclass

@@ -41,12 +41,7 @@ from editstop.errors import (
 from editstop.capture import SubspaceBasis
 from editstop.freeze import FreezeConfig, FreezeEvent
 from editstop.generate import PolicyConfig, generate
-from editstop.harness import (
-    ABLATION_ADAPTERS,
-    ABLATION_PROJECTIONS,
-    ABLATION_REDUCTIONS,
-    _sample_instances,
-)
+from editstop.harness import ABLATION_SITES, _sample_instances
 from editstop.linalg import NORM_FLOOR, ProbVector, kl_divergence, softmax_rows, total_variation
 from editstop.metaformat import load_metadata
 from editstop.model import (
@@ -885,9 +880,7 @@ def reference_ablation_cells(config, run_dir) -> dict:
         "edit", stop=StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk)
     )
     cells = {}
-    for proj, adapter, reduction in product(
-        ABLATION_PROJECTIONS, ABLATION_ADAPTERS, ABLATION_REDUCTIONS
-    ):
+    for proj, adapter, reduction in ABLATION_SITES:
         module = f"block{config.n_blocks - 1}.{proj}"
         vector = stored[f"{module}.lora_{adapter}" + ("#mean" if reduction == "mean" else "")]
         values = []

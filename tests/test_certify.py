@@ -122,7 +122,7 @@ class TestVerifyRunlengthBound:
         chain = make_chain([[0.5, 0.5]] * 4)
         state = StabilityState()
         for step, d in enumerate((0.01, 0.2, 0.01), 1):
-            state, _ = update_counter(state, d, StopConfig(delta=0.05, omega=3), step)
+            update_counter(state, d, StopConfig(delta=0.05, omega=3), step)
         with pytest.raises(ValueError):
             verify_runlength_bound(chain, 0.05, 3, state=state)
 
@@ -130,7 +130,7 @@ class TestVerifyRunlengthBound:
         chain = make_chain([[0.5, 0.5]] * 4)
         state = StabilityState()
         for step, d in enumerate((0.01, 0.02, 0.01), 1):
-            state, _ = update_counter(state, d, StopConfig(delta=0.05, omega=3), step)
+            update_counter(state, d, StopConfig(delta=0.05, omega=3), step)
         assert verify_runlength_bound(chain, 0.05, 3, state=state)
 
 

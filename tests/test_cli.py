@@ -19,7 +19,7 @@ from editstop.harness import (
     TRACES_DIR,
 )
 from editstop.metaformat import load_metadata, persist_metadata, read_framed, write_framed
-from editstop.model import CKPT_MAGIC, CKPT_VERSION
+from editstop.model import CKPT_MAGIC, CKPT_VERSION, load_checkpoint, save_checkpoint
 
 SMALL = """\
 vocab_size = 12
@@ -311,10 +311,11 @@ class TestUnusableArtifacts:
         [
             lambda cfg: {**cfg, "dropout": 0.1},
             lambda cfg: {**cfg, "vocab_size": 2},
+            lambda cfg: {**cfg, "seed": -1},
             lambda cfg: list(cfg),
             lambda cfg: "not json",
         ],
-        ids=["extra_key", "refused_value", "not_an_object", "not_json"],
+        ids=["extra_key", "refused_value", "negative_seed", "not_an_object", "not_json"],
     )
     def test_checkpoint_with_a_config_the_model_refuses_exits_three(
         self, trained_cli, tmp_path, capsys, blob
@@ -361,6 +362,34 @@ class TestUnusableArtifacts:
         code = main(argv + (["--policy", policy] if policy else []))
         assert code == EXIT_ARTIFACT
         assert "metadata has no subspace basis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, misfit",
+        [
+            (lambda m: m.lora.pop("block0.k.lora_a"), "lora arrays misfit: ['block0.k.lora_a"),
+            (lambda m: m.lora.update({"block0.k.lora_c": m.lora["block0.k.lora_a"]}),
+             "lora arrays misfit: ['block0.k.lora_c"),
+            (lambda m: m.base.update({"block1.w1": m.base["block1.w1"][:, :-1]}),
+             "base arrays misfit: ['block1.w1"),
+        ],
+        ids=["missing_array", "extra_array", "narrowed_array"],
+    )
+    def test_checkpoint_arrays_that_misfit_its_config_exit_three(
+        self, trained_cli, tmp_path, capsys, change, misfit
+    ):
+        # A checkpoint re-saved with one array missing, added or narrowed:
+        # its own config needs other arrays than the ones it holds.
+        cfg_path, run_dir = trained_cli
+        art = tmp_path / "art"
+        art.mkdir()
+        shutil.copy(os.path.join(run_dir, METADATA_FILE), art)
+        model = load_checkpoint(os.path.join(run_dir, CHECKPOINT_FILE))
+        change(model)
+        save_checkpoint(model, str(art / CHECKPOINT_FILE))
+        code = main(["infer", "--config", cfg_path, "--artifacts", str(art),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_ARTIFACT
+        assert f"artifact error: checkpoint {misfit}" in capsys.readouterr().err
 
     def test_json_artifact_that_is_not_utf8_exits_three(self, trained_cli, tmp_path, capsys):
         cfg_path, _ = trained_cli
@@ -427,6 +456,32 @@ class TestMistypedConfig:
         assert not os.path.exists(tmp_path / "run")
 
 
+class TestNegativeSeeds:
+    """A negative seed is a configuration error (exit 2), whether the
+    config file or ``--seed`` gives it, not a numpy traceback."""
+
+    def test_negative_model_seed_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.txt"
+        cfg_path.write_text(SMALL + "model_seed = -1\n")
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seeds, flags",
+        [("[-1]", []), ("[1]", ["--seed", "-1"]), ("[1]", ["--seed", "2", "--seed", "-3"])],
+        ids=["config_seeds", "seed_flag", "second_seed_flag"],
+    )
+    def test_negative_evaluation_seed_exits_two(self, trained_cli, tmp_path, capsys, seeds, flags):
+        _, run_dir = trained_cli
+        cfg_path = tmp_path / "exp.txt"
+        cfg_path.write_text(SMALL.replace("seeds = [1]", f"seeds = {seeds}"))
+        code = main(["infer", "--config", str(cfg_path), "--artifacts", run_dir,
+                     "--out", str(tmp_path / "out"), *flags])
+        assert code == EXIT_CONFIG
+        assert "seeds takes one or more integers >= 0" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_train_prints_loss(self, trained_cli, capsys):
         cfg_path, run_dir = trained_cli
@@ -464,6 +519,19 @@ class TestCommands:
         assert report["policy"] == "fixed"
         assert [s["seed"] for s in report["per_seed"]] == [7, 8]
         assert report["mean"]["avg_steps"] == 12.0
+
+    def test_policy_spellings_write_the_same_report(self, trained_cli, tmp_path):
+        # ``--policy`` takes every spelling a config file takes.
+        cfg_path, run_dir = trained_cli
+        reports = []
+        for spelling in ("edit_freeze", "edit-freeze"):
+            out = str(tmp_path / spelling)
+            argv = ["infer", "--config", cfg_path, "--artifacts", run_dir, "--out", out]
+            assert main(argv + ["--policy", spelling]) == EXIT_OK
+            with open(os.path.join(out, REPORT_FILE), "rb") as fh:
+                reports.append(fh.read())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["policy"] == "edit_freeze"
 
     def test_ablate_reads_trained_run(self, trained_cli, capsys, monkeypatch):
         cfg_path, run_dir = trained_cli

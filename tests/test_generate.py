@@ -661,7 +661,7 @@ class TestMultiTap:
         for prev, rec in zip(records, records[1:]):
             assert len(rec.frames) == 3
             assert all(f.visible is rec.frame.visible for f in rec.frames[1:])
-            repeat = repeats_previous(prev, rec.committed)
+            repeat = repeats_previous(prev)
             n_repeats += repeat
             assert all((a is b) == repeat for a, b in zip(rec.frames, prev.frames))
         assert n_repeats == 15
@@ -707,7 +707,7 @@ class TestSkippedStepWork:
             repeats = [
                 rec.step
                 for prev, rec in zip(records, records[1:])
-                if repeats_previous(prev, rec.committed)
+                if repeats_previous(prev)
             ]
             assert repeats == list(range(18, 33))
             n_repeats += len(repeats)
@@ -759,10 +759,9 @@ class TestSkippedStepWork:
         def record(committed):
             return StepRecord(1, committed, (0,), (0,), (frame,), None)
 
-        assert not repeats_previous(None, ())
-        assert not repeats_previous(record((4,)), ())
-        assert not repeats_previous(record(()), (5,))
-        assert repeats_previous(record(()), ())
+        assert not repeats_previous(None)
+        assert not repeats_previous(record((4,)))
+        assert repeats_previous(record(()))
 
 
 class TestDerivedStop:

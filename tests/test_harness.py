@@ -46,7 +46,6 @@ from editstop.harness import (
     GENERATIONS_FILE,
     METADATA_FILE,
     REPORT_FILE,
-    SUBSPACE_SUFFIX,
     TRACES_DIR,
     cmd_ablate,
     cmd_calibrate,
@@ -167,7 +166,7 @@ class TestTrain:
             for suffix in ("", "#mean")
         )
         assert len(bases) == 1
-        assert bases[0].source_module == "block1.q.lora_b" + SUBSPACE_SUFFIX
+        assert bases[0].source_module == "block1.q.lora_b#subspace"
         assert all(v.d_out == cfg.d_model for v in vectors)
         assert bases[0].k == cfg.subspace_k
 

@@ -230,7 +230,7 @@ class TestUpdateCounter:
         state = StabilityState()
         decisions = []
         for step, d in enumerate(divergences, 1):
-            state, dec = update_counter(state, d, cfg, step)
+            dec = update_counter(state, d, cfg, step)
             decisions.append(dec)
         return state, decisions
 
@@ -264,7 +264,7 @@ class TestUpdateCounter:
         state = StabilityState()
         hits = 0
         for step in range(1, 201):
-            state, dec = update_counter(state, float(rng.uniform(0.0, 0.1)), cfg, step)
+            dec = update_counter(state, float(rng.uniform(0.0, 0.1)), cfg, step)
             if dec.stop:
                 hits += 1
                 break
@@ -275,7 +275,7 @@ class TestUpdateCounter:
         cfg = StopConfig(delta=1.0, omega=100)
         state = StabilityState()
         for i in range(50):
-            state, _ = update_counter(state, 0.0, cfg, i + 1)
+            update_counter(state, 0.0, cfg, i + 1)
             assert state.counter == i + 1
 
     def test_negative_divergence_rejected(self):
@@ -323,7 +323,7 @@ class TestStabilityMonitor:
         with pytest.raises(NonMonotoneVisibleSetError):
             monitor.observe(make_dist(np.full(len(after), 1.0 / len(after)), after, step=2))
         assert monitor.state.divergence_trace == []
-        assert monitor.state.prev_distribution.step == 1
+        assert monitor.prev_distribution.step == 1
 
     def test_step_must_advance(self):
         monitor = StabilityMonitor(StopConfig())
@@ -487,7 +487,7 @@ class TestTraceCsv:
         cfg = StopConfig(delta=0.05, omega=2)
         state = StabilityState()
         for step, d in enumerate((0.2, 0.01, 0.01), 1):
-            state, _ = update_counter(state, d, cfg, step, matched_support=3)
+            update_counter(state, d, cfg, step, matched_support=3)
         text = trace_to_csv(state)
         lines = text.strip().split("\n")
         assert lines[0] == "step,divergence,matched_support,counter,stopped"

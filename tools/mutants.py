@@ -81,10 +81,10 @@ MUTANTS = (
     Mutant(
         "extra_forward_per_block",
         "src/editstop/generate.py",
-        "        if step == 1 or newly:\n",
+        "        if not repeat:\n",
         "        if step == 1:\n"
         "            forward(model, tokens[None, :], first_row=lo, weights=weights)\n"
-        "        if step == 1 or newly:\n",
+        "        if not repeat:\n",
         ("tests/test_bench_bindings.py::test_a_traced_decode_counts_every_forward_and_probvector",),
     ),
     Mutant(
@@ -137,6 +137,50 @@ MUTANTS = (
         "for st in self.states.values()",
         "for st in sorted(self.states.values(), key=lambda st: -st.token)",
         ("tests/test_freeze.py",),
+    ),
+    Mutant(
+        "repeat_rule_ignores_committed",
+        "src/editstop/generate.py",
+        "    return prev is not None and not prev.committed\n",
+        "    return prev is not None\n",
+        ("tests/test_generate.py::TestSkippedStepWork::test_repeats_previous",
+         "tests/test_generate.py::TestSkippedStepWork::test_repeated_steps_reuse_the_previous_distribution"),
+    ),
+    Mutant(
+        "monitor_moves_prev_on_a_refused_support",
+        "src/editstop/monitor.py",
+        "            # Refuses a support that dropped a member of prev's.\n",
+        "            self.prev_distribution = dist\n"
+        "            # Refuses a support that dropped a member of prev's.\n",
+        ("tests/test_monitor.py::TestStabilityMonitor::test_support_dropping_a_member_is_rejected",),
+    ),
+    Mutant(
+        "checkpoint_layout_unchecked",
+        "src/editstop/model.py",
+        "        if misfits:\n",
+        "        if misfits and False:\n",
+        ("tests/test_cli.py::TestUnusableArtifacts::test_checkpoint_arrays_that_misfit_its_config_exit_three",),
+    ),
+    Mutant(
+        "negative_evaluation_seed_accepted",
+        "src/editstop/config.py",
+        "if not self.seeds or min(self.seeds) < 0:",
+        "if not self.seeds:",
+        ("tests/test_cli.py::TestNegativeSeeds::test_negative_evaluation_seed_exits_two",),
+    ),
+    Mutant(
+        "negative_model_seed_accepted",
+        "src/editstop/model.py",
+        "        if self.seed < 0:\n",
+        "        if self.seed < 0 and False:\n",
+        ("tests/test_cli.py::TestNegativeSeeds::test_negative_model_seed_exits_two",),
+    ),
+    Mutant(
+        "policy_flag_takes_fewer_spellings",
+        "src/editstop/cli.py",
+        "        choices=tuple(POLICY_ALIASES),\n",
+        '        choices=("fixed", "edit", "edit-freeze"),\n',
+        ("tests/test_cli.py::TestCommands::test_policy_spellings_write_the_same_report",),
     ),
     Mutant(
         "cmd_train_batch_size_fixed",
