@@ -29,7 +29,6 @@ from .monitor import StopConfig
 DELTA_GRID: tuple[float, ...] = (0.025, 0.05, 0.1, 0.25, 0.45, 0.55)
 OMEGA_GRID: tuple[int, ...] = (6, 8, 10, 12)
 
-TV_SLACK = 1e-9
 DENOM_FLOOR = 1e-9
 
 

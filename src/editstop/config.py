@@ -42,6 +42,14 @@ FIELD_TYPES = {
 }
 
 
+def _policy_kind(spelling: str) -> str:
+    """The policy kind ``spelling`` names; a spelling that names none is a
+    ``ConfigError``."""
+    if spelling not in POLICY_ALIASES:
+        raise ConfigError(f"policy must be one of {sorted(POLICY_ALIASES)}, got {spelling!r}")
+    return POLICY_ALIASES[spelling]
+
+
 @dataclass
 class ExperimentConfig:
     task: str = "copy_reverse"
@@ -83,11 +91,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} takes {takes}, got {value!r}")
         if self.task not in TASK_NAMES:
             raise ConfigError(f"task must be one of {TASK_NAMES}, got {self.task!r}")
-        if self.policy not in POLICY_ALIASES:
-            raise ConfigError(
-                f"policy must be one of {sorted(POLICY_ALIASES)}, got {self.policy!r}"
-            )
-        self.policy = POLICY_ALIASES[self.policy]
+        self.policy = _policy_kind(self.policy)
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError(
                 f"validation_fraction must lie in (0, 1), got {self.validation_fraction}"
@@ -156,7 +160,7 @@ class ExperimentConfig:
 
     def policy_config(self, kind: str | None = None) -> PolicyConfig:
         return PolicyConfig(
-            kind=POLICY_ALIASES[kind] if kind is not None else self.policy,
+            kind=_policy_kind(kind) if kind is not None else self.policy,
             stop=self.stop_config(),
             freeze=self.freeze_config(),
             strict_certificates=self.strict_certificates,

@@ -54,9 +54,9 @@ class FreezeConfig:
 
 @dataclass(frozen=True)
 class TokenFreezeState:
-    """One frozen token: the step it froze at, its pinned activation
-    (read-only) and ``epsilon_s``, the largest step-to-step activation
-    movement over the window that froze it."""
+    """One frozen token, which is also its block's freeze event: the step
+    it froze at, its pinned activation (read-only) and ``epsilon_s``, the
+    largest step-to-step activation movement over the window that froze it."""
 
     token: int
     frozen_at: int
@@ -169,8 +169,6 @@ def freeze_safety(
     """
     if not 0.0 <= alpha_hat < 1.0:
         raise AlphaNotContractiveError(f"alpha_hat must be in [0, 1), got {alpha_hat}")
-    if state.frozen_at is None:
-        raise ValueError(f"token {state.token} is not frozen")
     bound = (coupling.beta_s / (1.0 - alpha_hat)) * state.epsilon_s
     combined = tv_budget(global_cfg.delta, global_cfg.omega) + bound
     half = global_margin / 2.0
@@ -181,13 +179,6 @@ def freeze_safety(
         global_margin_half=half,
         safe=combined < half,
     )
-
-
-@dataclass(frozen=True)
-class FreezeEvent:
-    step: int
-    token: int
-    epsilon_s: float
 
 
 class TokenFreezer:
@@ -209,13 +200,6 @@ class TokenFreezer:
         self.cfg = cfg
         self.states: dict[int, TokenFreezeState] = {}
         self._members: tuple[int, ...] | None = None
-
-    @property
-    def events(self) -> tuple[FreezeEvent, ...]:
-        """One event per frozen token, in freeze order."""
-        return tuple(
-            FreezeEvent(st.frozen_at, st.token, st.epsilon_s) for st in self.states.values()
-        )
 
     def _local_distributions(self, rows: np.ndarray) -> np.ndarray:
         """Each row's distribution over the subspace components, as an

@@ -61,7 +61,7 @@ from .alignment import (
 from .capture import EvolutionVector, SubspaceBasis
 from .certify import Certificate, MarginReport, build_certificate
 from .errors import NonMonotoneVisibleSetError, ScheduleExhaustedError
-from .freeze import FreezeConfig, FreezeEvent, TokenFreezer
+from .freeze import FreezeConfig, TokenFreezer, TokenFreezeState
 from .model import (
     ForwardResult,
     ForwardWeights,
@@ -71,7 +71,7 @@ from .model import (
     forward_weights,
     predictive_distributions,
 )
-from .monitor import StabilityMonitor, StabilityState, StopConfig, StopDecision, StopReason
+from .monitor import StabilityMonitor, StopConfig, StopDecision, StopReason
 
 POLICY_KINDS = ("fixed", "edit", "edit_freeze")
 # Every spelling of a kind that a config file or ``infer --policy`` takes.
@@ -161,14 +161,15 @@ class DenoiseTrajectory:
 
 @dataclass
 class BlockResult:
-    """One block's decode. The monitor's state holds the stop rule's whole
-    record, so the stop decision, the stops a strict certificate refused
-    and whether the block stopped early are read off it, not stored."""
+    """One block's decode. ``monitor`` holds the stop rule's whole record,
+    so the stop decision, the stops a strict certificate refused and
+    whether the block stopped early are read off it, not stored.
+    ``freeze_events`` holds the freezer's states, in freeze order."""
 
     trajectory: DenoiseTrajectory
-    monitor_state: Optional[StabilityState]
+    monitor: Optional[StabilityMonitor]
     certificate: Optional[Certificate]
-    freeze_events: tuple[FreezeEvent, ...]
+    freeze_events: tuple[TokenFreezeState, ...]
     forward_passes: int
 
     @property
@@ -181,26 +182,26 @@ class BlockResult:
 
     @property
     def stopped_early(self) -> bool:
-        return self.monitor_state is not None and self.monitor_state.stopped_at is not None
+        return self.monitor is not None and self.monitor.stopped_at is not None
 
     @property
     def stop_decision(self) -> Optional[StopDecision]:
         """None without a monitor; else the accepted stop, or the budget's end."""
-        state = self.monitor_state
-        if state is None:
+        monitor = self.monitor
+        if monitor is None:
             return None
-        if state.stopped_at is not None:
-            return StopDecision(state.stopped_at, StopReason.RUN_LENGTH_MET, state.counter)
-        return StopDecision(self.steps_used, StopReason.BUDGET_EXHAUSTED, state.counter)
+        if monitor.stopped_at is not None:
+            return StopDecision(monitor.stopped_at, StopReason.RUN_LENGTH_MET, monitor.counter)
+        return StopDecision(self.steps_used, StopReason.BUDGET_EXHAUSTED, monitor.counter)
 
     @property
     def rejected_stops(self) -> tuple[int, ...]:
         """Steps whose stop a strict certificate refused: each fired stop
         leaves a ``stopped`` trace row, and a refused one releases
         ``stopped_at``."""
-        state = self.monitor_state
-        rows = state.divergence_trace if state is not None else ()
-        return tuple(r.step for r in rows if r.stopped and r.step != state.stopped_at)
+        monitor = self.monitor
+        rows = monitor.divergence_trace if monitor is not None else ()
+        return tuple(r.step for r in rows if r.stopped and r.step != monitor.stopped_at)
 
 
 @dataclass
@@ -383,9 +384,9 @@ def denoise_block(
     )
     return BlockResult(
         trajectory=trajectory,
-        monitor_state=monitor.state if monitor is not None else None,
+        monitor=monitor,
         certificate=certificate,
-        freeze_events=freezer.events if freezer is not None else (),
+        freeze_events=tuple(freezer.states.values()) if freezer is not None else (),
         forward_passes=forward_passes,
     )
 

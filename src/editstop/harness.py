@@ -73,14 +73,7 @@ from .model import (
     module_path,
     save_checkpoint,
 )
-from .monitor import (
-    StabilityState,
-    StopConfig,
-    StopReason,
-    matched_kl_rows,
-    trace_to_csv,
-    update_counter,
-)
+from .monitor import StabilityMonitor, StopConfig, StopReason, matched_kl_rows, trace_to_csv
 from .pseudograd import SftBand, analyze_trajectory, pseudograd_to_csv, sft_band
 from .tasks import SyntheticTask, make_task
 from .train import REDUCTIONS, CaptureSpec, sft_train
@@ -348,8 +341,8 @@ def _block_trace(block: BlockResult, csv_name: Optional[str], pseudo_name: Optio
         "final_counter": decision and decision.final_counter,
         "rejected_stops": list(block.rejected_stops),
         "freeze_events": [
-            {"step": e.step, "token": e.token, "epsilon": e.epsilon_s}
-            for e in block.freeze_events
+            {"step": st.frozen_at, "token": st.token, "epsilon": st.epsilon_s}
+            for st in block.freeze_events
         ],
         "certificate": None if cert is None else cert.to_json_dict(),
         "divergence_csv": csv_name,
@@ -378,13 +371,13 @@ def cmd_infer(
     at the config's beta) read every early-stopped block's certificate
     margin; None without stops.
     """
+    policy = config.policy_config(policy_kind)
     run_dir = run_dir if run_dir is not None else config.out_dir
     artifacts_dir = artifacts_dir if artifacts_dir is not None else run_dir
     traces_dir = os.path.join(run_dir, TRACES_DIR)
     _make_dir(traces_dir)
 
     artifacts, task, mode, reasoning_map = _load_setup(config, artifacts_dir)
-    policy = config.policy_config(policy_kind)
 
     alpha_hat, quantile = _read_calibration(calibration_path)
     stop_cfg = config.stop_config()
@@ -396,8 +389,6 @@ def cmd_infer(
         blocks: list[BlockResult] = []
         exacts: list[bool] = []
         steps: list[float] = []
-        n_pac = 0
-        margins: list[float] = []
         trace_files: list[str] = []
         for index, (prompt, target) in enumerate(instances):
             traced = index < config.trace_retention
@@ -425,8 +416,6 @@ def cmd_infer(
                     # The decode certified the stop under the same stop config
                     # and alpha_hat; only the calibrated quantile is added here.
                     block.certificate = replace(block.certificate, margin_quantile=quantile)
-                    margins.append(block.certificate.margin_report.margin)
-                    n_pac += block.certificate.pac_pass is True
             # The instance's one record, which its generations line and its
             # trace both carry.
             instance = {
@@ -448,11 +437,9 @@ def cmd_infer(
                 for block in result.blocks:
                     stem = f"seed{seed}_inst{index:03d}_block{block.block_index}"
                     csv_name = None
-                    if block.monitor_state is not None:
+                    if block.monitor is not None:
                         csv_name = stem + "_divergence.csv"
-                        _write_text(
-                            os.path.join(traces_dir, csv_name), trace_to_csv(block.monitor_state)
-                        )
+                        _write_text(os.path.join(traces_dir, csv_name), trace_to_csv(block.monitor))
                     pseudo_name = None
                     if artifacts.band is not None and len(block.trajectory.records) >= 2:
                         pseudo_name = stem + "_pseudograd.csv"
@@ -471,11 +458,14 @@ def cmd_infer(
         avg_steps = float(np.mean(steps))
         baseline = float(config.budget)
         stop_steps = Counter(b.steps_used for b in blocks)
+        certificates = [b.certificate for b in blocks if b.stopped_early]
+        margins = [cert.margin_report.margin for cert in certificates]
+        n_pac = sum(cert.pac_pass is True for cert in certificates)
         divergences = [
             row.divergence
             for b in blocks
-            if b.monitor_state is not None
-            for row in b.monitor_state.divergence_trace
+            if b.monitor is not None
+            for row in b.monitor.divergence_trace
         ]
         max_divergence = max(divergences) if divergences else None
         vacuity = (
@@ -544,14 +534,15 @@ def replay_stop(
     what gets committed, so a run that stops at step t equals the
     recorded one up to step t and then fills every slot still masked with
     step t's row argmax. Without a stop the run is the recorded one, all
-    budgeted steps included. The stop is the first one that
-    ``update_counter`` fires over the recorded step divergences.
+    budgeted steps included. The stop is the first one that a fresh
+    ``StabilityMonitor``'s ``advance`` fires over the recorded step
+    divergences.
     """
-    state, cfg = StabilityState(), StopConfig(delta=delta, omega=omega)
-    for row in block.monitor_state.divergence_trace:
-        if update_counter(state, row.divergence, cfg, step=row.step).stop:
+    replay = StabilityMonitor(StopConfig(delta=delta, omega=omega))
+    for row in block.monitor.divergence_trace:
+        if replay.advance(row.divergence, row.step).stop:
             break
-    stop = state.stopped_at
+    stop = replay.stopped_at
     if stop is None:
         return block.trajectory.tokens, block.steps_used
     rec = block.trajectory.records[stop - 1]

@@ -13,7 +13,7 @@ required span, the block is declared stable and denoising stops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -74,13 +74,6 @@ class TraceRow:
     stopped: bool
 
 
-@dataclass
-class StabilityState:
-    counter: int = 0
-    divergence_trace: list[TraceRow] = field(default_factory=list)
-    stopped_at: int | None = None
-
-
 def matched_kl_rows(
     curr: np.ndarray, curr_members, prev: np.ndarray, prev_members
 ) -> np.ndarray:
@@ -107,43 +100,17 @@ def matched_kl_rows(
     return kl_rows(p, q)
 
 
-def update_counter(
-    state: StabilityState,
-    d_t: float,
-    cfg: StopConfig,
-    step: int,
-    matched_support: int = 0,
-) -> StopDecision:
-    """Advance ``state``'s run-length counter with the divergence observed at ``step``.
-
-    Strictly-below-threshold divergences increment; anything at or above
-    the threshold resets to zero. The stop fires the first time the
-    counter reaches the span.
-    """
-    if d_t < 0.0 or math.isnan(d_t):
-        raise ValueError(f"divergence must be nonnegative, got {d_t}")
-    if d_t < cfg.delta:
-        state.counter += 1
-    else:
-        state.counter = 0
-    fired = state.stopped_at is None and state.counter >= cfg.omega
-    if fired:
-        state.stopped_at = step
-    state.divergence_trace.append(
-        TraceRow(step, d_t, matched_support, state.counter, fired)
-    )
-    if state.stopped_at is not None:
-        return StopDecision(state.stopped_at, StopReason.RUN_LENGTH_MET, state.counter)
-    return StopDecision(step, StopReason.STILL_RUNNING, state.counter)
-
-
 class StabilityMonitor:
-    """Sequential consumer of alignment distributions for one block; the
-    last distribution it accepted is ``prev_distribution``."""
+    """The stop rule's whole record for one block: the run-length
+    ``counter``, one ``TraceRow`` per advanced step, the step a stop fired
+    at (``stopped_at``, None until one fires or after a refused one) and
+    the last distribution ``observe`` accepted (``prev_distribution``)."""
 
     def __init__(self, cfg: StopConfig):
         self.cfg = cfg
-        self.state = StabilityState()
+        self.counter = 0
+        self.divergence_trace: list[TraceRow] = []
+        self.stopped_at: int | None = None
         self.prev_distribution: AlignmentDistribution | None = None
 
     def observe(self, dist: AlignmentDistribution) -> StopDecision:
@@ -164,28 +131,47 @@ class StabilityMonitor:
             p, q = dist.dist, prev.dist
             d_t = float(matched_kl_rows(p.probs[None], p.support, q.probs[None], q.support)[0])
         self.prev_distribution = dist
-        return update_counter(
-            self.state, d_t, self.cfg, step=dist.step, matched_support=len(prev.dist)
+        return self.advance(d_t, dist.step, matched_support=len(prev.dist))
+
+    def advance(self, d_t: float, step: int, matched_support: int = 0) -> StopDecision:
+        """Advance the run-length counter with the divergence observed at ``step``.
+
+        Strictly-below-threshold divergences increment; anything at or above
+        the threshold resets to zero. The stop fires the first time the
+        counter reaches the span.
+        """
+        if d_t < 0.0 or math.isnan(d_t):
+            raise ValueError(f"divergence must be nonnegative, got {d_t}")
+        if d_t < self.cfg.delta:
+            self.counter += 1
+        else:
+            self.counter = 0
+        fired = self.stopped_at is None and self.counter >= self.cfg.omega
+        if fired:
+            self.stopped_at = step
+        self.divergence_trace.append(
+            TraceRow(step, d_t, matched_support, self.counter, fired)
         )
+        if self.stopped_at is not None:
+            return StopDecision(self.stopped_at, StopReason.RUN_LENGTH_MET, self.counter)
+        return StopDecision(step, StopReason.STILL_RUNNING, self.counter)
 
     def reject(self, step: int) -> None:
         """Release the stop that fired at ``step`` after the caller refused it.
 
         The counter is kept, so the next sub-threshold step fires again.
         """
-        if self.state.stopped_at != step:
-            raise ValueError(
-                f"no stop fired at step {step} (stopped at {self.state.stopped_at})"
-            )
-        self.state.stopped_at = None
+        if self.stopped_at != step:
+            raise ValueError(f"no stop fired at step {step} (stopped at {self.stopped_at})")
+        self.stopped_at = None
 
 
-def trace_to_csv(state: StabilityState) -> str:
+def trace_to_csv(monitor: StabilityMonitor) -> str:
     """Divergence trace as CSV text (step, divergence, support, counter, stop)."""
     return csv_text(
         ["step", "divergence", "matched_support", "counter", "stopped"],
         (
             [row.step, repr(row.divergence), row.matched_support, row.counter, int(row.stopped)]
-            for row in state.divergence_trace
+            for row in monitor.divergence_trace
         ),
     )

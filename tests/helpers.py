@@ -25,7 +25,6 @@ from editstop.alignment import (
 from editstop.certify import (
     DELTA_GRID,
     OMEGA_GRID,
-    TV_SLACK,
     MarginReport,
     build_certificate,
     tv_budget,
@@ -39,7 +38,7 @@ from editstop.errors import (
     WindowTooShortError,
 )
 from editstop.capture import SubspaceBasis
-from editstop.freeze import FreezeConfig, FreezeEvent
+from editstop.freeze import FreezeConfig
 from editstop.generate import PolicyConfig, generate
 from editstop.harness import ABLATION_SITES, _sample_instances
 from editstop.linalg import NORM_FLOOR, ProbVector, kl_divergence, softmax_rows, total_variation
@@ -334,19 +333,23 @@ def monitor_divergence(curr: AlignmentDistribution, prev: AlignmentDistribution)
     return step_divergence(*matched_renormalize(curr, prev)[:2])
 
 
-def verify_runlength_bound(distributions, delta: float, omega: int, state=None) -> bool:
+# Rounding room for the windowed TV bound's comparison.
+TV_SLACK = 1e-9
+
+
+def verify_runlength_bound(distributions, delta: float, omega: int, monitor=None) -> bool:
     """Check the windowed TV bound on an actual stability window.
 
     Takes the per-step distributions of a block (the last ``omega + 1``
     are the window), restricts them to the running intersection of their
     supports, and compares the endpoint TV against ``tv_budget``. When a
-    ``StabilityState`` is supplied, the sub-threshold precondition on its
+    ``StabilityMonitor`` is supplied, the sub-threshold precondition on its
     last ``omega`` divergences is verified first.
     """
     if len(distributions) < omega + 1:
         raise WindowTooShortError(f"need {omega + 1} distributions, got {len(distributions)}")
-    if state is not None:
-        tail = state.divergence_trace[-omega:]
+    if monitor is not None:
+        tail = monitor.divergence_trace[-omega:]
         if len(tail) < omega:
             raise WindowTooShortError(f"trace has {len(tail)} divergences, need {omega}")
         for row in tail:
@@ -500,6 +503,13 @@ def token_stability_step(
         state.epsilon_s = max(state.window_diffs[-cfg.omega_tok:])
         return state, True
     return state, False
+
+
+def freeze_keys(states) -> tuple[tuple[int, int, float], ...]:
+    """``(frozen_at, token, epsilon_s)`` of each freeze state, in order: what
+    a block's freeze events say, without the pinned arrays, which ``==``
+    does not compare as one value."""
+    return tuple((st.frozen_at, st.token, st.epsilon_s) for st in states)
 
 
 def make_dist(probs, support=None, step=0) -> AlignmentDistribution:
@@ -713,7 +723,7 @@ class ReferenceBlock:
     stop_decision: object
     certificate: object
     rejected_stops: tuple[int, ...]
-    freeze_events: tuple[FreezeEvent, ...]
+    freeze_events: tuple[tuple[int, int, float], ...]  # (frozen_at, token, epsilon_s)
 
 
 def reference_denoise_block(model, prefix, block_index, budget, policy, reasoning_map=None,
@@ -726,7 +736,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
     stop_cfg = policy.stop
     monitor = StabilityMonitor(stop_cfg) if policy.monitored else None
     freeze_states: dict[int, ReferenceTokenState] = {}
-    events: list[FreezeEvent] = []
+    events: list[tuple[int, int, float]] = []
     tokens = np.concatenate([np.asarray(prefix, dtype=np.int64),
                              np.full(L, cfg.mask_id, dtype=np.int64)])
     committed = [False] * L
@@ -761,7 +771,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
                     _, now = token_stability_step(st, effective[s], freeze_basis,
                                                   policy.freeze, step)
                     if now:
-                        events.append(FreezeEvent(step, s, st.epsilon_s))
+                        events.append((step, s, st.epsilon_s))
                 if st.frozen:
                     effective[s] = st.frozen_value
         steps.append(tuple(newly))
@@ -792,7 +802,7 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         break
     if monitor is not None and stop_decision is None:
         stop_decision = StopDecision(
-            len(steps), StopReason.BUDGET_EXHAUSTED, monitor.state.counter
+            len(steps), StopReason.BUDGET_EXHAUSTED, monitor.counter
         )
     return ReferenceBlock(steps, choices, final_commit, tuple(int(t) for t in tokens[lo: lo + L]),
                           monitor, stop_decision, certificate, tuple(rejected), tuple(events))
@@ -888,7 +898,7 @@ def reference_ablation_cells(config, run_dir) -> dict:
             run = generate(model, prompt, config.seq_len, policy, budget=config.budget,
                            reasoning_map=vector, mode=mode, taps=(TapSpec(module),))
             values += [row.divergence for block in run.blocks
-                       for row in block.monitor_state.divergence_trace
+                       for row in block.monitor.divergence_trace
                        if math.isfinite(row.divergence)]
         cells[proj, adapter, reduction] = (float(np.mean(values)), len(values))
     return cells

@@ -42,7 +42,7 @@ from editstop.errors import (
     WindowTooShortError,
 )
 from editstop.linalg import ProbVector, total_variation
-from editstop.monitor import StabilityMonitor, StabilityState, StopConfig, update_counter
+from editstop.monitor import StabilityMonitor, StopConfig
 
 
 class TestTvBudget:
@@ -120,18 +120,18 @@ class TestVerifyRunlengthBound:
 
     def test_trace_precondition_checked(self):
         chain = make_chain([[0.5, 0.5]] * 4)
-        state = StabilityState()
+        monitor = StabilityMonitor(StopConfig(delta=0.05, omega=3))
         for step, d in enumerate((0.01, 0.2, 0.01), 1):
-            update_counter(state, d, StopConfig(delta=0.05, omega=3), step)
+            monitor.advance(d, step)
         with pytest.raises(ValueError):
-            verify_runlength_bound(chain, 0.05, 3, state=state)
+            verify_runlength_bound(chain, 0.05, 3, monitor=monitor)
 
     def test_trace_precondition_ok(self):
         chain = make_chain([[0.5, 0.5]] * 4)
-        state = StabilityState()
+        monitor = StabilityMonitor(StopConfig(delta=0.05, omega=3))
         for step, d in enumerate((0.01, 0.02, 0.01), 1):
-            update_counter(state, d, StopConfig(delta=0.05, omega=3), step)
-        assert verify_runlength_bound(chain, 0.05, 3, state=state)
+            monitor.advance(d, step)
+        assert verify_runlength_bound(chain, 0.05, 3, monitor=monitor)
 
 
 class TestLocalArgmaxCertificate:

@@ -9,6 +9,8 @@ import pytest
 from editstop.alignment import SimilarityMode
 from editstop.config import ExperimentConfig
 from editstop.errors import ConfigError
+from editstop.generate import POLICY_ALIASES
+from editstop.harness import cmd_infer
 
 
 class TestDefaults:
@@ -61,6 +63,18 @@ class TestValidation:
     def test_unknown_policy(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(policy="oracle")
+
+    def test_unknown_policy_override(self, tmp_path):
+        # An override that names no policy is a config error that names every
+        # spelling, also through cmd_infer, which refuses it before it writes
+        # or reads a file.
+        cfg = ExperimentConfig(out_dir=str(tmp_path / "run"))
+        for call in (lambda: cfg.policy_config("bogus"),
+                     lambda: cmd_infer(cfg, policy_kind="bogus")):
+            with pytest.raises(ConfigError, match="bogus") as caught:
+                call()
+            assert all(repr(kind) in str(caught.value) for kind in POLICY_ALIASES)
+        assert not (tmp_path / "run").exists()
 
     def test_seq_len_must_be_two_blocks(self):
         with pytest.raises(ConfigError):

@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import final_commit, reference_generate
+from helpers import final_commit, freeze_keys, reference_generate
 
 from editstop.alignment import SimilarityMode
 from editstop.config import ExperimentConfig
@@ -61,12 +61,12 @@ def assert_same_run(result, ref_tokens, ref_blocks):
         assert block.trajectory.tokens == ref.tokens
         assert block.stop_decision == ref.stop_decision
         assert block.rejected_stops == ref.rejected_stops
-        assert block.freeze_events == ref.freeze_events
+        assert freeze_keys(block.freeze_events) == ref.freeze_events
         if ref.monitor is None:
-            assert block.monitor_state is None
+            assert block.monitor is None
         else:
-            rows = block.monitor_state.divergence_trace
-            ref_rows = ref.monitor.state.divergence_trace
+            rows = block.monitor.divergence_trace
+            ref_rows = ref.monitor.divergence_trace
             assert [(r.step, r.matched_support, r.counter, r.stopped) for r in rows] == [
                 (r.step, r.matched_support, r.counter, r.stopped) for r in ref_rows
             ]

@@ -285,7 +285,7 @@ class TestStopBehavior:
             tiny_model(), prompt_block(), 1, budget=16, policy=policy,
             reasoning_map=synthetic_map(),
         )
-        trace = block.monitor_state.divergence_trace
+        trace = block.monitor.divergence_trace
         assert [row.step for row in trace] == [2, 3, 4, 5]
         assert trace[-1].stopped is True
 
@@ -305,8 +305,8 @@ class TestFreezePolicy:
         )
         events = block.freeze_events
         assert len(events) == TINY.block_length
-        freeze_step = events[0].step
-        assert {e.step for e in events} == {freeze_step}
+        freeze_step = events[0].frozen_at
+        assert {st.frozen_at for st in events} == {freeze_step}
 
     def test_commits_only_by_quota_and_stop_fill(self):
         # Every slot freezes at step 3, while slot 6 is still masked. Each
@@ -327,7 +327,7 @@ class TestFreezePolicy:
                 )
                 for kind in ("edit", "edit_freeze")
             )
-            assert {e.step for e in frozen.freeze_events} == {3}
+            assert {st.frozen_at for st in frozen.freeze_events} == {3}
             for block in (edit, frozen):
                 assert [r.committed for r in block.trajectory.records] == commits
                 assert final_commit(block.trajectory) == fill
@@ -343,7 +343,7 @@ class TestFreezePolicy:
             tiny_model(), prompt_block(), 1, budget=12, policy=policy,
             reasoning_map=synthetic_map(), freeze_basis=synthetic_basis(),
         )
-        freeze_step = block.freeze_events[0].step
+        freeze_step = block.freeze_events[0].frozen_at
         later = [r for r in block.trajectory.records if r.step > freeze_step]
         token = block.freeze_events[0].token
         pinned = frame_row(later[0].frame, token)
@@ -531,7 +531,7 @@ class TestForwardReuse:
                 assert (a.committed, a.tokens, a.choice) == (b.committed, b.tokens, b.choice)
                 assert a.frame.activations.tobytes() == b.frame.activations.tobytes()
             divergences = [
-                np.array([r.divergence for r in block.monitor_state.divergence_trace]).tobytes()
+                np.array([r.divergence for r in block.monitor.divergence_trace]).tobytes()
                 for block in (got, want)
             ]
             assert divergences[0] == divergences[1]
@@ -637,8 +637,8 @@ class TestMultiTap:
                     # The first tap is the scored one: the whole run agrees.
                     assert len(m_recs) == len(s_recs)
                     if kind == "edit":
-                        trace = mb.monitor_state.divergence_trace
-                        assert trace == sb.monitor_state.divergence_trace
+                        trace = mb.monitor.divergence_trace
+                        assert trace == sb.monitor.divergence_trace
                     assert mb.stop_decision == sb.stop_decision
                 # Unscored taps do not steer a one-block decode: its steps
                 # agree up to the shorter run's stop.
@@ -718,8 +718,8 @@ class TestSkippedStepWork:
                     assert (rec.tokens, rec.choice) == (prev.tokens, prev.choice)
                 else:
                     assert rec.alignment.dist is not prev.alignment.dist
-            rows = block.monitor_state.divergence_trace
-            ref_rows = ref.monitor.state.divergence_trace
+            rows = block.monitor.divergence_trace
+            ref_rows = ref.monitor.divergence_trace
             assert [(r.step, r.matched_support, r.counter) for r in rows] == [
                 (r.step, r.matched_support, r.counter) for r in ref_rows
             ]
@@ -791,7 +791,7 @@ class TestDerivedStop:
         assert strict.rejected_stops == (2, 3, 4)
         assert strict.stopped_early and strict.steps_used == 5
         assert strict.certificate.stop_step == 5 and strict.certificate.local_pass
-        trace = strict.monitor_state.divergence_trace
+        trace = strict.monitor.divergence_trace
         assert [row.step for row in trace if row.stopped] == [2, 3, 4, 5]
         assert strict.stop_decision == StopDecision(
             5, StopReason.RUN_LENGTH_MET, trace[-1].counter
@@ -804,7 +804,7 @@ class TestDerivedStop:
 
         def recording(monitor, dist):
             decision = observe(monitor, dist)
-            decisions.setdefault(id(monitor.state), []).append(decision)
+            decisions.setdefault(id(monitor), []).append(decision)
             return decision
 
         monkeypatch.setattr(StabilityMonitor, "observe", recording)
@@ -821,7 +821,7 @@ class TestDerivedStop:
                 reasoning_map=artifacts.vector, freeze_basis=artifacts.basis,
             )
             for block in result.blocks:
-                observed = decisions[id(block.monitor_state)]
+                observed = decisions[id(block.monitor)]
                 assert len(observed) == block.steps_used
                 fired = [d for d in observed if d.stop]
                 accepted = block.certificate is not None

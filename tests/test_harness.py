@@ -15,7 +15,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import count_forwards, reference_ablation_cells, reference_utility_table
+from helpers import (
+    count_forwards,
+    freeze_keys,
+    reference_ablation_cells,
+    reference_utility_table,
+)
 
 from editstop import alignment, harness, linalg
 from editstop.capture import AdamWConfig
@@ -58,7 +63,7 @@ from editstop.harness import (
 )
 from editstop.metaformat import load_metadata, persist_metadata
 from editstop.model import init_model, load_checkpoint
-from editstop.monitor import StabilityState, StopConfig, StopReason, TraceRow
+from editstop.monitor import StopConfig, StopReason, TraceRow
 from editstop.tasks import make_task
 from editstop.train import CaptureSpec, sft_train
 
@@ -115,7 +120,7 @@ def recorded_block(divergences, mask_id=9):
         SimpleNamespace(tokens=(s, mask_id), choice=(0, 10 * s)) for s in range(1, steps + 1)
     ]
     return SimpleNamespace(
-        monitor_state=StabilityState(divergence_trace=trace),
+        monitor=SimpleNamespace(divergence_trace=trace),
         trajectory=SimpleNamespace(records=records, tokens=(-1, -1)),
         steps_used=steps,
     )
@@ -274,7 +279,7 @@ class TestInfer:
             reasons = [b.stop_decision.reason for b in blocks]
             assert seed_entry["stop_reasons"] == {r.value: reasons.count(r) for r in StopReason}
             largest = max(
-                row.divergence for b in blocks for row in b.monitor_state.divergence_trace
+                row.divergence for b in blocks for row in b.monitor.divergence_trace
             )
             assert seed_entry["max_step_divergence"] == largest > 0.0
             assert seed_entry["vacuity_ratio"] == largest / cfg.delta
@@ -541,8 +546,8 @@ class TestCalibrateReplay:
             for probe, live in zip(probes, decode(delta, omega), strict=True):
                 replayed = replay_stop(probe, delta, omega, mask_id)
                 assert replayed == (live.trajectory.tokens, live.steps_used)
-                assert live.freeze_events == tuple(
-                    e for e in probe.freeze_events if e.step <= live.steps_used
+                assert freeze_keys(live.freeze_events) == freeze_keys(
+                    st for st in probe.freeze_events if st.frozen_at <= live.steps_used
                 )
                 early += live.stopped_early
                 never += not live.stopped_early

@@ -25,13 +25,12 @@ from editstop.errors import NonMonotoneVisibleSetError
 from editstop.linalg import ProbVector, softmax_rows
 from editstop.monitor import (
     StabilityMonitor,
-    StabilityState,
     StopConfig,
     StopDecision,
     StopReason,
+    TraceRow,
     matched_kl_rows,
     trace_to_csv,
-    update_counter,
 )
 
 
@@ -177,7 +176,7 @@ class TestMatchedKl:
         monitor = StabilityMonitor(StopConfig(delta=0.0))
         for dist in chain:
             monitor.observe(dist)
-        rows = monitor.state.divergence_trace
+        rows = monitor.divergence_trace
         assert [r.divergence for r in rows] == [
             monitor_divergence(curr, prev) for prev, curr in zip(chain, chain[1:])
         ]
@@ -226,34 +225,33 @@ class TestMatchedKlRows:
 
 
 class TestUpdateCounter:
+    """The run-length rule, ``StabilityMonitor.advance``, on given divergences."""
+
     def run_stream(self, divergences, cfg):
-        state = StabilityState()
-        decisions = []
-        for step, d in enumerate(divergences, 1):
-            dec = update_counter(state, d, cfg, step)
-            decisions.append(dec)
-        return state, decisions
+        monitor = StabilityMonitor(cfg)
+        decisions = [monitor.advance(d, step) for step, d in enumerate(divergences, 1)]
+        return monitor, decisions
 
     def test_six_quiet_steps_stop_at_sixth(self):
         cfg = StopConfig(delta=0.05, omega=6)
-        state, decs = self.run_stream([0.01] * 6, cfg)
+        monitor, decs = self.run_stream([0.01] * 6, cfg)
         assert decs[-1].stop
         assert decs[-1].reason is StopReason.RUN_LENGTH_MET
         assert decs[-1].step == 6
-        assert state.counter == 6
+        assert monitor.counter == 6
         assert not any(d.stop for d in decs[:-1])
 
     def test_spike_resets_counter(self):
         cfg = StopConfig(delta=0.05, omega=6)
         stream = [0.01, 0.01, 0.9] + [0.01] * 6
-        state, decs = self.run_stream(stream, cfg)
+        _, decs = self.run_stream(stream, cfg)
         assert decs[2].final_counter == 0
         assert decs[-1].stop
         assert decs[-1].step == 9
 
     def test_exact_threshold_resets(self):
         cfg = StopConfig(delta=0.05, omega=2)
-        state, decs = self.run_stream([0.01, 0.05, 0.01, 0.01], cfg)
+        _, decs = self.run_stream([0.01, 0.05, 0.01, 0.01], cfg)
         assert decs[1].final_counter == 0
         assert decs[-1].stop
         assert decs[-1].step == 4
@@ -261,28 +259,28 @@ class TestUpdateCounter:
     def test_counter_reaches_omega_exactly_once_at_stop(self):
         cfg = StopConfig(delta=0.05, omega=4)
         rng = np.random.default_rng(71)
-        state = StabilityState()
+        monitor = StabilityMonitor(cfg)
         hits = 0
         for step in range(1, 201):
-            dec = update_counter(state, float(rng.uniform(0.0, 0.1)), cfg, step)
+            dec = monitor.advance(float(rng.uniform(0.0, 0.1)), step)
             if dec.stop:
                 hits += 1
                 break
         assert hits == 1
-        assert state.counter == cfg.omega
+        assert monitor.counter == cfg.omega
 
     def test_counter_never_exceeds_observations(self):
         cfg = StopConfig(delta=1.0, omega=100)
-        state = StabilityState()
+        monitor = StabilityMonitor(cfg)
         for i in range(50):
-            update_counter(state, 0.0, cfg, i + 1)
-            assert state.counter == i + 1
+            monitor.advance(0.0, i + 1)
+            assert monitor.counter == i + 1
 
     def test_negative_divergence_rejected(self):
         with pytest.raises(ValueError):
-            update_counter(StabilityState(), -0.1, StopConfig(), 1)
+            StabilityMonitor(StopConfig()).advance(-0.1, 1)
         with pytest.raises(ValueError):
-            update_counter(StabilityState(), float("nan"), StopConfig(), 1)
+            StabilityMonitor(StopConfig()).advance(float("nan"), 1)
 
 
 class TestStabilityMonitor:
@@ -291,7 +289,7 @@ class TestStabilityMonitor:
         dec = monitor.observe(make_dist([0.5, 0.5], step=1))
         assert not dec.stop
         assert dec.final_counter == 0
-        assert monitor.state.divergence_trace == []
+        assert monitor.divergence_trace == []
 
     def test_plateau_after_step_twelve_stops_at_eighteen(self):
         # Alternating high-divergence pair through step 11, constant from 12.
@@ -322,7 +320,7 @@ class TestStabilityMonitor:
         monitor.observe(make_dist(np.full(len(before), 1.0 / len(before)), before, step=1))
         with pytest.raises(NonMonotoneVisibleSetError):
             monitor.observe(make_dist(np.full(len(after), 1.0 / len(after)), after, step=2))
-        assert monitor.state.divergence_trace == []
+        assert monitor.divergence_trace == []
         assert monitor.prev_distribution.step == 1
 
     def test_step_must_advance(self):
@@ -337,7 +335,7 @@ class TestStabilityMonitor:
         decisions = [monitor.observe(d) for d in chain]
         assert decisions[2].stop and decisions[2].step == 3
         assert decisions[5].stop and decisions[5].step == 3
-        stop_rows = [r for r in monitor.state.divergence_trace if r.stopped]
+        stop_rows = [r for r in monitor.divergence_trace if r.stopped]
         assert len(stop_rows) == 1 and stop_rows[0].step == 3
 
     def test_reject_releases_the_stop(self):
@@ -348,12 +346,12 @@ class TestStabilityMonitor:
         with pytest.raises(ValueError):
             monitor.reject(2)
         monitor.reject(3)
-        assert monitor.state.stopped_at is None
+        assert monitor.stopped_at is None
         # The counter is kept, so the next quiet step fires a new stop.
         decision = monitor.observe(chain[3])
         assert decision.stop and decision.step == 4
         assert decision.final_counter == 3
-        assert [r.step for r in monitor.state.divergence_trace if r.stopped] == [3, 4]
+        assert [r.step for r in monitor.divergence_trace if r.stopped] == [3, 4]
 
     def test_repeated_distribution_skips_the_divergence(self, monkeypatch):
         # A repeated step hands the monitor the previous distribution object
@@ -386,9 +384,9 @@ class TestStabilityMonitor:
         slow_decisions = [slow.observe(d) for d in copied]
         assert len(calls) == 2 + 8
         assert fast_decisions == slow_decisions
-        assert fast.state.divergence_trace == slow.state.divergence_trace
-        assert fast.state.counter == slow.state.counter
-        assert fast.state.stopped_at == slow.state.stopped_at == 8
+        assert fast.divergence_trace == slow.divergence_trace
+        assert fast.counter == slow.counter
+        assert fast.stopped_at == slow.stopped_at == 8
 
     def test_reject_without_a_stop_rejected(self):
         monitor = StabilityMonitor(StopConfig(delta=0.05, omega=2))
@@ -399,14 +397,14 @@ class TestStabilityMonitor:
 
 def drive_monitor(frames, reasoning_map, cfg: StopConfig, max_steps: int):
     """Score each frame and feed the monitor until it stops or the
-    frames or ``max_steps`` run out; returns (decision, state)."""
+    frames or ``max_steps`` run out; returns (decision, monitor)."""
     monitor = StabilityMonitor(cfg)
     for frame in frames[:max_steps]:
         decision = monitor.observe(score_frame(frame, reasoning_map, SimilarityMode.VECTOR_COSINE))
         if decision.stop:
-            return decision, monitor.state
-    exhausted = StopDecision(frame.step, StopReason.BUDGET_EXHAUSTED, monitor.state.counter)
-    return exhausted, monitor.state
+            return decision, monitor
+    exhausted = StopDecision(frame.step, StopReason.BUDGET_EXHAUSTED, monitor.counter)
+    return exhausted, monitor
 
 
 class TestRunBlock:
@@ -439,11 +437,11 @@ class TestRunBlock:
             for t in range(1, 200)
         ]
         cfg = StopConfig(delta=0.05, omega=6)
-        dec, state = drive_monitor(frames, self.unit_map(), cfg, 64)
+        dec, monitor = drive_monitor(frames, self.unit_map(), cfg, 64)
         assert dec.reason is StopReason.BUDGET_EXHAUSTED
         assert dec.step == 64
         assert dec.stop
-        assert all(r.divergence >= 0.05 for r in state.divergence_trace)
+        assert all(r.divergence >= 0.05 for r in monitor.divergence_trace)
 
     def test_identical_tail_guarantees_stop(self):
         rng = np.random.default_rng(73)
@@ -469,10 +467,10 @@ class TestRunBlock:
             vis = sorted(set(vis) | {int(rng.integers(0, 10))})
             frames.append(frame_from({i: np.sin(np.arange(3) + i + 0.1 * t) for i in vis}, t))
         cfg = StopConfig(delta=0.01, omega=4)
-        dec1, state1 = drive_monitor(frames, self.unit_map(), cfg, 64)
-        dec2, state2 = drive_monitor(frames, self.unit_map(), cfg, 64)
+        dec1, monitor1 = drive_monitor(frames, self.unit_map(), cfg, 64)
+        dec2, monitor2 = drive_monitor(frames, self.unit_map(), cfg, 64)
         assert dec1 == dec2
-        assert state1.divergence_trace == state2.divergence_trace
+        assert monitor1.divergence_trace == monitor2.divergence_trace
 
     def test_monotone_violation_raises(self):
         rng = np.random.default_rng(75)
@@ -485,20 +483,18 @@ class TestRunBlock:
 class TestTraceCsv:
     def test_csv_shape_and_content(self):
         cfg = StopConfig(delta=0.05, omega=2)
-        state = StabilityState()
+        monitor = StabilityMonitor(cfg)
         for step, d in enumerate((0.2, 0.01, 0.01), 1):
-            update_counter(state, d, cfg, step, matched_support=3)
-        text = trace_to_csv(state)
+            monitor.advance(d, step, matched_support=3)
+        text = trace_to_csv(monitor)
         lines = text.strip().split("\n")
         assert lines[0] == "step,divergence,matched_support,counter,stopped"
         assert len(lines) == 4
         assert lines[3] == "3,0.01,3,2,1"
 
     def test_nan_skip_row_serializes(self):
-        from editstop.monitor import TraceRow
-
-        state = StabilityState()
-        state.divergence_trace.append(TraceRow(5, float("nan"), 0, 2, False))
-        text = trace_to_csv(state)
+        monitor = StabilityMonitor(StopConfig())
+        monitor.divergence_trace.append(TraceRow(5, float("nan"), 0, 2, False))
+        text = trace_to_csv(monitor)
         assert "nan" in text
         assert math.isnan(float(text.strip().split("\n")[1].split(",")[1]))

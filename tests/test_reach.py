@@ -1,11 +1,11 @@
-"""Every definition and every defaulted parameter in the package is reached
-from outside the tests.
+"""Every definition, constant and defaulted parameter in the package is
+reached from outside the tests.
 
 A top-level function or class, or a non-dunder method of a top-level class,
 in ``src/editstop`` must be referenced somewhere other than its own body: by
-an AST ``Name`` or ``Attribute`` in another part of the package (not
-``__init__.py``, which only re-exports), or anywhere in ``bench/``, whose
-quoted tracing targets count too. ``ALLOWED`` names the exceptions: test
+an AST ``Name`` or ``Attribute`` that reads it in another part of the
+package (not ``__init__.py``, which only re-exports), or anywhere in
+``bench/``, whose quoted tracing targets count too. ``ALLOWED`` names the exceptions: test
 oracles and code a later change wires in or deletes.
 
 Each defaulted parameter of such a function or method must be passed by
@@ -21,6 +21,11 @@ the field as a keyword, fills its position, or passes ``*`` or ``**``
 arguments. ``ClassVar`` constants and ``field(init=False)`` state are not
 fields of ``__init__``. ``ALLOWED_FIELDS`` names the exceptions, a whole
 class or one ``Class.field``.
+
+Each module-level constant (an upper-case name a top-level assignment
+binds) must be read outside its own statement: in another part of the
+package (not ``__init__.py``), in its own module, or in ``bench/``. A
+constant only tests read belongs with the tests.
 """
 
 from __future__ import annotations
@@ -50,10 +55,10 @@ ALLOWED_PARAMETERS = {
 
 ALLOWED_FIELDS = {
     "PseudoGradConfig.modules": "acceptance criterion 02 passes the modules it checks",
-    "StabilityState": "the monitor's state: code assigns it after construction",
 }
 
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
@@ -72,11 +77,28 @@ def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return found
 
 
+def constants(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """The module-level constants, each with the statement that binds it."""
+    found = []
+    for node in tree.body:
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign)
+            else []
+        )
+        found += [
+            (t.id, node) for t in targets if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)
+        ]
+    return found
+
+
 def references(tree: ast.Module, strings: bool = False) -> list[tuple[str, int]]:
-    """Each name a ``Name`` or ``Attribute`` node uses, with its line; with
+    """Each name a ``Name`` or ``Attribute`` node reads, with its line; with
     ``strings``, also each part of a dotted identifier written as a string."""
     refs = []
     for node in ast.walk(tree):
+        if isinstance(getattr(node, "ctx", None), ast.Store):
+            continue
         if isinstance(node, ast.Name):
             refs.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
@@ -87,9 +109,9 @@ def references(tree: ast.Module, strings: bool = False) -> list[tuple[str, int]]
     return refs
 
 
-def unreached(package: dict[str, str], bench: dict[str, str]) -> list[str]:
-    """The definitions in ``package`` (path -> source) that no other code
-    there, and nothing in ``bench`` (path -> source), refers to."""
+def unreached(package: dict[str, str], bench: dict[str, str], defined=definitions) -> list[str]:
+    """The names ``defined`` finds in ``package`` (path -> source) that no
+    other code there, and nothing in ``bench`` (path -> source), refers to."""
     trees = {path: ast.parse(src, filename=path) for path, src in package.items()}
     outside = {
         name
@@ -103,7 +125,7 @@ def unreached(package: dict[str, str], bench: dict[str, str]) -> list[str]:
                 sites.setdefault(name, []).append((path, line))
     missing = []
     for path, tree in trees.items():
-        for qualname, node in definitions(tree):
+        for qualname, node in defined(tree):
             name = qualname.rpartition(".")[2]
             lo, hi = node.lineno, node.end_lineno
             if name not in outside and not any(
@@ -246,6 +268,11 @@ def package_unreached() -> tuple[str, ...]:
 
 
 @functools.cache
+def package_unread_constants() -> tuple[str, ...]:
+    return tuple(unreached(read_all(PACKAGE_DIR), read_all(BENCH_DIR), defined=constants))
+
+
+@functools.cache
 def package_unpassed() -> tuple[str, ...]:
     return tuple(unpassed(read_all(PACKAGE_DIR), read_all(BENCH_DIR)))
 
@@ -283,6 +310,26 @@ def test_an_unreached_definition_is_found():
     }
     bench = {"bench/t.py": 'TARGETS = (("a", "traced"),)\n'}
     assert unreached(package, bench) == ["K.m", "lonely"]
+
+
+def test_every_constant_is_read():
+    assert list(package_unread_constants()) == []
+
+
+def test_an_unread_constant_is_found():
+    package = {
+        "pkg/a.py": (
+            "USED = 1\nLOCAL = 2\nLONELY = 3\nSELF = SELF_TOO = 4\nTYPED: int = 5\n"
+            "TRACED = 6\nlower = 7\n__all__ = ['LONELY']\n"
+            "def f():\n    return LOCAL\n"
+        ),
+        "pkg/b.py": "from .a import USED, TYPED\nx = USED\n",
+        "pkg/__init__.py": "from .a import LONELY\nprint(LONELY)\n",
+    }
+    bench = {"bench/t.py": 'TARGETS = (("a", "TRACED"),)\n'}
+    assert unreached(package, bench, defined=constants) == [
+        "LONELY", "SELF", "SELF_TOO", "TYPED"
+    ]
 
 
 def test_every_defaulted_parameter_is_passed():

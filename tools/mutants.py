@@ -133,10 +133,18 @@ MUTANTS = (
     ),
     Mutant(
         "freeze_events_out_of_freeze_order",
-        "src/editstop/freeze.py",
-        "for st in self.states.values()",
-        "for st in sorted(self.states.values(), key=lambda st: -st.token)",
-        ("tests/test_freeze.py",),
+        "src/editstop/generate.py",
+        "tuple(freezer.states.values())",
+        "tuple(sorted(freezer.states.values(), key=lambda st: -st.token))",
+        ("tests/test_equivalence.py::test_policies_match_reference",),
+    ),
+    Mutant(
+        "stop_rule_counts_the_threshold_as_stable",
+        "src/editstop/monitor.py",
+        "d_t < self.cfg.delta",
+        "d_t <= self.cfg.delta",
+        ("tests/test_harness.py::TestReplayStop::test_threshold_is_strict",
+         "tests/test_monitor.py::TestUpdateCounter::test_exact_threshold_resets"),
     ),
     Mutant(
         "repeat_rule_ignores_committed",
