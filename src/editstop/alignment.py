@@ -99,6 +99,11 @@ class AlignmentDistribution:
     step: int
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=1)`` of a real 2-D array, bit for bit."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
+
+
 def score_alignment(
     acts: np.ndarray,
     reasoning_map: EvolutionVector | SubspaceBasis,
@@ -129,12 +134,13 @@ def score_alignment(
 
     # Row-wise einsum rather than a BLAS matmul: BLAS blocks rows, so a
     # row's score could change in its last bits with the number of rows
-    # scored alongside it. The einsum and the ``axis=1`` norm give each row
-    # the same bits whatever the row count.
+    # scored alongside it. The einsum and the axis-1 norm give each row the
+    # same bits whatever the row count. ``_row_norms`` and the clip are the
+    # ufuncs ``np.linalg.norm(axis=1)`` and ``np.clip`` run, called directly.
     if mode is SimilarityMode.SUBSPACE_NORM:
-        scores = np.linalg.norm(np.einsum("ij,jk->ik", acts, reasoning_map.columns), axis=1)
+        scores = _row_norms(np.einsum("ij,jk->ik", acts, reasoning_map.columns))
     else:
-        norms = np.linalg.norm(acts, axis=1)
+        norms = _row_norms(acts)
         live = norms >= NORM_FLOOR
         if mode is SimilarityMode.VECTOR_COSINE:
             norm_u = reasoning_map.norm()
@@ -142,10 +148,10 @@ def score_alignment(
             cosines = np.einsum("ij,j->i", acts, reasoning_map.u) / np.where(
                 live, norms * norm_u, 1.0
             )
-            raw = np.clip(cosines, -1.0, 1.0)
+            raw = np.minimum(np.maximum(cosines, -1.0), 1.0)
         else:
             coords = np.einsum("ij,jk->ik", acts, reasoning_map.columns)
-            raw = np.minimum(np.linalg.norm(coords, axis=1) / np.where(live, norms, 1.0), 1.0)
+            raw = np.minimum(_row_norms(coords) / np.where(live, norms, 1.0), 1.0)
         scores = np.where(live, raw, mode.minimum_score)
     return scores
 

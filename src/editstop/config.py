@@ -106,6 +106,9 @@ class ExperimentConfig:
             )
         if not self.seeds or min(self.seeds) < 0:
             raise ConfigError(f"seeds takes one or more integers >= 0, got {self.seeds}")
+        if len(set(self.seeds)) != len(self.seeds):
+            # Each seed names one set of outputs (traces/seed<s>_*, a per_seed entry).
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         for name, minimum in (
             ("train_steps", 1),
             ("batch_size", 1),

@@ -20,10 +20,11 @@ whole.
 that does not repeat its predecessor (``repeats_previous``: the
 predecessor committed no slot, so it found the block full and the tokens
 are unchanged); the open slots are ranked right after it. It returns
-only the block's rows, runs on ``forward_weights``, built once per
-``generate``, and emits every requested tap (``taps``); the first tap's
-frame is the one scored and frozen. ``record=True`` keeps each step's
-recorded forward for the offline pseudo-gradient.
+only the block's rows, runs on ``forward_weights``, taken once per
+``generate`` (and built once per model for a loaded one), and emits every
+requested tap (``taps``); the first tap's frame is the one scored and
+frozen. ``record=True`` keeps each step's recorded forward for the
+offline pseudo-gradient.
 
 Step work that no caller reads is skipped. A ``fixed`` decode scores no
 frame and records no alignment. A repeated step commits nothing and
@@ -406,7 +407,7 @@ def generate(
 ) -> GenerateResult:
     """Denoise every block after the prompt, left to right; each block
     records ``taps`` (and with ``record`` its forwards) as :func:`denoise_block` does.
-    The model's ``forward_weights`` are built once and serve every block."""
+    The model's ``forward_weights`` are taken once and serve every block."""
     policy = policy if policy is not None else PolicyConfig()
     cfg = model.cfg
     L = cfg.block_length

@@ -78,18 +78,21 @@ class ProbVector:
 
 def softmax_rows(z) -> np.ndarray:
     """Softmax along the last axis with max-subtraction, floored at
-    ``PROB_FLOOR``. A row that is non-finite or more than 1e-9 from summing
-    to one raises ``EmptyInputError``. Row ``i`` is bit for bit the softmax
-    of ``z[i]`` alone, so 1-D and row-stacked callers agree exactly."""
+    ``PROB_FLOOR``. Row ``i`` is bit for bit the softmax of ``z[i]`` alone,
+    so 1-D and row-stacked callers agree exactly.
+
+    A row whose normalizer ``Σ exp(z − max)`` is not finite raises
+    ``EmptyInputError``. A row with a finite maximum (``-inf`` entries
+    allowed) has a normalizer in ``[1, n]``, and its probabilities sum to
+    one within ``n·ε``; a NaN or ``+inf`` entry, or a row of ``-inf``, makes
+    it NaN. So this check rejects exactly the rows that a 1e-9 check of the
+    normalized rows' sums would."""
     ez = np.exp(z - z.max(axis=-1, keepdims=True))
-    probs = ez / ez.sum(axis=-1, keepdims=True)
-    # A non-finite entry makes its row's sum, and so ``worst``, NaN or inf.
-    worst = abs(probs.sum(axis=-1) - 1.0).max()
-    if not worst <= 1e-9:
-        raise EmptyInputError(
-            f"a softmax row is non-finite or {float(worst)!r} from summing to 1"
-        )
-    return np.maximum(probs, PROB_FLOOR)
+    total = ez.sum(axis=-1, keepdims=True)
+    worst = total.max()  # NaN when any row's is
+    if not np.isfinite(worst):
+        raise EmptyInputError(f"a softmax row is non-finite: its normalizer is {float(worst)!r}")
+    return np.maximum(ez / total, PROB_FLOOR)
 
 
 def _check_same_support(p: ProbVector, q: ProbVector) -> None:

@@ -6,7 +6,8 @@ record every intermediate needed for a hand-written reverse pass over
 the adapter parameters, and can tap the adapter-branch output of any
 attention projection as per-position activation vectors. Decoding and
 training both run it on ``forward_weights``, the adapters folded into
-the frozen weights.
+the frozen weights; a model whose parameter arrays are all read-only, as
+``load_checkpoint`` returns them, builds those weights once.
 
 The base initialization is structured rather than fully random: token
 identity occupies the leading embedding dimensions, a two-frequency
@@ -22,8 +23,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -148,6 +150,8 @@ class ToyModel:
     cfg: ModelConfig
     base: dict[str, np.ndarray]
     lora: dict[str, np.ndarray]
+    # ``forward_weights``' cache: (the parameter arrays it read, the weights).
+    _weights: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def default_tap(self) -> TapSpec:
         return TapSpec(module_path(self.cfg.n_blocks - 1, "q"))
@@ -237,14 +241,14 @@ class ForwardResult:
 
 @dataclass(frozen=True)
 class ForwardWeights:
-    """Every weight operand of :func:`forward`, from the current parameters
-    (rebuild after the adapters change), in the layout its GEMM reads fastest
-    with the same bits. ``qkv[b]``: layer ``b``'s ``W + B @ A`` for q, k, v in
-    one column-major ``(3 * d_model, d_model)`` stack. ``wq_last``: the last
-    Wq, row-major as its 16-row GEMM's bits need. ``adapters``: each module
-    path's (A, B). ``mlp[b]``: ``(Woᵀ, W1ᵀ, W2ᵀ)``, row-major copies below the
-    last layer, ``.T`` views in it. The copies keep the views' bits at the
-    default sizes from 19 rows up; fewer rows or other sizes may move bits."""
+    """Every weight operand of :func:`forward`, from the current parameters,
+    in the layout its GEMM reads fastest with the same bits. ``qkv[b]``: layer
+    ``b``'s ``W + B @ A`` for q, k, v in one column-major
+    ``(3 * d_model, d_model)`` stack. ``wq_last``: the last Wq, row-major as
+    its 16-row GEMM's bits need. ``adapters``: each module path's (A, B).
+    ``mlp[b]``: ``(Woᵀ, W1ᵀ, W2ᵀ)``, row-major copies below the last layer,
+    ``.T`` views in it. The copies keep the views' bits at the default sizes
+    from 19 rows up; fewer rows or other sizes may move bits."""
 
     qkv: tuple[np.ndarray, ...]
     wq_last: np.ndarray
@@ -253,6 +257,20 @@ class ForwardWeights:
 
 
 def forward_weights(model: ToyModel) -> ForwardWeights:
+    """The model's :class:`ForwardWeights`, built from its parameters.
+
+    When every parameter array is read-only (``load_checkpoint``'s are), the
+    weights are built once, made read-only and kept on the model: later calls
+    return them while ``base`` and ``lora`` hold the very arrays they were
+    built from. Replacing an array, or making one writable, rebuilds them.
+    A model with a writable array (``init_model``'s, and so training's) gets
+    fresh weights on every call, as its arrays may have changed in place."""
+    params = (*model.base.values(), *model.lora.values())
+    frozen = not any(a.flags.writeable for a in params)
+    if frozen and model._weights is not None:
+        built_from, weights = model._weights
+        if len(built_from) == len(params) and all(map(operator.is_, built_from, params)):
+            return weights
     cfg, base, last = model.cfg, model.base, model.cfg.n_blocks - 1
     adapters = {module_path(b, p): tuple(model.lora[lora_param_key(b, p, ad)] for ad in ADAPTERS)
                 for b in range(cfg.n_blocks) for p in PROJECTIONS}
@@ -262,7 +280,12 @@ def forward_weights(model: ToyModel) -> ForwardWeights:
     ])) for b in range(cfg.n_blocks))
     mlp = tuple(tuple((np.asarray if b == last else np.ascontiguousarray)(base[f"block{b}.{w}"].T)
                       for w in ("wo", "w1", "w2")) for b in range(cfg.n_blocks))
-    return ForwardWeights(qkv, np.ascontiguousarray(qkv[last][: cfg.d_model]), adapters, mlp)
+    weights = ForwardWeights(qkv, np.ascontiguousarray(qkv[last][: cfg.d_model]), adapters, mlp)
+    if frozen:
+        for arr in (*qkv, weights.wq_last, *(w for layer in mlp for w in layer)):
+            arr.setflags(write=False)
+        model._weights = (params, weights)
+    return weights
 
 
 def forward(
@@ -516,7 +539,9 @@ def save_checkpoint(model: ToyModel, path) -> bytes:
 def load_checkpoint(path) -> ToyModel:
     """Read a ``save_checkpoint`` file. Each namespace must hold exactly
     the arrays, by name and shape, that ``init_model`` builds for the
-    stored config; anything else raises ``ArtifactMismatchError``."""
+    stored config; anything else raises ``ArtifactMismatchError``. The
+    arrays come back read-only, so ``forward_weights`` builds the loaded
+    model's weights once."""
     r = read_framed(path, CKPT_MAGIC, CKPT_VERSION)
     cfg_blob = r.take(r.u32())
     n_arrays = r.u16()
@@ -527,6 +552,7 @@ def load_checkpoint(path) -> ToyModel:
         shape = tuple(r.u32() for _ in range(r.u8()))
         payload = r.payload(8 * int(np.prod(shape, dtype=np.int64)), name)
         arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+        arr.setflags(write=False)
         if name.startswith("base/"):
             base[name[len("base/"):]] = arr
         elif name.startswith("lora/"):

@@ -136,7 +136,8 @@ def _selected_keys(model: ToyModel, config: PseudoGradConfig) -> tuple[str, ...]
 
 
 def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int):
-    """The block-row forward of ``step``, run here on the step's input."""
+    """The block-row forward of ``step``, run here on the step's input (on
+    the model's ``forward_weights``, built once for a loaded model)."""
     L = model.cfg.block_length
     if step == 1:
         block = np.full(L, model.cfg.mask_id, dtype=np.int64)

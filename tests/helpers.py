@@ -1,5 +1,6 @@
 """Shared builders for synthetic distributions, chains, and frames, test
-oracles (the out-of-place and the batched forward pass, a scalar cosine,
+oracles (the out-of-place and the batched forward pass, the softmax's
+row-sum check, a scalar cosine,
 the monitor's matched-support KL through ``restrict`` and its two error
 classes, which only these oracles use, the windowed TV bound, the step
 objective of the pseudo-gradient and the per-token freezing rule), the
@@ -32,6 +33,7 @@ from editstop.certify import (
 from editstop.errors import (
     DimMismatchError,
     EditStopError,
+    EmptyInputError,
     MissingStepError,
     SupportMismatchError,
     VocabOverflowError,
@@ -41,7 +43,14 @@ from editstop.capture import SubspaceBasis
 from editstop.freeze import FreezeConfig
 from editstop.generate import PolicyConfig, generate
 from editstop.harness import ABLATION_SITES, _sample_instances
-from editstop.linalg import NORM_FLOOR, ProbVector, kl_divergence, softmax_rows, total_variation
+from editstop.linalg import (
+    NORM_FLOOR,
+    PROB_FLOOR,
+    ProbVector,
+    kl_divergence,
+    softmax_rows,
+    total_variation,
+)
 from editstop.metaformat import load_metadata
 from editstop.model import (
     PROJECTIONS,
@@ -252,6 +261,26 @@ def batched_forward(
 
 
 # --- oracles -----------------------------------------------------------------
+
+
+def row_sum_softmax(z) -> np.ndarray:
+    """``linalg.softmax_rows`` as it checked its rows before it read their
+    normalizers: the normalized rows summed again, and a row that is
+    non-finite or more than 1e-9 from summing to one refused."""
+    ez = np.exp(z - z.max(axis=-1, keepdims=True))
+    probs = ez / ez.sum(axis=-1, keepdims=True)
+    worst = abs(probs.sum(axis=-1) - 1.0).max()
+    if not worst <= 1e-9:
+        raise EmptyInputError(f"a softmax row is non-finite or {float(worst)!r} from summing to 1")
+    return np.maximum(probs, PROB_FLOOR)
+
+
+def softmax_outcome(softmax, z) -> bytes | str:
+    """``softmax(z)``'s bits, or ``"refused"`` when it raises ``EmptyInputError``."""
+    try:
+        return softmax(z).tobytes()
+    except EmptyInputError:
+        return "refused"
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

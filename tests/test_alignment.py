@@ -10,12 +10,13 @@ from editstop.alignment import (
     ActivationFrame,
     SimilarityMode,
     VisibleSet,
+    _row_norms,
     score_alignment,
     score_frame,
 )
 from editstop.capture import EvolutionVector, build_subspace
 from editstop.errors import DimMismatchError, EmptyVisibleSetError, NonPositiveTemperatureError
-from editstop.linalg import softmax_rows
+from editstop.linalg import NORM_FLOOR, softmax_rows
 
 
 def unit_map(d=2) -> EvolutionVector:
@@ -222,6 +223,55 @@ class TestScoreAlignment:
                 unit_map(),
                 SimilarityMode.SUBSPACE_NORM,
             )
+
+
+def numpy_scores(acts, reasoning_map, mode):
+    """``score_alignment`` as written with ``np.linalg.norm`` and ``np.clip``."""
+    if mode is SimilarityMode.SUBSPACE_NORM:
+        return np.linalg.norm(np.einsum("ij,jk->ik", acts, reasoning_map.columns), axis=1)
+    norms = np.linalg.norm(acts, axis=1)
+    live = norms >= NORM_FLOOR
+    if mode is SimilarityMode.VECTOR_COSINE:
+        norm_u = reasoning_map.norm()
+        live &= norm_u >= NORM_FLOOR
+        cosines = np.einsum("ij,j->i", acts, reasoning_map.u) / np.where(live, norms * norm_u, 1.0)
+        raw = np.clip(cosines, -1.0, 1.0)
+    else:
+        coords = np.einsum("ij,jk->ik", acts, reasoning_map.columns)
+        raw = np.minimum(np.linalg.norm(coords, axis=1) / np.where(live, norms, 1.0), 1.0)
+    return np.where(live, raw, mode.minimum_score)
+
+
+class TestScoringUfuncs:
+    """``score_alignment`` calls the ufuncs that ``np.linalg.norm(axis=1)``
+    and ``np.clip`` run, without their Python layers: the same bits."""
+
+    def test_row_norms_are_linalg_norm(self):
+        rng = np.random.default_rng(32)
+        for _ in range(2000):
+            a = rng.normal(scale=10.0 ** rng.integers(-150, 150), size=(
+                int(rng.integers(1, 17)), int(rng.integers(1, 65))))
+            a[rng.random(a.shape[0]) < 0.1] = 0.0
+            assert _row_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+
+    def test_scores_are_the_numpy_calls_bits(self):
+        # Rows along ±u have cosines that round past ±1, so the clip acts.
+        rng = np.random.default_rng(33)
+        for _ in range(2000):
+            d = int(rng.integers(2, 65))
+            u = EvolutionVector(np.abs(rng.normal(size=d)), "m", 4)
+            basis = build_subspace(rng.normal(size=(d, 6)), int(rng.integers(1, min(d, 6) + 1)), "m")
+            acts = rng.normal(size=(int(rng.integers(1, 17)), d))
+            along = rng.random(len(acts)) < 0.3
+            acts[along] = rng.normal(size=(int(along.sum()), 1)) * u.u
+            acts[rng.random(len(acts)) < 0.1] = 0.0
+            for reasoning_map, mode in [
+                (u, SimilarityMode.VECTOR_COSINE),
+                (basis, SimilarityMode.SUBSPACE_NORM),
+                (basis, SimilarityMode.SUBSPACE_COSINE),
+            ]:
+                got = score_alignment(acts, reasoning_map, mode)
+                assert got.tobytes() == numpy_scores(acts, reasoning_map, mode).tobytes(), mode
 
 
 class TestSimilarityMode:

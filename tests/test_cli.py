@@ -458,7 +458,8 @@ class TestMistypedConfig:
 
 class TestNegativeSeeds:
     """A negative seed is a configuration error (exit 2), whether the
-    config file or ``--seed`` gives it, not a numpy traceback."""
+    config file or ``--seed`` gives it, not a numpy traceback; so is an
+    evaluation seed given twice, before any output is written."""
 
     def test_negative_model_seed_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.txt"
@@ -480,6 +481,23 @@ class TestNegativeSeeds:
                      "--out", str(tmp_path / "out"), *flags])
         assert code == EXIT_CONFIG
         assert "seeds takes one or more integers >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seeds, flags",
+        [("[1, 1, 2]", []), ("[1]", ["--seed", "1", "--seed", "1"]),
+         ("[1]", ["--seed", "2", "--seed", "3", "--seed", "2"])],
+        ids=["config_seeds", "seed_flag", "third_seed_flag"],
+    )
+    def test_repeated_evaluation_seed_exits_two(self, trained_cli, tmp_path, capsys, seeds, flags):
+        _, run_dir = trained_cli
+        cfg_path = tmp_path / "exp.txt"
+        cfg_path.write_text(SMALL.replace("seeds = [1]", f"seeds = {seeds}"))
+        out = tmp_path / "out"
+        code = main(["infer", "--config", str(cfg_path), "--artifacts", run_dir,
+                     "--out", str(out), *flags])
+        assert code == EXIT_CONFIG
+        assert "seeds must be distinct" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCommands:

@@ -90,6 +90,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(seeds=[])
 
+    @pytest.mark.parametrize("seeds", [[1, 1, 2], [2, 1, 2], [0, 0]])
+    def test_repeated_seed_refused(self, seeds):
+        # A repeated seed would write its traces twice over and count it
+        # twice in the mean.
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            ExperimentConfig(seeds=seeds)
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            ExperimentConfig.from_text(f"seeds = {seeds}\n")
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            dataclasses.replace(ExperimentConfig(), seeds=seeds)
+
     def test_minimums(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(train_steps=0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import ZeroNormError, cosine_similarity, restrict
+from helpers import ZeroNormError, cosine_similarity, restrict, row_sum_softmax, softmax_outcome
 
 from editstop.errors import (
     DimMismatchError,
@@ -275,6 +275,28 @@ class TestRowHelpers:
     def test_softmax_rows_rejects_non_finite_rows(self):
         with pytest.raises(EmptyInputError):
             softmax_rows(np.array([[0.0, 1.0], [np.nan, 0.0]]))
+
+    SPECIAL = (np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0,
+               709.0, -745.0)
+
+    def test_normalizer_check_matches_the_row_sum_check(self):
+        # 20,000 arrays of 1 to 4 rows, each entry special with chance 1/4:
+        # softmax_rows refuses exactly the inputs the old row-sum check
+        # refused, and returns its bits on the rest.
+        rng = np.random.default_rng(32)
+        refused = 0
+        for _ in range(20_000):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 9)))
+            z = rng.normal(scale=10.0 ** rng.integers(0, 4), size=shape)
+            special = rng.random(shape) < 0.25
+            z[special] = rng.choice(self.SPECIAL, size=int(special.sum()))
+            if rng.random() < 0.25:
+                z = z[0]
+            with np.errstate(all="ignore"):
+                got, want = (softmax_outcome(f, z) for f in (softmax_rows, row_sum_softmax))
+            assert got == want, z
+            refused += got == "refused"
+        assert 2_000 < refused < 18_000  # both verdicts are well represented
 
 
 class TestTotalVariation:

@@ -17,12 +17,16 @@ from editstop.errors import (
     TruncatedFileError,
     VocabOverflowError,
 )
+from editstop import model as model_module
+from editstop.capture import EvolutionVector, build_subspace
+from editstop.generate import PolicyConfig, generate
 from editstop.metaformat import write_framed
 from editstop.model import (
     CKPT_MAGIC,
     CKPT_VERSION,
     ModelConfig,
     TapSpec,
+    ToyModel,
     backward_lora,
     forward,
     forward_weights,
@@ -33,6 +37,7 @@ from editstop.model import (
     predictive_distributions,
     save_checkpoint,
 )
+from editstop.pseudograd import PseudoGradConfig, pseudo_gradient
 
 TINY = ModelConfig(
     vocab_size=12,
@@ -738,3 +743,136 @@ class TestStructuredInit:
         model = init_model(cfg)
         assert np.all(model.base["emb_tok"][cfg.mask_id] == 0.0)
         assert np.all(model.base["head"][cfg.mask_id] == 0.0)
+
+
+class TestLoadedWeightsCache:
+    """``forward_weights`` builds a loaded model's weights once, keyed by
+    its parameter arrays, and builds a writable model's on every call."""
+
+    @staticmethod
+    def loaded(tmp_path, cfg=None, seed=0):
+        model = init_model(cfg if cfg is not None else ModelConfig())
+        randomize_lora(model, np.random.default_rng(seed), scale=0.3)
+        path = tmp_path / "m.editckpt"
+        save_checkpoint(model, path)
+        return load_checkpoint(path)
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        built = []
+        real = model_module.ForwardWeights
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(model_module, "ForwardWeights", counting)
+        return built
+
+    @staticmethod
+    def read_only(weights) -> bool:
+        arrays = (*weights.qkv, weights.wq_last, *(a for layer in weights.mlp for a in layer),
+                  *(a for pair in weights.adapters.values() for a in pair))
+        return not any(a.flags.writeable for a in arrays)
+
+    @staticmethod
+    def same_weights(got, want) -> bool:
+        return (
+            all(map(same_bits, got.qkv, want.qkv))
+            and same_bits(got.wq_last, want.wq_last)
+            and all(same_bits(g, w) for gl, wl in zip(got.mlp, want.mlp) for g, w in zip(gl, wl))
+        )
+
+    def test_loaded_model_builds_once_and_refuses_writes(self, tmp_path, monkeypatch):
+        model = self.loaded(tmp_path)
+        built = self.count_builds(monkeypatch)
+        cfg = model.cfg
+        rng = np.random.default_rng(1)
+        vector = EvolutionVector(u=np.abs(rng.normal(size=cfg.d_model)), module_id="m", rank=4)
+        prompt = rng.integers(0, cfg.vocab_size - 1, size=cfg.block_length)
+        weights = forward_weights(model)
+        assert forward_weights(model) is weights
+        for _ in range(2):
+            run = generate(model, prompt, 32, PolicyConfig("edit"), reasoning_map=vector)
+        forward(model, np.concatenate([prompt, prompt]))
+        # The pseudo-gradient's own forwards build no weights either.
+        pseudo_gradient(model, run.blocks[0].trajectory, 1, PseudoGradConfig())
+        assert len(built) == 1
+        assert self.read_only(weights)
+        key = next(iter(model.lora))
+        with pytest.raises(ValueError, match="read-only"):
+            model.lora[key][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.base["block0.wo"][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            weights.qkv[0][0, 0] = 1.0
+        assert forward_weights(model) is weights
+
+    @pytest.mark.parametrize("key", ["block1.q.lora_b", "block0.v.lora_a", "block0.wk", "block0.w1"])
+    def test_replacing_an_array_rebuilds(self, tmp_path, key):
+        model = self.loaded(tmp_path)
+        old = forward_weights(model)
+        params = model.lora if "lora" in key else model.base
+        new = params[key] + 0.5
+        new.setflags(write=False)
+        params[key] = new
+        weights = forward_weights(model)
+        assert weights is not old and not self.same_weights(weights, old)
+        fresh = ToyModel(model.cfg, {k: a.copy() for k, a in model.base.items()},
+                         {k: a.copy() for k, a in model.lora.items()})
+        assert self.same_weights(weights, forward_weights(fresh))
+        assert forward_weights(model) is weights
+        # A writable replacement is never cached.
+        params[key] = new.copy()
+        assert forward_weights(model) is not forward_weights(model)
+
+    def test_changed_in_place_model_gets_fresh_weights(self, monkeypatch):
+        model = init_model(ModelConfig())
+        built = self.count_builds(monkeypatch)
+        first = forward_weights(model)
+        assert forward_weights(model) is not first and len(built) == 2
+        assert not self.read_only(first)
+        for key in ("block0.q.lora_b", "block1.k.lora_b"):
+            model.lora[key] += 0.25
+        model.base["block0.w2"] *= 2.0
+        got = forward_weights(model)
+        want = forward_weights(ToyModel(model.cfg, dict(model.base), dict(model.lora)))
+        assert not self.same_weights(got, first) and self.same_weights(got, want)
+        # The same, made read-only by hand, is cached from then on.
+        for arr in (*model.base.values(), *model.lora.values()):
+            arr.setflags(write=False)
+        assert forward_weights(model) is forward_weights(model)
+
+    @pytest.mark.parametrize("kind", ["fixed", "edit", "edit_freeze"])
+    def test_loaded_and_writable_decodes_agree_bit_for_bit(self, tmp_path, kind):
+        model = self.loaded(tmp_path, seed=2)
+        writable = ToyModel(model.cfg, {k: a.copy() for k, a in model.base.items()},
+                            {k: a.copy() for k, a in model.lora.items()})
+        cfg = model.cfg
+        rng = np.random.default_rng(3)
+        vector = EvolutionVector(u=np.abs(rng.normal(size=cfg.d_model)), module_id="m", rank=4)
+        basis = build_subspace(rng.normal(size=(cfg.d_model, 6)), 3, "m")
+        for _ in range(3):
+            prompt = rng.integers(0, cfg.vocab_size - 1, size=cfg.block_length)
+            got, want = (
+                generate(m, prompt, 64, PolicyConfig(kind), reasoning_map=vector,
+                         freeze_basis=basis, record=True)
+                for m in (model, writable)
+            )
+            assert (got.tokens, got.block_steps) == (want.tokens, want.block_steps)
+            for gb, wb in zip(got.blocks, want.blocks, strict=True):
+                assert gb.certificate == wb.certificate
+                if kind != "fixed":
+                    trace = [(r.step, repr(r.divergence)) for r in gb.monitor.divergence_trace]
+                    assert trace == [(r.step, repr(r.divergence))
+                                     for r in wb.monitor.divergence_trace]
+                for g, w in zip(gb.freeze_events, wb.freeze_events, strict=True):
+                    assert (g.token, g.frozen_at, g.epsilon_s) == (w.token, w.frozen_at, w.epsilon_s)
+                    assert same_bits(g.frozen_value, w.frozen_value)
+                for g, w in zip(gb.trajectory.records, wb.trajectory.records, strict=True):
+                    assert (g.committed, g.tokens, g.choice) == (w.committed, w.tokens, w.choice)
+                    assert same_bits(g.frame.activations, w.frame.activations)
+                    if kind != "fixed":
+                        assert same_bits(g.alignment.dist.probs, w.alignment.dist.probs)
+                for g, w in zip(gb.trajectory.forwards, wb.trajectory.forwards, strict=True):
+                    assert_same_forward(g, w)

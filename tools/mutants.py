@@ -102,6 +102,28 @@ MUTANTS = (
         'grads[key_a] += dax.T @ c["x_in"][:, start:].transpose(1, 0, 2).reshape(-1, d)',
         ("tests/test_model.py::TestTwoDimensionalGemms::test_training_batch_matches_per_sample_full_passes",),
     ),
+    Mutant(
+        "weights_cache_ignores_a_replaced_array",
+        "src/editstop/model.py",
+        "        if len(built_from) == len(params) and all(map(operator.is_, built_from, params)):\n",
+        "        if True:\n",
+        ("tests/test_model.py::TestLoadedWeightsCache::test_replacing_an_array_rebuilds",),
+    ),
+    Mutant(
+        "weights_cache_serves_writable_models",
+        "src/editstop/model.py",
+        "    frozen = not any(a.flags.writeable for a in params)\n",
+        "    frozen = True\n",
+        ("tests/test_model.py::TestLoadedWeightsCache::test_changed_in_place_model_gets_fresh_weights",),
+    ),
+    Mutant(
+        "softmax_check_passes_a_nan_normalizer",
+        "src/editstop/linalg.py",
+        "    if not np.isfinite(worst):\n",
+        "    if np.isinf(worst):\n",
+        ("tests/test_linalg.py::TestRowHelpers::test_normalizer_check_matches_the_row_sum_check",
+         "tests/test_softmax_normalizer.py::test_verdict_and_bits_match_the_row_sum_check"),
+    ),
     # --- one owner per rule ---
     Mutant(
         "alignment_softmax_ignores_tau_blk",
