@@ -131,13 +131,21 @@ def estimate_contraction(post_unmask_traces) -> ContractionEstimate:
     )
 
 
+def contractive(alpha_hat: float) -> bool:
+    """Whether ``alpha_hat`` lies in [0, 1), where every tail bound
+    ``1 / (1 - alpha_hat)`` is finite."""
+    return 0.0 <= alpha_hat < 1.0
+
+
+def require_contractive(alpha_hat: float) -> None:
+    if not contractive(alpha_hat):
+        raise AlphaNotContractiveError(f"alpha_hat must be in [0, 1), got {alpha_hat}")
+
+
 def tail_budget(alpha_hat: float, delta: float) -> float:
     """TV budget for movement after the stop under estimated contraction:
     the supremum over all horizons."""
-    if not 0.0 <= alpha_hat < 1.0:
-        raise AlphaNotContractiveError(
-            f"alpha_hat must be in [0, 1), got {alpha_hat}"
-        )
+    require_contractive(alpha_hat)
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     return math.sqrt(delta / 2.0) / (1.0 - alpha_hat)
@@ -147,10 +155,7 @@ def global_argmax_certificate(
     margin: MarginReport, cfg: StopConfig, alpha_hat: float
 ) -> bool:
     """Pass iff window budget plus contraction tail stays under half the margin."""
-    if not 0.0 <= alpha_hat < 1.0:
-        raise AlphaNotContractiveError(
-            f"alpha_hat must be in [0, 1), got {alpha_hat}"
-        )
+    require_contractive(alpha_hat)
     if margin.support_size == 1:
         return True
     combined = tv_budget(cfg.delta, cfg.omega) + tail_budget(alpha_hat, cfg.delta)
@@ -208,10 +213,7 @@ def calibrate_pac(
     (shorter runs stop sooner); ties prefer the larger threshold, then the
     smaller span.
     """
-    if not 0.0 <= alpha_hat < 1.0:
-        raise AlphaNotContractiveError(
-            f"alpha_hat must be in [0, 1), got {alpha_hat}"
-        )
+    require_contractive(alpha_hat)
     if not delta_grid or not omega_grid:
         raise EmptyInputError("calibration grids must be nonempty")
     q = margin_quantile(validation_margins, beta)

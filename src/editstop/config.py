@@ -126,6 +126,12 @@ class ExperimentConfig:
             self.similarity_mode()
         except (ValueError, KeyError) as exc:
             raise ConfigError(str(exc)) from exc
+        positions, rank = self.max_blocks * self.block_length, min(self.lora_rank, self.d_model)
+        if self.seq_len > positions:
+            raise ConfigError(f"seq_len {self.seq_len} exceeds {positions} model positions")
+        # The freeze basis spans the default tap's (d_model, lora_rank) adapter B.
+        if self.subspace_k > rank:
+            raise ConfigError(f"subspace_k {self.subspace_k} exceeds adapter rank {rank}")
 
     # --- component builders ------------------------------------------
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from .alignment import ActivationFrame
 from .capture import SubspaceBasis
-from .certify import tv_budget
+from .certify import require_contractive, tv_budget
 from .errors import (
-    AlphaNotContractiveError,
     DimMismatchError,
     ProbeUnsupportedError,
     VisibleSetChangedError,
@@ -167,8 +166,7 @@ def freeze_safety(
     (beta / (1 - alpha)) * epsilon and compares against half the global
     top-2 margin measured at the freeze event.
     """
-    if not 0.0 <= alpha_hat < 1.0:
-        raise AlphaNotContractiveError(f"alpha_hat must be in [0, 1), got {alpha_hat}")
+    require_contractive(alpha_hat)
     bound = (coupling.beta_s / (1.0 - alpha_hat)) * state.epsilon_s
     combined = tv_budget(global_cfg.delta, global_cfg.omega) + bound
     half = global_margin / 2.0

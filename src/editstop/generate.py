@@ -21,7 +21,7 @@ that does not repeat its predecessor (``repeats_previous``: the
 predecessor committed no slot, so it found the block full and the tokens
 are unchanged); the open slots are ranked right after it. It returns
 only the block's rows, runs on ``forward_weights``, taken once per
-``generate`` (and built once per model for a loaded one), and emits every
+block (and built once per model for a loaded one), and emits every
 requested tap (``taps``); the first tap's frame is the one scored and
 frozen. ``record=True`` keeps each step's recorded forward for the
 offline pseudo-gradient.
@@ -65,7 +65,6 @@ from .errors import NonMonotoneVisibleSetError, ScheduleExhaustedError
 from .freeze import FreezeConfig, TokenFreezer, TokenFreezeState
 from .model import (
     ForwardResult,
-    ForwardWeights,
     ToyModel,
     TapSpec,
     forward,
@@ -171,11 +170,16 @@ class BlockResult:
     monitor: Optional[StabilityMonitor]
     certificate: Optional[Certificate]
     freeze_events: tuple[TokenFreezeState, ...]
-    forward_passes: int
 
     @property
     def block_index(self) -> int:
         return self.trajectory.block_index
+
+    @property
+    def forward_passes(self) -> int:
+        """The block's forwards: one per step that does not repeat its predecessor."""
+        records = self.trajectory.records
+        return sum(not repeats_previous(prev) for prev in [None, *records[:-1]])
 
     @property
     def steps_used(self) -> int:
@@ -255,7 +259,6 @@ def denoise_block(
     freeze_basis: SubspaceBasis | None = None,
     alpha_hat: float | None = None,
     record: bool = False,
-    weights: ForwardWeights | None = None,
 ) -> BlockResult:
     """Denoise one block given all earlier tokens.
 
@@ -269,8 +272,6 @@ def denoise_block(
     one forward into ``StepRecord.frames``: ``taps[0]`` gives the scored
     and frozen ``frame``, the rest raw frames over the same visible set. ``record``
     keeps each step's recorded forward on ``trajectory.forwards``.
-    Every forward runs on ``weights``, the model's ``forward_weights``,
-    built here when not given.
     """
     policy = policy if policy is not None else PolicyConfig()
     cfg = model.cfg
@@ -294,7 +295,7 @@ def denoise_block(
         raise ValueError(f"taps must be nonempty and distinct, got {taps}")
     monitor = StabilityMonitor(policy.stop) if policy.monitored else None
     freezer = TokenFreezer(freeze_basis, policy.freeze) if policy.freezing else None
-    weights = weights if weights is not None else forward_weights(model)
+    weights = forward_weights(model)
 
     lo, mask_id = block_index * L, cfg.mask_id
     tokens = np.concatenate([prefix, np.full(L, mask_id, dtype=np.int64)])
@@ -305,7 +306,6 @@ def denoise_block(
     records: list[StepRecord] = []
     forwards: list[ForwardResult] = []
     certificate: Optional[Certificate] = None
-    forward_passes = 0
 
     for step in range(1, budget + 1):
         # Rerun forward and rank the open slots unless the step repeats
@@ -317,7 +317,6 @@ def denoise_block(
             result = forward(
                 model, tokens[None, :], taps=taps, record=record, first_row=lo, weights=weights
             )
-            forward_passes += 1
             tap_rows, *other_rows = (result.taps[t][0] for t in taps)
             probs = predictive_distributions(result.logits[0], cfg.vocab_size)
             choice = probs.argmax(axis=1)
@@ -388,7 +387,6 @@ def denoise_block(
         monitor=monitor,
         certificate=certificate,
         freeze_events=tuple(freezer.states.values()) if freezer is not None else (),
-        forward_passes=forward_passes,
     )
 
 
@@ -406,8 +404,7 @@ def generate(
     record: bool = False,
 ) -> GenerateResult:
     """Denoise every block after the prompt, left to right; each block
-    records ``taps`` (and with ``record`` its forwards) as :func:`denoise_block` does.
-    The model's ``forward_weights`` are taken once and serve every block."""
+    records ``taps`` (and with ``record`` its forwards) as :func:`denoise_block` does."""
     policy = policy if policy is not None else PolicyConfig()
     cfg = model.cfg
     L = cfg.block_length
@@ -421,7 +418,6 @@ def generate(
     if seq_len > cfg.max_positions:
         raise ValueError(f"seq_len {seq_len} exceeds {cfg.max_positions} positions")
 
-    weights = forward_weights(model)
     tokens = prompt.copy()
     blocks: list[BlockResult] = []
     for block_index in range(prompt.size // L, seq_len // L):
@@ -437,7 +433,6 @@ def generate(
             freeze_basis=freeze_basis,
             alpha_hat=alpha_hat,
             record=record,
-            weights=weights,
         )
         tokens = np.concatenate([tokens, np.asarray(block.trajectory.tokens)])
         blocks.append(block)

@@ -45,6 +45,7 @@ from .certify import (
     MarginReport,
     build_certificate,
     calibrate_pac,
+    contractive,
     estimate_contraction,
     margin_quantile,
 )
@@ -319,7 +320,7 @@ def _read_calibration(path: str | None) -> tuple[Optional[float], Optional[float
     calibration = _read_json(path)
     with _parsing(path):
         alpha_hat = calibration.get("alpha_hat")
-        if alpha_hat is not None and not 0.0 <= _json_float(alpha_hat) < 1.0:
+        if alpha_hat is not None and not contractive(_json_float(alpha_hat)):
             alpha_hat = None
         quantile = calibration.get("margin_quantile")
         return (

@@ -241,18 +241,18 @@ class ForwardResult:
 
 @dataclass(frozen=True)
 class ForwardWeights:
-    """Every weight operand of :func:`forward`, from the current parameters,
-    in the layout its GEMM reads fastest with the same bits. ``qkv[b]``: layer
-    ``b``'s ``W + B @ A`` for q, k, v in one column-major
+    """The weight operands :func:`forward` derives from the current
+    parameters, in the layout its GEMM reads fastest with the same bits; the
+    adapter branches read A and B from ``model.lora`` itself. ``qkv[b]``:
+    layer ``b``'s ``W + B @ A`` for q, k, v in one column-major
     ``(3 * d_model, d_model)`` stack. ``wq_last``: the last Wq, row-major as
-    its 16-row GEMM's bits need. ``adapters``: each module path's (A, B).
-    ``mlp[b]``: ``(Woᵀ, W1ᵀ, W2ᵀ)``, row-major copies below the last layer,
-    ``.T`` views in it. The copies keep the views' bits at the default sizes
-    from 19 rows up; fewer rows or other sizes may move bits."""
+    its 16-row GEMM's bits need. ``mlp[b]``: ``(Woᵀ, W1ᵀ, W2ᵀ)``, row-major
+    copies below the last layer, ``.T`` views in it. The copies keep the
+    views' bits at the default sizes from 19 rows up; fewer rows or other
+    sizes may move bits."""
 
     qkv: tuple[np.ndarray, ...]
     wq_last: np.ndarray
-    adapters: dict[str, tuple[np.ndarray, np.ndarray]]
     mlp: tuple[tuple[np.ndarray, ...], ...]
 
 
@@ -271,16 +271,14 @@ def forward_weights(model: ToyModel) -> ForwardWeights:
         built_from, weights = model._weights
         if len(built_from) == len(params) and all(map(operator.is_, built_from, params)):
             return weights
-    cfg, base, last = model.cfg, model.base, model.cfg.n_blocks - 1
-    adapters = {module_path(b, p): tuple(model.lora[lora_param_key(b, p, ad)] for ad in ADAPTERS)
-                for b in range(cfg.n_blocks) for p in PROJECTIONS}
+    cfg, base, lora, last = model.cfg, model.base, model.lora, model.cfg.n_blocks - 1
     qkv = tuple(np.asfortranarray(np.concatenate([
-        base[f"block{b}.w{p}"] + adapters[module_path(b, p)][1] @ adapters[module_path(b, p)][0]
+        base[f"block{b}.w{p}"] + lora[lora_param_key(b, p, "b")] @ lora[lora_param_key(b, p, "a")]
         for p in PROJECTIONS
     ])) for b in range(cfg.n_blocks))
     mlp = tuple(tuple((np.asarray if b == last else np.ascontiguousarray)(base[f"block{b}.{w}"].T)
                       for w in ("wo", "w1", "w2")) for b in range(cfg.n_blocks))
-    weights = ForwardWeights(qkv, np.ascontiguousarray(qkv[last][: cfg.d_model]), adapters, mlp)
+    weights = ForwardWeights(qkv, np.ascontiguousarray(qkv[last][: cfg.d_model]), mlp)
     if frozen:
         for arr in (*qkv, weights.wq_last, *(w for layer in mlp for w in layer)):
             arr.setflags(write=False)
@@ -309,15 +307,15 @@ def forward(
     the full pass to rounding, not bit for bit; so do the gradients of a
     recorded block-row pass.
 
-    Every GEMM reads ``weights`` (:func:`forward_weights`, built here when not
-    given: the same bits). The residual stream is one 2-D
-    ``(N * T, d_model)`` array, so each row-wise op is one 2-D GEMM, and a
-    reshape and transpose of a layer's projection GEMM give its q/k/v heads
-    (in the last layer, k and v over every row and q over rows
-    ``first_row:``). A tapped projection computes its adapter branch
-    ``(x @ A.T) @ B.T`` on rows ``first_row:``; ``record=True`` adds each
-    ``x @ A.T``, a batched ``(N, T, d)`` matmul, whose bits a 2-D view changes
-    at batch 16.
+    Every GEMM but the adapter branches' reads ``weights``
+    (:func:`forward_weights`, built here when not given: the same bits).
+    The residual stream is one 2-D ``(N * T, d_model)`` array, so each
+    row-wise op is one 2-D GEMM, and a reshape and transpose of a layer's
+    projection GEMM give its q/k/v heads (in the last layer, k and v over
+    every row and q over rows ``first_row:``). A tapped projection computes
+    its adapter branch ``(x @ A.T) @ B.T``, A and B from ``model.lora``, on
+    rows ``first_row:``; ``record=True`` adds each ``x @ A.T``, a batched
+    ``(N, T, d)`` matmul, whose bits a 2-D view changes at batch 16.
     """
     cfg = model.cfg
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -364,9 +362,9 @@ def forward(
         else:
             rows = x
             qh, kh, vh = (x @ w.T).reshape(n, t, 3, h, hd).transpose(2, 0, 3, 1, 4)
-        for spec, blk, _ in tap_sites:
+        for spec, blk, proj in tap_sites:
             if blk == b:
-                a, bb = weights.adapters[spec.module]
+                a, bb = (model.lora[lora_param_key(b, proj, ad)] for ad in ADAPTERS)
                 ax = (x_in[:, first_row:] @ a.T).reshape(n * tq, -1)
                 tap_out[spec] = (ax @ bb.T).reshape(n, tq, d)
         # Softmax in place, with no temporaries. fmax is faster than max; on a
@@ -385,7 +383,7 @@ def forward(
         if record:
             cache_b = {"x_in": x_in}
             for proj in PROJECTIONS:
-                a = weights.adapters[module_path(b, proj)][0]
+                a = model.lora[lora_param_key(b, proj, "a")]
                 cache_b[f"ax_{proj}"] = x_in[:, q_from if proj == "q" else 0:] @ a.T
             cache_b.update(q=qh, k=kh, v=vh, attn=attn, t1=t1.reshape(n, t - q_from, -1))
             block_caches.append(cache_b)

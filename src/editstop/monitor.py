@@ -23,18 +23,14 @@ from .errors import NonMonotoneVisibleSetError
 from .linalg import PROB_FLOOR, kl_rows
 from .metaformat import csv_text
 
-DEFAULT_DELTA = 0.05
-DEFAULT_OMEGA = 6
-
-
 @dataclass(frozen=True)
 class StopConfig:
     """The block stop rule: stop once ``omega`` consecutive step divergences
     fall strictly below ``delta``; ``tau_blk`` is the alignment softmax's
     temperature. Every block of a run uses the same rule."""
 
-    delta: float = DEFAULT_DELTA
-    omega: int = DEFAULT_OMEGA
+    delta: float = 0.05
+    omega: int = 6
     tau_blk: float = 1.0
 
     def __post_init__(self):

@@ -456,6 +456,28 @@ class TestMistypedConfig:
         assert not os.path.exists(tmp_path / "run")
 
 
+class TestOversizedConfig:
+    """A config whose decode or freeze basis does not fit its model exits 2
+    before anything is written, rather than failing after training."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("lora_rank = 3", "lora_rank = 1", "subspace_k 2 exceeds adapter rank 1"),
+            ("subspace_k = 2", "subspace_k = 4", "subspace_k 4 exceeds adapter rank 3"),
+            ("max_blocks = 2", "max_blocks = 1", "seq_len 8 exceeds 4 model positions"),
+        ],
+        ids=["lora_rank_below_subspace_k", "subspace_k_above_lora_rank", "one_block"],
+    )
+    def test_oversized_value_exits_two(self, tmp_path, capsys, old, new, message):
+        cfg_path = tmp_path / "exp.txt"
+        cfg_path.write_text(SMALL.replace(old, new))
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
+
+
 class TestNegativeSeeds:
     """A negative seed is a configuration error (exit 2), whether the
     config file or ``--seed`` gives it, not a numpy traceback; so is an

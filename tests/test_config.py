@@ -80,6 +80,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(seq_len=48, block_length=16)
 
+    def test_seq_len_fits_the_model_positions(self):
+        # seq_len 32 takes two blocks of 16 positions.
+        with pytest.raises(ConfigError, match="seq_len 32 exceeds 16 model positions"):
+            ExperimentConfig(max_blocks=1)
+        assert ExperimentConfig(max_blocks=2).model_config().max_positions == 32
+
+    @pytest.mark.parametrize("lora_rank, subspace_k", [(2, 3), (4, 5)])
+    def test_subspace_k_fits_the_adapter(self, lora_rank, subspace_k):
+        # The freeze basis is built from the default tap's
+        # (d_model, lora_rank) adapter B, so its rank is at most lora_rank.
+        with pytest.raises(ConfigError, match=f"subspace_k {subspace_k} exceeds adapter rank"):
+            ExperimentConfig(lora_rank=lora_rank, subspace_k=subspace_k)
+        cfg = ExperimentConfig(lora_rank=subspace_k, subspace_k=subspace_k)
+        assert cfg.freeze_config().k == subspace_k
+
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(validation_fraction=0.0)

@@ -431,7 +431,8 @@ def default_block(tmp_path_factory):
 
 class TestForwardReuse:
     """A step runs ``forward`` only when the block's tokens changed since
-    the last one: at step 1 and after every step that committed a slot."""
+    the last one: at step 1 and after every step that committed a slot.
+    ``forward_passes``, derived from the records, counts the calls made."""
 
     def run_block(self, default_block, monkeypatch, kind, budget=32, delta=None):
         cfg, artifacts, prompt = default_block

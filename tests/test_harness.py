@@ -609,6 +609,36 @@ class TestCertify:
         certified = cmd_certify(cfg, run_dir=run_dir, calibration_path=cal_path)
         assert [e["certificate"] for e in certified["certificates"]] == certs
 
+    @pytest.mark.parametrize("alpha_hat", [1.0, 0.5])
+    def test_noncontractive_alpha_hat_gives_no_global_verdict(
+        self, trained_run, tmp_path, alpha_hat
+    ):
+        # An alpha_hat outside [0, 1) bounds no tail, so infer and certify
+        # read the calibration as giving none and write global_pass null;
+        # one inside it gives every stop a verdict.
+        cfg, artifacts_dir = trained_run
+        cal_path = str(tmp_path / "cal.json")
+        with open(cal_path, "w") as fh:
+            json.dump({"alpha_hat": alpha_hat}, fh)
+        run_dir = str(tmp_path / "run")
+        cmd_infer(cfg, artifacts_dir=artifacts_dir, run_dir=run_dir, calibration_path=cal_path)
+        certified = cmd_certify(cfg, run_dir=run_dir, calibration_path=cal_path)
+        (seed,) = json.load(open(os.path.join(run_dir, REPORT_FILE)))["per_seed"]
+        inferred = [
+            block["certificate"]["global_pass"]
+            for name in seed["trace_files"]
+            for block in json.load(open(os.path.join(run_dir, name)))["blocks"]
+            if block["stopped_early"]
+        ]
+        verdicts = inferred + [e["certificate"]["global_pass"] for e in certified["certificates"]]
+        assert len(inferred) == certified["n_stops"] > 0
+        if alpha_hat < 1.0:
+            assert certified["alpha_hat"] == alpha_hat
+            assert all(isinstance(v, bool) for v in verdicts)
+        else:
+            assert certified["alpha_hat"] is None
+            assert verdicts == [None] * len(verdicts)
+
     def test_quantile_at_a_reported_margin_gets_one_verdict(
         self, trained_run, tmp_path, monkeypatch
     ):

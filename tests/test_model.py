@@ -771,8 +771,7 @@ class TestLoadedWeightsCache:
 
     @staticmethod
     def read_only(weights) -> bool:
-        arrays = (*weights.qkv, weights.wq_last, *(a for layer in weights.mlp for a in layer),
-                  *(a for pair in weights.adapters.values() for a in pair))
+        arrays = (*weights.qkv, weights.wq_last, *(a for layer in weights.mlp for a in layer))
         return not any(a.flags.writeable for a in arrays)
 
     @staticmethod

@@ -185,6 +185,24 @@ MUTANTS = (
         ("tests/test_monitor.py::TestStabilityMonitor::test_support_dropping_a_member_is_rejected",),
     ),
     Mutant(
+        "forward_count_counts_every_step",
+        "src/editstop/generate.py",
+        "not repeats_previous(prev)",
+        "True",
+        ("tests/test_generate.py::TestForwardReuse",),
+    ),
+    Mutant(
+        "contractive_accepts_one",
+        "src/editstop/certify.py",
+        "    return 0.0 <= alpha_hat < 1.0\n",
+        "    return 0.0 <= alpha_hat <= 1.0\n",
+        ("tests/test_certify.py::TestTailBudget::test_noncontractive_rejected",
+         "tests/test_certify.py::TestGlobalArgmaxCertificate::test_noncontractive_rejected",
+         "tests/test_certify.py::TestCalibratePac::test_validation",
+         "tests/test_freeze.py::TestFreezeSafety::test_noncontractive_rejected",
+         "tests/test_harness.py::TestCertify::test_noncontractive_alpha_hat_gives_no_global_verdict[1.0]"),
+    ),
+    Mutant(
         "checkpoint_layout_unchecked",
         "src/editstop/model.py",
         "        if misfits:\n",
@@ -197,6 +215,25 @@ MUTANTS = (
         "if not self.seeds or min(self.seeds) < 0:",
         "if not self.seeds:",
         ("tests/test_cli.py::TestNegativeSeeds::test_negative_evaluation_seed_exits_two",),
+    ),
+    Mutant(
+        "seq_len_beyond_the_model_positions_accepted",
+        "src/editstop/config.py",
+        "        if self.seq_len > positions:\n",
+        "        if False:\n",
+        ("tests/test_config.py::TestValidation::test_seq_len_fits_the_model_positions",
+         "tests/test_cli.py::TestOversizedConfig::test_oversized_value_exits_two[one_block]"),
+    ),
+    Mutant(
+        "subspace_k_beyond_the_adapter_rank_accepted",
+        "src/editstop/config.py",
+        "        if self.subspace_k > rank:\n",
+        "        if False:\n",
+        ("tests/test_config.py::TestValidation::test_subspace_k_fits_the_adapter",
+         "tests/test_cli.py::TestOversizedConfig::test_oversized_value_exits_two"
+         "[lora_rank_below_subspace_k]",
+         "tests/test_cli.py::TestOversizedConfig::test_oversized_value_exits_two"
+         "[subspace_k_above_lora_rank]"),
     ),
     Mutant(
         "negative_model_seed_accepted",
