@@ -86,10 +86,6 @@ class ActivationFrame:
         arr.setflags(write=False)
         object.__setattr__(self, "activations", arr)
 
-    @property
-    def d_out(self) -> int:
-        return self.activations.shape[1]
-
 
 @dataclass(frozen=True)
 class AlignmentDistribution:

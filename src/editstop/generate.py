@@ -7,29 +7,30 @@ the committed set. Under the monitored policies that frame drives the
 alignment distribution whose stability decides when to cut the remaining
 steps short.
 
-A step takes one array-shaped path. The open slots are the block's slots
-that still hold the mask id, and the visible set is the rest: the softmax
-array has no mask column, so no commit writes the mask id. A forward's
-(L, V-1) softmax array gives each row's argmax (``choice``) and largest
+A step takes one array-shaped path into the block's arrays
+(``DenoiseTrajectory``). The open slots are the block's slots that still
+hold the mask id, and the visible set is the rest: the softmax array has
+no mask column, so no commit writes the mask id. A forward's (L, V-1)
+softmax array gives each row's argmax (``choice``) and largest
 probability; one stable argsort of the open slots on the latter ranks
 them, so tied slots commit lowest index first. The frame is the (n, d)
 array of committed rows that the freezer and the alignment scorer read
-whole.
+whole; a step builds only the frames those two take.
 
 ``forward`` is deterministic in the tokens, so it runs only on a step
-that does not repeat its predecessor (``repeats_previous``: the
-predecessor committed no slot, so it found the block full and the tokens
+that does not repeat its predecessor (a step repeats when the
+predecessor committed no slot: it found the block full and the tokens
 are unchanged); the open slots are ranked right after it. It returns
 only the block's rows, runs on ``forward_weights``, taken once per
 block (and built once per model for a loaded one), and emits every
 requested tap (``taps``); the first tap's frame is the one scored and
-frozen. ``record=True`` keeps each step's recorded forward for the
+frozen. ``record=True`` keeps each distinct recorded forward for the
 offline pseudo-gradient.
 
 Step work that no caller reads is skipped. A ``fixed`` decode scores no
-frame and records no alignment. A repeated step commits nothing and
-reuses the predecessor's frame, ``choice`` and tokens with ``step``
-advanced, and the monitor is handed the predecessor's distribution again,
+frame and records no alignment. A repeated step commits nothing and adds
+no row: it reads the predecessor's frame, ``choice`` and tokens, and the
+monitor is handed the predecessor's distribution again at the new step,
 which it scores as divergence 0.0 without a KL. The stop and certificate
 logic still runs on such steps.
 
@@ -109,14 +110,11 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One denoising step: what was committed and what the taps saw.
-
-    ``choice`` is the block's row argmax at this step, the token each
-    position would take if it were committed now. ``frames`` holds one
-    frame per tap, in ``taps`` order, over one visible set; ``frame`` is
-    the scored first tap's. A step that repeats its predecessor shares the
-    predecessor's ``frames``, whose own ``step`` stays the predecessor's.
-    """
+    """One step, as :attr:`DenoiseTrajectory.records` builds it on read.
+    ``frames`` holds one frame per tap, in ``taps`` order, over one
+    visible set; ``frame`` is the scored first tap's. A step that repeats
+    its predecessor shares its ``frames``, whose ``step`` stays the
+    predecessor's."""
 
     step: int
     committed: tuple[int, ...]
@@ -132,31 +130,69 @@ class StepRecord:
 
 @dataclass
 class DenoiseTrajectory:
+    """One block's decode as arrays, one row per distinct forward.
+
+    Only a step after one that committed nothing (the block was full)
+    repeats its predecessor, so row ``r`` is step ``r + 1``'s and later
+    steps read the last row (:meth:`row`). Row ``r`` of ``token_rows`` is
+    the block after that step (a stop's fill included), of ``choice`` its
+    row argmax, of ``visible`` the slots committed by then. ``committed``
+    lists the slots in commit order, a stop's fill excluded; ``tap_rows[k][r]``
+    holds tap ``k``'s visible rows at row ``r``; ``alignments`` and
+    ``forwards`` hold each row's alignment and recorded forward, if kept;
+    ``prefix``, every earlier block's tokens, lets analyses rerun a forward.
+    """
+
     block_index: int
-    records: list[StepRecord]
-    # Committed tokens of every earlier block; kept so offline analyses
-    # can re-run any step's forward pass from the trajectory alone.
-    prefix: tuple[int, ...] = ()
-    # ``record=True``: one recorded forward per step, shared by reused steps.
+    prefix: np.ndarray
+    steps_used: int
+    token_rows: np.ndarray
+    choice: np.ndarray
+    visible: np.ndarray
+    committed: np.ndarray
+    tap_rows: tuple[tuple[np.ndarray, ...], ...]
+    alignments: tuple[AlignmentDistribution, ...] = ()
     forwards: tuple[ForwardResult, ...] = ()
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for rec in self.records:
-            if not set(rec.frame.visible.members) >= seen:
-                raise NonMonotoneVisibleSetError(
-                    f"visible set shrank at step {rec.step} of block {self.block_index}"
-                )
-            seen = set(rec.frame.visible.members)
+        shrank = (self.visible[:-1] > self.visible[1:]).any(axis=1)
+        if shrank.any():
+            raise NonMonotoneVisibleSetError(
+                f"visible set shrank at step {shrank.argmax() + 2} of block {self.block_index}"
+            )
 
-    @property
-    def steps_used(self) -> int:
-        return len(self.records)
+    def row(self, step: int) -> int:
+        """The row step ``step`` reads."""
+        return min(step, len(self.token_rows)) - 1
 
     @property
     def tokens(self) -> tuple[int, ...]:
         """The block's final tokens: the last step's, a stop's fill included."""
-        return self.records[-1].tokens
+        return tuple(self.token_rows[-1].tolist())
+
+    def alignment(self, step: int) -> Optional[AlignmentDistribution]:
+        """Step ``step``'s alignment, None without a monitor; a repeated
+        step's is its row's distribution, at its own step."""
+        if not self.alignments:
+            return None
+        held = self.alignments[self.row(step)]
+        return held if held.step == step else AlignmentDistribution(held.dist, step)
+
+    @property
+    def records(self) -> tuple[StepRecord, ...]:
+        """Every step as a :class:`StepRecord` view of the arrays."""
+        lo = self.block_index * self.visible.shape[1]
+        seen = [0, *self.visible.sum(axis=1).tolist()]
+        records = []
+        for step in range(1, self.steps_used + 1):
+            r, committed = self.row(step), ()
+            if step == r + 1:
+                members = VisibleSet(tuple((lo + self.visible[r].nonzero()[0]).tolist()))
+                frames = tuple(ActivationFrame(step, rows[r], members) for rows in self.tap_rows)
+                committed = tuple((lo + self.committed[seen[r] : seen[r + 1]]).tolist())
+            arrays = (tuple(a[r].tolist()) for a in (self.token_rows, self.choice))
+            records.append(StepRecord(step, committed, *arrays, frames, self.alignment(step)))
+        return tuple(records)
 
 
 @dataclass
@@ -177,9 +213,7 @@ class BlockResult:
 
     @property
     def forward_passes(self) -> int:
-        """The block's forwards: one per step that does not repeat its predecessor."""
-        records = self.trajectory.records
-        return sum(not repeats_previous(prev) for prev in [None, *records[:-1]])
+        return len(self.trajectory.token_rows)
 
     @property
     def steps_used(self) -> int:
@@ -218,7 +252,7 @@ class GenerateResult:
         """The decoded sequence: the prompt and every block, which the
         last block's prefix and tokens hold."""
         last = self.blocks[-1].trajectory
-        return last.prefix + last.tokens
+        return tuple(last.prefix.tolist()) + last.tokens
 
     @property
     def block_steps(self) -> tuple[int, ...]:
@@ -229,22 +263,10 @@ class GenerateResult:
         return float(np.mean(self.block_steps))
 
 
-def stop_fill(tokens, choice, mask_id: int) -> np.ndarray:
+def stop_fill(tokens: np.ndarray, choice: np.ndarray, mask_id: int) -> np.ndarray:
     """A stopped block's tokens: each slot of ``tokens`` that still holds
     ``mask_id`` takes its row argmax from ``choice``."""
-    tokens = np.asarray(tokens)
     return np.where(tokens == mask_id, choice, tokens)
-
-
-def repeats_previous(prev: StepRecord | None) -> bool:
-    """Whether the step after ``prev`` reproduces ``prev`` exactly.
-
-    It does when ``prev`` committed no slot: ``prev`` then found the block
-    full, so the next step reads the same forward pass over the same
-    committed set and commits nothing either; frame, ``choice`` and tokens
-    are ``prev``'s, under every policy.
-    """
-    return prev is not None and not prev.committed
 
 
 def denoise_block(
@@ -269,16 +291,16 @@ def denoise_block(
     stopping certificate when available.
 
     ``taps`` (default: the model's default tap) are read off each step's
-    one forward into ``StepRecord.frames``: ``taps[0]`` gives the scored
-    and frozen ``frame``, the rest raw frames over the same visible set. ``record``
-    keeps each step's recorded forward on ``trajectory.forwards``.
+    one forward into ``trajectory.tap_rows``: ``taps[0]`` gives the scored
+    and frozen frame, the rest raw rows over the same visible set.
+    ``record`` keeps each distinct forward on ``trajectory.forwards``.
     """
     policy = policy if policy is not None else PolicyConfig()
     cfg = model.cfg
     L = cfg.block_length
     if budget < 1:
         raise ScheduleExhaustedError(f"step budget must be >= 1, got {budget}")
-    prefix = np.asarray(prefix, dtype=np.int64).reshape(-1)
+    prefix = np.array(prefix, dtype=np.int64).reshape(-1)  # the trajectory's own copy
     if prefix.size != block_index * L:
         raise ValueError(
             f"prefix length {prefix.size} != {block_index} blocks of {L} tokens"
@@ -301,51 +323,57 @@ def denoise_block(
     tokens = np.concatenate([prefix, np.full(L, mask_id, dtype=np.int64)])
     block = tokens[lo:]  # a view: open slots are the ones still holding the mask id
     quota = math.ceil(L / budget)
-    whole_block = VisibleSet(tuple(range(lo, lo + L)))
+    whole_block = VisibleSet(tuple(range(lo, lo + L))) if freezer is not None else None
 
-    records: list[StepRecord] = []
+    # A row per distinct forward: ceil(L / quota) steps commit, one more reads the full block.
+    n_rows = min(budget, -(-L // quota) + 1)
+    token_rows = np.empty((n_rows, L), dtype=np.int64)
+    choice = np.empty((n_rows, L), dtype=np.intp)
+    visible = np.empty((n_rows, L), dtype=bool)
+    commits: list[np.ndarray] = []
+    tap_rows: list[list[np.ndarray]] = [[] for _ in taps]
+    alignments: list[AlignmentDistribution] = []
     forwards: list[ForwardResult] = []
     certificate: Optional[Certificate] = None
+    r = -1  # the row of the last forward
 
     for step in range(1, budget + 1):
         # Rerun forward and rank the open slots unless the step repeats
         # its predecessor, which committed nothing as it found the block full.
-        prev = records[-1] if records else None
-        repeat = repeats_previous(prev)
-        newly: list[int] = []
+        repeat = step > 1 and not newly.size
         if not repeat:
             result = forward(
                 model, tokens[None, :], taps=taps, record=record, first_row=lo, weights=weights
             )
-            tap_rows, *other_rows = (result.taps[t][0] for t in taps)
+            raw, *other_rows = (result.taps[t][0] for t in taps)
             probs = predictive_distributions(result.logits[0], cfg.vocab_size)
-            choice = probs.argmax(axis=1)
-            choice_t = tuple(choice.tolist())
+            r += 1
+            step_choice = probs.argmax(axis=1, out=choice[r])
             # Quota commitment: most confident open slots, ties lowest index first.
             open_slots = (block == mask_id).nonzero()[0]
             ranked = np.argsort(-probs.max(axis=1)[open_slots], kind="stable")
-            newly = open_slots[ranked[:quota]].tolist()
-        acts = tap_rows
+            newly = open_slots[ranked[:quota]]
+            if record:
+                forwards.append(result)
+        acts = raw
         if freezer is not None:
             # Every step advances the freezer; it pins rows and commits nothing.
-            acts, _ = freezer.process(ActivationFrame(step, acts, whole_block))
+            acts, _ = freezer.process(ActivationFrame(step, raw, whole_block))
 
         # A repeated step's block is full, so even a stop fills no slot.
-        if repeat:
-            frames = prev.frames
-            alignment = prev.alignment and AlignmentDistribution(prev.alignment.dist, step)
-        else:
-            block[newly] = choice[newly]
-            visible = block != mask_id
-            members = VisibleSet(tuple((lo + visible.nonzero()[0]).tolist()))
-            frames = tuple(
-                ActivationFrame(step, rows[visible], members) for rows in (acts, *other_rows)
-            )
-            alignment = (
-                score_frame(frames[0], reasoning_map, mode, policy.stop.tau_blk)
-                if monitor is not None
-                else None
-            )
+        if not repeat:
+            block[newly] = step_choice[newly]
+            commits.append(newly)
+            seen = np.not_equal(block, mask_id, out=visible[r])
+            for rows, kept in zip((acts, *other_rows), tap_rows):
+                kept.append(rows[seen])
+            if monitor is not None:
+                members = VisibleSet(tuple((lo + seen.nonzero()[0]).tolist()))
+                frame = ActivationFrame(step, tap_rows[0][-1], members)
+                alignment = score_frame(frame, reasoning_map, mode, policy.stop.tau_blk)
+                alignments.append(alignment)
+        elif monitor is not None:
+            alignment = AlignmentDistribution(alignment.dist, step)
 
         if monitor is not None and monitor.observe(alignment).stop:
             cert = build_certificate(
@@ -359,35 +387,25 @@ def denoise_block(
                 monitor.reject(step)
             else:
                 certificate = cert
-                block[:] = stop_fill(block, choice, mask_id)
-
-        records.append(
-            StepRecord(
-                step=step,
-                committed=tuple(lo + i for i in newly),
-                tokens=prev.tokens if repeat else tuple(block.tolist()),
-                choice=choice_t,
-                frames=frames,
-                alignment=alignment,
-            )
-        )
-        if record:
-            forwards.append(result)
+                block[:] = stop_fill(block, step_choice, mask_id)
+        token_rows[r] = block
         if certificate is not None:
             break
 
     trajectory = DenoiseTrajectory(
         block_index=block_index,
-        records=records,
-        prefix=tuple(prefix.tolist()),
+        prefix=prefix,
+        steps_used=step,
+        token_rows=token_rows[: r + 1],
+        choice=choice[: r + 1],
+        visible=visible[: r + 1],
+        committed=np.concatenate(commits),
+        tap_rows=tuple(map(tuple, tap_rows)),
+        alignments=tuple(alignments),
         forwards=tuple(forwards),
     )
-    return BlockResult(
-        trajectory=trajectory,
-        monitor=monitor,
-        certificate=certificate,
-        freeze_events=tuple(freezer.states.values()) if freezer is not None else (),
-    )
+    freeze_events = tuple(freezer.states.values()) if freezer is not None else ()
+    return BlockResult(trajectory, monitor, certificate, freeze_events)
 
 
 def generate(
@@ -434,6 +452,6 @@ def generate(
             alpha_hat=alpha_hat,
             record=record,
         )
-        tokens = np.concatenate([tokens, np.asarray(block.trajectory.tokens)])
+        tokens = np.concatenate([tokens, block.trajectory.token_rows[-1]])
         blocks.append(block)
     return GenerateResult(blocks)

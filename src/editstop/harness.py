@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -56,13 +57,7 @@ from .errors import (
     NoValidSamplesError,
     TooFewSamplesError,
 )
-from .generate import (
-    BlockResult,
-    PolicyConfig,
-    generate,
-    repeats_previous,
-    stop_fill,
-)
+from .generate import BlockResult, PolicyConfig, generate, stop_fill
 from .linalg import softmax_rows
 from .metaformat import csv_text, io_failure
 from .model import (
@@ -314,13 +309,16 @@ def cmd_train(config: ExperimentConfig, run_dir: str | None = None) -> dict:
 
 def _read_calibration(path: str | None) -> tuple[Optional[float], Optional[float]]:
     """``(alpha_hat, margin_quantile)`` of a calibration file; ``alpha_hat`` is
-    None unless it lies in [0, 1), and both are None without a file."""
+    None unless it lies in [0, 1), which stderr names, and both are None
+    without a file."""
     if path is None:
         return None, None
     calibration = _read_json(path)
     with _parsing(path):
         alpha_hat = calibration.get("alpha_hat")
         if alpha_hat is not None and not contractive(_json_float(alpha_hat)):
+            msg = f"{path}: alpha_hat {alpha_hat!r} is outside [0, 1); no global verdicts"
+            print(msg, file=sys.stderr)
             alpha_hat = None
         quantile = calibration.get("margin_quantile")
         return (
@@ -442,7 +440,7 @@ def cmd_infer(
                         csv_name = stem + "_divergence.csv"
                         _write_text(os.path.join(traces_dir, csv_name), trace_to_csv(block.monitor))
                     pseudo_name = None
-                    if artifacts.band is not None and len(block.trajectory.records) >= 2:
+                    if artifacts.band is not None and block.steps_used >= 2:
                         pseudo_name = stem + "_pseudograd.csv"
                         trace = analyze_trajectory(
                             artifacts.model, block.trajectory, artifacts.band
@@ -517,14 +515,6 @@ def cmd_infer(
 
 # --- cmd_calibrate --------------------------------------------------------
 
-def _full_visibility_index(block: BlockResult) -> Optional[int]:
-    block_len = len(block.trajectory.tokens)
-    for i, rec in enumerate(block.trajectory.records):
-        if len(rec.frame.visible) == block_len:
-            return i
-    return None
-
-
 def replay_stop(
     block: BlockResult, delta: float, omega: int, mask_id: int
 ) -> tuple[tuple[int, ...], int]:
@@ -537,7 +527,7 @@ def replay_stop(
     step t's row argmax. Without a stop the run is the recorded one, all
     budgeted steps included. The stop is the first one that a fresh
     ``StabilityMonitor``'s ``advance`` fires over the recorded step
-    divergences.
+    divergences; its tokens and row argmax are the stop step's row.
     """
     replay = StabilityMonitor(StopConfig(delta=delta, omega=omega))
     for row in block.monitor.divergence_trace:
@@ -546,8 +536,9 @@ def replay_stop(
     stop = replay.stopped_at
     if stop is None:
         return block.trajectory.tokens, block.steps_used
-    rec = block.trajectory.records[stop - 1]
-    return tuple(stop_fill(rec.tokens, rec.choice, mask_id).tolist()), stop
+    trajectory = block.trajectory
+    r = trajectory.row(stop)
+    return tuple(stop_fill(trajectory.token_rows[r], trajectory.choice[r], mask_id).tolist()), stop
 
 
 def cmd_calibrate(
@@ -595,14 +586,14 @@ def cmd_calibrate(
     margins: list[float] = []
     contraction_traces: list[list] = []
     for block in probe_blocks:
+        trajectory = block.trajectory
         _, stop_step = replay_stop(block, config.delta, config.omega, mask_id)
-        record = block.trajectory.records[stop_step - 1]
-        margins.append(MarginReport.from_distribution(record.alignment).margin)
-        full = _full_visibility_index(block)
-        if full is not None:
-            tail = [r.alignment.dist for r in block.trajectory.records[full:]]
-            if len(tail) >= 3:
-                contraction_traces.append(tail)
+        margins.append(MarginReport.from_distribution(trajectory.alignment(stop_step)).margin)
+        # The steps from the first one that sees the whole block.
+        full = trajectory.visible.all(axis=1)
+        if full.any() and trajectory.steps_used - full.argmax() >= 3:
+            steps = range(full.argmax() + 1, trajectory.steps_used + 1)
+            contraction_traces.append([trajectory.alignment(s).dist for s in steps])
 
     alpha_note = estimate = None
     try:
@@ -763,12 +754,12 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     off, so the frames a cell scores are those of a fixed-budget run that
     taps its projection. Each evaluation prompt is therefore decoded once,
     tapping all three projections off each step's one forward. Each cell
-    scores its projection's distinct frames, stacked, in one
-    ``score_alignment`` call. At each distinct step the 12 cells' scores
-    take one ``softmax_rows`` at ``tau_blk`` and one ``matched_kl_rows``
-    against the previous distinct step: the alignment softmax and the
-    monitor's step divergence, row by row. A frame that repeats the one
-    before (``repeats_previous``) diverges by 0.0, as the monitor records it.
+    scores its projection's frames of every distinct forward, stacked, in
+    one ``score_alignment`` call. At each distinct forward the 12 cells'
+    scores take one ``softmax_rows`` at ``tau_blk`` and one
+    ``matched_kl_rows`` against the previous one: the alignment softmax and
+    the monitor's step divergence, row by row. Each step that repeats the
+    last forward diverges by 0.0, as the monitor records it.
     """
     run_dir = run_dir if run_dir is not None else config.out_dir
     if not os.path.exists(os.path.join(run_dir, CHECKPOINT_FILE)):
@@ -797,31 +788,26 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
             taps=taps,
         ).blocks
         forward_passes += block.forward_passes
-        records = block.trajectory.records
-        repeats = [repeats_previous(prev) for prev in [None, *records[:-1]]]
-        distinct = [rec for rec, repeat in zip(records, repeats) if not repeat]
+        trajectory = block.trajectory
         cell_scores = []
-        for which, proj in enumerate(PROJECTIONS):
+        for frames, proj in zip(trajectory.tap_rows, PROJECTIONS):
             # One projection's frames at a time, so one stack is held.
-            stacked = np.concatenate([rec.frames[which].activations for rec in distinct])
+            stacked = np.concatenate(frames)
             sites = [site for site in ABLATION_SITES if site[0] == proj]
             cell_scores += [score_alignment(stacked, vectors[site]) for site in sites]
-        # Row c scores cell ABLATION_SITES[c]; each distinct step owns the
-        # next columns.
+        # Row c scores cell ABLATION_SITES[c]; each distinct forward owns the next columns.
         scores = np.stack(cell_scores)
         rows: list[list[float]] = []
         prev_probs = prev_members = None
         lo = 0
-        for rec, repeat in zip(records, repeats):
-            if repeat:
-                rows.append([0.0] * len(ABLATION_SITES))
-                continue
-            members = rec.frame.visible.members
+        for seen in trajectory.visible:
+            members = seen.nonzero()[0].tolist()
             probs = softmax_rows(scores[:, lo : lo + len(members)] / config.tau_blk)
             lo += len(members)
             if prev_probs is not None:
                 rows.append(matched_kl_rows(probs, members, prev_probs, prev_members).tolist())
             prev_probs, prev_members = probs, members
+        rows += [[0.0] * len(ABLATION_SITES)] * (trajectory.steps_used - len(trajectory.visible))
         for site, column in zip(ABLATION_SITES, zip(*rows)):
             divergences[site].extend(column)
 

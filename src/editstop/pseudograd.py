@@ -142,8 +142,8 @@ def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int):
     if step == 1:
         block = np.full(L, model.cfg.mask_id, dtype=np.int64)
     else:
-        block = np.asarray(trajectory.records[step - 2].tokens, dtype=np.int64)
-    prefix = np.asarray(trajectory.prefix, dtype=np.int64)
+        block = trajectory.token_rows[trajectory.row(step - 1)]
+    prefix = trajectory.prefix
     if prefix.size != trajectory.block_index * L:
         raise MissingStepError(
             f"trajectory prefix has {prefix.size} tokens, block {trajectory.block_index}"
@@ -154,10 +154,10 @@ def _step_forward(model: ToyModel, trajectory: DenoiseTrajectory, step: int):
 
 
 def _check_pair(trajectory: DenoiseTrajectory, step: int) -> None:
-    if step < 1 or step + 1 > len(trajectory.records):
+    if step < 1 or step + 1 > trajectory.steps_used:
         raise MissingStepError(
             f"steps {step} and {step + 1} are not both recorded"
-            f" (trajectory has {len(trajectory.records)} steps)"
+            f" (trajectory has {trajectory.steps_used} steps)"
         )
 
 
@@ -195,8 +195,7 @@ def _pair_gradient(
     ``step``, and the recorded forward result and block distributions of
     ``step+1``. The backward pass runs only as deep as ``keys`` reach."""
     cfg = model.cfg
-    lo = trajectory.block_index * cfg.block_length
-    rows = np.array(trajectory.records[step].frame.visible.members, dtype=np.intp) - lo
+    rows = trajectory.visible[trajectory.row(step + 1)].nonzero()[0]
 
     real = cfg.vocab_size - 1
     dlogits_t1 = np.zeros_like(res_t1.logits)
@@ -213,30 +212,26 @@ def analyze_trajectory(
     every consecutive step pair, read off the forwards a
     ``generate(record=True)`` decode kept on the trajectory; a trajectory
     without them raises ``NoRecordedGraphError``."""
-    if len(trajectory.records) < 2:
-        raise WindowTooShortError(
-            f"need at least 2 recorded steps, got {len(trajectory.records)}"
-        )
+    if trajectory.steps_used < 2:
+        raise WindowTooShortError(f"need at least 2 recorded steps, got {trajectory.steps_used}")
     forwards = trajectory.forwards
     if not forwards:
         raise NoRecordedGraphError("trajectory kept no forwards; decode it with record=True")
     keys = _selected_keys(model, PseudoGradConfig())
     rows: list[PseudoGradRow] = []
     values: list[float] = []
-    res_t = forwards[0]
-    p_t = _block_dists(model, res_t)
-    for step in range(1, len(trajectory.records)):
-        res_t1 = forwards[step]
-        if res_t1 is res_t:
-            # Step ``step`` committed nothing: both sides read the same
-            # forward, so the divergence and its gradient are exactly zero.
-            value = 0.0
-        else:
+    p_t = _block_dists(model, forwards[0])
+    for step in range(1, trajectory.steps_used):
+        # Past the last forward both sides read it, so the divergence and
+        # its gradient are exactly zero.
+        value = 0.0
+        if step < len(forwards):
+            res_t1 = forwards[step]
             p_t1 = _block_dists(model, res_t1)
             grads = _pair_gradient(model, trajectory, step, keys, p_t, res_t1, p_t1)
             # The next pair's step side: each distinct forward's
             # distributions are computed once.
-            res_t, p_t = res_t1, p_t1
+            p_t = p_t1
             value = rms(np.concatenate([g.ravel() for g in grads.values()]))
         values.append(value)
         rows.append(PseudoGradRow(step=step, rms_value=value, in_band=band.contains(value)))

@@ -39,6 +39,17 @@ trace_retention = 2
 """
 
 
+def dir_bytes(root: str) -> dict[str, bytes]:
+    """Every file under ``root`` by its relative path, with its bytes."""
+    files = {}
+    for base, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
 @pytest.fixture(scope="module")
 def trained_cli(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -608,6 +619,37 @@ class TestCommands:
         assert main(["certify", "--config", cfg_path]) == EXIT_OK
         assert "stops" in capsys.readouterr().out
         assert os.path.exists(os.path.join(run_dir, "certificates.json"))
+
+    @pytest.mark.parametrize("alpha_hat", [1.0, 0.5])
+    def test_refused_alpha_hat_is_named_on_stderr(self, trained_cli, tmp_path, capsys, alpha_hat):
+        # infer and certify refuse an alpha_hat outside [0, 1) as a file
+        # without one, and each says so in one stderr line naming the file
+        # and the value; they still exit 0 and write what they write
+        # without the file, byte for byte.
+        cfg_path, run_dir = trained_cli
+        cal_path = str(tmp_path / "cal.json")
+        with open(cal_path, "w") as fh:
+            json.dump({"alpha_hat": alpha_hat}, fh)
+        runs = {}
+        for name, calibration in (("plain", []), ("calibrated", ["--calibration", cal_path])):
+            out = str(tmp_path / name)
+            common = ["--config", cfg_path, "--out", out, *calibration]
+            assert main(["infer", *common, "--artifacts", run_dir]) == EXIT_OK
+            infer_err = capsys.readouterr().err
+            assert main(["certify", *common]) == EXIT_OK
+            runs[name] = (infer_err, capsys.readouterr().err, dir_bytes(out))
+        line = f"{cal_path}: alpha_hat {alpha_hat!r} is outside [0, 1);"
+        infer_err, certify_err, files = runs["calibrated"]
+        assert runs["plain"][:2] == ("", "")
+        if alpha_hat < 1.0:
+            assert (infer_err, certify_err) == ("", "")
+            assert files != runs["plain"][2]
+        else:
+            for err in (infer_err, certify_err):
+                assert len(err.splitlines()) == 1 and err.startswith(line)
+            assert files == runs["plain"][2]
+            certs = json.loads(files["certificates.json"])["certificates"]
+            assert certs and {c["certificate"]["global_pass"] for c in certs} == {None}
 
     def test_report_merges(self, trained_cli, tmp_path, capsys):
         cfg_path, run_dir = trained_cli

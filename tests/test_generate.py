@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -13,12 +14,12 @@ from helpers import (
     batched_forward,
     count_forwards,
     final_commit,
-    frame_from,
     frame_row,
     reference_generate,
     same_bits,
 )
 
+from editstop.alignment import ActivationFrame, VisibleSet
 from editstop.capture import AdamWConfig, EvolutionVector, SubspaceBasis, build_subspace
 from editstop.config import ExperimentConfig
 from editstop.errors import NonMonotoneVisibleSetError, ScheduleExhaustedError
@@ -29,9 +30,9 @@ from editstop.generate import (
     StepRecord,
     denoise_block,
     generate,
-    repeats_previous,
 )
 from editstop.harness import cmd_train, load_artifacts
+from editstop.linalg import ProbVector
 from editstop.model import (
     ModelConfig,
     TapSpec,
@@ -139,13 +140,30 @@ class TestSchedule:
     def test_shrinking_visible_set_rejected(self):
         # A trajectory whose visible set drops a member is refused with the
         # error the monitor raises for the same fault.
-        def record(step, members):
-            frame = frame_from({s: np.ones(3) for s in members}, step=step)
-            return StepRecord(step, (), (0,), (0,), (frame,), None)
+        def trajectory(*visible):
+            visible = np.array(visible, dtype=bool)
+            rows = np.zeros(visible.shape, dtype=np.int64)
+            taps = (tuple(np.ones((n, 3)) for n in visible.sum(axis=1)),)
+            return DenoiseTrajectory(
+                1, np.zeros(2, dtype=np.int64), len(visible), rows, rows, visible,
+                np.array([0, 1]), taps,
+            )
 
-        DenoiseTrajectory(1, [record(1, (4,)), record(2, (4, 5))])
-        with pytest.raises(NonMonotoneVisibleSetError, match="shrank at step 2 of block 1"):
-            DenoiseTrajectory(1, [record(1, (4, 5)), record(2, (5,))])
+        trajectory((True, False), (True, True), (True, True))
+        with pytest.raises(NonMonotoneVisibleSetError, match="shrank at step 3 of block 1"):
+            trajectory((True, False), (True, True), (False, True))
+
+    def test_prefix_is_the_trajectorys_own_copy(self, monkeypatch):
+        # Writing the caller's prefix or the decode's token buffer after the
+        # decode leaves the trajectory's prefix as it was decoded.
+        calls = count_forwards(monkeypatch)
+        prefix = prompt_block()
+        want = prefix.tolist()
+        trajectory = denoise_block(tiny_model(), prefix, 1, budget=4).trajectory
+        (_, buffer), _ = calls[0]  # the forward reads a view of the token buffer
+        prefix[:] = 0
+        buffer[...] = 0
+        assert trajectory.prefix.tolist() == want
 
     def test_mask_token_never_emitted(self):
         block = denoise_block(tiny_model(), prompt_block(), 1, budget=2)
@@ -432,7 +450,7 @@ def default_block(tmp_path_factory):
 class TestForwardReuse:
     """A step runs ``forward`` only when the block's tokens changed since
     the last one: at step 1 and after every step that committed a slot.
-    ``forward_passes``, derived from the records, counts the calls made."""
+    ``forward_passes``, the trajectory's row count, counts the calls made."""
 
     def run_block(self, default_block, monkeypatch, kind, budget=32, delta=None):
         cfg, artifacts, prompt = default_block
@@ -494,8 +512,9 @@ class TestForwardReuse:
 
     @pytest.mark.parametrize("kind", ["fixed", "edit", "edit_freeze"])
     def test_record_keeps_one_forward_per_step(self, default_block, monkeypatch, kind):
-        # Each step's forward rides on the trajectory, shared by the steps
-        # that reused it; recording changes no record, token or count.
+        # Each step's forward rides on the trajectory, one per row, so the
+        # steps that reuse a forward share it; recording changes no
+        # record, token or count.
         cfg, artifacts, prompt = default_block
         kwargs = dict(
             policy=cfg.policy_config(kind), reasoning_map=artifacts.vector,
@@ -506,8 +525,7 @@ class TestForwardReuse:
         block = denoise_block(artifacts.model, prompt, 1, record=True, **kwargs)
         forwards = block.trajectory.forwards
         assert [kw["record"] for _, kw in calls] == [True] * block.forward_passes
-        assert len(forwards) == block.steps_used
-        assert len({id(f) for f in forwards}) == block.forward_passes
+        assert len(forwards) == len({id(f) for f in forwards}) == block.forward_passes
         assert [f.cache is not None for f in forwards] == [True] * len(forwards)
         for got, want in zip(block.trajectory.records, plain.trajectory.records, strict=True):
             assert (got.step, got.committed, got.tokens, got.choice) == (
@@ -593,18 +611,16 @@ class TestDecodeForwardBits:
             assert len(gb.trajectory.forwards) == len(wb.trajectory.forwards)
             for g, w in zip(gb.trajectory.forwards, wb.trajectory.forwards):
                 assert_same_forward(g, w)
-            # Step s reads the tokens step s - 1 left; its recorded forward
-            # keeps them, though the decode commits on into its own array.
+            # Row r's step reads the tokens of row r - 1; its recorded
+            # forward keeps them, though the decode commits on into its own
+            # array.
             mask = np.full(cfg.block_length, cfg.vocab_size - 1)
-            before = [mask] + [np.asarray(r.tokens) for r in gb.trajectory.records[:-1]]
-            checked = set()
+            before = [mask, *gb.trajectory.token_rows[:-1]]
             for g, block_tokens in zip(gb.trajectory.forwards, before, strict=True):
                 tokens = np.concatenate([np.asarray(got.tokens[:lo]), block_tokens])[None, :]
                 assert same_bits(g.cache["tokens"], tokens)
-                if id(g) not in checked:
-                    checked.add(id(g))
-                    batched = batched_forward(model, tokens, self.TAPS, record=True, first_row=lo)
-                    assert_same_forward(g, batched)
+                batched = batched_forward(model, tokens, self.TAPS, record=True, first_row=lo)
+                assert_same_forward(g, batched)
 
 
 class TestMultiTap:
@@ -662,7 +678,7 @@ class TestMultiTap:
         for prev, rec in zip(records, records[1:]):
             assert len(rec.frames) == 3
             assert all(f.visible is rec.frame.visible for f in rec.frames[1:])
-            repeat = repeats_previous(prev)
+            repeat = rec.step > block.forward_passes
             n_repeats += repeat
             assert all((a is b) == repeat for a, b in zip(rec.frames, prev.frames))
         assert n_repeats == 15
@@ -705,11 +721,7 @@ class TestSkippedStepWork:
         n_repeats = 0
         for block, ref in zip(result.blocks, ref_blocks, strict=True):
             records = block.trajectory.records
-            repeats = [
-                rec.step
-                for prev, rec in zip(records, records[1:])
-                if repeats_previous(prev)
-            ]
+            repeats = [rec.step for rec in records if rec.step > block.forward_passes]
             assert repeats == list(range(18, 33))
             n_repeats += len(repeats)
             for prev, rec in zip(records, records[1:]):
@@ -754,15 +766,64 @@ class TestSkippedStepWork:
         shared = [b.step for a, b in zip(records, records[1:]) if a.frame is b.frame]
         assert shared == list(range(18, 33))
 
-    def test_repeats_previous(self):
-        frame = frame_from({4: np.ones(3)}, step=1)
+    def test_repeats_previous(self, default_block):
+        # A step repeats its predecessor when that one committed nothing:
+        # each step after the last forward reads its row, and no other does.
+        cfg, artifacts, prompt = default_block
+        for budget, forwards in ((32, 17), (12, 9), (8, 8)):
+            block = denoise_block(artifacts.model, prompt, 1, budget=budget)
+            trajectory = block.trajectory
+            assert block.forward_passes == forwards
+            rows = [trajectory.row(step) for step in range(1, budget + 1)]
+            assert rows == list(range(forwards)) + [forwards - 1] * (budget - forwards)
+            committed = [len(r.committed) for r in trajectory.records]
+            assert [n == 0 for n in [1, *committed[:-1]]] == [
+                step > forwards for step in range(1, budget + 1)
+            ]
 
-        def record(committed):
-            return StepRecord(1, committed, (0,), (0,), (frame,), None)
 
-        assert not repeats_previous(None)
-        assert not repeats_previous(record((4,)))
-        assert repeats_previous(record(()))
+class TestStepObjects:
+    """A decode step builds only the objects a traced binding takes: the
+    frame handed to the freezer and to ``score_frame``, and the
+    ``ProbVector`` built inside the latter. A ``fixed`` decode and a
+    repeated step build none, and no step builds a ``StepRecord``."""
+
+    @staticmethod
+    def count_built(monkeypatch) -> Counter:
+        built: Counter = Counter()
+        for cls in (StepRecord, ActivationFrame, VisibleSet, ProbVector):
+
+            def init(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        return built
+
+    @pytest.mark.parametrize("kind", ["fixed", "edit", "edit_freeze"])
+    def test_objects_built_per_step(self, default_block, monkeypatch, kind):
+        cfg, artifacts, prompt = default_block
+        scored = count_forwards(monkeypatch, name="score_frame")
+        built = self.count_built(monkeypatch)
+        result = generate(
+            artifacts.model, prompt, 64, cfg.policy_config(kind),
+            reasoning_map=artifacts.vector, freeze_basis=artifacts.basis,
+        )
+        counts = dict(built)
+        n = len(scored)
+        if kind == "fixed":
+            assert counts == {}
+            return
+        assert n == sum(b.forward_passes for b in result.blocks) > 0
+        if kind == "edit":
+            assert counts == {"ActivationFrame": n, "VisibleSet": n, "ProbVector": n}
+        else:
+            # The freezer reads one whole-block frame a step, over one
+            # visible set a block.
+            steps, blocks = sum(result.block_steps), len(result.blocks)
+            assert counts == {
+                "ActivationFrame": n + steps, "VisibleSet": n + blocks, "ProbVector": n
+            }
 
 
 class TestDerivedStop:

@@ -113,16 +113,20 @@ def recording(fn, results: list):
 def recorded_block(divergences, mask_id=9):
     """A stand-in for a never-stopping monitored block. Its trace holds
     ``divergences`` for steps 2, 3, ...; step ``s``'s record has slot 0
-    committed as ``s`` and slot 1 masked with row argmax ``10 * s``."""
+    committed as ``s`` and slot 1 masked with row argmax ``10 * s``; each
+    step reads its own row."""
     trace = [TraceRow(step, d, 1, 0, False) for step, d in enumerate(divergences, start=2)]
-    steps = len(divergences) + 1
-    records = [
-        SimpleNamespace(tokens=(s, mask_id), choice=(0, 10 * s)) for s in range(1, steps + 1)
-    ]
+    steps = np.arange(1, len(divergences) + 2)
+    trajectory = SimpleNamespace(
+        token_rows=np.stack([steps, np.full_like(steps, mask_id)], axis=1),
+        choice=np.stack([np.zeros_like(steps), 10 * steps], axis=1),
+        row=lambda step: step - 1,
+        tokens=(-1, -1),
+    )
     return SimpleNamespace(
         monitor=SimpleNamespace(divergence_trace=trace),
-        trajectory=SimpleNamespace(records=records, tokens=(-1, -1)),
-        steps_used=steps,
+        trajectory=trajectory,
+        steps_used=steps.size,
     )
 
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from helpers import count_forwards, reference_pseudo_gradient, step_kl_objective
 
-from editstop.alignment import ActivationFrame, VisibleSet
 from editstop.errors import (
     EmptyInputError,
     MissingStepError,
@@ -17,7 +16,7 @@ from editstop.errors import (
     TooFewSamplesError,
     WindowTooShortError,
 )
-from editstop.generate import DenoiseTrajectory, StepRecord, denoise_block
+from editstop.generate import DenoiseTrajectory, denoise_block
 from editstop.linalg import rms
 from editstop.model import ModelConfig, init_model, forward, predictive_distributions
 from editstop.pseudograd import (
@@ -151,18 +150,21 @@ class TestDetectConvergence:
 
 def synthetic_pair_trajectory(support_members, tokens_after_1, block_index=1):
     """Two-step trajectory with hand-picked support for the second step."""
-    lo = block_index * TINY.block_length
-    visible = VisibleSet(tuple(support_members))
-    acts = np.zeros((len(visible), TINY.d_model))
-    frame = ActivationFrame(1, acts, visible)
-    frame2 = ActivationFrame(2, acts, visible)
-    choice = tuple(tokens_after_1)
-    rec1 = StepRecord(1, (), tuple(tokens_after_1), choice, (frame,), None)
-    rec2 = StepRecord(2, (), tuple(tokens_after_1), choice, (frame2,), None)
+    L = TINY.block_length
+    lo = block_index * L
+    visible = np.zeros((2, L), dtype=bool)
+    visible[:, np.array(support_members) - lo] = True
+    tokens = np.array([tokens_after_1] * 2, dtype=np.int64)
+    acts = np.zeros((len(support_members), TINY.d_model))
     return DenoiseTrajectory(
         block_index=block_index,
-        records=[rec1, rec2],
-        prefix=tuple(range(1, lo + 1)),
+        prefix=np.arange(1, lo + 1),
+        steps_used=2,
+        token_rows=tokens,
+        choice=tokens,
+        visible=visible,
+        committed=np.array(support_members) - lo,
+        tap_rows=((acts, acts),),
     )
 
 
@@ -310,7 +312,7 @@ class TestAnalyzeTrajectory:
         prompt = np.array([1, 5, 2, 9])
         recorded = denoise_block(model, prompt, 1, budget=budget, record=True).trajectory
         plain = denoise_block(model, prompt, 1, budget=budget).trajectory
-        assert len(recorded.forwards) == len(recorded.records) and not plain.forwards
+        assert len(recorded.forwards) == len(recorded.token_rows) and not plain.forwards
         band = SftBand(mu=0.1, sigma=0.1, n_steps=4)
         calls = count_forwards(monkeypatch, "editstop.pseudograd")
         trace = analyze_trajectory(model, recorded, band)

@@ -81,10 +81,10 @@ MUTANTS = (
     Mutant(
         "extra_forward_per_block",
         "src/editstop/generate.py",
-        "        if not repeat:\n",
+        "        if not repeat:\n            result = forward(\n",
         "        if step == 1:\n"
         "            forward(model, tokens[None, :], first_row=lo, weights=weights)\n"
-        "        if not repeat:\n",
+        "        if not repeat:\n            result = forward(\n",
         ("tests/test_bench_bindings.py::test_a_traced_decode_counts_every_forward_and_probvector",),
     ),
     Mutant(
@@ -171,8 +171,8 @@ MUTANTS = (
     Mutant(
         "repeat_rule_ignores_committed",
         "src/editstop/generate.py",
-        "    return prev is not None and not prev.committed\n",
-        "    return prev is not None\n",
+        "        repeat = step > 1 and not newly.size\n",
+        "        repeat = step > 1\n",
         ("tests/test_generate.py::TestSkippedStepWork::test_repeats_previous",
          "tests/test_generate.py::TestSkippedStepWork::test_repeated_steps_reuse_the_previous_distribution"),
     ),
@@ -187,9 +187,33 @@ MUTANTS = (
     Mutant(
         "forward_count_counts_every_step",
         "src/editstop/generate.py",
-        "not repeats_previous(prev)",
-        "True",
+        "        return len(self.trajectory.token_rows)\n",
+        "        return self.steps_used\n",
         ("tests/test_generate.py::TestForwardReuse",),
+    ),
+    # --- the array-shaped trajectory's indexing ---
+    Mutant(
+        "repeated_step_reads_the_first_row",
+        "src/editstop/generate.py",
+        "        return min(step, len(self.token_rows)) - 1\n",
+        "        return step - 1 if step <= len(self.token_rows) else 0\n",
+        ("tests/test_generate.py::TestCommitRanking::test_full_block_reuses_step_17",
+         "tests/test_generate.py::TestSkippedStepWork::test_repeats_previous"),
+    ),
+    Mutant(
+        "frame_includes_open_slots",
+        "src/editstop/generate.py",
+        "seen = np.not_equal(block, mask_id, out=visible[r])",
+        "seen = np.not_equal(block, -1, out=visible[r])",
+        ("tests/test_generate.py::TestSchedule::test_one_per_step_growth",
+         "tests/test_equivalence.py::test_policies_match_reference"),
+    ),
+    Mutant(
+        "prefix_aliases_the_token_buffer",
+        "src/editstop/generate.py",
+        "        prefix=prefix,\n",
+        "        prefix=tokens[:lo],\n",
+        ("tests/test_generate.py::TestSchedule::test_prefix_is_the_trajectorys_own_copy",),
     ),
     Mutant(
         "contractive_accepts_one",
