@@ -28,7 +28,9 @@ frozen. ``record=True`` keeps each distinct recorded forward for the
 offline pseudo-gradient.
 
 Step work that no caller reads is skipped. A ``fixed`` decode scores no
-frame and records no alignment. A repeated step commits nothing and adds
+frame, and no decode stores an alignment: the monitor holds only the last
+one it observed, and an offline analysis (calibrate's, ablate's) scores
+the trajectory's tap rows itself. A repeated step commits nothing and adds
 no row: it reads the predecessor's frame, ``choice`` and tokens, and the
 monitor is handed the predecessor's distribution again at the new step,
 which it scores as divergence 0.0 without a KL. The stop and certificate
@@ -108,26 +110,6 @@ class PolicyConfig:
         return self.kind == "edit_freeze"
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One step, as :attr:`DenoiseTrajectory.records` builds it on read.
-    ``frames`` holds one frame per tap, in ``taps`` order, over one
-    visible set; ``frame`` is the scored first tap's. A step that repeats
-    its predecessor shares its ``frames``, whose ``step`` stays the
-    predecessor's."""
-
-    step: int
-    committed: tuple[int, ...]
-    tokens: tuple[int, ...]
-    choice: tuple[int, ...]
-    frames: tuple[ActivationFrame, ...]
-    alignment: Optional[AlignmentDistribution]
-
-    @property
-    def frame(self) -> ActivationFrame:
-        return self.frames[0]
-
-
 @dataclass
 class DenoiseTrajectory:
     """One block's decode as arrays, one row per distinct forward.
@@ -138,9 +120,11 @@ class DenoiseTrajectory:
     the block after that step (a stop's fill included), of ``choice`` its
     row argmax, of ``visible`` the slots committed by then. ``committed``
     lists the slots in commit order, a stop's fill excluded; ``tap_rows[k][r]``
-    holds tap ``k``'s visible rows at row ``r``; ``alignments`` and
-    ``forwards`` hold each row's alignment and recorded forward, if kept;
-    ``prefix``, every earlier block's tokens, lets analyses rerun a forward.
+    holds tap ``k``'s visible rows at row ``r``; ``forwards`` holds each
+    row's recorded forward, if kept; ``prefix``, every earlier block's
+    tokens, lets analyses rerun a forward. No alignment is stored: the
+    monitor keeps what the stop rule reads, and offline analyses score
+    ``tap_rows`` themselves.
     """
 
     block_index: int
@@ -151,7 +135,6 @@ class DenoiseTrajectory:
     visible: np.ndarray
     committed: np.ndarray
     tap_rows: tuple[tuple[np.ndarray, ...], ...]
-    alignments: tuple[AlignmentDistribution, ...] = ()
     forwards: tuple[ForwardResult, ...] = ()
 
     def __post_init__(self):
@@ -169,30 +152,6 @@ class DenoiseTrajectory:
     def tokens(self) -> tuple[int, ...]:
         """The block's final tokens: the last step's, a stop's fill included."""
         return tuple(self.token_rows[-1].tolist())
-
-    def alignment(self, step: int) -> Optional[AlignmentDistribution]:
-        """Step ``step``'s alignment, None without a monitor; a repeated
-        step's is its row's distribution, at its own step."""
-        if not self.alignments:
-            return None
-        held = self.alignments[self.row(step)]
-        return held if held.step == step else AlignmentDistribution(held.dist, step)
-
-    @property
-    def records(self) -> tuple[StepRecord, ...]:
-        """Every step as a :class:`StepRecord` view of the arrays."""
-        lo = self.block_index * self.visible.shape[1]
-        seen = [0, *self.visible.sum(axis=1).tolist()]
-        records = []
-        for step in range(1, self.steps_used + 1):
-            r, committed = self.row(step), ()
-            if step == r + 1:
-                members = VisibleSet(tuple((lo + self.visible[r].nonzero()[0]).tolist()))
-                frames = tuple(ActivationFrame(step, rows[r], members) for rows in self.tap_rows)
-                committed = tuple((lo + self.committed[seen[r] : seen[r + 1]]).tolist())
-            arrays = (tuple(a[r].tolist()) for a in (self.token_rows, self.choice))
-            records.append(StepRecord(step, committed, *arrays, frames, self.alignment(step)))
-        return tuple(records)
 
 
 @dataclass
@@ -332,7 +291,6 @@ def denoise_block(
     visible = np.empty((n_rows, L), dtype=bool)
     commits: list[np.ndarray] = []
     tap_rows: list[list[np.ndarray]] = [[] for _ in taps]
-    alignments: list[AlignmentDistribution] = []
     forwards: list[ForwardResult] = []
     certificate: Optional[Certificate] = None
     r = -1  # the row of the last forward
@@ -371,7 +329,6 @@ def denoise_block(
                 members = VisibleSet(tuple((lo + seen.nonzero()[0]).tolist()))
                 frame = ActivationFrame(step, tap_rows[0][-1], members)
                 alignment = score_frame(frame, reasoning_map, mode, policy.stop.tau_blk)
-                alignments.append(alignment)
         elif monitor is not None:
             alignment = AlignmentDistribution(alignment.dist, step)
 
@@ -401,7 +358,6 @@ def denoise_block(
         visible=visible[: r + 1],
         committed=np.concatenate(commits),
         tap_rows=tuple(map(tuple, tap_rows)),
-        alignments=tuple(alignments),
         forwards=tuple(forwards),
     )
     freeze_events = tuple(freezer.states.values()) if freezer is not None else ()

@@ -3,7 +3,9 @@
 Each command reads an ``ExperimentConfig``, writes every derived artifact
 into the run directory, and is reproducible byte-for-byte from (config,
 seeds, input artifacts). Evaluation instances run one after another, in
-instance order.
+instance order. ``calibrate`` and ``ablate`` decode each prompt once under
+``fixed`` and score the recorded tap rows offline (``_alignment_trace``),
+with no monitor; their (delta, omega) cells replay that one decode.
 
 Run directory layout::
 
@@ -38,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .alignment import score_alignment
+from .alignment import SimilarityMode, score_alignment
 from .capture import EvolutionVector, SubspaceBasis, build_subspace
 from .certify import (
     DELTA_GRID,
@@ -53,12 +55,13 @@ from .certify import (
 from .config import ExperimentConfig
 from .errors import (
     ArtifactMismatchError,
+    ConfigError,
     NoAdmissiblePairError,
     NoValidSamplesError,
     TooFewSamplesError,
 )
-from .generate import BlockResult, PolicyConfig, generate, stop_fill
-from .linalg import softmax_rows
+from .generate import BlockResult, DenoiseTrajectory, PolicyConfig, generate, stop_fill
+from .linalg import ProbVector, softmax_rows
 from .metaformat import csv_text, io_failure
 from .model import (
     ADAPTERS,
@@ -516,29 +519,68 @@ def cmd_infer(
 # --- cmd_calibrate --------------------------------------------------------
 
 def replay_stop(
-    block: BlockResult, delta: float, omega: int, mask_id: int
+    trajectory: DenoiseTrajectory,
+    divergences: Sequence[float],
+    delta: float,
+    omega: int,
+    mask_id: int,
 ) -> tuple[tuple[int, ...], int]:
-    """Tokens and step count of ``block`` had it stopped under (delta, omega).
+    """Tokens and step count of a run had it stopped under (delta, omega).
 
-    ``block`` must come from a never-stopping monitored run (threshold
-    zero) without strict certificates. The stop rule then never changes
-    what gets committed, so a run that stops at step t equals the
-    recorded one up to step t and then fills every slot still masked with
-    step t's row argmax. Without a stop the run is the recorded one, all
-    budgeted steps included. The stop is the first one that a fresh
-    ``StabilityMonitor``'s ``advance`` fires over the recorded step
-    divergences; its tokens and row argmax are the stop step's row.
+    ``trajectory`` must come from a run whose stop rule never changed what
+    got committed: a ``fixed`` decode, or a monitored one at threshold zero
+    without strict certificates. ``divergences`` are its step divergences
+    for steps 2, 3, ... A run that stops at step t then equals the recorded
+    one up to step t and fills every slot still masked with step t's row
+    argmax. Without a stop the run is the recorded one, all budgeted steps
+    included. The stop is the first one that a fresh
+    ``StabilityMonitor``'s ``advance`` fires over ``divergences``; its
+    tokens and row argmax are the stop step's row.
     """
     replay = StabilityMonitor(StopConfig(delta=delta, omega=omega))
-    for row in block.monitor.divergence_trace:
-        if replay.advance(row.divergence, row.step).stop:
+    for step, divergence in enumerate(divergences, start=2):
+        if replay.advance(divergence, step).stop:
             break
     stop = replay.stopped_at
     if stop is None:
-        return block.trajectory.tokens, block.steps_used
-    trajectory = block.trajectory
+        return trajectory.tokens, trajectory.steps_used
     r = trajectory.row(stop)
     return tuple(stop_fill(trajectory.token_rows[r], trajectory.choice[r], mask_id).tolist()), stop
+
+
+def _alignment_trace(
+    trajectory: DenoiseTrajectory,
+    groups: Sequence[tuple[int, Sequence[EvolutionVector | SubspaceBasis]]],
+    mode: SimilarityMode,
+    tau_blk: float,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Offline, what a monitor scoring each map would have recorded.
+
+    Each group pairs a tap's index in ``trajectory.tap_rows`` with the maps
+    its rows are scored against; maps are numbered across groups in order.
+    Each map scores its tap's rows of every distinct forward, stacked, in
+    one ``score_alignment`` call. At each distinct forward all maps' scores
+    take one ``softmax_rows`` at ``tau_blk`` and one ``matched_kl_rows``
+    against the previous forward: the alignment softmax and the step
+    divergence, row by row, bit for bit those of a live monitor. A step
+    that repeats the last forward diverges by 0.0.
+
+    Returns each distinct forward's ``(n_maps, n_visible)`` softmax, whose
+    columns are the slots visible at that forward, and the
+    ``(steps_used - 1, n_maps)`` step divergences of steps 2, 3, ...
+    """
+    cell_scores = []
+    for tap, maps in groups:
+        stacked = np.concatenate(trajectory.tap_rows[tap])  # one tap's stack held at a time
+        cell_scores += [score_alignment(stacked, m, mode) for m in maps]
+    scores = np.stack(cell_scores)
+    members = [seen.nonzero()[0].tolist() for seen in trajectory.visible]
+    bounds = [0, *trajectory.visible.sum(axis=1).cumsum().tolist()]
+    probs = [softmax_rows(scores[:, a:b] / tau_blk) for a, b in zip(bounds, bounds[1:])]
+    divergences = np.zeros((trajectory.steps_used - 1, len(scores)))
+    for r in range(1, len(probs)):
+        divergences[r - 1] = matched_kl_rows(probs[r], members[r], probs[r - 1], members[r - 1])
+    return probs, divergences
 
 
 def cmd_calibrate(
@@ -548,14 +590,16 @@ def cmd_calibrate(
 ) -> dict:
     """Estimate contraction, calibrate (delta, omega), and tune by utility.
 
-    Validation trajectories are recorded once, under a never-stopping
-    monitor (threshold zero), which makes them identical to fixed-budget
-    runs while still logging every step divergence and row argmax. Both
-    the margin calibration and the utility sweep replay those records:
-    each (delta, omega) cell reads its stop off the divergence trace and
-    its tokens off the stop step's record (``replay_stop``), which is
-    exactly what a live run under that cell commits. ``ExperimentConfig``
-    fixes one target block per prompt, so each record covers a whole run.
+    Each validation prompt is decoded once under ``fixed``, which commits
+    what a run under any (delta, omega) commits up to its stop. Its
+    alignment softmaxes and step divergences are scored offline
+    (``_alignment_trace``), bit for bit what a never-stopping monitor would
+    record; no monitor runs. Both the margin calibration and the utility
+    sweep replay these decodes: each (delta, omega) cell reads its stop off
+    the divergences and its tokens off the stop step's row
+    (``replay_stop``), which is exactly what a live run under that cell
+    commits. ``ExperimentConfig`` fixes one target block per prompt, so
+    each decode covers a whole run.
     """
     run_dir = run_dir if run_dir is not None else config.out_dir
     artifacts_dir = artifacts_dir if artifacts_dir is not None else run_dir
@@ -565,43 +609,39 @@ def cmd_calibrate(
     n_val = max(1, int(round(config.validation_fraction * config.eval_instances)))
     instances = _sample_instances(task, (config.model_seed, 707), n_val)
 
-    probe_policy = PolicyConfig(
-        "edit",
-        stop=StopConfig(delta=0.0, omega=config.omega, tau_blk=config.tau_blk),
-    )
-    probe_blocks: list[BlockResult] = []
-    for prompt, _ in instances:
-        (block,) = generate(
-            artifacts.model,
-            prompt,
-            config.seq_len,
-            probe_policy,
-            budget=config.budget,
-            reasoning_map=reasoning_map,
-            mode=mode,
-        ).blocks
-        probe_blocks.append(block)
-
     mask_id = artifacts.model.cfg.mask_id
+    probes: list[tuple[DenoiseTrajectory, np.ndarray]] = []
     margins: list[float] = []
     contraction_traces: list[list] = []
-    for block in probe_blocks:
+    for prompt, _ in instances:
+        (block,) = generate(
+            artifacts.model, prompt, config.seq_len, PolicyConfig("fixed"), budget=config.budget
+        ).blocks
         trajectory = block.trajectory
-        _, stop_step = replay_stop(block, config.delta, config.omega, mask_id)
-        margins.append(MarginReport.from_distribution(trajectory.alignment(stop_step)).margin)
+        probs, divergences = _alignment_trace(
+            trajectory, ((0, (reasoning_map,)),), mode, config.tau_blk
+        )
+        divergences = divergences[:, 0]
+        probes.append((trajectory, divergences))
+        _, stop_step = replay_stop(trajectory, divergences, config.delta, config.omega, mask_id)
+        margins.append(ProbVector(probs[trajectory.row(stop_step)][0]).top2_margin())
         # The steps from the first one that sees the whole block.
         full = trajectory.visible.all(axis=1)
         if full.any() and trajectory.steps_used - full.argmax() >= 3:
-            steps = range(full.argmax() + 1, trajectory.steps_used + 1)
-            contraction_traces.append([trajectory.alignment(s).dist for s in steps])
+            rows = [trajectory.row(s) for s in range(full.argmax() + 1, trajectory.steps_used + 1)]
+            dists = {r: ProbVector(probs[r][0]) for r in set(rows)}
+            contraction_traces.append([dists[r] for r in rows])
 
     alpha_note = estimate = None
     try:
+        if not contraction_traces:
+            raise NoValidSamplesError("no validation block runs 3 steps after it fills")
         estimate = estimate_contraction(contraction_traces)
         alpha_hat = estimate.alpha_hat
     except NoValidSamplesError as exc:
-        # Fully settled distributions leave no measurable ratio; report
-        # the most favorable contraction rather than refusing to run.
+        # Fully settled distributions, or too few steps after the block
+        # fills, leave no measurable ratio; report the most favorable
+        # contraction rather than refusing to run.
         alpha_hat = 0.0
         alpha_note = str(exc)
 
@@ -625,8 +665,8 @@ def cmd_calibrate(
     best = None
     for delta, omega in product(DELTA_GRID, OMEGA_GRID):
         outcomes = []
-        for (_, target), block in zip(instances, probe_blocks):
-            tokens, steps = replay_stop(block, delta, omega, mask_id)
+        for (_, target), (trajectory, divergences) in zip(instances, probes):
+            tokens, steps = replay_stop(trajectory, divergences, delta, omega, mask_id)
             outcomes.append((task.exact_match(tokens, target), float(steps)))
         accuracy = float(np.mean([e for e, _ in outcomes]))
         avg_steps = float(np.mean([s for _, s in outcomes]))
@@ -744,23 +784,23 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     Reads the trained run in ``run_dir``, training it first if the
     directory holds no checkpoint. Each (projection, adapter, reduction)
     cell scores the chosen projection's own activations against the row
-    summary that ``cmd_train`` stored for that site, under a
-    never-stopping monitor (threshold zero), so the recorded per-step
-    divergences describe alignment stability. The summaries are
+    summary that ``cmd_train`` stored for that site, and averages the step
+    divergences a never-stopping monitor would record. The summaries are
     ``EvolutionVector``s, so the cells are scored under ``vector_cosine``
-    whatever the config's ``similarity``.
+    whatever the config's ``similarity``. A budget below 2 has no step
+    divergence to average and raises ``ConfigError`` before any work.
 
     Such a monitor never changes what gets committed, and freezing is
     off, so the frames a cell scores are those of a fixed-budget run that
-    taps its projection. Each evaluation prompt is therefore decoded once,
-    tapping all three projections off each step's one forward. Each cell
-    scores its projection's frames of every distinct forward, stacked, in
-    one ``score_alignment`` call. At each distinct forward the 12 cells'
-    scores take one ``softmax_rows`` at ``tau_blk`` and one
-    ``matched_kl_rows`` against the previous one: the alignment softmax and
-    the monitor's step divergence, row by row. Each step that repeats the
-    last forward diverges by 0.0, as the monitor records it.
+    taps its projection. Each evaluation prompt is therefore decoded once
+    under ``fixed``, tapping all three projections off each step's one
+    forward, and its 12 cells are scored offline in one
+    ``_alignment_trace``, one (tap, maps) group per projection.
     """
+    if config.budget < 2:
+        raise ConfigError(
+            f"ablate needs budget >= 2, got {config.budget}: one step has no step divergence"
+        )
     run_dir = run_dir if run_dir is not None else config.out_dir
     if not os.path.exists(os.path.join(run_dir, CHECKPOINT_FILE)):
         cmd_train(config, run_dir)
@@ -771,6 +811,11 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     }
     last = config.n_blocks - 1
     taps = tuple(TapSpec(module_path(last, proj)) for proj in PROJECTIONS)
+    # ABLATION_SITES runs projection by projection, so the cells come out in its order.
+    groups = [
+        (k, [vectors[site] for site in ABLATION_SITES if site[0] == proj])
+        for k, proj in enumerate(PROJECTIONS)
+    ]
 
     n_eval = min(config.eval_instances, 16)
     instances = _sample_instances(task, (config.model_seed, 505), n_eval)
@@ -788,28 +833,11 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
             taps=taps,
         ).blocks
         forward_passes += block.forward_passes
-        trajectory = block.trajectory
-        cell_scores = []
-        for frames, proj in zip(trajectory.tap_rows, PROJECTIONS):
-            # One projection's frames at a time, so one stack is held.
-            stacked = np.concatenate(frames)
-            sites = [site for site in ABLATION_SITES if site[0] == proj]
-            cell_scores += [score_alignment(stacked, vectors[site]) for site in sites]
-        # Row c scores cell ABLATION_SITES[c]; each distinct forward owns the next columns.
-        scores = np.stack(cell_scores)
-        rows: list[list[float]] = []
-        prev_probs = prev_members = None
-        lo = 0
-        for seen in trajectory.visible:
-            members = seen.nonzero()[0].tolist()
-            probs = softmax_rows(scores[:, lo : lo + len(members)] / config.tau_blk)
-            lo += len(members)
-            if prev_probs is not None:
-                rows.append(matched_kl_rows(probs, members, prev_probs, prev_members).tolist())
-            prev_probs, prev_members = probs, members
-        rows += [[0.0] * len(ABLATION_SITES)] * (trajectory.steps_used - len(trajectory.visible))
-        for site, column in zip(ABLATION_SITES, zip(*rows)):
-            divergences[site].extend(column)
+        _, rows = _alignment_trace(
+            block.trajectory, groups, SimilarityMode.VECTOR_COSINE, config.tau_blk
+        )
+        for site, column in zip(ABLATION_SITES, rows.T):
+            divergences[site].extend(column.tolist())
 
     cells = [
         {

@@ -287,6 +287,18 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_same_trajectory(got, want) -> None:
+    """Two decodes of a block, bit for bit: the step count, each distinct
+    forward's tokens, row argmax and visible slots, the commit order and
+    every tap's visible rows."""
+    assert got.steps_used == want.steps_used
+    for name in ("token_rows", "choice", "visible", "committed"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for g, w in zip(got.tap_rows, want.tap_rows, strict=True):
+        for a, b in zip(g, w, strict=True):
+            assert same_bits(a, b)
+
+
 def assert_same_forward(got: ForwardResult, want: ForwardResult) -> None:
     """Logits, taps and every recorded array, bit for bit."""
     assert same_bits(got.logits, want.logits)
@@ -403,7 +415,7 @@ def step_kl_objective(model, trajectory, step: int) -> float:
     """Summed KL of step ``step``'s predictive rows from step ``step + 1``'s
     over the later step's committed support, by two fresh forward passes.
     ``pseudo_gradient`` is its gradient with step ``step``'s rows held fixed."""
-    if step < 1 or step + 1 > len(trajectory.records):
+    if step < 1 or step + 1 > trajectory.steps_used:
         raise MissingStepError(f"steps {step} and {step + 1} are not both recorded")
     cfg = model.cfg
     L = cfg.block_length
@@ -414,14 +426,14 @@ def step_kl_objective(model, trajectory, step: int) -> float:
         if at == 1:
             block = np.full(L, cfg.mask_id, dtype=np.int64)
         else:
-            block = np.asarray(trajectory.records[at - 2].tokens, dtype=np.int64)
+            block = trajectory.token_rows[trajectory.row(at - 1)]
         logits = forward(model, np.concatenate([prefix, block])[None, :], taps=()).logits
         return predictive_distributions(logits[0, lo : lo + L], cfg.vocab_size)
 
     p_t, p_t1 = rows(step), rows(step + 1)
     total = 0.0
-    for s in trajectory.records[step].frame.visible.members:
-        p, q = p_t[s - lo], p_t1[s - lo]
+    for s in trajectory.visible[trajectory.row(step + 1)].nonzero()[0]:
+        p, q = p_t[s], p_t1[s]
         total += float(np.sum(p * (np.log(p) - np.log(q))))
     return total
 
@@ -439,12 +451,12 @@ def reference_pseudo_gradient(model, trajectory, step: int, keys):
         if at == 1:
             block = np.full(L, cfg.mask_id, dtype=np.int64)
         else:
-            block = np.asarray(trajectory.records[at - 2].tokens, dtype=np.int64)
+            block = trajectory.token_rows[trajectory.row(at - 1)]
         res = forward(model, np.concatenate([prefix, block])[None, :], record=True)
         return res, predictive_distributions(res.logits[0, lo : lo + L], cfg.vocab_size)
 
     (_, p_t), (res_t1, p_t1) = run(step), run(step + 1)
-    support = trajectory.records[step].frame.visible.members
+    support = lo + trajectory.visible[trajectory.row(step + 1)].nonzero()[0]
     real = cfg.vocab_size - 1
     dlogits_t1 = np.zeros_like(res_t1.logits)
     for s in support:
@@ -560,11 +572,6 @@ def frame_from(vectors: dict[int, np.ndarray], step: int = 0) -> ActivationFrame
     """Frame over the dict's tokens, one row per token in increasing order."""
     members = tuple(sorted(vectors))
     return ActivationFrame(step, np.stack([vectors[s] for s in members]), VisibleSet(members))
-
-
-def frame_row(frame: ActivationFrame, token: int) -> np.ndarray:
-    """The activation row of one visible token."""
-    return frame.activations[frame.visible.members.index(token)]
 
 
 def count_forwards(monkeypatch, module: str = "editstop.generate", name: str = "forward") -> list:
@@ -838,11 +845,21 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
 
 
 def final_commit(trajectory) -> tuple[int, ...]:
-    """The block positions a stop filled: those no step's ``committed`` lists."""
+    """The block positions a stop filled: those ``committed`` does not list."""
     L = len(trajectory.tokens)
     lo = trajectory.block_index * L
-    scheduled = {p for rec in trajectory.records for p in rec.committed}
+    scheduled = set((lo + trajectory.committed).tolist())
     return tuple(p for p in range(lo, lo + L) if p not in scheduled)
+
+
+def step_commits(trajectory) -> list[tuple[int, ...]]:
+    """Each step's committed block positions, read off the trajectory's
+    arrays: row ``r``'s step commits the slots first visible at row ``r``,
+    in ``committed`` order, and a repeated step commits none."""
+    lo = trajectory.block_index * trajectory.visible.shape[1]
+    bounds = [0, *trajectory.visible.sum(axis=1).tolist()]
+    rows = [tuple((lo + trajectory.committed[a:b]).tolist()) for a, b in zip(bounds, bounds[1:])]
+    return rows + [()] * (trajectory.steps_used - len(rows))
 
 
 def reference_generate(model, prompt, seq_len, policy, budget, **kwargs):

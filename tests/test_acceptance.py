@@ -205,8 +205,8 @@ def test_gradients_match_finite_differences():
     prompt = np.array([1, 5])
     traj = denoise_block(pmodel, prompt, 1, budget=2).trajectory
     step, lo, hi = 1, 2, 4
-    support = traj.records[step].frame.visible.members
-    inp_t1 = np.concatenate([np.asarray(traj.prefix), np.asarray(traj.records[0].tokens)])
+    support = lo + traj.visible[traj.row(step + 1)].nonzero()[0]
+    inp_t1 = np.concatenate([np.asarray(traj.prefix), traj.token_rows[0]])
     ref = forward(
         pmodel,
         np.concatenate([np.asarray(traj.prefix), np.full(2, pair_cfg.mask_id)])[None, :],

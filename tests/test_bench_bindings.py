@@ -76,13 +76,9 @@ def test_a_traced_decode_counts_every_forward_and_probvector(monkeypatch, kind):
             init_model(cfg), prompt, 64, PolicyConfig(kind), reasoning_map=vector,
             freeze_basis=basis,
         )
-    # A step is scored unless it repeats its predecessor's distribution.
-    scored = 0
-    for block in result.blocks:
-        records = block.trajectory.records
-        for prev, rec in zip([None, *records], records):
-            if rec.alignment is not None:
-                scored += prev is None or rec.alignment.dist is not prev.alignment.dist
+    # A monitored block scores each distinct forward's frame, and a
+    # repeated step reuses its predecessor's distribution.
+    scored = sum(b.forward_passes for b in result.blocks if b.monitor is not None)
     counts = recorder.counts
     calls = sum(b.forward_passes for b in result.blocks)
     assert counts["model.forward.calls"] == calls > 0

@@ -123,6 +123,33 @@ class TestExitCodes:
         assert "subspace_k=3" in err
 
 
+class TestBudgetLimits:
+    def test_calibrate_with_no_step_after_a_full_block_writes_its_file(self, tmp_path, capsys):
+        # At budget 16 each 16-slot block of the default config fills at
+        # the last step, so no block leaves 3 steps to measure contraction
+        # on: alpha_hat falls back to 0.0 with a note, as for settled runs.
+        run_dir = tmp_path / "run"
+        cfg_path = tmp_path / "exp.txt"
+        cfg_path.write_text(f'budget = 16\ntrain_steps = 20\nout_dir = "{run_dir}"\n')
+        assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
+        assert main(["calibrate", "--config", str(cfg_path)]) in (EXIT_NO_PAIR, EXIT_OK)
+        payload = json.loads((run_dir / "calibration.json").read_text())
+        assert payload["alpha_hat"] == 0.0
+        assert "3 steps" in payload["alpha_note"]
+        assert payload["samples_used"] is None
+        assert payload["skipped_small_denominators"] is None
+        assert len(payload["utility_table"]) == 24
+
+    def test_ablate_at_budget_one_exits_two_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "exp.txt"
+        cfg_path.write_text(SMALL.replace("budget = 12", "budget = 1"))
+        code = main(["ablate", "--config", str(cfg_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "no step divergence" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def artifacts_with(run_dir: str, dest: str, band) -> str:
     """A copy of ``run_dir``'s checkpoint and metadata with ``band`` as the
     stored band file."""

@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import final_commit, freeze_keys, reference_generate
+from helpers import final_commit, freeze_keys, reference_generate, step_commits
 
 from editstop.alignment import SimilarityMode
 from editstop.config import ExperimentConfig
@@ -55,8 +55,12 @@ def assert_same_run(result, ref_tokens, ref_blocks):
     assert result.tokens == ref_tokens
     assert len(result.blocks) == len(ref_blocks)
     for block, ref in zip(result.blocks, ref_blocks):
-        assert [r.committed for r in block.trajectory.records] == ref.committed
-        assert [r.choice for r in block.trajectory.records] == ref.choices
+        trajectory = block.trajectory
+        assert step_commits(trajectory) == ref.committed
+        assert [
+            tuple(trajectory.choice[trajectory.row(step)].tolist())
+            for step in range(1, trajectory.steps_used + 1)
+        ] == ref.choices
         assert final_commit(block.trajectory) == ref.final_commit
         assert block.trajectory.tokens == ref.tokens
         assert block.stop_decision == ref.stop_decision
@@ -143,9 +147,9 @@ def test_zero_threshold_freeze_matches_reference(trained):
     trained_zero = (dataclasses.replace(cfg, delta=0.0), artifacts, prompts)
     for result in run_both(trained_zero, "edit_freeze", 32):
         (block,) = result.blocks
-        records = block.trajectory.records
+        row = block.trajectory.row
         assert block.freeze_events and block.steps_used == 32
-        shared = [b.step for a, b in zip(records, records[1:]) if a.frame is b.frame]
+        shared = [step for step in range(2, 33) if row(step) == row(step - 1)]
         assert shared == list(range(18, 33))
 
 

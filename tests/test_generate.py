@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from helpers import (
     assert_same_forward,
+    assert_same_trajectory,
     batched_forward,
     count_forwards,
     final_commit,
-    frame_row,
     reference_generate,
     same_bits,
+    step_commits,
 )
 
 from editstop.alignment import ActivationFrame, VisibleSet
@@ -27,7 +28,6 @@ from editstop.freeze import FreezeConfig, TokenFreezer
 from editstop.generate import (
     DenoiseTrajectory,
     PolicyConfig,
-    StepRecord,
     denoise_block,
     generate,
 )
@@ -87,16 +87,16 @@ class TestPolicyConfig:
 class TestSchedule:
     def test_one_per_step_growth(self):
         # Budget equal to the block length commits exactly one token per step.
-        block = denoise_block(tiny_model(), prompt_block(), 1, budget=4)
-        sizes = [len(r.frame.visible) for r in block.trajectory.records]
+        trajectory = denoise_block(tiny_model(), prompt_block(), 1, budget=4).trajectory
+        sizes = [int(trajectory.visible[trajectory.row(step)].sum()) for step in range(1, 5)]
         assert sizes == [1, 2, 3, 4]
-        assert all(len(r.committed) == 1 for r in block.trajectory.records)
+        assert all(len(c) == 1 for c in step_commits(trajectory))
 
     def test_quota_rounds_up(self):
         block = denoise_block(tiny_model(), prompt_block(), 1, budget=3)
-        counts = [len(r.committed) for r in block.trajectory.records]
+        counts = [len(c) for c in step_commits(block.trajectory)]
         assert counts == [2, 2, 0]
-        assert len(block.trajectory.records) == 3
+        assert block.trajectory.steps_used == 3
 
     def test_fixed_policy_runs_whole_budget(self):
         block = denoise_block(tiny_model(), prompt_block(), 1, budget=9)
@@ -105,7 +105,8 @@ class TestSchedule:
         assert (block.stopped_early, block.rejected_stops) == (False, ())
         assert block.certificate is None
         # Visible set is full well before the budget ends.
-        assert len(block.trajectory.records[3].frame.visible) == TINY.block_length
+        trajectory = block.trajectory
+        assert trajectory.visible[trajectory.row(4)].sum() == TINY.block_length
 
     def test_every_slot_filled_by_the_last_step(self):
         # A quota of ceil(L / budget) per step fills the block by step
@@ -121,21 +122,20 @@ class TestSchedule:
                 block = denoise_block(
                     model, prompt, 1, budget=budget, policy=policy, reasoning_map=synthetic_map()
                 )
-                last = block.trajectory.records[-1]
+                trajectory = block.trajectory
                 assert block.steps_used == budget, (L, budget, policy.kind)
-                assert cfg.mask_id not in last.tokens, (L, budget, policy.kind)
-                assert len(last.frame.visible) == L
+                assert cfg.mask_id not in trajectory.tokens, (L, budget, policy.kind)
+                assert trajectory.visible[trajectory.row(budget)].sum() == L
                 assert final_commit(block.trajectory) == ()
                 cells += 1
         assert cells == 2 * sum(L + 2 for L in range(2, 9))
 
     def test_committed_tokens_never_change(self):
-        block = denoise_block(tiny_model(), prompt_block(), 1, budget=4)
-        final = block.trajectory.tokens
-        lo = TINY.block_length
-        for rec in block.trajectory.records:
-            for pos in rec.frame.visible.members:
-                assert rec.tokens[pos - lo] == final[pos - lo]
+        trajectory = denoise_block(tiny_model(), prompt_block(), 1, budget=4).trajectory
+        final = trajectory.token_rows[-1]
+        for tokens, seen in zip(trajectory.token_rows, trajectory.visible, strict=True):
+            assert seen.any()
+            assert np.array_equal(tokens[seen], final[seen])
 
     def test_shrinking_visible_set_rejected(self):
         # A trajectory whose visible set drops a member is refused with the
@@ -197,13 +197,12 @@ class TestCommitRanking:
         cfg = ModelConfig()
         prompt = np.random.default_rng(8).integers(0, cfg.vocab_size - 1, size=cfg.block_length)
         block = denoise_block(init_model(cfg), prompt, 1, budget=32)
-        records = block.trajectory.records
+        trajectory = block.trajectory
         assert block.forward_passes == 17
-        assert [len(r.committed) for r in records] == [1] * 16 + [0] * 16
-        assert records[16].frame is not records[15].frame
-        assert all(r.frame is records[16].frame for r in records[17:])
-        assert all((r.tokens, r.choice) == (records[16].tokens, records[16].choice)
-                   for r in records[17:])
+        assert [len(c) for c in step_commits(trajectory)] == [1] * 16 + [0] * 16
+        rows = [trajectory.row(step) for step in range(1, 33)]
+        assert rows[16] != rows[15]
+        assert rows[17:] == [rows[16]] * 15
 
     def test_ties_commit_lowest_index_first_at_quota_4(self, monkeypatch):
         # Every forward reads the same confidences, three values over 16
@@ -222,7 +221,7 @@ class TestCommitRanking:
         block = denoise_block(init_model(cfg), prompt, 1, budget=4)
         order = sorted(range(L), key=lambda i: (-confidence[i], i))
         want = [tuple(L + i for i in order[k : k + 4]) for k in range(0, L, 4)]
-        assert [r.committed for r in block.trajectory.records] == want
+        assert step_commits(block.trajectory) == want
         # The three 0.9 slots, then the lowest of the six tied at 0.6.
         assert want[0] == (L + 2, L + 8, L + 13, L + 1)
         assert block.trajectory.tokens == tuple(i % (V - 1) for i in range(L))
@@ -242,9 +241,7 @@ class TestStopBehavior:
         )
         assert block.stop_decision.reason is StopReason.RUN_LENGTH_MET
         assert block.steps_used == 4
-        committed_by_schedule = {
-            p for r in block.trajectory.records for p in r.committed
-        }
+        committed_by_schedule = {p for c in step_commits(block.trajectory) for p in c}
         assert len(committed_by_schedule) + len(final_commit(block.trajectory)) == 4
         assert TINY.mask_id not in block.trajectory.tokens
 
@@ -347,7 +344,7 @@ class TestFreezePolicy:
             )
             assert {st.frozen_at for st in frozen.freeze_events} == {3}
             for block in (edit, frozen):
-                assert [r.committed for r in block.trajectory.records] == commits
+                assert step_commits(block.trajectory) == commits
                 assert final_commit(block.trajectory) == fill
             assert frozen.trajectory.tokens == edit.trajectory.tokens
 
@@ -362,11 +359,18 @@ class TestFreezePolicy:
             reasoning_map=synthetic_map(), freeze_basis=synthetic_basis(),
         )
         freeze_step = block.freeze_events[0].frozen_at
-        later = [r for r in block.trajectory.records if r.step > freeze_step]
-        token = block.freeze_events[0].token
-        pinned = frame_row(later[0].frame, token)
-        for rec in later[1:]:
-            np.testing.assert_array_equal(frame_row(rec.frame, token), pinned)
+        trajectory = block.trajectory
+        slot = block.freeze_events[0].token - TINY.block_length
+
+        def frame_row(step):
+            # The token's row among the visible rows of the scored tap.
+            r = trajectory.row(step)
+            assert trajectory.visible[r, slot]
+            return trajectory.tap_rows[0][r][trajectory.visible[r, :slot].sum()]
+
+        pinned = frame_row(freeze_step + 1)
+        for step in range(freeze_step + 2, block.steps_used + 1):
+            np.testing.assert_array_equal(frame_row(step), pinned)
 
 
 class TestGenerate:
@@ -488,9 +492,7 @@ class TestForwardReuse:
         block = self.run_block(default_block, monkeypatch, "edit_freeze", delta=0.0)
         edit = self.run_block(default_block, monkeypatch, "edit", delta=0.0)
         assert block.freeze_events
-        assert [r.committed for r in block.trajectory.records] == [
-            r.committed for r in edit.trajectory.records
-        ]
+        assert step_commits(block.trajectory) == step_commits(edit.trajectory)
         assert block.steps_used == 32
         assert block.forward_passes == 17
 
@@ -527,11 +529,7 @@ class TestForwardReuse:
         assert [kw["record"] for _, kw in calls] == [True] * block.forward_passes
         assert len(forwards) == len({id(f) for f in forwards}) == block.forward_passes
         assert [f.cache is not None for f in forwards] == [True] * len(forwards)
-        for got, want in zip(block.trajectory.records, plain.trajectory.records, strict=True):
-            assert (got.step, got.committed, got.tokens, got.choice) == (
-                want.step, want.committed, want.tokens, want.choice
-            )
-            assert np.array_equal(got.frame.activations, want.frame.activations)
+        assert_same_trajectory(block.trajectory, plain.trajectory)
         assert block.trajectory.tokens == plain.trajectory.tokens
         assert block.forward_passes == plain.forward_passes
 
@@ -546,9 +544,7 @@ class TestForwardReuse:
         assert recorded.tokens == plain.tokens
         for got, want in zip(recorded.blocks, plain.blocks, strict=True):
             assert got.trajectory.forwards and not want.trajectory.forwards
-            for a, b in zip(got.trajectory.records, want.trajectory.records, strict=True):
-                assert (a.committed, a.tokens, a.choice) == (b.committed, b.tokens, b.choice)
-                assert a.frame.activations.tobytes() == b.frame.activations.tobytes()
+            assert_same_trajectory(got.trajectory, want.trajectory)
             divergences = [
                 np.array([r.divergence for r in block.monitor.divergence_trace]).tobytes()
                 for block in (got, want)
@@ -563,14 +559,17 @@ class TestForwardReuse:
         L = cfg.block_length
         lo = L  # block 1 follows the one-block prompt
         tap = model.default_tap()
+        trajectory = block.trajectory
         masked = np.full(L, model.cfg.mask_id)
-        before = [masked] + [np.asarray(r.tokens) for r in block.trajectory.records[:-1]]
-        for rec, block_tokens in zip(block.trajectory.records, before):
+        for step in range(1, block.steps_used + 1):
+            # Step ``step`` reads the tokens its predecessor left.
+            block_tokens = masked if step == 1 else trajectory.token_rows[trajectory.row(step - 1)]
             fresh = forward(model, np.concatenate([prompt, block_tokens])[None, :], taps=(tap,))
             probs = predictive_distributions(fresh.logits[0, lo : lo + L], model.cfg.vocab_size)
-            assert rec.choice == tuple(probs.argmax(axis=1).tolist())
-            rows = [s - lo for s in rec.frame.visible.members]
-            assert rec.frame.activations.tobytes() == fresh.taps[tap][0, lo + np.array(rows)].tobytes()
+            r = trajectory.row(step)
+            assert trajectory.choice[r].tolist() == probs.argmax(axis=1).tolist()
+            rows = lo + trajectory.visible[r].nonzero()[0]
+            assert trajectory.tap_rows[0][r].tobytes() == fresh.taps[tap][0, rows].tobytes()
 
 
 class TestDecodeForwardBits:
@@ -578,7 +577,7 @@ class TestDecodeForwardBits:
     ``generate`` builds once. The decode must keep every bit of one whose
     forwards build their own weights, and of ``helpers.batched_forward``:
     logits, taps, every recorded array (``pseudograd`` reads them), tokens,
-    frames and alignments."""
+    frames and step divergences."""
 
     TAPS = (TapSpec("block1.q"), TapSpec("block0.q"), TapSpec("block0.v"))
 
@@ -601,13 +600,12 @@ class TestDecodeForwardBits:
         assert (got.tokens, got.block_steps) == (want.tokens, want.block_steps)
         for gb, wb in zip(got.blocks, want.blocks, strict=True):
             lo = gb.block_index * cfg.block_length
-            for g, w in zip(gb.trajectory.records, wb.trajectory.records, strict=True):
-                assert (g.committed, g.tokens, g.choice) == (w.committed, w.tokens, w.choice)
-                for gf, wf in zip(g.frames, w.frames, strict=True):
-                    assert gf.visible == wf.visible
-                    assert same_bits(gf.activations, wf.activations)
-                if kind == "edit":
-                    assert same_bits(g.alignment.dist.probs, w.alignment.dist.probs)
+            assert_same_trajectory(gb.trajectory, wb.trajectory)
+            if kind == "edit":
+                trace = [repr(r.divergence) for r in gb.monitor.divergence_trace]
+                assert trace == [repr(r.divergence) for r in wb.monitor.divergence_trace]
+                g, w = gb.monitor.prev_distribution, wb.monitor.prev_distribution
+                assert same_bits(g.dist.probs, w.dist.probs)
             assert len(gb.trajectory.forwards) == len(wb.trajectory.forwards)
             for g, w in zip(gb.trajectory.forwards, wb.trajectory.forwards):
                 assert_same_forward(g, w)
@@ -649,22 +647,25 @@ class TestMultiTap:
             single = decode((tap,))
             for mb, sb in zip(multi.blocks, single.blocks, strict=True):
                 assert mb.forward_passes == sb.forward_passes
-                m_recs, s_recs = mb.trajectory.records, sb.trajectory.records
+                mt, st = mb.trajectory, sb.trajectory
+                assert len(st.tap_rows) == 1
                 if which == 0:
                     # The first tap is the scored one: the whole run agrees.
-                    assert len(m_recs) == len(s_recs)
+                    assert mt.steps_used == st.steps_used
                     if kind == "edit":
                         trace = mb.monitor.divergence_trace
                         assert trace == sb.monitor.divergence_trace
                     assert mb.stop_decision == sb.stop_decision
                 # Unscored taps do not steer a one-block decode: its steps
                 # agree up to the shorter run's stop.
-                for m, s in zip(m_recs, s_recs):
-                    assert len(s.frames) == 1
-                    frame = m.frames[which]
-                    assert (frame.step, frame.visible) == (s.frame.step, s.frame.visible)
-                    assert np.array_equal(frame.activations, s.frame.activations)
-                    assert (m.tokens, m.choice, m.committed) == (s.tokens, s.choice, s.committed)
+                n = min(mt.steps_used, st.steps_used)
+                assert step_commits(mt)[:n] == step_commits(st)[:n]
+                for step in range(1, n + 1):
+                    r = mt.row(step)
+                    assert r == st.row(step)
+                    assert np.array_equal(mt.tap_rows[which][r], st.tap_rows[0][r])
+                    for name in ("token_rows", "choice", "visible"):
+                        assert np.array_equal(getattr(mt, name)[r], getattr(st, name)[r])
             if which == 0:
                 assert multi.tokens == single.tokens
 
@@ -673,15 +674,15 @@ class TestMultiTap:
         (block,) = generate(
             artifacts.model, prompt, 32, cfg.policy_config("fixed"), taps=self.QKV
         ).blocks
-        records = block.trajectory.records
-        n_repeats = 0
-        for prev, rec in zip(records, records[1:]):
-            assert len(rec.frames) == 3
-            assert all(f.visible is rec.frame.visible for f in rec.frames[1:])
-            repeat = rec.step > block.forward_passes
-            n_repeats += repeat
-            assert all((a is b) == repeat for a, b in zip(rec.frames, prev.frames))
-        assert n_repeats == 15
+        trajectory = block.trajectory
+        # Every tap keeps one row set per distinct forward, over its visible slots.
+        assert len(trajectory.tap_rows) == 3
+        for rows in trajectory.tap_rows:
+            assert [len(a) for a in rows] == trajectory.visible.sum(axis=1).tolist()
+        assert len(trajectory.visible) == block.forward_passes
+        row = trajectory.row
+        repeats = [step for step in range(2, block.steps_used + 1) if row(step) == row(step - 1)]
+        assert repeats == list(range(18, 33))
 
     def test_duplicate_or_empty_taps_rejected(self, default_block):
         cfg, artifacts, prompt = default_block
@@ -692,7 +693,7 @@ class TestMultiTap:
 
 class TestSkippedStepWork:
     """Frames are scored only for a monitor, and a step that repeats its
-    predecessor reuses the predecessor's record instead of rebuilding it."""
+    predecessor reuses the predecessor's row instead of adding one."""
 
     def test_fixed_scores_nothing(self, default_block, monkeypatch):
         cfg, artifacts, prompt = default_block
@@ -700,9 +701,8 @@ class TestSkippedStepWork:
         policy = cfg.policy_config("fixed")
         result = generate(artifacts.model, prompt, 64, policy, reasoning_map=artifacts.vector)
         assert scored == []
-        records = [r for b in result.blocks for r in b.trajectory.records]
-        assert len(records) == 3 * cfg.budget
-        assert all(r.alignment is None for r in records)
+        assert result.block_steps == (cfg.budget,) * 3
+        assert all(b.monitor is None for b in result.blocks)
         assert result.tokens == generate(artifacts.model, prompt, 64, policy).tokens
 
     def test_repeated_steps_reuse_the_previous_distribution(self, default_block, monkeypatch):
@@ -711,6 +711,14 @@ class TestSkippedStepWork:
         cfg, artifacts, prompt = default_block
         policy = dataclasses.replace(cfg, delta=0.0).policy_config("edit")
         scored = count_forwards(monkeypatch, name="score_frame")
+        observed: dict[int, list] = {}
+        observe = StabilityMonitor.observe
+
+        def recording(monitor, dist):
+            observed.setdefault(id(monitor), []).append(dist)
+            return observe(monitor, dist)
+
+        monkeypatch.setattr(StabilityMonitor, "observe", recording)
         result = generate(
             artifacts.model, prompt, 64, policy, budget=32, reasoning_map=artifacts.vector
         )
@@ -720,17 +728,19 @@ class TestSkippedStepWork:
         assert result.tokens == ref_tokens
         n_repeats = 0
         for block, ref in zip(result.blocks, ref_blocks, strict=True):
-            records = block.trajectory.records
-            repeats = [rec.step for rec in records if rec.step > block.forward_passes]
-            assert repeats == list(range(18, 33))
+            row = block.trajectory.row
+            assert block.forward_passes == 17
+            repeats = range(18, 33)
             n_repeats += len(repeats)
-            for prev, rec in zip(records, records[1:]):
-                if rec.step in repeats:
-                    assert rec.alignment.dist is prev.alignment.dist
-                    assert rec.alignment.step == rec.step
-                    assert (rec.tokens, rec.choice) == (prev.tokens, prev.choice)
+            dists = observed[id(block.monitor)]
+            assert [d.step for d in dists] == list(range(1, 33))
+            for prev, dist in zip(dists, dists[1:]):
+                if dist.step in repeats:
+                    assert dist.dist is prev.dist
+                    assert row(dist.step) == row(prev.step)
                 else:
-                    assert rec.alignment.dist is not prev.alignment.dist
+                    assert dist.dist is not prev.dist
+                    assert row(dist.step) == row(prev.step) + 1
             rows = block.monitor.divergence_trace
             ref_rows = ref.monitor.divergence_trace
             assert [(r.step, r.matched_support, r.counter) for r in rows] == [
@@ -762,8 +772,8 @@ class TestSkippedStepWork:
         )
         assert block.steps_used == 32
         assert processed == list(range(1, 33))
-        records = block.trajectory.records
-        shared = [b.step for a, b in zip(records, records[1:]) if a.frame is b.frame]
+        row = block.trajectory.row
+        shared = [step for step in range(2, 33) if row(step) == row(step - 1)]
         assert shared == list(range(18, 33))
 
     def test_repeats_previous(self, default_block):
@@ -776,7 +786,7 @@ class TestSkippedStepWork:
             assert block.forward_passes == forwards
             rows = [trajectory.row(step) for step in range(1, budget + 1)]
             assert rows == list(range(forwards)) + [forwards - 1] * (budget - forwards)
-            committed = [len(r.committed) for r in trajectory.records]
+            committed = [len(c) for c in step_commits(trajectory)]
             assert [n == 0 for n in [1, *committed[:-1]]] == [
                 step > forwards for step in range(1, budget + 1)
             ]
@@ -786,12 +796,12 @@ class TestStepObjects:
     """A decode step builds only the objects a traced binding takes: the
     frame handed to the freezer and to ``score_frame``, and the
     ``ProbVector`` built inside the latter. A ``fixed`` decode and a
-    repeated step build none, and no step builds a ``StepRecord``."""
+    repeated step build none."""
 
     @staticmethod
     def count_built(monkeypatch) -> Counter:
         built: Counter = Counter()
-        for cls in (StepRecord, ActivationFrame, VisibleSet, ProbVector):
+        for cls in (ActivationFrame, VisibleSet, ProbVector):
 
             def init(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
                 built[_name] += 1

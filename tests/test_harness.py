@@ -16,13 +16,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from helpers import (
+    assert_same_trajectory,
     count_forwards,
     freeze_keys,
     reference_ablation_cells,
     reference_utility_table,
+    same_bits,
 )
 
 from editstop import alignment, harness, linalg
+from editstop.alignment import ActivationFrame, SimilarityMode, VisibleSet, score_frame
 from editstop.capture import AdamWConfig
 from editstop.certify import (
     DELTA_GRID,
@@ -63,7 +66,7 @@ from editstop.harness import (
 )
 from editstop.metaformat import load_metadata, persist_metadata
 from editstop.model import init_model, load_checkpoint
-from editstop.monitor import StopConfig, StopReason, TraceRow
+from editstop.monitor import StabilityMonitor, StopConfig, StopReason
 from editstop.tasks import make_task
 from editstop.train import CaptureSpec, sft_train
 
@@ -110,44 +113,40 @@ def recording(fn, results: list):
     return wrapper
 
 
-def recorded_block(divergences, mask_id=9):
-    """A stand-in for a never-stopping monitored block. Its trace holds
-    ``divergences`` for steps 2, 3, ...; step ``s``'s record has slot 0
+def recorded_run(divergences, mask_id=9):
+    """A stand-in for a recorded run and its step divergences, which
+    ``divergences`` gives for steps 2, 3, ...; step ``s``'s row has slot 0
     committed as ``s`` and slot 1 masked with row argmax ``10 * s``; each
     step reads its own row."""
-    trace = [TraceRow(step, d, 1, 0, False) for step, d in enumerate(divergences, start=2)]
     steps = np.arange(1, len(divergences) + 2)
     trajectory = SimpleNamespace(
         token_rows=np.stack([steps, np.full_like(steps, mask_id)], axis=1),
         choice=np.stack([np.zeros_like(steps), 10 * steps], axis=1),
         row=lambda step: step - 1,
         tokens=(-1, -1),
-    )
-    return SimpleNamespace(
-        monitor=SimpleNamespace(divergence_trace=trace),
-        trajectory=trajectory,
         steps_used=steps.size,
     )
+    return trajectory, divergences
 
 
 class TestReplayStop:
     def test_never_below_threshold(self):
-        assert replay_stop(recorded_block([1.0] * 9), 0.5, 3, 9) == ((-1, -1), 10)
+        assert replay_stop(*recorded_run([1.0] * 9), 0.5, 3, 9) == ((-1, -1), 10)
 
     def test_stops_at_run_completion(self):
-        block = recorded_block([0.9, 0.01, 0.01, 0.01, 0.01])
-        assert replay_stop(block, 0.05, 3, 9) == ((5, 50), 5)
+        run = recorded_run([0.9, 0.01, 0.01, 0.01, 0.01])
+        assert replay_stop(*run, 0.05, 3, 9) == ((5, 50), 5)
 
     def test_reset_mid_run(self):
-        block = recorded_block([0.0, 0.0, 0.9, 0.0, 0.0, 0.0])
-        assert replay_stop(block, 0.05, 3, 9) == ((7, 70), 7)
+        run = recorded_run([0.0, 0.0, 0.9, 0.0, 0.0, 0.0])
+        assert replay_stop(*run, 0.05, 3, 9) == ((7, 70), 7)
 
     def test_threshold_is_strict(self):
-        assert replay_stop(recorded_block([0.05] * 7), 0.05, 2, 9) == ((-1, -1), 8)
+        assert replay_stop(*recorded_run([0.05] * 7), 0.05, 2, 9) == ((-1, -1), 8)
 
     def test_infinite_threshold(self):
-        block = recorded_block([10.0**i for i in range(1, 6)])
-        assert replay_stop(block, math.inf, 4, 9) == ((5, 50), 5)
+        run = recorded_run([10.0**i for i in range(1, 6)])
+        assert replay_stop(*run, math.inf, 4, 9) == ((5, 50), 5)
 
 
 class TestTrain:
@@ -476,7 +475,8 @@ UNDERTRAINED = dict(block_length=16, seq_len=32, train_steps=2)
     ids=["seed0", "seed0-undertrained", "seed1-undertrained-budget11"],
 )
 def calibrated(request, tmp_path_factory):
-    """cmd_calibrate on its own trained run, recording every generate call.
+    """cmd_calibrate on its own trained run, recording each prompt's
+    trajectory and the step divergences it scored offline.
 
     With budget 12 the spans 6, 8 and 10 stop before the budget and 12
     never stops; with budget 11 span 10 stops at the last step. The third
@@ -487,12 +487,18 @@ def calibrated(request, tmp_path_factory):
     run_dir = str(tmp_path_factory.mktemp(f"calibrated{model_seed}"))
     cfg = small_config(run_dir, model_seed=model_seed, **overrides)
     cmd_train(cfg)
-    probes: list = []
+    runs: list = []
+    traces: list = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "generate", recording(harness.generate, probes))
+        mp.setattr(harness, "generate", recording(harness.generate, runs))
+        mp.setattr(harness, "_alignment_trace", recording(harness._alignment_trace, traces))
         with pytest.raises(NoAdmissiblePairError):
             cmd_calibrate(cfg)
     payload = json.load(open(os.path.join(run_dir, CALIBRATION_FILE)))
+    probes = [
+        (run.blocks[0].trajectory, divergences[:, 0])
+        for run, (_, divergences) in zip(runs, traces, strict=True)
+    ]
     return cfg, load_artifacts(cfg, run_dir), payload, probes, refills
 
 
@@ -509,13 +515,13 @@ class TestCalibrateReplay:
         mask_id = artifacts.model.cfg.mask_id
         early = never = refilled = 0
         for (delta, omega), results in runs.items():
-            for probe, live in zip(probes, results, strict=True):
+            for (trajectory, divergences), live in zip(probes, results, strict=True):
                 (block,) = live.blocks
-                tokens, steps = replay_stop(probe.blocks[0], delta, omega, mask_id)
+                tokens, steps = replay_stop(trajectory, divergences, delta, omega, mask_id)
                 assert (tokens, steps) == (block.trajectory.tokens, block.steps_used)
                 early += block.steps_used < cfg.budget
                 never += not block.stopped_early
-                refilled += tokens != probe.blocks[0].trajectory.tokens
+                refilled += tokens != trajectory.tokens
         # Both branches of the replay are exercised.
         assert early > 0 and never > 0
         if refills:
@@ -548,7 +554,8 @@ class TestCalibrateReplay:
         early = never = 0
         for delta, omega in product(DELTA_GRID[::2], OMEGA_GRID):
             for probe, live in zip(probes, decode(delta, omega), strict=True):
-                replayed = replay_stop(probe, delta, omega, mask_id)
+                divergences = [row.divergence for row in probe.monitor.divergence_trace]
+                replayed = replay_stop(probe.trajectory, divergences, delta, omega, mask_id)
                 assert replayed == (live.trajectory.tokens, live.steps_used)
                 assert freeze_keys(live.freeze_events) == freeze_keys(
                     st for st in probe.freeze_events if st.frozen_at <= live.steps_used
@@ -560,6 +567,65 @@ class TestCalibrateReplay:
     def test_calibrate_decodes_each_prompt_once(self, calibrated):
         payload, probes = calibrated[2:4]
         assert len(probes) == payload["n_validation"]
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """A default-config run (16-slot blocks, budget 32) and three of its
+    validation prompts; twenty training steps keep it quick."""
+    run_dir = str(tmp_path_factory.mktemp("default_run"))
+    cfg = ExperimentConfig(train_steps=20, out_dir=run_dir)
+    cmd_train(cfg)
+    artifacts, task, _, _ = harness._load_setup(cfg, run_dir)
+    prompts = [p for p, _ in harness._sample_instances(task, (cfg.model_seed, 707), 3)]
+    return cfg, artifacts, prompts
+
+
+class TestAlignmentTrace:
+    """``_alignment_trace`` scores a recorded ``fixed`` decode offline. Its
+    step divergences must be the bits in a live never-stopping monitor's
+    trace, and each distinct forward's softmax the bits ``score_frame``
+    gives that forward's frame."""
+
+    @pytest.mark.parametrize("tau_blk", [1.0, 0.01])
+    @pytest.mark.parametrize("mode", list(SimilarityMode), ids=lambda m: m.value)
+    def test_offline_trace_equals_the_live_monitor(self, default_run, mode, tau_blk):
+        cfg, artifacts, prompts = default_run
+        model = artifacts.model
+        vector = mode is SimilarityMode.VECTOR_COSINE
+        reasoning_map = artifacts.vector if vector else artifacts.basis
+        never_stop = PolicyConfig(
+            "edit", stop=StopConfig(delta=0.0, omega=cfg.omega, tau_blk=tau_blk)
+        )
+        lo = cfg.block_length  # the one target block follows the one-block prompt
+        for prompt in prompts:
+            (fixed,) = generate(model, prompt, cfg.seq_len, PolicyConfig("fixed")).blocks
+            (live,) = generate(
+                model, prompt, cfg.seq_len, never_stop, reasoning_map=reasoning_map, mode=mode
+            ).blocks
+            # A never-stopping monitor commits what the fixed run does.
+            assert_same_trajectory(live.trajectory, fixed.trajectory)
+            trajectory = fixed.trajectory
+            probs, divergences = harness._alignment_trace(
+                trajectory, ((0, (reasoning_map,)),), mode, tau_blk
+            )
+            trace = live.monitor.divergence_trace
+            assert [row.step for row in trace] == list(range(2, cfg.budget + 1))
+            assert divergences.shape == (cfg.budget - 1, 1)
+            assert same_bits(divergences[:, 0], np.array([row.divergence for row in trace]))
+            # Steps 18-32 repeat step 17 and diverge by 0.0. Steps 3-17 each
+            # run a forward; at tau 1 some of them diverge (at 0.01 the
+            # softmax may saturate and leave every divergence 0.0).
+            assert not divergences[16:].any()
+            assert divergences[1:16].any() or tau_blk != 1.0
+            assert len(probs) == fixed.forward_passes == 17
+            frames = zip(probs, trajectory.tap_rows[0], trajectory.visible, strict=True)
+            for step, (p, rows, seen) in enumerate(frames, start=1):
+                members = VisibleSet(tuple((lo + seen.nonzero()[0]).tolist()))
+                frame = ActivationFrame(step, rows, members)
+                dist = score_frame(frame, reasoning_map, mode, tau_blk).dist
+                assert p.shape == (1, len(members))
+                assert same_bits(p[0], dist.probs)
 
 
 class TestCertify:
@@ -784,8 +850,10 @@ class TestAblate:
         payload, runs = ablation[2], ablation[4]
         assert len(runs) == payload["n_eval_instances"]
         for run in runs:
-            for rec in run.blocks[0].trajectory.records:
-                assert len(rec.frames) == 3
+            trajectory = run.blocks[0].trajectory
+            assert len(trajectory.tap_rows) == 3
+            for rows in trajectory.tap_rows:
+                assert [len(a) for a in rows] == trajectory.visible.sum(axis=1).tolist()
 
     def test_ablate_reads_the_trained_run(self, ablation):
         assert ablation[3] == []  # no sft_train call
@@ -794,13 +862,8 @@ class TestAblate:
         # No frame is scored on its own: each of the 12 cells scores its
         # projection's distinct frames of a prompt, stacked, in one call.
         runs, scored, framed = ablation[4:7]
-        distinct_rows = 0
-        for run in runs:
-            prev = None
-            for rec in run.blocks[0].trajectory.records:
-                key = (rec.frame.visible.members, rec.frame.activations.tobytes())
-                distinct_rows += len(rec.frame.visible) if key != prev else 0
-                prev = key
+        # Each distinct forward keeps its visible rows once.
+        distinct_rows = sum(int(run.blocks[0].trajectory.visible.sum()) for run in runs)
         assert framed == []
         assert len(scored) == 12 * len(runs)
         assert sum(len(scores) for scores in scored) == 12 * distinct_rows
@@ -927,6 +990,34 @@ class TestForwardCounts:
         assert len(softmaxes) == 17 * 16 == 272
         assert len(kls) == 16 * 16 == 256
         assert len(forwards) == payload["forward_passes"] == 272
+
+    def test_default_calibrate_work_counts(self, tmp_path, monkeypatch):
+        # Each of the 2 validation prompts is decoded once under fixed: 17
+        # forwards, one score_alignment for the one map, a softmax per
+        # distinct step and a step divergence per later one. No frame is
+        # scored live and no monitor observes a step.
+        cfg = ExperimentConfig(train_steps=20, eval_instances=10, out_dir=str(tmp_path))
+        cmd_train(cfg)
+        forwards = count_forwards(monkeypatch)
+        framed = count_forwards(monkeypatch, name="score_frame")
+        observed = []
+        observe = StabilityMonitor.observe
+        monkeypatch.setattr(
+            StabilityMonitor, "observe", lambda m, dist: observed.append(dist) or observe(m, dist)
+        )
+        scored, softmaxes, kls = (
+            count_forwards(monkeypatch, "editstop.harness", name)
+            for name in ("score_alignment", "softmax_rows", "matched_kl_rows")
+        )
+        with contextlib.suppress(NoAdmissiblePairError):
+            cmd_calibrate(cfg)
+        payload = json.load(open(os.path.join(str(tmp_path), CALIBRATION_FILE)))
+        assert payload["n_validation"] == 2
+        assert len(forwards) == 2 * 17
+        assert len(scored) == 2
+        assert len(softmaxes) == 2 * 17
+        assert len(kls) == 2 * 16
+        assert framed == [] and observed == []
 
     def test_infer_records_forward_passes(self, trained_run, tmp_path, monkeypatch):
         cfg, artifacts_dir = trained_run

@@ -7,7 +7,13 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import assert_same_forward, batched_forward, reference_forward, same_bits
+from helpers import (
+    assert_same_forward,
+    assert_same_trajectory,
+    batched_forward,
+    reference_forward,
+    same_bits,
+)
 
 from editstop.errors import (
     BadMagicError,
@@ -868,10 +874,9 @@ class TestLoadedWeightsCache:
                 for g, w in zip(gb.freeze_events, wb.freeze_events, strict=True):
                     assert (g.token, g.frozen_at, g.epsilon_s) == (w.token, w.frozen_at, w.epsilon_s)
                     assert same_bits(g.frozen_value, w.frozen_value)
-                for g, w in zip(gb.trajectory.records, wb.trajectory.records, strict=True):
-                    assert (g.committed, g.tokens, g.choice) == (w.committed, w.tokens, w.choice)
-                    assert same_bits(g.frame.activations, w.frame.activations)
-                    if kind != "fixed":
-                        assert same_bits(g.alignment.dist.probs, w.alignment.dist.probs)
+                assert_same_trajectory(gb.trajectory, wb.trajectory)
+                if kind != "fixed":
+                    g, w = gb.monitor.prev_distribution, wb.monitor.prev_distribution
+                    assert same_bits(g.dist.probs, w.dist.probs)
                 for g, w in zip(gb.trajectory.forwards, wb.trajectory.forwards, strict=True):
                     assert_same_forward(g, w)

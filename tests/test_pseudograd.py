@@ -190,8 +190,8 @@ class TestPseudoGradient:
         traj = denoise_block(model, prompt, 1, budget=2).trajectory
         step = 1
         lo, hi = 2, 4
-        support = traj.records[step].frame.visible.members
-        inp_t1 = np.concatenate([np.asarray(traj.prefix), np.asarray(traj.records[0].tokens)])
+        support = lo + traj.visible[traj.row(step + 1)].nonzero()[0]
+        inp_t1 = np.concatenate([np.asarray(traj.prefix), traj.token_rows[0]])
         res_t = forward(
             model,
             np.concatenate([np.asarray(traj.prefix), np.full(2, PAIR.mask_id)])[None, :],

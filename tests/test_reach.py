@@ -45,8 +45,6 @@ ALLOWED = {
     "kl_divergence": "the unmatched KL of acceptance criterion 03",
     "freeze_safety": "the freeze bound of acceptance criterion 07",
     "probe_coupling_pooled": "the pooled coupling probe of acceptance criterion 07",
-    "records": "the per-step view of a trajectory's arrays that tests/test_bench_bindings.py"
-    " counts scored steps from; the package reads the arrays",
 }
 
 ALLOWED_PARAMETERS = {

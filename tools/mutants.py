@@ -133,6 +133,20 @@ MUTANTS = (
         ("tests/test_alignment.py::TestScoreFrame::test_composition_matches_manual_pipeline",),
     ),
     Mutant(
+        "offline_softmax_ignores_tau_blk",
+        "src/editstop/harness.py",
+        "softmax_rows(scores[:, a:b] / tau_blk)",
+        "softmax_rows(scores[:, a:b])",
+        ("tests/test_harness.py::TestAlignmentTrace::test_offline_trace_equals_the_live_monitor",),
+    ),
+    Mutant(
+        "offline_repeated_step_keeps_the_last_divergence",
+        "src/editstop/harness.py",
+        "divergences[r - 1] = matched_kl_rows(",
+        "divergences[r - 1 :] = matched_kl_rows(",
+        ("tests/test_harness.py::TestAlignmentTrace::test_offline_trace_equals_the_live_monitor",),
+    ),
+    Mutant(
         "io_failure_outside_the_exit_3_family",
         "src/editstop/errors.py",
         "class IoFailureError(ArtifactMismatchError):",
