@@ -1,14 +1,13 @@
 """Capture of AdamW optimization dynamics over LoRA parameters.
 
-During supervised fine-tuning, each tracked adapter matrix gets a
-:class:`MomentState` fed by :func:`adamw_step` and an
-:class:`EvolutionAccumulator` that sums the per-step update magnitudes
-into one tensor of the adapter's shape, so capture memory does not grow
-with the step count. After training their mean is reduced to a
-per-output-row summary (:func:`reduce_row_energy` /
-:func:`reduce_row_mean`) or to a low-rank orthonormal basis
-(:func:`build_subspace`), which is what gets persisted next to the model
-weights.
+During supervised fine-tuning, each adapter matrix gets a
+:class:`MomentState` fed by :func:`adamw_step`, which returns the step's
+update magnitudes; training sums a tracked adapter's magnitudes into one
+tensor of its shape, so capture memory does not grow with the step count.
+After training their mean is reduced to a per-output-row summary
+(:func:`reduce_row_energy` / :func:`reduce_row_mean`) or to a low-rank
+orthonormal basis (:func:`build_subspace`), which is what gets persisted
+next to the model weights.
 """
 
 from __future__ import annotations
@@ -65,34 +64,6 @@ def adamw_step(
     v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad * grad
     update = m / (np.sqrt(v) + cfg.epsilon)
     return MomentState(m, v), update
-
-
-class EvolutionAccumulator:
-    """Mean of update-magnitude tensors over a training run.
-
-    Keeps one running float64 sum, added to in arrival order, and a count,
-    so its memory does not grow with the number of steps. ``finalize``
-    returns the sum over the count; the same updates fed in the same order
-    give the same bits.
-    """
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.shape = tuple(shape)
-        self._total = np.zeros(self.shape)
-        self.count = 0
-
-    def accumulate(self, update_tensor: np.ndarray) -> None:
-        t = np.asarray(update_tensor, dtype=np.float64)
-        if t.shape != self.shape:
-            raise ShapeMismatchError(f"update shape {t.shape} != accumulator shape {self.shape}")
-        self._total += t
-        self.count += 1
-
-    def finalize(self) -> np.ndarray:
-        """Mean over all accumulated tensors."""
-        if not self.count:
-            raise EmptyInputError("no update tensors accumulated")
-        return self._total / self.count
 
 
 @dataclass(frozen=True)

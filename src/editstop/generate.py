@@ -118,13 +118,14 @@ class DenoiseTrajectory:
     repeats its predecessor, so row ``r`` is step ``r + 1``'s and later
     steps read the last row (:meth:`row`). Row ``r`` of ``token_rows`` is
     the block after that step (a stop's fill included), of ``choice`` its
-    row argmax, of ``visible`` the slots committed by then. ``committed``
-    lists the slots in commit order, a stop's fill excluded; ``tap_rows[k][r]``
-    holds tap ``k``'s visible rows at row ``r``; ``forwards`` holds each
-    row's recorded forward, if kept; ``prefix``, every earlier block's
-    tokens, lets analyses rerun a forward. No alignment is stored: the
-    monitor keeps what the stop rule reads, and offline analyses score
-    ``tap_rows`` themselves.
+    row argmax, of ``visible`` the slots committed by then (a stop's fill
+    excluded), so for ``r > 0`` its step committed
+    ``visible[r] & ~visible[r - 1]``; ``tap_rows[k][r]`` holds tap ``k``'s
+    visible rows at row ``r``; ``forwards`` holds each row's recorded
+    forward, if kept; ``prefix``, every earlier block's tokens, lets
+    analyses rerun a forward. No alignment is stored: the monitor keeps
+    what the stop rule reads, and offline analyses score ``tap_rows``
+    themselves.
     """
 
     block_index: int
@@ -133,7 +134,6 @@ class DenoiseTrajectory:
     token_rows: np.ndarray
     choice: np.ndarray
     visible: np.ndarray
-    committed: np.ndarray
     tap_rows: tuple[tuple[np.ndarray, ...], ...]
     forwards: tuple[ForwardResult, ...] = ()
 
@@ -217,10 +217,6 @@ class GenerateResult:
     def block_steps(self) -> tuple[int, ...]:
         return tuple(b.steps_used for b in self.blocks)
 
-    @property
-    def avg_steps(self) -> float:
-        return float(np.mean(self.block_steps))
-
 
 def stop_fill(tokens: np.ndarray, choice: np.ndarray, mask_id: int) -> np.ndarray:
     """A stopped block's tokens: each slot of ``tokens`` that still holds
@@ -289,7 +285,6 @@ def denoise_block(
     token_rows = np.empty((n_rows, L), dtype=np.int64)
     choice = np.empty((n_rows, L), dtype=np.intp)
     visible = np.empty((n_rows, L), dtype=bool)
-    commits: list[np.ndarray] = []
     tap_rows: list[list[np.ndarray]] = [[] for _ in taps]
     forwards: list[ForwardResult] = []
     certificate: Optional[Certificate] = None
@@ -321,7 +316,6 @@ def denoise_block(
         # A repeated step's block is full, so even a stop fills no slot.
         if not repeat:
             block[newly] = step_choice[newly]
-            commits.append(newly)
             seen = np.not_equal(block, mask_id, out=visible[r])
             for rows, kept in zip((acts, *other_rows), tap_rows):
                 kept.append(rows[seen])
@@ -356,7 +350,6 @@ def denoise_block(
         token_rows=token_rows[: r + 1],
         choice=choice[: r + 1],
         visible=visible[: r + 1],
-        committed=np.concatenate(commits),
         tap_rows=tuple(map(tuple, tap_rows)),
         forwards=tuple(forwards),
     )

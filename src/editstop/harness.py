@@ -390,13 +390,13 @@ def cmd_infer(
         instances = _sample_instances(task, (seed, 101), config.eval_instances)
         blocks: list[BlockResult] = []
         exacts: list[bool] = []
-        steps: list[float] = []
         trace_files: list[str] = []
         for index, (prompt, target) in enumerate(instances):
             traced = index < config.trace_retention
             # A traced decode keeps its forwards for the pseudo-gradient,
-            # which reads them before the next instance decodes.
-            result = generate(
+            # which reads them before the next instance decodes. The config's
+            # seq_len leaves one block after the prompt.
+            (block,) = generate(
                 artifacts.model,
                 prompt,
                 config.seq_len,
@@ -407,17 +407,15 @@ def cmd_infer(
                 freeze_basis=artifacts.basis,
                 alpha_hat=alpha_hat,
                 record=traced,
-            )
-            blocks += result.blocks
-            output_block = np.asarray(result.tokens[prompt.size :])
+            ).blocks
+            blocks.append(block)
+            output_block = np.asarray(block.trajectory.tokens)
             exact = task.exact_match(output_block, target)
             exacts.append(exact)
-            steps.append(result.avg_steps)
-            for block in result.blocks:
-                if block.stopped_early:
-                    # The decode certified the stop under the same stop config
-                    # and alpha_hat; only the calibrated quantile is added here.
-                    block.certificate = replace(block.certificate, margin_quantile=quantile)
+            if block.stopped_early:
+                # The decode certified the stop under the same stop config
+                # and alpha_hat; only the calibrated quantile is added here.
+                block.certificate = replace(block.certificate, margin_quantile=quantile)
             # The instance's one record, which its generations line and its
             # trace both carry.
             instance = {
@@ -430,34 +428,30 @@ def cmd_infer(
             }
             generation_lines.append(
                 json.dumps(
-                    {**instance, "block_steps": list(result.block_steps), "policy": policy.kind},
+                    {**instance, "block_steps": [block.steps_used], "policy": policy.kind},
                     sort_keys=True,
                 )
             )
             if traced:
-                block_traces = []
-                for block in result.blocks:
-                    stem = f"seed{seed}_inst{index:03d}_block{block.block_index}"
-                    csv_name = None
-                    if block.monitor is not None:
-                        csv_name = stem + "_divergence.csv"
-                        _write_text(os.path.join(traces_dir, csv_name), trace_to_csv(block.monitor))
-                    pseudo_name = None
-                    if artifacts.band is not None and block.steps_used >= 2:
-                        pseudo_name = stem + "_pseudograd.csv"
-                        trace = analyze_trajectory(
-                            artifacts.model, block.trajectory, artifacts.band
-                        )
-                        _write_text(os.path.join(traces_dir, pseudo_name), pseudograd_to_csv(trace))
-                    block.trajectory.forwards = ()  # held for one instance only
-                    block_traces.append(_block_trace(block, csv_name, pseudo_name))
+                stem = f"seed{seed}_inst{index:03d}_block{block.block_index}"
+                csv_name = None
+                if block.monitor is not None:
+                    csv_name = stem + "_divergence.csv"
+                    _write_text(os.path.join(traces_dir, csv_name), trace_to_csv(block.monitor))
+                pseudo_name = None
+                if artifacts.band is not None and block.steps_used >= 2:
+                    pseudo_name = stem + "_pseudograd.csv"
+                    trace = analyze_trajectory(artifacts.model, block.trajectory, artifacts.band)
+                    _write_text(os.path.join(traces_dir, pseudo_name), pseudograd_to_csv(trace))
+                block.trajectory.forwards = ()  # held for one instance only
                 trace_name = f"seed{seed}_inst{index:03d}.json"
                 _write_json(
-                    os.path.join(traces_dir, trace_name), {**instance, "blocks": block_traces}
+                    os.path.join(traces_dir, trace_name),
+                    {**instance, "blocks": [_block_trace(block, csv_name, pseudo_name)]},
                 )
                 trace_files.append(os.path.join(TRACES_DIR, trace_name))
 
-        avg_steps = float(np.mean(steps))
+        avg_steps = float(np.mean([b.steps_used for b in blocks]))
         baseline = float(config.budget)
         stop_steps = Counter(b.steps_used for b in blocks)
         certificates = [b.certificate for b in blocks if b.stopped_early]
@@ -785,10 +779,13 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     directory holds no checkpoint. Each (projection, adapter, reduction)
     cell scores the chosen projection's own activations against the row
     summary that ``cmd_train`` stored for that site, and averages the step
-    divergences a never-stopping monitor would record. The summaries are
-    ``EvolutionVector``s, so the cells are scored under ``vector_cosine``
-    whatever the config's ``similarity``. A budget below 2 has no step
-    divergence to average and raises ``ConfigError`` before any work.
+    divergences a never-stopping monitor would record between distinct
+    forwards: a step that repeats the last forward diverges by 0.0 by
+    construction and is left out, so ``n_samples`` is the sum over prompts
+    of ``forward_passes - 1``. The summaries are ``EvolutionVector``s, so
+    the cells are scored under ``vector_cosine`` whatever the config's
+    ``similarity``. A budget below 2 has no step divergence to average and
+    raises ``ConfigError`` before any work.
 
     Such a monitor never changes what gets committed, and freezing is
     off, so the frames a cell scores are those of a fixed-budget run that
@@ -836,7 +833,8 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
         _, rows = _alignment_trace(
             block.trajectory, groups, SimilarityMode.VECTOR_COSINE, config.tau_blk
         )
-        for site, column in zip(ABLATION_SITES, rows.T):
+        # Steps after the last forward repeat it and diverge by 0.0 by construction.
+        for site, column in zip(ABLATION_SITES, rows[: block.forward_passes - 1].T):
             divergences[site].extend(column.tolist())
 
     cells = [

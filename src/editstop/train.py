@@ -3,7 +3,8 @@
 Each optimization step masks a random subset of every sample's target
 block, takes the masked-token cross entropy, and applies one AdamW step
 to all adapter tensors. For every configured capture target the
-optimizer's update-magnitude tensor is accumulated across steps, and the
+optimizer's update-magnitude tensors are summed in place, in step order,
+into one float64 tensor, whose mean over the steps is summarised. The
 per-step RMS of the first target's raw gradient is traced for the
 reference band used by the post-hoc gradient analysis.
 """
@@ -17,7 +18,6 @@ import numpy as np
 
 from .capture import (
     AdamWConfig,
-    EvolutionAccumulator,
     EvolutionVector,
     MomentState,
     adamw_step,
@@ -139,10 +139,8 @@ def sft_train(
     cfg = model.cfg
     L = cfg.block_length
     moments = {key: MomentState.zeros(val.shape) for key, val in model.lora.items()}
-    accums = {
-        spec.param_key: EvolutionAccumulator(model.lora[spec.param_key].shape)
-        for spec in captures
-    }
+    # One float64 sum per captured adapter; the in-place add allocates nothing per step.
+    totals = {spec.param_key: np.zeros(model.lora[spec.param_key].shape) for spec in captures}
     rms_key = captures[0].param_key
     rms_trace: list[float] = []
     loss_trace: list[float] = []
@@ -164,12 +162,12 @@ def sft_train(
         for key in sorted(model.lora):
             moments[key], update = adamw_step(moments[key], grads[key], adamw_cfg)
             model.lora[key] = model.lora[key] - adamw_cfg.learning_rate * update
-            if key in accums:
-                accums[key].accumulate(update)
+            if key in totals:
+                totals[key] += update
         rms_trace.append(rms(grads[rms_key]))
         loss_trace.append(loss)
 
-    tensors = {key: acc.finalize() for key, acc in accums.items()}
+    tensors = {key: total / steps for key, total in totals.items()}
     evolution = {
         spec.metadata_id: reduce_capture(spec, tensors[spec.param_key], cfg.lora_rank)
         for spec in captures

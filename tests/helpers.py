@@ -289,10 +289,10 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 def assert_same_trajectory(got, want) -> None:
     """Two decodes of a block, bit for bit: the step count, each distinct
-    forward's tokens, row argmax and visible slots, the commit order and
-    every tap's visible rows."""
+    forward's tokens, row argmax and visible slots (so each step's commit
+    set) and every tap's visible rows."""
     assert got.steps_used == want.steps_used
-    for name in ("token_rows", "choice", "visible", "committed"):
+    for name in ("token_rows", "choice", "visible"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
     for g, w in zip(got.tap_rows, want.tap_rows, strict=True):
         for a, b in zip(g, w, strict=True):
@@ -845,21 +845,22 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
 
 
 def final_commit(trajectory) -> tuple[int, ...]:
-    """The block positions a stop filled: those ``committed`` does not list."""
-    L = len(trajectory.tokens)
-    lo = trajectory.block_index * L
-    scheduled = set((lo + trajectory.committed).tolist())
-    return tuple(p for p in range(lo, lo + L) if p not in scheduled)
-
-
-def step_commits(trajectory) -> list[tuple[int, ...]]:
-    """Each step's committed block positions, read off the trajectory's
-    arrays: row ``r``'s step commits the slots first visible at row ``r``,
-    in ``committed`` order, and a repeated step commits none."""
+    """The block positions a stop filled: those not visible at the last row."""
     lo = trajectory.block_index * trajectory.visible.shape[1]
-    bounds = [0, *trajectory.visible.sum(axis=1).tolist()]
-    rows = [tuple((lo + trajectory.committed[a:b]).tolist()) for a, b in zip(bounds, bounds[1:])]
-    return rows + [()] * (trajectory.steps_used - len(rows))
+    return tuple((lo + (~trajectory.visible[-1]).nonzero()[0]).tolist())
+
+
+def step_commits(trajectory) -> list[set[int]]:
+    """Each step's committed block positions, as a set, read off the
+    trajectory's ``visible`` rows: row ``r``'s step commits the slots first
+    visible at row ``r``, and a repeated step commits none."""
+    lo = trajectory.block_index * trajectory.visible.shape[1]
+    before = np.zeros_like(trajectory.visible[0])
+    rows = []
+    for seen in trajectory.visible:
+        rows.append(set((lo + (seen & ~before).nonzero()[0]).tolist()))
+        before = seen
+    return rows + [set()] * (trajectory.steps_used - len(rows))
 
 
 def reference_generate(model, prompt, seq_len, policy, budget, **kwargs):
@@ -903,7 +904,10 @@ def reference_utility_table(config, artifacts):
         ]
         runs[delta, omega] = results
         outcomes = [
-            (task.exact_match(np.asarray(res.tokens[prompt.size:]), target), res.avg_steps)
+            (
+                task.exact_match(np.asarray(res.tokens[prompt.size:]), target),
+                float(np.mean(res.block_steps)),
+            )
             for (prompt, target), res in zip(instances, results)
         ]
         accuracy = float(np.mean([e for e, _ in outcomes]))
@@ -919,7 +923,8 @@ def reference_utility_table(config, artifacts):
 
 def reference_ablation_cells(config, run_dir) -> dict:
     """Ablation cells run live: a never-stopping ``edit`` run per (cell,
-    prompt) that taps the cell's own module.
+    prompt) that taps the cell's own module, averaged over the steps that
+    ran a forward of their own.
 
     Each cell scores the row summary stored for it in ``run_dir``'s
     metadata (mean summaries carry a ``#mean`` suffix) with the stored
@@ -945,6 +950,6 @@ def reference_ablation_cells(config, run_dir) -> dict:
                            reasoning_map=vector, mode=mode, taps=(TapSpec(module),))
             values += [row.divergence for block in run.blocks
                        for row in block.monitor.divergence_trace
-                       if math.isfinite(row.divergence)]
+                       if math.isfinite(row.divergence) and row.step <= block.forward_passes]
         cells[proj, adapter, reduction] = (float(np.mean(values)), len(values))
     return cells

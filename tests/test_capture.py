@@ -7,7 +7,6 @@ import pytest
 
 from editstop.capture import (
     AdamWConfig,
-    EvolutionAccumulator,
     EvolutionVector,
     MomentState,
     SubspaceBasis,
@@ -88,69 +87,6 @@ class TestAdamwStep:
         state = MomentState.zeros((3, 2))
         with pytest.raises(ShapeMismatchError):
             adamw_step(state, np.zeros((2, 3)), AdamWConfig())
-
-
-class TestEvolutionAccumulator:
-    def test_single_tensor(self):
-        acc = EvolutionAccumulator((2, 2))
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        acc.accumulate(x)
-        assert acc.count == 1
-        np.testing.assert_array_equal(acc.finalize(), x)
-
-    def test_constant_stream(self):
-        acc = EvolutionAccumulator((2, 2))
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        acc.accumulate(x)
-        acc.accumulate(x)
-        np.testing.assert_array_equal(acc.finalize(), x)
-
-    def test_matches_two_pass_mean(self):
-        rng = np.random.default_rng(32)
-        tensors = [rng.normal(size=(8, 4)) for _ in range(37)]
-        acc = EvolutionAccumulator((8, 4))
-        for t in tensors:
-            acc.accumulate(t)
-        ref = np.zeros((8, 4))
-        for t in tensors:
-            ref += t
-        ref /= len(tensors)
-        np.testing.assert_allclose(acc.finalize(), ref, rtol=1e-12, atol=1e-15)
-
-    def test_mean_is_the_arrival_order_sum_over_the_count(self):
-        # Bit for bit: the running sum in the order updates arrive, divided
-        # once by the count. Magnitudes spread over six decades, so any
-        # other summation order would round differently.
-        rng = np.random.default_rng(33)
-        tensors = [rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-3, 4) for _ in range(25)]
-        acc = EvolutionAccumulator((5, 3))
-        total = np.zeros((5, 3))
-        for t in tensors:
-            acc.accumulate(t)
-            total = total + t
-        assert acc.count == len(tensors)
-        got = acc.finalize()
-        np.testing.assert_array_equal(got, total / len(tensors))
-        reordered = np.zeros((5, 3))
-        for i in rng.permutation(len(tensors)):
-            reordered = reordered + tensors[i]
-        assert not np.array_equal(got, reordered / len(tensors))
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            EvolutionAccumulator((2, 2)).finalize()
-
-    def test_shape_mismatch_rejected(self):
-        acc = EvolutionAccumulator((2, 2))
-        with pytest.raises(ShapeMismatchError):
-            acc.accumulate(np.zeros((3, 2)))
-
-    def test_accumulate_copies_input(self):
-        acc = EvolutionAccumulator((1, 1))
-        x = np.array([[1.0]])
-        acc.accumulate(x)
-        x[0, 0] = 99.0
-        assert acc.finalize()[0, 0] == 1.0
 
 
 class TestRowReductions:

@@ -56,7 +56,7 @@ def assert_same_run(result, ref_tokens, ref_blocks):
     assert len(result.blocks) == len(ref_blocks)
     for block, ref in zip(result.blocks, ref_blocks):
         trajectory = block.trajectory
-        assert step_commits(trajectory) == ref.committed
+        assert step_commits(trajectory) == [set(c) for c in ref.committed]
         assert [
             tuple(trajectory.choice[trajectory.row(step)].tolist())
             for step in range(1, trajectory.steps_used + 1)

@@ -844,6 +844,15 @@ class TestAblate:
         }
         assert got == want
 
+    def test_cells_average_distinct_forwards_only(self, ablation):
+        # A step that repeats the last forward diverges by 0.0 by
+        # construction, so each cell averages one divergence per forward
+        # after a prompt's first.
+        payload, runs = ablation[2], ablation[4]
+        distinct = sum(run.blocks[0].forward_passes - 1 for run in runs)
+        assert distinct < sum(run.blocks[0].steps_used - 1 for run in runs)
+        assert [c["n_samples"] for c in payload["cells"]] == [distinct] * 12
+
     def test_ablate_decodes_each_prompt_once_per_projection(self, ablation):
         # One decode per prompt now serves all three projections: it taps
         # q, k and v off each step's one forward.

@@ -163,7 +163,6 @@ def synthetic_pair_trajectory(support_members, tokens_after_1, block_index=1):
         token_rows=tokens,
         choice=tokens,
         visible=visible,
-        committed=np.array(support_members) - lo,
         tap_rows=((acts, acts),),
     )
 

@@ -22,6 +22,11 @@ arguments. ``ClassVar`` constants and ``field(init=False)`` state are not
 fields of ``__init__``. ``ALLOWED_FIELDS`` names the exceptions, a whole
 class or one ``Class.field``.
 
+Each ``init`` field of a package dataclass must be read: some ``Attribute``
+node in the package (not ``__init__.py``) or in ``bench/`` must load its
+name. Reads are matched by name. A field no code reads is state only tests
+see. ``ALLOWED_READS`` names the exceptions, each a ``Class.field``.
+
 Each module-level constant (an upper-case name a top-level assignment
 binds) must be read outside its own statement: in another part of the
 package (not ``__init__.py``), in its own module, or in ``bench/``. A
@@ -55,6 +60,13 @@ ALLOWED_PARAMETERS = {
 
 ALLOWED_FIELDS = {
     "PseudoGradConfig.modules": "acceptance criterion 02 passes the modules it checks",
+}
+
+ALLOWED_READS = {
+    "TokenFreezeState.frozen_value": "acceptance criterion 07 pins each frozen token to it",
+    "CouplingEstimate.probe_magnitude": "the probe step of criterion 07's coupling estimate",
+    "CouplingEstimate.samples": "the probe count of criterion 07's coupling estimate",
+    "FreezeSafetyReport.bound": "the coupling term of criterion 07's safety verdict",
 }
 
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
@@ -254,6 +266,29 @@ def unset(package: dict[str, str], bench: dict[str, str]) -> list[str]:
     return sorted(missing)
 
 
+def unread(package: dict[str, str], bench: dict[str, str]) -> list[str]:
+    """The ``__init__`` fields (``Class.field``) of the dataclasses in
+    ``package`` whose name no ``Attribute`` load there, or in ``bench``,
+    reads."""
+    trees = {path: ast.parse(src, filename=path) for path, src in package.items()}
+    readers = [ast.parse(src, filename=path) for path, src in bench.items()]
+    readers += [tree for path, tree in trees.items() if os.path.basename(path) != "__init__.py"]
+    reads = {
+        node.attr
+        for tree in readers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{node.name}.{name}"
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for name, _, _ in init_fields(node)
+        if name not in reads
+    )
+
+
 def read_all(directory: str) -> dict[str, str]:
     sources = {}
     for path in sorted(glob.glob(os.path.join(directory, "*.py"))):
@@ -280,6 +315,11 @@ def package_unpassed() -> tuple[str, ...]:
 @functools.cache
 def package_unset() -> tuple[str, ...]:
     return tuple(unset(read_all(PACKAGE_DIR), read_all(BENCH_DIR)))
+
+
+@functools.cache
+def package_unread() -> tuple[str, ...]:
+    return tuple(unread(read_all(PACKAGE_DIR), read_all(BENCH_DIR)))
 
 
 def allowed_field(qualname: str) -> bool:
@@ -389,3 +429,31 @@ def test_an_unset_field_is_found():
     }
     bench = {"bench/t.py": "import pkg\npkg.D(0, f=[])\n"}
     assert unset(package, bench) == ["D.c", "G.w"]
+
+
+def test_every_field_is_read():
+    assert [f for f in package_unread() if f not in ALLOWED_READS] == []
+
+
+def test_every_allowed_read_is_still_unread():
+    """An allowlisted field that gains a reader, or is deleted, leaves the list."""
+    assert sorted(set(ALLOWED_READS) - set(package_unread())) == []
+
+
+def test_an_unread_field_is_found():
+    package = {
+        "pkg/a.py": (
+            "from dataclasses import dataclass, field\n"
+            "from typing import ClassVar\n"
+            "@dataclass\nclass D:\n"
+            "    a: int\n    b: int = 1\n    c: int\n    w: int\n    t: int\n"
+            "    k: ClassVar[int] = 3\n"
+            "    s: int = field(init=False)\n"
+            "    def total(self):\n        return self.a\n"
+            "class Plain:\n    z: int = 0\n"
+        ),
+        "pkg/b.py": "def f(d):\n    d.c = 1\n    return getattr(d, 'w')\n",
+        "pkg/__init__.py": "from .a import D\nprint(D(0, 0, 0, 0, 0).w)\n",
+    }
+    bench = {"bench/t.py": "def g(d):\n    return d.b, d.t\n"}
+    assert unread(package, bench) == ["D.c", "D.w"]

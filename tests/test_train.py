@@ -112,6 +112,8 @@ class TestSftTrain:
         assert got.rank == CFG.lora_rank
 
     def test_captured_mean_matches_offline_replay(self):
+        # Bit for bit: the captured tensor is a replay's per-step updates
+        # summed in the order they arrive, divided once by the step count.
         model = init_model(CFG)
         spec = CaptureSpec("block0.v", "b", "energy")
         result = train(
@@ -122,6 +124,7 @@ class TestSftTrain:
         rng = np.random.default_rng(9)
         task = small_task()
         cfg_opt = AdamWConfig()
+        L = CFG.block_length
         moments = {
             key: MomentState.zeros(val.shape) for key, val in replay_model.lora.items()
         }
@@ -129,19 +132,26 @@ class TestSftTrain:
         for _ in range(7):
             prompts, targets = task.sample_batch(rng, 4)
             seqs = np.concatenate([prompts, targets], axis=1)
-            masked, loss_mask = mask_targets(seqs, CFG.block_length, CFG.mask_id, rng)
-            res = forward(replay_model, masked, taps=(), record=True)
-            _, dlogits = masked_cross_entropy(res.logits, seqs, loss_mask)
+            masked, loss_mask = mask_targets(seqs, L, CFG.mask_id, rng)
+            res = forward(replay_model, masked, record=True, first_row=L)
+            _, dlogits = masked_cross_entropy(res.logits, seqs[:, L:], loss_mask[:, L:])
             grads = backward_lora(replay_model, res, dlogits)
             for key in sorted(replay_model.lora):
                 moments[key], update = adamw_step(moments[key], grads[key], cfg_opt)
                 replay_model.lora[key] = replay_model.lora[key] - cfg_opt.learning_rate * update
                 if key == spec.param_key:
                     updates_log.append(update)
-        offline_mean = np.mean(np.stack(updates_log), axis=0)
-        np.testing.assert_allclose(
-            result.evolution_tensors[spec.metadata_id], offline_mean, rtol=1e-12
+        total = np.zeros_like(updates_log[0])
+        for update in updates_log:
+            total = total + update
+        np.testing.assert_array_equal(
+            result.evolution_tensors[spec.metadata_id], total / len(updates_log)
         )
+        # The order matters to the bits: the reversed sum rounds differently.
+        reversed_total = np.zeros_like(total)
+        for update in reversed(updates_log):
+            reversed_total = reversed_total + update
+        assert not np.array_equal(total, reversed_total)
 
     def test_trains_on_the_target_block_rows_only(self, monkeypatch):
         # The loss reads only the target block, so every training forward

@@ -89,10 +89,10 @@ MUTANTS = (
     ),
     Mutant(
         "capture_keeps_every_step",
-        "src/editstop/capture.py",
-        "        self._total += t\n",
-        "        self._total += t\n"
-        '        self.__dict__.setdefault("kept", []).append(t.copy())\n',
+        "src/editstop/train.py",
+        "                totals[key] += update\n",
+        "                totals[key] += update\n"
+        '                model.__dict__.setdefault("kept", []).append(update.copy())\n',
         ("tests/test_train.py::TestCaptureMemory::test_peak_does_not_grow_with_the_step_count",),
     ),
     Mutant(
@@ -161,10 +161,18 @@ MUTANTS = (
         ("tests/test_cli.py::TestUnusableArtifacts::test_metadata_without_a_basis_exits_three",),
     ),
     Mutant(
+        "ablate_averages_repeated_steps",
+        "src/editstop/harness.py",
+        "rows[: block.forward_passes - 1].T",
+        "rows.T",
+        ("tests/test_harness.py::TestAblate::test_cells_average_distinct_forwards_only",),
+    ),
+    Mutant(
         "trace_record_differs_from_generations_line",
         "src/editstop/harness.py",
-        '{**instance, "blocks": block_traces}',
-        '{**instance, "output": instance["prompt"], "blocks": block_traces}',
+        '{**instance, "blocks": [_block_trace(block, csv_name, pseudo_name)]}',
+        '{**instance, "output": instance["prompt"],'
+        ' "blocks": [_block_trace(block, csv_name, pseudo_name)]}',
         ("tests/test_harness.py::TestInfer::test_trace_and_generations_line_share_the_record",),
     ),
     Mutant(
