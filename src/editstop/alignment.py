@@ -2,10 +2,17 @@
 
 At each denoising step the model exposes one activation vector per
 visible token, held together as the rows of one (n, d) array. All rows
-are scored at once against either the row-energy vector or the low-rank
-basis recovered from training, and the scores are pushed through a
-fixed-temperature softmax over exactly the visible token positions.
-Downstream stability tracking consumes only these distributions.
+are scored at once (``score_alignment``) against either the row-energy
+vector or the low-rank basis recovered from training, and the scores are
+pushed through a fixed-temperature softmax over exactly the visible token
+positions. Downstream stability tracking consumes only these
+distributions.
+
+The decode and the offline trace take the scores as a bare array into
+``monitor.alignment_step``. ``VisibleSet``, ``ActivationFrame``,
+``AlignmentDistribution`` and ``score_frame`` are the object form of the
+same step: the freezer takes a frame, and the tests keep the object path
+as the oracle of the array one.
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .alignment import AlignmentDistribution
 from .errors import (
     AlphaNotContractiveError,
@@ -22,7 +24,7 @@ from .errors import (
     SupportMismatchError,
     WindowTooShortError,
 )
-from .linalg import total_variation
+from .linalg import top2_margin, total_variation
 from .monitor import StopConfig
 
 # Calibration search grids (threshold, span).
@@ -55,14 +57,22 @@ class MarginReport:
             raise ValueError("singleton support has margin 1 by convention")
 
     @classmethod
-    def from_distribution(cls, alignment: AlignmentDistribution) -> "MarginReport":
-        pv = alignment.dist
+    def from_row(cls, probs: np.ndarray, members, step: int) -> "MarginReport":
+        """The report of the 1-D alignment row ``probs`` over the sorted
+        positions ``members``: ties for the top go to the lowest position,
+        as ``np.argmax`` picks the first."""
         return cls(
-            argmax_index=pv.argmax_token(),
-            margin=pv.top2_margin(),
-            step=alignment.step,
-            support_size=len(pv),
+            argmax_index=members[int(probs.argmax())],
+            margin=top2_margin(probs),
+            step=step,
+            support_size=len(members),
         )
+
+    @classmethod
+    def from_distribution(cls, alignment: AlignmentDistribution) -> "MarginReport":
+        """``from_row`` of an ``AlignmentDistribution``."""
+        pv = alignment.dist
+        return cls.from_row(pv.probs, pv.support, alignment.step)
 
 
 def tv_budget(delta: float, omega: int) -> float:

@@ -2,10 +2,9 @@
 
 The sampler fills one block of ``block_length`` positions at a time. Each
 denoising step reads the block's forward pass, commits a fixed quota of the
-most confident still-masked positions, and emits an activation frame over
-the committed set. Under the monitored policies that frame drives the
-alignment distribution whose stability decides when to cut the remaining
-steps short.
+most confident still-masked positions, and keeps the activation rows of the
+committed set. Under the monitored policies those rows drive the alignment
+distribution whose stability decides when to cut the remaining steps short.
 
 A step takes one array-shaped path into the block's arrays
 (``DenoiseTrajectory``). The open slots are the block's slots that still
@@ -13,9 +12,13 @@ hold the mask id, and the visible set is the rest: the softmax array has
 no mask column, so no commit writes the mask id. A forward's (L, V-1)
 softmax array gives each row's argmax (``choice``) and largest
 probability; one stable argsort of the open slots on the latter ranks
-them, so tied slots commit lowest index first. The frame is the (n, d)
-array of committed rows that the freezer and the alignment scorer read
-whole; a step builds only the frames those two take.
+them, so tied slots commit lowest index first. The committed rows are one
+(n, d) array. A monitored step scores it (``score_alignment``), takes
+``monitor.alignment_step`` (the alignment softmax, then the KL against
+the previous distinct forward's row) and hands the row, its positions and
+the divergence to ``StabilityMonitor.take_row``; a stop's margin report is
+read off the same row. No step builds a visible set, a distribution or a
+``ProbVector``: only the freezer of ``edit_freeze`` takes a frame object.
 
 ``forward`` is deterministic in the tokens, so it runs only on a step
 that does not repeat its predecessor (a step repeats when the
@@ -28,17 +31,18 @@ frozen. ``record=True`` keeps each distinct recorded forward for the
 offline pseudo-gradient.
 
 Step work that no caller reads is skipped. A ``fixed`` decode scores no
-frame, and no decode stores an alignment: the monitor holds only the last
-one it observed, and an offline analysis (calibrate's, ablate's) scores
-the trajectory's tap rows itself. A repeated step commits nothing and adds
-no row: it reads the predecessor's frame, ``choice`` and tokens, and the
-monitor is handed the predecessor's distribution again at the new step,
-which it scores as divergence 0.0 without a KL. The stop and certificate
-logic still runs on such steps.
+frame and ends its loop at the first repeated step, which nothing reads
+without a monitor, and no decode stores an alignment: the monitor holds
+only the last row it took, and an offline analysis (calibrate's,
+ablate's) scores the trajectory's tap rows itself. A repeated step
+commits nothing and adds no row: it reads the predecessor's frame,
+``choice`` and tokens, and the monitor takes the predecessor's row again
+at the new step with divergence 0.0, without a KL. The stop and
+certificate logic still runs on such steps.
 
 Every policy commits ``ceil(block_length / budget)`` tokens per step, so a
 run with budget ``T`` fully commits the block no later than step ``T``.
-The fixed policy runs the whole budget; a monitored run that stops at step
+The fixed policy uses the whole budget; a monitored run that stops at step
 ``t`` fills every slot still masked with step ``t``'s row argmax
 (``stop_fill``, which replays of a stop use too). The freezer of
 ``edit_freeze`` runs first on every step and only pins rows of the frame.
@@ -55,13 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .alignment import (
-    ActivationFrame,
-    AlignmentDistribution,
-    SimilarityMode,
-    VisibleSet,
-    score_frame,
-)
+from .alignment import ActivationFrame, SimilarityMode, VisibleSet, score_alignment
 from .capture import EvolutionVector, SubspaceBasis
 from .certify import Certificate, MarginReport, build_certificate
 from .errors import NonMonotoneVisibleSetError, ScheduleExhaustedError
@@ -74,7 +72,7 @@ from .model import (
     forward_weights,
     predictive_distributions,
 )
-from .monitor import StabilityMonitor, StopConfig, StopDecision, StopReason
+from .monitor import StabilityMonitor, StopConfig, StopDecision, StopReason, alignment_step
 
 POLICY_KINDS = ("fixed", "edit", "edit_freeze")
 # Every spelling of a kind that a config file or ``infer --policy`` takes.
@@ -294,6 +292,8 @@ def denoise_block(
         # Rerun forward and rank the open slots unless the step repeats
         # its predecessor, which committed nothing as it found the block full.
         repeat = step > 1 and not newly.size
+        if repeat and monitor is None:
+            break  # without a monitor, nothing reads a repeated step
         if not repeat:
             result = forward(
                 model, tokens[None, :], taps=taps, record=record, first_row=lo, weights=weights
@@ -304,7 +304,7 @@ def denoise_block(
             step_choice = probs.argmax(axis=1, out=choice[r])
             # Quota commitment: most confident open slots, ties lowest index first.
             open_slots = (block == mask_id).nonzero()[0]
-            ranked = np.argsort(-probs.max(axis=1)[open_slots], kind="stable")
+            ranked = np.argsort(-np.fmax.reduce(probs, axis=1)[open_slots], kind="stable")
             newly = open_slots[ranked[:quota]]
             if record:
                 forwards.append(result)
@@ -320,16 +320,19 @@ def denoise_block(
             for rows, kept in zip((acts, *other_rows), tap_rows):
                 kept.append(rows[seen])
             if monitor is not None:
-                members = VisibleSet(tuple((lo + seen.nonzero()[0]).tolist()))
-                frame = ActivationFrame(step, tap_rows[0][-1], members)
-                alignment = score_frame(frame, reasoning_map, mode, policy.stop.tau_blk)
-        elif monitor is not None:
-            alignment = AlignmentDistribution(alignment.dist, step)
+                members = (lo + seen.nonzero()[0]).tolist()
+                scores = score_alignment(tap_rows[0][-1], reasoning_map, mode)
+                alignment, kl = alignment_step(
+                    scores[None], members, policy.stop.tau_blk,
+                    monitor.prev_probs, monitor.prev_members,
+                )
+                d_t = None if kl is None else float(kl[0])
+        else:
+            d_t = 0.0  # the predecessor's alignment row again diverges by 0.0
 
-        if monitor is not None and monitor.observe(alignment).stop:
-            cert = build_certificate(
-                step, MarginReport.from_distribution(alignment), policy.stop, alpha_hat=alpha_hat
-            )
+        if monitor is not None and monitor.take_row(alignment, members, step, d_t).stop:
+            margin = MarginReport.from_row(alignment[0], members, step)
+            cert = build_certificate(step, margin, policy.stop, alpha_hat=alpha_hat)
             if policy.strict_certificates and not (
                 cert.local_pass and cert.global_pass is not False
             ):
@@ -346,7 +349,7 @@ def denoise_block(
     trajectory = DenoiseTrajectory(
         block_index=block_index,
         prefix=prefix,
-        steps_used=step,
+        steps_used=step if monitor is not None else budget,
         token_rows=token_rows[: r + 1],
         choice=choice[: r + 1],
         visible=visible[: r + 1],

@@ -61,7 +61,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .generate import BlockResult, DenoiseTrajectory, PolicyConfig, generate, stop_fill
-from .linalg import ProbVector, softmax_rows
+from .linalg import ProbVector, top2_margin
 from .metaformat import csv_text, io_failure
 from .model import (
     ADAPTERS,
@@ -72,7 +72,7 @@ from .model import (
     module_path,
     save_checkpoint,
 )
-from .monitor import StabilityMonitor, StopConfig, StopReason, matched_kl_rows, trace_to_csv
+from .monitor import StabilityMonitor, StopConfig, StopReason, alignment_step, trace_to_csv
 from .pseudograd import SftBand, analyze_trajectory, pseudograd_to_csv, sft_band
 from .tasks import SyntheticTask, make_task
 from .train import REDUCTIONS, CaptureSpec, sft_train
@@ -554,10 +554,10 @@ def _alignment_trace(
     its rows are scored against; maps are numbered across groups in order.
     Each map scores its tap's rows of every distinct forward, stacked, in
     one ``score_alignment`` call. At each distinct forward all maps' scores
-    take one ``softmax_rows`` at ``tau_blk`` and one ``matched_kl_rows``
-    against the previous forward: the alignment softmax and the step
-    divergence, row by row, bit for bit those of a live monitor. A step
-    that repeats the last forward diverges by 0.0.
+    take one ``alignment_step``, the one the live decode takes: the
+    alignment softmax at ``tau_blk`` and the step divergence against the
+    previous forward, row by row, bit for bit those of a live monitor. A
+    step that repeats the last forward diverges by 0.0.
 
     Returns each distinct forward's ``(n_maps, n_visible)`` softmax, whose
     columns are the slots visible at that forward, and the
@@ -570,10 +570,14 @@ def _alignment_trace(
     scores = np.stack(cell_scores)
     members = [seen.nonzero()[0].tolist() for seen in trajectory.visible]
     bounds = [0, *trajectory.visible.sum(axis=1).cumsum().tolist()]
-    probs = [softmax_rows(scores[:, a:b] / tau_blk) for a, b in zip(bounds, bounds[1:])]
+    probs: list[np.ndarray] = []
     divergences = np.zeros((trajectory.steps_used - 1, len(scores)))
-    for r in range(1, len(probs)):
-        divergences[r - 1] = matched_kl_rows(probs[r], members[r], probs[r - 1], members[r - 1])
+    for r, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        prev, prev_members = (probs[-1], members[r - 1]) if r else (None, None)
+        row, kl = alignment_step(scores[:, a:b], members[r], tau_blk, prev, prev_members)
+        probs.append(row)
+        if r:
+            divergences[r - 1] = kl
     return probs, divergences
 
 
@@ -618,7 +622,7 @@ def cmd_calibrate(
         divergences = divergences[:, 0]
         probes.append((trajectory, divergences))
         _, stop_step = replay_stop(trajectory, divergences, config.delta, config.omega, mask_id)
-        margins.append(ProbVector(probs[trajectory.row(stop_step)][0]).top2_margin())
+        margins.append(top2_margin(probs[trajectory.row(stop_step)][0]))
         # The steps from the first one that sees the whole block.
         full = trajectory.visible.all(axis=1)
         if full.any() and trajectory.steps_used - full.argmax() >= 3:

@@ -1,9 +1,12 @@
 """Dense linear-algebra and information-theoretic primitives.
 
 Everything here is a pure function over immutable float64 inputs. Vectors
-and matrices are plain numpy arrays; probability distributions carry their
-support explicitly so that divergences between distributions over shifting
-token sets are always computed on matched supports.
+and matrices are plain numpy arrays. The decode's step path works on bare
+rows (``row_max``, ``softmax_rows``, ``kl_rows``, ``top2_margin``), calling
+the ufunc reductions directly; ``ProbVector`` carries its support
+explicitly, so that divergences between distributions over shifting token
+sets are computed on matched supports, and serves the object API that
+offline analyses and the tests' oracles use.
 """
 
 from __future__ import annotations
@@ -69,17 +72,40 @@ class ProbVector:
         return self.support[int(np.argmax(self.probs))]
 
     def top2_margin(self) -> float:
-        """Gap between the two largest probabilities; 1.0 on a singleton."""
-        if self.probs.size == 1:
-            return 1.0
-        top2 = np.partition(self.probs, -2)[-2:]
-        return float(top2[1] - top2[0])
+        """Gap between the two largest probabilities (:func:`top2_margin`)."""
+        return top2_margin(self.probs)
+
+
+def top2_margin(probs: np.ndarray) -> float:
+    """Gap between the two largest entries of the 1-D ``probs``; 1.0 on a singleton."""
+    if probs.size == 1:
+        return 1.0
+    top2 = np.partition(probs, -2)[-2:]
+    return float(top2[1] - top2[0])
+
+
+def row_max(z) -> np.ndarray:
+    """``z.max(axis=-1, keepdims=True)``, faster where rows outnumber columns.
+
+    A max is exact in any order, so the order of the reduction is free.
+    Along a short last axis numpy runs one small reduction per row; with
+    more rows than columns this instead reduces down the columns of a
+    contiguous transpose, one vectorized ``np.maximum`` per column. A NaN
+    propagates as in ``z.max``. Only the sign of a zero maximum (a row whose
+    largest entries are ``+0.0`` and ``-0.0``) may differ: ``z.max`` takes it
+    from its SIMD lane order, and no ``x - max`` that a softmax exponentiates
+    changes its value with it.
+    """
+    k = z.shape[-1]
+    if z.size <= k * k:
+        return np.maximum.reduce(z, axis=-1, keepdims=True)
+    return np.maximum.reduce(z.reshape(-1, k).T.copy(), axis=0).reshape(*z.shape[:-1], 1)
 
 
 def softmax_rows(z) -> np.ndarray:
-    """Softmax along the last axis with max-subtraction, floored at
-    ``PROB_FLOOR``. Row ``i`` is bit for bit the softmax of ``z[i]`` alone,
-    so 1-D and row-stacked callers agree exactly.
+    """Softmax along the last axis with max-subtraction (``row_max``),
+    floored at ``PROB_FLOOR``. Row ``i`` is bit for bit the softmax of
+    ``z[i]`` alone, so 1-D and row-stacked callers agree exactly.
 
     A row whose normalizer ``Σ exp(z − max)`` is not finite raises
     ``EmptyInputError``. A row with a finite maximum (``-inf`` entries
@@ -87,9 +113,9 @@ def softmax_rows(z) -> np.ndarray:
     one within ``n·ε``; a NaN or ``+inf`` entry, or a row of ``-inf``, makes
     it NaN. So this check rejects exactly the rows that a 1e-9 check of the
     normalized rows' sums would."""
-    ez = np.exp(z - z.max(axis=-1, keepdims=True))
-    total = ez.sum(axis=-1, keepdims=True)
-    worst = total.max()  # NaN when any row's is
+    ez = np.exp(z - row_max(z))
+    total = np.add.reduce(ez, axis=-1, keepdims=True)
+    worst = np.maximum.reduce(total, axis=None)  # NaN when any row's is
     if not np.isfinite(worst):
         raise EmptyInputError(f"a softmax row is non-finite: its normalizer is {float(worst)!r}")
     return np.maximum(ez / total, PROB_FLOOR)
@@ -109,11 +135,12 @@ def kl_rows(p, q) -> np.ndarray:
     is clamped to 0. Row ``i`` is bit for bit the KL of ``p[i]`` and
     ``q[i]`` alone.
     """
-    pp = p / p.sum(axis=-1, keepdims=True)
-    qq = q / q.sum(axis=-1, keepdims=True)
-    val = (pp * (np.log(pp) - np.log(qq))).sum(axis=-1)
-    if val.min() < -1e-12:
-        raise ValueError(f"KL computed as {val.min()}, below rounding tolerance")
+    pp = p / np.add.reduce(p, axis=-1, keepdims=True)
+    qq = q / np.add.reduce(q, axis=-1, keepdims=True)
+    val = np.add.reduce(pp * (np.log(pp) - np.log(qq)), axis=-1)
+    lowest = np.minimum.reduce(val, axis=None)
+    if lowest < -1e-12:
+        raise ValueError(f"KL computed as {lowest}, below rounding tolerance")
     return np.maximum(val, 0.0)
 
 

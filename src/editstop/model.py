@@ -36,7 +36,7 @@ from .errors import (
     NoRecordedGraphError,
     VocabOverflowError,
 )
-from .linalg import softmax_rows
+from .linalg import row_max, softmax_rows
 from .metaformat import checked_payload, read_framed, write_framed
 
 PROJECTIONS = ("q", "k", "v")
@@ -367,11 +367,12 @@ def forward(
                 a, bb = (model.lora[lora_param_key(b, proj, ad)] for ad in ADAPTERS)
                 ax = (x_in[:, first_row:] @ a.T).reshape(n * tq, -1)
                 tap_out[spec] = (ax @ bb.T).reshape(n, tq, d)
-        # Softmax in place, with no temporaries. fmax is faster than max; on a
-        # ±0 tie it may pick the other zero, which exp maps to 1.0 all the same.
+        # Softmax in place, with no temporaries. row_max reduces down the
+        # columns of a transposed copy; on a ±0 tie it may pick the other
+        # zero, which exp maps to 1.0 all the same.
         attn = qh @ kh.swapaxes(-1, -2)
         attn *= scale
-        attn -= np.fmax.reduce(attn, axis=-1, keepdims=True)
+        attn -= row_max(attn)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
         x_mid = (attn @ vh).transpose(0, 2, 1, 3).reshape(m, d) @ wo
@@ -492,7 +493,7 @@ def masked_cross_entropy(
         raise ValueError("loss_mask selects no positions")
     n_idx, t_idx = np.nonzero(loss_mask)
     rows = logits[n_idx, t_idx]
-    probs = np.exp(rows - rows.max(axis=-1, keepdims=True))
+    probs = np.exp(rows - row_max(rows))
     probs /= probs.sum(axis=-1, keepdims=True)
     picked = (np.arange(count), targets[n_idx, t_idx])
     loss = float(-np.log(np.maximum(probs[picked], 1e-300)).mean())

@@ -1,13 +1,21 @@
 """Run-length stability tracking and the early-termination decision.
 
-Alignment distributions arrive one per denoising step. Unmasking is
-monotone, so consecutive distributions share the earlier one's visible
-support: both are restricted to it and renormalized, the step-wise KL
-divergence is computed on index arrays (a one-row ``matched_kl_rows``,
-which finds prev's members in the current support and refuses a support
-that shrank), and a run-length counter tracks how many consecutive steps
-stayed strictly below the divergence threshold. The first time the counter reaches the
-required span, the block is declared stable and denoising stops.
+One alignment row arrives per denoising step: the softmax of the visible
+slots' alignment scores, over those slots' positions. Unmasking is
+monotone, so consecutive rows share the earlier one's visible support:
+both are restricted to it and renormalized, the step-wise KL divergence is
+computed on index arrays (``matched_kl_rows``, which finds prev's members
+in the current support and refuses a support that shrank), and a
+run-length counter tracks how many consecutive steps stayed strictly below
+the divergence threshold. The first time the counter reaches the required
+span, the block is declared stable and denoising stops.
+
+The decode and the offline trace take one array path per distinct
+forward, ``alignment_step`` (the softmax, then the KL against the previous
+forward's row), and the decode hands each step's row and divergence to
+``StabilityMonitor.take_row``. ``StabilityMonitor.observe`` is the same
+update for a caller that holds ``AlignmentDistribution`` objects; it
+serves the tests' object-path oracle.
 """
 
 from __future__ import annotations
@@ -15,13 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .alignment import AlignmentDistribution
 from .errors import NonMonotoneVisibleSetError
-from .linalg import PROB_FLOOR, kl_rows
+from .linalg import PROB_FLOOR, kl_rows, softmax_rows
 from .metaformat import csv_text
+
 
 @dataclass(frozen=True)
 class StopConfig:
@@ -91,43 +101,80 @@ def matched_kl_rows(
     # differs in the last bits from the sum of that row alone; a row-major
     # copy keeps row ``i`` bit for bit the one-row result.
     sub = np.ascontiguousarray(curr[:, idx])
-    p = np.maximum(sub / sub.sum(axis=-1, keepdims=True), PROB_FLOOR)
-    q = np.maximum(prev / prev.sum(axis=-1, keepdims=True), PROB_FLOOR)
+    p = np.maximum(sub / np.add.reduce(sub, axis=-1, keepdims=True), PROB_FLOOR)
+    q = np.maximum(prev / np.add.reduce(prev, axis=-1, keepdims=True), PROB_FLOOR)
     return kl_rows(p, q)
+
+
+def alignment_step(scores: np.ndarray, members, tau_blk: float, prev, prev_members):
+    """One distinct forward's alignment rows and their step divergences.
+
+    ``scores`` is ``(n, k)``: ``n`` maps' scores of the visible slots
+    ``members`` (sorted). Returns ``softmax_rows(scores / tau_blk)`` and its
+    ``(n,)`` ``matched_kl_rows`` against the previous distinct forward's
+    ``(n, j)`` rows ``prev`` over ``prev_members``; None in place of the
+    divergences when ``prev`` is None (the block's first forward).
+    """
+    probs = softmax_rows(scores / tau_blk)
+    if prev is None:
+        return probs, None
+    return probs, matched_kl_rows(probs, members, prev, prev_members)
 
 
 class StabilityMonitor:
     """The stop rule's whole record for one block: the run-length
     ``counter``, one ``TraceRow`` per advanced step, the step a stop fired
     at (``stopped_at``, None until one fires or after a refused one) and
-    the last distribution ``observe`` accepted (``prev_distribution``)."""
+    the last alignment row it took: the ``(1, k)`` array ``prev_probs``
+    (None before the first) over the sorted positions ``prev_members``, at
+    step ``prev_step``."""
 
     def __init__(self, cfg: StopConfig):
         self.cfg = cfg
         self.counter = 0
         self.divergence_trace: list[TraceRow] = []
         self.stopped_at: int | None = None
-        self.prev_distribution: AlignmentDistribution | None = None
+        self.prev_probs: np.ndarray | None = None
+        self.prev_members: Sequence[int] = ()
+        self.prev_step = 0
+
+    def take_row(self, probs: np.ndarray, members, step: int, d_t: float | None) -> StopDecision:
+        """Take the alignment row ``probs`` over ``members`` at ``step``,
+        which diverges by ``d_t`` from the last row taken.
+
+        The block's first row (``d_t`` None) has no predecessor to compare
+        against and leaves the counter untouched; every later step advances
+        it with ``d_t`` over the previous row's support. A step that
+        repeats its predecessor passes the same row again with 0.0.
+        """
+        matched = len(self.prev_members)
+        self.prev_probs, self.prev_members, self.prev_step = probs, members, step
+        if d_t is None:
+            return StopDecision(step, StopReason.STILL_RUNNING, 0)
+        return self.advance(d_t, step, matched_support=matched)
 
     def observe(self, dist: AlignmentDistribution) -> StopDecision:
-        prev = self.prev_distribution
-        if prev is None:
-            # No predecessor to compare against; counter untouched.
-            self.prev_distribution = dist
-            return StopDecision(dist.step, StopReason.STILL_RUNNING, 0)
-        if dist.step <= prev.step:
+        """``take_row`` for an ``AlignmentDistribution``: the object form
+        of a step, whose divergence is the same ``matched_kl_rows`` of the
+        same rows; the last distribution handed in again (a repeated step)
+        diverges by 0.0 without one. A distribution whose step does not
+        advance, or whose support dropped a member of the last row's, is
+        refused and leaves the monitor as it was."""
+        if self.prev_probs is not None and dist.step <= self.prev_step:
             raise NonMonotoneVisibleSetError(
-                f"step {dist.step} does not advance past {prev.step}"
+                f"step {dist.step} does not advance past {self.prev_step}"
             )
-        if dist.dist is prev.dist:
-            # A repeated distribution diverges from itself by exactly 0.0.
+        p = dist.dist
+        probs = p.probs[None]
+        if self.prev_probs is None:
+            d_t = None
+        elif self.prev_probs.base is p.probs:
+            # The last distribution again diverges from itself by exactly 0.0.
             d_t = 0.0
         else:
             # Refuses a support that dropped a member of prev's.
-            p, q = dist.dist, prev.dist
-            d_t = float(matched_kl_rows(p.probs[None], p.support, q.probs[None], q.support)[0])
-        self.prev_distribution = dist
-        return self.advance(d_t, dist.step, matched_support=len(prev.dist))
+            d_t = float(matched_kl_rows(probs, p.support, self.prev_probs, self.prev_members)[0])
+        return self.take_row(probs, p.support, dist.step, d_t)
 
     def advance(self, d_t: float, step: int, matched_support: int = 0) -> StopDecision:
         """Advance the run-length counter with the divergence observed at ``step``.

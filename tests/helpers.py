@@ -4,8 +4,9 @@ row-sum check, a scalar cosine,
 the monitor's matched-support KL through ``restrict`` and its two error
 classes, which only these oracles use, the windowed TV bound, the step
 objective of the pseudo-gradient and the per-token freezing rule), the
-per-token reference path of the denoising step, and the live per-cell
-sweeps that calibrate's and ablate's replays stand in for."""
+per-token reference path of the denoising step, the object path of a
+monitored step (``object_path_monitor``), and the live per-cell sweeps
+that calibrate's and ablate's replays stand in for."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from editstop.alignment import (
     AlignmentDistribution,
     SimilarityMode,
     VisibleSet,
+    score_frame,
 )
 from editstop.certify import (
     DELTA_GRID,
@@ -842,6 +844,42 @@ def reference_denoise_block(model, prefix, block_index, budget, policy, reasonin
         )
     return ReferenceBlock(steps, choices, final_commit, tuple(int(t) for t in tokens[lo: lo + L]),
                           monitor, stop_decision, certificate, tuple(rejected), tuple(events))
+
+
+def object_path_monitor(block, reasoning_map, mode, policy, alpha_hat=None):
+    """The object path a monitored step took before it ran on arrays,
+    replayed over a decoded block's scored rows (``tap_rows[0]``, the frames
+    as the freezer left them).
+
+    Each distinct forward's frame (a ``VisibleSet`` and an
+    ``ActivationFrame``) goes through ``score_frame``; each step's
+    ``AlignmentDistribution`` through ``StabilityMonitor.observe``, a
+    repeated step handing in its predecessor's distribution again; a fired
+    stop's certificate comes from ``MarginReport.from_distribution`` and is
+    refused as a strict policy refuses it. Returns the monitor and the
+    accepted certificate (None if no stop was accepted within the block's
+    steps)."""
+    trajectory = block.trajectory
+    lo = trajectory.block_index * trajectory.visible.shape[1]
+    monitor = StabilityMonitor(policy.stop)
+    alignment = None
+    for step in range(1, trajectory.steps_used + 1):
+        r = trajectory.row(step)
+        if alignment is None or r != trajectory.row(step - 1):
+            members = VisibleSet(tuple((lo + trajectory.visible[r].nonzero()[0]).tolist()))
+            frame = ActivationFrame(step, trajectory.tap_rows[0][r], members)
+            alignment = score_frame(frame, reasoning_map, mode, policy.stop.tau_blk)
+        else:
+            alignment = AlignmentDistribution(alignment.dist, step)
+        if not monitor.observe(alignment).stop:
+            continue
+        margin = MarginReport.from_distribution(alignment)
+        cert = build_certificate(step, margin, policy.stop, alpha_hat=alpha_hat)
+        if policy.strict_certificates and not (cert.local_pass and cert.global_pass is not False):
+            monitor.reject(step)
+        else:
+            return monitor, cert
+    return monitor, None
 
 
 def final_commit(trajectory) -> tuple[int, ...]:

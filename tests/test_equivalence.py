@@ -13,20 +13,34 @@ the small ones. A divergence and a top-2 margin are cancelling
 differences of probabilities, so their error is absolute: ulp-level
 changes in the probabilities move a 1e-8 divergence by about 1e-16, a
 relative change of 1e-8.
+
+The monitored step's array path (``score_alignment``, ``alignment_step``,
+``StabilityMonitor.take_row``, ``MarginReport.from_row``) is also checked
+bit for bit against the object path it replaced,
+``helpers.object_path_monitor``, which scores the same rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from itertools import product
 
 import numpy as np
 import pytest
-from helpers import final_commit, freeze_keys, reference_generate, step_commits
+from helpers import (
+    final_commit,
+    freeze_keys,
+    object_path_monitor,
+    reference_generate,
+    same_bits,
+    step_commits,
+)
 
 from editstop.alignment import SimilarityMode
 from editstop.config import ExperimentConfig
-from editstop.generate import PolicyConfig, generate
+from editstop.generate import PolicyConfig, denoise_block, generate, stop_fill
 from editstop.harness import cmd_train, load_artifacts
+from editstop.monitor import StopConfig
 from editstop.tasks import make_task
 
 RTOL = 1e-12
@@ -161,3 +175,71 @@ def test_tied_confidences_match_reference(trained):
     model = dataclasses.replace(artifacts.model, base=base)
     for kind in ("fixed", "edit_freeze"):
         run_both((cfg, dataclasses.replace(artifacts, model=model), prompts), kind, 32)
+
+
+def trace_bits(monitor) -> list[tuple]:
+    return [
+        (r.step, repr(r.divergence), r.matched_support, r.counter, r.stopped)
+        for r in monitor.divergence_trace
+    ]
+
+
+@pytest.mark.parametrize("seq_len", [32, 64])
+@pytest.mark.parametrize("strict", [False, True], ids=["lax", "strict"])
+@pytest.mark.parametrize("tau_blk", [1.0, 0.01])
+@pytest.mark.parametrize("mode", list(SimilarityMode), ids=lambda m: m.value)
+def test_array_step_matches_the_object_path(trained, mode, tau_blk, strict, seq_len):
+    # The live monitored step runs on arrays; ``object_path_monitor``
+    # replays each block's scored rows through ``score_frame``, ``observe``
+    # and ``MarginReport.from_distribution``. Every divergence, the last
+    # row, the certificate and the refused stops keep their bits, and the
+    # tokens are a fixed decode's from the same prefix, cut at the
+    # oracle's stop. The configured rule refuses every strict stop; at
+    # delta 0.001 and omega 1 strict runs also accept one after refusals.
+    cfg, artifacts, prompts = trained
+    model = artifacts.model
+    reasoning_map = artifacts.vector if mode is SimilarityMode.VECTOR_COSINE else artifacts.basis
+    rules = ((cfg.delta, cfg.omega), (0.001, 1))
+    for (delta, omega), kind in product(rules, ("edit", "edit_freeze")):
+        stop = StopConfig(delta=delta, omega=omega, tau_blk=tau_blk)
+        policy = PolicyConfig(
+            kind, stop=stop, freeze=cfg.freeze_config(), strict_certificates=strict
+        )
+        for prompt in prompts:
+            result = generate(
+                model, prompt, seq_len, policy, budget=cfg.budget, reasoning_map=reasoning_map,
+                mode=mode, freeze_basis=artifacts.basis, alpha_hat=0.5,
+            )
+            for block in result.blocks:
+                live = block.monitor
+                oracle, cert = object_path_monitor(
+                    block, reasoning_map, mode, policy, alpha_hat=0.5
+                )
+                assert trace_bits(live) == trace_bits(oracle)
+                assert (live.counter, live.stopped_at, live.prev_step) == (
+                    oracle.counter, oracle.stopped_at, oracle.prev_step
+                )
+                assert same_bits(live.prev_probs, oracle.prev_probs)
+                assert list(live.prev_members) == list(oracle.prev_members)
+                assert block.certificate == cert
+                if cert is not None:
+                    assert block.certificate.to_json_dict() == cert.to_json_dict()
+                    assert repr(block.certificate.margin_report.margin) == repr(
+                        cert.margin_report.margin
+                    )
+                refused = tuple(
+                    r.step for r in oracle.divergence_trace
+                    if r.stopped and r.step != oracle.stopped_at
+                )
+                assert block.rejected_stops == refused
+                fixed = denoise_block(
+                    model, block.trajectory.prefix, block.block_index, budget=cfg.budget
+                ).trajectory
+                if cert is None:
+                    assert block.steps_used == cfg.budget
+                    assert block.trajectory.tokens == fixed.tokens
+                else:
+                    assert block.steps_used == cert.stop_step
+                    r = fixed.row(cert.stop_step)
+                    filled = stop_fill(fixed.token_rows[r], fixed.choice[r], model.cfg.mask_id)
+                    assert block.trajectory.tokens == tuple(filled.tolist())

@@ -20,7 +20,7 @@ from helpers import (
     step_commits,
 )
 
-from editstop.alignment import ActivationFrame, VisibleSet
+from editstop.alignment import ActivationFrame, AlignmentDistribution, VisibleSet
 from editstop.capture import AdamWConfig, EvolutionVector, SubspaceBasis, build_subspace
 from editstop.config import ExperimentConfig
 from editstop.errors import NonMonotoneVisibleSetError, ScheduleExhaustedError
@@ -603,8 +603,8 @@ class TestDecodeForwardBits:
             if kind == "edit":
                 trace = [repr(r.divergence) for r in gb.monitor.divergence_trace]
                 assert trace == [repr(r.divergence) for r in wb.monitor.divergence_trace]
-                g, w = gb.monitor.prev_distribution, wb.monitor.prev_distribution
-                assert same_bits(g.dist.probs, w.dist.probs)
+                assert same_bits(gb.monitor.prev_probs, wb.monitor.prev_probs)
+                assert gb.monitor.prev_members == wb.monitor.prev_members
             assert len(gb.trajectory.forwards) == len(wb.trajectory.forwards)
             for g, w in zip(gb.trajectory.forwards, wb.trajectory.forwards):
                 assert_same_forward(g, w)
@@ -696,28 +696,30 @@ class TestSkippedStepWork:
 
     def test_fixed_scores_nothing(self, default_block, monkeypatch):
         cfg, artifacts, prompt = default_block
-        scored = count_forwards(monkeypatch, name="score_frame")
+        scored = count_forwards(monkeypatch, name="score_alignment")
+        stepped = count_forwards(monkeypatch, name="alignment_step")
         policy = cfg.policy_config("fixed")
         result = generate(artifacts.model, prompt, 64, policy, reasoning_map=artifacts.vector)
-        assert scored == []
+        assert scored == stepped == []
         assert result.block_steps == (cfg.budget,) * 3
         assert all(b.monitor is None for b in result.blocks)
         assert result.tokens == generate(artifacts.model, prompt, 64, policy).tokens
 
     def test_repeated_steps_reuse_the_previous_distribution(self, default_block, monkeypatch):
         # At budget 32 one slot commits per step, so the block is full after
-        # step 16, step 17 reads its last forward, and steps 18-32 repeat.
+        # step 16, step 17 reads its last forward, and steps 18-32 repeat:
+        # each hands the monitor its predecessor's row again, with 0.0.
         cfg, artifacts, prompt = default_block
         policy = dataclasses.replace(cfg, delta=0.0).policy_config("edit")
-        scored = count_forwards(monkeypatch, name="score_frame")
+        scored = count_forwards(monkeypatch, name="alignment_step")
         observed: dict[int, list] = {}
-        observe = StabilityMonitor.observe
+        take_row = StabilityMonitor.take_row
 
-        def recording(monitor, dist):
-            observed.setdefault(id(monitor), []).append(dist)
-            return observe(monitor, dist)
+        def recording(monitor, probs, members, step, d_t):
+            observed.setdefault(id(monitor), []).append((probs, members, step, d_t))
+            return take_row(monitor, probs, members, step, d_t)
 
-        monkeypatch.setattr(StabilityMonitor, "observe", recording)
+        monkeypatch.setattr(StabilityMonitor, "take_row", recording)
         result = generate(
             artifacts.model, prompt, 64, policy, budget=32, reasoning_map=artifacts.vector
         )
@@ -731,15 +733,16 @@ class TestSkippedStepWork:
             assert block.forward_passes == 17
             repeats = range(18, 33)
             n_repeats += len(repeats)
-            dists = observed[id(block.monitor)]
-            assert [d.step for d in dists] == list(range(1, 33))
-            for prev, dist in zip(dists, dists[1:]):
-                if dist.step in repeats:
-                    assert dist.dist is prev.dist
-                    assert row(dist.step) == row(prev.step)
+            taken = observed[id(block.monitor)]
+            assert [step for _, _, step, _ in taken] == list(range(1, 33))
+            assert taken[0][3] is None
+            for (p, members, step, _), (q, then, _, d_t) in zip(taken, taken[1:]):
+                if step + 1 in repeats:
+                    assert q is p and then is members and d_t == 0.0
+                    assert row(step + 1) == row(step)
                 else:
-                    assert dist.dist is not prev.dist
-                    assert row(dist.step) == row(prev.step) + 1
+                    assert q is not p
+                    assert row(step + 1) == row(step) + 1
             rows = block.monitor.divergence_trace
             ref_rows = ref.monitor.divergence_trace
             assert [(r.step, r.matched_support, r.counter) for r in rows] == [
@@ -751,6 +754,24 @@ class TestSkippedStepWork:
             )
             assert all(r.divergence == 0.0 for r in rows if r.step in repeats)
         assert len(scored) == 3 * 32 - n_repeats
+
+    @pytest.mark.parametrize("budget", [1, 16, 17, 32])
+    def test_fixed_ends_at_the_first_repeated_step(self, default_block, monkeypatch, budget):
+        # Without a monitor nothing reads a repeated step, so a fixed decode
+        # stops looping at the first one and still reports the whole budget:
+        # its arrays are those of a never-stopping monitored decode, which
+        # runs every step and commits what fixed commits.
+        cfg, artifacts, prompt = default_block
+        never = dataclasses.replace(cfg, delta=0.0).policy_config("edit")
+        full = denoise_block(
+            artifacts.model, prompt, 1, budget=budget, policy=never,
+            reasoning_map=artifacts.vector,
+        )
+        calls = count_forwards(monkeypatch)
+        fixed = denoise_block(artifacts.model, prompt, 1, budget=budget)
+        assert fixed.steps_used == full.steps_used == budget
+        assert fixed.forward_passes == full.forward_passes == len(calls) == min(budget, 17)
+        assert_same_trajectory(fixed.trajectory, full.trajectory)
 
     def test_freezer_runs_every_step(self, default_block, monkeypatch):
         # The freezer advances on every step, also on the steps 18-32 that
@@ -793,14 +814,14 @@ class TestSkippedStepWork:
 
 class TestStepObjects:
     """A decode step builds only the objects a traced binding takes: the
-    frame handed to the freezer and to ``score_frame``, and the
-    ``ProbVector`` built inside the latter. A ``fixed`` decode and a
-    repeated step build none."""
+    frame handed to the freezer. A scored step runs on arrays, so no
+    decode builds a ``VisibleSet`` per step, an ``AlignmentDistribution``
+    or a ``ProbVector``, and a ``fixed`` decode builds nothing."""
 
     @staticmethod
     def count_built(monkeypatch) -> Counter:
         built: Counter = Counter()
-        for cls in (ActivationFrame, VisibleSet, ProbVector):
+        for cls in (ActivationFrame, VisibleSet, AlignmentDistribution, ProbVector):
 
             def init(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
                 built[_name] += 1
@@ -812,7 +833,7 @@ class TestStepObjects:
     @pytest.mark.parametrize("kind", ["fixed", "edit", "edit_freeze"])
     def test_objects_built_per_step(self, default_block, monkeypatch, kind):
         cfg, artifacts, prompt = default_block
-        scored = count_forwards(monkeypatch, name="score_frame")
+        scored = count_forwards(monkeypatch, name="alignment_step")
         built = self.count_built(monkeypatch)
         result = generate(
             artifacts.model, prompt, 64, cfg.policy_config(kind),
@@ -821,18 +842,16 @@ class TestStepObjects:
         counts = dict(built)
         n = len(scored)
         if kind == "fixed":
-            assert counts == {}
+            assert n == 0 and counts == {}
             return
         assert n == sum(b.forward_passes for b in result.blocks) > 0
         if kind == "edit":
-            assert counts == {"ActivationFrame": n, "VisibleSet": n, "ProbVector": n}
+            assert counts == {}
         else:
             # The freezer reads one whole-block frame a step, over one
             # visible set a block.
             steps, blocks = sum(result.block_steps), len(result.blocks)
-            assert counts == {
-                "ActivationFrame": n + steps, "VisibleSet": n + blocks, "ProbVector": n
-            }
+            assert counts == {"ActivationFrame": steps, "VisibleSet": blocks}
 
 
 class TestDerivedStop:
@@ -871,14 +890,14 @@ class TestDerivedStop:
     def test_derived_stop_matches_the_monitor_decisions(self, default_block, monkeypatch):
         cfg, artifacts, _ = default_block
         decisions: dict[int, list[StopDecision]] = {}
-        observe = StabilityMonitor.observe
+        take_row = StabilityMonitor.take_row
 
-        def recording(monitor, dist):
-            decision = observe(monitor, dist)
+        def recording(monitor, *args):
+            decision = take_row(monitor, *args)
             decisions.setdefault(id(monitor), []).append(decision)
             return decision
 
-        monkeypatch.setattr(StabilityMonitor, "observe", recording)
+        monkeypatch.setattr(StabilityMonitor, "take_row", recording)
         grid = product(
             ("edit", "edit_freeze"), (False, True), (0.0, 0.001, 0.05, 10.0), (1, 3), (8, 16)
         )

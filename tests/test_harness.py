@@ -786,7 +786,8 @@ ABLATION_SMALL = dict(train_steps=80, eval_instances=4, budget=8)
 @pytest.fixture(scope="module")
 def ablation(tmp_path_factory):
     """cmd_ablate on a trained run, recording its sft_train, generate and
-    score_alignment calls and any score_frame call."""
+    score_alignment calls and any frame scored on its own: a ``score_frame``
+    call, or a live decode's ``score_alignment``."""
     run_dir = str(tmp_path_factory.mktemp("ablate"))
     cfg = small_config(run_dir, **ABLATION_SMALL)
     cmd_train(cfg)
@@ -798,8 +799,9 @@ def ablation(tmp_path_factory):
         mp.setattr(harness, "sft_train", recording(harness.sft_train, trained))
         mp.setattr(harness, "generate", recording(harness.generate, runs))
         mp.setattr(harness, "score_alignment", recording(harness.score_alignment, scored))
-        for owner in (alignment, importlib.import_module("editstop.generate")):
-            mp.setattr(owner, "score_frame", recording(owner.score_frame, framed))
+        live = importlib.import_module("editstop.generate")
+        mp.setattr(alignment, "score_frame", recording(alignment.score_frame, framed))
+        mp.setattr(live, "score_alignment", recording(live.score_alignment, framed))
         payload = cmd_ablate(cfg)
     return cfg, run_dir, payload, trained, runs, scored, framed
 
@@ -976,8 +978,9 @@ class TestForwardCounts:
 
     def test_default_ablate_work_counts(self, tmp_path, monkeypatch):
         # Each of the 16 prompts has 17 distinct frames over its 32 steps.
-        # Scoring is counted per cell and prompt, and the softmax and the
-        # step divergence per distinct step; no ProbVector is built.
+        # Scoring is counted per cell and prompt, and the alignment step
+        # (the softmax, then the step divergence after the first) per
+        # distinct step; no ProbVector is built.
         cfg = ExperimentConfig(train_steps=20, out_dir=str(tmp_path))
         cmd_train(cfg)
         built = []
@@ -989,10 +992,11 @@ class TestForwardCounts:
 
         monkeypatch.setattr(linalg.ProbVector, "__init__", counting_init)
         forwards = count_forwards(monkeypatch)
-        scored, softmaxes, kls = (
+        scored, softmaxes = (
             count_forwards(monkeypatch, "editstop.harness", name)
-            for name in ("score_alignment", "softmax_rows", "matched_kl_rows")
+            for name in ("score_alignment", "alignment_step")
         )
+        kls = count_forwards(monkeypatch, "editstop.monitor", "matched_kl_rows")
         payload = cmd_ablate(cfg)
         assert len(built) == 0
         assert len(scored) == 12 * 16 == 192
@@ -1002,22 +1006,24 @@ class TestForwardCounts:
 
     def test_default_calibrate_work_counts(self, tmp_path, monkeypatch):
         # Each of the 2 validation prompts is decoded once under fixed: 17
-        # forwards, one score_alignment for the one map, a softmax per
-        # distinct step and a step divergence per later one. No frame is
-        # scored live and no monitor observes a step.
+        # forwards, one score_alignment for the one map, an alignment step
+        # per distinct step and a step divergence per later one. No frame is
+        # scored live and no monitor takes a step.
         cfg = ExperimentConfig(train_steps=20, eval_instances=10, out_dir=str(tmp_path))
         cmd_train(cfg)
         forwards = count_forwards(monkeypatch)
-        framed = count_forwards(monkeypatch, name="score_frame")
+        framed = count_forwards(monkeypatch, name="score_alignment")
         observed = []
-        observe = StabilityMonitor.observe
+        take_row = StabilityMonitor.take_row
         monkeypatch.setattr(
-            StabilityMonitor, "observe", lambda m, dist: observed.append(dist) or observe(m, dist)
+            StabilityMonitor, "take_row",
+            lambda m, *args: observed.append(args) or take_row(m, *args),
         )
-        scored, softmaxes, kls = (
+        scored, softmaxes = (
             count_forwards(monkeypatch, "editstop.harness", name)
-            for name in ("score_alignment", "softmax_rows", "matched_kl_rows")
+            for name in ("score_alignment", "alignment_step")
         )
+        kls = count_forwards(monkeypatch, "editstop.monitor", "matched_kl_rows")
         with contextlib.suppress(NoAdmissiblePairError):
             cmd_calibrate(cfg)
         payload = json.load(open(os.path.join(str(tmp_path), CALIBRATION_FILE)))

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from helpers import ZeroNormError, cosine_similarity, restrict, row_sum_softmax, softmax_outcome
+from helpers import (
+    ZeroNormError,
+    cosine_similarity,
+    restrict,
+    row_sum_softmax,
+    same_bits,
+    softmax_outcome,
+)
 
 from editstop.errors import (
     DimMismatchError,
@@ -17,7 +24,9 @@ from editstop.linalg import (
     ProbVector,
     kl_divergence,
     kl_rows,
+    row_max,
     softmax_rows,
+    top2_margin,
     total_variation,
     truncated_svd,
 )
@@ -297,6 +306,80 @@ class TestRowHelpers:
             assert got == want, z
             refused += got == "refused"
         assert 2_000 < refused < 18_000  # both verdicts are well represented
+
+
+class TestRowMax:
+    """``row_max`` against the reduction it replaces, ``z.max(axis=-1,
+    keepdims=True)``: the same bits on every shape, with few rows (one
+    reduction per row) or many (down the columns of a transpose). A zero
+    maximum may take the other sign, as ``z.max``'s own depends on its SIMD
+    lanes; the softmax it feeds keeps its bits."""
+
+    SHAPES = [(1,), (5,), (40,), (1, 1), (9, 1), (2, 3, 1), (1, 7), (7, 7), (8, 7), (16, 63),
+              (256, 63), (64, 32), (1, 4, 16, 32), (1, 4, 32, 32), (1, 4, 16, 64), (16, 4, 32, 32)]
+
+    @staticmethod
+    def reference(z):
+        return z.max(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_random_rows(self, shape):
+        z = np.random.default_rng(41).normal(scale=8.0, size=shape)
+        assert same_bits(row_max(z), self.reference(z))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_infinities_and_nan(self, shape):
+        # NaN propagates as in z.max, and a row of -inf has a -inf maximum.
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            z = rng.normal(size=shape)
+            special = rng.random(shape) < 0.2
+            z[special] = rng.choice([np.inf, -np.inf, np.nan], size=int(special.sum()))
+            if z.ndim > 1 and rng.random() < 0.5:
+                z[..., 0, :] = -np.inf
+            assert same_bits(row_max(z), self.reference(z)), z
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_signed_zero_ties(self, shape):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            z = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+            z[rng.random(shape) < 0.3] = -1.5
+            got, want = row_max(z), self.reference(z)
+            assert got.shape == want.shape and (got == want).all()
+            assert same_bits(np.exp(z - got), np.exp(z - want))
+            assert same_bits(softmax_rows(z), row_sum_softmax(z))
+
+    def test_is_a_new_array(self):
+        # Neither path hands back a view of its input, so ``z -= row_max(z)``
+        # subtracts the maxima the rows had.
+        for shape in ((3, 8), (8, 3), (4, 1)):
+            z = np.random.default_rng(44).normal(size=shape)
+            kept = z.copy()
+            row_max(z)[...] = 7.0
+            assert same_bits(z, kept)
+
+    def test_softmax_refuses_the_same_rows_on_both_paths(self):
+        # Up to 40 rows of 1 to 6 columns, so most arrays take the transposed
+        # path; the refused rows and the bits are the row-sum check's.
+        rng = np.random.default_rng(45)
+        refused = 0
+        for _ in range(3_000):
+            shape = (int(rng.integers(1, 41)), int(rng.integers(1, 7)))
+            z = rng.normal(scale=10.0, size=shape)
+            special = rng.random(shape) < 0.02
+            z[special] = rng.choice(TestRowHelpers.SPECIAL, size=int(special.sum()))
+            with np.errstate(all="ignore"):
+                got, want = (softmax_outcome(f, z) for f in (softmax_rows, row_sum_softmax))
+            assert got == want, z
+            refused += got == "refused"
+        assert 300 < refused < 2_700  # both verdicts are well represented
+
+    def test_top2_margin(self):
+        assert top2_margin(np.array([1.0])) == 1.0
+        assert top2_margin(np.array([0.2, 0.5, 0.3])) == 0.5 - 0.3
+        pv = random_prob(np.random.default_rng(46), 9)
+        assert pv.top2_margin() == top2_margin(pv.probs)
 
 
 class TestTotalVariation:

@@ -876,7 +876,7 @@ class TestLoadedWeightsCache:
                     assert same_bits(g.frozen_value, w.frozen_value)
                 assert_same_trajectory(gb.trajectory, wb.trajectory)
                 if kind != "fixed":
-                    g, w = gb.monitor.prev_distribution, wb.monitor.prev_distribution
-                    assert same_bits(g.dist.probs, w.dist.probs)
+                    assert same_bits(gb.monitor.prev_probs, wb.monitor.prev_probs)
+                    assert gb.monitor.prev_members == wb.monitor.prev_members
                 for g, w in zip(gb.trajectory.forwards, wb.trajectory.forwards, strict=True):
                     assert_same_forward(g, w)

@@ -321,7 +321,8 @@ class TestStabilityMonitor:
         with pytest.raises(NonMonotoneVisibleSetError):
             monitor.observe(make_dist(np.full(len(after), 1.0 / len(after)), after, step=2))
         assert monitor.divergence_trace == []
-        assert monitor.prev_distribution.step == 1
+        assert (monitor.prev_step, tuple(monitor.prev_members)) == (1, before)
+        assert monitor.prev_probs.tolist() == [[1.0 / len(before)] * len(before)]
 
     def test_step_must_advance(self):
         monitor = StabilityMonitor(StopConfig())

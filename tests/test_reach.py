@@ -50,12 +50,17 @@ ALLOWED = {
     "kl_divergence": "the unmatched KL of acceptance criterion 03",
     "freeze_safety": "the freeze bound of acceptance criterion 07",
     "probe_coupling_pooled": "the pooled coupling probe of acceptance criterion 07",
+    "from_distribution": "the object margin of acceptance criteria 05 and 06, and the"
+    " object-path oracle of the decode's MarginReport.from_row",
+    "argmax_token": "criterion 05's argmax of a future distribution",
 }
 
 ALLOWED_PARAMETERS = {
     "main.argv": "the CLI's test hook: tests pass an argument list for sys.argv",
     "pseudo_gradient.config": "acceptance criterion 02 passes the modules it checks",
     "cmd_infer.policy_kind": "the desk_run fixture in tests/test_acceptance.py passes it",
+    "score_frame.mode": "the object-path scoring that tests and their oracles call",
+    "score_frame.tau_blk": "the object-path scoring that tests and their oracles call",
 }
 
 ALLOWED_FIELDS = {

@@ -74,8 +74,8 @@ MUTANTS = (
     Mutant(
         "unstable_commit_argsort",
         "src/editstop/generate.py",
-        'ranked = np.argsort(-probs.max(axis=1)[open_slots], kind="stable")',
-        'ranked = np.argsort(-probs.max(axis=1)[open_slots], kind="quicksort")',
+        'ranked = np.argsort(-np.fmax.reduce(probs, axis=1)[open_slots], kind="stable")',
+        'ranked = np.argsort(-np.fmax.reduce(probs, axis=1)[open_slots], kind="quicksort")',
         ("tests/test_generate.py::TestCommitRanking::test_ties_commit_lowest_index_first_at_quota_4",),
     ),
     Mutant(
@@ -117,6 +117,20 @@ MUTANTS = (
         ("tests/test_model.py::TestLoadedWeightsCache::test_changed_in_place_model_gets_fresh_weights",),
     ),
     Mutant(
+        "row_max_reduces_the_wrong_axis",
+        "src/editstop/linalg.py",
+        "        return np.maximum.reduce(z, axis=-1, keepdims=True)\n",
+        "        return np.maximum.reduce(z, axis=0, keepdims=True)\n",
+        ("tests/test_linalg.py::TestRowMax::test_random_rows",),
+    ),
+    Mutant(
+        "row_max_reshapes_instead_of_transposing",
+        "src/editstop/linalg.py",
+        "z.reshape(-1, k).T.copy()",
+        "z.reshape(k, -1).copy()",
+        ("tests/test_linalg.py::TestRowMax::test_random_rows",),
+    ),
+    Mutant(
         "softmax_check_passes_a_nan_normalizer",
         "src/editstop/linalg.py",
         "    if not np.isfinite(worst):\n",
@@ -134,16 +148,17 @@ MUTANTS = (
     ),
     Mutant(
         "offline_softmax_ignores_tau_blk",
-        "src/editstop/harness.py",
-        "softmax_rows(scores[:, a:b] / tau_blk)",
-        "softmax_rows(scores[:, a:b])",
-        ("tests/test_harness.py::TestAlignmentTrace::test_offline_trace_equals_the_live_monitor",),
+        "src/editstop/monitor.py",
+        "    probs = softmax_rows(scores / tau_blk)\n",
+        "    probs = softmax_rows(scores)\n",
+        ("tests/test_harness.py::TestAlignmentTrace::test_offline_trace_equals_the_live_monitor",
+         "tests/test_equivalence.py::test_array_step_matches_the_object_path"),
     ),
     Mutant(
         "offline_repeated_step_keeps_the_last_divergence",
         "src/editstop/harness.py",
-        "divergences[r - 1] = matched_kl_rows(",
-        "divergences[r - 1 :] = matched_kl_rows(",
+        "divergences[r - 1] = kl",
+        "divergences[r - 1 :] = kl",
         ("tests/test_harness.py::TestAlignmentTrace::test_offline_trace_equals_the_live_monitor",),
     ),
     Mutant(
@@ -202,9 +217,25 @@ MUTANTS = (
         "monitor_moves_prev_on_a_refused_support",
         "src/editstop/monitor.py",
         "            # Refuses a support that dropped a member of prev's.\n",
-        "            self.prev_distribution = dist\n"
+        "            self.prev_probs, self.prev_members = probs, p.support\n"
         "            # Refuses a support that dropped a member of prev's.\n",
         ("tests/test_monitor.py::TestStabilityMonitor::test_support_dropping_a_member_is_rejected",),
+    ),
+    Mutant(
+        "live_step_skips_the_kl_on_an_unchanged_support",
+        "src/editstop/generate.py",
+        "                d_t = None if kl is None else float(kl[0])\n",
+        "                d_t = None if kl is None else (\n"
+        "                    0.0 if members == monitor.prev_members else float(kl[0])\n"
+        "                )\n",
+        ("tests/test_equivalence.py::test_array_step_matches_the_object_path",),
+    ),
+    Mutant(
+        "fixed_reports_only_the_steps_it_ran",
+        "src/editstop/generate.py",
+        "        steps_used=step if monitor is not None else budget,\n",
+        "        steps_used=step,\n",
+        ("tests/test_generate.py::TestSkippedStepWork::test_fixed_ends_at_the_first_repeated_step",),
     ),
     Mutant(
         "forward_count_counts_every_step",
