@@ -8,6 +8,9 @@ records its own provenance. Values are parsed as JSON where possible
 value must then fit its field's annotation (``FIELD_TYPES``): a bare
 ``strict_certificates = no`` is the string ``"no"`` and is refused, not
 read as true.
+
+The freezer of ``edit_freeze`` has no key of its own: its basis rank is
+``subspace_k`` and its thresholds are ``FreezeConfig``'s defaults.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .alignment import SimilarityMode
 from .capture import AdamWConfig
 from .errors import ConfigError
 from .freeze import FreezeConfig
-from .generate import POLICY_ALIASES, PolicyConfig
+from .generate import POLICY_KINDS, PolicyConfig
 from .model import ModelConfig
 from .monitor import StopConfig
 from .tasks import TASK_NAMES
@@ -42,12 +45,11 @@ FIELD_TYPES = {
 }
 
 
-def _policy_kind(spelling: str) -> str:
-    """The policy kind ``spelling`` names; a spelling that names none is a
-    ``ConfigError``."""
-    if spelling not in POLICY_ALIASES:
-        raise ConfigError(f"policy must be one of {sorted(POLICY_ALIASES)}, got {spelling!r}")
-    return POLICY_ALIASES[spelling]
+def _policy_kind(kind: str) -> str:
+    """``kind`` if it names a policy kind; any other name is a ``ConfigError``."""
+    if kind not in POLICY_KINDS:
+        raise ConfigError(f"policy must be one of {sorted(POLICY_KINDS)}, got {kind!r}")
+    return kind
 
 
 @dataclass
@@ -67,9 +69,6 @@ class ExperimentConfig:
     delta: float = 0.05
     omega: int = 6
     tau_blk: float = 1.0
-    delta_tok: float = 0.05
-    omega_tok: int = 6
-    tau_sub: float = 1.0
     subspace_k: int = 3
     similarity: str = "vector_cosine"
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
@@ -91,7 +90,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} takes {takes}, got {value!r}")
         if self.task not in TASK_NAMES:
             raise ConfigError(f"task must be one of {TASK_NAMES}, got {self.task!r}")
-        self.policy = _policy_kind(self.policy)
+        _policy_kind(self.policy)
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError(
                 f"validation_fraction must lie in (0, 1), got {self.validation_fraction}"
@@ -120,8 +119,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
         try:
             self.model_config()
-            self.stop_config()
-            self.freeze_config()
+            self.policy_config()
             self.adamw_config()
             self.similarity_mode()
         except (ValueError, KeyError) as exc:
@@ -150,14 +148,6 @@ class ExperimentConfig:
     def stop_config(self) -> StopConfig:
         return StopConfig(delta=self.delta, omega=self.omega, tau_blk=self.tau_blk)
 
-    def freeze_config(self) -> FreezeConfig:
-        return FreezeConfig(
-            delta_tok=self.delta_tok,
-            omega_tok=self.omega_tok,
-            tau_sub=self.tau_sub,
-            k=self.subspace_k,
-        )
-
     def adamw_config(self) -> AdamWConfig:
         return AdamWConfig(learning_rate=self.learning_rate)
 
@@ -171,7 +161,7 @@ class ExperimentConfig:
         return PolicyConfig(
             kind=_policy_kind(kind) if kind is not None else self.policy,
             stop=self.stop_config(),
-            freeze=self.freeze_config(),
+            freeze=FreezeConfig(k=self.subspace_k),
             strict_certificates=self.strict_certificates,
         )
 

@@ -1,11 +1,16 @@
 """Per-token freezing with instance-wise safety checks.
 
 Each visible token gets a local distribution over the components of the
-training-dynamics subspace. Tokens whose local distribution holds still
-for a run of steps get their activation pinned. ``freeze_safety`` turns a
-coupling probe plus the global contraction estimate into an explicit
-safety verdict against the block-level margin; the sampler asks for none,
-so a pin changes only the alignment frame and never what is committed.
+training-dynamics subspace: the softmax of its absolute coordinates in
+the basis. Tokens whose local distribution holds still for a run of steps
+get their activation pinned. ``freeze_safety`` turns a coupling probe
+plus the global contraction estimate into an explicit safety verdict
+against the block-level margin; the sampler asks for none, so a pin
+changes only the alignment frame and never what is committed.
+
+An experiment config sets only the basis rank ``k`` (its ``subspace_k``):
+a run's freezer keeps ``FreezeConfig``'s thresholds, ``delta_tok`` and
+``omega_tok``, which only direct constructions vary.
 
 A step of the freezer is one array pass over the block's rows: the local
 distributions are one (n, k) softmax array, their KLs against the
@@ -37,7 +42,6 @@ POOLED_MAX_TOKENS = 8
 class FreezeConfig:
     delta_tok: float = 0.05
     omega_tok: int = 6
-    tau_sub: float = 1.0
     k: int = 3
 
     def __post_init__(self):
@@ -45,8 +49,6 @@ class FreezeConfig:
             raise ValueError(f"delta_tok must be positive, got {self.delta_tok}")
         if self.omega_tok < 1:
             raise ValueError(f"omega_tok must be >= 1, got {self.omega_tok}")
-        if not self.tau_sub > 0.0:
-            raise ValueError(f"tau_sub must be positive, got {self.tau_sub}")
         if not 1 <= self.k <= 8:
             raise ValueError(f"k must be in [1, 8], got {self.k}")
 
@@ -202,11 +204,11 @@ class TokenFreezer:
     def _local_distributions(self, rows: np.ndarray) -> np.ndarray:
         """Each row's distribution over the subspace components, as an
         (n, k) array: coordinates in the basis, folded by absolute value and
-        put through ``linalg.softmax_rows`` at the sub-token temperature."""
+        put through ``linalg.softmax_rows``."""
         # A stacked gemv, one per row: a single (n, d) @ (d, k) GEMM may sum
         # in another order.
         g = (self.basis.columns.T @ rows[:, :, None])[:, :, 0]
-        return softmax_rows(np.abs(g) / self.cfg.tau_sub)
+        return softmax_rows(np.abs(g))
 
     def process(self, frame: ActivationFrame) -> tuple[np.ndarray, list[int]]:
         """Advance every token that is not frozen by one step.

@@ -74,9 +74,8 @@ from .model import (
 )
 from .monitor import StabilityMonitor, StopConfig, StopDecision, StopReason, alignment_step
 
+# Every policy a config file or ``infer --policy`` names.
 POLICY_KINDS = ("fixed", "edit", "edit_freeze")
-# Every spelling of a kind that a config file or ``infer --policy`` takes.
-POLICY_ALIASES = {**{kind: kind for kind in POLICY_KINDS}, "edit-freeze": "edit_freeze"}
 DEFAULT_STEP_BUDGET = 32
 
 

@@ -469,8 +469,10 @@ def cmd_infer(
             if max_divergence is not None and stop_cfg.delta > 0.0
             else None
         )
+        # The reasons a block can end with (``BlockResult.stop_decision``).
+        ended = (StopReason.RUN_LENGTH_MET, StopReason.BUDGET_EXHAUSTED)
         reasons = (
-            {r.value: sum(b.stop_decision.reason is r for b in blocks) for r in StopReason}
+            {r.value: sum(b.stop_decision.reason is r for b in blocks) for r in ended}
             if policy.monitored
             else None
         )

@@ -467,13 +467,12 @@ def reference_pseudo_gradient(model, trajectory, step: int, keys):
     return {key: grads[key] for key in keys}
 
 
-def local_distribution(f_s: np.ndarray, basis: SubspaceBasis, tau_sub: float) -> ProbVector:
+def local_distribution(f_s: np.ndarray, basis: SubspaceBasis) -> ProbVector:
     """Distribution over subspace components from one activation.
 
     Coordinates are taken in the basis, folded by absolute value, and
-    softmaxed at the sub-token temperature. The support is the component
-    indices 0..k-1. The per-token form of one row of ``TokenFreezer``'s
-    array pass.
+    softmaxed. The support is the component indices 0..k-1. The per-token
+    form of one row of ``TokenFreezer``'s array pass.
     """
     f_s = np.asarray(f_s, dtype=np.float64)
     if f_s.shape != (basis.d_out,):
@@ -481,7 +480,7 @@ def local_distribution(f_s: np.ndarray, basis: SubspaceBasis, tau_sub: float) ->
             f"activation shape {f_s.shape} != basis dimension ({basis.d_out},)"
         )
     g = basis.columns.T @ f_s
-    return ProbVector(softmax_rows(np.abs(g) / tau_sub), tuple(range(basis.k)))
+    return ProbVector(softmax_rows(np.abs(g)), tuple(range(basis.k)))
 
 
 @dataclass
@@ -523,7 +522,7 @@ def token_stability_step(
     state.steps_seen += 1
     if step is None:
         step = state.steps_seen
-    q = local_distribution(f_s, basis, cfg.tau_sub)
+    q = local_distribution(f_s, basis)
     if state.last_q is None:
         state.last_q = q
         state.prev_activation = f_s.copy()

@@ -1,15 +1,20 @@
-"""The functions the benchmark traces, by module and name, must exist.
+"""The functions the benchmark traces and calls, by module and name, must exist.
 
 ``bench/tracing.py`` wraps each ``(module, path)`` of its ``TARGETS`` and
 ``linalg.ProbVector.__init__`` in place, so a rename or deletion in the
 package breaks the benchmark, and a decode that stops calling through
-those bindings zeroes the bench's counters. These tests fail first.
+those bindings zeroes the bench's counters. ``bench/workloads.py`` calls
+``generate`` and the ``harness`` commands untraced, with the policy kinds,
+keywords and commands it names; a rename there fails every bench run.
+These tests fail first.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import sys
 
@@ -21,7 +26,10 @@ from editstop.capture import EvolutionVector, build_subspace
 from editstop.generate import PolicyConfig, generate
 from editstop.model import ModelConfig, init_model
 
-TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+TRACING = os.path.join(BENCH, "tracing.py")
+# The bench's own modules, imported by their bare names from bench/.
+BENCH_MODULES = ("workloads", "outputs", "measure", "tracing")
 
 
 def load_tracing(monkeypatch):
@@ -97,3 +105,46 @@ def test_a_traced_decode_counts_every_forward_and_probvector(monkeypatch, kind):
     assert [len(m.divergence_trace) for m in monitored] == [
         b.steps_used - 1 for b in result.blocks if b.monitor is not None
     ]
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``bench/workloads.py`` imported as the bench imports it, with
+    ``bench/`` on the path; the bench's modules leave ``sys.modules`` after."""
+    monkeypatch.syspath_prepend(BENCH)
+    held = {name: sys.modules.pop(name) for name in BENCH_MODULES if name in sys.modules}
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        for name in BENCH_MODULES:
+            sys.modules.pop(name, None)
+        sys.modules.update(held)
+
+
+def test_every_decode_policy_is_a_kind(workloads):
+    for workload, (_, kinds) in workloads.DECODE.items():
+        config = workloads.config_for(workload, 0)
+        assert [config.policy_config(kind).kind for kind in kinds] == list(kinds)
+
+
+def test_generate_takes_what_the_decode_passes(workloads):
+    tree = ast.parse(inspect.getsource(workloads.decode))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "generate"
+    ]
+    assert len(calls) == 1
+    call = calls[0]
+    keywords = [k.arg for k in call.keywords]
+    assert keywords and None not in keywords
+    # Binding raises TypeError on an argument the signature no longer takes.
+    inspect.signature(workloads.gen.generate).bind(*call.args, **dict.fromkeys(keywords))
+
+
+def test_every_pipeline_command_takes_config_and_run_dir(workloads):
+    config = workloads.config_for(workloads.PIPELINE, 0)
+    for name in ("train", *workloads.PIPELINE_COMMANDS):
+        command = getattr(workloads.harness, f"cmd_{name}")
+        inspect.signature(command).bind(config, run_dir="run")
+    inspect.signature(workloads.harness.load_artifacts).bind(config, "run")

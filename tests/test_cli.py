@@ -11,6 +11,7 @@ import pytest
 
 from editstop import harness
 from editstop.cli import EXIT_ARTIFACT, EXIT_CONFIG, EXIT_NO_PAIR, EXIT_OK, main
+from editstop.generate import POLICY_KINDS
 from editstop.harness import (
     BAND_FILE,
     CHECKPOINT_FILE,
@@ -72,6 +73,14 @@ class TestExitCodes:
         p.write_text("policy = oracle\n")
         assert main(["infer", "--config", str(p)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", ["delta_tok = 0.05", "omega_tok = 6", "tau_sub = 1.0"])
+    def test_freezer_threshold_key_exits_two(self, tmp_path, capsys, line):
+        p = tmp_path / "exp.txt"
+        p.write_text(SMALL + line + "\n")
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
+
     def test_missing_artifacts(self, tmp_path, trained_cli, capsys):
         cfg_path, _ = trained_cli
         empty = str(tmp_path / "nothing")
@@ -101,7 +110,7 @@ class TestExitCodes:
         assert "artifact error" in err
         assert "block1.q.lora_a" in err
 
-    @pytest.mark.parametrize("policy", ["fixed", "edit", "edit-freeze"])
+    @pytest.mark.parametrize("policy", ["fixed", "edit", "edit_freeze"])
     @pytest.mark.parametrize("similarity", ["vector_cosine", "subspace_norm"])
     def test_basis_k_other_than_subspace_k_exits_three(
         self, trained_cli, tmp_path, capsys, policy, similarity
@@ -380,7 +389,7 @@ class TestUnusableArtifacts:
         [
             ("infer", "subspace_norm", "edit"),
             ("calibrate", "subspace_norm", None),
-            ("infer", "vector_cosine", "edit-freeze"),
+            ("infer", "vector_cosine", "edit_freeze"),
         ],
         ids=["infer_subspace_norm", "calibrate_subspace_norm", "infer_edit_freeze"],
     )
@@ -599,17 +608,39 @@ class TestCommands:
         assert report["mean"]["avg_steps"] == 12.0
 
     def test_policy_spellings_write_the_same_report(self, trained_cli, tmp_path):
-        # ``--policy`` takes every spelling a config file takes.
+        # ``--policy`` takes every kind a config file's ``policy`` takes, and
+        # either way of naming a kind writes the same report.
         cfg_path, run_dir = trained_cli
-        reports = []
-        for spelling in ("edit_freeze", "edit-freeze"):
-            out = str(tmp_path / spelling)
-            argv = ["infer", "--config", cfg_path, "--artifacts", run_dir, "--out", out]
-            assert main(argv + ["--policy", spelling]) == EXIT_OK
-            with open(os.path.join(out, REPORT_FILE), "rb") as fh:
-                reports.append(fh.read())
-        assert reports[0] == reports[1]
-        assert json.loads(reports[0])["policy"] == "edit_freeze"
+        with open(cfg_path) as fh:
+            base = fh.read()
+        for policy in POLICY_KINDS:
+            named = tmp_path / f"{policy}.txt"
+            named.write_text(base + f"policy = {policy}\n")
+            reports = []
+            for config, flag in ((cfg_path, ["--policy", policy]), (str(named), [])):
+                out = str(tmp_path / policy / ("flag" if flag else "config"))
+                argv = ["infer", "--config", config, "--artifacts", run_dir, "--out", out]
+                assert main(argv + flag) == EXIT_OK
+                with open(os.path.join(out, REPORT_FILE), "rb") as fh:
+                    reports.append(fh.read())
+            assert reports[0] == reports[1]
+            assert json.loads(reports[0])["policy"] == policy
+
+    def test_hyphenated_policy_exits_two(self, trained_cli, tmp_path, capsys):
+        # ``edit_freeze`` has one spelling, as a flag and as a config value.
+        cfg_path, run_dir = trained_cli
+        out = str(tmp_path / "out")
+        argv = ["infer", "--config", cfg_path, "--artifacts", run_dir, "--out", out]
+        with pytest.raises(SystemExit) as caught:
+            main(argv + ["--policy", "edit-freeze"])
+        assert caught.value.code == EXIT_CONFIG
+        assert "invalid choice: 'edit-freeze'" in capsys.readouterr().err
+        named = tmp_path / "named.txt"
+        named.write_text(SMALL + "policy = edit-freeze\n")
+        assert main(["infer", "--config", str(named), "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(repr(kind) in err for kind in POLICY_KINDS)
+        assert not os.path.exists(out)
 
     def test_ablate_reads_trained_run(self, trained_cli, capsys, monkeypatch):
         cfg_path, run_dir = trained_cli

@@ -9,7 +9,7 @@ import pytest
 from editstop.alignment import SimilarityMode
 from editstop.config import ExperimentConfig
 from editstop.errors import ConfigError
-from editstop.generate import POLICY_ALIASES
+from editstop.generate import POLICY_KINDS
 from editstop.harness import cmd_infer
 
 
@@ -25,22 +25,17 @@ class TestDefaults:
         cfg = ExperimentConfig(delta=0.1, omega=9, tau_blk=2.0, subspace_k=2)
         stop = cfg.stop_config()
         assert (stop.delta, stop.omega, stop.tau_blk) == (0.1, 9, 2.0)
-        freeze = cfg.freeze_config()
+        freeze = cfg.policy_config().freeze
         assert (freeze.delta_tok, freeze.omega_tok) == (0.05, 6)
         assert freeze.k == 2
         model = cfg.model_config()
         assert model.vocab_size == cfg.vocab_size
         assert model.seed == cfg.model_seed
 
-    def test_policy_alias_normalized(self):
-        cfg = ExperimentConfig(policy="edit-freeze")
-        assert cfg.policy == "edit_freeze"
-        assert cfg.policy_config().kind == "edit_freeze"
-
     def test_policy_config_kind_override(self):
         cfg = ExperimentConfig(policy="edit")
         assert cfg.policy_config("fixed").kind == "fixed"
-        assert cfg.policy_config("edit-freeze").kind == "edit_freeze"
+        assert cfg.policy_config("edit_freeze").kind == "edit_freeze"
 
     def test_similarity_mode_variants(self):
         assert (
@@ -64,6 +59,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(policy="oracle")
 
+    def test_hyphenated_policy_refused(self):
+        # ``edit_freeze`` has one spelling, and the refusal names every kind.
+        for call in (lambda: ExperimentConfig(policy="edit-freeze"),
+                     lambda: ExperimentConfig.from_text("policy = edit-freeze\n"),
+                     lambda: ExperimentConfig().policy_config("edit-freeze")):
+            with pytest.raises(ConfigError, match="'edit-freeze'") as caught:
+                call()
+            assert all(repr(kind) in str(caught.value) for kind in POLICY_KINDS)
+
     def test_unknown_policy_override(self, tmp_path):
         # An override that names no policy is a config error that names every
         # spelling, also through cmd_infer, which refuses it before it writes
@@ -73,7 +77,7 @@ class TestValidation:
                      lambda: cmd_infer(cfg, policy_kind="bogus")):
             with pytest.raises(ConfigError, match="bogus") as caught:
                 call()
-            assert all(repr(kind) in str(caught.value) for kind in POLICY_ALIASES)
+            assert all(repr(kind) in str(caught.value) for kind in POLICY_KINDS)
         assert not (tmp_path / "run").exists()
 
     def test_seq_len_must_be_two_blocks(self):
@@ -93,7 +97,7 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"subspace_k {subspace_k} exceeds adapter rank"):
             ExperimentConfig(lora_rank=lora_rank, subspace_k=subspace_k)
         cfg = ExperimentConfig(lora_rank=subspace_k, subspace_k=subspace_k)
-        assert cfg.freeze_config().k == subspace_k
+        assert cfg.policy_config().freeze.k == subspace_k
 
     def test_fraction_bounds(self):
         with pytest.raises(ConfigError):

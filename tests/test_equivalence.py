@@ -109,7 +109,7 @@ def assert_same_run(result, ref_tokens, ref_blocks):
 def run_both(trained, kind, seq_len, mode=SimilarityMode.VECTOR_COSINE, **policy_kw):
     cfg, artifacts, prompts = trained
     reasoning_map = artifacts.vector if mode is SimilarityMode.VECTOR_COSINE else artifacts.basis
-    policy = PolicyConfig(kind, stop=cfg.stop_config(), freeze=cfg.freeze_config(), **policy_kw)
+    policy = PolicyConfig(kind, stop=cfg.stop_config(), freeze=cfg.policy_config().freeze, **policy_kw)
     kwargs = dict(
         reasoning_map=reasoning_map if policy.monitored else None,
         mode=mode,
@@ -203,7 +203,7 @@ def test_array_step_matches_the_object_path(trained, mode, tau_blk, strict, seq_
     for (delta, omega), kind in product(rules, ("edit", "edit_freeze")):
         stop = StopConfig(delta=delta, omega=omega, tau_blk=tau_blk)
         policy = PolicyConfig(
-            kind, stop=stop, freeze=cfg.freeze_config(), strict_certificates=strict
+            kind, stop=stop, freeze=cfg.policy_config().freeze, strict_certificates=strict
         )
         for prompt in prompts:
             result = generate(

@@ -50,12 +50,11 @@ class TestFreezeConfig:
         cfg = FreezeConfig()
         assert cfg.delta_tok == 0.05
         assert cfg.omega_tok == 6
-        assert cfg.tau_sub == 1.0
         assert cfg.k == 3
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"delta_tok": 0.0}, {"omega_tok": 0}, {"tau_sub": 0.0}, {"k": 0}, {"k": 9}],
+        [{"delta_tok": 0.0}, {"omega_tok": 0}, {"k": 0}, {"k": 9}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -65,19 +64,20 @@ class TestFreezeConfig:
 class TestLocalDistribution:
     def test_aligned_activation_concentrates_at_cold_temperature(self):
         basis = identity_basis(4, 2)
-        f = np.array([5.0, 0.1, 0.0, 0.0])
-        q = local_distribution(f, basis, tau_sub=0.01)
+        # The softmax of |100 g| is that of |g| at temperature 0.01.
+        f = 100.0 * np.array([5.0, 0.1, 0.0, 0.0])
+        q = local_distribution(f, basis)
         assert q.argmax_token() == 0
         assert q.probs[0] > 0.999
 
     def test_zero_coordinates_give_uniform(self):
         basis = identity_basis(4, 3)
-        q = local_distribution(np.array([0.0, 0.0, 0.0, 7.0]), basis, 1.0)
+        q = local_distribution(np.array([0.0, 0.0, 0.0, 7.0]), basis)
         np.testing.assert_allclose(q.probs, 1.0 / 3.0, rtol=1e-12)
 
     def test_frozen_softmax_example(self):
         basis = identity_basis(3, 3)
-        q = local_distribution(np.array([1.0, -2.0, 3.0]), basis, 1.0)
+        q = local_distribution(np.array([1.0, -2.0, 3.0]), basis)
         np.testing.assert_allclose(
             q.probs,
             [0.09003057317038046, 0.24472847105479764, 0.6652409557748218],
@@ -86,13 +86,13 @@ class TestLocalDistribution:
 
     def test_support_is_component_indices(self):
         basis = identity_basis(5, 4)
-        q = local_distribution(np.ones(5), basis, 1.0)
+        q = local_distribution(np.ones(5), basis)
         assert q.support == (0, 1, 2, 3)
 
     def test_dim_mismatch_rejected(self):
         basis = identity_basis(4, 2)
         with pytest.raises(DimMismatchError):
-            local_distribution(np.ones(3), basis, 1.0)
+            local_distribution(np.ones(3), basis)
 
 
 class TestTokenStabilityStep:
@@ -132,8 +132,8 @@ class TestTokenStabilityStep:
         basis = identity_basis(2, 2)
         v0 = 10.0 + np.log([0.6, 0.4])
         v1 = 10.0 + np.log([0.5, 0.5])
-        q0 = local_distribution(v0, basis, 1.0)
-        q1 = local_distribution(v1, basis, 1.0)
+        q0 = local_distribution(v0, basis)
+        q1 = local_distribution(v1, basis)
         exact = max(kl_divergence(q1, q0), kl_divergence(q0, q1))
         cfg = FreezeConfig(delta_tok=exact, omega_tok=4, k=2)
         state, outcomes = self.run_steps([v0, v1, v0, v1, v0, v1], cfg, basis)
@@ -415,7 +415,7 @@ def side_by_side_frames(rng, n_steps=16):
     v0 = np.array([*(10.0 + np.log([0.6, 0.4])), 0.0, 0.0])
     v1 = np.array([*(10.0 + np.log([0.5, 0.5])), 0.0, 0.0])
     basis = identity_basis(4, 2)
-    q0, q1 = (local_distribution(v, basis, 1.0) for v in (v0, v1))
+    q0, q1 = (local_distribution(v, basis) for v in (v0, v1))
     boundary = max(kl_divergence(q1, q0), kl_divergence(q0, q1))
     settle_at = rng.normal(size=4)
     frames = []
@@ -490,11 +490,10 @@ class TestStackedFreezerArithmetic:
             k = int(rng.integers(1, min(d, 8) + 1))
             n = int(rng.integers(1, 33))
             basis = build_subspace(rng.normal(size=(d, k + 2)), k)
-            tau = float(rng.choice([0.5, 1.0, 2.0]))
             rows = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-2, 3)
             coords = np.stack([basis.columns.T @ row for row in rows])
-            want = softmax_rows(np.abs(coords) / tau)
-            got = TokenFreezer(basis, FreezeConfig(tau_sub=tau, k=k))._local_distributions(rows)
+            want = softmax_rows(np.abs(coords))
+            got = TokenFreezer(basis, FreezeConfig(k=k))._local_distributions(rows)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -66,7 +66,7 @@ from editstop.harness import (
 )
 from editstop.metaformat import load_metadata, persist_metadata
 from editstop.model import init_model, load_checkpoint
-from editstop.monitor import StabilityMonitor, StopConfig, StopReason
+from editstop.monitor import StabilityMonitor, StopConfig
 from editstop.tasks import make_task
 from editstop.train import CaptureSpec, sft_train
 
@@ -279,8 +279,10 @@ class TestInfer:
                 assert seed_entry["vacuity_ratio"] is None
                 assert seed_entry["stop_reasons"] is None
                 continue
-            reasons = [b.stop_decision.reason for b in blocks]
-            assert seed_entry["stop_reasons"] == {r.value: reasons.count(r) for r in StopReason}
+            reasons = [b.stop_decision.reason.value for b in blocks]
+            assert seed_entry["stop_reasons"] == {
+                r: reasons.count(r) for r in ("run_length_met", "budget_exhausted")
+            }
             largest = max(
                 row.divergence for b in blocks for row in b.monitor.divergence_trace
             )
@@ -288,6 +290,21 @@ class TestInfer:
             assert seed_entry["vacuity_ratio"] == largest / cfg.delta
         stored = json.load(open(os.path.join(out, REPORT_FILE)))
         assert stored == report
+
+    @pytest.mark.parametrize(
+        "kind, strict", [("edit", False), ("edit_freeze", False), ("edit", True)]
+    )
+    def test_stop_reasons_count_every_instance(self, trained_run, tmp_path, kind, strict):
+        # A block ends by its run length or at its budget; a strict run whose
+        # certificates refuse every stop runs each block to its budget.
+        cfg, run_dir = trained_run
+        cfg = dataclasses.replace(cfg, strict_certificates=strict)
+        report = cmd_infer(cfg, artifacts_dir=run_dir, run_dir=str(tmp_path), policy_kind=kind)
+        for seed_entry in report["per_seed"]:
+            reasons = seed_entry["stop_reasons"]
+            assert set(reasons) == {"run_length_met", "budget_exhausted"}
+            assert sum(reasons.values()) == seed_entry["n_instances"]
+            assert reasons["run_length_met"] == seed_entry["n_early_stops"]
 
     @pytest.mark.parametrize("kind", ["edit", "fixed"])
     def test_margins_cover_every_stop(self, trained_run, tmp_path, kind):
@@ -381,7 +398,7 @@ class TestInfer:
         cfg, run_dir = trained_run
         out = str(tmp_path / "frozen")
         report = cmd_infer(
-            cfg, artifacts_dir=run_dir, run_dir=out, policy_kind="edit-freeze"
+            cfg, artifacts_dir=run_dir, run_dir=out, policy_kind="edit_freeze"
         )
         assert report["policy"] == "edit_freeze"
         assert report["mean"]["avg_steps"] <= cfg.budget
@@ -539,7 +556,7 @@ class TestCalibrateReplay:
             policy = PolicyConfig(
                 "edit_freeze",
                 stop=StopConfig(delta=delta, omega=omega, tau_blk=cfg.tau_blk),
-                freeze=cfg.freeze_config(),
+                freeze=cfg.policy_config().freeze,
             )
             return [
                 generate(

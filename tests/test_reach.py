@@ -65,6 +65,8 @@ ALLOWED_PARAMETERS = {
 
 ALLOWED_FIELDS = {
     "PseudoGradConfig.modules": "acceptance criterion 02 passes the modules it checks",
+    "FreezeConfig.delta_tok": "acceptance criterion 07 passes the freezer's threshold",
+    "FreezeConfig.omega_tok": "acceptance criterion 07 passes the freezer's run length",
 }
 
 ALLOWED_READS = {

@@ -322,9 +322,25 @@ MUTANTS = (
     Mutant(
         "policy_flag_takes_fewer_spellings",
         "src/editstop/cli.py",
-        "        choices=tuple(POLICY_ALIASES),\n",
-        '        choices=("fixed", "edit", "edit-freeze"),\n',
+        "        choices=POLICY_KINDS,\n",
+        '        choices=("fixed", "edit"),\n',
         ("tests/test_cli.py::TestCommands::test_policy_spellings_write_the_same_report",),
+    ),
+    Mutant(
+        "freeze_config_ignores_subspace_k",
+        "src/editstop/config.py",
+        "            freeze=FreezeConfig(k=self.subspace_k),\n",
+        "            freeze=FreezeConfig(),\n",
+        ("tests/test_config.py::TestDefaults::test_component_builders_agree_with_fields",
+         "tests/test_config.py::TestValidation::test_subspace_k_fits_the_adapter"),
+    ),
+    Mutant(
+        "stop_reasons_count_still_running",
+        "src/editstop/harness.py",
+        "        ended = (StopReason.RUN_LENGTH_MET, StopReason.BUDGET_EXHAUSTED)\n",
+        "        ended = tuple(StopReason)\n",
+        ("tests/test_harness.py::TestInfer::test_stop_reasons_count_every_instance",
+         "tests/test_harness.py::TestInfer::test_counters_cover_every_instance"),
     ),
     Mutant(
         "cmd_train_batch_size_fixed",
