@@ -2,8 +2,13 @@
 
 Each command reads an ``ExperimentConfig``, writes every derived artifact
 into the run directory, and is reproducible byte-for-byte from (config,
-seeds, input artifacts). Evaluation instances run one after another, in
-instance order. ``calibrate`` and ``ablate`` decode each prompt once under
+seeds, input artifacts). ``infer``, ``calibrate`` and ``ablate`` decode
+their independent prompts on one forked worker per CPU this process may run
+on, at most one per prompt, and in-process when that makes one worker or
+the ``fork`` start method or ``os.sched_getaffinity`` is unavailable
+(``_map_prompts``). The parent writes every file and builds every report
+in instance order, so the bytes do not depend on the worker count.
+``calibrate`` and ``ablate`` decode each prompt once under
 ``fixed`` and score the recorded tap rows offline (``_alignment_trace``),
 with no monitor; their (delta, omega) cells replay that one decode.
 
@@ -29,14 +34,16 @@ Run directory layout::
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 from os import PathLike
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -108,8 +115,12 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json_text(obj))
 
 
 def _read_json(path: str):
@@ -167,6 +178,52 @@ def _sample_instances(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     rng = np.random.default_rng(list(seed_key))
     return [task.sample(rng) for _ in range(count)]
+
+
+# --- independent prompts on every CPU -------------------------------------
+
+_task: Optional[Callable] = None  # a pool worker's per-prompt function
+
+
+def _prompt_workers(n_prompts: int) -> int:
+    """Processes for ``n_prompts`` independent prompts: one per CPU this
+    process may run on, at most one per prompt; 1 where the ``fork`` start
+    method or ``os.sched_getaffinity`` is unavailable."""
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    if not forks or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_prompts)
+
+
+def _bind_task(task: Callable) -> None:
+    """A forked worker's initializer: ``task`` and the state bound to it
+    arrive by ``fork``, not by pickle."""
+    global _task
+    _task = task
+
+
+def _run_task(index: int):
+    return _task(index)
+
+
+def _map_prompts(task: Callable[[int], object], n_prompts: int) -> list:
+    """``[task(i) for i in range(n_prompts)]``, on a fork pool of
+    ``_prompt_workers(n_prompts)`` processes when that is more than one.
+
+    ``task`` is a module-level per-prompt function with the command's
+    shared read-only state (model, maps, policy, prompts) bound by
+    ``functools.partial``. The workers inherit it through ``fork``, so only
+    prompt indices and ``task``'s results cross the pipe; results come back
+    in input order. Chunks of about a quarter of a worker's share hand the
+    prompts out interleaved, so the slower traced instances at the head of
+    each seed do not all fall to one worker. A worker's exception reaches
+    the caller with its type, and no worker outlives the call.
+    """
+    workers = _prompt_workers(n_prompts)
+    if workers == 1:
+        return [task(i) for i in range(n_prompts)]
+    with multiprocessing.get_context("fork").Pool(workers, _bind_task, (task,)) as pool:
+        return pool.map(_run_task, range(n_prompts), chunksize=-(-n_prompts // (4 * workers)))
 
 
 # --- artifact loading -----------------------------------------------------
@@ -352,6 +409,77 @@ def _block_trace(block: BlockResult, csv_name: Optional[str], pseudo_name: Optio
     }
 
 
+def _infer_instance(
+    config: ExperimentConfig,
+    policy: PolicyConfig,
+    setup: tuple,
+    calibration: tuple[Optional[float], Optional[float]],
+    instances: Sequence[tuple[int, int, np.ndarray, np.ndarray]],
+    i: int,
+) -> tuple[BlockResult, bool, str, list[tuple[str, str]]]:
+    """``cmd_infer``'s instance ``i``, a ``(seed, index, prompt, target)``:
+    its decoded block, which keeps no tap rows or forwards, whether it
+    matched the target, its generations line, and the ``(name, text)`` of
+    each of its trace files, the instance JSON last (none untraced)."""
+    artifacts, task, mode, reasoning_map = setup
+    alpha_hat, quantile = calibration
+    seed, index, prompt, target = instances[i]
+    traced = index < config.trace_retention
+    # A traced decode keeps its forwards for the pseudo-gradient. The
+    # config's seq_len leaves one block after the prompt.
+    (block,) = generate(
+        artifacts.model,
+        prompt,
+        config.seq_len,
+        policy,
+        budget=config.budget,
+        reasoning_map=reasoning_map,
+        mode=mode,
+        freeze_basis=artifacts.basis,
+        alpha_hat=alpha_hat,
+        record=traced,
+    ).blocks
+    output_block = np.asarray(block.trajectory.tokens)
+    exact = task.exact_match(output_block, target)
+    if block.stopped_early:
+        # The decode certified the stop under the same stop config and
+        # alpha_hat; only the calibrated quantile is added here.
+        block.certificate = replace(block.certificate, margin_quantile=quantile)
+    # The instance's one record, which its generations line and its trace
+    # both carry.
+    instance = {
+        "seed": seed,
+        "instance": index,
+        "prompt": [int(t) for t in prompt],
+        "target": [int(t) for t in target],
+        "output": [int(t) for t in output_block],
+        "exact_match": bool(exact),
+    }
+    line = json.dumps(
+        {**instance, "block_steps": [block.steps_used], "policy": policy.kind}, sort_keys=True
+    )
+    files: list[tuple[str, str]] = []
+    if traced:
+        stem = f"seed{seed}_inst{index:03d}_block{block.block_index}"
+        csv_name = None
+        if block.monitor is not None:
+            csv_name = stem + "_divergence.csv"
+            files.append((csv_name, trace_to_csv(block.monitor)))
+        pseudo_name = None
+        if artifacts.band is not None and block.steps_used >= 2:
+            pseudo_name = stem + "_pseudograd.csv"
+            trace = analyze_trajectory(artifacts.model, block.trajectory, artifacts.band)
+            files.append((pseudo_name, pseudograd_to_csv(trace)))
+        files.append(
+            (
+                f"seed{seed}_inst{index:03d}.json",
+                _json_text({**instance, "blocks": [_block_trace(block, csv_name, pseudo_name)]}),
+            )
+        )
+    block.trajectory = replace(block.trajectory, tap_rows=(), forwards=())  # not read past here
+    return block, exact, line, files
+
+
 def cmd_infer(
     config: ExperimentConfig,
     artifacts_dir: str | None = None,
@@ -379,77 +507,34 @@ def cmd_infer(
     traces_dir = os.path.join(run_dir, TRACES_DIR)
     _make_dir(traces_dir)
 
-    artifacts, task, mode, reasoning_map = _load_setup(config, artifacts_dir)
-
-    alpha_hat, quantile = _read_calibration(calibration_path)
+    setup = _load_setup(config, artifacts_dir)
+    _, task, _, _ = setup
+    calibration = _read_calibration(calibration_path)
+    per_seed = config.eval_instances
+    instances = [
+        (seed, index, prompt, target)
+        for seed in config.seeds
+        for index, (prompt, target) in enumerate(_sample_instances(task, (seed, 101), per_seed))
+    ]
+    outcomes = _map_prompts(
+        partial(_infer_instance, config, policy, setup, calibration, instances), len(instances)
+    )
     stop_cfg = config.stop_config()
     seed_reports: list[dict] = []
     generation_lines: list[str] = []
 
-    for seed in config.seeds:
-        instances = _sample_instances(task, (seed, 101), config.eval_instances)
+    for s, seed in enumerate(config.seeds):
         blocks: list[BlockResult] = []
         exacts: list[bool] = []
         trace_files: list[str] = []
-        for index, (prompt, target) in enumerate(instances):
-            traced = index < config.trace_retention
-            # A traced decode keeps its forwards for the pseudo-gradient,
-            # which reads them before the next instance decodes. The config's
-            # seq_len leaves one block after the prompt.
-            (block,) = generate(
-                artifacts.model,
-                prompt,
-                config.seq_len,
-                policy,
-                budget=config.budget,
-                reasoning_map=reasoning_map,
-                mode=mode,
-                freeze_basis=artifacts.basis,
-                alpha_hat=alpha_hat,
-                record=traced,
-            ).blocks
+        for block, exact, line, files in outcomes[s * per_seed : (s + 1) * per_seed]:
             blocks.append(block)
-            output_block = np.asarray(block.trajectory.tokens)
-            exact = task.exact_match(output_block, target)
             exacts.append(exact)
-            if block.stopped_early:
-                # The decode certified the stop under the same stop config
-                # and alpha_hat; only the calibrated quantile is added here.
-                block.certificate = replace(block.certificate, margin_quantile=quantile)
-            # The instance's one record, which its generations line and its
-            # trace both carry.
-            instance = {
-                "seed": seed,
-                "instance": index,
-                "prompt": [int(t) for t in prompt],
-                "target": [int(t) for t in target],
-                "output": [int(t) for t in output_block],
-                "exact_match": bool(exact),
-            }
-            generation_lines.append(
-                json.dumps(
-                    {**instance, "block_steps": [block.steps_used], "policy": policy.kind},
-                    sort_keys=True,
-                )
-            )
-            if traced:
-                stem = f"seed{seed}_inst{index:03d}_block{block.block_index}"
-                csv_name = None
-                if block.monitor is not None:
-                    csv_name = stem + "_divergence.csv"
-                    _write_text(os.path.join(traces_dir, csv_name), trace_to_csv(block.monitor))
-                pseudo_name = None
-                if artifacts.band is not None and block.steps_used >= 2:
-                    pseudo_name = stem + "_pseudograd.csv"
-                    trace = analyze_trajectory(artifacts.model, block.trajectory, artifacts.band)
-                    _write_text(os.path.join(traces_dir, pseudo_name), pseudograd_to_csv(trace))
-                block.trajectory.forwards = ()  # held for one instance only
-                trace_name = f"seed{seed}_inst{index:03d}.json"
-                _write_json(
-                    os.path.join(traces_dir, trace_name),
-                    {**instance, "blocks": [_block_trace(block, csv_name, pseudo_name)]},
-                )
-                trace_files.append(os.path.join(TRACES_DIR, trace_name))
+            generation_lines.append(line)
+            for name, text in files:
+                _write_text(os.path.join(traces_dir, name), text)
+            if files:
+                trace_files.append(os.path.join(TRACES_DIR, files[-1][0]))
 
         avg_steps = float(np.mean([b.steps_used for b in blocks]))
         baseline = float(config.budget)
@@ -485,7 +570,7 @@ def cmd_infer(
                 "baseline_steps": baseline,
                 "reduction_percent": 100.0 * (1.0 - avg_steps / baseline),
                 "certified_fraction": certified,
-                "n_instances": len(instances),
+                "n_instances": len(blocks),
                 "n_early_stops": len(margins),
                 "forward_passes": sum(b.forward_passes for b in blocks),
                 "stop_step_histogram": sorted([k, n] for k, n in stop_steps.items()),
@@ -583,6 +668,35 @@ def _alignment_trace(
     return probs, divergences
 
 
+def _calibrate_prompt(
+    config: ExperimentConfig, setup: tuple, prompts: Sequence[np.ndarray], i: int
+) -> tuple[DenoiseTrajectory, np.ndarray, float, Optional[list[ProbVector]]]:
+    """``cmd_calibrate``'s validation prompt ``i``: its ``fixed`` decode's
+    trajectory without tap rows, the step divergences of steps 2, 3, ...
+    scored offline, the margin at the configured (delta, omega)'s stop, and
+    the contraction trace: the alignment distribution of each step from the
+    first that sees the whole block, or None unless 3 or more such steps."""
+    artifacts, _, mode, reasoning_map = setup
+    (block,) = generate(
+        artifacts.model, prompts[i], config.seq_len, PolicyConfig("fixed"), budget=config.budget
+    ).blocks
+    trajectory = block.trajectory
+    probs, divergences = _alignment_trace(
+        trajectory, ((0, (reasoning_map,)),), mode, config.tau_blk
+    )
+    divergences = divergences[:, 0]
+    mask_id = artifacts.model.cfg.mask_id
+    _, stop_step = replay_stop(trajectory, divergences, config.delta, config.omega, mask_id)
+    margin = top2_margin(probs[trajectory.row(stop_step)][0])
+    contraction = None
+    full = trajectory.visible.all(axis=1)
+    if full.any() and trajectory.steps_used - full.argmax() >= 3:
+        rows = [trajectory.row(s) for s in range(full.argmax() + 1, trajectory.steps_used + 1)]
+        dists = {r: ProbVector(probs[r][0]) for r in set(rows)}
+        contraction = [dists[r] for r in rows]
+    return replace(trajectory, tap_rows=()), divergences, margin, contraction
+
+
 def cmd_calibrate(
     config: ExperimentConfig,
     artifacts_dir: str | None = None,
@@ -604,33 +718,19 @@ def cmd_calibrate(
     run_dir = run_dir if run_dir is not None else config.out_dir
     artifacts_dir = artifacts_dir if artifacts_dir is not None else run_dir
     _make_dir(run_dir)
-    artifacts, task, mode, reasoning_map = _load_setup(config, artifacts_dir)
+    setup = _load_setup(config, artifacts_dir)
+    artifacts, task, _, _ = setup
 
     n_val = max(1, int(round(config.validation_fraction * config.eval_instances)))
     instances = _sample_instances(task, (config.model_seed, 707), n_val)
 
     mask_id = artifacts.model.cfg.mask_id
-    probes: list[tuple[DenoiseTrajectory, np.ndarray]] = []
-    margins: list[float] = []
-    contraction_traces: list[list] = []
-    for prompt, _ in instances:
-        (block,) = generate(
-            artifacts.model, prompt, config.seq_len, PolicyConfig("fixed"), budget=config.budget
-        ).blocks
-        trajectory = block.trajectory
-        probs, divergences = _alignment_trace(
-            trajectory, ((0, (reasoning_map,)),), mode, config.tau_blk
-        )
-        divergences = divergences[:, 0]
-        probes.append((trajectory, divergences))
-        _, stop_step = replay_stop(trajectory, divergences, config.delta, config.omega, mask_id)
-        margins.append(top2_margin(probs[trajectory.row(stop_step)][0]))
-        # The steps from the first one that sees the whole block.
-        full = trajectory.visible.all(axis=1)
-        if full.any() and trajectory.steps_used - full.argmax() >= 3:
-            rows = [trajectory.row(s) for s in range(full.argmax() + 1, trajectory.steps_used + 1)]
-            dists = {r: ProbVector(probs[r][0]) for r in set(rows)}
-            contraction_traces.append([dists[r] for r in rows])
+    probed = _map_prompts(
+        partial(_calibrate_prompt, config, setup, [prompt for prompt, _ in instances]), n_val
+    )
+    probes = [(trajectory, divergences) for trajectory, divergences, _, _ in probed]
+    margins = [margin for _, _, margin, _ in probed]
+    contraction_traces = [trace for *_, trace in probed if trace is not None]
 
     alpha_note = estimate = None
     try:
@@ -778,6 +878,27 @@ def _ablation_capture(config: ExperimentConfig, site: tuple[str, str, str]) -> C
     return CaptureSpec(module_path(config.n_blocks - 1, proj), adapter, reduction)
 
 
+def _ablate_prompt(
+    config: ExperimentConfig,
+    model: ToyModel,
+    taps: tuple[TapSpec, ...],
+    groups: Sequence[tuple[int, Sequence[EvolutionVector]]],
+    prompts: Sequence[np.ndarray],
+    i: int,
+) -> tuple[int, np.ndarray]:
+    """``cmd_ablate``'s prompt ``i``: its ``fixed`` decode's forward count
+    and the step divergences between its distinct forwards, one column per
+    ``ABLATION_SITES`` cell."""
+    (block,) = generate(
+        model, prompts[i], config.seq_len, PolicyConfig("fixed"), budget=config.budget, taps=taps
+    ).blocks
+    _, rows = _alignment_trace(
+        block.trajectory, groups, SimilarityMode.VECTOR_COSINE, config.tau_blk
+    )
+    # Steps after the last forward repeat it and diverge by 0.0 by construction.
+    return block.forward_passes, rows[: block.forward_passes - 1]
+
+
 def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     """Sweep capture sites and reductions; report mean step divergence.
 
@@ -823,24 +944,15 @@ def cmd_ablate(config: ExperimentConfig, run_dir: str | None = None) -> dict:
     n_eval = min(config.eval_instances, 16)
     instances = _sample_instances(task, (config.model_seed, 505), n_eval)
 
-    # One prompt at a time, so only one run's frames are held.
+    decoded = _map_prompts(
+        partial(_ablate_prompt, config, artifacts.model, taps, groups, [p for p, _ in instances]),
+        n_eval,
+    )
     divergences: dict[tuple[str, str, str], list[float]] = {site: [] for site in ABLATION_SITES}
     forward_passes = 0
-    for prompt, _ in instances:
-        (block,) = generate(
-            artifacts.model,
-            prompt,
-            config.seq_len,
-            PolicyConfig("fixed"),
-            budget=config.budget,
-            taps=taps,
-        ).blocks
-        forward_passes += block.forward_passes
-        _, rows = _alignment_trace(
-            block.trajectory, groups, SimilarityMode.VECTOR_COSINE, config.tau_blk
-        )
-        # Steps after the last forward repeat it and diverge by 0.0 by construction.
-        for site, column in zip(ABLATION_SITES, rows[: block.forward_passes - 1].T):
+    for passes, rows in decoded:
+        forward_passes += passes
+        for site, column in zip(ABLATION_SITES, rows.T):
             divergences[site].extend(column.tolist())
 
     cells = [

@@ -4,6 +4,16 @@ from __future__ import annotations
 
 import sys
 
+import pytest
+from helpers import pin_workers
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """The harness decodes every prompt in the test's own process, so calls
+    recorded through monkeypatched functions are seen."""
+    pin_workers(monkeypatch, 1)
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Repeat the per-criterion verdict lines where capture cannot hide them."""

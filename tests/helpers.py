@@ -42,8 +42,10 @@ from editstop.errors import (
     WindowTooShortError,
 )
 from editstop.capture import SubspaceBasis
+from editstop.config import ExperimentConfig
 from editstop.freeze import FreezeConfig
 from editstop.generate import PolicyConfig, generate
+from editstop import harness
 from editstop.harness import ABLATION_SITES, _sample_instances
 from editstop.linalg import (
     NORM_FLOOR,
@@ -573,6 +575,49 @@ def frame_from(vectors: dict[int, np.ndarray], step: int = 0) -> ActivationFrame
     """Frame over the dict's tokens, one row per token in increasing order."""
     members = tuple(sorted(vectors))
     return ActivationFrame(step, np.stack([vectors[s] for s in members]), VisibleSet(members))
+
+
+def small_config(out_dir: str, **overrides) -> ExperimentConfig:
+    """A run small enough for a test: 4-slot blocks, budget 12, one seed of
+    8 instances, 3 of them traced."""
+    base = dict(
+        vocab_size=12,
+        d_model=16,
+        n_heads=2,
+        n_blocks=2,
+        lora_rank=3,
+        block_length=4,
+        max_blocks=2,
+        seq_len=8,
+        budget=12,
+        train_steps=120,
+        eval_instances=8,
+        seeds=[1],
+        subspace_k=2,
+        trace_retention=3,
+        out_dir=out_dir,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def dir_bytes(root: str) -> dict[str, bytes]:
+    """Every file under ``root`` by its relative path, with its bytes."""
+    files = {}
+    for base, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, root)] = fh.read()
+    return files
+
+
+def pin_workers(monkeypatch, workers: int) -> None:
+    """Make the harness map its prompts on ``workers`` processes, at most
+    one per prompt, whatever the host's CPUs: 1 runs them in the calling
+    process, where calls recorded through monkeypatched functions stay
+    visible; 2 forks a pool even on one CPU."""
+    monkeypatch.setattr(harness, "_prompt_workers", lambda n_prompts: min(workers, n_prompts))
 
 
 def count_forwards(monkeypatch, module: str = "editstop.generate", name: str = "forward") -> list:

@@ -8,6 +8,7 @@ import shutil
 import struct
 
 import pytest
+from helpers import dir_bytes
 
 from editstop import harness
 from editstop.cli import EXIT_ARTIFACT, EXIT_CONFIG, EXIT_NO_PAIR, EXIT_OK, main
@@ -38,17 +39,6 @@ seeds = [1]
 subspace_k = 2
 trace_retention = 2
 """
-
-
-def dir_bytes(root: str) -> dict[str, bytes]:
-    """Every file under ``root`` by its relative path, with its bytes."""
-    files = {}
-    for base, _, names in os.walk(root):
-        for name in names:
-            path = os.path.join(base, name)
-            with open(path, "rb") as fh:
-                files[os.path.relpath(path, root)] = fh.read()
-    return files
 
 
 @pytest.fixture(scope="module")

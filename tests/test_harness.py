@@ -19,9 +19,11 @@ from helpers import (
     assert_same_trajectory,
     count_forwards,
     freeze_keys,
+    pin_workers,
     reference_ablation_cells,
     reference_utility_table,
     same_bits,
+    small_config,
 )
 
 from editstop import alignment, harness, linalg
@@ -69,28 +71,6 @@ from editstop.model import init_model, load_checkpoint
 from editstop.monitor import StabilityMonitor, StopConfig
 from editstop.tasks import make_task
 from editstop.train import CaptureSpec, sft_train
-
-
-def small_config(out_dir: str, **overrides) -> ExperimentConfig:
-    base = dict(
-        vocab_size=12,
-        d_model=16,
-        n_heads=2,
-        n_blocks=2,
-        lora_rank=3,
-        block_length=4,
-        max_blocks=2,
-        seq_len=8,
-        budget=12,
-        train_steps=120,
-        eval_instances=8,
-        seeds=[1],
-        subspace_k=2,
-        trace_retention=3,
-        out_dir=out_dir,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
 
 
 @pytest.fixture(scope="module")
@@ -507,6 +487,7 @@ def calibrated(request, tmp_path_factory):
     runs: list = []
     traces: list = []
     with pytest.MonkeyPatch.context() as mp:
+        pin_workers(mp, 1)
         mp.setattr(harness, "generate", recording(harness.generate, runs))
         mp.setattr(harness, "_alignment_trace", recording(harness._alignment_trace, traces))
         with pytest.raises(NoAdmissiblePairError):
@@ -727,7 +708,7 @@ class TestCertify:
             assert verdicts == [None] * len(verdicts)
 
     def test_quantile_at_a_reported_margin_gets_one_verdict(
-        self, trained_run, tmp_path, monkeypatch
+        self, trained_run, tmp_path, monkeypatch, in_process
     ):
         # The quantile is a stop's margin as the trace reports it, rounded
         # up from the exact margin: infer, which holds the exact margin, and
@@ -813,6 +794,7 @@ def ablation(tmp_path_factory):
     scored: list = []
     framed: list = []
     with pytest.MonkeyPatch.context() as mp:
+        pin_workers(mp, 1)
         mp.setattr(harness, "sft_train", recording(harness.sft_train, trained))
         mp.setattr(harness, "generate", recording(harness.generate, runs))
         mp.setattr(harness, "score_alignment", recording(harness.score_alignment, scored))
@@ -957,13 +939,15 @@ class TestAblate:
             cmd_ablate(cfg)
 
 
+@pytest.mark.usefixtures("in_process")
 class TestForwardCounts:
     """``generate`` runs ``forward`` only after a step that committed a slot.
 
     A default-config block (16 slots, budget 32, one commit per step) then
     takes 17 forwards instead of 32, in every fixed-budget decode that
     calibrate's and ablate's replays read. Twenty training steps keep the
-    runs quick; the counts depend only on the schedule.
+    runs quick; the counts depend only on the schedule. The counts are
+    recorded in this process, so the prompts decode here too.
     """
 
     def test_calibrate(self, tmp_path, monkeypatch):

@@ -178,9 +178,18 @@ MUTANTS = (
     Mutant(
         "ablate_averages_repeated_steps",
         "src/editstop/harness.py",
-        "rows[: block.forward_passes - 1].T",
-        "rows.T",
+        "rows[: block.forward_passes - 1]",
+        "rows",
         ("tests/test_harness.py::TestAblate::test_cells_average_distinct_forwards_only",),
+    ),
+    Mutant(
+        "pooled_results_out_of_order",
+        "src/editstop/harness.py",
+        "return pool.map(_run_task, range(n_prompts), chunksize=-(-n_prompts // (4 * workers)))",
+        "return list(pool.imap_unordered(_run_task, range(n_prompts),"
+        " chunksize=-(-n_prompts // (4 * workers))))",
+        ("tests/test_prompt_pool.py::test_results_keep_the_input_order",
+         "tests/test_prompt_pool.py::test_pooled_run_directories_equal_in_process_ones"),
     ),
     Mutant(
         "trace_record_differs_from_generations_line",
